@@ -413,7 +413,7 @@ def check_theorem_4_4_instance(
 class CheckRow:
     group: str
     check: str
-    status: str  # pass | fail | skipped | sampled-pass
+    status: str  # pass | fail | skipped
     details: str
     elapsed_ms: int = 0
 
@@ -484,7 +484,7 @@ class RunContext:
         self.fx = fx
         self.seed = seed
         self.budget = budget
-        self.groups = realize_groups(fx, seed=seed)
+        self.groups = realize_groups(fx)
         self.auts = realize_automorphisms(fx, self.groups)
         self.actions = realize_actions(fx, self.groups, self.auts)
         self._dl: dict = {}

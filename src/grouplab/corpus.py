@@ -31,9 +31,9 @@ class Corpus:
     actions: dict
 
 
-def load_corpus(seed: int = 0) -> Corpus:
+def load_corpus() -> Corpus:
     fx = corpus_fixture()
-    groups = realize_groups(fx, seed=seed)
+    groups = realize_groups(fx)
     auts = realize_automorphisms(fx, groups)
     actions = realize_actions(fx, groups, auts)
     return Corpus(fx, groups, auts, actions)

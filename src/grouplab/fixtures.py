@@ -509,8 +509,8 @@ def serialize_fixture(fx: FixtureFile) -> str:
 # -- realization ---------------------------------------------------------
 
 
-def realize_groups(fx: FixtureFile, *, seed: int = 0) -> dict:
-    return {g.name: build_group(g.presentation, seed=seed) for g in fx.groups}
+def realize_groups(fx: FixtureFile) -> dict:
+    return {g.name: build_group(g.presentation) for g in fx.groups}
 
 
 def word_element(G: FiniteGroup, word: tuple) -> GroupElement:

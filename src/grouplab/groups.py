@@ -2,15 +2,20 @@
 
 Two primary backends: power-commutator presentations of finite p-groups
 (multiplied by collection from the left) and permutation groups on a small
-number of points (closed by breadth-first search).  Quotient groups reuse the
-same machinery through an internal coset backend, so every operation in the
-package works uniformly on all three.
+number of points.  Quotient groups reuse the same machinery through an
+internal coset backend, so every operation in the package works uniformly on
+all three.
+
+Every group is enumerated breadth-first from its generators.  Each
+generator's right multiplication, kept as a permutation of the elements,
+fills the integer-indexed Cayley table from which every product and inverse
+is read.  Groups are capped at TABLE_CAP elements.  A pc presentation is
+decided exactly from its defining relations (FiniteGroup._verify_relations).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,9 +42,6 @@ __all__ = [
     "is_prime",
 ]
 
-DEFAULT_ENUMERATION_BUDGET = 10**6
-EXHAUSTIVE_ASSOC_LIMIT = 512
-SAMPLED_ASSOC_TRIPLES = 10**5
 COLLECTION_STEP_BUDGET = 200_000
 TABLE_CAP = 2048
 
@@ -292,9 +294,6 @@ class _PcBackend:
                 work[k - 1 : k + 1] = [i, j, *self._comm_letters.get((j, i), ())]
         return tuple(counts[1:])
 
-    def invert(self, key: tuple):
-        return None  # no direct inverse; FiniteGroup falls back to powers
-
     def repr_key(self, key: tuple) -> str:
         parts = []
         for i, e in enumerate(key):
@@ -318,12 +317,6 @@ class _PermBackend:
     def multiply(self, k1: tuple, k2: tuple) -> tuple:
         # a*b means "apply a, then b"
         return tuple(k2[x] for x in k1)
-
-    def invert(self, key: tuple) -> tuple:
-        out = [0] * len(key)
-        for x, y in enumerate(key):
-            out[y] = x
-        return tuple(out)
 
     def repr_key(self, key: tuple) -> str:
         cycles = cycles_of(key)
@@ -361,9 +354,6 @@ class _CosetBackend:
     def multiply(self, k1: tuple, k2: tuple) -> tuple:
         return self.rep_of[self.parent._mul_keys(k1, k2)]
 
-    def invert(self, key: tuple) -> tuple:
-        return self.rep_of[self.parent.inverse(self.parent.element(key)).key]
-
     def repr_key(self, key: tuple) -> str:
         return self.parent._repr_key(key)
 
@@ -373,48 +363,57 @@ class FiniteGroup:
 
     Elements are exposed as GroupElement handles; the canonical key (exponent
     vector, image tuple, or coset representative key) doubles as the lookup
-    key everywhere.  Instances are immutable once built; the caches populated
-    lazily (Cayley table, inverses, orders) never change observable values.
+    key everywhere.  Products and inverses are read from the Cayley table
+    filled at construction.  Instances are immutable once built; the caches
+    populated lazily (element orders, exponent) never change observable
+    values.
     """
 
-    def __init__(self, backend, *, budget: int = DEFAULT_ENUMERATION_BUDGET, seed: int = 0):
+    def __init__(self, backend, *, budget: int = TABLE_CAP):
         self._backend = backend
-        keys = {backend.identity_key}
-        frontier = [backend.identity_key]
+        e = backend.identity_key
         gen_keys = list(backend.generator_keys)
+        tree = {e: None}  # key -> (parent key, generator position) it was reached from
+        right = {}  # key -> [key * g for each generator g]
+        frontier = [e]
         while frontier:
             fresh = []
             for key in frontier:
-                for gk in gen_keys:
-                    prod = backend.multiply(key, gk)
-                    if prod not in keys:
-                        keys.add(prod)
+                right[key] = prods = [backend.multiply(key, gk) for gk in gen_keys]
+                for pos, prod in enumerate(prods):
+                    if prod not in tree:
+                        tree[prod] = (key, pos)
                         fresh.append(prod)
-                        if len(keys) > budget:
+                        if len(tree) > budget:
                             raise BudgetExceeded(
                                 f"group enumeration passed the budget of {budget} elements"
                             )
             frontier = fresh
-        self._keys = tuple(sorted(keys))
-        self._index = {key: i for i, key in enumerate(self._keys)}
+        self._keys = tuple(sorted(tree))
+        self._index = index = {key: i for i, key in enumerate(self._keys)}
+        n = len(self._keys)
+        # right_perms[pos][i] = index of (element i) * (generator pos)
+        right_perms = np.array(
+            [[index[right[key][pos]] for key in self._keys] for pos in range(len(gen_keys))],
+            dtype=np.int64,
+        ).reshape(len(gen_keys), n)
         self._elements = tuple(GroupElement(self, key) for key in self._keys)
-        self.identity = self._elements[self._index[backend.identity_key]]
-        self.generators = tuple(
-            self._elements[self._index[key]] for key in backend.generator_keys
-        )
+        self.identity = self._elements[index[e]]
+        self.generators = tuple(self._elements[index[key]] for key in gen_keys)
         self.generator_names = tuple(backend.generator_names)
-        self._table = None
-        self._inv_keys = {}
         self._order_memo = {}
         self._exponent = None
-        self._mul_memo = {}
         if backend.kind == "pc":
             pres = backend.presentation
-            if self.order != pres.order:
+            if n != pres.order:
                 raise InconsistentPresentation(
-                    f"collection enumerates {self.order} elements, presentation claims {pres.order}"
+                    f"collection enumerates {n} elements, presentation claims {pres.order}"
                 )
-            self._verify_consistency(seed)
+            self._verify_relations(right_perms)
+        self._table = self._fill_table(tree, right_perms)
+        self._inv = np.argmax(self._table == index[e], axis=1)
+        self._table.flags.writeable = False
+        self._inv.flags.writeable = False
 
     # -- enumeration ---------------------------------------------------
 
@@ -458,32 +457,16 @@ class FiniteGroup:
     # -- arithmetic ----------------------------------------------------
 
     def _mul_keys(self, k1: tuple, k2: tuple) -> tuple:
-        if self._table is not None:
-            return self._keys[self._table[self._index[k1], self._index[k2]]]
-        memo = self._mul_memo
-        pair = (k1, k2)
-        out = memo.get(pair)
-        if out is None:
-            out = self._backend.multiply(k1, k2)
-            memo[pair] = out
-        return out
+        return self._keys[self._table[self._index[k1], self._index[k2]]]
 
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self._check(a)
         self._check(b)
-        return self._elements[self._index[self._mul_keys(a.key, b.key)]]
+        return self._elements[self._table[self._index[a.key], self._index[b.key]]]
 
     def inverse(self, a: GroupElement) -> GroupElement:
         self._check(a)
-        cached = self._inv_keys.get(a.key)
-        if cached is not None:
-            return self._elements[self._index[cached]]
-        direct = self._backend.invert(a.key)
-        if direct is None:
-            inv = self.power(a, self.element_order(a) - 1)
-            direct = inv.key
-        self._inv_keys[a.key] = direct
-        return self._elements[self._index[direct]]
+        return self._elements[self._inv[self._index[a.key]]]
 
     def power(self, a: GroupElement, k: int) -> GroupElement:
         self._check(a)
@@ -568,64 +551,86 @@ class FiniteGroup:
     # -- tables and consistency -----------------------------------------
 
     def table(self) -> np.ndarray:
-        """Full Cayley table over element indices (rows act first)."""
-        if self._table is None:
-            n = self.order
-            if n > TABLE_CAP:
-                raise BudgetExceeded(f"refusing to materialize a {n}x{n} Cayley table")
-            t = np.empty((n, n), dtype=np.int64)
-            for i, ki in enumerate(self._keys):
-                for j, kj in enumerate(self._keys):
-                    t[i, j] = self._index[self._backend.multiply(ki, kj)]
-            self._table = t
+        """Full Cayley table over element indices (rows act first), read-only."""
         return self._table
 
     def inverse_indices(self) -> np.ndarray:
-        """inv[i] = index of the inverse of element i."""
-        t = self.table()
-        e = self._index[self.identity.key]
-        inv = np.argmax(t == e, axis=1)
-        return inv
+        """inv[i] = index of the inverse of element i, read-only."""
+        return self._inv
 
-    def _verify_consistency(self, seed: int):
+    def _fill_table(self, tree: dict, right_perms: np.ndarray) -> np.ndarray:
+        """Cayley table from the generators' right multiplications.
+
+        Column z of the table is x -> x*z.  Where the enumeration reached z as
+        y*g, that column is g's right multiplication applied to column y,
+        since x*(y*g) = (x*y)*g; the tree's insertion order fills y first.
+        """
         n = self.order
-        if n <= EXHAUSTIVE_ASSOC_LIMIT:
-            t = self.table()
-            ids = np.arange(n)
-            for a in range(n):
-                lhs = t[t[a, :], :]
-                rhs = t[a, :][t]
-                if not np.array_equal(lhs, rhs):
-                    b, c = np.argwhere(lhs != rhs)[0]
+        index = self._index
+        cols = np.empty((n, n), dtype=np.int64)
+        for key, link in tree.items():
+            if link is None:
+                cols[index[key]] = np.arange(n)
+            else:
+                parent, pos = link
+                cols[index[key]] = right_perms[pos][cols[index[parent]]]
+        return np.ascontiguousarray(cols.T)
+
+    def _verify_relations(self, right_perms: np.ndarray):
+        """Decide a pc presentation from its defining relations.
+
+        The enumeration has reached all p^n normal words.  If every power
+        and commutator relation holds between the generators' right
+        multiplications of the words, those maps are bijections (g_n^p = 1,
+        and g_i^p is a word in later generators) and define an action of the
+        presented group (von Dyck's theorem), transitive on p^n points.  That
+        group has at most p^n elements, so the action is regular and the
+        presentation consistent.  In a consistent presentation every
+        relation holds, so a failing one proves it inconsistent.
+        """
+        backend = self._backend
+        pres = backend.presentation
+        n = self.order
+
+        def act(letters) -> np.ndarray:
+            x = np.arange(n)
+            for i in letters:
+                x = right_perms[i - 1][x]
+            return x
+
+        def word(w: NormalWord) -> str:
+            key = [0] * pres.ngens
+            for idx, exp in w:
+                key[idx - 1] = exp
+            return backend.repr_key(tuple(key))
+
+        for i in range(pres.ngens, 0, -1):
+            if not np.array_equal(act([i] * pres.p), act(backend._power_letters[i])):
+                raise InconsistentPresentation(
+                    f"relation g{i}^{pres.p} = {word(pres.powers.get(i, ()))} fails"
+                )
+        for j in range(2, pres.ngens + 1):
+            for i in range(1, j):
+                rhs = [i, j, *backend._comm_letters.get((j, i), ())]
+                if not np.array_equal(act([j, i]), act(rhs)):
                     raise InconsistentPresentation(
-                        "associativity fails at "
-                        f"({self._repr_key(self._keys[a])}, {self._repr_key(self._keys[int(b)])}, "
-                        f"{self._repr_key(self._keys[int(c)])})"
-                    )
-            if not (np.array_equal(np.sort(t, axis=1), np.tile(ids, (n, 1)))
-                    and np.array_equal(np.sort(t, axis=0), np.tile(ids.reshape(-1, 1), (1, n)))):
-                raise InconsistentPresentation("multiplication table is not a Latin square")
-        else:
-            rng = random.Random(seed)
-            for _ in range(SAMPLED_ASSOC_TRIPLES):
-                ka, kb, kc = (self._keys[rng.randrange(n)] for _ in range(3))
-                left = self._mul_keys(self._mul_keys(ka, kb), kc)
-                right = self._mul_keys(ka, self._mul_keys(kb, kc))
-                if left != right:
-                    raise InconsistentPresentation(
-                        f"associativity fails at ({self._repr_key(ka)}, {self._repr_key(kb)}, {self._repr_key(kc)})"
+                        f"relation [g{j}, g{i}] = {word(pres.commutators.get((j, i), ()))} fails"
                     )
 
     def __repr__(self):
         return f"FiniteGroup({self.backend}, order={self.order})"
 
 
-def build_group(spec, *, budget: int = DEFAULT_ENUMERATION_BUDGET, seed: int = 0) -> FiniteGroup:
-    """Build a FiniteGroup from a PcPresentation or a PermutationGenSet."""
+def build_group(spec, *, budget: int = TABLE_CAP) -> FiniteGroup:
+    """Build a FiniteGroup from a PcPresentation or a PermutationGenSet.
+
+    Raises BudgetExceeded once the enumeration passes ``budget`` elements and
+    InconsistentPresentation for a pc presentation whose relations fail.
+    """
     if isinstance(spec, PcPresentation):
-        return FiniteGroup(_PcBackend(spec), budget=budget, seed=seed)
+        return FiniteGroup(_PcBackend(spec), budget=budget)
     if isinstance(spec, PermutationGenSet):
-        return FiniteGroup(_PermBackend(spec), budget=budget, seed=seed)
+        return FiniteGroup(_PermBackend(spec), budget=budget)
     raise MalformedSpec(f"cannot build a group from {type(spec).__name__}")
 
 
