@@ -8,11 +8,12 @@ one row each; reports are deterministic for a fixed seed (timings are
 zeroed unless explicitly requested).
 """
 
-import itertools
 import json
 import math
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._version import __version__
 from .actions import ActionFixture, realize_actions
@@ -44,6 +45,7 @@ from .liering import (
 )
 from .series import (
     Subgroup,
+    _power_map,
     centralizer,
     dimension_series,
     fitting_height,
@@ -105,11 +107,16 @@ def _k_commutators(G: FiniteGroup, k: int, budget: int) -> list:
         raise MalformedSpec("need k >= 1")
     if G.order**k > budget:
         raise OutOfBudget(f"|G|^{k} = {G.order ** k} exceeds the budget of {budget}")
-    values = {}
-    for tup in itertools.product(G.elements(), repeat=k):
-        c = G.long_commutator(tup)
-        values[c.key] = c
-    return [values[key] for key in sorted(values)]
+    # weight-k values are [c, z] for c a weight-(k-1) value and z in G
+    T = G.table()
+    inv = G.inverse_indices()
+    values = np.ones(G.order, dtype=bool)
+    for _ in range(k - 1):
+        nxt = np.zeros(G.order, dtype=bool)
+        for c in np.flatnonzero(values):
+            nxt[T[inv[T[:, c]], T[c]]] = True
+        values = nxt
+    return [G.element_at(i) for i in np.flatnonzero(values)]
 
 
 # -- the collection congruence -----------------------------------------
@@ -137,22 +144,22 @@ def check_collection_formula(
         layer = power_subgroup(G, lcs.term(p**r), p ** (n - r))
         modulus_gens.extend(layer.elements())
     modulus = generated_subgroup(G, modulus_gens)
-    pairs = 0
-    for x in G.elements():
-        xq = G.power(x, q)
-        for y in G.elements():
-            lhs = G.power(G.multiply(x, y), q)
-            rhs = G.multiply(xq, G.power(y, q))
-            if G.multiply(lhs, G.inverse(rhs)) not in modulus:
-                return Verdict(
-                    False,
-                    f"(xy)^{q} != x^{q} y^{q} modulo the subgroup of order "
-                    f"{modulus.order} at x={x!r}, y={y!r}",
-                )
-            pairs += 1
+    # row x compares (xy)^q with x^q y^q for every y
+    T = G.table()
+    inv = G.inverse_indices()
+    P = _power_map(G, q)
+    for x in range(G.order):
+        inside = modulus.mask[T[P[T[x]], inv[T[P[x], P]]]]
+        if not inside.all():
+            y = int(np.argmin(inside))
+            return Verdict(
+                False,
+                f"(xy)^{q} != x^{q} y^{q} modulo the subgroup of order "
+                f"{modulus.order} at x={G.element_at(x)!r}, y={G.element_at(y)!r}",
+            )
     return Verdict(
         True,
-        f"q={q}; modulus subgroup order {modulus.order}; {pairs} pairs verified",
+        f"q={q}; modulus subgroup order {modulus.order}; {G.order**2} pairs verified",
     )
 
 
@@ -287,19 +294,17 @@ def _invariant_normal_family(fx: ActionFixture) -> list:
     """Trivial, whole, and single-element normal closures that A preserves."""
     G = fx.group
     family = [trivial_subgroup(G), whole_subgroup(G)]
-    seen = {family[0].keys, family[1].keys}
+    seen = set(family)
     for x in G.elements():
         closure = normal_closure(G, [x])
-        if closure.keys not in seen:
-            seen.add(closure.keys)
+        if closure not in seen:
+            seen.add(closure)
             family.append(closure)
-    out = []
-    for N in family:
-        if all(
-            all(phi(G.element(k)) in N for k in N.keys) for phi in fx.generators
-        ):
-            out.append(N)
-    return out
+    return [
+        N
+        for N in family
+        if all(N.mask[np.asarray(phi.image_indices)[N.idx]].all() for phi in fx.generators)
+    ]
 
 
 def check_4_6(fx: ActionFixture) -> Verdict:

@@ -325,34 +325,42 @@ class _PermBackend:
         return "".join("(" + " ".join(str(x) for x in cyc) + ")" for cyc in cycles)
 
 
+def _coset_reps(G: "FiniteGroup", kernel_idx: np.ndarray) -> np.ndarray:
+    """rep[x] = the minimal element index in the coset x·N, N given by its indices.
+
+    Index order is key order, so this is also the minimal-key representative.
+    """
+    T = G.table()
+    rep = np.full(G.order, -1, dtype=np.int64)
+    for x in range(G.order):
+        if rep[x] < 0:
+            coset = T[x, kernel_idx]
+            rep[coset] = coset.min()
+    return rep
+
+
 class _CosetBackend:
     kind = "quotient"
 
-    def __init__(self, parent: "FiniteGroup", kernel_keys: frozenset):
+    def __init__(self, parent: "FiniteGroup", kernel_idx: np.ndarray):
         self.parent = parent
-        self.kernel_keys = kernel_keys
-        rep_of = {}
-        for key in parent._keys:
-            if key in rep_of:
-                continue
-            coset = [parent._mul_keys(key, nk) for nk in kernel_keys]
-            rep = min(coset)
-            for ck in coset:
-                rep_of[ck] = rep
-        self.rep_of = rep_of
-        self.identity_key = rep_of[parent.identity.key]
+        self.rep = rep = _coset_reps(parent, kernel_idx)
+        keys = parent._keys
+        self.identity_key = keys[rep[parent.index_of(parent.identity)]]
         gen_keys = []
         gen_names = []
         for name, gen in zip(parent.generator_names, parent.generators):
-            rep = rep_of[gen.key]
-            if rep != self.identity_key and rep not in gen_keys:
-                gen_keys.append(rep)
+            rk = keys[rep[parent.index_of(gen)]]
+            if rk != self.identity_key and rk not in gen_keys:
+                gen_keys.append(rk)
                 gen_names.append(name)
         self.generator_keys = gen_keys
         self.generator_names = gen_names
 
     def multiply(self, k1: tuple, k2: tuple) -> tuple:
-        return self.rep_of[self.parent._mul_keys(k1, k2)]
+        parent = self.parent
+        prod = parent._table[parent._index[k1], parent._index[k2]]
+        return parent._keys[self.rep[prod]]
 
     def repr_key(self, key: tuple) -> str:
         return self.parent._repr_key(key)

@@ -37,7 +37,7 @@ from .gfp import (
     rref,
     solve_in_row_space,
 )
-from .groups import Automorphism, FiniteGroup, GroupElement
+from .groups import Automorphism, FiniteGroup, GroupElement, _coset_reps
 from .series import (
     NormalSeries,
     Subgroup,
@@ -323,7 +323,7 @@ class GradedLieRing:
             raise TrivialImage("the identity has no homogeneous degree")
         deg = 0
         for i, term in enumerate(self.series.terms, start=1):
-            if x.key in term.keys:
+            if x in term:
                 deg = i
         if deg == 0 or deg > self.m:
             raise TrivialImage(f"{x!r} has no nontrivial image in the graded algebra")
@@ -388,14 +388,8 @@ def build_dl(G: FiniteGroup, p: int | None = None, *, seed: int = 0) -> GradedLi
     dims = []
     for i in range(1, m + 1):
         D, N = terms[i - 1], terms[i]
-        rep_of = {}
-        for k in sorted(D.keys):
-            if k in rep_of:
-                continue
-            coset = [G._mul_keys(k, nk) for nk in N.keys]
-            rep = min(coset)
-            for ck in coset:
-                rep_of[ck] = rep
+        rep = _coset_reps(G, N.idx)
+        rep_of = {G._keys[x]: G._keys[rep[x]] for x in D.idx}
         id_rep = rep_of[G.identity.key]
         reps = sorted(set(rep_of.values()))
         q = len(reps)
@@ -459,7 +453,7 @@ def build_dl(G: FiniteGroup, p: int | None = None, *, seed: int = 0) -> GradedLi
             for a, x in enumerate(components[i - 1].basis_reps):
                 for b, y in enumerate(components[j - 1].basis_reps):
                     c = G.commutator(x, y)
-                    if c.key not in terms[k - 1].keys:
+                    if c not in terms[k - 1]:
                         raise InconsistentPresentation(
                             f"commutator of degrees ({i},{j}) escapes series term {k}"
                         )
@@ -478,8 +472,8 @@ def _verify_well_definedness(G: FiniteGroup, L: GradedLieRing, seed: int):
     for (i, j), table in sorted(L.sc.items()):
         k = i + j
         comp_k = L.components[k - 1]
-        ni = sorted(terms[i].keys)
-        nj = sorted(terms[j].keys)
+        ni = terms[i].elements()
+        nj = terms[j].elements()
         if len(ni) * len(nj) <= WELL_DEFINED_EXHAUSTIVE_LIMIT:
             noise = [(a, b) for a in ni for b in nj]
         else:
@@ -489,9 +483,9 @@ def _verify_well_definedness(G: FiniteGroup, L: GradedLieRing, seed: int):
             ]
         for a, x in enumerate(L.components[i - 1].basis_reps):
             for b, y in enumerate(L.components[j - 1].basis_reps):
-                for nk1, nk2 in noise:
-                    x2 = G.multiply(x, G.element(nk1))
-                    y2 = G.multiply(y, G.element(nk2))
+                for n1, n2 in noise:
+                    x2 = G.multiply(x, n1)
+                    y2 = G.multiply(y, n2)
                     c = G.commutator(x2, y2)
                     coords = comp_k.coord_of[comp_k.rep_of[c.key]]
                     if not np.array_equal(
@@ -731,19 +725,19 @@ def induced_action(phi: Automorphism, L: GradedLieRing) -> GradedAutomorphism:
         mat = np.zeros((d, d), dtype=np.int64)
         for b, x in enumerate(comp.basis_reps):
             y = phi(x)
-            if y.key not in terms[i - 1].keys:
+            if y not in terms[i - 1]:
                 raise ActionNotWellDefined(
                     f"image of a degree-{i} representative leaves the series term"
                 )
             mat[:, b] = comp.coord_of[comp.rep_of[y.key]]
         # representative independence within the coset
-        nkeys = sorted(terms[i].keys)
-        if len(nkeys) > 20:
-            nkeys = [nkeys[rng.randrange(len(nkeys))] for _ in range(WELL_DEFINED_SAMPLES)]
+        noise = terms[i].elements()
+        if len(noise) > 20:
+            noise = [noise[rng.randrange(len(noise))] for _ in range(WELL_DEFINED_SAMPLES)]
         for b, x in enumerate(comp.basis_reps):
-            for nk in nkeys:
-                y2 = phi(G.multiply(x, G.element(nk)))
-                if y2.key not in terms[i - 1].keys:
+            for nx in noise:
+                y2 = phi(G.multiply(x, nx))
+                if y2 not in terms[i - 1]:
                     raise ActionNotWellDefined(
                         f"image of a degree-{i} coset member leaves the series term"
                     )
@@ -797,8 +791,8 @@ def subgroup_graded_algebra(G: FiniteGroup, L: GradedLieRing, H: Subgroup) -> Gr
         comp = L.components[i - 1]
         d = L.dims[i - 1]
         rows = [np.zeros(d, dtype=np.int64)]
-        for k in H.keys & terms[i - 1].keys:
-            rows.append(np.array(comp.coord_of[comp.rep_of[k]], dtype=np.int64))
+        for k in np.flatnonzero(H.mask & terms[i - 1].mask):
+            rows.append(np.array(comp.coord_of[comp.rep_of[G._keys[k]]], dtype=np.int64))
         bases.append(np.array(rows, dtype=np.int64))
     space = GradedSubspace(L, bases)
     if not space.is_bracket_closed():
@@ -950,7 +944,7 @@ def check_prop_2_11(G: FiniteGroup, w: DecompositionWitness) -> Verdict:
     product = _ordered_cyclic_product_keys(G, w.rhos)
     all_keys = set(G._keys)
     for i in range(1, len(series.terms) + 1):
-        tail = series.term(i + 1).keys
+        tail = [t.key for t in series.term(i + 1).elements()]
         covered = {G._mul_keys(a, t) for a in product for t in tail}
         if covered != all_keys:
             return Verdict(

@@ -1,13 +1,18 @@
 """Subgroup lattice computations and descending series.
 
-Subgroups are verified closed sets of elements of a fixed parent group, with
-a normality flag established by explicit conjugation checks.  Series are
-descending chains of such subgroups; the dimension series is assembled
-directly from its defining product of power subgroups of the lower central
-terms.  Quotients come back as full FiniteGroup instances over canonical
-(minimal-key) coset representatives, so every series computation can recurse
-into them, which is how Fitting heights are measured; the projection onto a
-quotient is verified a homomorphism on every pair of elements.
+A subgroup is a read-only boolean mask over its parent group's element
+indices, verified at construction over rows of the Cayley table: closed
+under products, with a normality flag from conjugation by each generator.
+Closures, commutator and power subgroups, normal closures and centralizers
+are computed on index arrays, reading products from the table T and
+inverses from the inverse array, never one element handle at a time.
+Series are descending chains of such subgroups; the dimension series is
+assembled directly from its defining product of power subgroups of the
+lower central terms.  Quotients come back as full FiniteGroup instances over
+canonical (minimal-key) coset representatives, so every series computation
+can recurse into them, which is how Fitting heights are measured; the
+projection onto a quotient is verified a homomorphism on every pair of
+elements.
 """
 
 from __future__ import annotations
@@ -62,54 +67,60 @@ SERIES_LENGTH_CAP = 4096
 
 
 class Subgroup:
-    """Verified subgroup of a FiniteGroup: closure and normality are checked."""
+    """Verified subgroup of a FiniteGroup, stored as a boolean mask over its indices.
 
-    __slots__ = ("group", "keys", "gens", "is_normal")
+    The mask is read-only; ``idx`` is the sorted index array it marks.  At
+    construction closure is verified over table rows (every product a·b with
+    a, b in the subgroup stays inside) and normality over conjugation by each
+    generator of the parent.
+    """
 
-    def __init__(self, group: FiniteGroup, keys, gens=()):
+    __slots__ = ("group", "mask", "idx", "is_normal")
+
+    def __init__(self, group: FiniteGroup, mask):
+        mask = np.array(mask, dtype=bool)
+        if mask.shape != (group.order,):
+            raise ForeignElement(
+                f"mask of shape {mask.shape} does not index a group of order {group.order}"
+            )
+        mask.flags.writeable = False
+        idx = np.flatnonzero(mask)
+        idx.flags.writeable = False
         self.group = group
-        self.keys = frozenset(keys)
-        self.gens = tuple(gens)
-        e = group.identity.key
-        if e not in self.keys:
+        self.mask = mask
+        self.idx = idx
+        if not mask[group.index_of(group.identity)]:
             raise ForeignElement("subgroup candidate is missing the identity")
-        for k in self.keys:
-            if k not in group._index:
-                raise ForeignElement(f"key {k!r} is not an element of the parent group")
-        for k1 in self.keys:
-            for k2 in self.keys:
-                if group._mul_keys(k1, k2) not in self.keys:
-                    raise ForeignElement(
-                        f"candidate set is not closed: {group._repr_key(k1)} * {group._repr_key(k2)} escapes"
-                    )
-        normal = True
-        for g in group.generators:
-            for k in self.keys:
-                if group.conjugate(group.element(k), g).key not in self.keys:
-                    normal = False
-                    break
-            if not normal:
-                break
-        self.is_normal = normal
+        T = group.table()
+        for a in idx:
+            inside = mask[T[a, idx]]
+            if not inside.all():
+                b = idx[np.argmin(inside)]
+                raise ForeignElement(
+                    f"candidate set is not closed: {group.element_at(a)!r} * "
+                    f"{group.element_at(b)!r} escapes"
+                )
+        inv = group.inverse_indices()
+        gens = [group.index_of(x) for x in group.generators]
+        self.is_normal = all(mask[T[T[inv[g], idx], g]].all() for g in gens)
 
     @property
     def order(self) -> int:
-        return len(self.keys)
+        return len(self.idx)
 
     @property
     def is_trivial(self) -> bool:
-        return len(self.keys) == 1
+        return len(self.idx) == 1
 
     @property
     def is_whole(self) -> bool:
-        return len(self.keys) == self.group.order
+        return len(self.idx) == self.group.order
 
     def elements(self) -> tuple:
-        return tuple(self.group.element(k) for k in sorted(self.keys))
+        return tuple(self.group.element_at(i) for i in self.idx)
 
     def contains(self, x: GroupElement) -> bool:
-        self.group._check(x)
-        return x.key in self.keys
+        return bool(self.mask[self.group.index_of(x)])
 
     def __contains__(self, x: GroupElement) -> bool:
         return self.contains(x)
@@ -117,17 +128,17 @@ class Subgroup:
     def __le__(self, other: "Subgroup") -> bool:
         if not isinstance(other, Subgroup) or other.group is not self.group:
             raise MismatchedParent("cannot compare subgroups of different groups")
-        return self.keys <= other.keys
+        return not np.any(self.mask & ~other.mask)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subgroup)
             and self.group is other.group
-            and self.keys == other.keys
+            and np.array_equal(self.mask, other.mask)
         )
 
     def __hash__(self):
-        return hash((id(self.group), self.keys))
+        return hash((id(self.group), self.mask.tobytes()))
 
     def __repr__(self):
         tag = ", normal" if self.is_normal else ""
@@ -135,55 +146,80 @@ class Subgroup:
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, [G.identity.key])
+    return Subgroup(G, _closure(G, ()))
 
 
 def whole_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, G._keys, gens=G.generators)
+    return Subgroup(G, np.ones(G.order, dtype=bool))
 
 
-def _closure_keys(G: FiniteGroup, gen_keys) -> frozenset:
-    seen = {G.identity.key}
-    gen_keys = [k for k in gen_keys if k != G.identity.key]
-    frontier = [G.identity.key]
-    while frontier:
-        fresh = []
-        for k in frontier:
-            for gk in gen_keys:
-                prod = G._mul_keys(k, gk)
-                if prod not in seen:
-                    seen.add(prod)
-                    fresh.append(prod)
-        frontier = fresh
-    return frozenset(seen)
+def _closure(G: FiniteGroup, gens) -> np.ndarray:
+    """Mask of the subgroup generated by the given element indices.
+
+    A generator already inside the span so far is dropped, so each one kept
+    at least doubles the span and at most log2|G| are kept.  The span grows
+    breadth-first by right multiplication with the kept generators, one
+    table block |frontier| x |kept| per layer.
+    """
+    T = G.table()
+    gens = np.asarray(gens, dtype=np.int64)
+    mask = np.zeros(G.order, dtype=bool)
+    mask[G.index_of(G.identity)] = True
+    kept = []
+    while True:
+        outside = gens[~mask[gens]]
+        if not outside.size:
+            return mask
+        kept.append(outside[0])
+        frontier = np.flatnonzero(mask)
+        while frontier.size:
+            fresh = np.zeros(G.order, dtype=bool)
+            fresh[T[np.ix_(frontier, kept)]] = True
+            fresh &= ~mask
+            mask |= fresh
+            frontier = np.flatnonzero(fresh)
+
+
+def _power_map(G: FiniteGroup, k: int) -> np.ndarray:
+    """P[x] = index of x^k for every element index x (k >= 0), by repeated squaring."""
+    T = G.table()
+    result = np.full(G.order, G.index_of(G.identity), dtype=np.int64)
+    base = np.arange(G.order)
+    while k > 0:
+        if k & 1:
+            result = T[result, base]
+        base = T[base, base]
+        k >>= 1
+    return result
+
+
+def _commutator_values(G: FiniteGroup, hs, ks) -> np.ndarray:
+    """Mask of the values [h, k] = (kh)^-1 (hk) over h in hs and k in ks."""
+    T = G.table()
+    inv = G.inverse_indices()
+    ks = np.asarray(ks, dtype=np.int64)
+    values = np.zeros(G.order, dtype=bool)
+    for h in hs:
+        values[T[inv[T[ks, h]], T[h, ks]]] = True
+    return values
 
 
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
     """Smallest subgroup of G containing the given elements."""
-    gens = tuple(gens)
-    for x in gens:
-        G._check(x)
-    return Subgroup(G, _closure_keys(G, [x.key for x in gens]), gens=gens)
+    return Subgroup(G, _closure(G, [G.index_of(x) for x in gens]))
 
 
 def normal_closure(G: FiniteGroup, gens) -> Subgroup:
-    """Smallest normal subgroup of G containing the given elements."""
-    gens = tuple(gens)
-    for x in gens:
-        G._check(x)
-    keys = _closure_keys(G, [x.key for x in gens])
-    while True:
-        extra = []
-        for k in keys:
-            x = G.element(k)
-            for g in G.generators:
-                ck = G.conjugate(x, g).key
-                if ck not in keys:
-                    extra.append(ck)
-        if not extra:
-            break
-        keys = _closure_keys(G, list(keys) + extra)
-    sub = Subgroup(G, keys, gens=gens)
+    """Smallest normal subgroup of G containing the given elements.
+
+    It is generated by the conjugates s^x = x^-1 s x of the given elements s
+    over every x in G, read from the table as one |G| x len(gens) block.
+    """
+    T = G.table()
+    inv = G.inverse_indices()
+    given = np.array([G.index_of(s) for s in gens], dtype=np.int64)
+    conjugates = T[T[inv[:, None], given], np.arange(G.order)[:, None]]
+    sub = Subgroup(G, _closure(G, conjugates.ravel()))
     if not sub.is_normal:
         raise NotNormal("normal closure failed to stabilize")  # unreachable guard
     return sub
@@ -198,11 +234,8 @@ def commutator_subgroup(G: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgroup:
     """Subgroup generated by all [h, k] with h in H, k in K."""
     _same_parent(G, H, "first subgroup")
     _same_parent(G, K, "second subgroup")
-    comms = set()
-    for h in H.elements():
-        for k in K.elements():
-            comms.add(G.commutator(h, k).key)
-    return Subgroup(G, _closure_keys(G, comms), gens=tuple(G.element(c) for c in sorted(comms)))
+    values = _commutator_values(G, H.idx, K.idx)
+    return Subgroup(G, _closure(G, np.flatnonzero(values)))
 
 
 def power_subgroup(G: FiniteGroup, H: Subgroup, n: int) -> Subgroup:
@@ -210,8 +243,7 @@ def power_subgroup(G: FiniteGroup, H: Subgroup, n: int) -> Subgroup:
     _same_parent(G, H, "subgroup")
     if n < 1:
         raise ValueError(f"power subgroup needs a positive exponent, got {n}")
-    powers = {G.power(h, n).key for h in H.elements()}
-    return Subgroup(G, _closure_keys(G, powers), gens=tuple(G.element(k) for k in sorted(powers)))
+    return Subgroup(G, _closure(G, _power_map(G, n)[H.idx]))
 
 
 @dataclass(frozen=True)
@@ -294,20 +326,21 @@ def dimension_series(G: FiniteGroup, p: int | None = None) -> NormalSeries:
     p = _p_of(G, p)
     gamma = lower_central_series(G)
     terms = [gamma.terms[0]]
+    power_maps = {}
     i = 2
     while not terms[-1].is_trivial:
         if i > SERIES_LENGTH_CAP:
             raise BudgetExceeded("dimension series failed to reach the trivial subgroup")
-        gen_keys = set()
+        gens = []
         for j in range(1, len(gamma.terms) + 1):
-            gj = gamma.term(j)
             k = 0
             while j * p**k < i:
                 k += 1
             q = p**k
-            for x in gj.elements():
-                gen_keys.add(G.power(x, q).key)
-        terms.append(Subgroup(G, _closure_keys(G, gen_keys)))
+            if q not in power_maps:
+                power_maps[q] = _power_map(G, q)
+            gens.append(power_maps[q][gamma.term(j).idx])
+        terms.append(Subgroup(G, _closure(G, np.concatenate(gens))))
         i += 1
     return NormalSeries(G, "dimension", tuple(terms))
 
@@ -354,7 +387,7 @@ class QuotientGroup:
         _same_parent(parent, normal, "normal subgroup")
         if not normal.is_normal:
             raise NotNormal(f"subgroup of order {normal.order} is not normal")
-        backend = _CosetBackend(parent, normal.keys)
+        backend = _CosetBackend(parent, normal.idx)
         group = FiniteGroup(backend)
         if group.order * normal.order != parent.order:
             raise NotNormal("coset decomposition does not partition the group")
@@ -368,16 +401,17 @@ class QuotientGroup:
         """The projection G -> G/N is a homomorphism, checked on every pair."""
         tp = self.parent.table()
         tq = self.group.table()
+        keys = self.parent._keys
         proj = np.array(
-            [self.group._index[self._backend.rep_of[k]] for k in self.parent._keys],
-            dtype=np.int64,
+            [self.group._index[keys[r]] for r in self._backend.rep], dtype=np.int64
         )
-        if not np.array_equal(proj[tp], tq[np.ix_(proj, proj)]):
-            raise NotNormal("projection fails to be a homomorphism")
+        for x in range(self.parent.order):
+            if not np.array_equal(proj[tp[x]], tq[proj[x], proj]):
+                raise NotNormal("projection fails to be a homomorphism")
 
     def project(self, x: GroupElement) -> GroupElement:
-        self.parent._check(x)
-        return self.group.element(self._backend.rep_of[x.key])
+        rep = self._backend.rep[self.parent.index_of(x)]
+        return self.group.element(self.parent._keys[rep])
 
     def lift(self, qx: GroupElement) -> GroupElement:
         self.group._check(qx)
@@ -397,10 +431,10 @@ def centralizer(G: FiniteGroup, phis) -> Subgroup:
     for phi in phis:
         if not isinstance(phi, Automorphism) or phi.source is not G:
             raise MismatchedParent("centralizer needs automorphisms of the same group")
-    keys = [
-        x.key for x in G.elements() if all(phi(x) == x for phi in phis)
-    ]
-    return Subgroup(G, keys)
+    mask = np.ones(G.order, dtype=bool)
+    for phi in phis:
+        mask &= np.asarray(phi.image_indices) == np.arange(G.order)
+    return Subgroup(G, mask)
 
 
 def element_centralizer(G: FiniteGroup, g: GroupElement) -> Subgroup:
@@ -411,16 +445,11 @@ def element_centralizer(G: FiniteGroup, g: GroupElement) -> Subgroup:
 def is_nilpotent_subgroup(G: FiniteGroup, H: Subgroup) -> bool:
     """Lower central series of H (inside G's arithmetic) reaches the identity."""
     _same_parent(G, H, "subgroup")
-    cur = H.keys
+    cur = H.mask
     while True:
-        comms = set()
-        for hk in cur:
-            h = G.element(hk)
-            for x in H.elements():
-                comms.add(G.commutator(h, x).key)
-        nxt = _closure_keys(G, comms)
-        if nxt == cur:
-            return len(cur) == 1
+        nxt = _closure(G, np.flatnonzero(_commutator_values(G, np.flatnonzero(cur), H.idx)))
+        if np.array_equal(nxt, cur):
+            return bool(cur.sum() == 1)
         cur = nxt
 
 

@@ -1,0 +1,437 @@
+"""Index-native series against handle-based reference algorithms and sympy.
+
+The reference algorithms below are the textbook ones, run one GroupElement
+at a time through FiniteGroup.multiply/commutator/power: breadth-first
+closure, commutator and power subgroups over all pairs, normal closure by
+conjugation with the generators, the lower central series of a subgroup,
+weight-k commutators over every k-tuple, and the collection-formula pair
+scan.  The library computes the same things over rows of the Cayley table;
+every term set, verdict and message must agree.
+"""
+
+import functools
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grouplab import checks
+from grouplab.corpus import load_corpus
+from grouplab.errors import ForeignElement, OutOfBudget
+from grouplab.fixtures import parse_fixture, realize_groups
+from grouplab.groups import FiniteGroup, PermutationGenSet, build_group, is_prime
+from grouplab.liering import Verdict
+from grouplab.series import (
+    Subgroup,
+    commutator_subgroup,
+    derived_series,
+    dimension_series,
+    fitting_height,
+    generated_subgroup,
+    is_nilpotent_subgroup,
+    lower_central_series,
+    normal_closure,
+    power_subgroup,
+    quotient_group,
+    trivial_subgroup,
+    whole_subgroup,
+)
+
+# The non-corpus groups of the benchmark ladder, restated.
+LADDER = """
+group Heis125
+backend pc
+prime 5
+ngens 3
+comm 2 1 = 3^1
+end
+
+group C3wrC3
+backend pc
+prime 3
+ngens 4
+comm 2 1 = 3^1
+comm 3 1 = 4^1
+end
+
+group S5
+backend perm
+degree 5
+gen a = (1 2)
+gen b = (1 2 3 4 5)
+end
+
+group D8xC3
+backend perm
+degree 7
+gen r = (1 2 3 4)
+gen s = (2 4)
+gen c = (5 6 7)
+end
+"""
+
+
+# -- handle-based reference algorithms ----------------------------------------
+
+
+def ref_closure(G, elems) -> frozenset:
+    """Keys of the subgroup generated by elems, breadth-first over G.multiply."""
+    gens = list({x.key: x for x in elems}.values())
+    seen = {G.identity.key}
+    frontier = [G.identity]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = G.multiply(x, g)
+                if y.key not in seen:
+                    seen.add(y.key)
+                    fresh.append(y)
+        frontier = fresh
+    return frozenset(seen)
+
+
+def members(G, keys) -> list:
+    return [G.element(k) for k in sorted(keys)]
+
+
+def keys_of(H: Subgroup) -> frozenset:
+    return frozenset(x.key for x in H.elements())
+
+
+def ref_commutator(G, H, K) -> frozenset:
+    return ref_closure(
+        G, [G.commutator(h, k) for h in members(G, H) for k in members(G, K)]
+    )
+
+
+def ref_power(G, H, n) -> frozenset:
+    return ref_closure(G, [G.power(h, n) for h in members(G, H)])
+
+
+def ref_lower_central(G) -> list:
+    whole = frozenset(x.key for x in G.elements())
+    terms = [whole]
+    while True:
+        nxt = ref_commutator(G, terms[-1], whole)
+        if nxt == terms[-1]:
+            return terms
+        terms.append(nxt)
+
+
+def ref_derived(G) -> list:
+    terms = [frozenset(x.key for x in G.elements())]
+    while True:
+        nxt = ref_commutator(G, terms[-1], terms[-1])
+        if nxt == terms[-1]:
+            return terms
+        terms.append(nxt)
+
+
+def ref_dimension(G, p) -> list:
+    gamma = ref_lower_central(G)
+    terms = [gamma[0]]
+    i = 2
+    while len(terms[-1]) > 1:
+        powers = []
+        for j in range(1, len(gamma) + 1):
+            k = 0
+            while j * p**k < i:
+                k += 1
+            powers.extend(G.power(x, p**k) for x in members(G, gamma[j - 1]))
+        terms.append(ref_closure(G, powers))
+        i += 1
+    return terms
+
+
+def ref_normal_closure(G, elems) -> frozenset:
+    keys = ref_closure(G, elems)
+    while True:
+        extra = [
+            G.conjugate(x, g)
+            for x in members(G, keys)
+            for g in G.generators
+            if G.conjugate(x, g).key not in keys
+        ]
+        if not extra:
+            return keys
+        keys = ref_closure(G, members(G, keys) + extra)
+
+
+def ref_is_nilpotent(G, H) -> bool:
+    cur = H
+    while True:
+        nxt = ref_commutator(G, cur, H)
+        if nxt == cur:
+            return len(cur) == 1
+        cur = nxt
+
+
+def ref_k_commutators(G, k) -> list:
+    return sorted({G.long_commutator(t).key for t in itertools.product(G.elements(), repeat=k)})
+
+
+def ref_collection(G, p, n, modulus=None) -> Verdict:
+    q = p**n
+    lcs = ref_lower_central(G)
+
+    def term(j):
+        return lcs[min(j, len(lcs)) - 1]
+
+    if modulus is None:
+        gens = members(G, ref_power(G, term(2), q))
+        for r in range(1, n + 1):
+            gens.extend(members(G, ref_power(G, term(p**r), p ** (n - r))))
+        modulus = ref_closure(G, gens)
+    pairs = 0
+    for x in G.elements():
+        xq = G.power(x, q)
+        for y in G.elements():
+            lhs = G.power(G.multiply(x, y), q)
+            rhs = G.multiply(xq, G.power(y, q))
+            if G.multiply(lhs, G.inverse(rhs)).key not in modulus:
+                return Verdict(
+                    False,
+                    f"(xy)^{q} != x^{q} y^{q} modulo the subgroup of order "
+                    f"{len(modulus)} at x={x!r}, y={y!r}",
+                )
+            pairs += 1
+    return Verdict(True, f"q={q}; modulus subgroup order {len(modulus)}; {pairs} pairs verified")
+
+
+# -- the groups under test --------------------------------------------------------
+
+
+@functools.cache
+def cases() -> dict:
+    """Corpus groups, one quotient of each non-abelian one, and the ladder groups."""
+    out = dict(load_corpus().groups)
+    for name, G in list(out.items()):
+        der = derived_series(G)
+        if der.terms[1].is_trivial:
+            continue
+        # modulo the last nontrivial derived term: a nontrivial proper quotient
+        out[f"{name}/N"] = quotient_group(G, der.terms[-2]).group
+    for name, G in realize_groups(parse_fixture(LADDER)).items():
+        out[f"ladder {name}"] = G
+    return out
+
+
+NAMES = sorted(cases())
+
+
+def primes_of(G) -> list:
+    return [q for q in range(2, G.order + 1) if G.order % q == 0 and is_prime(q)]
+
+
+def test_cases_cover_corpus_quotients_and_ladder():
+    names = set(NAMES)
+    assert len(load_corpus().groups) == 16
+    assert {"ladder S5", "ladder Heis125", "ladder C3wrC3", "ladder D8xC3"} <= names
+    assert {"S4/N", "Heis27/N", "D8pc/N"} <= names
+    assert cases()["S4/N"].order == 6
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_series_match_reference(name):
+    G = cases()[name]
+    assert [keys_of(t) for t in lower_central_series(G).terms] == ref_lower_central(G)
+    assert [keys_of(t) for t in derived_series(G).terms] == ref_derived(G)
+    pk = G.is_p_group()
+    if pk is not None:
+        assert [keys_of(t) for t in dimension_series(G).terms] == ref_dimension(G, pk[0])
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_commutator_and_power_subgroups_match_reference(name):
+    G = cases()[name]
+    whole = whole_subgroup(G)
+    subgroups = [whole, *lower_central_series(G).terms[1:2], *derived_series(G).terms[1:3]]
+    subgroups += [generated_subgroup(G, [g]) for g in G.generators]
+    for H in subgroups:
+        for K in subgroups:
+            assert keys_of(commutator_subgroup(G, H, K)) == ref_commutator(
+                G, keys_of(H), keys_of(K)
+            )
+        for n in [*primes_of(G), 4]:
+            assert keys_of(power_subgroup(G, H, n)) == ref_power(G, keys_of(H), n)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_normal_closure_and_nilpotency_match_reference(name):
+    G = cases()[name]
+    step = max(1, G.order // 24)  # every element of the small groups, a spread of the rest
+    for x in G.elements()[::step]:
+        N = normal_closure(G, [x])
+        want = ref_normal_closure(G, [x])
+        assert keys_of(N) == want
+        assert N.is_normal
+        assert is_nilpotent_subgroup(G, N) == ref_is_nilpotent(G, want)
+    whole = frozenset(x.key for x in G.elements())
+    assert is_nilpotent_subgroup(G, whole_subgroup(G)) == ref_is_nilpotent(G, whole)
+    assert keys_of(normal_closure(G, G.generators)) == ref_normal_closure(G, G.generators)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_k_commutators_match_reference(name):
+    G = cases()[name]
+    for k in (1, 2, 3):
+        if G.order**k > 20_000:  # the reference walks every k-tuple
+            continue
+        got = [c.key for c in checks._k_commutators(G, k, checks.SCAN_BUDGET)]
+        assert got == ref_k_commutators(G, k)
+
+
+def test_k_commutators_keep_the_budget_refusal():
+    G = cases()["ladder S5"]
+    with pytest.raises(OutOfBudget):
+        checks._k_commutators(G, 3, checks.SCAN_BUDGET)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_collection_formula_matches_reference(name):
+    G = cases()[name]
+    for p in primes_of(G):
+        for n in (1, 2):
+            assert checks.check_collection_formula(G, p, n) == ref_collection(G, p, n)
+
+
+@pytest.mark.parametrize(
+    "name,p", [("S3", 2), ("D8pc", 3), ("Heis27", 2), ("S4", 3), ("ladder S5", 3)]
+)
+def test_collection_formula_reports_the_first_failing_pair(name, p, monkeypatch):
+    # The congruence is a theorem, so the scan fails only against a smaller
+    # modulus: with the trivial one it stops at the first pair where
+    # (xy)^q != x^q y^q, in row-major order.
+    G = cases()[name]
+    monkeypatch.setattr(checks, "generated_subgroup", lambda G, gens: trivial_subgroup(G))
+    got = checks.check_collection_formula(G, p, 1)
+    assert not got.ok
+    assert got == ref_collection(G, p, 1, modulus=frozenset([G.identity.key]))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_quotient_representatives_are_minimal_keys(name):
+    G = cases()[name]
+    for g in G.generators:
+        Q = quotient_group(G, normal_closure(G, [g]))
+        N = Q.normal.elements()
+        want = {x.key: min(G.multiply(x, n).key for n in N) for x in G.elements()}
+        assert {x.key: Q.project(x).key for x in G.elements()} == want
+        assert sorted(q.key for q in Q.group.elements()) == sorted(set(want.values()))
+
+
+# -- random permutation groups on at most five points ---------------------------------
+
+
+@st.composite
+def perm_groups(draw):
+    degree = draw(st.integers(1, 5))
+    ngens = draw(st.integers(1, 3))
+    gens = tuple(
+        (f"x{i}", tuple(draw(st.permutations(range(degree))))) for i in range(ngens)
+    )
+    G = build_group(PermutationGenSet(degree, gens))
+    picks = draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3))
+    return G, [G.element_at(i) for i in picks]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(perm_groups())
+def test_random_permutation_groups_match_reference(case):
+    G, picks = case
+    H = generated_subgroup(G, picks)
+    assert keys_of(H) == ref_closure(G, picks)
+    N = normal_closure(G, picks)
+    assert keys_of(N) == ref_normal_closure(G, picks)
+    whole = whole_subgroup(G)
+    assert keys_of(commutator_subgroup(G, H, whole)) == ref_commutator(
+        G, keys_of(H), keys_of(whole)
+    )
+    assert keys_of(power_subgroup(G, H, 2)) == ref_power(G, keys_of(H), 2)
+    assert [keys_of(t) for t in lower_central_series(G).terms] == ref_lower_central(G)
+    assert [keys_of(t) for t in derived_series(G).terms] == ref_derived(G)
+    assert is_nilpotent_subgroup(G, N) == ref_is_nilpotent(G, keys_of(N))
+
+
+# -- Subgroup refuses masks that are not subgroups ------------------------------------
+
+
+def test_subgroup_mask_without_identity_raises():
+    G = cases()["S3"]
+    mask = whole_subgroup(G).mask.copy()
+    mask[G.index_of(G.identity)] = False
+    with pytest.raises(ForeignElement, match="missing the identity"):
+        Subgroup(G, mask)
+
+
+def test_subgroup_mask_not_closed_raises():
+    G = cases()["S3"]
+    mask = generated_subgroup(G, [G.generator_by_name("a")]).mask.copy()
+    mask[G.index_of(G.generator_by_name("b"))] = True
+    with pytest.raises(ForeignElement, match="is not closed"):
+        Subgroup(G, mask)
+
+
+def test_subgroup_mask_of_wrong_length_raises():
+    G = cases()["S3"]
+    with pytest.raises(ForeignElement, match="does not index"):
+        Subgroup(G, [True] * (G.order + 1))
+
+
+def test_subgroup_mask_is_read_only_and_indices_follow_it():
+    G = cases()["S4"]
+    H = derived_series(G).terms[1]
+    assert not H.mask.flags.writeable
+    assert [G.index_of(x) for x in H.elements()] == list(H.idx)
+    assert all(H.mask[i] == (G.element_at(i) in H) for i in range(G.order))
+
+
+# -- the series stay off the handle path ------------------------------------------
+
+
+def test_series_make_no_handle_arithmetic(monkeypatch):
+    G = cases()["ladder Heis125"]
+    calls = {"multiply": 0, "commutator": 0, "power": 0}
+    for attr in calls:
+        orig = getattr(FiniteGroup, attr)
+
+        def counted(self, *args, _orig=orig, _attr=attr):
+            calls[_attr] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(FiniteGroup, attr, counted)
+    lower_central_series(G)
+    derived_series(G)
+    dimension_series(G)
+    assert fitting_height(G) == 1
+    assert checks.check_collection_formula(G).ok
+    assert calls == {"multiply": 0, "commutator": 0, "power": 0}
+
+
+# -- sympy's permutation groups -------------------------------------------------------
+
+
+def perm_cases() -> list:
+    return [name for name in NAMES if cases()[name].backend == "perm"]
+
+
+@pytest.mark.parametrize("name", perm_cases())
+def test_series_orders_match_sympy(name):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    G = cases()[name]
+    genset = G._backend.genset
+    S = combinatorics.PermutationGroup(
+        [
+            combinatorics.Permutation(list(images), size=genset.degree)
+            for _, images in genset.generators
+        ]
+    )
+    assert S.order() == G.order
+    lcs = lower_central_series(G)
+    der = derived_series(G)
+    assert lcs.orders() == [H.order() for H in S.lower_central_series()]
+    assert der.orders() == [H.order() for H in S.derived_series()]
+    assert lcs.reaches_trivial() == S.is_nilpotent
+    assert der.reaches_trivial() == S.is_solvable
