@@ -45,6 +45,7 @@ from .liering import (
 )
 from .series import (
     Subgroup,
+    _class_representatives,
     _power_map,
     centralizer,
     dimension_series,
@@ -291,12 +292,16 @@ def check_4_2(fx: ActionFixture) -> Verdict:
 
 
 def _invariant_normal_family(fx: ActionFixture) -> list:
-    """Trivial, whole, and single-element normal closures that A preserves."""
+    """Trivial, whole, and single-element normal closures that A preserves.
+
+    A normal closure depends only on the conjugacy class, so one is built per
+    class, from its minimal index; the family keeps first-occurrence order.
+    """
     G = fx.group
     family = [trivial_subgroup(G), whole_subgroup(G)]
     seen = set(family)
-    for x in G.elements():
-        closure = normal_closure(G, [x])
+    for x in _class_representatives(G):
+        closure = normal_closure(G, [G.element_at(x)])
         if closure not in seen:
             seen.add(closure)
             family.append(closure)

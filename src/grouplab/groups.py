@@ -695,17 +695,18 @@ class GroupHomomorphism:
         return pairs
 
     def _verify(self):
+        """phi(ab) = phi(a) phi(b) on every pair, one table row at a time."""
         t_src = self.source.table()
         t_tgt = self.target.table()
         phi = np.asarray(self.image_indices)
-        lhs = phi[t_src]
-        rhs = t_tgt[np.ix_(phi, phi)]
-        if not np.array_equal(lhs, rhs):
-            a, b = np.argwhere(lhs != rhs)[0]
-            raise MalformedSpec(
-                "images do not extend to a homomorphism: fails at "
-                f"({self.source.element_at(int(a))!r}, {self.source.element_at(int(b))!r})"
-            )
+        for a in range(self.source.order):
+            bad = phi[t_src[a]] != t_tgt[phi[a], phi]
+            if bad.any():
+                b = int(np.argmax(bad))
+                raise MalformedSpec(
+                    "images do not extend to a homomorphism: fails at "
+                    f"({self.source.element_at(a)!r}, {self.source.element_at(b)!r})"
+                )
 
     @property
     def is_bijective(self) -> bool:

@@ -12,7 +12,9 @@ lower central terms.  Quotients come back as full FiniteGroup instances over
 canonical (minimal-key) coset representatives, so every series computation
 can recurse into them, which is how Fitting heights are measured; the
 projection onto a quotient is verified a homomorphism on every pair of
-elements.
+elements.  The Fitting subgroup is assembled from one normal closure per
+conjugacy class, merging each nilpotent one into the product found so far
+(Fitting's theorem).
 """
 
 from __future__ import annotations
@@ -453,26 +455,58 @@ def is_nilpotent_subgroup(G: FiniteGroup, H: Subgroup) -> bool:
         cur = nxt
 
 
+def _class_representatives(G: FiniteGroup) -> np.ndarray:
+    """Minimal element index of each conjugacy class, in increasing order.
+
+    The class of x is read from the table as one vector, x^g = g^-1 x g over
+    every g in G.
+    """
+    T = G.table()
+    inv = G.inverse_indices()
+    everything = np.arange(G.order)
+    unseen = np.ones(G.order, dtype=bool)
+    reps = []
+    while unseen.any():
+        x = int(np.argmax(unseen))
+        reps.append(x)
+        unseen[T[T[inv, x], everything]] = False
+    return np.array(reps, dtype=np.int64)
+
+
 def fitting_subgroup(G: FiniteGroup) -> Subgroup:
-    """Largest normal nilpotent subgroup, assembled element by element."""
-    good = []
-    for x in G.elements():
-        if is_nilpotent_subgroup(G, normal_closure(G, [x])):
-            good.append(x)
-    fit = generated_subgroup(G, good)
+    """Largest normal nilpotent subgroup, one normal closure per conjugacy class.
+
+    By Fitting's theorem the product of two nilpotent normal subgroups is
+    nilpotent, so F(G) is the product of the nilpotent normal closures of
+    single elements.  A normal closure depends only on the conjugacy class,
+    so one representative per class is tested, and one already inside the
+    product found so far is skipped: its closure lies in that product.
+    """
+    fit = _closure(G, ())
+    for x in _class_representatives(G):
+        if fit[x]:
+            continue
+        N = normal_closure(G, [G.element_at(x)])
+        if is_nilpotent_subgroup(G, N):
+            fit = _closure(G, np.flatnonzero(fit | N.mask))
+    fit = Subgroup(G, fit)
     if not (fit.is_normal and is_nilpotent_subgroup(G, fit)):
         raise NotNormal("fitting candidate failed verification")  # unreachable guard
     return fit
 
 
 def fitting_height(G: FiniteGroup) -> int:
-    """Number of Fitting-quotient steps from G down to the trivial group."""
-    if not derived_series(G).reaches_trivial():
-        raise NotSolvable(f"group of order {G.order} is not solvable")
+    """Number of Fitting-quotient steps from G down to the trivial group.
+
+    A nontrivial solvable group has a nontrivial Fitting subgroup, so G is
+    refused as not solvable as soon as a nontrivial quotient has none.
+    """
     height = 0
     cur = G
     while cur.order > 1:
         fit = fitting_subgroup(cur)
+        if fit.is_trivial:
+            raise NotSolvable(f"group of order {G.order} is not solvable")
         cur = QuotientGroup(cur, fit).group
         height += 1
     return height

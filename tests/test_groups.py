@@ -1,5 +1,7 @@
 """Group backends checked against independent matrix models and each other."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -357,6 +359,38 @@ def test_homomorphism_bad_images_rejected():
         GroupHomomorphism(G, C2, [x, x, x])  # g2^2 = g3 would need e = x
     with pytest.raises(MalformedSpec):
         GroupHomomorphism(G, C2, [x, x])  # wrong arity
+
+
+def test_homomorphism_failure_names_first_pair_in_row_major_order():
+    G = build_group(pc_d8())
+    C2 = build_group(PcPresentation(2, 1))
+    x = C2.generators[0]
+    phi = GroupHomomorphism(G, C2, [x, x, x], verify=False)
+    first = next(
+        (a, b)
+        for a in G.elements()
+        for b in G.elements()
+        if phi(G.multiply(a, b)) != C2.multiply(phi(a), phi(b))
+    )
+    with pytest.raises(MalformedSpec) as err:
+        GroupHomomorphism(G, C2, [x, x, x])
+    assert str(err.value) == (
+        f"images do not extend to a homomorphism: fails at ({first[0]!r}, {first[1]!r})"
+    )
+
+
+def test_homomorphism_verification_memory_is_linear_in_order():
+    G = build_group(PcPresentation(2, 11))
+    assert G.order == 2048
+    G.table()
+    tracemalloc.start()
+    try:
+        phi = Automorphism(G, list(G.generators))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert phi.is_identity()
+    assert peak < 4 * 2**20
 
 
 def test_automorphism_inversion_on_elementary_abelian():

@@ -410,6 +410,14 @@ def test_fitting_insolvable_rejected():
         fitting_height(a5())
 
 
+def test_fitting_insolvable_above_a_nontrivial_fitting_subgroup_names_the_group():
+    # F(A5 x C3) = C3, and the quotient A5 has a trivial Fitting subgroup
+    G = perm(8, [("a", [[1, 2, 3, 4, 5]]), ("b", [[1, 2, 3]]), ("c", [[6, 7, 8]])])
+    assert fitting_subgroup(G).order == 3
+    with pytest.raises(NotSolvable, match="group of order 180 is not solvable"):
+        fitting_height(G)
+
+
 def test_is_nilpotent_subgroup():
     G = s4()
     x = G.element(perm_from_cycles(4, [[1, 2], [3, 4]]))

@@ -6,28 +6,35 @@ closure, commutator and power subgroups over all pairs, normal closure by
 conjugation with the generators, the lower central series of a subgroup,
 weight-k commutators over every k-tuple, and the collection-formula pair
 scan.  The library computes the same things over rows of the Cayley table;
-every term set, verdict and message must agree.
+every term set, verdict and message must agree.  The Fitting subgroup and the
+invariant normal family of the `c4_6` check are also built element by element
+here, one normal closure per element, against the library's one per conjugacy
+class.
 """
 
 import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouplab import checks
+from grouplab import checks, series
+from grouplab.actions import realize_actions
 from grouplab.corpus import load_corpus
 from grouplab.errors import ForeignElement, OutOfBudget
-from grouplab.fixtures import parse_fixture, realize_groups
+from grouplab.fixtures import parse_fixture, realize_automorphisms, realize_groups
 from grouplab.groups import FiniteGroup, PermutationGenSet, build_group, is_prime
 from grouplab.liering import Verdict
 from grouplab.series import (
     Subgroup,
+    _class_representatives,
     commutator_subgroup,
     derived_series,
     dimension_series,
     fitting_height,
+    fitting_subgroup,
     generated_subgroup,
     is_nilpotent_subgroup,
     lower_central_series,
@@ -69,6 +76,14 @@ gen r = (1 2 3 4)
 gen s = (2 4)
 gen c = (5 6 7)
 end
+
+aut inv125 on Heis125
+image 1 = 1^4
+image 2 = 2^4
+image 3 = 3^1
+end
+
+action A125 on Heis125 = inv125
 """
 
 
@@ -200,6 +215,36 @@ def ref_collection(G, p, n, modulus=None) -> Verdict:
     return Verdict(True, f"q={q}; modulus subgroup order {len(modulus)}; {pairs} pairs verified")
 
 
+def ref_fitting_subgroup(G) -> Subgroup:
+    """Every element whose normal closure is nilpotent, one closure per element."""
+    good = [x for x in G.elements() if is_nilpotent_subgroup(G, normal_closure(G, [x]))]
+    return generated_subgroup(G, good)
+
+
+def ref_invariant_normal_family(fx) -> list:
+    """Key sets of the trivial, whole and single-element normal closures A preserves."""
+    G = fx.group
+    family = [frozenset([G.identity.key]), frozenset(x.key for x in G.elements())]
+    for x in G.elements():
+        closure = ref_normal_closure(G, [x])
+        if closure not in family:
+            family.append(closure)
+    return [
+        N
+        for N in family
+        if all(phi(y).key in N for phi in fx.generators for y in members(G, N))
+    ]
+
+
+def ref_conjugacy_classes(G) -> list:
+    """Key sets of the conjugacy classes, in order of their first element."""
+    classes = []
+    for x in G.elements():
+        if not any(x.key in c for c in classes):
+            classes.append(frozenset(G.conjugate(x, g).key for g in G.elements()))
+    return classes
+
+
 # -- the groups under test --------------------------------------------------------
 
 
@@ -213,8 +258,23 @@ def cases() -> dict:
             continue
         # modulo the last nontrivial derived term: a nontrivial proper quotient
         out[f"{name}/N"] = quotient_group(G, der.terms[-2]).group
-    for name, G in realize_groups(parse_fixture(LADDER)).items():
+    for name, G in ladder_groups().items():
         out[f"ladder {name}"] = G
+    return out
+
+
+@functools.cache
+def ladder_groups() -> dict:
+    return realize_groups(parse_fixture(LADDER))
+
+
+@functools.cache
+def action_cases() -> dict:
+    """Every corpus action, and A125 on the ladder's Heis125."""
+    out = dict(load_corpus().actions)
+    fx = parse_fixture(LADDER)
+    groups = ladder_groups()
+    out.update(realize_actions(fx, groups, realize_automorphisms(fx, groups)))
     return out
 
 
@@ -322,6 +382,55 @@ def test_quotient_representatives_are_minimal_keys(name):
         assert sorted(q.key for q in Q.group.elements()) == sorted(set(want.values()))
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_fitting_subgroup_matches_element_by_element_reference(name):
+    G = cases()[name]
+    fit = fitting_subgroup(G)
+    assert np.array_equal(fit.mask, ref_fitting_subgroup(G).mask)
+    assert fit.is_normal and is_nilpotent_subgroup(G, fit)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_class_representatives_are_class_minima(name):
+    G = cases()[name]
+    reps = [int(x) for x in _class_representatives(G)]
+    want = ref_conjugacy_classes(G)
+    assert reps == sorted(reps)
+    assert [G.element_at(r).key for r in reps] == [min(c) for c in want]
+
+
+def test_action_cases_cover_corpus_and_ladder():
+    assert "A125" in action_cases()
+    assert set(load_corpus().actions) < set(action_cases())
+
+
+@pytest.mark.parametrize("name", sorted(action_cases()))
+def test_invariant_normal_family_matches_reference(name):
+    fx = action_cases()[name]
+    got = checks._invariant_normal_family(fx)
+    assert [keys_of(N) for N in got] == ref_invariant_normal_family(fx)
+
+
+def test_fitting_and_c4_6_make_one_normal_closure_per_class_at_most(monkeypatch):
+    fx = action_cases()["A125"]
+    G = fx.group
+    n_classes = len(ref_conjugacy_classes(G))
+    calls = []
+
+    def counted(G, gens, _orig=normal_closure):
+        calls.append(len(gens))
+        return _orig(G, gens)
+
+    monkeypatch.setattr(series, "normal_closure", counted)
+    monkeypatch.setattr(checks, "normal_closure", counted)
+    fitting_subgroup(G)
+    # the identity's class lies in the trivial start, so it is never closed
+    assert 0 < len(calls) < n_classes
+    calls.clear()
+    assert checks.check_4_6(fx).ok
+    assert 0 < len(calls) <= n_classes
+
+
 # -- random permutation groups on at most five points ---------------------------------
 
 
@@ -353,6 +462,15 @@ def test_random_permutation_groups_match_reference(case):
     assert [keys_of(t) for t in lower_central_series(G).terms] == ref_lower_central(G)
     assert [keys_of(t) for t in derived_series(G).terms] == ref_derived(G)
     assert is_nilpotent_subgroup(G, N) == ref_is_nilpotent(G, keys_of(N))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(perm_groups())
+def test_random_permutation_groups_fitting_matches_reference(case):
+    G, _ = case
+    assert np.array_equal(fitting_subgroup(G).mask, ref_fitting_subgroup(G).mask)
+    reps = [G.element_at(int(x)).key for x in _class_representatives(G)]
+    assert reps == [min(c) for c in ref_conjugacy_classes(G)]
 
 
 # -- Subgroup refuses masks that are not subgroups ------------------------------------
@@ -435,3 +553,43 @@ def test_series_orders_match_sympy(name):
     assert der.orders() == [H.order() for H in S.derived_series()]
     assert lcs.reaches_trivial() == S.is_nilpotent
     assert der.reaches_trivial() == S.is_solvable
+
+
+def sympy_group(G):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    genset = G._backend.genset
+    return combinatorics.PermutationGroup(
+        [
+            combinatorics.Permutation(list(images), size=genset.degree)
+            for _, images in genset.generators
+        ]
+    )
+
+
+def assert_classes_match_sympy(G):
+    """The classes of the representatives partition G as sympy's classes do."""
+    T = G.table()
+    inv = G.inverse_indices()
+    everything = np.arange(G.order)
+    covered = np.zeros(G.order, dtype=int)
+    sizes = []
+    for x in _class_representatives(G):
+        members_of_class = np.unique(T[T[inv, x], everything])
+        assert members_of_class[0] == x
+        covered[members_of_class] += 1
+        sizes.append(len(members_of_class))
+    assert (covered == 1).all()
+    want = sorted(len(c) for c in sympy_group(G).conjugacy_classes())
+    assert sorted(sizes) == want
+
+
+@pytest.mark.parametrize("name", perm_cases())
+def test_class_representatives_match_sympy(name):
+    assert_classes_match_sympy(cases()[name])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(perm_groups())
+def test_random_permutation_group_classes_match_sympy(case):
+    G, _ = case
+    assert_classes_match_sympy(G)
