@@ -33,11 +33,11 @@ print("multilinear:", f.is_multilinear)
 # exponent-4 group.
 h4 = higman_polynomial(4)
 print("degree-4 law has", len(h4.terms), "monomials")
-print("holds on the D8 algebra:", holds_identity(h4, L).holds)
+print("holds on the D8 algebra:", holds_identity(h4, L).ok)
 
 # Engel depth: how many times must one bracket against x to kill
 # everything.
-print("algebra is 2-Engel:", is_n_engel_algebra(L, 2).holds)
+print("algebra is 2-Engel:", is_n_engel_algebra(L, 2).ok)
 
 g1, g2, g3 = d8.generators
 print("Engel index of g2 in the group:", engel_index_of_element(d8, g2))
@@ -50,6 +50,6 @@ comm = GroupWord.commutator(GroupWord.var(1), GroupWord.var(2))
 cube = GroupWord.power(comm, 3)
 square = GroupWord.power(comm, 2)
 print("\nword:", cube)
-print("S3 satisfies [x1,x2]^3 = 1:", group_satisfies(cube, s3).holds)
+print("S3 satisfies [x1,x2]^3 = 1:", group_satisfies(cube, s3).ok)
 verdict = group_satisfies(square, s3)
-print("S3 satisfies [x1,x2]^2 = 1:", verdict.holds, "witness:", verdict.witness)
+print("S3 satisfies [x1,x2]^2 = 1:", verdict.ok, "witness:", verdict.witness)

@@ -45,7 +45,6 @@ from .errors import (
     NotInvolution,
     NotNormal,
     NotSolvable,
-    OutOfBudget,
     TrivialImage,
     UnboundVariable,
     UnknownCheck,
@@ -71,7 +70,6 @@ from .groups import (
     perm_from_cycles,
 )
 from .identities import (
-    CheckVerdict,
     GroupWord,
     LiePolynomial,
     engel_index_of_element,
@@ -89,7 +87,6 @@ from .liering import (
     GradedLieRing,
     GradedSubspace,
     LieElement,
-    Verdict,
     build_dl,
     centralizer_subalgebra,
     check_cor_2_14,
@@ -105,9 +102,9 @@ from .liering import (
 from .series import (
     GroupProfile,
     NormalSeries,
-    NpVerdict,
     QuotientGroup,
     Subgroup,
+    Verdict,
     centralizer,
     commutator_subgroup,
     derived_series,

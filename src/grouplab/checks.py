@@ -3,9 +3,13 @@
 Each public check function returns a Verdict and raises HypothesisNotMet
 when its hypothesis fails on the given input: the statements are
 conditionals, so a false antecedent yields a skipped row, never a fail.
-run_checks drives every type-applicable (fixture, check) pair and collects
-one row each; reports are deterministic for a fixed seed (timings are
-zeroed unless explicitly requested).
+A catalog check is one function registered with @check(name, on=...,
+needs=...): the shared hypotheses it declares (p-group, solvable, coprime,
+single involution) are tested in the order given and skip the row when
+they fail.  run_checks drives every type-applicable (fixture, check) pair
+and collects one row each; a BudgetExceeded inside a row skips that row
+only.  Reports are deterministic (timings are zeroed unless explicitly
+requested).
 """
 
 import json
@@ -18,21 +22,21 @@ import numpy as np
 from ._version import __version__
 from .actions import ActionFixture, realize_actions
 from .errors import (
+    BudgetExceeded,
     EvenCharacteristic,
+    GroupLabError,
     HypothesisNotMet,
     MalformedSpec,
     MismatchedParent,
     NotAPGroup,
     NotInvolution,
     NotSolvable,
-    OutOfBudget,
     UnknownCheck,
 )
 from .fixtures import FixtureFile, realize_automorphisms, realize_groups
 from .groups import Automorphism, FiniteGroup, is_prime
 from .identities import engel_index_of_element, higman_polynomial, holds_identity
 from .liering import (
-    Verdict,
     build_dl,
     centralizer_subalgebra,
     check_cor_2_14,
@@ -45,9 +49,13 @@ from .liering import (
 )
 from .series import (
     Subgroup,
+    Verdict,
     _class_representatives,
+    _closure,
     _power_map,
+    _product_mask,
     centralizer,
+    derived_series,
     dimension_series,
     fitting_height,
     generated_subgroup,
@@ -57,7 +65,6 @@ from .series import (
     normal_closure,
     power_subgroup,
     quotient_group,
-    structure_predicates,
     trivial_subgroup,
     verify_np_series,
     whole_subgroup,
@@ -65,31 +72,6 @@ from .series import (
 
 SCAN_BUDGET = 10**6
 POWER_BUDGET = 2**20
-
-GROUP_CHECKS = (
-    "np_series",
-    "lazard",
-    "jacobi",
-    "higman",
-    "prop_2_11",
-    "cor_2_14",
-    "collection",
-    "lemma_3_3",
-    "lemma_3_4",
-    "fitting",
-    "powerful",
-)
-ACTION_CHECKS = (
-    "c4_1",
-    "c4_2",
-    "c4_6",
-    "c4_12",
-    "t4_3",
-    "t4_4",
-    "pm_split",
-    "obs_4_8",
-)
-CHECK_CATALOG = GROUP_CHECKS + ACTION_CHECKS
 
 
 def _subgroup_exponent(G: FiniteGroup, H: Subgroup) -> int:
@@ -107,7 +89,7 @@ def _k_commutators(G: FiniteGroup, k: int, budget: int) -> list:
     if k < 1:
         raise MalformedSpec("need k >= 1")
     if G.order**k > budget:
-        raise OutOfBudget(f"|G|^{k} = {G.order ** k} exceeds the budget of {budget}")
+        raise BudgetExceeded(f"|G|^{k} = {G.order ** k} exceeds the budget of {budget}")
     # weight-k values are [c, z] for c a weight-(k-1) value and z in G
     T = G.table()
     inv = G.inverse_indices()
@@ -136,9 +118,9 @@ def check_collection_formula(
         raise MalformedSpec("need n >= 1")
     q = p**n
     if q > POWER_BUDGET:
-        raise OutOfBudget(f"p^n = {q} exceeds the power budget")
+        raise BudgetExceeded(f"p^n = {q} exceeds the power budget")
     if G.order**2 > budget:
-        raise OutOfBudget(f"|G|^2 exceeds the budget of {budget}")
+        raise BudgetExceeded(f"|G|^2 exceeds the budget of {budget}")
     lcs = lower_central_series(G)
     modulus_gens = list(power_subgroup(G, lcs.term(2), q).elements())
     for r in range(1, n + 1):
@@ -234,7 +216,7 @@ def check_lemma_3_4(G: FiniteGroup, k: int = 2, budget: int = SCAN_BUDGET) -> Ve
 # -- coprime-action lemmas ---------------------------------------------------
 
 
-def _coprime_or_raise(fx: ActionFixture) -> None:
+def _needs_coprime(fx: ActionFixture) -> None:
     if not fx.coprime:
         raise HypothesisNotMet(
             f"gcd(|A|, |G|) = {math.gcd(fx.order, fx.group.order)} is not 1"
@@ -253,7 +235,7 @@ def _q_squared_or_raise(fx: ActionFixture) -> int:
 
 def check_4_1(fx: ActionFixture) -> Verdict:
     """G is generated by the fixed-point subgroups of the nontrivial a in A."""
-    _coprime_or_raise(fx)
+    _needs_coprime(fx)
     q = _q_squared_or_raise(fx)
     G = fx.group
     cents = [centralizer(G, [a]) for a in fx.nontrivial]
@@ -271,23 +253,22 @@ def check_4_1(fx: ActionFixture) -> Verdict:
 
 def check_4_2(fx: ActionFixture) -> Verdict:
     """G equals the ordered product of the centralizers over A# (fixture order)."""
-    _coprime_or_raise(fx)
+    _needs_coprime(fx)
     q = _q_squared_or_raise(fx)
     G = fx.group
     if G.is_p_group() is None:
         raise HypothesisNotMet("G is not a p-group")
-    product = {G.identity.key}
+    product = _closure(G, ())
     orders = []
     for a in fx.nontrivial:
         cent = centralizer(G, [a])
         orders.append(cent.order)
-        product = {
-            G._mul_keys(s, c.key) for s in product for c in cent.elements()
-        }
+        product = _product_mask(G, np.flatnonzero(product), cent.idx)
+    covered = int(product.sum())
     return Verdict(
-        len(product) == G.order,
+        covered == G.order,
         f"q={q}; ordered product over A# (fixture order, centralizer orders "
-        f"{tuple(orders)}) covers {len(product)} of {G.order} elements",
+        f"{tuple(orders)}) covers {covered} of {G.order} elements",
     )
 
 
@@ -314,7 +295,7 @@ def _invariant_normal_family(fx: ActionFixture) -> list:
 
 def check_4_6(fx: ActionFixture) -> Verdict:
     """Fixed points pass to quotients: C_{G/N}(A) = image of C_G(A)."""
-    _coprime_or_raise(fx)
+    _needs_coprime(fx)
     G = fx.group
     fixed = centralizer(G, fx.generators)
     family = _invariant_normal_family(fx)
@@ -375,7 +356,7 @@ def check_4_12(G: FiniteGroup, a: Automorphism) -> Verdict:
 
 def check_theorem_4_3_instance(fx: ActionFixture) -> Verdict:
     """Record q, the centralizer-exponent bound n, and the group exponent."""
-    _coprime_or_raise(fx)
+    _needs_coprime(fx)
     q = _q_squared_or_raise(fx)
     G = fx.group
     n = math.lcm(
@@ -431,7 +412,6 @@ class CheckRow:
 @dataclass(frozen=True)
 class CheckReport:
     tool_version: str
-    seed: int
     rows: tuple
 
     @property
@@ -441,7 +421,7 @@ class CheckReport:
     def to_json(self) -> str:
         doc = {
             "tool_version": self.tool_version,
-            "seed": self.seed,
+            "seed": 0,  # kept for report compatibility; nothing is seeded
             "rows": [
                 {
                     "group": row.group,
@@ -490,9 +470,8 @@ def emit_report(report: CheckReport, fmt: str = "json") -> str:
 class RunContext:
     """Realized fixtures plus caches shared across checks."""
 
-    def __init__(self, fx: FixtureFile, seed: int = 0, budget: int = SCAN_BUDGET):
+    def __init__(self, fx: FixtureFile, budget: int = SCAN_BUDGET):
         self.fx = fx
-        self.seed = seed
         self.budget = budget
         self.groups = realize_groups(fx)
         self.auts = realize_automorphisms(fx, self.groups)
@@ -502,7 +481,7 @@ class RunContext:
 
     def dl(self, name: str):
         if name not in self._dl:
-            self._dl[name] = build_dl(self.groups[name], seed=self.seed)
+            self._dl[name] = build_dl(self.groups[name])
         return self._dl[name]
 
     def dl_for_action(self, action_name: str):
@@ -519,42 +498,81 @@ class RunContext:
         except ValueError:
             raise MalformedSpec(f"check parameter {key} must be an integer")
 
-    def gens_param(self, params: dict, G: FiniteGroup):
-        if "gens" not in params:
-            return None
-        return [G.generator_by_name(n) for n in params["gens"].split(",")]
-
-    def witness(self, name: str, gens_key, gens):
-        key = (name, gens_key)
+    def witness(self, check: str, name: str):
+        """Decomposition witness of a group, over the check's gens= parameter if bound."""
+        gens = self.params(check, name).get("gens")
+        key = (name, gens)
         if key not in self._witness:
-            self._witness[key] = decomposition_witness(self.groups[name], gens)
+            G = self.groups[name]
+            chosen = None if gens is None else [G.generator_by_name(n) for n in gens.split(",")]
+            self._witness[key] = decomposition_witness(G, chosen)
         return self._witness[key]
 
 
-def _verdict_row(v: Verdict) -> tuple:
-    return ("pass" if v.ok else "fail", v.detail)
+# -- the registry ------------------------------------------------------------
+
+# check name -> handler(ctx, target name) -> Verdict; looked up per row, so a
+# handler swapped in after import is the one that runs
+_GROUP_HANDLERS: dict = {}
+_ACTION_HANDLERS: dict = {}
 
 
-# group-check handlers: (ctx, group name) -> (status, details)
+class _Skip(GroupLabError):
+    """The row is skipped; the message is its whole detail."""
 
 
-def _h_np_series(ctx: RunContext, name: str):
-    G = ctx.groups[name]
-    info = G.is_p_group()
-    if info is None:
-        return "skipped", "not a p-group"
-    series = dimension_series(G)
-    verdict = verify_np_series(G, series, info[0])
-    orders = series.orders()
-    if verdict.ok:
-        return "pass", f"series orders {orders}; both containment families verified"
-    return "fail", f"series orders {orders}; {verdict.failure}"
+def check(name: str, on: str = "group", needs: tuple = ()):
+    """Register the decorated function as the catalog check ``name``.
+
+    The function takes (ctx, subject, target name), where the subject is the
+    target's FiniteGroup (on="group") or ActionFixture (on="action"), and
+    returns a Verdict.  Each predicate in ``needs`` is called on the subject
+    first, in the order given, and raises to skip the row.
+    """
+    handlers = {"group": _GROUP_HANDLERS, "action": _ACTION_HANDLERS}[on]
+
+    def register(body):
+        def handler(ctx: RunContext, target: str) -> Verdict:
+            subject = (ctx.groups if on == "group" else ctx.actions)[target]
+            for need in needs:
+                need(subject)
+            return body(ctx, subject, target)
+
+        handlers[name] = handler
+        return body
+
+    return register
 
 
-def _h_lazard(ctx: RunContext, name: str):
-    G = ctx.groups[name]
+def _needs_p_group(subject) -> None:
+    G = subject.group if isinstance(subject, ActionFixture) else subject
     if G.is_p_group() is None:
-        return "skipped", "not a p-group"
+        raise NotAPGroup("not a p-group")
+
+
+def _needs_solvable(G: FiniteGroup) -> None:
+    if not derived_series(G).reaches_trivial():
+        raise NotSolvable("not solvable")
+
+
+def _needs_single_involution(fx: ActionFixture) -> None:
+    if fx.single_involution() is None:
+        raise HypothesisNotMet("needs exactly one generating automorphism of order 2")
+
+
+# -- group checks ----------------------------------------------------------
+
+
+@check("np_series", needs=(_needs_p_group,))
+def _np_series(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
+    series = dimension_series(G)
+    verdict = verify_np_series(G, series, G.is_p_group()[0])
+    tail = "both containment families verified" if verdict.ok else verdict.detail
+    return Verdict(verdict.ok, f"series orders {series.orders()}; {tail}")
+
+
+@check("lazard", needs=(_needs_p_group,))
+def _lazard(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
     L = ctx.dl(name)
     count = 0
     for x in G.elements():
@@ -562,28 +580,26 @@ def _h_lazard(ctx: RunContext, name: str):
             continue
         verdict = lazard_check(G, L, x)
         if not verdict.ok:
-            return "fail", f"at {x!r}: {verdict.detail}"
+            return Verdict(False, f"at {x!r}: {verdict.detail}")
         count += 1
-    return "pass", f"{count} nontrivial elements verified (power and index bounds)"
+    return Verdict(True, f"{count} nontrivial elements verified (power and index bounds)")
 
 
-def _h_jacobi(ctx: RunContext, name: str):
-    G = ctx.groups[name]
-    if G.is_p_group() is None:
-        return "skipped", "not a p-group"
+@check("jacobi", needs=(_needs_p_group,))
+def _jacobi(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
     L = ctx.dl(name)
     basis = L.basis()
     pairs = triples = 0
     for u in basis:
         if not L.bracket(u, u).is_zero():
-            return "fail", f"[u, u] != 0 at u = {u!r}"
+            return Verdict(False, f"[u, u] != 0 at u = {u!r}")
         for v in basis:
             lhs = L.bracket(u, v)
             if lhs != -L.bracket(v, u):
-                return "fail", f"antisymmetry fails at ({u!r}, {v!r})"
+                return Verdict(False, f"antisymmetry fails at ({u!r}, {v!r})")
             du, dv = u.degree, v.degree
             if not lhs.is_zero() and lhs.degree != du + dv:
-                return "fail", f"grading escape at ({u!r}, {v!r})"
+                return Verdict(False, f"grading escape at ({u!r}, {v!r})")
             pairs += 1
             for w in basis:
                 s = (
@@ -592,201 +608,151 @@ def _h_jacobi(ctx: RunContext, name: str):
                     + L.bracket(L.bracket(w, u), v)
                 )
                 if not s.is_zero():
-                    return "fail", f"Jacobi fails at ({u!r}, {v!r}, {w!r})"
+                    return Verdict(False, f"Jacobi fails at ({u!r}, {v!r}, {w!r})")
                 triples += 1
-    return "pass", f"{pairs} basis pairs and {triples} triples verified"
+    return Verdict(True, f"{pairs} basis pairs and {triples} triples verified", "basis")
 
 
-def _h_higman(ctx: RunContext, name: str):
-    G = ctx.groups[name]
-    if G.is_p_group() is None:
-        return "skipped", "not a p-group"
+@check("higman", needs=(_needs_p_group,))
+def _higman(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
     n = G.exponent()
     if n > 4:
-        return "skipped", f"exponent {n} is outside the checked degree range (2..4)"
+        raise _Skip(f"exponent {n} is outside the checked degree range (2..4)")
     verdict = holds_identity(higman_polynomial(n), ctx.dl(name))
-    status = "pass" if verdict.holds else "fail"
-    return status, f"degree {n} symmetrized law: {verdict.detail}"
+    return Verdict(verdict.ok, f"degree {n} symmetrized law: {verdict.detail}", verdict.mode)
 
 
-def _h_prop_2_11(ctx: RunContext, name: str):
-    G = ctx.groups[name]
-    if G.is_p_group() is None:
-        return "skipped", "not a p-group"
-    params = ctx.params("prop_2_11", name)
-    gens = ctx.gens_param(params, G)
-    w = ctx.witness(name, params.get("gens"), gens)
+@check("prop_2_11", needs=(_needs_p_group,))
+def _prop_2_11(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
+    w = ctx.witness("prop_2_11", name)
     verdict = check_prop_2_11(G, w)
-    status, detail = _verdict_row(verdict)
-    return status, f"c={w.c}, s={w.s}, K={w.K}; {detail}"
+    return Verdict(verdict.ok, f"c={w.c}, s={w.s}, K={w.K}; {verdict.detail}")
 
 
-def _h_cor_2_14(ctx: RunContext, name: str):
-    G = ctx.groups[name]
-    if G.is_p_group() is None:
-        return "skipped", "not a p-group"
-    params = ctx.params("cor_2_14", name)
-    gens = ctx.gens_param(params, G)
-    w = ctx.witness(name, params.get("gens"), gens)
+@check("cor_2_14", needs=(_needs_p_group,))
+def _cor_2_14(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
+    w = ctx.witness("cor_2_14", name)
     verdict = check_cor_2_14(G, w)
-    status, detail = _verdict_row(verdict)
-    return status, f"c={w.c}, s={w.s}, K={w.K}; {detail}"
+    return Verdict(verdict.ok, f"c={w.c}, s={w.s}, K={w.K}; {verdict.detail}")
 
 
-def _h_collection(ctx: RunContext, name: str):
-    G = ctx.groups[name]
+@check("collection")
+def _collection(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
     params = ctx.params("collection", name)
     if "prime" in params:
         p = ctx.int_param(params, "prime", 0)
     elif G.is_p_group() is not None:
         p = G.is_p_group()[0]
     else:
-        return "skipped", "not a p-group and no prime parameter given"
+        raise _Skip("not a p-group and no prime parameter given")
     n = ctx.int_param(params, "n", 1)
-    return _verdict_row(check_collection_formula(G, p, n, budget=ctx.budget))
+    return check_collection_formula(G, p, n, budget=ctx.budget)
 
 
-def _h_lemma_3_3(ctx: RunContext, name: str):
-    G = ctx.groups[name]
+@check("lemma_3_3")
+def _lemma_3_3(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
     params = ctx.params("lemma_3_3", name)
     k = ctx.int_param(params, "k", 2)
     p = ctx.int_param(params, "prime", 0) if "prime" in params else None
-    return _verdict_row(check_lemma_3_3(G, k, p, budget=ctx.budget))
+    return check_lemma_3_3(G, k, p, budget=ctx.budget)
 
 
-def _h_lemma_3_4(ctx: RunContext, name: str):
-    G = ctx.groups[name]
-    params = ctx.params("lemma_3_4", name)
-    k = ctx.int_param(params, "k", 2)
-    return _verdict_row(check_lemma_3_4(G, k, budget=ctx.budget))
+@check("lemma_3_4")
+def _lemma_3_4(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
+    k = ctx.int_param(ctx.params("lemma_3_4", name), "k", 2)
+    return check_lemma_3_4(G, k, budget=ctx.budget)
 
 
-def _h_fitting(ctx: RunContext, name: str):
-    G = ctx.groups[name]
-    profile = structure_predicates(G)
-    if not profile.is_solvable:
-        return "skipped", "not solvable"
+@check("fitting", needs=(_needs_solvable,))
+def _fitting(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
     height = fitting_height(G)
-    return (
-        "pass",
-        f"height {height}; exponent {profile.exponent}; order {G.order}"
-        + ("; nilpotent" if profile.is_nilpotent else ""),
+    nilpotent = lower_central_series(G).reaches_trivial()
+    return Verdict(
+        True,
+        f"height {height}; exponent {G.exponent()}; order {G.order}"
+        + ("; nilpotent" if nilpotent else ""),
     )
 
 
-def _h_powerful(ctx: RunContext, name: str):
-    G = ctx.groups[name]
-    info = G.is_p_group()
-    if info is None:
-        return "skipped", "not a p-group"
-    p = info[0]
+@check("powerful", needs=(_needs_p_group,))
+def _powerful(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
+    p = G.is_p_group()[0]
     flag = is_powerful(G)
-    target = 4 if p == 2 else p
-    return (
-        "pass",
+    return Verdict(
+        True,
         f"powerful: {'yes' if flag else 'no'} "
         f"(commutator subgroup {'inside' if flag else 'escapes'} the "
-        f"{target}-th power subgroup)",
+        f"{4 if p == 2 else p}-th power subgroup)",
     )
 
 
-# action-check handlers: (ctx, action name) -> (status, details)
+# -- action checks -----------------------------------------------------------
 
 
-def _h_c4_1(ctx: RunContext, name: str):
-    return _verdict_row(check_4_1(ctx.actions[name]))
+@check("c4_1", on="action")
+def _c4_1(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
+    return check_4_1(fx)
 
 
-def _h_c4_2(ctx: RunContext, name: str):
-    return _verdict_row(check_4_2(ctx.actions[name]))
+@check("c4_2", on="action")
+def _c4_2(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
+    return check_4_2(fx)
 
 
-def _h_c4_6(ctx: RunContext, name: str):
-    return _verdict_row(check_4_6(ctx.actions[name]))
+@check("c4_6", on="action")
+def _c4_6(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
+    return check_4_6(fx)
 
 
-def _single_involution_or_raise(fx: ActionFixture) -> Automorphism:
-    a = fx.single_involution()
-    if a is None:
-        raise HypothesisNotMet("needs exactly one generating automorphism of order 2")
-    return a
+@check("c4_12", on="action", needs=(_needs_single_involution,))
+def _c4_12(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
+    return check_4_12(fx.group, fx.single_involution())
 
 
-def _h_c4_12(ctx: RunContext, name: str):
-    fx = ctx.actions[name]
-    a = _single_involution_or_raise(fx)
-    return _verdict_row(check_4_12(fx.group, a))
+@check("t4_3", on="action")
+def _t4_3(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
+    return check_theorem_4_3_instance(fx)
 
 
-def _h_t4_3(ctx: RunContext, name: str):
-    return _verdict_row(check_theorem_4_3_instance(ctx.actions[name]))
-
-
-def _h_t4_4(ctx: RunContext, name: str):
-    fx = ctx.actions[name]
-    a = _single_involution_or_raise(fx)
+@check("t4_4", on="action", needs=(_needs_single_involution,))
+def _t4_4(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
     params = ctx.params("t4_4", name)
     n = ctx.int_param(params, "n", 0) if "n" in params else None
-    return _verdict_row(check_theorem_4_4_instance(fx.group, a, n))
+    return check_theorem_4_4_instance(fx.group, fx.single_involution(), n)
 
 
-def _h_pm_split(ctx: RunContext, name: str):
-    fx = ctx.actions[name]
-    G = fx.group
-    if G.is_p_group() is None:
-        return "skipped", "not a p-group"
-    a = _single_involution_or_raise(fx)
+@check("pm_split", on="action", needs=(_needs_p_group, _needs_single_involution))
+def _pm_split(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
     L = ctx.dl_for_action(name)
-    split = plus_minus_split(L, induced_action(a, L))
-    return (
-        "pass",
+    split = plus_minus_split(L, induced_action(fx.single_involution(), L))
+    return Verdict(
+        True,
         f"plus dims {split.plus.dims()}, minus dims {split.minus.dims()}; "
         "all three bracket containments verified",
     )
 
 
-def _h_obs_4_8(ctx: RunContext, name: str):
-    fx = ctx.actions[name]
-    G = fx.group
-    _coprime_or_raise(fx)
-    if G.is_p_group() is None:
-        return "skipped", "not a p-group"
+@check("obs_4_8", on="action", needs=(_needs_coprime, _needs_p_group))
+def _obs_4_8(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
     L = ctx.dl_for_action(name)
     acts = [induced_action(phi, L) for phi in fx.generators]
     lie_side = centralizer_subalgebra(L, acts)
-    group_side = subgroup_graded_algebra(G, L, centralizer(G, fx.generators))
+    group_side = subgroup_graded_algebra(fx.group, L, centralizer(fx.group, fx.generators))
     same = lie_side.space == group_side
-    return (
-        "pass" if same else "fail",
+    return Verdict(
+        same,
         f"fixed subalgebra dims {lie_side.space.dims()} "
         f"{'==' if same else '!='} fixed-subgroup algebra dims "
         f"{group_side.dims()}",
     )
 
 
-_GROUP_HANDLERS = {
-    "np_series": _h_np_series,
-    "lazard": _h_lazard,
-    "jacobi": _h_jacobi,
-    "higman": _h_higman,
-    "prop_2_11": _h_prop_2_11,
-    "cor_2_14": _h_cor_2_14,
-    "collection": _h_collection,
-    "lemma_3_3": _h_lemma_3_3,
-    "lemma_3_4": _h_lemma_3_4,
-    "fitting": _h_fitting,
-    "powerful": _h_powerful,
-}
-_ACTION_HANDLERS = {
-    "c4_1": _h_c4_1,
-    "c4_2": _h_c4_2,
-    "c4_6": _h_c4_6,
-    "c4_12": _h_c4_12,
-    "t4_3": _h_t4_3,
-    "t4_4": _h_t4_4,
-    "pm_split": _h_pm_split,
-    "obs_4_8": _h_obs_4_8,
-}
+GROUP_CHECKS = tuple(_GROUP_HANDLERS)
+ACTION_CHECKS = tuple(_ACTION_HANDLERS)
+CHECK_CATALOG = GROUP_CHECKS + ACTION_CHECKS
+
+
+# -- the run loop --------------------------------------------------------------
 
 
 def _expand_selection(selection) -> list:
@@ -809,39 +775,36 @@ def _expand_selection(selection) -> list:
     return [c for c in CHECK_CATALOG if c in requested]
 
 
+def _row(ctx: RunContext, target: str, name: str, handler, timings: bool) -> CheckRow:
+    start = time.perf_counter()
+    try:
+        verdict = handler(ctx, target)
+        status, details = ("pass" if verdict.ok else "fail"), verdict.detail
+    except HypothesisNotMet as exc:
+        status, details = "skipped", f"hypothesis not met: {exc}"
+    except (NotAPGroup, NotSolvable, EvenCharacteristic, NotInvolution, _Skip) as exc:
+        status, details = "skipped", str(exc)
+    except BudgetExceeded as exc:
+        status, details = "skipped", f"budget: {exc}"
+    elapsed = int((time.perf_counter() - start) * 1000) if timings else 0
+    return CheckRow(target, name, status, details, elapsed)
+
+
 def run_checks(
     fx: FixtureFile,
     selection=None,
     *,
-    seed: int = 0,
     budget: int = SCAN_BUDGET,
     timings: bool = False,
 ) -> CheckReport:
     """One row per selected check per type-applicable fixture entry."""
     selected = _expand_selection(selection)
-    ctx = RunContext(fx, seed=seed, budget=budget)
+    ctx = RunContext(fx, budget=budget)
     rows = []
-
-    def run_one(entry_name: str, check: str, handler) -> None:
-        start = time.perf_counter()
-        try:
-            status, details = handler(ctx, entry_name)
-        except HypothesisNotMet as exc:
-            status, details = "skipped", f"hypothesis not met: {exc}"
-        except (NotAPGroup, NotSolvable, EvenCharacteristic, NotInvolution) as exc:
-            status, details = "skipped", str(exc)
-        except OutOfBudget as exc:
-            status, details = "skipped", f"budget: {exc}"
-        elapsed = int((time.perf_counter() - start) * 1000) if timings else 0
-        rows.append(CheckRow(entry_name, check, status, details, elapsed))
-
-    for entry in fx.groups:
-        for check in selected:
-            if check in _GROUP_HANDLERS:
-                run_one(entry.name, check, _GROUP_HANDLERS[check])
-    for entry in fx.actions:
-        for check in selected:
-            if check in _ACTION_HANDLERS:
-                run_one(entry.name, check, _ACTION_HANDLERS[check])
+    for entries, handlers in ((fx.groups, _GROUP_HANDLERS), (fx.actions, _ACTION_HANDLERS)):
+        for entry in entries:
+            for name in selected:
+                if name in handlers:
+                    rows.append(_row(ctx, entry.name, name, handlers[name], timings))
     rows.sort(key=lambda row: (row.group, row.check))
-    return CheckReport(__version__, seed, tuple(rows))
+    return CheckReport(__version__, tuple(rows))

@@ -107,13 +107,7 @@ def _cmd_liering(args) -> int:
 
 
 def _run_and_report(fx, args) -> int:
-    report = run_checks(
-        fx,
-        args.select,
-        seed=args.seed,
-        budget=args.budget,
-        timings=args.timings,
-    )
+    report = run_checks(fx, args.select, budget=args.budget, timings=args.timings)
     sys.stdout.write(report.to_table())
     if args.report:
         Path(args.report).write_text(report.to_json(), encoding="utf-8")
@@ -134,7 +128,6 @@ def _add_run_flags(sub) -> None:
                      help="check names, comma-separated or repeated (default: all)")
     sub.add_argument("--report", metavar="OUT", default=None,
                      help="write the machine-readable report to this path")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--budget", type=int, default=SCAN_BUDGET,
                      help="evaluation budget for exhaustive scans")
     sub.add_argument("--timings", action="store_true",

@@ -19,7 +19,6 @@ __all__ = [
     "EvenCharacteristic",
     "NotInvolution",
     "TrivialImage",
-    "OutOfBudget",
     "UnboundVariable",
     "HypothesisNotMet",
     "UnknownCheck",
@@ -42,7 +41,7 @@ class InconsistentPresentation(GroupLabError):
 
 
 class BudgetExceeded(GroupLabError):
-    """An enumeration or rewriting step exceeded its configured budget."""
+    """An enumeration, rewriting step or exhaustive scan exceeded its budget."""
 
 
 class ForeignElement(GroupLabError):
@@ -91,10 +90,6 @@ class NotInvolution(GroupLabError):
 
 class TrivialImage(GroupLabError):
     """The element has trivial image in every graded component."""
-
-
-class OutOfBudget(GroupLabError):
-    """An exhaustive scan would exceed the evaluation budget."""
 
 
 class UnboundVariable(GroupLabError):

@@ -649,24 +649,24 @@ class GroupHomomorphism:
         self.source = source
         self.target = target
         gen_images = self._normalize_images(images)
-        n = source.order
-        image_idx = [-1] * n
+        image_idx = [-1] * source.order
         e_src = source.index_of(source.identity)
         image_idx[e_src] = target.index_of(target.identity)
         frontier = [e_src]
-        gen_pairs = [(source.index_of(g), target.index_of(h)) for g, h in gen_images]
+        # breadth-first: image[x*g] = image[x]*h, read from table columns
+        gen_cols = [
+            (source.table()[:, source.index_of(g)].tolist(),
+             target.table()[:, target.index_of(h)].tolist())
+            for g, h in gen_images
+        ]
         while frontier:
             fresh = []
-            for idx in frontier:
-                x = source.element_at(idx)
-                fx = target.element_at(image_idx[idx])
-                for gi, hi in gen_pairs:
-                    xi = source.index_of(source.multiply(x, source.element_at(gi)))
-                    if image_idx[xi] < 0:
-                        image_idx[xi] = target.index_of(
-                            target.multiply(fx, target.element_at(hi))
-                        )
-                        fresh.append(xi)
+            for x in frontier:
+                for src_col, tgt_col in gen_cols:
+                    xg = src_col[x]
+                    if image_idx[xg] < 0:
+                        image_idx[xg] = tgt_col[image_idx[x]]
+                        fresh.append(xg)
             frontier = fresh
         if any(i < 0 for i in image_idx):
             raise MalformedSpec("generator images must cover every group generator")

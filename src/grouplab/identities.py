@@ -16,41 +16,22 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     ForeignElement,
     MalformedSpec,
     MismatchedAlgebra,
-    OutOfBudget,
     UnboundVariable,
 )
 from .gfp import mat_pow
 from .groups import FiniteGroup, GroupElement
 from .liering import GradedLieRing, LieElement
+from .series import Verdict
 
 HIGMAN_MONOMIAL_BUDGET = 5040
 IDENTITY_EVAL_BUDGET = 10**6
 WORD_EVAL_BUDGET = 10**8
 ENGEL_EXACT_LIMIT = 10**4
 ENGEL_SAMPLES = 100
-
-
-# -- verdicts -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckVerdict:
-    """Outcome of an identity check.
-
-    mode is "basis", "exhaustive", or "sampled"; a sampled pass must never
-    be read as a proof. witness carries the falsifying assignment, if any.
-    """
-
-    holds: bool
-    mode: str
-    detail: str
-    witness: object = None
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 # -- Lie monomials and polynomials ---------------------------------------
@@ -160,7 +141,7 @@ def higman_polynomial(n: int, budget: int = HIGMAN_MONOMIAL_BUDGET) -> LiePolyno
     for k in range(2, n):
         count *= k
     if count > budget:
-        raise OutOfBudget(f"{count} monomials exceed the budget of {budget}")
+        raise BudgetExceeded(f"{count} monomials exceed the budget of {budget}")
     terms = []
     for pi in itertools.permutations(range(1, n)):
         terms.append((1, left_normed((0,) + pi)))
@@ -194,7 +175,7 @@ def holds_identity(
     L: GradedLieRing,
     budget: int = IDENTITY_EVAL_BUDGET,
     force_exhaustive: bool = False,
-) -> CheckVerdict:
+) -> Verdict:
     """Does f vanish identically on L?
 
     Multilinear polynomials only need checking on tuples of basis elements;
@@ -208,13 +189,13 @@ def holds_identity(
     else:
         size = L.p ** L.total_dim
         if size**nvars > budget:
-            raise OutOfBudget(
+            raise BudgetExceeded(
                 f"{size}^{nvars} assignments exceed the budget of {budget}"
             )
         pool = list(L.all_elements())
         mode = "exhaustive"
     if len(pool) ** nvars > budget:
-        raise OutOfBudget(
+        raise BudgetExceeded(
             f"{len(pool)}^{nvars} assignments exceed the budget of {budget}"
         )
     checked = 0
@@ -222,13 +203,13 @@ def holds_identity(
         assignment = dict(zip(variables, combo))
         checked += 1
         if not evaluate_lie(f, L, assignment).is_zero():
-            return CheckVerdict(
+            return Verdict(
                 False,
-                mode,
                 f"nonzero value at assignment {checked} of {len(pool) ** nvars}",
+                mode,
                 witness=combo,
             )
-    return CheckVerdict(True, mode, f"zero on all {checked} {mode} assignments")
+    return Verdict(True, f"zero on all {checked} {mode} assignments", mode)
 
 
 def is_n_engel_algebra(
@@ -237,7 +218,7 @@ def is_n_engel_algebra(
     budget: int = ENGEL_EXACT_LIMIT,
     seed: int = 0,
     samples: int = ENGEL_SAMPLES,
-) -> CheckVerdict:
+) -> Verdict:
     """Is ad(a)^n zero for every a in L?"""
     if n < 1:
         raise MalformedSpec("need n >= 1")
@@ -254,10 +235,8 @@ def is_n_engel_algebra(
     for a in pool:
         power = mat_pow(L.ad_matrix(a), n, L.p)
         if power.any():
-            return CheckVerdict(
-                False, mode, f"ad(a)^{n} != 0 at a = {a!r}", witness=a
-            )
-    return CheckVerdict(True, mode, f"ad(a)^{n} = 0 for all {len(pool)} {mode} elements")
+            return Verdict(False, f"ad(a)^{n} != 0 at a = {a!r}", mode, witness=a)
+    return Verdict(True, f"ad(a)^{n} = 0 for all {len(pool)} {mode} elements", mode)
 
 
 # -- group words -----------------------------------------------------------
@@ -369,13 +348,13 @@ def _eval_word(w: GroupWord, G: FiniteGroup, assignment: dict) -> GroupElement:
 
 def group_satisfies(
     w: GroupWord, G: FiniteGroup, budget: int = WORD_EVAL_BUDGET
-) -> CheckVerdict:
+) -> Verdict:
     """Exhaustively check w(g1, ..., gs) = 1 over all of G."""
     variables = sorted(w.variables)
     nvars = len(variables)
     total = G.order**nvars
     if total > budget:
-        raise OutOfBudget(f"|G|^{nvars} = {total} exceeds the budget of {budget}")
+        raise BudgetExceeded(f"|G|^{nvars} = {total} exceeds the budget of {budget}")
     elems = list(G.elements())
     for combo in itertools.product(elems, repeat=nvars):
         assignment = dict(zip(variables, combo))
@@ -383,10 +362,8 @@ def group_satisfies(
             names = ", ".join(
                 f"x{v}={g!r}" for v, g in zip(variables, combo)
             )
-            return CheckVerdict(
-                False, "exhaustive", f"fails at {names}", witness=combo
-            )
-    return CheckVerdict(True, "exhaustive", f"identity on all {total} assignments")
+            return Verdict(False, f"fails at {names}", witness=combo)
+    return Verdict(True, f"identity on all {total} assignments")
 
 
 def engel_index_of_element(

@@ -5,14 +5,17 @@ terms, coordinatized over F_p by a deterministic greedy basis (elements are
 scanned in sorted key order and kept when independent of the span so far,
 the concrete realization of a row-echelon choice).  Brackets come from group
 commutators of coset representatives, tabulated as structure constants and
-extended bilinearly; representative independence is re-verified on a seeded
-sample at construction time.
+extended bilinearly.  At construction, representative independence is
+verified on every coset member: [x·n1, y·n2] must lie in [x, y]·D_{i+j+1}
+for each basis pair (x, y) and every n1 in D_{i+1}, n2 in D_{j+1}.  An
+induced action is independent of the representatives exactly when the
+automorphism maps each series term into itself, which is checked on every
+element of the term.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +44,10 @@ from .groups import Automorphism, FiniteGroup, GroupElement, _coset_reps
 from .series import (
     NormalSeries,
     Subgroup,
+    Verdict,
+    _closure,
     _p_of,
+    _product_mask,
     dimension_series,
     generated_subgroup,
 )
@@ -54,7 +60,6 @@ __all__ = [
     "LpSubalgebra",
     "CentralizerResult",
     "PMSplit",
-    "Verdict",
     "DecompositionWitness",
     "build_dl",
     "lp_subalgebra",
@@ -68,21 +73,6 @@ __all__ = [
     "check_prop_2_11",
     "check_cor_2_14",
 ]
-
-WELL_DEFINED_EXHAUSTIVE_LIMIT = 100
-WELL_DEFINED_SAMPLES = 10
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Boolean outcome plus a human-readable account of what was compared."""
-
-    ok: bool
-    detail: str = ""
-
-    def __bool__(self):
-        return self.ok
-
 
 class _ComponentData:
     """Coset bookkeeping for one homogeneous component D_i/D_{i+1}."""
@@ -378,7 +368,7 @@ class GradedLieRing:
         return f"GradedLieRing(p={self.p}, dims={list(self.dims)})"
 
 
-def build_dl(G: FiniteGroup, p: int | None = None, *, seed: int = 0) -> GradedLieRing:
+def build_dl(G: FiniteGroup, p: int | None = None) -> GradedLieRing:
     """Graded Lie algebra of a finite p-group from its p-power descending series."""
     p = _p_of(G, p)
     series = dimension_series(G, p)
@@ -461,39 +451,38 @@ def build_dl(G: FiniteGroup, p: int | None = None, *, seed: int = 0) -> GradedLi
             sc[(i, j)] = table
 
     L = GradedLieRing(p, dims, sc, group=G, series=series, components=components)
-    _verify_well_definedness(G, L, seed)
+    _verify_well_definedness(G, L)
     return L
 
 
-def _verify_well_definedness(G: FiniteGroup, L: GradedLieRing, seed: int):
-    """Structure constants must not depend on the coset representatives."""
-    rng = random.Random(seed)
+def _verify_well_definedness(G: FiniteGroup, L: GradedLieRing):
+    """Structure constants must not depend on the coset representatives.
+
+    For basis representatives x of degree i and y of degree j, every n1 in
+    D_{i+1} and n2 in D_{j+1} must give [x·n1, y·n2] in [x, y]·D_{i+j+1}.
+    Degrees i < j follow by inversion, [y·n2, x·n1] = [x·n1, y·n2]^-1, so
+    only i >= j is scanned: one n1 of the smaller term D_{i+1} at a time, as
+    a block over the basis pairs and every n2.
+    """
+    T = G.table()
+    inv = G.inverse_indices()
     terms = L.series.terms
-    for (i, j), table in sorted(L.sc.items()):
-        k = i + j
-        comp_k = L.components[k - 1]
-        ni = terms[i].elements()
-        nj = terms[j].elements()
-        if len(ni) * len(nj) <= WELL_DEFINED_EXHAUSTIVE_LIMIT:
-            noise = [(a, b) for a in ni for b in nj]
-        else:
-            noise = [
-                (ni[rng.randrange(len(ni))], nj[rng.randrange(len(nj))])
-                for _ in range(WELL_DEFINED_SAMPLES)
-            ]
-        for a, x in enumerate(L.components[i - 1].basis_reps):
-            for b, y in enumerate(L.components[j - 1].basis_reps):
-                for n1, n2 in noise:
-                    x2 = G.multiply(x, n1)
-                    y2 = G.multiply(y, n2)
-                    c = G.commutator(x2, y2)
-                    coords = comp_k.coord_of[comp_k.rep_of[c.key]]
-                    if not np.array_equal(
-                        np.array(coords, dtype=np.int64), table[a, b]
-                    ):
-                        raise InconsistentPresentation(
-                            f"bracket of degrees ({i},{j}) depends on representatives"
-                        )
+    for i, j in sorted(L.sc):
+        if i < j:
+            continue
+        modulus = terms[i + j].mask
+        xs = np.array([G.index_of(x) for x in L.components[i - 1].basis_reps], dtype=np.int64)
+        ys = np.array([G.index_of(y) for y in L.components[j - 1].basis_reps], dtype=np.int64)
+        xs, ys = xs[:, None, None], ys[None, :, None]
+        undo = inv[T[inv[T[ys, xs]], T[xs, ys]]]  # [x, y]^-1 per basis pair
+        yn = T[ys, terms[j].idx]  # y·n2 for every n2
+        for n1 in terms[i].idx:
+            xn = T[xs, n1]
+            moved = T[inv[T[yn, xn]], T[xn, yn]]  # [x·n1, y·n2]
+            if not modulus[T[undo, moved]].all():
+                raise InconsistentPresentation(
+                    f"bracket of degrees ({i},{j}) depends on representatives"
+                )
 
 
 # -- subspaces ----------------------------------------------------------
@@ -711,41 +700,29 @@ class GradedAutomorphism:
 
 
 def induced_action(phi: Automorphism, L: GradedLieRing) -> GradedAutomorphism:
-    """Push a group automorphism down to per-component matrices on the algebra."""
+    """Push a group automorphism down to per-component matrices on the algebra.
+
+    phi(x·n) = phi(x)·phi(n), so the matrix of component i does not depend on
+    the representatives exactly when phi maps D_{i+1} into itself, which is
+    checked on every element of D_{i+1}.  With D_1 = G, that also keeps the
+    image of every degree-i representative inside D_i.
+    """
     L._need_group()
     G = L.group
     if phi.source is not G:
         raise MismatchedAlgebra("automorphism acts on a different group")
     terms = L.series.terms
+    image = np.asarray(phi.image_indices)
     mats = []
-    rng = random.Random(0)
     for i in range(1, L.m + 1):
+        if not terms[i].mask[image[terms[i].idx]].all():
+            raise ActionNotWellDefined(
+                f"induced action on component {i} depends on representatives"
+            )
         comp = L.components[i - 1]
-        d = L.dims[i - 1]
-        mat = np.zeros((d, d), dtype=np.int64)
+        mat = np.zeros((L.dims[i - 1],) * 2, dtype=np.int64)
         for b, x in enumerate(comp.basis_reps):
-            y = phi(x)
-            if y not in terms[i - 1]:
-                raise ActionNotWellDefined(
-                    f"image of a degree-{i} representative leaves the series term"
-                )
-            mat[:, b] = comp.coord_of[comp.rep_of[y.key]]
-        # representative independence within the coset
-        noise = terms[i].elements()
-        if len(noise) > 20:
-            noise = [noise[rng.randrange(len(noise))] for _ in range(WELL_DEFINED_SAMPLES)]
-        for b, x in enumerate(comp.basis_reps):
-            for nx in noise:
-                y2 = phi(G.multiply(x, nx))
-                if y2 not in terms[i - 1]:
-                    raise ActionNotWellDefined(
-                        f"image of a degree-{i} coset member leaves the series term"
-                    )
-                coords = comp.coord_of[comp.rep_of[y2.key]]
-                if not np.array_equal(np.array(coords, dtype=np.int64), mat[:, b]):
-                    raise ActionNotWellDefined(
-                        f"induced action on component {i} depends on representatives"
-                    )
+            mat[:, b] = comp.coord_of[comp.rep_of[G._keys[image[G.index_of(x)]]]]
         mats.append(mat)
     return GradedAutomorphism(L, mats)
 
@@ -925,32 +902,26 @@ def decomposition_witness(G: FiniteGroup, gens=None) -> DecompositionWitness:
     return DecompositionWitness(gens, c, shapes, rhos, K, len(shapes))
 
 
-def _ordered_cyclic_product_keys(G: FiniteGroup, rhos) -> set:
-    """Key set of the ordered product ⟨ρ_1⟩⟨ρ_2⟩···⟨ρ_s⟩."""
-    acc = {G.identity.key}
+def _ordered_cyclic_product(G: FiniteGroup, rhos) -> np.ndarray:
+    """Mask of the ordered product ⟨ρ_1⟩⟨ρ_2⟩···⟨ρ_s⟩."""
+    acc = _closure(G, ())
     for rho in rhos:
-        powers = []
-        x = G.identity
-        for _ in range(G.element_order(rho)):
-            powers.append(x.key)
-            x = G.multiply(x, rho)
-        acc = {G._mul_keys(a, pk) for a in acc for pk in powers}
+        powers = np.flatnonzero(_closure(G, [G.index_of(rho)]))
+        acc = _product_mask(G, np.flatnonzero(acc), powers)
     return acc
 
 
 def check_prop_2_11(G: FiniteGroup, w: DecompositionWitness) -> Verdict:
     """Ordered cyclic product times each series tail must cover the group."""
     series = dimension_series(G)
-    product = _ordered_cyclic_product_keys(G, w.rhos)
-    all_keys = set(G._keys)
+    product = np.flatnonzero(_ordered_cyclic_product(G, w.rhos))
     for i in range(1, len(series.terms) + 1):
-        tail = [t.key for t in series.term(i + 1).elements()]
-        covered = {G._mul_keys(a, t) for a in product for t in tail}
-        if covered != all_keys:
+        covered = _product_mask(G, product, series.term(i + 1).idx)
+        if not covered.all():
             return Verdict(
                 False,
                 f"product of {w.s} cyclic factors misses "
-                f"{len(all_keys) - len(covered)} elements at depth {i}",
+                f"{G.order - int(covered.sum())} elements at depth {i}",
             )
     return Verdict(
         True, f"{w.s} cyclic factors cover the group at every depth (class {w.c})"

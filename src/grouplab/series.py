@@ -43,7 +43,7 @@ __all__ = [
     "Subgroup",
     "NormalSeries",
     "QuotientGroup",
-    "NpVerdict",
+    "Verdict",
     "GroupProfile",
     "trivial_subgroup",
     "whole_subgroup",
@@ -206,6 +206,16 @@ def _commutator_values(G: FiniteGroup, hs, ks) -> np.ndarray:
     return values
 
 
+def _product_mask(G: FiniteGroup, left, right) -> np.ndarray:
+    """Mask of the products a·b over a in left and b in right, one table column per b."""
+    T = G.table()
+    left = np.asarray(left, dtype=np.int64)
+    values = np.zeros(G.order, dtype=bool)
+    for b in right:
+        values[T[left, b]] = True
+    return values
+
+
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
     """Smallest subgroup of G containing the given elements."""
     return Subgroup(G, _closure(G, [G.index_of(x) for x in gens]))
@@ -348,17 +358,26 @@ def dimension_series(G: FiniteGroup, p: int | None = None) -> NormalSeries:
 
 
 @dataclass(frozen=True)
-class NpVerdict:
-    """Outcome of a series-condition scan; failure names the first bad index pair."""
+class Verdict:
+    """Outcome of a check: ok, an account of what was compared, and how.
+
+    mode is "exhaustive", "basis" (a multilinear identity checked on basis
+    tuples) or "sampled"; a sampled pass must never be read as a proof.
+    witness carries a falsifying input, if any.  It lives here, in the lowest
+    module whose checks return one; liering, identities and the catalog
+    return the same type.
+    """
 
     ok: bool
-    failure: str | None = None
+    detail: str = ""
+    mode: str = "exhaustive"
+    witness: object = None
 
     def __bool__(self):
         return self.ok
 
 
-def verify_np_series(G: FiniteGroup, series: NormalSeries, p: int) -> NpVerdict:
+def verify_np_series(G: FiniteGroup, series: NormalSeries, p: int) -> Verdict:
     """Check [S_i, S_j] ≤ S_{i+j} and S_i^p ≤ S_{pi}, trivial beyond the chain."""
     terms = series.terms
     m = len(terms)
@@ -373,11 +392,11 @@ def verify_np_series(G: FiniteGroup, series: NormalSeries, p: int) -> NpVerdict:
     )
     for i, j in pairs:
         if not (commutator_subgroup(G, at(i), at(j)) <= at(i + j)):
-            return NpVerdict(False, f"[S_{i}, S_{j}] is not inside S_{i + j}")
+            return Verdict(False, f"[S_{i}, S_{j}] is not inside S_{i + j}")
     for i in range(1, m + 1):
         if not (power_subgroup(G, at(i), p) <= at(p * i)):
-            return NpVerdict(False, f"S_{i}^{p} is not inside S_{p * i}")
-    return NpVerdict(True)
+            return Verdict(False, f"S_{i}^{p} is not inside S_{p * i}")
+    return Verdict(True)
 
 
 class QuotientGroup:

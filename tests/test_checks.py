@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from grouplab import checks, series
 from grouplab.actions import ActionFixture
 from grouplab.checks import (
     ACTION_CHECKS,
@@ -25,11 +26,11 @@ from grouplab.checks import (
 )
 from grouplab.corpus import corpus_fixture, load_corpus
 from grouplab.errors import (
+    BudgetExceeded,
     HypothesisNotMet,
     MalformedSpec,
     MismatchedParent,
     NotAPGroup,
-    OutOfBudget,
     UnknownCheck,
 )
 from grouplab.fixtures import parse_fixture, realize_automorphism, realize_groups
@@ -107,9 +108,9 @@ def test_collection_requires_prime_on_mixed_order(corpus):
 
 
 def test_collection_budgets(corpus):
-    with pytest.raises(OutOfBudget):
+    with pytest.raises(BudgetExceeded):
         check_collection_formula(corpus.groups["S4"], p=2, budget=100)
-    with pytest.raises(OutOfBudget):
+    with pytest.raises(BudgetExceeded):
         check_collection_formula(corpus.groups["C2"], p=2, n=25)
     with pytest.raises(MalformedSpec):
         check_collection_formula(corpus.groups["C2"], p=2, n=0)
@@ -154,7 +155,7 @@ def test_lemma_3_3_p_group_trivial_case(corpus):
 
 
 def test_lemma_3_3_budget(corpus):
-    with pytest.raises(OutOfBudget):
+    with pytest.raises(BudgetExceeded):
         check_lemma_3_3(corpus.groups["S4"], budget=100)
 
 
@@ -365,7 +366,7 @@ def test_t4_4_even_order_rejected(corpus):
 
 @pytest.fixture(scope="module")
 def corpus_report():
-    return run_checks(corpus_fixture(), seed=0)
+    return run_checks(corpus_fixture())
 
 
 def test_catalog_shape():
@@ -390,7 +391,7 @@ def test_corpus_rows_sorted(corpus_report):
 
 
 def test_corpus_run_deterministic(corpus_report):
-    again = run_checks(corpus_fixture(), seed=0)
+    again = run_checks(corpus_fixture())
     assert again.to_json() == corpus_report.to_json()
 
 
@@ -464,5 +465,106 @@ def test_emit_report_formats(corpus_report):
 def test_has_failures_flag():
     ok = CheckRow("G", "fitting", "pass", "fine")
     bad = CheckRow("G", "jacobi", "fail", "broken")
-    assert not CheckReport("0", 0, (ok,)).has_failures
-    assert CheckReport("0", 0, (ok, bad)).has_failures
+    assert not CheckReport("0", (ok,)).has_failures
+    assert CheckReport("0", (ok, bad)).has_failures
+
+
+# -- the check registry and the run loop's dispatch ------------------------------
+
+
+def test_catalog_follows_the_handler_tables_in_registration_order():
+    tables = (checks._GROUP_HANDLERS, checks._ACTION_HANDLERS)
+    for name in CHECK_CATALOG:
+        assert sum(name in table for table in tables) == 1, name
+    assert GROUP_CHECKS == tuple(checks._GROUP_HANDLERS)
+    assert ACTION_CHECKS == tuple(checks._ACTION_HANDLERS)
+    assert CHECK_CATALOG == GROUP_CHECKS + ACTION_CHECKS
+    assert all(callable(h) for table in tables for h in table.values())
+
+
+def test_run_checks_calls_handlers_swapped_in_after_import(monkeypatch, corpus_report):
+    calls = []
+    for table in (checks._GROUP_HANDLERS, checks._ACTION_HANDLERS):
+        for name, handler in list(table.items()):
+
+            def counted(ctx, target, _name=name, _orig=handler):
+                calls.append((target, _name))
+                return _orig(ctx, target)
+
+            monkeypatch.setitem(table, name, counted)
+    report = run_checks(corpus_fixture())
+    assert sorted(calls) == [(row.group, row.check) for row in report.rows]
+    assert report.to_json() == corpus_report.to_json()
+
+
+def test_budget_exceeded_in_a_handler_skips_only_its_rows(monkeypatch):
+    def over_budget(ctx, target):
+        raise BudgetExceeded(f"planted on {target}")
+
+    monkeypatch.setitem(checks._GROUP_HANDLERS, "jacobi", over_budget)
+    report = run_checks(corpus_fixture(), ["jacobi,fitting"])
+    assert len(report.rows) == 32
+    for row in report.rows:
+        if row.check == "jacobi":
+            assert (row.status, row.details) == ("skipped", f"budget: planted on {row.group}")
+        else:
+            assert row.status in ("pass", "skipped") and "budget" not in row.details
+
+
+def test_budget_exceeded_inside_a_check_skips_the_row(monkeypatch):
+    # dimension_series refuses every nontrivial p-group once the cap is 1
+    monkeypatch.setattr(series, "SERIES_LENGTH_CAP", 1)
+    report = run_checks(corpus_fixture(), ["np_series,fitting"])
+    rows = {(r.group, r.check): r for r in report.rows}
+    assert len(rows) == 32
+    assert rows[("D8pc", "np_series")].details == (
+        "budget: dimension series failed to reach the trivial subgroup"
+    )
+    assert rows[("S3", "np_series")].details == "not a p-group"
+    assert rows[("D8pc", "fitting")].status == "pass"
+
+
+# S3 with non-coprime actions: the declared hypotheses are tested in each
+# check's own order, so the first failing one names the skip.
+S3_ACTIONS_TEXT = """\
+group S3
+backend perm
+degree 3
+gen a = (1 2 3)
+gen b = (1 2)
+end
+
+aut flip on S3
+image a = a^2
+image b = b^1
+end
+
+aut turn on S3
+image a = a^1
+image b = a^1 b^1
+end
+
+action flipS3 on S3 = flip
+action bothS3 on S3 = flip turn
+"""
+
+
+def test_hypotheses_are_tested_in_each_checks_order():
+    report = run_checks(parse_fixture(S3_ACTIONS_TEXT), ["c4_12,pm_split,obs_4_8,t4_4"])
+    got = {(r.group, r.check): r.details for r in report.rows}
+    gcd = "hypothesis not met: gcd(|A|, |G|) = {} is not 1"
+    one = "hypothesis not met: needs exactly one generating automorphism of order 2"
+    assert got == {
+        # coprime before p-group
+        ("flipS3", "obs_4_8"): gcd.format(2),
+        ("bothS3", "obs_4_8"): gcd.format(6),
+        # p-group before the single involution
+        ("flipS3", "pm_split"): "not a p-group",
+        ("bothS3", "pm_split"): "not a p-group",
+        # the single involution, then the check's own even-order test
+        ("flipS3", "c4_12"): "hypothesis not met: G has even order 6",
+        ("bothS3", "c4_12"): one,
+        ("flipS3", "t4_4"): "hypothesis not met: G has even order 6",
+        ("bothS3", "t4_4"): one,
+    }
+    assert {r.status for r in report.rows} == {"skipped"}

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from grouplab.corpus import load_corpus
 from grouplab.errors import (
     BudgetExceeded,
     EmptySequence,
@@ -23,6 +24,7 @@ from grouplab.groups import (
     inner_automorphism,
     perm_from_cycles,
 )
+from grouplab.fixtures import parse_fixture, realize_automorphisms, realize_groups
 
 
 def pc_d8():
@@ -391,6 +393,76 @@ def test_homomorphism_verification_memory_is_linear_in_order():
         tracemalloc.stop()
     assert phi.is_identity()
     assert peak < 4 * 2**20
+
+
+# The order-243 build group of the benchmark and its involution, restated.
+CL3O243 = """
+group Cl3o243
+backend pc
+prime 3
+ngens 5
+comm 2 1 = 3^1
+comm 3 1 = 4^1
+comm 3 2 = 5^1
+end
+
+aut inv243 on Cl3o243
+image 1 = 1^2
+image 2 = 2^2
+image 3 = 3^1 4^2 5^2
+image 4 = 4^2
+image 5 = 5^2
+end
+"""
+
+
+def ref_image_indices(phi) -> tuple:
+    """Generator images extended breadth-first through handle products."""
+    src, tgt = phi.source, phi.target
+    image = {src.identity.key: tgt.identity}
+    frontier = [src.identity]
+    pairs = [(g, phi(g)) for g in src.generators]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g, h in pairs:
+                xg = src.multiply(x, g)
+                if xg.key not in image:
+                    image[xg.key] = tgt.multiply(image[x.key], h)
+                    fresh.append(xg)
+        frontier = fresh
+    return tuple(tgt.index_of(image[x.key]) for x in src.elements())
+
+
+def automorphism_cases() -> dict:
+    cases = dict(load_corpus().automorphisms)
+    fx = parse_fixture(CL3O243)
+    cases.update(realize_automorphisms(fx, realize_groups(fx)))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(automorphism_cases()))
+def test_image_extension_matches_handle_reference(name):
+    phi = automorphism_cases()[name]
+    assert phi.image_indices == ref_image_indices(phi)
+
+
+def test_homomorphism_construction_makes_no_handle_products(monkeypatch):
+    G = s4()
+    a, b = G.generators
+    images = [G.conjugate(g, b) for g in G.generators]
+    H = build_group(pc_d8())
+    calls = []
+
+    def counted(self, x, y, _orig=FiniteGroup.multiply):
+        calls.append(1)
+        return _orig(self, x, y)
+
+    monkeypatch.setattr(FiniteGroup, "multiply", counted)
+    phi = Automorphism(G, images)
+    GroupHomomorphism(H, H, list(H.generators))
+    assert calls == []
+    assert phi.image_indices == inner_automorphism(G, b).image_indices
 
 
 def test_automorphism_inversion_on_elementary_abelian():

@@ -3,10 +3,10 @@
 import pytest
 
 from grouplab.errors import (
+    BudgetExceeded,
     ForeignElement,
     MalformedSpec,
     MismatchedAlgebra,
-    OutOfBudget,
     UnboundVariable,
 )
 from grouplab.groups import (
@@ -88,7 +88,7 @@ def test_higman_counts():
     assert len(higman_polynomial(4).terms) == 6
     assert higman_polynomial(4).is_multilinear
     assert len(higman_polynomial(8).terms) == 5040  # exactly at the budget
-    with pytest.raises(OutOfBudget):
+    with pytest.raises(BudgetExceeded):
         higman_polynomial(9)
     with pytest.raises(MalformedSpec):
         higman_polynomial(1)
@@ -150,20 +150,20 @@ def test_coefficients_reduce_mod_p():
 def test_holds_bracket_on_abelian():
     L = build_dl(pc(3, 2))
     v = holds_identity(LiePolynomial.monomial([0, 1]), L)
-    assert v.holds and v.mode == "basis"
+    assert v.ok and v.mode == "basis"
 
 
 def test_fails_bracket_on_d8_with_witness():
     L = build_dl(d8())
     v = holds_identity(LiePolynomial.monomial([0, 1]), L)
-    assert not v.holds
+    assert not v.ok
     u, w = v.witness
     assert not L.bracket(u, w).is_zero()
 
 
 def test_higman4_on_dl_d8():
     v = holds_identity(higman_polynomial(4), build_dl(d8()))
-    assert v.holds and v.mode == "basis"
+    assert v.ok and v.mode == "basis"
 
 
 @pytest.mark.parametrize(
@@ -181,7 +181,7 @@ def test_higman_master_property(make, n):
     G = make()
     assert G.exponent() == n
     v = holds_identity(higman_polynomial(n), build_dl(G))
-    assert v.holds, v.detail
+    assert v.ok, v.detail
 
 
 @pytest.mark.parametrize(
@@ -198,7 +198,7 @@ def test_basis_mode_agrees_with_exhaustive(make, f):
     fast = holds_identity(f, L)
     slow = holds_identity(f, L, force_exhaustive=True)
     assert fast.mode == "basis" and slow.mode == "exhaustive"
-    assert fast.holds == slow.holds
+    assert fast.ok == slow.ok
 
 
 def test_non_multilinear_goes_exhaustive():
@@ -206,12 +206,12 @@ def test_non_multilinear_goes_exhaustive():
     f = LiePolynomial(((1, ((0, 1), 0)),))  # [x0, x1, x0], x0 twice
     v = holds_identity(f, L)
     assert v.mode == "exhaustive"
-    assert v.holds  # class 2: every length-3 bracket vanishes
+    assert v.ok  # class 2: every length-3 bracket vanishes
 
 
 def test_holds_identity_budget():
     L = build_dl(heis27())
-    with pytest.raises(OutOfBudget):
+    with pytest.raises(BudgetExceeded):
         holds_identity(higman_polynomial(3), L, budget=10, force_exhaustive=True)
 
 
@@ -220,20 +220,20 @@ def test_holds_identity_budget():
 
 def test_engel_abelian():
     v = is_n_engel_algebra(build_dl(pc(3, 2)), 1)
-    assert v.holds and v.mode == "exhaustive"
+    assert v.ok and v.mode == "exhaustive"
 
 
 def test_engel_d8():
     L = build_dl(d8())
-    assert is_n_engel_algebra(L, 2).holds
+    assert is_n_engel_algebra(L, 2).ok
     bad = is_n_engel_algebra(L, 1)
-    assert not bad.holds and bad.witness is not None
+    assert not bad.ok and bad.witness is not None
 
 
 def test_engel_sampled_mode():
     L = build_dl(heis27())
     v = is_n_engel_algebra(L, 2, budget=5)
-    assert v.holds and v.mode == "sampled"
+    assert v.ok and v.mode == "sampled"
 
 
 def test_engel_rejects_bad_n():
@@ -319,7 +319,7 @@ def test_s3_cubed_commutator_law():
         GroupWord.commutator(GroupWord.var(1), GroupWord.var(2)), 3
     )
     v = group_satisfies(w, G)
-    assert v.holds and v.mode == "exhaustive"
+    assert v.ok and v.mode == "exhaustive"
 
 
 def test_s3_squared_commutator_fails():
@@ -328,7 +328,7 @@ def test_s3_squared_commutator_fails():
         GroupWord.commutator(GroupWord.var(1), GroupWord.var(2)), 2
     )
     v = group_satisfies(w, G)
-    assert not v.holds
+    assert not v.ok
     x, y = v.witness
     assert not G.power(G.commutator(x, y), 2).is_identity()
 
@@ -337,19 +337,19 @@ def test_s3_squared_commutator_fails():
 def test_exponent_law(make):
     G = make()
     w = GroupWord.power(GroupWord.var(1), G.exponent())
-    assert group_satisfies(w, G).holds
+    assert group_satisfies(w, G).ok
 
 
 def test_d8_group_level_engel_law():
     G = d8()
     w = GroupWord.commutator(GroupWord.var(1), GroupWord.var(2), GroupWord.var(2))
-    assert group_satisfies(w, G).holds
+    assert group_satisfies(w, G).ok
 
 
 def test_group_satisfies_budget():
     G = s3()
     w = GroupWord.commutator(GroupWord.var(1), GroupWord.var(2))
-    with pytest.raises(OutOfBudget):
+    with pytest.raises(BudgetExceeded):
         group_satisfies(w, G, budget=35)
 
 
@@ -389,4 +389,4 @@ def test_engel_bridging(make):
     indices = [engel_index_of_element(G, x) for x in G.elements()]
     assert all(n is not None for n in indices)
     n = max(indices)
-    assert is_n_engel_algebra(build_dl(G), n).holds
+    assert is_n_engel_algebra(build_dl(G), n).ok

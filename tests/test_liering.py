@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from grouplab import liering
 from grouplab.errors import (
+    ActionNotWellDefined,
     EvenCharacteristic,
     InconsistentPresentation,
     MalformedSpec,
@@ -23,6 +25,7 @@ from grouplab.groups import (
 )
 from grouplab.liering import (
     GradedLieRing,
+    _verify_well_definedness,
     GradedSubspace,
     build_dl,
     centralizer_subalgebra,
@@ -36,7 +39,13 @@ from grouplab.liering import (
     plus_minus_split,
     subgroup_graded_algebra,
 )
-from grouplab.series import centralizer, generated_subgroup, trivial_subgroup, whole_subgroup
+from grouplab.series import (
+    NormalSeries,
+    centralizer,
+    generated_subgroup,
+    trivial_subgroup,
+    whole_subgroup,
+)
 
 
 def pc(p, n, powers=None, comms=None):
@@ -580,3 +589,62 @@ def test_constructor_rejects_bad_tables():
     with pytest.raises(InconsistentPresentation):
         # missing mirror table
         GradedLieRing(3, (1, 1, 1), {(1, 2): np.zeros((1, 1, 1))})
+
+
+# -- representative independence, on every coset member --------------------------
+
+
+def cl3o243():
+    """Class-3 group of order 3^5: D_2 has order 27, so degrees (1,1) have 729 pairs."""
+    return pc(3, 5, {}, {(2, 1): ((3, 1),), (3, 1): ((4, 1),), (3, 2): ((5, 1),)})
+
+
+def planted_series(monkeypatch, G, *terms):
+    """Make build_dl use the series G > terms... > 1 instead of the dimension series."""
+    series = NormalSeries(G, "planted", (whole_subgroup(G),) + terms + (trivial_subgroup(G),))
+    monkeypatch.setattr(liering, "dimension_series", lambda G, p=None: series)
+
+
+def test_well_definedness_catches_a_dependence_at_one_pair(monkeypatch):
+    G = cl3o243()
+    L = build_dl(G)
+    _verify_well_definedness(G, L)
+    D2, D3 = L.series.terms[1], L.series.terms[2]
+    assert (D2.order, D3.order) == (27, 9)
+    T, inv = G.table(), G.inverse_indices()
+    # plant at the last basis pair of degrees (1,1) and the last n1, n2 in D_2:
+    # a new value of x·n1 · y·n2 that moves [x·n1, y·n2] out of [x, y]·D_3
+    x, y = (G.index_of(r) for r in L.components[0].basis_reps)
+    xn, yn = T[x, D2.idx[-1]], T[y, D2.idx[-1]]
+    undo = inv[G.index_of(G.commutator(G.element_at(x), G.element_at(y)))]
+    bad = next(z for z in range(G.order) if not D3.mask[T[undo, T[inv[T[yn, xn]], z]]])
+    planted = T.copy()
+    planted[xn, yn] = bad
+    monkeypatch.setattr(G, "table", lambda: planted)
+    with pytest.raises(InconsistentPresentation, match=r"\(1,1\) depends on representatives"):
+        _verify_well_definedness(G, L)
+
+
+def test_build_dl_refuses_a_bracket_that_depends_on_representatives(monkeypatch):
+    # Heis27 over G > <g2, g3> > 1: [x, x·g2] = [x, g2] is not trivial
+    G = heis27()
+    g1, g2, g3 = G.generators
+    planted_series(monkeypatch, G, generated_subgroup(G, [g2, g3]))
+    with pytest.raises(InconsistentPresentation, match=r"\(1,1\) depends on representatives"):
+        build_dl(G)
+
+
+def test_induced_action_refuses_a_non_invariant_term(monkeypatch):
+    # C3^4 over G > <g2, g3, g4> > <g3, g4> > 1; swapping g2 and g3 keeps D_2
+    # but not D_3, whose first three elements (in index order) stay inside
+    G = pc(3, 4)
+    g1, g2, g3, g4 = G.generators
+    planted_series(
+        monkeypatch, G, generated_subgroup(G, [g2, g3, g4]), generated_subgroup(G, [g3, g4])
+    )
+    L = build_dl(G)
+    assert L.dims == (1, 1, 2)
+    kept = induced_action(Automorphism(G, [g1, G.power(g2, 2), g3, g4]), L)
+    assert [m.tolist() for m in kept.mats] == [[[1]], [[2]], [[1, 0], [0, 1]]]
+    with pytest.raises(ActionNotWellDefined, match="component 2 depends on representatives"):
+        induced_action(Automorphism(G, [g1, g3, g2, g4]), L)

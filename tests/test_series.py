@@ -268,7 +268,7 @@ def test_np_series_dimension_passes():
     for make, p, _ in FROZEN_DIMENSION_ORDERS:
         G = make()
         verdict = verify_np_series(G, dimension_series(G, p), p)
-        assert verdict.ok, verdict.failure
+        assert verdict.ok, verdict.detail
 
 
 def test_np_series_heis_lcs_passes():
@@ -282,7 +282,7 @@ def test_np_series_bad_chain_fails():
     chain = NormalSeries(G, "custom", (W, W, trivial_subgroup(G)))
     verdict = verify_np_series(G, chain, 2)
     assert not verdict.ok
-    assert "S_3" in verdict.failure
+    assert "S_3" in verdict.detail
 
 
 def test_np_series_gamma_not_np_for_c4():
@@ -290,7 +290,7 @@ def test_np_series_gamma_not_np_for_c4():
     G = c4()
     verdict = verify_np_series(G, lower_central_series(G), 2)
     assert not verdict.ok
-    assert "^2" in verdict.failure
+    assert "^2" in verdict.detail
 
 
 # -- quotient groups -----------------------------------------------------

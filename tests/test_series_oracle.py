@@ -9,7 +9,8 @@ scan.  The library computes the same things over rows of the Cayley table;
 every term set, verdict and message must agree.  The Fitting subgroup and the
 invariant normal family of the `c4_6` check are also built element by element
 here, one normal closure per element, against the library's one per conjugacy
-class.
+class.  The product sets of `prop_2_11` and `c4_2` are built here as key sets
+through FiniteGroup._mul_keys, against the library's products of index masks.
 """
 
 import functools
@@ -23,13 +24,15 @@ from hypothesis import strategies as st
 from grouplab import checks, series
 from grouplab.actions import realize_actions
 from grouplab.corpus import load_corpus
-from grouplab.errors import ForeignElement, OutOfBudget
+from grouplab.errors import BudgetExceeded, ForeignElement, HypothesisNotMet
 from grouplab.fixtures import parse_fixture, realize_automorphisms, realize_groups
 from grouplab.groups import FiniteGroup, PermutationGenSet, build_group, is_prime
-from grouplab.liering import Verdict
+from grouplab.liering import _ordered_cyclic_product, check_prop_2_11, decomposition_witness
 from grouplab.series import (
     Subgroup,
+    Verdict,
     _class_representatives,
+    _product_mask,
     commutator_subgroup,
     derived_series,
     dimension_series,
@@ -215,6 +218,64 @@ def ref_collection(G, p, n, modulus=None) -> Verdict:
     return Verdict(True, f"q={q}; modulus subgroup order {len(modulus)}; {pairs} pairs verified")
 
 
+def ref_ordered_cyclic_product_keys(G, rhos) -> set:
+    """Key set of the ordered product <rho_1><rho_2>...<rho_s>."""
+    acc = {G.identity.key}
+    for rho in rhos:
+        powers = []
+        x = G.identity
+        for _ in range(G.element_order(rho)):
+            powers.append(x.key)
+            x = G.multiply(x, rho)
+        acc = {G._mul_keys(a, pk) for a in acc for pk in powers}
+    return acc
+
+
+def ref_prop_2_11(G, w) -> Verdict:
+    """The cyclic product times each dimension-series tail, as key sets."""
+    product = ref_ordered_cyclic_product_keys(G, w.rhos)
+    terms = ref_dimension(G, G.is_p_group()[0])
+    all_keys = set(G._keys)
+    for i in range(1, len(terms) + 1):
+        tail = terms[min(i + 1, len(terms)) - 1]
+        covered = {G._mul_keys(a, t) for a in product for t in tail}
+        if covered != all_keys:
+            return Verdict(
+                False,
+                f"product of {w.s} cyclic factors misses "
+                f"{len(all_keys) - len(covered)} elements at depth {i}",
+            )
+    return Verdict(True, f"{w.s} cyclic factors cover the group at every depth (class {w.c})")
+
+
+def ref_check_4_2(fx) -> Verdict:
+    """Ordered product of the centralizers over A#, as key sets."""
+    checks._needs_coprime(fx)
+    q = checks._q_squared_or_raise(fx)
+    G = fx.group
+    if G.is_p_group() is None:
+        raise HypothesisNotMet("G is not a p-group")
+    product = {G.identity.key}
+    orders = []
+    for a in fx.nontrivial:
+        cent = [x.key for x in G.elements() if a(x) == x]
+        orders.append(len(cent))
+        product = {G._mul_keys(s, c) for s in product for c in cent}
+    return Verdict(
+        len(product) == G.order,
+        f"q={q}; ordered product over A# (fixture order, centralizer orders "
+        f"{tuple(orders)}) covers {len(product)} of {G.order} elements",
+    )
+
+
+def outcome(check, *args):
+    """A check's Verdict, or the type and message of the hypothesis it refuses."""
+    try:
+        return check(*args)
+    except HypothesisNotMet as exc:
+        return type(exc), str(exc)
+
+
 def ref_fitting_subgroup(G) -> Subgroup:
     """Every element whose normal closure is nilpotent, one closure per element."""
     good = [x for x in G.elements() if is_nilpotent_subgroup(G, normal_closure(G, [x]))]
@@ -345,7 +406,7 @@ def test_k_commutators_match_reference(name):
 
 def test_k_commutators_keep_the_budget_refusal():
     G = cases()["ladder S5"]
-    with pytest.raises(OutOfBudget):
+    with pytest.raises(BudgetExceeded):
         checks._k_commutators(G, 3, checks.SCAN_BUDGET)
 
 
@@ -397,6 +458,30 @@ def test_class_representatives_are_class_minima(name):
     want = ref_conjugacy_classes(G)
     assert reps == sorted(reps)
     assert [G.element_at(r).key for r in reps] == [min(c) for c in want]
+
+
+def p_group_names() -> list:
+    return [name for name in NAMES if cases()[name].is_p_group() is not None]
+
+
+@pytest.mark.parametrize("name", p_group_names())
+def test_prop_2_11_products_match_key_set_reference(name):
+    G = cases()[name]
+    w = decomposition_witness(G)
+    product = _ordered_cyclic_product(G, w.rhos)
+    assert {G._keys[i] for i in np.flatnonzero(product)} == ref_ordered_cyclic_product_keys(
+        G, w.rhos
+    )
+    assert check_prop_2_11(G, w) == ref_prop_2_11(G, w)
+    # a one-factor witness misses elements in most groups
+    short = type(w)(w.generators, w.c, w.shapes[:1], w.rhos[:1], w.K, 1)
+    assert check_prop_2_11(G, short) == ref_prop_2_11(G, short)
+
+
+@pytest.mark.parametrize("name", sorted(action_cases()))
+def test_c4_2_product_matches_key_set_reference(name):
+    fx = action_cases()[name]
+    assert outcome(checks.check_4_2, fx) == outcome(ref_check_4_2, fx)
 
 
 def test_action_cases_cover_corpus_and_ladder():
@@ -471,6 +556,19 @@ def test_random_permutation_groups_fitting_matches_reference(case):
     assert np.array_equal(fitting_subgroup(G).mask, ref_fitting_subgroup(G).mask)
     reps = [G.element_at(int(x)).key for x in _class_representatives(G)]
     assert reps == [min(c) for c in ref_conjugacy_classes(G)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(perm_groups())
+def test_random_permutation_group_products_match_key_sets(case):
+    G, picks = case
+    assert {G._keys[i] for i in np.flatnonzero(_ordered_cyclic_product(G, picks))} == (
+        ref_ordered_cyclic_product_keys(G, picks)
+    )
+    left = np.flatnonzero(generated_subgroup(G, picks[:1]).mask)
+    right = [G.index_of(x) for x in picks]
+    want = {G._mul_keys(G._keys[a], G._keys[b]) for a in left for b in right}
+    assert {G._keys[i] for i in np.flatnonzero(_product_mask(G, left, right))} == want
 
 
 # -- Subgroup refuses masks that are not subgroups ------------------------------------
