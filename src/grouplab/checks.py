@@ -37,13 +37,14 @@ from .fixtures import FixtureFile, realize_automorphisms, realize_groups
 from .groups import Automorphism, FiniteGroup, is_prime
 from .identities import engel_index_of_element, higman_polynomial, holds_identity
 from .liering import (
+    _lazard_table,
+    _lazard_verdict,
     build_dl,
     centralizer_subalgebra,
     check_cor_2_14,
     check_prop_2_11,
     decomposition_witness,
     induced_action,
-    lazard_check,
     plus_minus_split,
     subgroup_graded_algebra,
 )
@@ -468,7 +469,10 @@ def emit_report(report: CheckReport, fmt: str = "json") -> str:
 
 
 class RunContext:
-    """Realized fixtures plus caches shared across checks."""
+    """Realized fixtures plus the decomposition witnesses shared across checks.
+
+    Graded algebras are not cached here: build_dl keeps each one on its group.
+    """
 
     def __init__(self, fx: FixtureFile, budget: int = SCAN_BUDGET):
         self.fx = fx
@@ -476,16 +480,7 @@ class RunContext:
         self.groups = realize_groups(fx)
         self.auts = realize_automorphisms(fx, self.groups)
         self.actions = realize_actions(fx, self.groups, self.auts)
-        self._dl: dict = {}
         self._witness: dict = {}
-
-    def dl(self, name: str):
-        if name not in self._dl:
-            self._dl[name] = build_dl(self.groups[name])
-        return self._dl[name]
-
-    def dl_for_action(self, action_name: str):
-        return self.dl(self.fx.action(action_name).group)
 
     def params(self, check: str, target: str) -> dict:
         return self.fx.params_for(check, target)
@@ -573,44 +568,23 @@ def _np_series(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
 
 @check("lazard", needs=(_needs_p_group,))
 def _lazard(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
-    L = ctx.dl(name)
-    count = 0
-    for x in G.elements():
-        if x.is_identity():
-            continue
-        verdict = lazard_check(G, L, x)
-        if not verdict.ok:
-            return Verdict(False, f"at {x!r}: {verdict.detail}")
-        count += 1
-    return Verdict(True, f"{count} nontrivial elements verified (power and index bounds)")
+    L = build_dl(G)
+    xs = np.flatnonzero(np.arange(G.order) != G.index_of(G.identity))
+    power_ok, index, order = _lazard_table(G, L, xs)
+    bad = np.flatnonzero(~power_ok | (index > order))
+    if bad.size:
+        k = bad[0]  # the first failure in element order
+        verdict = _lazard_verdict(L.p, power_ok[k], index[k], order[k])
+        return Verdict(False, f"at {G.element_at(xs[k])!r}: {verdict.detail}")
+    return Verdict(True, f"{len(xs)} nontrivial elements verified (power and index bounds)")
 
 
 @check("jacobi", needs=(_needs_p_group,))
 def _jacobi(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
-    L = ctx.dl(name)
-    basis = L.basis()
-    pairs = triples = 0
-    for u in basis:
-        if not L.bracket(u, u).is_zero():
-            return Verdict(False, f"[u, u] != 0 at u = {u!r}")
-        for v in basis:
-            lhs = L.bracket(u, v)
-            if lhs != -L.bracket(v, u):
-                return Verdict(False, f"antisymmetry fails at ({u!r}, {v!r})")
-            du, dv = u.degree, v.degree
-            if not lhs.is_zero() and lhs.degree != du + dv:
-                return Verdict(False, f"grading escape at ({u!r}, {v!r})")
-            pairs += 1
-            for w in basis:
-                s = (
-                    L.bracket(L.bracket(u, v), w)
-                    + L.bracket(L.bracket(v, w), u)
-                    + L.bracket(L.bracket(w, u), v)
-                )
-                if not s.is_zero():
-                    return Verdict(False, f"Jacobi fails at ({u!r}, {v!r}, {w!r})")
-                triples += 1
-    return Verdict(True, f"{pairs} basis pairs and {triples} triples verified", "basis")
+    # GradedLieRing verifies [u, u] = 0, antisymmetry, the grading and Jacobi
+    # on every basis pair and triple when it is built, or refuses to exist
+    n = build_dl(G).total_dim
+    return Verdict(True, f"{n * n} basis pairs and {n**3} triples verified", "basis")
 
 
 @check("higman", needs=(_needs_p_group,))
@@ -618,7 +592,7 @@ def _higman(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
     n = G.exponent()
     if n > 4:
         raise _Skip(f"exponent {n} is outside the checked degree range (2..4)")
-    verdict = holds_identity(higman_polynomial(n), ctx.dl(name))
+    verdict = holds_identity(higman_polynomial(n), build_dl(G))
     return Verdict(verdict.ok, f"degree {n} symmetrized law: {verdict.detail}", verdict.mode)
 
 
@@ -723,7 +697,7 @@ def _t4_4(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
 
 @check("pm_split", on="action", needs=(_needs_p_group, _needs_single_involution))
 def _pm_split(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
-    L = ctx.dl_for_action(name)
+    L = build_dl(fx.group)
     split = plus_minus_split(L, induced_action(fx.single_involution(), L))
     return Verdict(
         True,
@@ -734,7 +708,7 @@ def _pm_split(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
 
 @check("obs_4_8", on="action", needs=(_needs_coprime, _needs_p_group))
 def _obs_4_8(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
-    L = ctx.dl_for_action(name)
+    L = build_dl(fx.group)
     acts = [induced_action(phi, L) for phi in fx.generators]
     lie_side = centralizer_subalgebra(L, acts)
     group_side = subgroup_graded_algebra(fx.group, L, centralizer(fx.group, fx.generators))

@@ -117,10 +117,9 @@ def row_space_equal(a, b, p: int) -> bool:
 
 
 def mat_pow(mat, k: int, p: int) -> np.ndarray:
-    """k-th power of a square matrix mod p (k >= 0)."""
+    """k-th power mod p (k >= 0) of a square matrix, or of each one in a stack."""
     m = reduce_mod(mat, p)
-    n = m.shape[0]
-    out = np.eye(n, dtype=np.int64)
+    out = np.broadcast_to(np.eye(m.shape[-1], dtype=np.int64), m.shape).copy()
     base = m.copy()
     while k > 0:
         if k & 1:

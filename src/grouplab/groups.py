@@ -373,8 +373,8 @@ class FiniteGroup:
     vector, image tuple, or coset representative key) doubles as the lookup
     key everywhere.  Products and inverses are read from the Cayley table
     filled at construction.  Instances are immutable once built; the caches
-    populated lazily (element orders, exponent) never change observable
-    values.
+    populated lazily (element orders, exponent, the graded Lie ring) never
+    change observable values.
     """
 
     def __init__(self, backend, *, budget: int = TABLE_CAP):
@@ -411,6 +411,7 @@ class FiniteGroup:
         self.generator_names = tuple(backend.generator_names)
         self._order_memo = {}
         self._exponent = None
+        self._lie_ring = None  # the graded Lie ring, kept by liering.build_dl
         if backend.kind == "pc":
             pres = backend.presentation
             if n != pres.order:

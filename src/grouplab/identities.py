@@ -3,7 +3,9 @@
 A Lie monomial is a binary bracket tree stored as nested pairs whose leaves
 are variable indices: ``((0, 1), 2)`` is the left-normed ``[x0, x1, x2]``.
 Polynomials carry integer coefficients that are reduced mod p only when
-evaluated, so one formal object serves every characteristic.
+evaluated, so one formal object serves every characteristic.  Polynomials
+are evaluated on all assignments at once, one array axis per variable, each
+bracket a contraction of the structure tensor; nothing is sampled.
 
 Group words are small expression trees built from variables, inverses,
 products, powers, and left-normed commutators.
@@ -31,7 +33,6 @@ HIGMAN_MONOMIAL_BUDGET = 5040
 IDENTITY_EVAL_BUDGET = 10**6
 WORD_EVAL_BUDGET = 10**8
 ENGEL_EXACT_LIMIT = 10**4
-ENGEL_SAMPLES = 100
 
 
 # -- Lie monomials and polynomials ---------------------------------------
@@ -100,20 +101,14 @@ class LiePolynomial:
             if coeff != 0:
                 clean.append((int(coeff), tree))
         object.__setattr__(self, "terms", tuple(clean))
-        seen = set()
-        multilinear = True
+        occurrences = []
         for _, tree in clean:
-            occ: list = []
-            _tree_variables(tree, occ)
-            if len(occ) != len(set(occ)):
-                multilinear = False
-            seen.update(occ)
-        for _, tree in clean:
-            occ = []
-            _tree_variables(tree, occ)
-            if set(occ) != seen:
-                multilinear = False
-        object.__setattr__(self, "variables", frozenset(seen))
+            occurrences.append([])
+            _tree_variables(tree, occurrences[-1])
+        seen = frozenset(v for occ in occurrences for v in occ)
+        object.__setattr__(self, "variables", seen)
+        # every variable exactly once in every monomial
+        multilinear = all(len(occ) == len(seen) and set(occ) == seen for occ in occurrences)
         object.__setattr__(self, "is_multilinear", multilinear)
 
     @classmethod
@@ -148,12 +143,32 @@ def higman_polynomial(n: int, budget: int = HIGMAN_MONOMIAL_BUDGET) -> LiePolyno
     return LiePolynomial(tuple(terms))
 
 
-def _eval_tree(tree, L: GradedLieRing, assignment: dict) -> LieElement:
+def _values(tree, L: GradedLieRing, leaves: dict, labels: dict) -> tuple:
+    """The tree's variables, increasing, and its value with one axis per variable.
+
+    leaves[v] is the (k_v, n) array of values of variable v; a variable on both
+    sides of a bracket keeps one axis.  einsum labels: labels[v], 49-51 for coordinates.
+    """
     if isinstance(tree, int):
-        return assignment[tree]
-    return L.bracket(
-        _eval_tree(tree[0], L, assignment), _eval_tree(tree[1], L, assignment)
-    )
+        return (tree,), leaves[tree]
+    lv, left = _values(tree[0], L, leaves, labels)
+    rv, right = _values(tree[1], L, leaves, labels)
+    out = tuple(sorted(set(lv) | set(rv)))
+    la, ra, oa = ([labels[v] for v in vs] for vs in (lv, rv, out))
+    half = np.einsum(left, la + [49], L.C, [49, 50, 51], la + [50, 51]) % L.p
+    return out, np.einsum(half, la + [50, 51], right, ra + [50], oa + [51]) % L.p
+
+
+def _polynomial_values(f: "LiePolynomial", L: GradedLieRing, leaves: dict) -> np.ndarray:
+    """f on every assignment: one axis per variable of f, in increasing order, then coordinates."""
+    variables = sorted(f.variables)
+    labels = {v: k for k, v in enumerate(variables)}
+    total = np.zeros([len(leaves[v]) for v in variables] + [L.total_dim], dtype=np.int64)
+    for coeff, tree in f.terms:
+        own, value = _values(tree, L, leaves, labels)
+        shape = [len(leaves[v]) if v in own else 1 for v in variables] + [L.total_dim]
+        total = (total + (coeff % L.p) * value.reshape(shape)) % L.p
+    return total
 
 
 def evaluate_lie(f: LiePolynomial, L: GradedLieRing, assignment: dict) -> LieElement:
@@ -164,10 +179,16 @@ def evaluate_lie(f: LiePolynomial, L: GradedLieRing, assignment: dict) -> LieEle
         u = assignment[v]
         if not isinstance(u, LieElement) or u.algebra is not L:
             raise MismatchedAlgebra(f"value for x{v} is not an element of L")
-    total = L.zero()
-    for coeff, tree in f.terms:
-        total = total + (coeff % L.p) * _eval_tree(tree, L, assignment)
-    return total
+    values = _polynomial_values(f, L, {v: assignment[v].vec[None] for v in f.variables})
+    return LieElement(L, values.reshape(L.total_dim))
+
+
+def _first_nonzero(values: np.ndarray, count: int):
+    """Flat index of the first of count leading entries with a nonzero value, or None."""
+    if not count:
+        return None
+    nonzero = values.reshape(count, -1).any(axis=1)
+    return int(np.argmax(nonzero)) if nonzero.any() else None
 
 
 def holds_identity(
@@ -179,64 +200,89 @@ def holds_identity(
     """Does f vanish identically on L?
 
     Multilinear polynomials only need checking on tuples of basis elements;
-    anything else is scanned over all element tuples, within budget.
+    anything else is evaluated on all element tuples, within budget.  The
+    first nonzero tuple in lexicographic order is reported.
     """
     variables = sorted(f.variables)
-    nvars = len(variables)
-    if f.is_multilinear and not force_exhaustive:
-        pool = L.basis()
-        mode = "basis"
-    else:
-        size = L.p ** L.total_dim
-        if size**nvars > budget:
-            raise BudgetExceeded(
-                f"{size}^{nvars} assignments exceed the budget of {budget}"
-            )
-        pool = list(L.all_elements())
-        mode = "exhaustive"
-    if len(pool) ** nvars > budget:
+    basis = f.is_multilinear and not force_exhaustive
+    mode = "basis" if basis else "exhaustive"
+    size = L.total_dim if basis else L.p**L.total_dim
+    total = size ** len(variables)
+    if total > budget:
         raise BudgetExceeded(
-            f"{len(pool)}^{nvars} assignments exceed the budget of {budget}"
+            f"{size}^{len(variables)} assignments exceed the budget of {budget}"
         )
-    checked = 0
-    for combo in itertools.product(pool, repeat=nvars):
-        assignment = dict(zip(variables, combo))
-        checked += 1
-        if not evaluate_lie(f, L, assignment).is_zero():
-            return Verdict(
-                False,
-                f"nonzero value at assignment {checked} of {len(pool) ** nvars}",
-                mode,
-                witness=combo,
-            )
-    return Verdict(True, f"zero on all {checked} {mode} assignments", mode)
+    pool = np.eye(size, dtype=np.int64) if basis else L.all_vectors()
+    first = _first_nonzero(_polynomial_values(f, L, dict.fromkeys(variables, pool)), total)
+    if first is None:
+        return Verdict(True, f"zero on all {total} {mode} assignments", mode)
+    combo = np.unravel_index(first, (size,) * len(variables))
+    return Verdict(
+        False,
+        f"nonzero value at assignment {first + 1} of {total}",
+        mode,
+        witness=tuple(LieElement(L, pool[k]) for k in combo),
+    )
 
 
-def is_n_engel_algebra(
-    L: GradedLieRing,
-    n: int,
-    budget: int = ENGEL_EXACT_LIMIT,
-    seed: int = 0,
-    samples: int = ENGEL_SAMPLES,
-) -> Verdict:
-    """Is ad(a)^n zero for every a in L?"""
+def is_n_engel_algebra(L: GradedLieRing, n: int, budget: int = ENGEL_EXACT_LIMIT) -> Verdict:
+    """Is ad(a)^n zero for every a in L?
+
+    Every element is scanned within the budget; beyond it n < p is decided on
+    basis tuples (_engel_linearized), and anything else raises BudgetExceeded.
+    """
     if n < 1:
         raise MalformedSpec("need n >= 1")
-    size = L.p ** L.total_dim
+    size = L.p**L.total_dim
     if size <= budget:
-        pool = list(L.all_elements())
-        mode = "exhaustive"
-    else:
-        rng = np.random.default_rng(seed)
-        pool = list(L.basis())
-        for _ in range(samples):
-            pool.append(L.element(rng.integers(0, L.p, L.total_dim)))
-        mode = "sampled"
-    for a in pool:
-        power = mat_pow(L.ad_matrix(a), n, L.p)
-        if power.any():
-            return Verdict(False, f"ad(a)^{n} != 0 at a = {a!r}", mode, witness=a)
-    return Verdict(True, f"ad(a)^{n} = 0 for all {len(pool)} {mode} elements", mode)
+        return _engel_scan(L, n, L.all_vectors(), "exhaustive")
+    if n >= L.p:
+        raise BudgetExceeded(
+            f"{size} elements exceed the budget of {budget}; n = {n} >= p has no linearization"
+        )
+    if L.total_dim**n > budget:
+        raise BudgetExceeded(f"{L.total_dim}^{n} basis tuples exceed the budget of {budget}")
+    return _engel_linearized(L, n)
+
+
+def _engel_scan(L: GradedLieRing, n: int, pool: np.ndarray, mode: str) -> Verdict:
+    """ad(a)^n on every a in pool, stacked; the first nonzero one is the witness."""
+    first = _first_nonzero(mat_pow(L.ads(pool), n, L.p), len(pool))
+    if first is None:
+        return Verdict(True, f"ad(a)^{n} = 0 for all {len(pool)} {mode} elements", mode)
+    a = L.element(pool[first])
+    return Verdict(False, f"ad(a)^{n} != 0 at a = {a!r}", mode, witness=a)
+
+
+def _engel_linearized(L: GradedLieRing, n: int) -> Verdict:
+    """ad(a)^n = 0 for every a, decided on basis tuples; needs 1 <= n < p.
+
+    The linearization S(a_1..a_n) = sum over orderings of ad(a_pi1)...ad(a_pin)
+    is multilinear and, by polarization, the alternating sum of ad(a_T)^n over
+    subset sums a_T; S(a, ..., a) = n! ad(a)^n with n! invertible mod p.  So S
+    vanishes on basis tuples iff every ad(a)^n does, and a_T is the witness.
+    """
+    d = L.total_dim
+    basis_ads = L.ads(np.eye(d, dtype=np.int64))
+    products = basis_ads  # products[a_1, ..., a_k] = ad(e_a1) ... ad(e_ak)
+    for _ in range(n - 1):
+        products = np.einsum("...ij,bjk->...bik", products, basis_ads) % L.p
+    orderings = itertools.permutations(range(n))
+    linearized = sum(products.transpose(pi + (n, n + 1)) for pi in orderings) % L.p
+    first = _first_nonzero(linearized, d**n)
+    if first is None:
+        return Verdict(
+            True, f"ad(a)^{n} = 0 for all a: linearization zero on all {d**n} basis tuples", "basis"
+        )
+    tup = np.unravel_index(first, (d,) * n)
+    sums = [
+        np.bincount(subset, minlength=d)
+        for size in range(1, n + 1)
+        for subset in itertools.combinations(tup, size)
+    ]
+    verdict = _engel_scan(L, n, np.array(sums, dtype=np.int64), "basis")
+    assert not verdict.ok, "by polarization some subset sum has ad(a)^n != 0"
+    return verdict
 
 
 # -- group words -----------------------------------------------------------

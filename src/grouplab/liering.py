@@ -1,16 +1,17 @@
 """Graded Lie algebras built from the p-power descending series of a p-group.
 
-Each component L_i is the elementary abelian quotient of consecutive series
-terms, coordinatized over F_p by a deterministic greedy basis (elements are
-scanned in sorted key order and kept when independent of the span so far,
-the concrete realization of a row-echelon choice).  Brackets come from group
-commutators of coset representatives, tabulated as structure constants and
-extended bilinearly.  At construction, representative independence is
-verified on every coset member: [x·n1, y·n2] must lie in [x, y]·D_{i+j+1}
-for each basis pair (x, y) and every n1 in D_{i+1}, n2 in D_{j+1}.  An
-induced action is independent of the representatives exactly when the
-automorphism maps each series term into itself, which is checked on every
-element of the term.
+Component L_i is D_i/D_{i+1}, coordinatized over F_p by a greedy basis: the
+elements of D_i are scanned in index (= key) order, and each one outside the
+span so far is kept.  It is elementary abelian when the basis elements have
+p-th powers in D_{i+1} and commute modulo it, since with D_{i+1} they
+generate D_i.  One breadth-first pass over the basis on Cayley-table rows
+gives the (|G|, dim L) coordinate array, whose row x is the image x*.  All
+brackets live in one F_p tensor C[a, b, :] = [e_a, e_b] over the total
+basis, read from commutators of the basis representatives; brackets, ad
+matrices, Jacobi, subspace closure and actions are contractions of C.
+Representative independence is verified on every coset member, and an
+induced action on every element of each series term.  build_dl keeps its
+algebra on the group, so every caller shares one algebra per group.
 """
 
 from __future__ import annotations
@@ -31,22 +32,16 @@ from .errors import (
     NotInvolution,
     TrivialImage,
 )
-from .gfp import (
-    in_row_space,
-    is_invertible,
-    mat_pow,
-    nullspace,
-    row_space_equal,
-    rref,
-    solve_in_row_space,
-)
-from .groups import Automorphism, FiniteGroup, GroupElement, _coset_reps
+from .gfp import in_row_space, is_invertible, mat_pow, nullspace, row_space_equal, rref
+from .groups import Automorphism, FiniteGroup, GroupElement
 from .series import (
     NormalSeries,
     Subgroup,
     Verdict,
     _closure,
+    _commutator_values,
     _p_of,
+    _power_map,
     _product_mask,
     dimension_series,
     generated_subgroup,
@@ -74,16 +69,6 @@ __all__ = [
     "check_cor_2_14",
 ]
 
-class _ComponentData:
-    """Coset bookkeeping for one homogeneous component D_i/D_{i+1}."""
-
-    __slots__ = ("rep_of", "coord_of", "basis_reps")
-
-    def __init__(self, rep_of: dict, coord_of: dict, basis_reps: tuple):
-        self.rep_of = rep_of
-        self.coord_of = coord_of
-        self.basis_reps = basis_reps
-
 
 class LieElement:
     """Element of a GradedLieRing: one F_p coordinate vector across components."""
@@ -106,12 +91,8 @@ class LieElement:
     @property
     def degree(self) -> int | None:
         """Homogeneity degree, or None for zero or mixed elements."""
-        live = [
-            i
-            for i in range(1, self.algebra.m + 1)
-            if self.component(i).any()
-        ]
-        return live[0] if len(live) == 1 else None
+        live = set(self.algebra.degrees[np.flatnonzero(self.vec)].tolist())
+        return live.pop() if len(live) == 1 else None
 
     def is_zero(self) -> bool:
         return not self.vec.any()
@@ -154,39 +135,57 @@ class LieElement:
 
 
 class GradedLieRing:
-    """Finite-dimensional graded Lie algebra over F_p with tabulated brackets.
+    """Finite-dimensional graded Lie algebra over F_p, stored as one tensor.
 
-    sc[(i, j)] is a (dim L_i, dim L_j, dim L_{i+j}) table giving the bracket
-    of basis pairs; pairs with i + j beyond the top degree are implicitly
-    zero.  The constructor verifies antisymmetry, [x, x] = 0 on basis
-    vectors, grading, and the Jacobi identity on all basis triples.
+    C[a, b, :] = [e_a, e_b] over the total basis (components in degree order)
+    is read-only and zero outside the grading; sc[(i, j)] is its block for
+    degrees (i, j) with i + j <= m.  The constructor takes C or a dict of such
+    blocks (absent pairs are zero) and verifies [e_a, e_a] = 0, antisymmetry,
+    the grading and Jacobi on all basis triples, each as one tensor identity.
+    An algebra built from a group also carries coords (row x is x*), depth
+    (the largest i with x in D_i; m + 1 for the identity) and reps (the
+    element index behind each basis vector).
     """
 
     def __init__(
         self,
         p: int,
         dims,
-        sc: dict,
+        sc,
         *,
         group: FiniteGroup | None = None,
         series: NormalSeries | None = None,
-        components: list | None = None,
+        coords: np.ndarray | None = None,
+        depth: np.ndarray | None = None,
+        reps: np.ndarray | None = None,
     ):
         self.p = p
         self.dims = tuple(int(d) for d in dims)
         self.m = len(self.dims)
-        offsets = [0]
-        for d in self.dims:
-            offsets.append(offsets[-1] + d)
-        self.offsets = tuple(offsets)
-        self.total_dim = offsets[-1]
+        self.offsets = tuple(np.cumsum((0,) + self.dims).tolist())
+        self.total_dim = n = self.offsets[-1]
+        self.degrees = np.repeat(np.arange(1, self.m + 1), self.dims)
+        if isinstance(sc, dict):
+            C = self._assemble(sc)
+        else:
+            C = np.asarray(sc, dtype=np.int64) % p
+            if C.shape != (n, n, n):
+                raise InconsistentPresentation(
+                    f"structure tensor has shape {C.shape}, expected {(n, n, n)}"
+                )
+        C.flags.writeable = False
+        self.C = C
         self.sc = {
-            pair: np.asarray(table, dtype=np.int64) % p for pair, table in sc.items()
+            (i, j): C[self._slice(i), self._slice(j), self._slice(i + j)]
+            for i in range(1, self.m + 1)
+            for j in range(1, self.m + 1 - i)
         }
         self.group = group
         self.series = series
-        self.components = components
-        self._verify_tables()
+        self.coords = coords
+        self.depth = depth
+        self.reps = reps
+        self._verify_tensor()
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -194,6 +193,9 @@ class GradedLieRing:
         if not (1 <= i <= self.m):
             raise MalformedSpec(f"component index {i} outside 1..{self.m}")
         return self.offsets[i - 1], self.offsets[i]
+
+    def _slice(self, i: int) -> slice:
+        return slice(*self._span(i))
 
     def zero(self) -> LieElement:
         return LieElement(self, np.zeros(self.total_dim, dtype=np.int64))
@@ -213,96 +215,83 @@ class GradedLieRing:
         return LieElement(self, vec)
 
     def basis(self) -> list:
-        out = []
-        for t in range(self.total_dim):
-            vec = np.zeros(self.total_dim, dtype=np.int64)
-            vec[t] = 1
-            out.append(LieElement(self, vec))
-        return out
+        return [LieElement(self, row) for row in np.eye(self.total_dim, dtype=np.int64)]
 
     def component_basis(self, i: int) -> list:
-        lo, hi = self._span(i)
-        out = []
-        for t in range(lo, hi):
-            vec = np.zeros(self.total_dim, dtype=np.int64)
-            vec[t] = 1
-            out.append(LieElement(self, vec))
-        return out
+        return self.basis()[self._slice(i)]
+
+    def all_vectors(self) -> np.ndarray:
+        """Every coordinate vector, one per row, in lexicographic order."""
+        n = self.total_dim
+        return np.indices((self.p,) * n).reshape(n, self.p**n).T
 
     def all_elements(self):
         """Iterate every element; intended for exhaustively small algebras."""
-        for combo in itertools.product(range(self.p), repeat=self.total_dim):
-            yield LieElement(self, np.array(combo, dtype=np.int64))
+        for vec in self.all_vectors():
+            yield LieElement(self, vec)
 
     def degree_index(self, t: int) -> int:
         """Degree of the t-th total basis vector."""
-        for i in range(1, self.m + 1):
-            if self.offsets[i - 1] <= t < self.offsets[i]:
-                return i
-        raise MalformedSpec(f"basis index {t} outside 0..{self.total_dim - 1}")
+        if not (0 <= t < self.total_dim):
+            raise MalformedSpec(f"basis index {t} outside 0..{self.total_dim - 1}")
+        return int(self.degrees[t])
 
     # -- bracket ----------------------------------------------------------
 
     def bracket(self, u: LieElement, v: LieElement) -> LieElement:
         if u.algebra is not self or v.algebra is not self:
             raise MismatchedAlgebra("bracket operands must belong to this algebra")
-        out = np.zeros(self.total_dim, dtype=np.int64)
-        for (i, j), table in self.sc.items():
-            ui = u.component(i)
-            vj = v.component(j)
-            if not (ui.any() and vj.any()):
-                continue
-            lo, hi = self._span(i + j)
-            out[lo:hi] += np.einsum("a,b,abk->k", ui, vj, table)
-        return LieElement(self, out)
+        return LieElement(self, np.einsum("a,b,abk->k", u.vec, v.vec, self.C))
+
+    def brackets(self, us, vs) -> np.ndarray:
+        """All brackets [u_r, v_s] of two stacks of coordinate rows, shape (r, s, n)."""
+        return np.einsum("ra,sb,abk->rsk", us, vs, self.C) % self.p
+
+    def ads(self, vecs) -> np.ndarray:
+        """Stacked ad matrices: ads(vecs)[r] @ vec(x) = vec([x, a_r]), a_r = vecs[r]."""
+        return np.einsum("rb,tbk->rkt", vecs, self.C) % self.p
 
     def ad_matrix(self, a: LieElement) -> np.ndarray:
         """Matrix A with vec([x, a]) = A @ vec(x)."""
         if a.algebra is not self:
             raise MismatchedAlgebra("ad requires an element of this algebra")
-        A = np.zeros((self.total_dim, self.total_dim), dtype=np.int64)
-        for t, b in enumerate(self.basis()):
-            A[:, t] = self.bracket(b, a).vec
-        return A
+        return self.ads(a.vec[None])[0]
+
+    def ad_nilpotency_indices(self, ads: np.ndarray) -> np.ndarray:
+        """Least n with ads[r]^n = 0, for every matrix of the stack."""
+        index = np.zeros(len(ads), dtype=np.int64)
+        power = ads
+        for n in range(1, self.total_dim + 2):
+            index[(index == 0) & ~power.reshape(len(ads), -1).any(axis=1)] = n
+            if index.all():
+                return index
+            power = power @ ads % self.p
+        raise InconsistentPresentation("ad map failed to nilpotize")
 
     def ad_nilpotency_index(self, a: LieElement) -> int:
         """Least n with (ad a)^n = 0; exists since the algebra is graded."""
-        A = self.ad_matrix(a)
-        power = A.copy()
-        n = 1
-        while power.any():
-            power = power @ A % self.p
-            n += 1
-            if n > self.total_dim + 1:
-                raise InconsistentPresentation("ad map failed to nilpotize")
-        return n
+        return int(self.ad_nilpotency_indices(self.ad_matrix(a)[None])[0])
 
     def nilpotency_class(self) -> int:
         """Largest k with the k-th lower-central span nonzero (abelian: 1)."""
         cur = np.eye(self.total_dim, dtype=np.int64)
-        basis = self.basis()
         k = 1
         while True:
-            rows = []
-            for r in range(cur.shape[0]):
-                u = LieElement(self, cur[r])
-                for b in basis:
-                    w = self.bracket(u, b)
-                    if not w.is_zero():
-                        rows.append(w.vec)
-            if not rows:
+            rows = np.einsum("ra,abk->rbk", cur, self.C)
+            rows = rows.reshape(len(cur) * self.total_dim, self.total_dim)
+            reduced, pivots = rref(rows, self.p)
+            if not pivots:
                 return k
-            reduced, pivots = rref(np.array(rows, dtype=np.int64), self.p)
             cur = reduced[: len(pivots)]
             k += 1
 
     def is_abelian(self) -> bool:
-        return all(not t.any() for t in self.sc.values())
+        return not self.C.any()
 
     # -- group payload ------------------------------------------------------
 
     def _need_group(self):
-        if self.group is None or self.components is None or self.series is None:
+        if self.group is None or self.coords is None or self.series is None:
             raise MalformedSpec("this algebra was not built from a group")
 
     def degree_of(self, x: GroupElement) -> int:
@@ -311,147 +300,132 @@ class GradedLieRing:
         self.group._check(x)
         if x.is_identity():
             raise TrivialImage("the identity has no homogeneous degree")
-        deg = 0
-        for i, term in enumerate(self.series.terms, start=1):
-            if x in term:
-                deg = i
-        if deg == 0 or deg > self.m:
-            raise TrivialImage(f"{x!r} has no nontrivial image in the graded algebra")
-        return deg
+        return int(self.depth[self.group.index_of(x)])  # at most m: D_{m+1} is trivial
 
     def star(self, x: GroupElement) -> LieElement:
         """Canonical image of a group element in the component of its depth."""
-        deg = self.degree_of(x)
-        comp = self.components[deg - 1]
-        coords = comp.coord_of[comp.rep_of[x.key]]
-        return self.from_component(deg, np.array(coords, dtype=np.int64))
+        self.degree_of(x)
+        return LieElement(self, self.coords[self.group.index_of(x)])
 
     # -- construction-time verification --------------------------------------
 
-    def _verify_tables(self):
-        for (i, j), table in self.sc.items():
+    def _assemble(self, sc: dict) -> np.ndarray:
+        n = self.total_dim
+        C = np.zeros((n, n, n), dtype=np.int64)
+        for (i, j), table in sc.items():
             if i + j > self.m:
                 raise InconsistentPresentation(
                     f"stored bracket table for degrees ({i},{j}) beyond top degree {self.m}"
                 )
+            table = np.asarray(table, dtype=np.int64) % self.p
             want = (self.dims[i - 1], self.dims[j - 1], self.dims[i + j - 1])
             if table.shape != want:
                 raise InconsistentPresentation(
                     f"bracket table ({i},{j}) has shape {table.shape}, expected {want}"
                 )
-            mirror = self.sc.get((j, i))
-            if mirror is None:
+            if (j, i) not in sc:
                 raise InconsistentPresentation(f"missing mirror table for ({j},{i})")
-            if not np.array_equal(table, (-mirror.transpose(1, 0, 2)) % self.p):
-                raise InconsistentPresentation(
-                    f"bracket tables for ({i},{j}) are not antisymmetric"
+            C[self._slice(i), self._slice(j), self._slice(i + j)] = table
+        return C
+
+    def _verify_tensor(self):
+        C, p, deg = self.C, self.p, self.degrees
+        graded = deg[:, None, None] + deg[None, :, None] == deg[None, None, :]
+        if C[~graded].any():
+            raise InconsistentPresentation("a bracket of basis vectors leaves the grading")
+        diagonal = C[np.arange(self.total_dim), np.arange(self.total_dim)].any(axis=1)
+        if diagonal.any():
+            t = int(np.argmax(diagonal))
+            i = self.degree_index(t)
+            raise InconsistentPresentation(
+                f"[x, x] is nonzero for basis vector {t - self.offsets[i - 1]} of component {i}"
+            )
+        skew = ((C + C.transpose(1, 0, 2)) % p).any(axis=2)
+        if skew.any():
+            raise InconsistentPresentation(
+                "bracket tables for ({},{}) are not antisymmetric".format(
+                    *_first_pair(skew, deg, deg)
                 )
-            if i == j:
-                for a in range(self.dims[i - 1]):
-                    if table[a, a].any():
-                        raise InconsistentPresentation(
-                            f"[x, x] is nonzero for basis vector {a} of component {i}"
-                        )
-        basis = self.basis()
-        for u in basis:
-            for v in basis:
-                for w in basis:
-                    acc = (
-                        self.bracket(self.bracket(u, v), w).vec
-                        + self.bracket(self.bracket(v, w), u).vec
-                        + self.bracket(self.bracket(w, u), v).vec
-                    ) % self.p
-                    if acc.any():
-                        raise InconsistentPresentation("Jacobi identity fails on a basis triple")
+            )
+        jacobi = (
+            np.einsum("abk,kcl->abcl", C, C)
+            + np.einsum("bck,kal->abcl", C, C)
+            + np.einsum("cak,kbl->abcl", C, C)
+        ) % p
+        if jacobi.any():
+            raise InconsistentPresentation("Jacobi identity fails on a basis triple")
 
     def __repr__(self):
         return f"GradedLieRing(p={self.p}, dims={list(self.dims)})"
 
 
+def _first_pair(bad: np.ndarray, left: np.ndarray, right: np.ndarray) -> tuple:
+    """Least degree pair (i, j) over the marked pairs (a, b), a of degree left[a]."""
+    a, b = np.nonzero(bad)
+    return min(zip(left[a].tolist(), right[b].tolist()))
+
+
 def build_dl(G: FiniteGroup, p: int | None = None) -> GradedLieRing:
-    """Graded Lie algebra of a finite p-group from its p-power descending series."""
+    """Graded Lie algebra of a finite p-group from its p-power descending series.
+
+    The algebra is kept on G, so later calls return the same object.
+    """
     p = _p_of(G, p)
+    if G._lie_ring is not None:
+        return G._lie_ring
     series = dimension_series(G, p)
     terms = series.terms
     m = len(terms) - 1
-    components = []
-    dims = []
+    T = G.table()
+    inv = G.inverse_indices()
+    power = _power_map(G, p)
+    depth = np.sum([t.mask for t in terms], axis=0)
+    coords = np.zeros((G.order, G.is_p_group()[1]), dtype=np.int64)
+    reps, dims = [], []
     for i in range(1, m + 1):
         D, N = terms[i - 1], terms[i]
-        rep = _coset_reps(G, N.idx)
-        rep_of = {G._keys[x]: G._keys[rep[x]] for x in D.idx}
-        id_rep = rep_of[G.identity.key]
-        reps = sorted(set(rep_of.values()))
-        q = len(reps)
-
-        def qmul(r1, r2):
-            return rep_of[G._mul_keys(r1, r2)]
-
-        for r1 in reps:
-            acc = id_rep
-            for _ in range(p):
-                acc = qmul(acc, r1)
-            if acc != id_rep:
-                raise NonElementaryQuotient(f"component {i} has exponent above {p}")
-            for r2 in reps:
-                if qmul(r1, r2) != qmul(r2, r1):
-                    raise NonElementaryQuotient(f"component {i} is not abelian")
-        d = 0
-        while p**d < q:
-            d += 1
-        if p**d != q:
-            raise NonElementaryQuotient(f"component {i} has size {q}, not a power of {p}")
-        basis = []
-        span = {id_rep}
-        for r in reps:
-            if r in span:
-                continue
-            basis.append(r)
-            grown = set()
-            for s in span:
-                acc = s
-                for _ in range(p):
-                    grown.add(acc)
-                    acc = qmul(acc, r)
-            span = grown
-            if len(basis) == d:
+        lo = len(reps)
+        span = N.mask.copy()  # N times the powers of the basis so far: a union of N-cosets
+        while True:
+            outside = D.idx[~span[D.idx]]
+            if not outside.size:
                 break
-        if len(basis) != d or len(span) != q:
-            raise NonElementaryQuotient(f"component {i} admits no {d}-element basis")
-        coord_of = {}
-        for combo in itertools.product(range(p), repeat=d):
-            acc = id_rep
-            for b, e in zip(basis, combo):
-                for _ in range(e):
-                    acc = qmul(acc, b)
-            coord_of[acc] = combo
-        if len(coord_of) != q:
-            raise NonElementaryQuotient(f"component {i} coordinates are not bijective")
-        components.append(
-            _ComponentData(rep_of, coord_of, tuple(G.element(b) for b in basis))
+            b = int(outside[0])  # the least element, so the least key, of its coset
+            # with the basis so far, b spans an elementary abelian D/N as long as
+            # every basis element has its p-th power in N and they commute modulo N
+            if not N.mask[power[b]]:
+                raise NonElementaryQuotient(f"component {i} has exponent above {p}")
+            if (_commutator_values(G, [b], reps[lo:]) & ~N.mask).any():
+                raise NonElementaryQuotient(f"component {i} is not abelian")
+            col = len(reps)
+            reps.append(b)
+            base = np.flatnonzero(span)
+            layer = base
+            for e in range(1, p):
+                layer = T[layer, b]  # base · b^e
+                coords[layer, lo:col] = coords[base, lo:col]
+                coords[layer, col] = e
+                span[layer] = True
+        dims.append(len(reps) - lo)
+    reps = np.array(reps, dtype=np.int64)
+    degrees = np.repeat(np.arange(1, m + 1), dims)
+    # comm[a, b] = [x_a, x_b] = (x_b x_a)^-1 (x_a x_b) for the basis representatives
+    comm = T[inv[T[reps[None, :], reps[:, None]]], T[reps[:, None], reps[None, :]]]
+    want = degrees[:, None] + degrees[None, :]
+    escaped = (want <= m) & (depth[comm] < want)
+    if escaped.any():
+        i, j = _first_pair(escaped, degrees, degrees)
+        raise InconsistentPresentation(
+            f"commutator of degrees ({i},{j}) escapes series term {i + j}"
         )
-        dims.append(d)
-
-    sc = {}
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i + j > m:
-                continue
-            k = i + j
-            comp_k = components[k - 1]
-            table = np.zeros((dims[i - 1], dims[j - 1], dims[k - 1]), dtype=np.int64)
-            for a, x in enumerate(components[i - 1].basis_reps):
-                for b, y in enumerate(components[j - 1].basis_reps):
-                    c = G.commutator(x, y)
-                    if c not in terms[k - 1]:
-                        raise InconsistentPresentation(
-                            f"commutator of degrees ({i},{j}) escapes series term {k}"
-                        )
-                    table[a, b, :] = comp_k.coord_of[comp_k.rep_of[c.key]]
-            sc[(i, j)] = table
-
-    L = GradedLieRing(p, dims, sc, group=G, series=series, components=components)
+    C = coords[comm] * (want[:, :, None] == degrees[None, None, :])
+    for shared in (coords, depth, reps):
+        shared.flags.writeable = False
+    L = GradedLieRing(
+        p, dims, C, group=G, series=series, coords=coords, depth=depth, reps=reps
+    )
     _verify_well_definedness(G, L)
+    G._lie_ring = L
     return L
 
 
@@ -471,9 +445,8 @@ def _verify_well_definedness(G: FiniteGroup, L: GradedLieRing):
         if i < j:
             continue
         modulus = terms[i + j].mask
-        xs = np.array([G.index_of(x) for x in L.components[i - 1].basis_reps], dtype=np.int64)
-        ys = np.array([G.index_of(y) for y in L.components[j - 1].basis_reps], dtype=np.int64)
-        xs, ys = xs[:, None, None], ys[None, :, None]
+        xs = L.reps[L._slice(i), None, None]
+        ys = L.reps[None, L._slice(j), None]
         undo = inv[T[inv[T[ys, xs]], T[xs, ys]]]  # [x, y]^-1 per basis pair
         yn = T[ys, terms[j].idx]  # y·n2 for every n2
         for n1 in terms[i].idx:
@@ -489,25 +462,29 @@ def _verify_well_definedness(G: FiniteGroup, L: GradedLieRing):
 
 
 class GradedSubspace:
-    """Componentwise row-space inside a GradedLieRing, stored in echelon form."""
+    """Componentwise row-space inside a GradedLieRing, stored in echelon form.
 
-    __slots__ = ("algebra", "bases")
+    rows is the basis in total coordinates, components in degree order; it is
+    in reduced echelon form too, with pivot columns pivots.
+    """
+
+    __slots__ = ("algebra", "bases", "rows", "pivots")
 
     def __init__(self, algebra: GradedLieRing, bases):
         self.algebra = algebra
         clean = []
         for i in range(1, algebra.m + 1):
             d = algebra.dims[i - 1]
-            mat = np.asarray(bases[i - 1], dtype=np.int64)
-            if mat.ndim != 2 or mat.shape[1] != d:
-                if mat.size == 0:
-                    mat = np.zeros((0, d), dtype=np.int64)
-                else:
-                    mat = mat.reshape(-1, d)
-            mat = mat % algebra.p
+            mat = np.asarray(bases[i - 1], dtype=np.int64) % algebra.p
+            mat = mat.reshape(mat.size // d if d else 0, d)
             reduced, pivots = rref(mat, algebra.p)
             clean.append(reduced[: len(pivots)])
         self.bases = tuple(clean)
+        eye = np.eye(algebra.total_dim, dtype=np.int64)
+        self.rows = np.concatenate(
+            [eye[:0]] + [b @ eye[algebra._slice(i)] for i, b in enumerate(clean, start=1)]
+        )
+        self.pivots = (self.rows != 0).argmax(axis=1) if self.rows.size else np.zeros(0, int)
 
     @classmethod
     def whole(cls, algebra: GradedLieRing) -> "GradedSubspace":
@@ -523,6 +500,19 @@ class GradedSubspace:
     def total_dim(self) -> int:
         return sum(self.dims())
 
+    def degrees(self) -> np.ndarray:
+        """Degree of each row of rows."""
+        return np.repeat(np.arange(1, self.algebra.m + 1), self.dims())
+
+    def outside(self, vecs) -> np.ndarray:
+        """Which vectors of vecs (coordinates on the last axis) lie outside the space.
+
+        A vector lies inside exactly when it is its entries at the pivots times rows.
+        """
+        p = self.algebra.p
+        back = np.einsum("...q,qk->...k", vecs[..., self.pivots], self.rows) % p
+        return (back != vecs % p).any(axis=-1)
+
     def contains(self, u: LieElement) -> bool:
         if u.algebra is not self.algebra:
             raise MismatchedAlgebra("element belongs to a different algebra")
@@ -532,15 +522,7 @@ class GradedSubspace:
         )
 
     def is_bracket_closed(self) -> bool:
-        L = self.algebra
-        for (i, j), table in L.sc.items():
-            target = self.bases[i + j - 1]
-            for u in self.bases[i - 1]:
-                for v in self.bases[j - 1]:
-                    w = np.einsum("a,b,abk->k", u, v, table) % L.p
-                    if w.any() and not in_row_space(target, w, L.p):
-                        return False
-        return True
+        return not self.outside(self.algebra.brackets(self.rows, self.rows)).any()
 
     def __eq__(self, other):
         if not isinstance(other, GradedSubspace) or other.algebra is not self.algebra:
@@ -577,36 +559,21 @@ def lp_subalgebra(L: GradedLieRing) -> LpSubalgebra:
     p = L.p
     bases = [np.eye(L.dims[0], dtype=np.int64)]
     for k in range(2, L.m + 1):
-        prev = bases[-1]
-        table = L.sc.get((k - 1, 1))
-        rows = []
-        if table is not None and prev.shape[0]:
-            for u in prev:
-                for b in range(L.dims[0]):
-                    w = (u @ table[:, b, :]) % p
-                    if w.any():
-                        rows.append(w)
-        if rows:
-            reduced, pivots = rref(np.array(rows, dtype=np.int64), p)
-            bases.append(reduced[: len(pivots)])
-        else:
-            bases.append(np.zeros((0, L.dims[k - 1]), dtype=np.int64))
-    dims = tuple(b.shape[0] for b in bases)
-    sc = {}
-    for (i, j), table in L.sc.items():
-        k = i + j
-        sub = np.zeros((dims[i - 1], dims[j - 1], dims[k - 1]), dtype=np.int64)
-        for a, u in enumerate(bases[i - 1]):
-            for b, v in enumerate(bases[j - 1]):
-                w = np.einsum("a,b,abk->k", u, v, table) % p
-                coords = solve_in_row_space(bases[k - 1], w, p)
-                if coords is None:
-                    raise InconsistentPresentation(
-                        f"degree-one closure is not bracket-closed at degrees ({i},{j})"
-                    )
-                sub[a, b, :] = coords
-        sc[(i, j)] = sub
-    return LpSubalgebra(GradedLieRing(p, dims, sc), L, tuple(bases))
+        # every basis row of M_{k-1} against every degree-one basis vector
+        rows = np.einsum("ra,abc->rbc", bases[-1], L.sc[(k - 1, 1)])
+        reduced, pivots = rref(rows.reshape(len(rows) * L.dims[0], L.dims[k - 1]), p)
+        bases.append(reduced[: len(pivots)])
+    space = GradedSubspace(L, bases)
+    W = L.brackets(space.rows, space.rows)
+    bad = space.outside(W)
+    if bad.any():
+        i, j = _first_pair(bad, space.degrees(), space.degrees())
+        raise InconsistentPresentation(
+            f"degree-one closure is not bracket-closed at degrees ({i},{j})"
+        )
+    # coordinates in the sub-basis are the entries at its pivots
+    sub = GradedLieRing(p, space.dims(), W[..., space.pivots])
+    return LpSubalgebra(sub, L, tuple(bases))
 
 
 # -- automorphism actions -------------------------------------------------
@@ -628,35 +595,33 @@ class GradedAutomorphism:
         if verify:
             self._verify()
 
+    def matrix(self) -> np.ndarray:
+        """The action on the total basis: one block-diagonal matrix."""
+        L = self.algebra
+        out = np.zeros((L.total_dim, L.total_dim), dtype=np.int64)
+        for i, mat in enumerate(self.mats, start=1):
+            out[L._slice(i), L._slice(i)] = mat
+        return out
+
     def _verify(self):
+        """phi([e_a, e_b]) = [phi(e_a), phi(e_b)] on every basis pair, at once."""
         L = self.algebra
         for i, mat in enumerate(self.mats, start=1):
             if not is_invertible(mat, L.p):
                 raise ActionNotWellDefined(f"component {i} matrix is singular")
-        for (i, j), table in L.sc.items():
-            k = i + j
-            for a in range(L.dims[i - 1]):
-                for b in range(L.dims[j - 1]):
-                    lhs = (self.mats[k - 1] @ table[a, b]) % L.p
-                    rhs = (
-                        np.einsum(
-                            "a,b,abk->k", self.mats[i - 1][:, a], self.mats[j - 1][:, b], table
-                        )
-                        % L.p
-                    )
-                    if not np.array_equal(lhs, rhs):
-                        raise ActionNotWellDefined(
-                            f"action does not respect the bracket at degrees ({i},{j})"
-                        )
+        phi = self.matrix()
+        lhs = np.einsum("lk,abk->abl", phi, L.C) % L.p
+        bad = (lhs != L.brackets(phi.T, phi.T)).any(axis=2)
+        if bad.any():
+            i, j = _first_pair(bad, L.degrees, L.degrees)
+            raise ActionNotWellDefined(
+                f"action does not respect the bracket at degrees ({i},{j})"
+            )
 
     def apply(self, u: LieElement) -> LieElement:
         if u.algebra is not self.algebra:
             raise MismatchedAlgebra("element belongs to a different algebra")
-        out = np.zeros(self.algebra.total_dim, dtype=np.int64)
-        for i in range(1, self.algebra.m + 1):
-            lo, hi = self.algebra._span(i)
-            out[lo:hi] = self.mats[i - 1] @ u.component(i)
-        return LieElement(self.algebra, out)
+        return LieElement(self.algebra, self.matrix() @ u.vec)
 
     def __call__(self, u: LieElement) -> LieElement:
         return self.apply(u)
@@ -719,11 +684,8 @@ def induced_action(phi: Automorphism, L: GradedLieRing) -> GradedAutomorphism:
             raise ActionNotWellDefined(
                 f"induced action on component {i} depends on representatives"
             )
-        comp = L.components[i - 1]
-        mat = np.zeros((L.dims[i - 1],) * 2, dtype=np.int64)
-        for b, x in enumerate(comp.basis_reps):
-            mat[:, b] = comp.coord_of[comp.rep_of[G._keys[image[G.index_of(x)]]]]
-        mats.append(mat)
+        # column b: the coordinates of phi(x_b) for the b-th basis representative
+        mats.append(L.coords[image[L.reps[L._slice(i)]], L._slice(i)].T)
     return GradedAutomorphism(L, mats)
 
 
@@ -741,15 +703,10 @@ def centralizer_subalgebra(L: GradedLieRing, phis) -> CentralizerResult:
     for phi in phis:
         if not isinstance(phi, GradedAutomorphism) or phi.algebra is not L:
             raise MismatchedAlgebra("centralizer needs actions on this algebra")
-    if not phis:
-        space = GradedSubspace.whole(L)
-        return CentralizerResult(space, space.is_bracket_closed())
     bases = []
     for i in range(1, L.m + 1):
-        d = L.dims[i - 1]
-        stacked = np.vstack(
-            [phi.mats[i - 1] - np.eye(d, dtype=np.int64) for phi in phis]
-        )
+        eye = np.eye(L.dims[i - 1], dtype=np.int64)
+        stacked = np.concatenate([eye[:0]] + [phi.mats[i - 1] - eye for phi in phis])
         bases.append(nullspace(stacked, L.p))
     space = GradedSubspace(L, bases)
     return CentralizerResult(space, space.is_bracket_closed())
@@ -763,14 +720,10 @@ def subgroup_graded_algebra(G: FiniteGroup, L: GradedLieRing, H: Subgroup) -> Gr
     if H.group is not G:
         raise MismatchedParent("subgroup lives in a different group")
     terms = L.series.terms
-    bases = []
-    for i in range(1, L.m + 1):
-        comp = L.components[i - 1]
-        d = L.dims[i - 1]
-        rows = [np.zeros(d, dtype=np.int64)]
-        for k in np.flatnonzero(H.mask & terms[i - 1].mask):
-            rows.append(np.array(comp.coord_of[comp.rep_of[G._keys[k]]], dtype=np.int64))
-        bases.append(np.array(rows, dtype=np.int64))
+    bases = [
+        L.coords[np.flatnonzero(H.mask & terms[i - 1].mask), L._slice(i)]
+        for i in range(1, L.m + 1)
+    ]
     space = GradedSubspace(L, bases)
     if not space.is_bracket_closed():
         raise InconsistentPresentation("subgroup-derived subspace is not bracket-closed")
@@ -779,7 +732,7 @@ def subgroup_graded_algebra(G: FiniteGroup, L: GradedLieRing, H: Subgroup) -> Gr
 
 @dataclass(frozen=True)
 class PMSplit:
-    """Fixed and negated subspaces of an involution, with verified direct sum."""
+    """Fixed and negated subspaces of an involution: complementary in odd characteristic."""
 
     plus: GradedSubspace
     minus: GradedSubspace
@@ -799,19 +752,10 @@ def plus_minus_split(L: GradedLieRing, phi: GradedAutomorphism) -> PMSplit:
         eye = np.eye(d, dtype=np.int64)
         plus_bases.append(nullspace((phi.mats[i - 1] - eye) % L.p, L.p))
         minus_bases.append(nullspace((phi.mats[i - 1] + eye) % L.p, L.p))
+    # phi^2 = 1 and 2 is invertible mod p: x = (x + phi x)/2 + (x - phi x)/2,
+    # so the two eigenspaces are complementary in every component
     plus = GradedSubspace(L, plus_bases)
     minus = GradedSubspace(L, minus_bases)
-    for i in range(L.m):
-        if plus.bases[i].shape[0] + minus.bases[i].shape[0] != L.dims[i]:
-            raise InconsistentPresentation(
-                f"eigenspaces of component {i + 1} do not span it"
-            )
-        stacked = np.vstack([plus.bases[i], minus.bases[i]])
-        reduced, pivots = rref(stacked, L.p)
-        if len(pivots) != L.dims[i]:
-            raise InconsistentPresentation(
-                f"eigenspaces of component {i + 1} overlap"
-            )
     _check_pm_brackets(L, plus, minus)
     return PMSplit(plus, minus)
 
@@ -820,18 +764,42 @@ def _check_pm_brackets(L: GradedLieRing, plus: GradedSubspace, minus: GradedSubs
     """[P,P] ⊆ P, [P,M] ⊆ M, [M,M] ⊆ P, componentwise across the grading."""
     cases = [(plus, plus, plus), (plus, minus, minus), (minus, minus, plus)]
     for left, right, target in cases:
-        for (i, j), table in L.sc.items():
-            tgt = target.bases[i + j - 1]
-            for u in left.bases[i - 1]:
-                for v in right.bases[j - 1]:
-                    w = np.einsum("a,b,abk->k", u, v, table) % L.p
-                    if w.any() and not in_row_space(tgt, w, L.p):
-                        raise InconsistentPresentation(
-                            f"eigenspace bracket rule fails at degrees ({i},{j})"
-                        )
+        bad = target.outside(L.brackets(left.rows, right.rows))
+        if bad.any():
+            i, j = _first_pair(bad, left.degrees(), right.degrees())
+            raise InconsistentPresentation(
+                f"eigenspace bracket rule fails at degrees ({i},{j})"
+            )
 
 
 # -- the two decomposition statements -------------------------------------
+
+
+def _lazard_table(G: FiniteGroup, L: GradedLieRing, xs) -> tuple:
+    """Lazard's power law on the elements with indices xs, batched.
+
+    Returns three arrays aligned with xs: whether (ad x*)^p = ad((x^p)*), the
+    ad-nilpotency index of x*, and the order of x.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    power = _power_map(G, L.p)
+    ads = L.ads(L.coords[xs])
+    power_ok = (mat_pow(ads, L.p, L.p) == L.ads(L.coords[power[xs]])).all(axis=(1, 2))
+    order = np.ones(len(xs), dtype=np.int64)
+    cur = xs
+    while (live := cur != G.index_of(G.identity)).any():
+        order[live] *= L.p  # x has order p^k for the least k with x^(p^k) = 1
+        cur = power[cur]
+    return power_ok, L.ad_nilpotency_indices(ads), order
+
+
+def _lazard_verdict(p: int, power_ok, index, order) -> Verdict:
+    """One element's verdict from its entries of _lazard_table."""
+    return Verdict(
+        bool(power_ok and index <= order),
+        f"(ad x*)^{p} {'==' if power_ok else '!='} ad((x^{p})*); "
+        f"ad-index {index} {'<=' if index <= order else '>'} element order {order}",
+    )
 
 
 def lazard_check(G: FiniteGroup, L: GradedLieRing, x: GroupElement) -> Verdict:
@@ -842,23 +810,7 @@ def lazard_check(G: FiniteGroup, L: GradedLieRing, x: GroupElement) -> Verdict:
     G._check(x)
     if x.is_identity():
         raise TrivialImage("the identity has no graded image")
-    xs = L.star(x)
-    lhs = mat_pow(L.ad_matrix(xs), L.p, L.p)
-    xp = G.power(x, L.p)
-    if xp.is_identity():
-        rhs = np.zeros((L.total_dim, L.total_dim), dtype=np.int64)
-    else:
-        rhs = L.ad_matrix(L.star(xp))
-    power_ok = np.array_equal(lhs, rhs)
-    index = L.ad_nilpotency_index(xs)
-    order = G.element_order(x)
-    index_ok = index <= order
-    ok = power_ok and index_ok
-    detail = (
-        f"(ad x*)^{L.p} {'==' if power_ok else '!='} ad((x^{L.p})*); "
-        f"ad-index {index} {'<=' if index_ok else '>'} element order {order}"
-    )
-    return Verdict(ok, detail)
+    return _lazard_verdict(L.p, *(int(v[0]) for v in _lazard_table(G, L, [G.index_of(x)])))
 
 
 @dataclass(frozen=True)

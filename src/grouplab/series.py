@@ -361,11 +361,11 @@ def dimension_series(G: FiniteGroup, p: int | None = None) -> NormalSeries:
 class Verdict:
     """Outcome of a check: ok, an account of what was compared, and how.
 
-    mode is "exhaustive", "basis" (a multilinear identity checked on basis
-    tuples) or "sampled"; a sampled pass must never be read as a proof.
-    witness carries a falsifying input, if any.  It lives here, in the lowest
-    module whose checks return one; liering, identities and the catalog
-    return the same type.
+    mode is "exhaustive" (every element, pair or assignment) or "basis" (a
+    multilinear identity checked on basis tuples, which decides it on every
+    element).  witness carries a falsifying input, if any.  It lives here, in
+    the lowest module whose checks return one; liering, identities and the
+    catalog return the same type.
     """
 
     ok: bool

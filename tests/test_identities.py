@@ -230,10 +230,18 @@ def test_engel_d8():
     assert not bad.ok and bad.witness is not None
 
 
-def test_engel_sampled_mode():
+def test_engel_beyond_the_element_budget():
+    # 27 elements exceed a budget of 9, so n < p = 3 is decided on the 3^n basis tuples
     L = build_dl(heis27())
-    v = is_n_engel_algebra(L, 2, budget=5)
-    assert v.ok and v.mode == "sampled"
+    v = is_n_engel_algebra(L, 2, budget=9)
+    assert v.ok and v.mode == "basis"
+    bad = is_n_engel_algebra(L, 1, budget=9)
+    assert not bad.ok and bad.mode == "basis"
+    assert L.ad_matrix(bad.witness).any()
+    with pytest.raises(BudgetExceeded, match="3\\^2 basis tuples"):
+        is_n_engel_algebra(L, 2, budget=5)
+    with pytest.raises(BudgetExceeded, match="n = 3 >= p"):
+        is_n_engel_algebra(L, 3, budget=9)
 
 
 def test_engel_rejects_bad_n():

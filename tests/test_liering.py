@@ -614,7 +614,7 @@ def test_well_definedness_catches_a_dependence_at_one_pair(monkeypatch):
     T, inv = G.table(), G.inverse_indices()
     # plant at the last basis pair of degrees (1,1) and the last n1, n2 in D_2:
     # a new value of x·n1 · y·n2 that moves [x·n1, y·n2] out of [x, y]·D_3
-    x, y = (G.index_of(r) for r in L.components[0].basis_reps)
+    x, y = (int(r) for r in L.reps[: L.dims[0]])
     xn, yn = T[x, D2.idx[-1]], T[y, D2.idx[-1]]
     undo = inv[G.index_of(G.commutator(G.element_at(x), G.element_at(y)))]
     bad = next(z for z in range(G.order) if not D3.mask[T[undo, T[inv[T[yn, xn]], z]]])
