@@ -3,8 +3,8 @@ Building finite groups from presentations
 ==========================================
 
 Two backends share one interface: power-commutator presentations for
-p-groups (multiplication by collection) and permutation generators for
-everything else (multiplication by composition).
+p-groups (the table built by cyclic extensions) and permutation generators
+for everything else (multiplication by composition).
 """
 
 from grouplab import PcPresentation, PermutationGenSet, build_group, perm_from_cycles
@@ -18,7 +18,7 @@ print("D8 order:", d8.order)
 print("D8 exponent:", d8.exponent())
 
 g1, g2, g3 = d8.generators
-print("g2 * g2 =", g2 * g2)            # collection rewrites this to g3
+print("g2 * g2 =", g2 * g2)            # the power relation g2^2 = g3
 print("[g2, g1] =", d8.commutator(g2, g1))
 print("g2 has order", g2.order(), "and g2^-1 =", g2.inverse())
 

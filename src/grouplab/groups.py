@@ -1,20 +1,23 @@
 """Finite groups with exact arithmetic.
 
-Two primary backends: power-commutator presentations of finite p-groups
-(multiplied by collection from the left) and permutation groups on a small
-number of points.  Quotient groups reuse the same machinery through an
-internal coset backend, so every operation in the package works uniformly on
-all three.
+Every FiniteGroup is its sorted element keys plus an integer-indexed Cayley
+table, from which every product and inverse is read.  Three builders fill
+the table:
 
-Every group is enumerated breadth-first from its generators.  Each
-generator's right multiplication, kept as a permutation of the elements,
-fills the integer-indexed Cayley table from which every product and inverse
-is read.  Groups are capped at TABLE_CAP elements.  A pc presentation is
-decided exactly from its defining relations (FiniteGroup._verify_relations).
+- power-commutator presentations of finite p-groups, by iterated cyclic
+  extensions (_pc_table), which also decide consistency exactly;
+- permutation groups on a small number of points, enumerated breadth-first
+  from their generators (_perm_table);
+- quotient groups, from the parent's table on coset representatives
+  (series.QuotientGroup).
+
+Groups are capped at TABLE_CAP elements; a pc presentation over the cap is
+refused before any table work.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -42,7 +45,6 @@ __all__ = [
     "is_prime",
 ]
 
-COLLECTION_STEP_BUDGET = 200_000
 TABLE_CAP = 2048
 
 # A normal word is a tuple of (generator index, exponent) factors with
@@ -230,201 +232,180 @@ class GroupElement:
         return self.group._repr_key(self.key)
 
 
-class _PcBackend:
-    kind = "pc"
-
-    def __init__(self, pres: PcPresentation):
-        self.presentation = pres
-        self.p = pres.p
-        self.n = pres.ngens
-        self.identity_key = (0,) * self.n
-        self.generator_keys = []
-        self.generator_names = []
-        for i in range(1, self.n + 1):
-            key = tuple(1 if k == i - 1 else 0 for k in range(self.n))
-            self.generator_keys.append(key)
-            self.generator_names.append(f"g{i}")
-        self._power_letters = {}
-        for i in range(1, self.n + 1):
-            word = pres.powers.get(i, ())
-            self._power_letters[i] = self._flatten(word)
-        self._comm_letters = {}
-        for (j, i), word in pres.commutators.items():
-            self._comm_letters[(j, i)] = self._flatten(word)
-
-    @staticmethod
-    def _flatten(word: NormalWord) -> tuple:
-        letters = []
-        for idx, exp in word:
-            letters.extend([idx] * exp)
-        return tuple(letters)
-
-    def _letters(self, key: tuple) -> list[int]:
-        out = []
-        for i, e in enumerate(key):
-            out.extend([i + 1] * e)
-        return out
-
-    def multiply(self, k1: tuple, k2: tuple) -> tuple:
-        return self._collect(self._letters(k1) + self._letters(k2))
-
-    def _collect(self, word: list[int]) -> tuple:
-        """Collection from the left, always moving the minimal-index letter."""
-        p = self.p
-        counts = [0] * (self.n + 1)
-        work = word
-        steps = 0
-        while work:
-            steps += 1
-            if steps > COLLECTION_STEP_BUDGET:
-                raise BudgetExceeded(
-                    f"collection exceeded {COLLECTION_STEP_BUDGET} steps; presentation unlikely to be consistent"
-                )
-            i = min(work)
-            k = work.index(i)
-            if k == 0:
-                work.pop(0)
-                counts[i] += 1
-                if counts[i] == p:
-                    counts[i] = 0
-                    work[0:0] = self._power_letters[i]
-            else:
-                j = work[k - 1]
-                # g_j g_i = g_i g_j [g_j, g_i]
-                work[k - 1 : k + 1] = [i, j, *self._comm_letters.get((j, i), ())]
-        return tuple(counts[1:])
-
-    def repr_key(self, key: tuple) -> str:
-        parts = []
-        for i, e in enumerate(key):
-            if e == 1:
-                parts.append(f"g{i + 1}")
-            elif e > 1:
-                parts.append(f"g{i + 1}^{e}")
-        return "*".join(parts) if parts else "1"
+def _pc_repr(key: tuple) -> str:
+    parts = []
+    for i, e in enumerate(key):
+        if e == 1:
+            parts.append(f"g{i + 1}")
+        elif e > 1:
+            parts.append(f"g{i + 1}^{e}")
+    return "*".join(parts) if parts else "1"
 
 
-class _PermBackend:
-    kind = "perm"
-
-    def __init__(self, genset: PermutationGenSet):
-        self.genset = genset
-        self.degree = genset.degree
-        self.identity_key = tuple(range(self.degree))
-        self.generator_keys = [images for _, images in genset.generators]
-        self.generator_names = [name for name, _ in genset.generators]
-
-    def multiply(self, k1: tuple, k2: tuple) -> tuple:
-        # a*b means "apply a, then b"
-        return tuple(k2[x] for x in k1)
-
-    def repr_key(self, key: tuple) -> str:
-        cycles = cycles_of(key)
-        if not cycles:
-            return "()"
-        return "".join("(" + " ".join(str(x) for x in cyc) + ")" for cyc in cycles)
+def _perm_repr(key: tuple) -> str:
+    cycles = cycles_of(key)
+    if not cycles:
+        return "()"
+    return "".join("(" + " ".join(str(x) for x in cyc) + ")" for cyc in cycles)
 
 
-def _coset_reps(G: "FiniteGroup", kernel_idx: np.ndarray) -> np.ndarray:
-    """rep[x] = the minimal element index in the coset x·N, N given by its indices.
+def _word_index(word: NormalWord, p: int, n: int) -> int:
+    """Index of a normal word: the base-p value of its exponent vector."""
+    return sum(exp * p ** (n - idx) for idx, exp in word)
 
-    Index order is key order, so this is also the minimal-key representative.
+
+def _pc_table(pres: PcPresentation) -> np.ndarray:
+    """Cayley table of a pc presentation, built by iterated cyclic extensions.
+
+    G_k = <g_k, ..., g_n> is built from G_{k+1} for k = n down to 1; its
+    element g_k^a h, h in G_{k+1}, has index a |G_{k+1}| + index(h), so
+    indices run in the base-p order of the exponent vectors.  With phi the
+    conjugation by g_k, phi(g_j) = g_j [g_j, g_k], and w = g_k^p in G_{k+1},
+
+        (g_k^a h)(g_k^b h') = g_k^(a+b) phi^b(h) h',
+
+    where g_k^p is replaced by w when a + b >= p.  This is a group of order
+    p |G_{k+1}| exactly when phi is an automorphism of G_{k+1}, phi(w) = w
+    and phi^p is conjugation by w (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005, ch. 8), so the presentation is
+    consistent exactly when that holds at every k.
     """
-    T = G.table()
-    rep = np.full(G.order, -1, dtype=np.int64)
-    for x in range(G.order):
-        if rep[x] < 0:
-            coset = T[x, kernel_idx]
-            rep[coset] = coset.min()
-    return rep
+    p, n = pres.p, pres.ngens
+
+    def word(w: NormalWord) -> str:
+        key = [0] * n
+        for idx, exp in w:
+            key[idx - 1] = exp
+        return _pc_repr(tuple(key))
+
+    T = np.zeros((1, 1), dtype=np.int64)
+    for k in range(n, 0, -1):
+        m = len(T)
+        # phi on the normal words of G_j, for j = n down to k + 1, checked on
+        # each G_j in turn so that a failure names the relation [g_j, g_k]
+        phi = np.zeros(1, dtype=np.int64)
+        for j in range(n, k, -1):
+            comm = pres.commutators.get((j, k), ())
+            image = T[p ** (n - j), _word_index(comm, p, n)]
+            powers = [0]
+            for _ in range(p - 1):
+                powers.append(T[powers[-1], image])
+            phi = T[np.ix_(powers, phi)].ravel()
+            size = len(phi)
+            gens = [p ** (n - i) for i in range(j, n + 1)]
+            if np.count_nonzero(np.bincount(phi)) < size or any(
+                not np.array_equal(phi[T[:size, g]], T[phi, phi[g]]) for g in gens
+            ):
+                span = ", ".join(f"g{i}" for i in range(j, n + 1))
+                raise InconsistentPresentation(
+                    f"relation [g{j}, g{k}] = {word(comm)} fails: conjugation by "
+                    f"g{k} is no automorphism of <{span}>"
+                )
+        pw = pres.powers.get(k, ())
+        w = _word_index(pw, p, n)
+        if phi[w] != w:
+            raise InconsistentPresentation(
+                f"relation g{k}^{p} = {word(pw)} fails: g{k} does not commute with it"
+            )
+        w_inv = int(np.argmax(T[w] == 0))
+        phi_p = np.arange(m)
+        for _ in range(p):
+            phi_p = phi[phi_p]
+        if not np.array_equal(phi_p, T[T[w_inv], w]):
+            raise InconsistentPresentation(
+                f"relation g{k}^{p} = {word(pw)} fails: conjugation by g{k}^{p} "
+                "is not conjugation by it"
+            )
+        # block (a, b) holds the rows phi^b(h), or w phi^b(h) past g_k^p, of
+        # T, offset to the coset of g_k^(a+b); no other m x m array is built
+        table = np.empty((p * m, p * m), dtype=np.int64)
+        phi_b = np.arange(m)
+        for b in range(p):
+            for a in range(p):
+                block = table[a * m : (a + 1) * m, b * m : (b + 1) * m]
+                np.take(T, T[w, phi_b] if a + b >= p else phi_b, axis=0, out=block)
+                block += (a + b) % p * m
+            phi_b = phi[phi_b]
+        T = table
+    return T
 
 
-class _CosetBackend:
-    kind = "quotient"
+def _perm_table(genset: PermutationGenSet) -> tuple:
+    """Sorted keys and Cayley table of a permutation group, by enumeration.
 
-    def __init__(self, parent: "FiniteGroup", kernel_idx: np.ndarray):
-        self.parent = parent
-        self.rep = rep = _coset_reps(parent, kernel_idx)
-        keys = parent._keys
-        self.identity_key = keys[rep[parent.index_of(parent.identity)]]
-        gen_keys = []
-        gen_names = []
-        for name, gen in zip(parent.generator_names, parent.generators):
-            rk = keys[rep[parent.index_of(gen)]]
-            if rk != self.identity_key and rk not in gen_keys:
-                gen_keys.append(rk)
-                gen_names.append(name)
-        self.generator_keys = gen_keys
-        self.generator_names = gen_names
-
-    def multiply(self, k1: tuple, k2: tuple) -> tuple:
-        parent = self.parent
-        prod = parent._table[parent._index[k1], parent._index[k2]]
-        return parent._keys[self.rep[prod]]
-
-    def repr_key(self, key: tuple) -> str:
-        return self.parent._repr_key(key)
+    The elements are reached breadth-first from the identity.  Column z of
+    the table is x -> x*z; where the enumeration reached z as y*g, that
+    column is g's right multiplication applied to column y, since
+    x*(y*g) = (x*y)*g, and the tree's insertion order fills y first.
+    """
+    e = tuple(range(genset.degree))
+    gen_keys = [images for _, images in genset.generators]
+    tree = {e: None}  # key -> (parent key, generator position) it was reached from
+    right = {}  # key -> [key * g for each generator g]
+    frontier = [e]
+    while frontier:
+        fresh = []
+        for key in frontier:
+            # a*b means "apply a, then b"
+            right[key] = prods = [tuple(gk[x] for x in key) for gk in gen_keys]
+            for pos, prod in enumerate(prods):
+                if prod not in tree:
+                    tree[prod] = (key, pos)
+                    fresh.append(prod)
+                    if len(tree) > TABLE_CAP:
+                        raise BudgetExceeded(
+                            f"group enumeration passed the cap of {TABLE_CAP} elements"
+                        )
+        frontier = fresh
+    keys = sorted(tree)
+    index = {key: i for i, key in enumerate(keys)}
+    n = len(keys)
+    # right_perms[pos][i] = index of (element i) * (generator pos)
+    right_perms = np.array(
+        [[index[right[key][pos]] for key in keys] for pos in range(len(gen_keys))],
+        dtype=np.int64,
+    ).reshape(len(gen_keys), n)
+    cols = np.empty((n, n), dtype=np.int64)
+    for key, link in tree.items():
+        if link is None:
+            cols[index[key]] = np.arange(n)
+        else:
+            parent, pos = link
+            cols[index[key]] = right_perms[pos][cols[index[parent]]]
+    return keys, np.ascontiguousarray(cols.T)
 
 
 class FiniteGroup:
-    """A finite group, fully enumerated at construction.
+    """A finite group given by its sorted element keys and its Cayley table.
 
     Elements are exposed as GroupElement handles; the canonical key (exponent
     vector, image tuple, or coset representative key) doubles as the lookup
-    key everywhere.  Products and inverses are read from the Cayley table
-    filled at construction.  Instances are immutable once built; the caches
-    populated lazily (element orders, exponent, the graded Lie ring) never
-    change observable values.
+    key everywhere.  Products and inverses are read from the Cayley table.
+    Instances are immutable once built; the caches populated lazily (element
+    orders, exponent, the graded Lie ring) never change observable values.
     """
 
-    def __init__(self, backend, *, budget: int = TABLE_CAP):
-        self._backend = backend
-        e = backend.identity_key
-        gen_keys = list(backend.generator_keys)
-        tree = {e: None}  # key -> (parent key, generator position) it was reached from
-        right = {}  # key -> [key * g for each generator g]
-        frontier = [e]
-        while frontier:
-            fresh = []
-            for key in frontier:
-                right[key] = prods = [backend.multiply(key, gk) for gk in gen_keys]
-                for pos, prod in enumerate(prods):
-                    if prod not in tree:
-                        tree[prod] = (key, pos)
-                        fresh.append(prod)
-                        if len(tree) > budget:
-                            raise BudgetExceeded(
-                                f"group enumeration passed the budget of {budget} elements"
-                            )
-            frontier = fresh
-        self._keys = tuple(sorted(tree))
+    def __init__(self, kind: str, keys, table: np.ndarray, generators, repr_key):
+        """``table[i, j]`` is the index of keys[i] * keys[j], for sorted keys;
+        ``generators`` are (name, key) pairs and ``repr_key`` prints a key."""
+        self._kind = kind
+        self._keys = tuple(keys)
         self._index = index = {key: i for i, key in enumerate(self._keys)}
-        n = len(self._keys)
-        # right_perms[pos][i] = index of (element i) * (generator pos)
-        right_perms = np.array(
-            [[index[right[key][pos]] for key in self._keys] for pos in range(len(gen_keys))],
-            dtype=np.int64,
-        ).reshape(len(gen_keys), n)
+        self._repr_key = repr_key
         self._elements = tuple(GroupElement(self, key) for key in self._keys)
-        self.identity = self._elements[index[e]]
-        self.generators = tuple(self._elements[index[key]] for key in gen_keys)
-        self.generator_names = tuple(backend.generator_names)
+        e = int(np.flatnonzero(np.diagonal(table) == np.arange(len(table)))[0])
+        self.identity = self._elements[e]
+        self.generators = tuple(self._elements[index[key]] for _, key in generators)
+        self.generator_names = tuple(name for name, _ in generators)
         self._order_memo = {}
         self._exponent = None
         self._lie_ring = None  # the graded Lie ring, kept by liering.build_dl
-        if backend.kind == "pc":
-            pres = backend.presentation
-            if n != pres.order:
-                raise InconsistentPresentation(
-                    f"collection enumerates {n} elements, presentation claims {pres.order}"
-                )
-            self._verify_relations(right_perms)
-        self._table = self._fill_table(tree, right_perms)
-        self._inv = np.argmax(self._table == index[e], axis=1)
+        self._table = table
+        self._inv = np.argmax(table == e, axis=1)
         self._table.flags.writeable = False
         self._inv.flags.writeable = False
 
-    # -- enumeration ---------------------------------------------------
+    # -- elements ------------------------------------------------------
 
     @property
     def order(self) -> int:
@@ -432,7 +413,7 @@ class FiniteGroup:
 
     @property
     def backend(self) -> str:
-        return self._backend.kind
+        return self._kind
 
     def elements(self) -> tuple:
         return self._elements
@@ -459,9 +440,6 @@ class FiniteGroup:
     def _check(self, a: GroupElement):
         if not isinstance(a, GroupElement) or a.group is not self:
             raise ForeignElement(f"{a!r} does not belong to this group")
-
-    def _repr_key(self, key: tuple) -> str:
-        return self._backend.repr_key(key)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -567,79 +545,29 @@ class FiniteGroup:
         """inv[i] = index of the inverse of element i, read-only."""
         return self._inv
 
-    def _fill_table(self, tree: dict, right_perms: np.ndarray) -> np.ndarray:
-        """Cayley table from the generators' right multiplications.
-
-        Column z of the table is x -> x*z.  Where the enumeration reached z as
-        y*g, that column is g's right multiplication applied to column y,
-        since x*(y*g) = (x*y)*g; the tree's insertion order fills y first.
-        """
-        n = self.order
-        index = self._index
-        cols = np.empty((n, n), dtype=np.int64)
-        for key, link in tree.items():
-            if link is None:
-                cols[index[key]] = np.arange(n)
-            else:
-                parent, pos = link
-                cols[index[key]] = right_perms[pos][cols[index[parent]]]
-        return np.ascontiguousarray(cols.T)
-
-    def _verify_relations(self, right_perms: np.ndarray):
-        """Decide a pc presentation from its defining relations.
-
-        The enumeration has reached all p^n normal words.  If every power
-        and commutator relation holds between the generators' right
-        multiplications of the words, those maps are bijections (g_n^p = 1,
-        and g_i^p is a word in later generators) and define an action of the
-        presented group (von Dyck's theorem), transitive on p^n points.  That
-        group has at most p^n elements, so the action is regular and the
-        presentation consistent.  In a consistent presentation every
-        relation holds, so a failing one proves it inconsistent.
-        """
-        backend = self._backend
-        pres = backend.presentation
-        n = self.order
-
-        def act(letters) -> np.ndarray:
-            x = np.arange(n)
-            for i in letters:
-                x = right_perms[i - 1][x]
-            return x
-
-        def word(w: NormalWord) -> str:
-            key = [0] * pres.ngens
-            for idx, exp in w:
-                key[idx - 1] = exp
-            return backend.repr_key(tuple(key))
-
-        for i in range(pres.ngens, 0, -1):
-            if not np.array_equal(act([i] * pres.p), act(backend._power_letters[i])):
-                raise InconsistentPresentation(
-                    f"relation g{i}^{pres.p} = {word(pres.powers.get(i, ()))} fails"
-                )
-        for j in range(2, pres.ngens + 1):
-            for i in range(1, j):
-                rhs = [i, j, *backend._comm_letters.get((j, i), ())]
-                if not np.array_equal(act([j, i]), act(rhs)):
-                    raise InconsistentPresentation(
-                        f"relation [g{j}, g{i}] = {word(pres.commutators.get((j, i), ()))} fails"
-                    )
-
     def __repr__(self):
         return f"FiniteGroup({self.backend}, order={self.order})"
 
 
-def build_group(spec, *, budget: int = TABLE_CAP) -> FiniteGroup:
+def build_group(spec) -> FiniteGroup:
     """Build a FiniteGroup from a PcPresentation or a PermutationGenSet.
 
-    Raises BudgetExceeded once the enumeration passes ``budget`` elements and
-    InconsistentPresentation for a pc presentation whose relations fail.
+    Raises BudgetExceeded for a group of more than TABLE_CAP elements and
+    InconsistentPresentation for a pc presentation that defines no group of
+    order p^n.
     """
     if isinstance(spec, PcPresentation):
-        return FiniteGroup(_PcBackend(spec), budget=budget)
+        if spec.order > TABLE_CAP:
+            raise BudgetExceeded(
+                f"presentation of order {spec.order} passes the cap of {TABLE_CAP} elements"
+            )
+        n, p = spec.ngens, spec.p
+        keys = itertools.product(range(p), repeat=n)
+        gens = [(f"g{i}", tuple(int(k == i - 1) for k in range(n))) for i in range(1, n + 1)]
+        return FiniteGroup("pc", keys, _pc_table(spec), gens, _pc_repr)
     if isinstance(spec, PermutationGenSet):
-        return FiniteGroup(_PermBackend(spec), budget=budget)
+        keys, table = _perm_table(spec)
+        return FiniteGroup("perm", keys, table, spec.generators, _perm_repr)
     raise MalformedSpec(f"cannot build a group from {type(spec).__name__}")
 
 

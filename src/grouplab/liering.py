@@ -865,7 +865,7 @@ def _ordered_cyclic_product(G: FiniteGroup, rhos) -> np.ndarray:
 
 def check_prop_2_11(G: FiniteGroup, w: DecompositionWitness) -> Verdict:
     """Ordered cyclic product times each series tail must cover the group."""
-    series = dimension_series(G)
+    series = build_dl(G).series
     product = np.flatnonzero(_ordered_cyclic_product(G, w.rhos))
     for i in range(1, len(series.terms) + 1):
         covered = _product_mask(G, product, series.term(i + 1).idx)
@@ -882,7 +882,7 @@ def check_prop_2_11(G: FiniteGroup, w: DecompositionWitness) -> Verdict:
 
 def check_cor_2_14(G: FiniteGroup, w: DecompositionWitness) -> Verdict:
     """Every series-term index must stay within K^s."""
-    series = dimension_series(G)
+    series = build_dl(G).series
     bound = w.K**w.s
     worst = 1
     for term in series.terms:

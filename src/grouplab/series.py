@@ -35,7 +35,6 @@ from .groups import (
     Automorphism,
     FiniteGroup,
     GroupElement,
-    _CosetBackend,
     inner_automorphism,
 )
 
@@ -399,40 +398,67 @@ def verify_np_series(G: FiniteGroup, series: NormalSeries, p: int) -> Verdict:
     return Verdict(True)
 
 
+def _coset_reps(G: FiniteGroup, kernel_idx: np.ndarray) -> np.ndarray:
+    """rep[x] = the minimal element index in the coset x·N, N given by its indices.
+
+    Index order is key order, so this is also the minimal-key representative.
+    """
+    T = G.table()
+    rep = np.full(G.order, -1, dtype=np.int64)
+    for x in range(G.order):
+        if rep[x] < 0:
+            coset = T[x, kernel_idx]
+            rep[coset] = coset.min()
+    return rep
+
+
 class QuotientGroup:
     """G/N as a FiniteGroup over minimal-key coset representatives."""
 
-    __slots__ = ("parent", "normal", "group", "_backend")
+    __slots__ = ("parent", "normal", "group", "_proj")
 
     def __init__(self, parent: FiniteGroup, normal: Subgroup):
         _same_parent(parent, normal, "normal subgroup")
         if not normal.is_normal:
             raise NotNormal(f"subgroup of order {normal.order} is not normal")
-        backend = _CosetBackend(parent, normal.idx)
-        group = FiniteGroup(backend)
-        if group.order * normal.order != parent.order:
+        rep = _coset_reps(parent, normal.idx)
+        reps = np.flatnonzero(rep == np.arange(parent.order))  # each its own representative
+        if len(reps) * normal.order != parent.order:
             raise NotNormal("coset decomposition does not partition the group")
+        pos = np.empty(parent.order, dtype=np.int64)
+        pos[reps] = np.arange(len(reps))
+        proj = pos[rep]  # parent index -> index of its coset in G/N
+        keys = parent._keys
+        e = proj[parent.index_of(parent.identity)]
+        gens = {}  # key -> name of the first parent generator in a nontrivial coset
+        for name, gen in zip(parent.generator_names, parent.generators):
+            q = proj[parent.index_of(gen)]
+            if q != e:
+                gens.setdefault(keys[reps[q]], name)
+        table = proj[parent.table()[np.ix_(reps, reps)]]
         self.parent = parent
         self.normal = normal
-        self.group = group
-        self._backend = backend
+        self.group = FiniteGroup(
+            "quotient",
+            [keys[r] for r in reps],
+            table,
+            [(name, key) for key, name in gens.items()],
+            parent._repr_key,
+        )
+        self._proj = proj
         self._verify_projection()
 
     def _verify_projection(self):
         """The projection G -> G/N is a homomorphism, checked on every pair."""
         tp = self.parent.table()
         tq = self.group.table()
-        keys = self.parent._keys
-        proj = np.array(
-            [self.group._index[keys[r]] for r in self._backend.rep], dtype=np.int64
-        )
+        proj = self._proj
         for x in range(self.parent.order):
             if not np.array_equal(proj[tp[x]], tq[proj[x], proj]):
                 raise NotNormal("projection fails to be a homomorphism")
 
     def project(self, x: GroupElement) -> GroupElement:
-        rep = self._backend.rep[self.parent.index_of(x)]
-        return self.group.element(self.parent._keys[rep])
+        return self.group.element_at(self._proj[self.parent.index_of(x)])
 
     def lift(self, qx: GroupElement) -> GroupElement:
         self.group._check(qx)

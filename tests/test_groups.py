@@ -1,5 +1,6 @@
 """Group backends checked against independent matrix models and each other."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -306,18 +307,11 @@ def test_inconsistent_presentation_rejected():
         build_group(PcPresentation(2, 2, {}, {(2, 1): ((2, 1),)}))
 
 
-def test_enumeration_budget():
-    with pytest.raises(BudgetExceeded):
-        build_group(
-            PermutationGenSet(
-                4,
-                (
-                    ("a", perm_from_cycles(4, [[1, 2]])),
-                    ("b", perm_from_cycles(4, [[1, 2, 3, 4]])),
-                ),
-            ),
-            budget=5,
-        )
+def test_pc_presentation_over_the_cap_is_refused_before_any_table_work():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="4096"):
+        build_group(PcPresentation(2, 12))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_foreign_element_rejected():

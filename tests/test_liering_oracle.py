@@ -21,7 +21,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-import grouplab.groups as groups_module
 from grouplab import checks, corpus_text, liering, parse_fixture, run_checks
 from grouplab.errors import (
     ActionNotWellDefined,
@@ -605,10 +604,8 @@ def pc_p_groups(draw):
     powers = {i: word(i, False) for i in range(1, n + 1)}
     comms = {(j, i): word(j, True) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
     try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(groups_module, "COLLECTION_STEP_BUDGET", 2000)
-            return build_group(PcPresentation(p, n, powers, comms))
-    except (InconsistentPresentation, BudgetExceeded):
+        return build_group(PcPresentation(p, n, powers, comms))
+    except InconsistentPresentation:
         assume(False)
 
 

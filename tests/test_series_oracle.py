@@ -635,15 +635,8 @@ def perm_cases() -> list:
 
 @pytest.mark.parametrize("name", perm_cases())
 def test_series_orders_match_sympy(name):
-    combinatorics = pytest.importorskip("sympy.combinatorics")
     G = cases()[name]
-    genset = G._backend.genset
-    S = combinatorics.PermutationGroup(
-        [
-            combinatorics.Permutation(list(images), size=genset.degree)
-            for _, images in genset.generators
-        ]
-    )
+    S = sympy_group(G)
     assert S.order() == G.order
     lcs = lower_central_series(G)
     der = derived_series(G)
@@ -655,12 +648,9 @@ def test_series_orders_match_sympy(name):
 
 def sympy_group(G):
     combinatorics = pytest.importorskip("sympy.combinatorics")
-    genset = G._backend.genset
+    degree = len(G.identity.key)
     return combinatorics.PermutationGroup(
-        [
-            combinatorics.Permutation(list(images), size=genset.degree)
-            for _, images in genset.generators
-        ]
+        [combinatorics.Permutation(list(g.key), size=degree) for g in G.generators]
     )
 
 
