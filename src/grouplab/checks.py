@@ -471,7 +471,8 @@ def emit_report(report: CheckReport, fmt: str = "json") -> str:
 class RunContext:
     """Realized fixtures plus the decomposition witnesses shared across checks.
 
-    Graded algebras are not cached here: build_dl keeps each one on its group.
+    Graded algebras and series are not cached here: build_dl and the series
+    functions keep each one on its group.
     """
 
     def __init__(self, fx: FixtureFile, budget: int = SCAN_BUDGET):

@@ -382,7 +382,8 @@ class FiniteGroup:
     vector, image tuple, or coset representative key) doubles as the lookup
     key everywhere.  Products and inverses are read from the Cayley table.
     Instances are immutable once built; the caches populated lazily (element
-    orders, exponent, the graded Lie ring) never change observable values.
+    orders, exponent, series, the graded Lie ring) never change observable
+    values.
     """
 
     def __init__(self, kind: str, keys, table: np.ndarray, generators, repr_key):
@@ -400,6 +401,7 @@ class FiniteGroup:
         self._order_memo = {}
         self._exponent = None
         self._lie_ring = None  # the graded Lie ring, kept by liering.build_dl
+        self._series = {}  # series by kind (and prime), kept by the series module
         self._table = table
         self._inv = np.argmax(table == e, axis=1)
         self._table.flags.writeable = False

@@ -417,8 +417,11 @@ def engel_index_of_element(
 ) -> Optional[int]:
     """Least n with [g, x, x, ..., x] (n copies) trivial for every g, else None.
 
-    Per starting point the iteration stops on reaching the identity or on
-    revisiting an element, so termination never relies on the cutoff.
+    Every starting point g is stepped at once, y -> [y, x] = (xy)^-1 (yx) on
+    an index array read from the Cayley table.  The identity is fixed by the
+    step, and a start that reaches it does so within |G| steps (the values
+    before it are distinct, or they would cycle), so the iteration stops
+    after min(cutoff, |G|) steps whatever the cutoff.
     """
     if not isinstance(x, GroupElement) or x.group is not G:
         raise ForeignElement("x must be an element of G")
@@ -426,18 +429,13 @@ def engel_index_of_element(
         cutoff = G.order
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    worst = 1
-    for g in G.elements():
-        y = G.commutator(g, x)
-        k = 1
-        seen = {y.key}
-        while not y.is_identity():
-            if k >= cutoff:
-                return None
-            y = G.commutator(y, x)
-            k += 1
-            if y.key in seen:
-                return None  # cycle that never reaches the identity
-            seen.add(y.key)
-        worst = max(worst, k)
-    return worst
+    T = G.table()
+    inv = G.inverse_indices()
+    xi = G.index_of(x)
+    e = G.index_of(G.identity)
+    y = np.arange(G.order)
+    for k in range(1, min(cutoff, G.order) + 1):
+        y = T[inv[T[xi, y]], T[y, xi]]
+        if (y == e).all():
+            return k
+    return None

@@ -1,16 +1,21 @@
 """Subgroup lattice computations and descending series.
 
 A subgroup is a read-only boolean mask over its parent group's element
-indices, verified at construction over rows of the Cayley table: closed
-under products, with a normality flag from conjugation by each generator.
-Closures, commutator and power subgroups, normal closures and centralizers
-are computed on index arrays, reading products from the table T and
-inverses from the inverse array, never one element handle at a time.
+indices, verified at construction in table blocks: every product of two
+members stays inside, and a normality flag comes from conjugation by each
+generator.  Closures, commutator and power subgroups, normal closures and
+centralizers are computed on index arrays, reading products from the table
+T and inverses from the inverse array, never one element handle at a time.
+The pairwise kernels (subgroup verification, commutator values, the
+projection check of a quotient) read the table in blocks of at most _BLOCK
+entries, so their temporaries stay small however large the group.
 Series are descending chains of such subgroups; the dimension series is
 assembled directly from its defining product of power subgroups of the
-lower central terms.  Quotients come back as full FiniteGroup instances over
-canonical (minimal-key) coset representatives, so every series computation
-can recurse into them, which is how Fitting heights are measured; the
+lower central terms.  The lower central, derived and dimension series are
+kept on the group once computed, so each is built at most once per group.
+Quotients come back as full FiniteGroup instances over canonical
+(minimal-key) coset representatives, so every series computation can
+recurse into them, which is how Fitting heights are measured; the
 projection onto a quotient is verified a homomorphism on every pair of
 elements.  The Fitting subgroup is assembled from one normal closure per
 conjugacy class, merging each nilpotent one into the product found so far
@@ -65,15 +70,24 @@ __all__ = [
 ]
 
 SERIES_LENGTH_CAP = 4096
+_BLOCK = 8192  # table entries read per block by the pairwise kernels
+
+
+def _blocks(items: np.ndarray, width: int):
+    """Consecutive runs of items, each with at most _BLOCK // width of them (at least one)."""
+    step = max(1, _BLOCK // max(width, 1))
+    for start in range(0, len(items), step):
+        yield items[start : start + step]
 
 
 class Subgroup:
     """Verified subgroup of a FiniteGroup, stored as a boolean mask over its indices.
 
     The mask is read-only; ``idx`` is the sorted index array it marks.  At
-    construction closure is verified over table rows (every product a·b with
+    construction closure is verified on every pair (every product a·b with
     a, b in the subgroup stays inside) and normality over conjugation by each
-    generator of the parent.
+    generator of the parent, both in table blocks of at most _BLOCK entries.
+    The series built from subgroups are kept on the parent group.
     """
 
     __slots__ = ("group", "mask", "idx", "is_normal")
@@ -93,17 +107,20 @@ class Subgroup:
         if not mask[group.index_of(group.identity)]:
             raise ForeignElement("subgroup candidate is missing the identity")
         T = group.table()
-        for a in idx:
-            inside = mask[T[a, idx]]
+        for rows in _blocks(idx, len(idx)):
+            inside = mask[T[rows[:, None], idx]]
             if not inside.all():
-                b = idx[np.argmin(inside)]
+                r, c = divmod(int(np.argmin(inside)), len(idx))  # first escape, row-major
                 raise ForeignElement(
-                    f"candidate set is not closed: {group.element_at(a)!r} * "
-                    f"{group.element_at(b)!r} escapes"
+                    f"candidate set is not closed: {group.element_at(rows[r])!r} * "
+                    f"{group.element_at(idx[c])!r} escapes"
                 )
         inv = group.inverse_indices()
-        gens = [group.index_of(x) for x in group.generators]
-        self.is_normal = all(mask[T[T[inv[g], idx], g]].all() for g in gens)
+        gens = np.array([group.index_of(x) for x in group.generators], dtype=np.int64)
+        self.is_normal = all(
+            mask[T[T[inv[gens][:, None], cols], gens[:, None]]].all()
+            for cols in _blocks(idx, len(gens))
+        )
 
     @property
     def order(self) -> int:
@@ -175,7 +192,7 @@ def _closure(G: FiniteGroup, gens) -> np.ndarray:
         frontier = np.flatnonzero(mask)
         while frontier.size:
             fresh = np.zeros(G.order, dtype=bool)
-            fresh[T[np.ix_(frontier, kept)]] = True
+            fresh[T[frontier[:, None], kept]] = True
             fresh &= ~mask
             mask |= fresh
             frontier = np.flatnonzero(fresh)
@@ -195,12 +212,13 @@ def _power_map(G: FiniteGroup, k: int) -> np.ndarray:
 
 
 def _commutator_values(G: FiniteGroup, hs, ks) -> np.ndarray:
-    """Mask of the values [h, k] = (kh)^-1 (hk) over h in hs and k in ks."""
+    """Mask of the values [h, k] = (kh)^-1 (hk) over h in hs and k in ks, in table blocks."""
     T = G.table()
     inv = G.inverse_indices()
     ks = np.asarray(ks, dtype=np.int64)
     values = np.zeros(G.order, dtype=bool)
-    for h in hs:
+    for h in _blocks(np.asarray(hs, dtype=np.int64), len(ks)):
+        h = h[:, None]
         values[T[inv[T[ks, h]], T[h, ks]]] = True
     return values
 
@@ -301,7 +319,10 @@ class NormalSeries:
 
 
 def lower_central_series(G: FiniteGroup) -> NormalSeries:
-    """G = γ_1 ≥ γ_2 ≥ ..., γ_{i+1} = [γ_i, G], cut at stabilization."""
+    """G = γ_1 ≥ γ_2 ≥ ..., γ_{i+1} = [γ_i, G], cut at stabilization; kept on G."""
+    kept = G._series.get("lower-central")
+    if kept is not None:
+        return kept
     whole = whole_subgroup(G)
     terms = [whole]
     while True:
@@ -309,18 +330,23 @@ def lower_central_series(G: FiniteGroup) -> NormalSeries:
         if nxt == terms[-1]:
             break
         terms.append(nxt)
-    return NormalSeries(G, "lower-central", tuple(terms))
+    series = G._series["lower-central"] = NormalSeries(G, "lower-central", tuple(terms))
+    return series
 
 
 def derived_series(G: FiniteGroup) -> NormalSeries:
-    """G ≥ [G,G] ≥ [[G,G],[G,G]] ≥ ..., cut at stabilization."""
+    """G ≥ [G,G] ≥ [[G,G],[G,G]] ≥ ..., cut at stabilization; kept on G."""
+    kept = G._series.get("derived")
+    if kept is not None:
+        return kept
     terms = [whole_subgroup(G)]
     while True:
         nxt = commutator_subgroup(G, terms[-1], terms[-1])
         if nxt == terms[-1]:
             break
         terms.append(nxt)
-    return NormalSeries(G, "derived", tuple(terms))
+    series = G._series["derived"] = NormalSeries(G, "derived", tuple(terms))
+    return series
 
 
 def _p_of(G: FiniteGroup, p) -> int:
@@ -333,8 +359,14 @@ def _p_of(G: FiniteGroup, p) -> int:
 
 
 def dimension_series(G: FiniteGroup, p: int | None = None) -> NormalSeries:
-    """D_i = product of all γ_j^{p^k} with j·p^k ≥ i, down to the trivial subgroup."""
+    """D_i = product of all γ_j^{p^k} with j·p^k ≥ i, down to the trivial subgroup.
+
+    Kept on G; a call that raises keeps nothing.
+    """
     p = _p_of(G, p)
+    kept = G._series.get(("dimension", p))
+    if kept is not None:
+        return kept
     gamma = lower_central_series(G)
     terms = [gamma.terms[0]]
     power_maps = {}
@@ -353,7 +385,8 @@ def dimension_series(G: FiniteGroup, p: int | None = None) -> NormalSeries:
             gens.append(power_maps[q][gamma.term(j).idx])
         terms.append(Subgroup(G, _closure(G, np.concatenate(gens))))
         i += 1
-    return NormalSeries(G, "dimension", tuple(terms))
+    series = G._series[("dimension", p)] = NormalSeries(G, "dimension", tuple(terms))
+    return series
 
 
 @dataclass(frozen=True)
@@ -435,7 +468,7 @@ class QuotientGroup:
             q = proj[parent.index_of(gen)]
             if q != e:
                 gens.setdefault(keys[reps[q]], name)
-        table = proj[parent.table()[np.ix_(reps, reps)]]
+        table = proj[parent.table()[reps[:, None], reps]]
         self.parent = parent
         self.normal = normal
         self.group = FiniteGroup(
@@ -449,12 +482,13 @@ class QuotientGroup:
         self._verify_projection()
 
     def _verify_projection(self):
-        """The projection G -> G/N is a homomorphism, checked on every pair."""
+        """The projection G -> G/N is a homomorphism, checked on every pair in table blocks."""
         tp = self.parent.table()
         tq = self.group.table()
         proj = self._proj
-        for x in range(self.parent.order):
-            if not np.array_equal(proj[tp[x]], tq[proj[x], proj]):
+        n = self.parent.order
+        for rows in _blocks(np.arange(n), n):
+            if not np.array_equal(proj[tp[rows]], tq[proj[rows][:, None], proj]):
                 raise NotNormal("projection fails to be a homomorphism")
 
     def project(self, x: GroupElement) -> GroupElement:

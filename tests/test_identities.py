@@ -28,6 +28,7 @@ from grouplab.identities import (
     left_normed,
 )
 from grouplab.liering import build_dl
+from test_series_oracle import cases
 
 
 def pc(p, n, powers=None, comms=None):
@@ -388,6 +389,35 @@ def test_engel_index_cutoff_and_errors():
         engel_index_of_element(G, H.identity)
     with pytest.raises(ValueError):
         engel_index_of_element(G, G.identity, cutoff=0)
+
+
+def ref_engel_index(G, x, cutoff=None):
+    """The handle loop: one starting point at a time, stopping on the identity or a revisit."""
+    if cutoff is None:
+        cutoff = G.order
+    worst = 1
+    for g in G.elements():
+        y = G.commutator(g, x)
+        k = 1
+        seen = {y.key}
+        while not y.is_identity():
+            if k >= cutoff:
+                return None
+            y = G.commutator(y, x)
+            k += 1
+            if y.key in seen:
+                return None  # cycle that never reaches the identity
+            seen.add(y.key)
+        worst = max(worst, k)
+    return worst
+
+
+@pytest.mark.parametrize("name", sorted(cases()))
+def test_engel_index_matches_handle_loop(name):
+    G = cases()[name]
+    for x in G.elements():
+        for cutoff in (None, 1, 2, 3, 5):
+            assert engel_index_of_element(G, x, cutoff) == ref_engel_index(G, x, cutoff)
 
 
 @pytest.mark.parametrize("make", [d8, heis27, lambda: pc(3, 2, {1: ((2, 1),)})])

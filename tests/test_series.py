@@ -1,8 +1,12 @@
 """Series layer: frozen small-group values plus defining-formula oracles."""
 
+import tracemalloc
+
 import pytest
 
+from grouplab import series
 from grouplab.errors import (
+    BudgetExceeded,
     MismatchedParent,
     NotAPGroup,
     NotNormal,
@@ -15,6 +19,7 @@ from grouplab.groups import (
     build_group,
     perm_from_cycles,
 )
+from grouplab.liering import build_dl
 from grouplab.series import (
     NormalSeries,
     Subgroup,
@@ -259,6 +264,37 @@ def test_dimension_series_requires_p_group():
         dimension_series(s3())
     with pytest.raises(NotAPGroup):
         dimension_series(c9(), 2)
+
+
+def test_series_are_kept_on_the_group():
+    G = heis27()
+    assert dimension_series(G) is build_dl(G).series
+    assert dimension_series(G, 3) is dimension_series(G)
+    assert lower_central_series(G) is lower_central_series(G)
+    assert derived_series(G) is derived_series(G)
+
+
+def test_dimension_series_over_budget_keeps_nothing(monkeypatch):
+    G = heis27()
+    monkeypatch.setattr(series, "SERIES_LENGTH_CAP", 1)
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            dimension_series(G)
+    monkeypatch.undo()
+    assert dimension_series(G).orders() == [27, 3, 1]
+
+
+def test_lower_central_series_memory_is_bounded_by_the_block():
+    G = pc(2, 11)
+    assert G.order == 2048
+    tracemalloc.start()
+    try:
+        lcs = lower_central_series(G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lcs.orders() == [2048, 1]
+    assert peak < 2**20
 
 
 # -- N_p-series verification --------------------------------------------

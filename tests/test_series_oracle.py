@@ -26,12 +26,20 @@ from grouplab.actions import realize_actions
 from grouplab.corpus import load_corpus
 from grouplab.errors import BudgetExceeded, ForeignElement, HypothesisNotMet
 from grouplab.fixtures import parse_fixture, realize_automorphisms, realize_groups
-from grouplab.groups import FiniteGroup, PermutationGenSet, build_group, is_prime
+from grouplab.groups import (
+    FiniteGroup,
+    PcPresentation,
+    PermutationGenSet,
+    build_group,
+    is_prime,
+    perm_from_cycles,
+)
 from grouplab.liering import _ordered_cyclic_product, check_prop_2_11, decomposition_witness
 from grouplab.series import (
     Subgroup,
     Verdict,
     _class_representatives,
+    _commutator_values,
     _product_mask,
     commutator_subgroup,
     derived_series,
@@ -602,6 +610,87 @@ def test_subgroup_mask_is_read_only_and_indices_follow_it():
     assert not H.mask.flags.writeable
     assert [G.index_of(x) for x in H.elements()] == list(H.idx)
     assert all(H.mask[i] == (G.element_at(i) in H) for i in range(G.order))
+
+
+# -- kernels spanning many table blocks ------------------------------------------------
+
+
+@functools.cache
+def c2_11() -> FiniteGroup:
+    return build_group(PcPresentation(2, 11))
+
+
+@functools.cache
+def s6() -> FiniteGroup:
+    gens = (("a", perm_from_cycles(6, [[1, 2]])), ("b", perm_from_cycles(6, [[1, 2, 3, 4, 5, 6]])))
+    return build_group(PermutationGenSet(6, gens))
+
+
+def ref_commutator_values(G, hs, ks) -> np.ndarray:
+    """The per-h loop: one table column of values [h, k] = (kh)^-1 (hk) per h."""
+    T = G.table()
+    inv = G.inverse_indices()
+    ks = np.asarray(ks, dtype=np.int64)
+    values = np.zeros(G.order, dtype=bool)
+    for h in hs:
+        values[T[inv[T[ks, h]], T[h, ks]]] = True
+    return values
+
+
+def ref_first_escape(G, mask):
+    """The row loop: the first (a, b) in row-major order with a·b outside the mask."""
+    T = G.table()
+    idx = np.flatnonzero(mask)
+    for a in idx:
+        inside = mask[T[a, idx]]
+        if not inside.all():
+            return a, idx[np.argmin(inside)]
+    return None
+
+
+def test_commutator_values_over_many_blocks_match_the_per_h_loop():
+    for G in (c2_11(), s6()):
+        everything = np.arange(G.order)
+        half = everything[: G.order // 2]
+        for hs, ks in [(everything, everything), (half, everything), (everything, half[:7])]:
+            assert np.array_equal(_commutator_values(G, hs, ks), ref_commutator_values(G, hs, ks))
+    # a full block of identities, then a transposition: every nontrivial value is in the last block
+    G = s6()
+    e, t = G.index_of(G.identity), G.index_of(G.generator_by_name("a"))
+    hs = [e] * (series._BLOCK // G.order) + [t]
+    got = _commutator_values(G, hs, np.arange(G.order))
+    assert got.sum() > 1
+    assert np.array_equal(got, ref_commutator_values(G, hs, np.arange(G.order)))
+
+
+def point_images(G) -> np.ndarray:
+    return np.array([key[0] for key in G._keys])
+
+
+# Unions of cosets of a subgroup whose indices come first: its rows are
+# closed and the first escape is on the first row of the next coset.
+UNCLOSED = [
+    # <g3..g11> with its cosets by g2 and g1: the first escape is in block 103 of 308
+    (c2_11, lambda G: np.arange(G.order) < 1536, None),
+    # the stabilizer of a point with one of its cosets: block 4 of 8
+    (s6, lambda G: point_images(G) <= 1, None),
+    # the same in blocks of 120 rows, so that the escapes fill the last block
+    (s6, lambda G: point_images(G) <= 1, 240 * 120),
+]
+
+
+@pytest.mark.parametrize("make,unclosed,block", UNCLOSED)
+def test_unclosed_mask_names_the_row_loops_first_escape(make, unclosed, block, monkeypatch):
+    G = make()
+    mask = unclosed(G)
+    if block is not None:
+        monkeypatch.setattr(series, "_BLOCK", block)
+    a, b = ref_first_escape(G, mask)
+    with pytest.raises(ForeignElement) as err:
+        Subgroup(G, mask)
+    assert str(err.value) == (
+        f"candidate set is not closed: {G.element_at(a)!r} * {G.element_at(b)!r} escapes"
+    )
 
 
 # -- the series stay off the handle path ------------------------------------------
