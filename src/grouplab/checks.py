@@ -34,7 +34,7 @@ from .errors import (
     UnknownCheck,
 )
 from .fixtures import FixtureFile, realize_automorphisms, realize_groups
-from .groups import Automorphism, FiniteGroup, is_prime
+from .groups import Automorphism, FiniteGroup, _blocks, is_prime
 from .identities import engel_index_of_element, higman_polynomial, holds_identity
 from .liering import (
     _lazard_table,
@@ -51,8 +51,10 @@ from .liering import (
 from .series import (
     Subgroup,
     Verdict,
+    _class_closure,
     _class_representatives,
     _closure,
+    _commutator_values,
     _power_map,
     _product_mask,
     centralizer,
@@ -63,12 +65,8 @@ from .series import (
     is_nilpotent_subgroup,
     is_powerful,
     lower_central_series,
-    normal_closure,
     power_subgroup,
-    quotient_group,
-    trivial_subgroup,
     verify_np_series,
-    whole_subgroup,
 )
 
 SCAN_BUDGET = 10**6
@@ -76,7 +74,7 @@ POWER_BUDGET = 2**20
 
 
 def _subgroup_exponent(G: FiniteGroup, H: Subgroup) -> int:
-    return math.lcm(*(G.element_order(x) for x in H.elements()))
+    return math.lcm(*np.flatnonzero(np.bincount(G.element_orders()[H.idx])).tolist())
 
 
 def _is_prime_power(n: int, q: int) -> bool:
@@ -85,22 +83,18 @@ def _is_prime_power(n: int, q: int) -> bool:
     return n == 1
 
 
-def _k_commutators(G: FiniteGroup, k: int, budget: int) -> list:
-    """All values of left-normed weight-k commutators, sorted by key."""
+def _k_commutators(G: FiniteGroup, k: int, budget: int) -> np.ndarray:
+    """Indices of all values of left-normed weight-k commutators, in key order."""
     if k < 1:
         raise MalformedSpec("need k >= 1")
     if G.order**k > budget:
         raise BudgetExceeded(f"|G|^{k} = {G.order ** k} exceeds the budget of {budget}")
     # weight-k values are [c, z] for c a weight-(k-1) value and z in G
-    T = G.table()
-    inv = G.inverse_indices()
+    everything = np.arange(G.order)
     values = np.ones(G.order, dtype=bool)
     for _ in range(k - 1):
-        nxt = np.zeros(G.order, dtype=bool)
-        for c in np.flatnonzero(values):
-            nxt[T[inv[T[:, c]], T[c]]] = True
-        values = nxt
-    return [G.element_at(i) for i in np.flatnonzero(values)]
+        values = _commutator_values(G, np.flatnonzero(values), everything)
+    return np.flatnonzero(values)
 
 
 # -- the collection congruence -----------------------------------------
@@ -165,23 +159,22 @@ def check_lemma_3_3(
             candidates = [
                 q for q in range(2, G.order + 1) if G.order % q == 0 and is_prime(q)
             ]
+    orders = G.element_orders()[commutators].tolist()
     failures = []
     chosen = None
     for q in candidates:
-        bad = next(
-            (c for c in commutators if not _is_prime_power(G.element_order(c), q)),
-            None,
-        )
+        bad = next((i for i, n in enumerate(orders) if not _is_prime_power(n, q)), None)
         if bad is None:
             chosen = q
             break
         failures.append((q, bad))
     if chosen is None:
         q, bad = failures[-1]
+        witness = G.element_at(commutators[bad])
         raise HypothesisNotMet(
-            f"commutator {bad!r} of order {G.element_order(bad)} is not a "
+            f"commutator {witness!r} of order {orders[bad]} is not a "
             f"{q}-element" + ("" if p is not None else " (no prime works)"),
-            witness=bad,
+            witness=witness,
         )
     term = lower_central_series(G).term(k)
     ok = _is_prime_power(term.order, chosen)
@@ -195,7 +188,7 @@ def check_lemma_3_3(
 
 def check_lemma_3_4(G: FiniteGroup, k: int = 2, budget: int = SCAN_BUDGET) -> Verdict:
     """If every weight-k commutator is an Engel element, the k-th term is nilpotent."""
-    commutators = _k_commutators(G, k, budget)
+    commutators = [G.element_at(i) for i in _k_commutators(G, k, budget)]
     worst = 1
     for c in commutators:
         idx = engel_index_of_element(G, c)
@@ -276,17 +269,18 @@ def check_4_2(fx: ActionFixture) -> Verdict:
 def _invariant_normal_family(fx: ActionFixture) -> list:
     """Trivial, whole, and single-element normal closures that A preserves.
 
-    A normal closure depends only on the conjugacy class, so one is built per
-    class, from its minimal index; the family keeps first-occurrence order.
+    A normal closure depends only on the conjugacy class, so one mask is
+    built per class, from its minimal index, and only the distinct masks
+    become (verified) subgroups; the family keeps first-occurrence order.
     """
     G = fx.group
-    family = [trivial_subgroup(G), whole_subgroup(G)]
-    seen = set(family)
+    masks = {}  # mask bytes -> mask, in first-occurrence order
+    for mask in [_closure(G, ()), np.ones(G.order, dtype=bool)]:
+        masks[mask.tobytes()] = mask
     for x in _class_representatives(G):
-        closure = normal_closure(G, [G.element_at(x)])
-        if closure not in seen:
-            seen.add(closure)
-            family.append(closure)
+        mask = _class_closure(G, x)
+        masks.setdefault(mask.tobytes(), mask)
+    family = [Subgroup(G, mask) for mask in masks.values()]
     return [
         N
         for N in family
@@ -295,29 +289,30 @@ def _invariant_normal_family(fx: ActionFixture) -> list:
 
 
 def check_4_6(fx: ActionFixture) -> Verdict:
-    """Fixed points pass to quotients: C_{G/N}(A) = image of C_G(A)."""
+    """Fixed points pass to quotients: C_{G/N}(A) = image of C_G(A).
+
+    Both sides are compared as unions of N-cosets in G, with no quotient
+    group built: the preimage of the image of C_G(A) is the product C_G(A)N,
+    and the preimage of C_{G/N}(A) is {x : φ(x) x^-1 ∈ N for every φ}.
+    """
     _needs_coprime(fx)
     G = fx.group
+    T = G.table()
+    inv = G.inverse_indices()
     fixed = centralizer(G, fx.generators)
     family = _invariant_normal_family(fx)
     tested = []
     for N in family:
-        quot = quotient_group(G, N)
-        induced = [
-            Automorphism(
-                quot.group,
-                [quot.project(phi(quot.lift(qg))) for qg in quot.group.generators],
-            )
-            for phi in fx.generators
-        ]
-        upstairs = {quot.project(x).key for x in fixed.elements()}
-        downstairs = {x.key for x in centralizer(quot.group, induced).elements()}
-        if upstairs != downstairs:
+        upstairs = _product_mask(G, fixed.idx, N.idx)
+        downstairs = np.ones(G.order, dtype=bool)
+        for phi in fx.generators:
+            downstairs &= N.mask[T[np.asarray(phi.image_indices), inv]]
+        if not np.array_equal(upstairs, downstairs):
             return Verdict(
                 False,
                 f"fixed points disagree modulo the subgroup of order {N.order}: "
-                f"image has {len(upstairs)}, quotient centralizer has "
-                f"{len(downstairs)}",
+                f"image has {int(upstairs.sum()) // N.order}, quotient centralizer has "
+                f"{int(downstairs.sum()) // N.order}",
             )
         tested.append(N.order)
     return Verdict(
@@ -335,16 +330,18 @@ def check_4_12(G: FiniteGroup, a: Automorphism) -> Verdict:
         raise HypothesisNotMet(f"G has even order {G.order}")
     if not a.compose(a).is_identity():
         raise HypothesisNotMet("a*a is not the identity")
-    inverted = [g for g in G.elements() if a(g) == G.inverse(g)]
+    T = G.table()
+    inv = G.inverse_indices()
+    image = np.asarray(a.image_indices)
+    inverted = np.flatnonzero(image == inv)
     fixed = centralizer(G, [a])
-    counts: dict = {}
-    for g in inverted:
-        for h in fixed.elements():
-            key = G.multiply(g, h).key
-            counts[key] = counts.get(key, 0) + 1
-    unique = len(counts) == G.order and all(v == 1 for v in counts.values())
-    commutator_set = {G.multiply(G.inverse(y), a(y)).key for y in G.elements()}
-    inverted_matches = commutator_set == {g.key for g in inverted}
+    counts = np.zeros(G.order, dtype=np.int64)
+    for g in _blocks(inverted, fixed.order):
+        counts += np.bincount(T[g[:, None], fixed.idx].ravel(), minlength=G.order)
+    unique = bool((counts == 1).all())
+    commutator_set = np.zeros(G.order, dtype=bool)
+    commutator_set[T[inv, image]] = True  # [y, a] = y^-1 a(y)
+    inverted_matches = np.array_equal(commutator_set, image == inv)
     return Verdict(
         unique and inverted_matches,
         f"|inverted set| = {len(inverted)}, |C_G(a)| = {fixed.order}; "
@@ -380,10 +377,9 @@ def check_theorem_4_4_instance(
     if not a.compose(a).is_identity():
         raise HypothesisNotMet("a*a is not the identity")
     fixed = centralizer(G, [a])
-    orders = [
-        G.element_order(G.multiply(G.inverse(y), a(y))) for y in G.elements()
-    ]
-    computed = math.lcm(_subgroup_exponent(G, fixed), *orders)
+    commutators = G.table()[G.inverse_indices(), np.asarray(a.image_indices)]  # y^-1 a(y)
+    orders = np.flatnonzero(np.bincount(G.element_orders()[commutators]))  # distinct, ascending
+    computed = math.lcm(_subgroup_exponent(G, fixed), *orders.tolist())
     if n is None:
         n = computed
     elif n % computed != 0:
@@ -393,7 +389,7 @@ def check_theorem_4_4_instance(
         )
     return Verdict(
         True,
-        f"n={n}; |C_G(a)|={fixed.order}; max |[x,a]| order {max(orders)}; "
+        f"n={n}; |C_G(a)|={fixed.order}; max |[x,a]| order {int(orders[-1])}; "
         f"exponent(G)={G.exponent()}",
     )
 

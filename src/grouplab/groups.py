@@ -9,10 +9,14 @@ the table:
 - permutation groups on a small number of points, enumerated breadth-first
   from their generators (_perm_table);
 - quotient groups, from the parent's table on coset representatives
-  (series.QuotientGroup).
+  (series.QuotientGroup, for callers of the public API).
 
-Groups are capped at TABLE_CAP elements; a pc presentation over the cap is
-refused before any table work.
+The orders of all elements come from one pass over the table and are kept
+on the group.  GroupElement handles and their arithmetic serve the public
+API; the library's computations read the table and index arrays.  Pairwise
+scans, such as the homomorphism check on every pair, read the table in
+blocks of at most _BLOCK entries (_blocks).  Groups are capped at TABLE_CAP
+elements; a pc presentation over the cap is refused before any table work.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
 ]
 
 TABLE_CAP = 2048
+_BLOCK = 8192  # table entries read per block by the pairwise kernels
 
 # A normal word is a tuple of (generator index, exponent) factors with
 # strictly increasing indices; the empty tuple is the identity.
@@ -64,6 +69,13 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _blocks(items: np.ndarray, width: int):
+    """Consecutive runs of items, each with at most _BLOCK // width of them (at least one)."""
+    step = max(1, _BLOCK // max(width, 1))
+    for start in range(0, len(items), step):
+        yield items[start : start + step]
 
 
 def _validate_word(word, p: int, ngens: int, floor: int, where: str) -> NormalWord:
@@ -382,8 +394,7 @@ class FiniteGroup:
     vector, image tuple, or coset representative key) doubles as the lookup
     key everywhere.  Products and inverses are read from the Cayley table.
     Instances are immutable once built; the caches populated lazily (element
-    orders, exponent, series, the graded Lie ring) never change observable
-    values.
+    orders, series, the graded Lie ring) never change observable values.
     """
 
     def __init__(self, kind: str, keys, table: np.ndarray, generators, repr_key):
@@ -398,8 +409,7 @@ class FiniteGroup:
         self.identity = self._elements[e]
         self.generators = tuple(self._elements[index[key]] for _, key in generators)
         self.generator_names = tuple(name for name, _ in generators)
-        self._order_memo = {}
-        self._exponent = None
+        self._orders = None  # order of every element, kept by element_orders
         self._lie_ring = None  # the graded Lie ring, kept by liering.build_dl
         self._series = {}  # series by kind (and prime), kept by the series module
         self._table = table
@@ -444,9 +454,6 @@ class FiniteGroup:
             raise ForeignElement(f"{a!r} does not belong to this group")
 
     # -- arithmetic ----------------------------------------------------
-
-    def _mul_keys(self, k1: tuple, k2: tuple) -> tuple:
-        return self._keys[self._table[self._index[k1], self._index[k2]]]
 
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self._check(a)
@@ -501,23 +508,33 @@ class FiniteGroup:
         """x^g = g^-1 x g."""
         return self.multiply(self.multiply(self.inverse(g), x), g)
 
+    def element_orders(self) -> np.ndarray:
+        """orders[i] = order of element i, read-only and kept on the group.
+
+        One pass steps every element's powers x^k -> x^(k+1) along the table
+        at once, retiring each element when its power reaches the identity.
+        """
+        if self._orders is None:
+            e = self.index_of(self.identity)
+            orders = np.ones(self.order, dtype=np.int64)
+            live = np.flatnonzero(np.arange(self.order) != e)
+            power = live
+            k = 1
+            while live.size:
+                k += 1
+                power = self._table[power, live]
+                done = power == e
+                orders[live[done]] = k
+                live, power = live[~done], power[~done]
+            orders.flags.writeable = False
+            self._orders = orders
+        return self._orders
+
     def element_order(self, a: GroupElement) -> int:
-        self._check(a)
-        cached = self._order_memo.get(a.key)
-        if cached is not None:
-            return cached
-        n = 1
-        x = a
-        while not x.is_identity():
-            x = self.multiply(x, a)
-            n += 1
-        self._order_memo[a.key] = n
-        return n
+        return int(self.element_orders()[self.index_of(a)])
 
     def exponent(self) -> int:
-        if self._exponent is None:
-            self._exponent = math.lcm(*(self.element_order(a) for a in self._elements))
-        return self._exponent
+        return math.lcm(*np.flatnonzero(np.bincount(self.element_orders())).tolist())
 
     def is_p_group(self):
         """(p, k) with |G| = p^k, or None if the order is not a prime power."""
@@ -626,17 +643,18 @@ class GroupHomomorphism:
         return pairs
 
     def _verify(self):
-        """phi(ab) = phi(a) phi(b) on every pair, one table row at a time."""
+        """phi(ab) = phi(a) phi(b) on every pair, in table blocks of at most _BLOCK entries."""
         t_src = self.source.table()
         t_tgt = self.target.table()
         phi = np.asarray(self.image_indices)
-        for a in range(self.source.order):
-            bad = phi[t_src[a]] != t_tgt[phi[a], phi]
+        n = self.source.order
+        for rows in _blocks(np.arange(n), n):
+            bad = phi[t_src[rows]] != t_tgt[phi[rows][:, None], phi]
             if bad.any():
-                b = int(np.argmax(bad))
+                r, b = divmod(int(np.argmax(bad)), n)  # first failure, row-major
                 raise MalformedSpec(
                     "images do not extend to a homomorphism: fails at "
-                    f"({self.source.element_at(a)!r}, {self.source.element_at(b)!r})"
+                    f"({self.source.element_at(rows[r])!r}, {self.source.element_at(b)!r})"
                 )
 
     @property

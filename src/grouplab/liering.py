@@ -785,12 +785,7 @@ def _lazard_table(G: FiniteGroup, L: GradedLieRing, xs) -> tuple:
     power = _power_map(G, L.p)
     ads = L.ads(L.coords[xs])
     power_ok = (mat_pow(ads, L.p, L.p) == L.ads(L.coords[power[xs]])).all(axis=(1, 2))
-    order = np.ones(len(xs), dtype=np.int64)
-    cur = xs
-    while (live := cur != G.index_of(G.identity)).any():
-        order[live] *= L.p  # x has order p^k for the least k with x^(p^k) = 1
-        cur = power[cur]
-    return power_ok, L.ad_nilpotency_indices(ads), order
+    return power_ok, L.ad_nilpotency_indices(ads), G.element_orders()[xs]
 
 
 def _lazard_verdict(p: int, power_ok, index, order) -> Verdict:
@@ -847,18 +842,34 @@ def decomposition_witness(G: FiniteGroup, gens=None) -> DecompositionWitness:
         raise MalformedSpec("the given elements do not generate the group")
     c = lp_subalgebra(build_dl(G)).algebra.nilpotency_class()
     shapes = commutator_shapes(len(gens), c)
-    rhos = tuple(
-        G.long_commutator([gens[t - 1] for t in shape]) for shape in shapes
-    )
-    K = max(G.element_order(r) for r in rhos)
+    # a weight-w shape is its weight-(w-1) prefix bracketed with its last
+    # generator, and shapes come in weight order, so one index-array step
+    # per weight gives every left-normed commutator
+    T = G.table()
+    inv = G.inverse_indices()
+    position = {shape: k for k, shape in enumerate(shapes)}
+    weight = np.array([len(shape) for shape in shapes])
+    prefix = np.array([position.get(shape[:-1], -1) for shape in shapes])
+    values = np.array([G.index_of(gens[shape[-1] - 1]) for shape in shapes], dtype=np.int64)
+    for w in range(2, c + 1):
+        at = np.flatnonzero(weight == w)
+        x, y = values[prefix[at]], values[at]
+        values[at] = T[inv[T[y, x]], T[x, y]]  # [x, y] = (yx)^-1 (xy)
+    rhos = tuple(G.element_at(v) for v in values)
+    K = int(G.element_orders()[values].max())
     return DecompositionWitness(gens, c, shapes, rhos, K, len(shapes))
 
 
 def _ordered_cyclic_product(G: FiniteGroup, rhos) -> np.ndarray:
-    """Mask of the ordered product ⟨ρ_1⟩⟨ρ_2⟩···⟨ρ_s⟩."""
+    """Mask of the ordered product ⟨ρ_1⟩⟨ρ_2⟩···⟨ρ_s⟩, each factor read off ρ's table column."""
+    T = G.table()
+    orders = G.element_orders()
     acc = _closure(G, ())
     for rho in rhos:
-        powers = np.flatnonzero(_closure(G, [G.index_of(rho)]))
+        r = G.index_of(rho)
+        powers = [G.index_of(G.identity)]
+        for _ in range(orders[r] - 1):
+            powers.append(T[powers[-1], r])
         acc = _product_mask(G, np.flatnonzero(acc), powers)
     return acc
 

@@ -6,20 +6,21 @@ members stays inside, and a normality flag comes from conjugation by each
 generator.  Closures, commutator and power subgroups, normal closures and
 centralizers are computed on index arrays, reading products from the table
 T and inverses from the inverse array, never one element handle at a time.
-The pairwise kernels (subgroup verification, commutator values, the
-projection check of a quotient) read the table in blocks of at most _BLOCK
-entries, so their temporaries stay small however large the group.
-Series are descending chains of such subgroups; the dimension series is
-assembled directly from its defining product of power subgroups of the
-lower central terms.  The lower central, derived and dimension series are
-kept on the group once computed, so each is built at most once per group.
-Quotients come back as full FiniteGroup instances over canonical
-(minimal-key) coset representatives, so every series computation can
-recurse into them, which is how Fitting heights are measured; the
-projection onto a quotient is verified a homomorphism on every pair of
-elements.  The Fitting subgroup is assembled from one normal closure per
-conjugacy class, merging each nilpotent one into the product found so far
-(Fitting's theorem).
+The pairwise kernels (subgroup verification, commutator values, products of
+index sets, the projection check of a quotient) read the table in blocks of
+at most groups._BLOCK entries, so their temporaries stay small however large
+the group.  Series are descending chains of such subgroups; the dimension
+series is assembled directly from its defining product of power subgroups
+of the lower central terms.  The lower central, derived and dimension series
+are kept on the group once computed, so each is built at most once per
+group.  The upper Fitting series, and with it the Fitting height, is built
+inside the group on masks: each term is the product of the normal closures,
+one per conjugacy class and each times the term before, that are nilpotent
+modulo the term before (Fitting's theorem), and the Fitting subgroup is its
+first term.  Quotients come back as full FiniteGroup instances over
+canonical (minimal-key) coset representatives, with the projection verified
+a homomorphism on every pair of elements; they serve callers of the public
+API, and nothing in the library builds one.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .groups import (
     Automorphism,
     FiniteGroup,
     GroupElement,
+    _blocks,
     inner_automorphism,
 )
 
@@ -70,14 +72,6 @@ __all__ = [
 ]
 
 SERIES_LENGTH_CAP = 4096
-_BLOCK = 8192  # table entries read per block by the pairwise kernels
-
-
-def _blocks(items: np.ndarray, width: int):
-    """Consecutive runs of items, each with at most _BLOCK // width of them (at least one)."""
-    step = max(1, _BLOCK // max(width, 1))
-    for start in range(0, len(items), step):
-        yield items[start : start + step]
 
 
 class Subgroup:
@@ -224,12 +218,12 @@ def _commutator_values(G: FiniteGroup, hs, ks) -> np.ndarray:
 
 
 def _product_mask(G: FiniteGroup, left, right) -> np.ndarray:
-    """Mask of the products a·b over a in left and b in right, one table column per b."""
+    """Mask of the products a·b over a in left and b in right, in table blocks."""
     T = G.table()
     left = np.asarray(left, dtype=np.int64)
     values = np.zeros(G.order, dtype=bool)
-    for b in right:
-        values[T[left, b]] = True
+    for b in _blocks(np.asarray(right, dtype=np.int64), len(left)):
+        values[T[left[:, None], b]] = True
     return values
 
 
@@ -410,23 +404,29 @@ class Verdict:
 
 
 def verify_np_series(G: FiniteGroup, series: NormalSeries, p: int) -> Verdict:
-    """Check [S_i, S_j] ≤ S_{i+j} and S_i^p ≤ S_{pi}, trivial beyond the chain."""
+    """Check [S_i, S_j] ≤ S_{i+j} and S_i^p ≤ S_{pi}, trivial beyond the chain.
+
+    A subgroup lies in a series term exactly when its generators do, so each
+    containment is decided on the values [s, t] over S_i x S_j and on the
+    p-th powers of S_i, read from the target term's mask.
+    """
     terms = series.terms
     m = len(terms)
-    triv = trivial_subgroup(G)
+    trivial = _closure(G, ())
 
-    def at(i: int) -> Subgroup:
-        return terms[i - 1] if i <= m else triv
+    def mask(i: int) -> np.ndarray:
+        return terms[i - 1].mask if i <= m else trivial
 
     pairs = sorted(
         ((i, j) for i in range(1, m + 1) for j in range(i, m + 1)),
         key=lambda ij: (ij[0] + ij[1], ij[0]),
     )
     for i, j in pairs:
-        if not (commutator_subgroup(G, at(i), at(j)) <= at(i + j)):
+        if not mask(i + j)[_commutator_values(G, terms[i - 1].idx, terms[j - 1].idx)].all():
             return Verdict(False, f"[S_{i}, S_{j}] is not inside S_{i + j}")
+    power = _power_map(G, p)
     for i in range(1, m + 1):
-        if not (power_subgroup(G, at(i), p) <= at(p * i)):
+        if not mask(p * i)[power[terms[i - 1].idx]].all():
             return Verdict(False, f"S_{i}^{p} is not inside S_{p * i}")
     return Verdict(True)
 
@@ -523,70 +523,107 @@ def element_centralizer(G: FiniteGroup, g: GroupElement) -> Subgroup:
     return centralizer(G, [inner_automorphism(G, g)])
 
 
-def is_nilpotent_subgroup(G: FiniteGroup, H: Subgroup) -> bool:
-    """Lower central series of H (inside G's arithmetic) reaches the identity."""
-    _same_parent(G, H, "subgroup")
-    cur = H.mask
+def _nilpotent_mod(G: FiniteGroup, M: np.ndarray, F: np.ndarray) -> bool:
+    """M/F is nilpotent, for masks of normal subgroups F ≤ M of G.
+
+    The lower central series of M modulo F, M ≥ [M, M]F ≥ [[M, M]F, M]F ...,
+    is walked on masks until it stabilizes; M/F is nilpotent exactly when it
+    stabilizes at F.
+    """
+    M_idx = np.flatnonzero(M)
+    cur = M
     while True:
-        nxt = _closure(G, np.flatnonzero(_commutator_values(G, np.flatnonzero(cur), H.idx)))
+        values = _commutator_values(G, np.flatnonzero(cur), M_idx)
+        nxt = _closure(G, np.flatnonzero(values | F))
         if np.array_equal(nxt, cur):
-            return bool(cur.sum() == 1)
+            return bool(np.array_equal(cur, F))
         cur = nxt
 
 
-def _class_representatives(G: FiniteGroup) -> np.ndarray:
-    """Minimal element index of each conjugacy class, in increasing order.
+def is_nilpotent_subgroup(G: FiniteGroup, H: Subgroup) -> bool:
+    """Lower central series of H (inside G's arithmetic) reaches the identity."""
+    _same_parent(G, H, "subgroup")
+    return _nilpotent_mod(G, H.mask, _closure(G, ()))
 
-    The class of x is read from the table as one vector, x^g = g^-1 x g over
-    every g in G.
-    """
+
+def _conjugacy_class(G: FiniteGroup, x: int) -> np.ndarray:
+    """x^g = g^-1 x g over every g in G, read from the table as one vector."""
     T = G.table()
-    inv = G.inverse_indices()
-    everything = np.arange(G.order)
+    return T[T[G.inverse_indices(), x], np.arange(G.order)]
+
+
+def _class_representatives(G: FiniteGroup) -> np.ndarray:
+    """Minimal element index of each conjugacy class, in increasing order."""
     unseen = np.ones(G.order, dtype=bool)
     reps = []
     while unseen.any():
         x = int(np.argmax(unseen))
         reps.append(x)
-        unseen[T[T[inv, x], everything]] = False
+        unseen[_conjugacy_class(G, x)] = False
     return np.array(reps, dtype=np.int64)
 
 
-def fitting_subgroup(G: FiniteGroup) -> Subgroup:
-    """Largest normal nilpotent subgroup, one normal closure per conjugacy class.
+def _class_closure(G: FiniteGroup, x: int, base: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the normal closure of element index x: the span of its class.
+
+    With the mask of a normal subgroup ``base``, the span of the class and
+    base together: the normal closure of x times base.
+    """
+    gens = _conjugacy_class(G, x)
+    if base is not None:
+        gens = np.concatenate([np.flatnonzero(base), gens])
+    return _closure(G, gens)
+
+
+def _fitting_mod(G: FiniteGroup, F: np.ndarray) -> np.ndarray:
+    """Mask of the preimage in G of the Fitting subgroup of G/F, F a normal subgroup mask.
 
     By Fitting's theorem the product of two nilpotent normal subgroups is
-    nilpotent, so F(G) is the product of the nilpotent normal closures of
-    single elements.  A normal closure depends only on the conjugacy class,
-    so one representative per class is tested, and one already inside the
-    product found so far is skipped: its closure lies in that product.
+    nilpotent, so Fit(G/F) is the product of the nilpotent normal closures of
+    single cosets xF.  That closure is NF/F with N the normal closure of x in
+    G, which depends only on the class of x, so one closure times F is taken
+    per conjugacy class of G and merged into the product when it is nilpotent
+    modulo F.  A class already inside the product is skipped: its closure
+    lies there.
     """
-    fit = _closure(G, ())
+    fit = F
     for x in _class_representatives(G):
         if fit[x]:
             continue
-        N = normal_closure(G, [G.element_at(x)])
-        if is_nilpotent_subgroup(G, N):
-            fit = _closure(G, np.flatnonzero(fit | N.mask))
-    fit = Subgroup(G, fit)
+        M = _class_closure(G, x, F)
+        if _nilpotent_mod(G, M, F):
+            fit = _closure(G, np.flatnonzero(fit | M))
+    return fit
+
+
+def fitting_subgroup(G: FiniteGroup) -> Subgroup:
+    """Largest normal nilpotent subgroup: the Fitting subgroup of G/1."""
+    fit = Subgroup(G, _fitting_mod(G, _closure(G, ())))
     if not (fit.is_normal and is_nilpotent_subgroup(G, fit)):
         raise NotNormal("fitting candidate failed verification")  # unreachable guard
     return fit
 
 
 def fitting_height(G: FiniteGroup) -> int:
-    """Number of Fitting-quotient steps from G down to the trivial group.
+    """Length h of the upper Fitting series 1 = F_0 < F_1 < ... < F_h = G.
 
-    A nontrivial solvable group has a nontrivial Fitting subgroup, so G is
-    refused as not solvable as soon as a nontrivial quotient has none.
+    F_{i+1}/F_i is the Fitting subgroup of G/F_i, computed inside G on masks
+    (_fitting_mod); no quotient group is built.  A nontrivial nilpotent G,
+    whose kept lower central series reaches the trivial subgroup, has height
+    1.  A nontrivial solvable group has a nontrivial Fitting subgroup, so G
+    is refused as not solvable as soon as a step stalls below G.
     """
+    if G.order == 1:
+        return 0
+    if lower_central_series(G).reaches_trivial():
+        return 1
+    F = _closure(G, ())
     height = 0
-    cur = G
-    while cur.order > 1:
-        fit = fitting_subgroup(cur)
-        if fit.is_trivial:
+    while not F.all():
+        nxt = _fitting_mod(G, F)
+        if np.array_equal(nxt, F):
             raise NotSolvable(f"group of order {G.order} is not solvable")
-        cur = QuotientGroup(cur, fit).group
+        F = nxt
         height += 1
     return height
 

@@ -1,6 +1,7 @@
 """Check catalog: direct oracles per check, then the report machinery."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +35,7 @@ from grouplab.errors import (
     UnknownCheck,
 )
 from grouplab.fixtures import parse_fixture, realize_automorphism, realize_groups
-from grouplab.groups import Automorphism
+from grouplab.groups import Automorphism, FiniteGroup
 
 
 @pytest.fixture(scope="module")
@@ -568,3 +569,30 @@ def test_hypotheses_are_tested_in_each_checks_order():
         ("bothS3", "t4_4"): one,
     }
     assert {r.status for r in report.rows} == {"skipped"}
+
+
+def test_ladder_catalog_pass_makes_no_handle_arithmetic(monkeypatch):
+    # once RunContext has realized the fixture (word images of automorphisms
+    # are evaluated there), every check reads tables and index arrays only
+    ladder = Path(__file__).resolve().parents[1] / "perfbench" / "ladder.grp"
+    fx = parse_fixture(ladder.read_text("utf-8"))
+    ctx = checks.RunContext(fx)
+    calls = dict.fromkeys(("multiply", "power", "inverse", "commutator"), 0)
+    for attr in calls:
+
+        def counted(self, *args, _orig=getattr(FiniteGroup, attr), _attr=attr):
+            calls[_attr] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(FiniteGroup, attr, counted)
+    rows = [
+        checks._row(ctx, entry.name, name, handler, False)
+        for entries, handlers in (
+            (fx.groups, checks._GROUP_HANDLERS),
+            (fx.actions, checks._ACTION_HANDLERS),
+        )
+        for entry in entries
+        for name, handler in handlers.items()
+    ]
+    assert len(rows) == 4 * len(GROUP_CHECKS) + len(ACTION_CHECKS)
+    assert calls == dict.fromkeys(calls, 0)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from grouplab import groups
 from grouplab.corpus import load_corpus
 from grouplab.errors import (
     BudgetExceeded,
@@ -373,6 +374,32 @@ def test_homomorphism_failure_names_first_pair_in_row_major_order():
     assert str(err.value) == (
         f"images do not extend to a homomorphism: fails at ({first[0]!r}, {first[1]!r})"
     )
+
+
+def ref_first_failing_pair(phi):
+    """The row loop: the first (a, b) in row-major order with phi(ab) != phi(a) phi(b)."""
+    t_src, t_tgt = phi.source.table(), phi.target.table()
+    images = np.asarray(phi.image_indices)
+    for a in range(phi.source.order):
+        bad = images[t_src[a]] != t_tgt[images[a], images]
+        if bad.any():
+            return phi.source.element_at(a), phi.source.element_at(int(np.argmax(bad)))
+    return None
+
+
+@pytest.mark.parametrize("block", [None, 720, 2 * 720, 7 * 720])
+def test_homomorphism_failure_in_table_blocks_is_the_row_loops_first(block, monkeypatch):
+    # S6 -> C2 sending the transposition to x and the 6-cycle to 1: the
+    # 6-cycle's normal closure is all of S6, so this is no homomorphism
+    G = perm_group(6, [("a", [[1, 2]]), ("b", [[1, 2, 3, 4, 5, 6]])])
+    C2 = build_group(PcPresentation(2, 1))
+    phi = GroupHomomorphism(G, C2, [C2.generators[0], C2.identity], verify=False)
+    a, b = ref_first_failing_pair(phi)
+    if block is not None:
+        monkeypatch.setattr(groups, "_BLOCK", block)
+    with pytest.raises(MalformedSpec) as err:
+        phi._verify()
+    assert str(err.value) == f"images do not extend to a homomorphism: fails at ({a!r}, {b!r})"
 
 
 def test_homomorphism_verification_memory_is_linear_in_order():

@@ -2,7 +2,7 @@
 
 The references below are the earlier element-by-element algorithms: the
 component bookkeeping of coset representatives multiplied one key pair at a
-time through FiniteGroup._mul_keys (``qmul``), brackets assembled block by
+time through mul_keys (``qmul``), brackets assembled block by
 block from the structure constants, ad matrices one basis column at a time,
 Lazard's power law one element at a time through FiniteGroup.power and
 element_order, the recursive bracket-tree evaluation of Lie polynomials,
@@ -57,7 +57,7 @@ from grouplab.series import (
     power_subgroup,
     whole_subgroup,
 )
-from test_series_oracle import cases
+from test_series_oracle import cases, mul_keys
 
 # -- reference algorithms --------------------------------------------------------
 
@@ -75,12 +75,12 @@ class RefAlgebra:
         for i in range(1, m + 1):
             D, N = terms[i - 1], terms[i]
             nkeys = [n.key for n in N.elements()]
-            rep_of = {x.key: min(G._mul_keys(x.key, n) for n in nkeys) for x in D.elements()}
+            rep_of = {x.key: min(mul_keys(G, x.key, n) for n in nkeys) for x in D.elements()}
             id_rep = rep_of[G.identity.key]
             reps = sorted(set(rep_of.values()))
 
             def qmul(r1, r2, rep_of=rep_of):
-                return rep_of[G._mul_keys(r1, r2)]
+                return rep_of[mul_keys(G, r1, r2)]
 
             for r1 in reps:
                 acc = id_rep

@@ -9,28 +9,35 @@ scan.  The library computes the same things over rows of the Cayley table;
 every term set, verdict and message must agree.  The Fitting subgroup and the
 invariant normal family of the `c4_6` check are also built element by element
 here, one normal closure per element, against the library's one per conjugacy
-class.  The product sets of `prop_2_11` and `c4_2` are built here as key sets
-through FiniteGroup._mul_keys, against the library's products of index masks.
+class.  Fitting heights are walked through quotient groups and `c4_6` is
+decided on quotient groups with induced automorphisms, against the library's
+masks on the group's own table; element orders are stepped one handle at a
+time.  The product sets of `prop_2_11` and `c4_2` are built here as key sets
+through mul_keys (one table lookup per key pair), against the library's
+products of index masks.
 """
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouplab import checks, series
-from grouplab.actions import realize_actions
+from grouplab import checks, groups, series
+from grouplab.actions import ActionFixture, realize_actions
 from grouplab.corpus import load_corpus
-from grouplab.errors import BudgetExceeded, ForeignElement, HypothesisNotMet
+from grouplab.errors import BudgetExceeded, ForeignElement, HypothesisNotMet, NotSolvable
 from grouplab.fixtures import parse_fixture, realize_automorphisms, realize_groups
 from grouplab.groups import (
+    Automorphism,
     FiniteGroup,
     PcPresentation,
     PermutationGenSet,
     build_group,
+    inner_automorphism,
     is_prime,
     perm_from_cycles,
 )
@@ -99,6 +106,11 @@ action A125 on Heis125 = inv125
 
 
 # -- handle-based reference algorithms ----------------------------------------
+
+
+def mul_keys(G, k1: tuple, k2: tuple) -> tuple:
+    """Key of the product of the elements keyed k1 and k2, one table lookup."""
+    return G._keys[G.table()[G._index[k1], G._index[k2]]]
 
 
 def ref_closure(G, elems) -> frozenset:
@@ -235,7 +247,7 @@ def ref_ordered_cyclic_product_keys(G, rhos) -> set:
         for _ in range(G.element_order(rho)):
             powers.append(x.key)
             x = G.multiply(x, rho)
-        acc = {G._mul_keys(a, pk) for a in acc for pk in powers}
+        acc = {mul_keys(G, a, pk) for a in acc for pk in powers}
     return acc
 
 
@@ -246,7 +258,7 @@ def ref_prop_2_11(G, w) -> Verdict:
     all_keys = set(G._keys)
     for i in range(1, len(terms) + 1):
         tail = terms[min(i + 1, len(terms)) - 1]
-        covered = {G._mul_keys(a, t) for a in product for t in tail}
+        covered = {mul_keys(G, a, t) for a in product for t in tail}
         if covered != all_keys:
             return Verdict(
                 False,
@@ -268,7 +280,7 @@ def ref_check_4_2(fx) -> Verdict:
     for a in fx.nontrivial:
         cent = [x.key for x in G.elements() if a(x) == x]
         orders.append(len(cent))
-        product = {G._mul_keys(s, c) for s in product for c in cent}
+        product = {mul_keys(G, s, c) for s in product for c in cent}
     return Verdict(
         len(product) == G.order,
         f"q={q}; ordered product over A# (fixture order, centralizer orders "
@@ -288,6 +300,98 @@ def ref_fitting_subgroup(G) -> Subgroup:
     """Every element whose normal closure is nilpotent, one closure per element."""
     good = [x for x in G.elements() if is_nilpotent_subgroup(G, normal_closure(G, [x]))]
     return generated_subgroup(G, good)
+
+
+def ref_fitting_height(G) -> int:
+    """Fitting-quotient steps from G down to the trivial group, one QuotientGroup per step."""
+    height = 0
+    cur = G
+    while cur.order > 1:
+        fit = ref_fitting_subgroup(cur)
+        if fit.is_trivial:
+            raise NotSolvable(f"group of order {G.order} is not solvable")
+        cur = quotient_group(cur, fit).group
+        height += 1
+    return height
+
+
+def ref_check_4_6(fx) -> Verdict:
+    """Fixed points pass to quotients, decided on each quotient group G/N."""
+    checks._needs_coprime(fx)
+    G = fx.group
+    fixed = [x for x in G.elements() if all(phi(x) == x for phi in fx.generators)]
+    tested = []
+    for keys in ref_invariant_normal_family(fx):
+        N = Subgroup(G, [x.key in keys for x in G.elements()])
+        quot = quotient_group(G, N)
+        induced = [
+            Automorphism(
+                quot.group,
+                [quot.project(phi(quot.lift(qg))) for qg in quot.group.generators],
+            )
+            for phi in fx.generators
+        ]
+        upstairs = {quot.project(x).key for x in fixed}
+        downstairs = {
+            x.key for x in quot.group.elements() if all(psi(x) == x for psi in induced)
+        }
+        if upstairs != downstairs:
+            return Verdict(
+                False,
+                f"fixed points disagree modulo the subgroup of order {N.order}: "
+                f"image has {len(upstairs)}, quotient centralizer has "
+                f"{len(downstairs)}",
+            )
+        tested.append(N.order)
+    return Verdict(
+        True,
+        f"{len(tested)} invariant normal subgroups verified (orders {tuple(tested)})",
+    )
+
+
+def ref_check_4_12(G, a) -> Verdict:
+    """Unique x = gh (g inverted, h fixed), over key dictionaries and handle products."""
+    inverted = [g for g in G.elements() if a(g) == G.inverse(g)]
+    fixed = [h for h in G.elements() if a(h) == h]
+    counts: dict = {}
+    for g in inverted:
+        for h in fixed:
+            key = G.multiply(g, h).key
+            counts[key] = counts.get(key, 0) + 1
+    unique = len(counts) == G.order and all(v == 1 for v in counts.values())
+    commutator_set = {G.multiply(G.inverse(y), a(y)).key for y in G.elements()}
+    inverted_matches = commutator_set == {g.key for g in inverted}
+    return Verdict(
+        unique and inverted_matches,
+        f"|inverted set| = {len(inverted)}, |C_G(a)| = {len(fixed)}; "
+        f"decomposition {'unique for all' if unique else 'NOT unique for some'} "
+        f"{G.order} elements; inverted set "
+        f"{'equals' if inverted_matches else 'differs from'} "
+        "{[y,a] : y in G}",
+    )
+
+
+def ref_check_4_4(G, a) -> Verdict:
+    """The least n: the centralizer exponent and the orders of [y, a], one handle at a time."""
+    fixed = [h for h in G.elements() if a(h) == h]
+    orders = [ref_element_order(G, G.multiply(G.inverse(y), a(y))) for y in G.elements()]
+    n = math.lcm(*(ref_element_order(G, h) for h in fixed), *orders)
+    exponent = math.lcm(*(ref_element_order(G, x) for x in G.elements()))
+    return Verdict(
+        True,
+        f"n={n}; |C_G(a)|={len(fixed)}; max |[x,a]| order {max(orders)}; "
+        f"exponent(G)={exponent}",
+    )
+
+
+def ref_element_order(G, a) -> int:
+    """Least n with a^n = 1, one handle product per step."""
+    n = 1
+    x = a
+    while not x.is_identity():
+        x = G.multiply(x, a)
+        n += 1
+    return n
 
 
 def ref_invariant_normal_family(fx) -> list:
@@ -408,7 +512,7 @@ def test_k_commutators_match_reference(name):
     for k in (1, 2, 3):
         if G.order**k > 20_000:  # the reference walks every k-tuple
             continue
-        got = [c.key for c in checks._k_commutators(G, k, checks.SCAN_BUDGET)]
+        got = [G.element_at(i).key for i in checks._k_commutators(G, k, checks.SCAN_BUDGET)]
         assert got == ref_k_commutators(G, k)
 
 
@@ -504,18 +608,119 @@ def test_invariant_normal_family_matches_reference(name):
     assert [keys_of(N) for N in got] == ref_invariant_normal_family(fx)
 
 
+def height_or_refusal(height, G):
+    try:
+        return height(G)
+    except NotSolvable as exc:
+        return NotSolvable, str(exc)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fitting_height_matches_quotient_walk(name):
+    G = cases()[name]
+    assert height_or_refusal(fitting_height, G) == height_or_refusal(ref_fitting_height, G)
+
+
+def test_fitting_heights_cover_every_outcome():
+    heights = {name: height_or_refusal(fitting_height, cases()[name]) for name in NAMES}
+    assert heights["S4"] == 3 and heights["A4"] == 2 and heights["ladder C3wrC3"] == 1
+    assert heights["ladder S5"][0] is NotSolvable
+
+
+@pytest.mark.parametrize("name", sorted(action_cases()))
+def test_c4_6_matches_quotient_group_route(name):
+    fx = action_cases()[name]
+    assert outcome(checks.check_4_6, fx) == outcome(ref_check_4_6, fx)
+
+
+@functools.cache
+def inner_action_cases() -> dict:
+    """Conjugation by each generator of the non-abelian groups: actions that are not coprime."""
+    out = {}
+    for name in ("S3", "S4", "A4", "D8pc", "Q8perm", "Heis27", "D8xC3", "ladder C3wrC3"):
+        G = cases()[name]
+        for g in G.generators:
+            out[f"{name} by {g!r}"] = ActionFixture(name, G, (inner_automorphism(G, g),))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(inner_action_cases()))
+def test_c4_6_statement_matches_quotient_group_route_without_coprimality(name, monkeypatch):
+    # without the coprime hypothesis the statement can fail, so this compares
+    # the failure details as well
+    monkeypatch.setattr(checks, "_needs_coprime", lambda fx: None)
+    fx = inner_action_cases()[name]
+    assert checks.check_4_6(fx) == ref_check_4_6(fx)
+
+
+def test_c4_6_without_coprimality_fails_somewhere(monkeypatch):
+    monkeypatch.setattr(checks, "_needs_coprime", lambda fx: None)
+    verdicts = [checks.check_4_6(fx) for fx in inner_action_cases().values()]
+    assert any(v.ok for v in verdicts) and not all(v.ok for v in verdicts)
+
+
+def involution_cases() -> dict:
+    """The single-involution actions, and the identity map of each odd-order group."""
+    out = {}
+    for name, fx in action_cases().items():
+        if fx.single_involution() is not None:
+            out[name] = (fx.group, fx.single_involution())
+    for name in NAMES:
+        G = cases()[name]
+        if G.order % 2:
+            out[f"{name} identity"] = (G, Automorphism.identity_of(G))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(involution_cases()))
+def test_c4_12_and_t4_4_match_handle_references(name):
+    G, a = involution_cases()[name]
+    assert checks.check_4_12(G, a) == ref_check_4_12(G, a)
+    assert checks.check_theorem_4_4_instance(G, a) == ref_check_4_4(G, a)
+
+
+def test_involution_cases_include_nontrivial_involutions():
+    assert {"A125", "invC9", "invC33"} <= set(involution_cases())
+
+
+@pytest.mark.parametrize("name", p_group_names())
+def test_decomposition_witness_matches_long_commutators(name):
+    G = cases()[name]
+    w = decomposition_witness(G)
+    assert w.rhos == tuple(
+        G.long_commutator([w.generators[t - 1] for t in shape]) for shape in w.shapes
+    )
+    assert w.K == max(ref_element_order(G, r) for r in w.rhos)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_element_orders_match_the_handle_loop(name):
+    G = cases()[name]
+    want = [ref_element_order(G, a) for a in G.elements()]
+    orders = G.element_orders()
+    assert orders.tolist() == want
+    assert not orders.flags.writeable
+    assert G.element_orders() is orders
+    assert [G.element_order(a) for a in G.elements()] == want
+    assert G.exponent() == math.lcm(*want)
+
+
+def test_element_order_cases_cover_every_backend():
+    assert {cases()[name].backend for name in NAMES} == {"pc", "perm", "quotient"}
+
+
 def test_fitting_and_c4_6_make_one_normal_closure_per_class_at_most(monkeypatch):
     fx = action_cases()["A125"]
     G = fx.group
     n_classes = len(ref_conjugacy_classes(G))
     calls = []
 
-    def counted(G, gens, _orig=normal_closure):
-        calls.append(len(gens))
-        return _orig(G, gens)
+    def counted(G, x, *base, _orig=series._class_closure):
+        calls.append(x)
+        return _orig(G, x, *base)
 
-    monkeypatch.setattr(series, "normal_closure", counted)
-    monkeypatch.setattr(checks, "normal_closure", counted)
+    monkeypatch.setattr(series, "_class_closure", counted)
+    monkeypatch.setattr(checks, "_class_closure", counted)
     fitting_subgroup(G)
     # the identity's class lies in the trivial start, so it is never closed
     assert 0 < len(calls) < n_classes
@@ -575,7 +780,7 @@ def test_random_permutation_group_products_match_key_sets(case):
     )
     left = np.flatnonzero(generated_subgroup(G, picks[:1]).mask)
     right = [G.index_of(x) for x in picks]
-    want = {G._mul_keys(G._keys[a], G._keys[b]) for a in left for b in right}
+    want = {mul_keys(G, G._keys[a], G._keys[b]) for a in left for b in right}
     assert {G._keys[i] for i in np.flatnonzero(_product_mask(G, left, right))} == want
 
 
@@ -657,7 +862,7 @@ def test_commutator_values_over_many_blocks_match_the_per_h_loop():
     # a full block of identities, then a transposition: every nontrivial value is in the last block
     G = s6()
     e, t = G.index_of(G.identity), G.index_of(G.generator_by_name("a"))
-    hs = [e] * (series._BLOCK // G.order) + [t]
+    hs = [e] * (groups._BLOCK // G.order) + [t]
     got = _commutator_values(G, hs, np.arange(G.order))
     assert got.sum() > 1
     assert np.array_equal(got, ref_commutator_values(G, hs, np.arange(G.order)))
@@ -684,7 +889,7 @@ def test_unclosed_mask_names_the_row_loops_first_escape(make, unclosed, block, m
     G = make()
     mask = unclosed(G)
     if block is not None:
-        monkeypatch.setattr(series, "_BLOCK", block)
+        monkeypatch.setattr(groups, "_BLOCK", block)
     a, b = ref_first_escape(G, mask)
     with pytest.raises(ForeignElement) as err:
         Subgroup(G, mask)
