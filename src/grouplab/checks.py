@@ -52,11 +52,12 @@ from .series import (
     Subgroup,
     Verdict,
     _class_closure,
-    _class_representatives,
     _closure,
     _commutator_values,
+    _cyclic_class_representatives,
     _power_map,
     _product_mask,
+    _subgroup,
     centralizer,
     derived_series,
     dimension_series,
@@ -122,18 +123,18 @@ def check_collection_formula(
         layer = power_subgroup(G, lcs.term(p**r), p ** (n - r))
         modulus_gens.extend(layer.elements())
     modulus = generated_subgroup(G, modulus_gens)
-    # row x compares (xy)^q with x^q y^q for every y
+    # row x compares (xy)^q with x^q y^q for every y, a block of rows at a time
     T = G.table()
     inv = G.inverse_indices()
     P = _power_map(G, q)
-    for x in range(G.order):
-        inside = modulus.mask[T[P[T[x]], inv[T[P[x], P]]]]
+    for xs in _blocks(np.arange(G.order), G.order):
+        inside = modulus.mask[T[P[T[xs]], inv[T[P[xs][:, None], P]]]]
         if not inside.all():
-            y = int(np.argmin(inside))
+            r, y = divmod(int(np.argmin(inside)), G.order)  # first failure, row-major
             return Verdict(
                 False,
                 f"(xy)^{q} != x^{q} y^{q} modulo the subgroup of order "
-                f"{modulus.order} at x={G.element_at(x)!r}, y={G.element_at(y)!r}",
+                f"{modulus.order} at x={G.element_at(xs[r])!r}, y={G.element_at(y)!r}",
             )
     return Verdict(
         True,
@@ -269,18 +270,19 @@ def check_4_2(fx: ActionFixture) -> Verdict:
 def _invariant_normal_family(fx: ActionFixture) -> list:
     """Trivial, whole, and single-element normal closures that A preserves.
 
-    A normal closure depends only on the conjugacy class, so one mask is
-    built per class, from its minimal index, and only the distinct masks
-    become (verified) subgroups; the family keeps first-occurrence order.
+    A normal closure depends only on the conjugacy class of the cyclic
+    subgroup an element generates, so one mask is built per such class, from
+    its minimal index, and only the distinct masks become (verified, kept)
+    subgroups; the family keeps first-occurrence order.
     """
     G = fx.group
     masks = {}  # mask bytes -> mask, in first-occurrence order
     for mask in [_closure(G, ()), np.ones(G.order, dtype=bool)]:
         masks[mask.tobytes()] = mask
-    for x in _class_representatives(G):
+    for x in _cyclic_class_representatives(G):
         mask = _class_closure(G, x)
         masks.setdefault(mask.tobytes(), mask)
-    family = [Subgroup(G, mask) for mask in masks.values()]
+    family = [_subgroup(G, mask) for mask in masks.values()]
     return [
         N
         for N in family
@@ -467,8 +469,10 @@ def emit_report(report: CheckReport, fmt: str = "json") -> str:
 class RunContext:
     """Realized fixtures plus the decomposition witnesses shared across checks.
 
-    Graded algebras and series are not cached here: build_dl and the series
-    functions keep each one on its group.
+    What depends on a group alone is kept on the group, not here: build_dl
+    keeps its graded algebra, and the series module keeps every subgroup,
+    series, commutator value set and power or commutator subgroup it
+    computes, so the checks of one run share them.
     """
 
     def __init__(self, fx: FixtureFile, budget: int = SCAN_BUDGET):

@@ -513,12 +513,23 @@ def realize_groups(fx: FixtureFile) -> dict:
     return {g.name: build_group(g.presentation) for g in fx.groups}
 
 
+def _product_of_powers(G: FiniteGroup, factors) -> GroupElement:
+    """Product of x^e over (element, exponent) factors, e >= 0, read from the table."""
+    T = G.table()
+    out = G.index_of(G.identity)
+    for x, e in factors:
+        base = G.index_of(x)
+        while e:  # powers of x commute, so out·x^e builds up bit by bit
+            if e & 1:
+                out = T[out, base]
+            base = T[base, base]
+            e >>= 1
+    return G.element_at(out)
+
+
 def word_element(G: FiniteGroup, word: tuple) -> GroupElement:
     """Product of g_i^e over an (i, e) word, 1-based pc generator indices."""
-    out = G.identity
-    for i, e in word:
-        out = G.multiply(out, G.power(G.generators[i - 1], e))
-    return out
+    return _product_of_powers(G, [(G.generators[i - 1], e) for i, e in word])
 
 
 def realize_automorphism(entry: AutEntry, G: FiniteGroup) -> Automorphism:
@@ -532,10 +543,7 @@ def realize_automorphism(entry: AutEntry, G: FiniteGroup) -> Automorphism:
             if kind == "cycles":
                 images.append(G.element(value))
             else:
-                out = G.identity
-                for gname, e in value:
-                    out = G.multiply(out, G.power(by_name[gname], e))
-                images.append(out)
+                images.append(_product_of_powers(G, [(by_name[n], e) for n, e in value]))
     return Automorphism(G, images)
 
 

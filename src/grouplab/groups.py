@@ -394,7 +394,8 @@ class FiniteGroup:
     vector, image tuple, or coset representative key) doubles as the lookup
     key everywhere.  Products and inverses are read from the Cayley table.
     Instances are immutable once built; the caches populated lazily (element
-    orders, series, the graded Lie ring) never change observable values.
+    orders, the subgroup-lattice store, the graded Lie ring) never change
+    observable values.
     """
 
     def __init__(self, kind: str, keys, table: np.ndarray, generators, repr_key):
@@ -411,7 +412,8 @@ class FiniteGroup:
         self.generator_names = tuple(name for name, _ in generators)
         self._orders = None  # order of every element, kept by element_orders
         self._lie_ring = None  # the graded Lie ring, kept by liering.build_dl
-        self._series = {}  # series by kind (and prime), kept by the series module
+        # subgroups, series and kernel results by key, kept by the series module
+        self._lattice = {}
         self._table = table
         self._inv = np.argmax(table == e, axis=1)
         self._table.flags.writeable = False
@@ -740,10 +742,8 @@ class Automorphism(GroupHomomorphism):
 
 
 def inner_automorphism(G: FiniteGroup, g: GroupElement) -> Automorphism:
-    """Conjugation x -> g^-1 x g as a verified automorphism."""
-    G._check(g)
-    ginv = G.inverse(g)
-    mapped = tuple(
-        G.index_of(G.multiply(G.multiply(ginv, x), g)) for x in G.elements()
-    )
-    return Automorphism.from_index_map(G, mapped, verify=True)
+    """Conjugation x -> g^-1 x g as a verified automorphism, read from the table."""
+    gi = G.index_of(g)
+    T = G.table()
+    mapped = T[T[G.inverse_indices()[gi]], gi]  # row g^-1 is x -> g^-1 x
+    return Automorphism.from_index_map(G, mapped.tolist(), verify=True)

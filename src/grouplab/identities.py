@@ -412,16 +412,52 @@ def group_satisfies(
     return Verdict(True, f"identity on all {total} assignments")
 
 
+def _engel_walk(G: FiniteGroup, xi: int, limit: int) -> tuple:
+    """(steps taken, whether every start reached the identity) for the element index xi.
+
+    Every starting point g is stepped at once by the map c(y) = [y, x] =
+    (xy)^-1 (yx), read from the Cayley table, so after k steps the vector is
+    c^k over all of G.  The walk takes at most ``limit`` steps.  It is
+    deterministic, so once the vector repeats without being all-identity it
+    cycles and never gets there: it stops at the first repeat.  Earlier
+    vectors are remembered by hash, and a hash match is confirmed against
+    c^j rebuilt by squaring.
+    """
+    T = G.table()
+    e = G.index_of(G.identity)
+    step = T[G.inverse_indices()[T[xi]], T[:, xi]]  # step[y] = [y, x]
+
+    def step_power(j: int) -> np.ndarray:
+        out, base = np.arange(G.order), step
+        while j:
+            if j & 1:
+                out = base[out]
+            base = base[base]
+            j >>= 1
+        return out
+
+    seen: dict = {}  # hash of c^j -> the steps j with that hash
+    y = np.arange(G.order)
+    for k in range(1, limit + 1):
+        y = step[y]
+        if (y == e).all():
+            return k, True
+        h = hash(y.tobytes())
+        if any(np.array_equal(step_power(j), y) for j in seen.get(h, ())):
+            return k, False
+        seen.setdefault(h, []).append(k)
+    return limit, False
+
+
 def engel_index_of_element(
     G: FiniteGroup, x: GroupElement, cutoff: Optional[int] = None
 ) -> Optional[int]:
     """Least n with [g, x, x, ..., x] (n copies) trivial for every g, else None.
 
-    Every starting point g is stepped at once, y -> [y, x] = (xy)^-1 (yx) on
-    an index array read from the Cayley table.  The identity is fixed by the
+    Every g is stepped at once (_engel_walk).  The identity is fixed by the
     step, and a start that reaches it does so within |G| steps (the values
-    before it are distinct, or they would cycle), so the iteration stops
-    after min(cutoff, |G|) steps whatever the cutoff.
+    before it are distinct, or they would cycle), so the walk stops after
+    min(cutoff, |G|) steps whatever the cutoff, or sooner on a repeat.
     """
     if not isinstance(x, GroupElement) or x.group is not G:
         raise ForeignElement("x must be an element of G")
@@ -429,13 +465,5 @@ def engel_index_of_element(
         cutoff = G.order
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    T = G.table()
-    inv = G.inverse_indices()
-    xi = G.index_of(x)
-    e = G.index_of(G.identity)
-    y = np.arange(G.order)
-    for k in range(1, min(cutoff, G.order) + 1):
-        y = T[inv[T[xi, y]], T[y, xi]]
-        if (y == e).all():
-            return k
-    return None
+    steps, reached = _engel_walk(G, G.index_of(x), min(cutoff, G.order))
+    return steps if reached else None

@@ -11,20 +11,31 @@ index sets, the projection check of a quotient) read the table in blocks of
 at most groups._BLOCK entries, so their temporaries stay small however large
 the group.  Series are descending chains of such subgroups; the dimension
 series is assembled directly from its defining product of power subgroups
-of the lower central terms.  The lower central, derived and dimension series
-are kept on the group once computed, so each is built at most once per
-group.  The upper Fitting series, and with it the Fitting height, is built
-inside the group on masks: each term is the product of the normal closures,
-one per conjugacy class and each times the term before, that are nilpotent
-modulo the term before (Fitting's theorem), and the Fitting subgroup is its
-first term.  Quotients come back as full FiniteGroup instances over
-canonical (minimal-key) coset representatives, with the projection verified
-a homomorphism on every pair of elements; they serve callers of the public
-API, and nothing in the library builds one.
+of the lower central terms.
+
+Each group carries one store (FiniteGroup._lattice) that this module fills.
+The library builds every subgroup through _subgroup, which keeps it there
+under its mask, so each distinct mask is verified in full once per group; a
+public Subgroup(G, mask) verifies on every call.  The store also keeps the
+lower central, derived and dimension series, commutator and power subgroups
+by their operands, and the read-only commutator value masks by their index
+arrays: the G x G commutator scan that the series, the N_p-series check, the
+weight-k commutators and the powerful test share runs once per group.  A
+call that raises keeps nothing.
+
+The upper Fitting series, and with it the Fitting height, is built inside
+the group on masks: each term is the product of the normal closures, one
+per conjugacy class of cyclic subgroups and each times the term before,
+that are nilpotent modulo the term before (Fitting's theorem), and the
+Fitting subgroup is its first term.  Quotients come back as full
+FiniteGroup instances over canonical (minimal-key) coset representatives,
+with the projection verified a homomorphism on every pair of elements; they
+serve callers of the public API, and nothing in the library builds one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +92,8 @@ class Subgroup:
     construction closure is verified on every pair (every product a·b with
     a, b in the subgroup stays inside) and normality over conjugation by each
     generator of the parent, both in table blocks of at most _BLOCK entries.
-    The series built from subgroups are kept on the parent group.
+    The library builds subgroups through _subgroup, which keeps each one on
+    the parent group.
     """
 
     __slots__ = ("group", "mask", "idx", "is_normal")
@@ -157,12 +169,31 @@ class Subgroup:
         return f"Subgroup(order={self.order}{tag})"
 
 
+def _keep(G: FiniteGroup, key: tuple, compute):
+    """The value kept on G under key, computed once; a compute that raises keeps nothing."""
+    value = G._lattice.get(key)
+    if value is None:
+        value = G._lattice[key] = compute()
+    return value
+
+
+def _subgroup(G: FiniteGroup, mask) -> Subgroup:
+    """The verified subgroup of G with this mask, kept on G.
+
+    A mask is verified in full (closure on every pair, normality) the first
+    time it is asked for on G; later calls return that Subgroup.  The library
+    builds every subgroup here; a public Subgroup(G, mask) verifies anew.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    return _keep(G, ("subgroup", mask.tobytes()), lambda: Subgroup(G, mask))
+
+
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, _closure(G, ()))
+    return _subgroup(G, _closure(G, ()))
 
 
 def whole_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, np.ones(G.order, dtype=bool))
+    return _subgroup(G, np.ones(G.order, dtype=bool))
 
 
 def _closure(G: FiniteGroup, gens) -> np.ndarray:
@@ -206,15 +237,25 @@ def _power_map(G: FiniteGroup, k: int) -> np.ndarray:
 
 
 def _commutator_values(G: FiniteGroup, hs, ks) -> np.ndarray:
-    """Mask of the values [h, k] = (kh)^-1 (hk) over h in hs and k in ks, in table blocks."""
-    T = G.table()
-    inv = G.inverse_indices()
+    """Mask of the values [h, k] = (kh)^-1 (hk) over h in hs and k in ks.
+
+    The scan reads the table in blocks; its mask is read-only and kept on G
+    under the two index arrays, so each scan runs once per group.
+    """
+    hs = np.asarray(hs, dtype=np.int64)
     ks = np.asarray(ks, dtype=np.int64)
-    values = np.zeros(G.order, dtype=bool)
-    for h in _blocks(np.asarray(hs, dtype=np.int64), len(ks)):
-        h = h[:, None]
-        values[T[inv[T[ks, h]], T[h, ks]]] = True
-    return values
+
+    def scan() -> np.ndarray:
+        T = G.table()
+        inv = G.inverse_indices()
+        values = np.zeros(G.order, dtype=bool)
+        for h in _blocks(hs, len(ks)):
+            h = h[:, None]
+            values[T[inv[T[ks, h]], T[h, ks]]] = True
+        values.flags.writeable = False
+        return values
+
+    return _keep(G, ("commutator values", hs.tobytes(), ks.tobytes()), scan)
 
 
 def _product_mask(G: FiniteGroup, left, right) -> np.ndarray:
@@ -229,7 +270,7 @@ def _product_mask(G: FiniteGroup, left, right) -> np.ndarray:
 
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
     """Smallest subgroup of G containing the given elements."""
-    return Subgroup(G, _closure(G, [G.index_of(x) for x in gens]))
+    return _subgroup(G, _closure(G, [G.index_of(x) for x in gens]))
 
 
 def normal_closure(G: FiniteGroup, gens) -> Subgroup:
@@ -242,7 +283,7 @@ def normal_closure(G: FiniteGroup, gens) -> Subgroup:
     inv = G.inverse_indices()
     given = np.array([G.index_of(s) for s in gens], dtype=np.int64)
     conjugates = T[T[inv[:, None], given], np.arange(G.order)[:, None]]
-    sub = Subgroup(G, _closure(G, conjugates.ravel()))
+    sub = _subgroup(G, _closure(G, conjugates.ravel()))
     if not sub.is_normal:
         raise NotNormal("normal closure failed to stabilize")  # unreachable guard
     return sub
@@ -254,19 +295,26 @@ def _same_parent(G: FiniteGroup, H: Subgroup, what: str):
 
 
 def commutator_subgroup(G: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgroup:
-    """Subgroup generated by all [h, k] with h in H, k in K."""
+    """Subgroup generated by all [h, k] with h in H, k in K; kept on G."""
     _same_parent(G, H, "first subgroup")
     _same_parent(G, K, "second subgroup")
-    values = _commutator_values(G, H.idx, K.idx)
-    return Subgroup(G, _closure(G, np.flatnonzero(values)))
+    return _keep(
+        G,
+        ("commutator subgroup", H.mask.tobytes(), K.mask.tobytes()),
+        lambda: _subgroup(G, _closure(G, np.flatnonzero(_commutator_values(G, H.idx, K.idx)))),
+    )
 
 
 def power_subgroup(G: FiniteGroup, H: Subgroup, n: int) -> Subgroup:
-    """Subgroup generated by the n-th powers of the elements of H."""
+    """Subgroup generated by the n-th powers of the elements of H; kept on G."""
     _same_parent(G, H, "subgroup")
     if n < 1:
         raise ValueError(f"power subgroup needs a positive exponent, got {n}")
-    return Subgroup(G, _closure(G, _power_map(G, n)[H.idx]))
+    return _keep(
+        G,
+        ("power subgroup", H.mask.tobytes(), n),
+        lambda: _subgroup(G, _closure(G, _power_map(G, n)[H.idx])),
+    )
 
 
 @dataclass(frozen=True)
@@ -314,33 +362,31 @@ class NormalSeries:
 
 def lower_central_series(G: FiniteGroup) -> NormalSeries:
     """G = γ_1 ≥ γ_2 ≥ ..., γ_{i+1} = [γ_i, G], cut at stabilization; kept on G."""
-    kept = G._series.get("lower-central")
-    if kept is not None:
-        return kept
-    whole = whole_subgroup(G)
-    terms = [whole]
-    while True:
-        nxt = commutator_subgroup(G, terms[-1], whole)
-        if nxt == terms[-1]:
-            break
-        terms.append(nxt)
-    series = G._series["lower-central"] = NormalSeries(G, "lower-central", tuple(terms))
-    return series
+
+    def build() -> NormalSeries:
+        whole = whole_subgroup(G)
+        terms = [whole]
+        while True:
+            nxt = commutator_subgroup(G, terms[-1], whole)
+            if nxt == terms[-1]:
+                return NormalSeries(G, "lower-central", tuple(terms))
+            terms.append(nxt)
+
+    return _keep(G, ("series", "lower-central"), build)
 
 
 def derived_series(G: FiniteGroup) -> NormalSeries:
     """G ≥ [G,G] ≥ [[G,G],[G,G]] ≥ ..., cut at stabilization; kept on G."""
-    kept = G._series.get("derived")
-    if kept is not None:
-        return kept
-    terms = [whole_subgroup(G)]
-    while True:
-        nxt = commutator_subgroup(G, terms[-1], terms[-1])
-        if nxt == terms[-1]:
-            break
-        terms.append(nxt)
-    series = G._series["derived"] = NormalSeries(G, "derived", tuple(terms))
-    return series
+
+    def build() -> NormalSeries:
+        terms = [whole_subgroup(G)]
+        while True:
+            nxt = commutator_subgroup(G, terms[-1], terms[-1])
+            if nxt == terms[-1]:
+                return NormalSeries(G, "derived", tuple(terms))
+            terms.append(nxt)
+
+    return _keep(G, ("series", "derived"), build)
 
 
 def _p_of(G: FiniteGroup, p) -> int:
@@ -355,32 +401,34 @@ def _p_of(G: FiniteGroup, p) -> int:
 def dimension_series(G: FiniteGroup, p: int | None = None) -> NormalSeries:
     """D_i = product of all γ_j^{p^k} with j·p^k ≥ i, down to the trivial subgroup.
 
-    Kept on G; a call that raises keeps nothing.
+    Kept on G.  The terms are closed as masks first and become subgroups
+    only once the series reaches the trivial subgroup, so a call that raises
+    keeps nothing.
     """
     p = _p_of(G, p)
-    kept = G._series.get(("dimension", p))
-    if kept is not None:
-        return kept
-    gamma = lower_central_series(G)
-    terms = [gamma.terms[0]]
-    power_maps = {}
-    i = 2
-    while not terms[-1].is_trivial:
-        if i > SERIES_LENGTH_CAP:
-            raise BudgetExceeded("dimension series failed to reach the trivial subgroup")
-        gens = []
-        for j in range(1, len(gamma.terms) + 1):
-            k = 0
-            while j * p**k < i:
-                k += 1
-            q = p**k
-            if q not in power_maps:
-                power_maps[q] = _power_map(G, q)
-            gens.append(power_maps[q][gamma.term(j).idx])
-        terms.append(Subgroup(G, _closure(G, np.concatenate(gens))))
-        i += 1
-    series = G._series[("dimension", p)] = NormalSeries(G, "dimension", tuple(terms))
-    return series
+
+    def build() -> NormalSeries:
+        gamma = lower_central_series(G)
+        masks = [gamma.terms[0].mask]
+        power_maps = {}
+        i = 2
+        while np.count_nonzero(masks[-1]) > 1:
+            if i > SERIES_LENGTH_CAP:
+                raise BudgetExceeded("dimension series failed to reach the trivial subgroup")
+            gens = []
+            for j in range(1, len(gamma.terms) + 1):
+                k = 0
+                while j * p**k < i:
+                    k += 1
+                q = p**k
+                if q not in power_maps:
+                    power_maps[q] = _power_map(G, q)
+                gens.append(power_maps[q][gamma.term(j).idx])
+            masks.append(_closure(G, np.concatenate(gens)))
+            i += 1
+        return NormalSeries(G, "dimension", tuple(_subgroup(G, m) for m in masks))
+
+    return _keep(G, ("series", "dimension", p), build)
 
 
 @dataclass(frozen=True)
@@ -515,7 +563,7 @@ def centralizer(G: FiniteGroup, phis) -> Subgroup:
     mask = np.ones(G.order, dtype=bool)
     for phi in phis:
         mask &= np.asarray(phi.image_indices) == np.arange(G.order)
-    return Subgroup(G, mask)
+    return _subgroup(G, mask)
 
 
 def element_centralizer(G: FiniteGroup, g: GroupElement) -> Subgroup:
@@ -563,6 +611,40 @@ def _class_representatives(G: FiniteGroup) -> np.ndarray:
     return np.array(reps, dtype=np.int64)
 
 
+def _cyclic_class_representatives(G: FiniteGroup) -> np.ndarray:
+    """One element index per conjugacy class of cyclic subgroups, kept on G.
+
+    These are the class minima of _class_representatives, in increasing
+    order, less each class that holds a generator x^k (k prime to |x|) of an
+    earlier minimum x kept here: <x^k> = <x>, so both have one normal
+    closure, and one product of it with any normal subgroup.
+    """
+
+    def build() -> np.ndarray:
+        T = G.table()
+        orders = G.element_orders()
+        reps = _class_representatives(G)
+        rep_of = np.empty(G.order, dtype=np.int64)  # element index -> its class minimum
+        for r in reps:
+            rep_of[_conjugacy_class(G, r)] = r
+        kept, covered = [], set()
+        for x in reps.tolist():
+            if x in covered:
+                continue
+            kept.append(x)
+            n = int(orders[x])
+            power = x
+            for k in range(1, n + 1):  # power = x^k
+                if math.gcd(k, n) == 1:
+                    covered.add(int(rep_of[power]))
+                power = T[power, x]
+        kept = np.array(kept, dtype=np.int64)
+        kept.flags.writeable = False
+        return kept
+
+    return _keep(G, ("cyclic class representatives",), build)
+
+
 def _class_closure(G: FiniteGroup, x: int, base: np.ndarray | None = None) -> np.ndarray:
     """Mask of the normal closure of element index x: the span of its class.
 
@@ -581,13 +663,13 @@ def _fitting_mod(G: FiniteGroup, F: np.ndarray) -> np.ndarray:
     By Fitting's theorem the product of two nilpotent normal subgroups is
     nilpotent, so Fit(G/F) is the product of the nilpotent normal closures of
     single cosets xF.  That closure is NF/F with N the normal closure of x in
-    G, which depends only on the class of x, so one closure times F is taken
-    per conjugacy class of G and merged into the product when it is nilpotent
-    modulo F.  A class already inside the product is skipped: its closure
-    lies there.
+    G, which depends only on the class of the cyclic subgroup <x>, so one
+    closure times F is taken per such class (_cyclic_class_representatives)
+    and merged into the product when it is nilpotent modulo F.  A class
+    already inside the product is skipped: its closure lies there.
     """
     fit = F
-    for x in _class_representatives(G):
+    for x in _cyclic_class_representatives(G):
         if fit[x]:
             continue
         M = _class_closure(G, x, F)
@@ -598,7 +680,7 @@ def _fitting_mod(G: FiniteGroup, F: np.ndarray) -> np.ndarray:
 
 def fitting_subgroup(G: FiniteGroup) -> Subgroup:
     """Largest normal nilpotent subgroup: the Fitting subgroup of G/1."""
-    fit = Subgroup(G, _fitting_mod(G, _closure(G, ())))
+    fit = _subgroup(G, _fitting_mod(G, _closure(G, ())))
     if not (fit.is_normal and is_nilpotent_subgroup(G, fit)):
         raise NotNormal("fitting candidate failed verification")  # unreachable guard
     return fit

@@ -25,7 +25,7 @@ from grouplab.checks import (
     emit_report,
     run_checks,
 )
-from grouplab.corpus import corpus_fixture, load_corpus
+from grouplab.corpus import corpus_fixture, corpus_text, load_corpus
 from grouplab.errors import (
     BudgetExceeded,
     HypothesisNotMet,
@@ -571,12 +571,13 @@ def test_hypotheses_are_tested_in_each_checks_order():
     assert {r.status for r in report.rows} == {"skipped"}
 
 
-def test_ladder_catalog_pass_makes_no_handle_arithmetic(monkeypatch):
-    # once RunContext has realized the fixture (word images of automorphisms
-    # are evaluated there), every check reads tables and index arrays only
-    ladder = Path(__file__).resolve().parents[1] / "perfbench" / "ladder.grp"
-    fx = parse_fixture(ladder.read_text("utf-8"))
-    ctx = checks.RunContext(fx)
+LADDER = Path(__file__).resolve().parents[1] / "perfbench" / "ladder.grp"
+
+
+def assert_catalog_pass_makes_no_handle_arithmetic(text, monkeypatch):
+    # RunContext realizes the fixture (word images of automorphisms are
+    # evaluated on the table), and every check reads tables and index arrays
+    fx = parse_fixture(text)
     calls = dict.fromkeys(("multiply", "power", "inverse", "commutator"), 0)
     for attr in calls:
 
@@ -585,6 +586,8 @@ def test_ladder_catalog_pass_makes_no_handle_arithmetic(monkeypatch):
             return _orig(self, *args)
 
         monkeypatch.setattr(FiniteGroup, attr, counted)
+    ctx = checks.RunContext(fx)
+    assert calls == dict.fromkeys(calls, 0)
     rows = [
         checks._row(ctx, entry.name, name, handler, False)
         for entries, handlers in (
@@ -594,5 +597,58 @@ def test_ladder_catalog_pass_makes_no_handle_arithmetic(monkeypatch):
         for entry in entries
         for name, handler in handlers.items()
     ]
-    assert len(rows) == 4 * len(GROUP_CHECKS) + len(ACTION_CHECKS)
+    assert len(rows) == len(fx.groups) * len(GROUP_CHECKS) + len(fx.actions) * len(ACTION_CHECKS)
     assert calls == dict.fromkeys(calls, 0)
+
+
+def test_ladder_catalog_pass_makes_no_handle_arithmetic(monkeypatch):
+    assert_catalog_pass_makes_no_handle_arithmetic(LADDER.read_text("utf-8"), monkeypatch)
+
+
+def test_corpus_catalog_pass_makes_no_handle_arithmetic(monkeypatch):
+    assert_catalog_pass_makes_no_handle_arithmetic(corpus_text(), monkeypatch)
+
+
+def test_catalog_pass_verifies_each_distinct_subgroup_once(monkeypatch):
+    # the library builds subgroups through series._subgroup, which keeps each
+    # verified mask on its group: a second request for a mask is not verified
+    # again, and a fresh run realizes fresh groups that verify anew
+    built = []
+    orig = series.Subgroup.__init__
+
+    def counted(self, group, mask):
+        orig(self, group, mask)
+        built.append((id(group), self.mask.tobytes()))
+
+    monkeypatch.setattr(series.Subgroup, "__init__", counted)
+    fx = parse_fixture(LADDER.read_text("utf-8"))
+    report = run_checks(fx)
+    assert len(report.rows) == 52
+    assert len(built) == len(set(built)) == 18
+    built.clear()
+    run_checks(parse_fixture(corpus_text()))
+    assert len(built) == len(set(built)) == 57
+
+
+def test_kept_results_are_read_only():
+    ctx = checks.RunContext(parse_fixture(LADDER.read_text("utf-8")))
+    for name, handler in checks._GROUP_HANDLERS.items():
+        for target in ctx.groups:
+            checks._row(ctx, target, name, handler, False)
+    for name, handler in checks._ACTION_HANDLERS.items():
+        for target in ctx.actions:
+            checks._row(ctx, target, name, handler, False)
+    arrays = 0
+    for G in ctx.groups.values():
+        assert G._lattice
+        for value in G._lattice.values():
+            if isinstance(value, series.Subgroup):
+                value = [value.mask, value.idx]
+            elif isinstance(value, series.NormalSeries):
+                value = [a for t in value.terms for a in (t.mask, t.idx)]
+            else:
+                value = [value]
+            for a in value:
+                assert not a.flags.writeable
+                arrays += 1
+    assert arrays > 50

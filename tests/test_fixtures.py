@@ -18,7 +18,7 @@ from grouplab.fixtures import (
     serialize_fixture,
     word_element,
 )
-from grouplab.groups import PcPresentation, PermutationGenSet, build_group
+from grouplab.groups import FiniteGroup, PcPresentation, PermutationGenSet, build_group
 
 C2_TEXT = """\
 group C2
@@ -351,6 +351,31 @@ def test_realize_perm_automorphism_both_image_kinds():
     G = groups["S3"]
     a = G.generator_by_name("a")
     assert phi(a) == G.inverse(a)
+
+
+def test_word_images_are_read_from_the_table(monkeypatch):
+    # a -> a^5 b^0 = a^-1 and b -> b^3 a^3 = b (conjugation by b), with
+    # exponents past the orders and a zero one: the images equal the handle
+    # products, and realization takes none
+    text = S3_TEXT + "\naut conj on S3\nimage a = a^5 b^0\nimage b = b^3 a^3\nend\n"
+    fx = parse_fixture(text)
+    G = realize_groups(fx)["S3"]
+    a, b = G.generator_by_name("a"), G.generator_by_name("b")
+    want = [G.multiply(G.power(a, 5), G.power(b, 0)), G.multiply(G.power(b, 3), G.power(a, 3))]
+    assert want == [G.inverse(a), b]
+    H = build_group(PcPresentation(3, 3, {}, {(2, 1): ((3, 1),)}))
+    g1, g2, g3 = H.generators
+    word = H.multiply(H.multiply(H.power(g1, 2), g2), H.power(g3, 2))
+    calls = []
+    for attr in ("multiply", "power", "inverse", "commutator"):
+        orig = getattr(FiniteGroup, attr)
+        monkeypatch.setattr(
+            FiniteGroup, attr, lambda self, *args, _o=orig: calls.append(args) or _o(self, *args)
+        )
+    phi = realize_automorphism(fx.aut("conj"), G)
+    assert word_element(H, ((1, 2), (2, 1), (3, 2))) == word
+    assert calls == []
+    assert [phi(a), phi(b)] == want
 
 
 def test_realize_rejects_non_automorphism_images():

@@ -18,6 +18,7 @@ from grouplab.groups import (
 from grouplab.identities import (
     GroupWord,
     LiePolynomial,
+    _engel_walk,
     engel_index_of_element,
     evaluate_group_word,
     evaluate_lie,
@@ -28,6 +29,7 @@ from grouplab.identities import (
     left_normed,
 )
 from grouplab.liering import build_dl
+from grouplab.series import _class_representatives
 from test_series_oracle import cases
 
 
@@ -418,6 +420,44 @@ def test_engel_index_matches_handle_loop(name):
     for x in G.elements():
         for cutoff in (None, 1, 2, 3, 5):
             assert engel_index_of_element(G, x, cutoff) == ref_engel_index(G, x, cutoff)
+
+
+@pytest.mark.parametrize("name", sorted(cases()))
+def test_engel_index_matches_handle_loop_at_every_cutoff(name):
+    # The index is constant on a conjugacy class, so one element per class is
+    # walked at every cutoff up to |G| + 1.  The handle loop answers n at every
+    # cutoff from n on and None below it, or None throughout.
+    G = cases()[name]
+    for i in _class_representatives(G):
+        x = G.element_at(i)
+        want = ref_engel_index(G, x)
+        for cutoff in range(1, G.order + 2):
+            expected = want if want is not None and want <= cutoff else None
+            assert engel_index_of_element(G, x, cutoff) == expected
+
+
+def first_repeat(G, xi) -> int:
+    """Steps until the vector of all [g, x, ..., x] is all-identity or equals an earlier one."""
+    T, inv = G.table(), G.inverse_indices()
+    y = list(range(G.order))
+    seen = set()
+    k = 0
+    while True:
+        y = [int(T[inv[T[xi, v]], T[v, xi]]) for v in y]
+        k += 1
+        if all(G.element_at(v).is_identity() for v in y) or tuple(y) in seen:
+            return k
+        seen.add(tuple(y))
+
+
+def test_engel_walk_on_s5_stops_at_the_first_repeat():
+    # only the identity is an Engel element of S5 (its Fitting subgroup is
+    # trivial); every other walk cycles, and stops within 14 of the 120 steps
+    G = cases()["ladder S5"]
+    walks = [_engel_walk(G, i, G.order) for i in range(G.order)]
+    assert [i for i, (_, reached) in enumerate(walks) if reached] == [G.index_of(G.identity)]
+    assert [steps for steps, _ in walks] == [first_repeat(G, i) for i in range(G.order)]
+    assert max(steps for steps, _ in walks) == 14
 
 
 @pytest.mark.parametrize("make", [d8, heis27, lambda: pc(3, 2, {1: ((2, 1),)})])

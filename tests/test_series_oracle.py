@@ -530,18 +530,36 @@ def test_collection_formula_matches_reference(name):
             assert checks.check_collection_formula(G, p, n) == ref_collection(G, p, n)
 
 
-@pytest.mark.parametrize(
-    "name,p", [("S3", 2), ("D8pc", 3), ("Heis27", 2), ("S4", 3), ("ladder S5", 3)]
-)
-def test_collection_formula_reports_the_first_failing_pair(name, p, monkeypatch):
+FAILING_PAIR_CASES = [("S3", 2), ("D8pc", 3), ("Heis27", 2), ("S4", 3), ("ladder S5", 3)]
+
+
+def assert_first_failing_pair(G, p, monkeypatch):
     # The congruence is a theorem, so the scan fails only against a smaller
     # modulus: with the trivial one it stops at the first pair where
     # (xy)^q != x^q y^q, in row-major order.
-    G = cases()[name]
     monkeypatch.setattr(checks, "generated_subgroup", lambda G, gens: trivial_subgroup(G))
     got = checks.check_collection_formula(G, p, 1)
     assert not got.ok
-    assert got == ref_collection(G, p, 1, modulus=frozenset([G.identity.key]))
+    want = ref_collection(G, p, 1, modulus=frozenset([G.identity.key]))
+    assert got == want
+    return want
+
+
+@pytest.mark.parametrize("name,p", FAILING_PAIR_CASES)
+def test_collection_formula_reports_the_first_failing_pair(name, p, monkeypatch):
+    assert_first_failing_pair(cases()[name], p, monkeypatch)
+
+
+@pytest.mark.parametrize("name,p", FAILING_PAIR_CASES)
+def test_collection_formula_reports_the_first_failing_pair_in_a_later_block(
+    name, p, monkeypatch
+):
+    # one row x per table block; row x = 1 never fails, so the failure lands
+    # in a later block
+    G = cases()[name]
+    monkeypatch.setattr(groups, "_BLOCK", G.order)
+    want = assert_first_failing_pair(G, p, monkeypatch)
+    assert f"x={G.identity!r}," not in want.detail
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -727,6 +745,60 @@ def test_fitting_and_c4_6_make_one_normal_closure_per_class_at_most(monkeypatch)
     calls.clear()
     assert checks.check_4_6(fx).ok
     assert 0 < len(calls) <= n_classes
+
+
+def test_c4_6_takes_one_class_closure_per_class_of_cyclic_subgroups(monkeypatch):
+    # Heis125 has 29 conjugacy classes; the powers x^k (k prime to 5) of one
+    # element share its closure, which leaves 8 classes of cyclic subgroups,
+    # and their 8 closures are distinct
+    fx = action_cases()["A125"]
+    G = fx.group
+    assert len(ref_conjugacy_classes(G)) == 29
+    closures = []
+
+    def counted(G, x, *base, _orig=series._class_closure):
+        closures.append(_orig(G, x, *base))
+        return closures[-1]
+
+    monkeypatch.setattr(checks, "_class_closure", counted)
+    assert checks.check_4_6(fx).ok
+    assert len(closures) == 8
+    assert len({mask.tobytes() for mask in closures}) == 8
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_cyclic_class_representatives_pick_one_per_class_of_cyclic_subgroups(name):
+    # <x> and <y> are conjugate exactly when y is conjugate to a generator
+    # x^k of <x>, so the union of the classes of those generators names the
+    # class of <x>; the representatives name each class once, as minima in order
+    G = cases()[name]
+    class_of = {key: c for c in ref_conjugacy_classes(G) for key in c}
+
+    def label(x):
+        n = G.element_order(x)
+        gens = [G.power(x, k) for k in range(1, n + 1) if math.gcd(k, n) == 1]
+        return frozenset().union(*(class_of[g.key] for g in gens))
+
+    reps = series._cyclic_class_representatives(G)
+    assert list(reps) == sorted(reps)
+    assert set(reps.tolist()) <= set(_class_representatives(G).tolist())
+    rep_labels = [label(G.element_at(r)) for r in reps]
+    assert len(set(rep_labels)) == len(rep_labels)
+    assert set(rep_labels) == {label(x) for x in G.elements()}
+
+
+@pytest.mark.parametrize("name", sorted(load_corpus().groups))
+def test_inner_automorphisms_match_handle_conjugation(name, monkeypatch):
+    G = cases()[name]
+    want = {
+        g.key: tuple(G.index_of(G.conjugate(x, g)) for x in G.elements()) for g in G.elements()
+    }
+    calls = []
+    orig = FiniteGroup.multiply
+    monkeypatch.setattr(FiniteGroup, "multiply", lambda self, *a: calls.append(a) or orig(self, *a))
+    for g in G.elements():
+        assert inner_automorphism(G, g).image_indices == want[g.key]
+    assert calls == []
 
 
 # -- random permutation groups on at most five points ---------------------------------
