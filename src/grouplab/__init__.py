@@ -23,7 +23,6 @@ from .checks import (
     check_lemma_3_4,
     check_theorem_4_3_instance,
     check_theorem_4_4_instance,
-    emit_report,
     run_checks,
 )
 from .corpus import Corpus, bundled_isomorphisms, corpus_fixture, corpus_text, load_corpus
@@ -109,7 +108,6 @@ from .series import (
     commutator_subgroup,
     derived_series,
     dimension_series,
-    element_centralizer,
     fitting_height,
     fitting_subgroup,
     generated_subgroup,

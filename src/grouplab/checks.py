@@ -324,14 +324,19 @@ def check_4_6(fx: ActionFixture) -> Verdict:
     )
 
 
-def check_4_12(G: FiniteGroup, a: Automorphism) -> Verdict:
-    """Odd-order G with involutory a: unique x = gh, g inverted, h fixed."""
+def _needs_odd_involution(G: FiniteGroup, a: Automorphism) -> None:
+    """Raise unless a is an automorphism of G, |G| is odd and a∘a = 1."""
     if not isinstance(a, Automorphism) or a.source is not G:
         raise MismatchedParent("a must be an automorphism of G")
     if G.order % 2 == 0:
         raise HypothesisNotMet(f"G has even order {G.order}")
     if not a.compose(a).is_identity():
         raise HypothesisNotMet("a*a is not the identity")
+
+
+def check_4_12(G: FiniteGroup, a: Automorphism) -> Verdict:
+    """Odd-order G with involutory a: unique x = gh, g inverted, h fixed."""
+    _needs_odd_involution(G, a)
     T = G.table()
     inv = G.inverse_indices()
     image = np.asarray(a.image_indices)
@@ -372,12 +377,7 @@ def check_theorem_4_4_instance(
     G: FiniteGroup, a: Automorphism, n: int | None = None
 ) -> Verdict:
     """Record the least valid n (centralizer exponent and [x,a] orders) vs exp(G)."""
-    if not isinstance(a, Automorphism) or a.source is not G:
-        raise MismatchedParent("a must be an automorphism of G")
-    if G.order % 2 == 0:
-        raise HypothesisNotMet(f"G has even order {G.order}")
-    if not a.compose(a).is_identity():
-        raise HypothesisNotMet("a*a is not the identity")
+    _needs_odd_involution(G, a)
     fixed = centralizer(G, [a])
     commutators = G.table()[G.inverse_indices(), np.asarray(a.image_indices)]  # y^-1 a(y)
     orders = np.flatnonzero(np.bincount(G.element_orders()[commutators]))  # distinct, ascending
@@ -458,21 +458,13 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
 
-def emit_report(report: CheckReport, fmt: str = "json") -> str:
-    if fmt == "json":
-        return report.to_json()
-    if fmt == "table":
-        return report.to_table()
-    raise MalformedSpec(f"unknown report format {fmt!r}")
-
-
 class RunContext:
     """Realized fixtures plus the decomposition witnesses shared across checks.
 
     What depends on a group alone is kept on the group, not here: build_dl
     keeps its graded algebra, and the series module keeps every subgroup,
-    series, commutator value set and power or commutator subgroup it
-    computes, so the checks of one run share them.
+    series, commutator value set and commutator subgroup it computes, so
+    the checks of one run share them.
     """
 
     def __init__(self, fx: FixtureFile, budget: int = SCAN_BUDGET):

@@ -56,8 +56,8 @@ def _cmd_series(args) -> int:
     print(f"group {args.group}: order {G.order}, exponent {profile.exponent}")
     print(f"lower central series orders:   {lower_central_series(G).orders()}")
     print(f"derived series orders:         {derived_series(G).orders()}")
-    if profile.p_group is not None or args.prime is not None:
-        series = dimension_series(G, args.prime)
+    if profile.p_group is not None:
+        series = dimension_series(G)
         print(f"p-dimension series orders:     {series.orders()}")
     else:
         print("p-dimension series:            (only defined for p-groups)")
@@ -150,7 +150,6 @@ def main(argv=None) -> int:
     sub = commands.add_parser("series", help="print the series of one group")
     sub.add_argument("file")
     sub.add_argument("--group", required=True)
-    sub.add_argument("--prime", type=int, default=None)
     sub.set_defaults(fn=_cmd_series)
 
     sub = commands.add_parser("liering", help="print the graded algebra of one group")
@@ -170,10 +169,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except GroupLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (GroupLabError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,6 @@ __all__ = [
     "solve_in_row_space",
     "in_row_space",
     "row_space_equal",
-    "row_space_contains",
     "mat_pow",
     "is_invertible",
 ]
@@ -99,12 +98,6 @@ def solve_in_row_space(basis, vec, p: int) -> np.ndarray | None:
 def in_row_space(basis, vec, p: int) -> bool:
     """Whether vec lies in the row space of basis over F_p."""
     return solve_in_row_space(basis, vec, p) is not None
-
-
-def row_space_contains(outer, inner, p: int) -> bool:
-    """Whether every row of inner lies in the row space of outer."""
-    inner = reduce_mod(inner, p)
-    return all(in_row_space(outer, row, p) for row in inner)
 
 
 def row_space_equal(a, b, p: int) -> bool:

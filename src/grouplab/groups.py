@@ -220,11 +220,6 @@ class GroupElement:
     def __hash__(self):
         return hash((id(self.group), self.key))
 
-    def __lt__(self, other):
-        if not isinstance(other, GroupElement) or self.group is not other.group:
-            return NotImplemented
-        return self.key < other.key
-
     def __mul__(self, other):
         return self.group.multiply(self, other)
 
@@ -496,16 +491,6 @@ class FiniteGroup:
             acc = self.commutator(acc, y)
         return acc
 
-    def engel_word(self, g: GroupElement, x: GroupElement, n: int) -> GroupElement:
-        """[g, n x]: iterated commutator with x; n = 0 returns g."""
-        if n < 0:
-            raise ValueError(f"engel depth must be non-negative, got {n}")
-        acc = g
-        self._check(acc)
-        for _ in range(n):
-            acc = self.commutator(acc, x)
-        return acc
-
     def conjugate(self, x: GroupElement, g: GroupElement) -> GroupElement:
         """x^g = g^-1 x g."""
         return self.multiply(self.multiply(self.inverse(g), x), g)
@@ -595,7 +580,7 @@ def build_group(spec) -> FiniteGroup:
 class GroupHomomorphism:
     """Group map determined by generator images, verified on all pairs."""
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, images, *, verify: bool = True):
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, images):
         self.source = source
         self.target = target
         gen_images = self._normalize_images(images)
@@ -621,8 +606,7 @@ class GroupHomomorphism:
         if any(i < 0 for i in image_idx):
             raise MalformedSpec("generator images must cover every group generator")
         self.image_indices = tuple(image_idx)
-        if verify:
-            self._verify()
+        self._verify()
 
     def _normalize_images(self, images):
         src_gens = self.source.generators
@@ -674,8 +658,8 @@ class GroupHomomorphism:
 class Automorphism(GroupHomomorphism):
     """Bijective homomorphism of a group onto itself."""
 
-    def __init__(self, group: FiniteGroup, images, *, verify: bool = True):
-        super().__init__(group, group, images, verify=verify)
+    def __init__(self, group: FiniteGroup, images):
+        super().__init__(group, group, images)
         if not self.is_bijective:
             raise MalformedSpec("generator images define a non-bijective endomorphism")
 
@@ -705,15 +689,6 @@ class Automorphism(GroupHomomorphism):
             raise ForeignElement("cannot compose automorphisms of different groups")
         mapped = tuple(other.image_indices[i] for i in self.image_indices)
         return Automorphism.from_index_map(self.source, mapped, verify=False)
-
-    def __mul__(self, other):
-        return self.compose(other)
-
-    def inverse_automorphism(self) -> "Automorphism":
-        out = [0] * len(self.image_indices)
-        for i, j in enumerate(self.image_indices):
-            out[j] = i
-        return Automorphism.from_index_map(self.source, out, verify=False)
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.image_indices))

@@ -9,6 +9,11 @@ bracket a contraction of the structure tensor; nothing is sampled.
 
 Group words are small expression trees built from variables, inverses,
 products, powers, and left-normed commutators.
+
+Each enumeration refuses, with BudgetExceeded, work beyond its module
+constant, read at call time: HIGMAN_MONOMIAL_BUDGET monomials,
+IDENTITY_EVAL_BUDGET polynomial assignments, ENGEL_EXACT_LIMIT algebra
+elements or basis tuples, WORD_EVAL_BUDGET group-word assignments.
 """
 
 import itertools
@@ -128,15 +133,15 @@ class LiePolynomial:
         return " + ".join(parts)
 
 
-def higman_polynomial(n: int, budget: int = HIGMAN_MONOMIAL_BUDGET) -> LiePolynomial:
+def higman_polynomial(n: int) -> LiePolynomial:
     """Sum over all orderings of x1..x_{n-1} of [x0, x_{pi(1)}, ..., x_{pi(n-1)}]."""
     if n < 2:
         raise MalformedSpec("need n >= 2")
     count = 1
     for k in range(2, n):
         count *= k
-    if count > budget:
-        raise BudgetExceeded(f"{count} monomials exceed the budget of {budget}")
+    if count > HIGMAN_MONOMIAL_BUDGET:
+        raise BudgetExceeded(f"{count} monomials exceed the budget of {HIGMAN_MONOMIAL_BUDGET}")
     terms = []
     for pi in itertools.permutations(range(1, n)):
         terms.append((1, left_normed((0,) + pi)))
@@ -191,26 +196,22 @@ def _first_nonzero(values: np.ndarray, count: int):
     return int(np.argmax(nonzero)) if nonzero.any() else None
 
 
-def holds_identity(
-    f: LiePolynomial,
-    L: GradedLieRing,
-    budget: int = IDENTITY_EVAL_BUDGET,
-    force_exhaustive: bool = False,
-) -> Verdict:
+def holds_identity(f: LiePolynomial, L: GradedLieRing) -> Verdict:
     """Does f vanish identically on L?
 
     Multilinear polynomials only need checking on tuples of basis elements;
-    anything else is evaluated on all element tuples, within budget.  The
-    first nonzero tuple in lexicographic order is reported.
+    anything else is evaluated on all element tuples, within
+    IDENTITY_EVAL_BUDGET.  The first nonzero tuple in lexicographic order is
+    reported.
     """
     variables = sorted(f.variables)
-    basis = f.is_multilinear and not force_exhaustive
+    basis = f.is_multilinear
     mode = "basis" if basis else "exhaustive"
     size = L.total_dim if basis else L.p**L.total_dim
     total = size ** len(variables)
-    if total > budget:
+    if total > IDENTITY_EVAL_BUDGET:
         raise BudgetExceeded(
-            f"{size}^{len(variables)} assignments exceed the budget of {budget}"
+            f"{size}^{len(variables)} assignments exceed the budget of {IDENTITY_EVAL_BUDGET}"
         )
     pool = np.eye(size, dtype=np.int64) if basis else L.all_vectors()
     first = _first_nonzero(_polynomial_values(f, L, dict.fromkeys(variables, pool)), total)
@@ -225,12 +226,14 @@ def holds_identity(
     )
 
 
-def is_n_engel_algebra(L: GradedLieRing, n: int, budget: int = ENGEL_EXACT_LIMIT) -> Verdict:
+def is_n_engel_algebra(L: GradedLieRing, n: int) -> Verdict:
     """Is ad(a)^n zero for every a in L?
 
-    Every element is scanned within the budget; beyond it n < p is decided on
-    basis tuples (_engel_linearized), and anything else raises BudgetExceeded.
+    Every element is scanned within ENGEL_EXACT_LIMIT; beyond it n < p is
+    decided on basis tuples (_engel_linearized), and anything else raises
+    BudgetExceeded.
     """
+    budget = ENGEL_EXACT_LIMIT
     if n < 1:
         raise MalformedSpec("need n >= 1")
     size = L.p**L.total_dim
@@ -392,15 +395,13 @@ def _eval_word(w: GroupWord, G: FiniteGroup, assignment: dict) -> GroupElement:
     return out
 
 
-def group_satisfies(
-    w: GroupWord, G: FiniteGroup, budget: int = WORD_EVAL_BUDGET
-) -> Verdict:
-    """Exhaustively check w(g1, ..., gs) = 1 over all of G."""
+def group_satisfies(w: GroupWord, G: FiniteGroup) -> Verdict:
+    """Exhaustively check w(g1, ..., gs) = 1 over all of G, within WORD_EVAL_BUDGET."""
     variables = sorted(w.variables)
     nvars = len(variables)
     total = G.order**nvars
-    if total > budget:
-        raise BudgetExceeded(f"|G|^{nvars} = {total} exceeds the budget of {budget}")
+    if total > WORD_EVAL_BUDGET:
+        raise BudgetExceeded(f"|G|^{nvars} = {total} exceeds the budget of {WORD_EVAL_BUDGET}")
     elems = list(G.elements())
     for combo in itertools.product(elems, repeat=nvars):
         assignment = dict(zip(variables, combo))
@@ -449,21 +450,15 @@ def _engel_walk(G: FiniteGroup, xi: int, limit: int) -> tuple:
     return limit, False
 
 
-def engel_index_of_element(
-    G: FiniteGroup, x: GroupElement, cutoff: Optional[int] = None
-) -> Optional[int]:
+def engel_index_of_element(G: FiniteGroup, x: GroupElement) -> Optional[int]:
     """Least n with [g, x, x, ..., x] (n copies) trivial for every g, else None.
 
     Every g is stepped at once (_engel_walk).  The identity is fixed by the
     step, and a start that reaches it does so within |G| steps (the values
     before it are distinct, or they would cycle), so the walk stops after
-    min(cutoff, |G|) steps whatever the cutoff, or sooner on a repeat.
+    |G| steps, or sooner on a repeat.
     """
     if not isinstance(x, GroupElement) or x.group is not G:
         raise ForeignElement("x must be an element of G")
-    if cutoff is None:
-        cutoff = G.order
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
-    steps, reached = _engel_walk(G, G.index_of(x), min(cutoff, G.order))
+    steps, reached = _engel_walk(G, G.index_of(x), G.order)
     return steps if reached else None

@@ -32,7 +32,7 @@ from .errors import (
     NotInvolution,
     TrivialImage,
 )
-from .gfp import in_row_space, is_invertible, mat_pow, nullspace, row_space_equal, rref
+from .gfp import is_invertible, mat_pow, nullspace, row_space_equal, rref
 from .groups import Automorphism, FiniteGroup, GroupElement
 from .series import (
     NormalSeries,
@@ -203,17 +203,6 @@ class GradedLieRing:
     def element(self, vec) -> LieElement:
         return LieElement(self, vec)
 
-    def from_component(self, i: int, coords) -> LieElement:
-        lo, hi = self._span(i)
-        coords = np.asarray(coords, dtype=np.int64)
-        if coords.shape != (hi - lo,):
-            raise MalformedSpec(
-                f"component {i} expects {hi - lo} coordinates, got {coords.shape}"
-            )
-        vec = np.zeros(self.total_dim, dtype=np.int64)
-        vec[lo:hi] = coords
-        return LieElement(self, vec)
-
     def basis(self) -> list:
         return [LieElement(self, row) for row in np.eye(self.total_dim, dtype=np.int64)]
 
@@ -284,9 +273,6 @@ class GradedLieRing:
                 return k
             cur = reduced[: len(pivots)]
             k += 1
-
-    def is_abelian(self) -> bool:
-        return not self.C.any()
 
     # -- group payload ------------------------------------------------------
 
@@ -365,15 +351,15 @@ def _first_pair(bad: np.ndarray, left: np.ndarray, right: np.ndarray) -> tuple:
     return min(zip(left[a].tolist(), right[b].tolist()))
 
 
-def build_dl(G: FiniteGroup, p: int | None = None) -> GradedLieRing:
+def build_dl(G: FiniteGroup) -> GradedLieRing:
     """Graded Lie algebra of a finite p-group from its p-power descending series.
 
     The algebra is kept on G, so later calls return the same object.
     """
-    p = _p_of(G, p)
+    p = _p_of(G)
     if G._lie_ring is not None:
         return G._lie_ring
-    series = dimension_series(G, p)
+    series = dimension_series(G)
     terms = series.terms
     m = len(terms) - 1
     T = G.table()
@@ -497,9 +483,6 @@ class GradedSubspace:
     def dims(self) -> tuple:
         return tuple(b.shape[0] for b in self.bases)
 
-    def total_dim(self) -> int:
-        return sum(self.dims())
-
     def degrees(self) -> np.ndarray:
         """Degree of each row of rows."""
         return np.repeat(np.arange(1, self.algebra.m + 1), self.dims())
@@ -512,14 +495,6 @@ class GradedSubspace:
         p = self.algebra.p
         back = np.einsum("...q,qk->...k", vecs[..., self.pivots], self.rows) % p
         return (back != vecs % p).any(axis=-1)
-
-    def contains(self, u: LieElement) -> bool:
-        if u.algebra is not self.algebra:
-            raise MismatchedAlgebra("element belongs to a different algebra")
-        return all(
-            in_row_space(self.bases[i - 1], u.component(i), self.algebra.p)
-            for i in range(1, self.algebra.m + 1)
-        )
 
     def is_bracket_closed(self) -> bool:
         return not self.outside(self.algebra.brackets(self.rows, self.rows)).any()
@@ -639,16 +614,6 @@ class GradedAutomorphism:
         return all(
             np.array_equal(mat, np.eye(mat.shape[0], dtype=np.int64)) for mat in self.mats
         )
-
-    def order(self) -> int:
-        acc = self
-        n = 1
-        while not acc.is_identity():
-            acc = acc.compose(self)
-            n += 1
-            if n > 10**6:
-                raise ActionNotWellDefined("action order exceeds sanity bound")
-        return n
 
     def __eq__(self, other):
         return (
@@ -834,7 +799,7 @@ def commutator_shapes(m: int, c: int) -> tuple:
 
 def decomposition_witness(G: FiniteGroup, gens=None) -> DecompositionWitness:
     """Enumerate the left-normed commutators of weight up to the subalgebra class."""
-    _p_of(G, None)
+    _p_of(G)
     gens = tuple(gens) if gens is not None else tuple(G.generators)
     for g in gens:
         G._check(g)

@@ -17,11 +17,12 @@ Each group carries one store (FiniteGroup._lattice) that this module fills.
 The library builds every subgroup through _subgroup, which keeps it there
 under its mask, so each distinct mask is verified in full once per group; a
 public Subgroup(G, mask) verifies on every call.  The store also keeps the
-lower central, derived and dimension series, commutator and power subgroups
-by their operands, and the read-only commutator value masks by their index
-arrays: the G x G commutator scan that the series, the N_p-series check, the
-weight-k commutators and the powerful test share runs once per group.  A
-call that raises keeps nothing.
+lower central, derived and dimension series, commutator subgroups by their
+operands, and the read-only commutator value masks by their index arrays:
+the G x G commutator scan that the series, the N_p-series check, the
+weight-k commutators and the powerful test share runs once per group.  Power
+subgroups are not kept apart from their masks, because no caller asks for
+the same one twice.  A call that raises keeps nothing.
 
 The upper Fitting series, and with it the Fitting height, is built inside
 the group on masks: each term is the product of the normal closures, one
@@ -53,7 +54,6 @@ from .groups import (
     FiniteGroup,
     GroupElement,
     _blocks,
-    inner_automorphism,
 )
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
     "verify_np_series",
     "quotient_group",
     "centralizer",
-    "element_centralizer",
     "is_nilpotent_subgroup",
     "fitting_subgroup",
     "fitting_height",
@@ -306,15 +305,11 @@ def commutator_subgroup(G: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgroup:
 
 
 def power_subgroup(G: FiniteGroup, H: Subgroup, n: int) -> Subgroup:
-    """Subgroup generated by the n-th powers of the elements of H; kept on G."""
+    """Subgroup generated by the n-th powers of the elements of H."""
     _same_parent(G, H, "subgroup")
     if n < 1:
         raise ValueError(f"power subgroup needs a positive exponent, got {n}")
-    return _keep(
-        G,
-        ("power subgroup", H.mask.tobytes(), n),
-        lambda: _subgroup(G, _closure(G, _power_map(G, n)[H.idx])),
-    )
+    return _subgroup(G, _closure(G, _power_map(G, n)[H.idx]))
 
 
 @dataclass(frozen=True)
@@ -389,23 +384,21 @@ def derived_series(G: FiniteGroup) -> NormalSeries:
     return _keep(G, ("series", "derived"), build)
 
 
-def _p_of(G: FiniteGroup, p) -> int:
+def _p_of(G: FiniteGroup) -> int:
     pk = G.is_p_group()
     if pk is None:
         raise NotAPGroup(f"group order {G.order} is not a prime power")
-    if p is not None and p != pk[0]:
-        raise NotAPGroup(f"group order {G.order} is a power of {pk[0]}, not of {p}")
     return pk[0]
 
 
-def dimension_series(G: FiniteGroup, p: int | None = None) -> NormalSeries:
+def dimension_series(G: FiniteGroup) -> NormalSeries:
     """D_i = product of all γ_j^{p^k} with j·p^k ≥ i, down to the trivial subgroup.
 
     Kept on G.  The terms are closed as masks first and become subgroups
     only once the series reaches the trivial subgroup, so a call that raises
     keeps nothing.
     """
-    p = _p_of(G, p)
+    p = _p_of(G)
 
     def build() -> NormalSeries:
         gamma = lower_central_series(G)
@@ -428,7 +421,7 @@ def dimension_series(G: FiniteGroup, p: int | None = None) -> NormalSeries:
             i += 1
         return NormalSeries(G, "dimension", tuple(_subgroup(G, m) for m in masks))
 
-    return _keep(G, ("series", "dimension", p), build)
+    return _keep(G, ("series", "dimension"), build)
 
 
 @dataclass(frozen=True)
@@ -564,11 +557,6 @@ def centralizer(G: FiniteGroup, phis) -> Subgroup:
     for phi in phis:
         mask &= np.asarray(phi.image_indices) == np.arange(G.order)
     return _subgroup(G, mask)
-
-
-def element_centralizer(G: FiniteGroup, g: GroupElement) -> Subgroup:
-    """C_G(g) via the inner automorphism of g."""
-    return centralizer(G, [inner_automorphism(G, g)])
 
 
 def _nilpotent_mod(G: FiniteGroup, M: np.ndarray, F: np.ndarray) -> bool:
@@ -710,9 +698,9 @@ def fitting_height(G: FiniteGroup) -> int:
     return height
 
 
-def is_powerful(G: FiniteGroup, p: int | None = None) -> bool:
+def is_powerful(G: FiniteGroup) -> bool:
     """[G,G] ≤ G^p for odd p; [G,G] ≤ G^4 for p = 2."""
-    p = _p_of(G, p)
+    p = _p_of(G)
     whole = whole_subgroup(G)
     derived = commutator_subgroup(G, whole, whole)
     target = power_subgroup(G, whole, 4 if p == 2 else p)

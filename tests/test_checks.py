@@ -22,7 +22,6 @@ from grouplab.checks import (
     check_lemma_3_4,
     check_theorem_4_3_instance,
     check_theorem_4_4_instance,
-    emit_report,
     run_checks,
 )
 from grouplab.corpus import corpus_fixture, corpus_text, load_corpus
@@ -454,13 +453,6 @@ def test_report_table_shape(corpus_report):
     lines = table.splitlines()
     assert lines[0].startswith("GROUP")
     assert lines[-1].startswith("-- 208 rows:")
-
-
-def test_emit_report_formats(corpus_report):
-    assert emit_report(corpus_report, "json") == corpus_report.to_json()
-    assert emit_report(corpus_report, "table") == corpus_report.to_table()
-    with pytest.raises(MalformedSpec):
-        emit_report(corpus_report, "yaml")
 
 
 def test_has_failures_flag():

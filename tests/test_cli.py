@@ -42,17 +42,6 @@ def test_series(corpus_path, capsys):
     assert "nilpotent: True (class 2)" in out
 
 
-def test_series_with_explicit_prime(corpus_path, capsys):
-    # matching prime: fine; the flag asserts rather than overrides
-    assert main(["series", corpus_path, "--group", "C9", "--prime", "3"]) == 0
-    assert "p-dimension series orders" in capsys.readouterr().out
-    assert main(["series", corpus_path, "--group", "C9", "--prime", "2"]) == 2
-    assert "power of 3" in capsys.readouterr().err
-    # mixed-order groups have no p-dimension series at any prime
-    assert main(["series", corpus_path, "--group", "S3", "--prime", "3"]) == 2
-    assert "not a prime power" in capsys.readouterr().err
-
-
 def test_series_on_mixed_order_group_has_no_dimension_orders(corpus_path, capsys):
     assert main(["series", corpus_path, "--group", "S3"]) == 0
     out = capsys.readouterr().out
@@ -109,6 +98,18 @@ def test_syntax_error_reports_location(tmp_path, capsys):
     bad.write_text("group G\nbackend pc\nprime 2\nngens 1\nwibble\nend\n")
     assert main(["info", str(bad)]) == 2
     assert "line 5" in capsys.readouterr().err
+
+
+def test_unreadable_input_is_an_error_not_a_failure(tmp_path, capsys):
+    # exit 1 is reserved for fail rows: a directory or a non-UTF-8 file is exit 2
+    assert main(["check", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    latin = tmp_path / "latin1.grp"
+    latin.write_bytes("# caf\xe9\n".encode("latin-1"))
+    assert main(["info", str(latin)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_failure_rows_exit_one(monkeypatch, capsys):

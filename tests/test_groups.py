@@ -235,16 +235,6 @@ def test_commutator_identities():
         G.long_commutator([])
 
 
-def test_engel_word():
-    G = s3()
-    a, b = G.generators
-    assert G.engel_word(a, b, 0) == a
-    assert G.engel_word(a, b, 1) == G.commutator(a, b)
-    assert G.engel_word(a, b, 2) == G.commutator(G.commutator(a, b), b)
-    with pytest.raises(ValueError):
-        G.engel_word(a, b, -1)
-
-
 def test_conjugate():
     G = s4()
     a, b = G.generators
@@ -358,11 +348,18 @@ def test_homomorphism_bad_images_rejected():
         GroupHomomorphism(G, C2, [x, x])  # wrong arity
 
 
+def unverified_homomorphism(source, target, images):
+    """The map the generator images extend to, built with verification switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GroupHomomorphism, "_verify", lambda self: None)
+        return GroupHomomorphism(source, target, images)
+
+
 def test_homomorphism_failure_names_first_pair_in_row_major_order():
     G = build_group(pc_d8())
     C2 = build_group(PcPresentation(2, 1))
     x = C2.generators[0]
-    phi = GroupHomomorphism(G, C2, [x, x, x], verify=False)
+    phi = unverified_homomorphism(G, C2, [x, x, x])
     first = next(
         (a, b)
         for a in G.elements()
@@ -393,7 +390,7 @@ def test_homomorphism_failure_in_table_blocks_is_the_row_loops_first(block, monk
     # 6-cycle's normal closure is all of S6, so this is no homomorphism
     G = perm_group(6, [("a", [[1, 2]]), ("b", [[1, 2, 3, 4, 5, 6]])])
     C2 = build_group(PcPresentation(2, 1))
-    phi = GroupHomomorphism(G, C2, [C2.generators[0], C2.identity], verify=False)
+    phi = unverified_homomorphism(G, C2, [C2.generators[0], C2.identity])
     a, b = ref_first_failing_pair(phi)
     if block is not None:
         monkeypatch.setattr(groups, "_BLOCK", block)
@@ -493,7 +490,39 @@ def test_automorphism_inversion_on_elementary_abelian():
     assert inv.order() == 2
     assert inv(g1) == G.power(g1, 2)
     assert inv.compose(inv).is_identity()
-    assert inv.inverse_automorphism() == inv
+
+
+def test_from_index_map_refuses_a_non_bijection():
+    G = s3()
+    with pytest.raises(MalformedSpec, match="index map is not a bijection"):
+        Automorphism.from_index_map(G, [0] * G.order)
+
+
+def test_from_index_map_names_the_first_pair_a_bijection_fails_at():
+    # swapping an element of order 2 with one of order 3 keeps a bijection
+    # but no homomorphism, which would preserve element orders
+    G = s3()
+    orders = list(G.element_orders())
+    i, j = orders.index(2), orders.index(3)
+    swap = list(range(G.order))
+    swap[i], swap[j] = j, i
+    first = ref_first_failing_pair(Automorphism.from_index_map(G, swap, verify=False))
+    with pytest.raises(MalformedSpec) as err:
+        Automorphism.from_index_map(G, swap)
+    assert str(err.value) == (
+        f"images do not extend to a homomorphism: fails at ({first[0]!r}, {first[1]!r})"
+    )
+
+
+def test_unverified_index_maps_equal_the_verified_automorphisms():
+    # identity_of and compose skip verification; their results must be the
+    # automorphisms that the same generator images build and verify
+    for phi in automorphism_cases().values():
+        G = phi.group
+        assert Automorphism.identity_of(G) == Automorphism(G, list(G.generators))
+        for psi in (phi, inner_automorphism(G, G.generators[-1])):
+            images = [psi(phi(g)) for g in G.generators]
+            assert phi.compose(psi) == Automorphism(G, images)
 
 
 def test_automorphism_rejects_non_bijective():
@@ -520,7 +549,7 @@ def test_automorphism_composition_order():
     pb = inner_automorphism(G, b)
     # conjugation by a then by b equals conjugation by a*b
     assert pa.compose(pb) == inner_automorphism(G, G.multiply(a, b))
-    assert (pa * pb)(b) == G.conjugate(b, G.multiply(a, b))
+    assert pa.compose(pb)(b) == G.conjugate(b, G.multiply(a, b))
 
 
 def test_table_and_inverse_indices():

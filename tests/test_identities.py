@@ -2,6 +2,7 @@
 
 import pytest
 
+from grouplab import identities
 from grouplab.errors import (
     BudgetExceeded,
     ForeignElement,
@@ -30,6 +31,7 @@ from grouplab.identities import (
 )
 from grouplab.liering import build_dl
 from grouplab.series import _class_representatives
+from test_liering_oracle import ref_holds_identity
 from test_series_oracle import cases
 
 
@@ -199,7 +201,7 @@ def test_higman_master_property(make, n):
 def test_basis_mode_agrees_with_exhaustive(make, f):
     L = build_dl(make())
     fast = holds_identity(f, L)
-    slow = holds_identity(f, L, force_exhaustive=True)
+    slow = ref_holds_identity(f, L, True)
     assert fast.mode == "basis" and slow.mode == "exhaustive"
     assert fast.ok == slow.ok
 
@@ -212,10 +214,11 @@ def test_non_multilinear_goes_exhaustive():
     assert v.ok  # class 2: every length-3 bracket vanishes
 
 
-def test_holds_identity_budget():
+def test_holds_identity_budget(monkeypatch):
     L = build_dl(heis27())
+    monkeypatch.setattr(identities, "IDENTITY_EVAL_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        holds_identity(higman_polynomial(3), L, budget=10, force_exhaustive=True)
+        holds_identity(LiePolynomial(((1, ((0, 1), 0)),)), L)  # 27^2 assignments
 
 
 # -- Engel conditions on algebras ---------------------------------------------
@@ -233,18 +236,20 @@ def test_engel_d8():
     assert not bad.ok and bad.witness is not None
 
 
-def test_engel_beyond_the_element_budget():
+def test_engel_beyond_the_element_budget(monkeypatch):
     # 27 elements exceed a budget of 9, so n < p = 3 is decided on the 3^n basis tuples
     L = build_dl(heis27())
-    v = is_n_engel_algebra(L, 2, budget=9)
+    monkeypatch.setattr(identities, "ENGEL_EXACT_LIMIT", 9)
+    v = is_n_engel_algebra(L, 2)
     assert v.ok and v.mode == "basis"
-    bad = is_n_engel_algebra(L, 1, budget=9)
+    bad = is_n_engel_algebra(L, 1)
     assert not bad.ok and bad.mode == "basis"
     assert L.ad_matrix(bad.witness).any()
-    with pytest.raises(BudgetExceeded, match="3\\^2 basis tuples"):
-        is_n_engel_algebra(L, 2, budget=5)
     with pytest.raises(BudgetExceeded, match="n = 3 >= p"):
-        is_n_engel_algebra(L, 3, budget=9)
+        is_n_engel_algebra(L, 3)
+    monkeypatch.setattr(identities, "ENGEL_EXACT_LIMIT", 5)
+    with pytest.raises(BudgetExceeded, match="3\\^2 basis tuples"):
+        is_n_engel_algebra(L, 2)
 
 
 def test_engel_rejects_bad_n():
@@ -357,11 +362,12 @@ def test_d8_group_level_engel_law():
     assert group_satisfies(w, G).ok
 
 
-def test_group_satisfies_budget():
+def test_group_satisfies_budget(monkeypatch):
     G = s3()
     w = GroupWord.commutator(GroupWord.var(1), GroupWord.var(2))
+    monkeypatch.setattr(identities, "WORD_EVAL_BUDGET", 35)
     with pytest.raises(BudgetExceeded):
-        group_satisfies(w, G, budget=35)
+        group_satisfies(w, G)
 
 
 # -- Engel indices of elements -----------------------------------------------------
@@ -384,13 +390,17 @@ def test_engel_index_transposition_is_none():
     assert engel_index_of_element(G, G.generator_by_name("a")) is None
 
 
-def test_engel_index_cutoff_and_errors():
+def test_engel_walk_limit_and_errors():
     G, H = d8(), s3()
-    assert engel_index_of_element(G, G.generator_by_name("g2"), cutoff=1) is None
+    assert walked_index(G, G.generator_by_name("g2"), 1) is None
     with pytest.raises(ForeignElement):
         engel_index_of_element(G, H.identity)
-    with pytest.raises(ValueError):
-        engel_index_of_element(G, G.identity, cutoff=0)
+
+
+def walked_index(G, x, limit):
+    """The Engel index as _engel_walk finds it within limit steps, else None."""
+    steps, reached = _engel_walk(G, G.index_of(x), min(limit, G.order))
+    return steps if reached else None
 
 
 def ref_engel_index(G, x, cutoff=None):
@@ -418,8 +428,9 @@ def ref_engel_index(G, x, cutoff=None):
 def test_engel_index_matches_handle_loop(name):
     G = cases()[name]
     for x in G.elements():
-        for cutoff in (None, 1, 2, 3, 5):
-            assert engel_index_of_element(G, x, cutoff) == ref_engel_index(G, x, cutoff)
+        assert engel_index_of_element(G, x) == ref_engel_index(G, x)
+        for cutoff in (1, 2, 3, 5):
+            assert walked_index(G, x, cutoff) == ref_engel_index(G, x, cutoff)
 
 
 @pytest.mark.parametrize("name", sorted(cases()))
@@ -433,7 +444,7 @@ def test_engel_index_matches_handle_loop_at_every_cutoff(name):
         want = ref_engel_index(G, x)
         for cutoff in range(1, G.order + 2):
             expected = want if want is not None and want <= cutoff else None
-            assert engel_index_of_element(G, x, cutoff) == expected
+            assert walked_index(G, x, cutoff) == expected
 
 
 def first_repeat(G, xi) -> int:

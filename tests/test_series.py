@@ -27,7 +27,6 @@ from grouplab.series import (
     commutator_subgroup,
     derived_series,
     dimension_series,
-    element_centralizer,
     fitting_height,
     fitting_subgroup,
     generated_subgroup,
@@ -216,16 +215,17 @@ FROZEN_DIMENSION_ORDERS = [
 @pytest.mark.parametrize("make,p,expected", FROZEN_DIMENSION_ORDERS)
 def test_dimension_series_frozen_orders(make, p, expected):
     G = make()
-    assert dimension_series(G, p).orders() == expected
+    assert G.is_p_group()[0] == p
+    assert dimension_series(G).orders() == expected
 
 
 def test_dimension_series_elementary_abelian():
     G = pc(3, 2)  # C_3 x C_3
-    assert dimension_series(G, 3).orders() == [9, 1]
+    assert dimension_series(G).orders() == [9, 1]
 
 
 def test_dimension_series_cp():
-    assert dimension_series(pc(5, 1), 5).orders() == [5, 1]
+    assert dimension_series(pc(5, 1)).orders() == [5, 1]
 
 
 @pytest.mark.parametrize("make,p", [(d8, 2), (c9, 3), (heis27, 3)])
@@ -233,7 +233,7 @@ def test_dimension_series_defining_product_oracle(make, p):
     # Recompute every D_i as the closure over ALL pairs (j, k) with j*p^k >= i,
     # not just the minimal power per term, straight from the definition.
     G = make()
-    series = dimension_series(G, p)
+    series = dimension_series(G)
     gamma = lower_central_series(G)
     kmax = 1
     while p**kmax < G.order:
@@ -252,7 +252,7 @@ def test_dimension_series_defining_product_oracle(make, p):
 def test_dimension_quotients_have_exponent_p():
     for make, p in [(d8, 2), (c9, 3), (es27, 3), (d16, 2)]:
         G = make()
-        series = dimension_series(G, p)
+        series = dimension_series(G)
         for i in range(1, len(series.terms)):
             upper, lower = series.terms[i - 1], series.terms[i]
             for x in upper.elements():
@@ -262,14 +262,12 @@ def test_dimension_quotients_have_exponent_p():
 def test_dimension_series_requires_p_group():
     with pytest.raises(NotAPGroup):
         dimension_series(s3())
-    with pytest.raises(NotAPGroup):
-        dimension_series(c9(), 2)
 
 
 def test_series_are_kept_on_the_group():
     G = heis27()
     assert dimension_series(G) is build_dl(G).series
-    assert dimension_series(G, 3) is dimension_series(G)
+    assert dimension_series(G) is dimension_series(G)
     assert lower_central_series(G) is lower_central_series(G)
     assert derived_series(G) is derived_series(G)
 
@@ -303,7 +301,7 @@ def test_lower_central_series_memory_is_bounded_by_the_block():
 def test_np_series_dimension_passes():
     for make, p, _ in FROZEN_DIMENSION_ORDERS:
         G = make()
-        verdict = verify_np_series(G, dimension_series(G, p), p)
+        verdict = verify_np_series(G, dimension_series(G), p)
         assert verdict.ok, verdict.detail
 
 
@@ -399,13 +397,6 @@ def test_centralizer_partial_inversion_on_c3c3():
     assert g2 in C and g1 not in C
 
 
-def test_element_centralizer():
-    G = s3()
-    b = G.generator_by_name("b")
-    assert element_centralizer(G, b).order == 3
-    assert element_centralizer(G, G.identity).is_whole
-
-
 def test_centralizer_mismatched():
     G, H = c9(), c9()
     phi = Automorphism(H, [H.power(H.generators[0], 8), H.power(H.generators[1], 8)])
@@ -466,11 +457,11 @@ def test_is_nilpotent_subgroup():
 
 
 def test_is_powerful():
-    assert is_powerful(c4(), 2)
-    assert is_powerful(c9(), 3)
-    assert not is_powerful(d8(), 2)
-    assert not is_powerful(heis27(), 3)  # exponent 3, nontrivial derived
-    assert is_powerful(es27(), 3)  # derived subgroup = cube subgroup
+    assert is_powerful(c4())
+    assert is_powerful(c9())
+    assert not is_powerful(d8())
+    assert not is_powerful(heis27())  # exponent 3, nontrivial derived
+    assert is_powerful(es27())  # derived subgroup = cube subgroup
     with pytest.raises(NotAPGroup):
         is_powerful(s3())
 
