@@ -20,7 +20,7 @@ with ``end``; single-line statements cover actions and check requests.
     check CHECKNAME on TARGET [key=value ...]
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import (

@@ -8,7 +8,9 @@ are evaluated on all assignments at once, one array axis per variable, each
 bracket a contraction of the structure tensor; nothing is sampled.
 
 Group words are small expression trees built from variables, inverses,
-products, powers, and left-normed commutators.
+products, powers, and left-normed commutators.  One evaluator reads them on
+index arrays from the Cayley table, a block of assignments at a time, for
+both a single assignment and the exhaustive check.
 
 Each enumeration refuses, with BudgetExceeded, work beyond its module
 constant, read at call time: HIGMAN_MONOMIAL_BUDGET monomials,
@@ -30,7 +32,7 @@ from .errors import (
     UnboundVariable,
 )
 from .gfp import mat_pow
-from .groups import FiniteGroup, GroupElement
+from .groups import _BLOCK, FiniteGroup, GroupElement
 from .liering import GradedLieRing, LieElement
 from .series import Verdict
 
@@ -364,6 +366,36 @@ class GroupWord:
         return "[" + ",".join(repr(w) for w in self.args) + "]"
 
 
+def _word_values(w: GroupWord, G: FiniteGroup, leaves: dict) -> np.ndarray:
+    """Element indices of w on a block of assignments, read from the table.
+
+    leaves[v] is the array of element indices bound to x_v, one entry per
+    assignment; every operation acts on the whole block at once.
+    """
+    T = G.table()
+    inv = G.inverse_indices()
+    if w.kind == "var":
+        return leaves[w.args[0]]
+    if w.kind == "inv":
+        return inv[_word_values(w.args[0], G, leaves)]
+    if w.kind == "pow":
+        base, k = _word_values(w.args[0], G, leaves), w.args[1]
+        if k < 0:
+            base, k = inv[base], -k
+        out = np.full_like(base, G.index_of(G.identity))
+        while k:
+            if k & 1:
+                out = T[out, base]
+            base = T[base, base]
+            k >>= 1
+        return out
+    out = _word_values(w.args[0], G, leaves)
+    for part in w.args[1:]:
+        y = _word_values(part, G, leaves)
+        out = T[out, y] if w.kind == "prod" else T[inv[T[y, out]], T[out, y]]  # [x, y] = (yx)^-1 (xy)
+    return out
+
+
 def evaluate_group_word(
     w: GroupWord, G: FiniteGroup, assignment: dict
 ) -> GroupElement:
@@ -374,41 +406,32 @@ def evaluate_group_word(
         u = assignment[v]
         if not isinstance(u, GroupElement) or u.group is not G:
             raise ForeignElement(f"value for x{v} is not an element of G")
-    return _eval_word(w, G, assignment)
-
-
-def _eval_word(w: GroupWord, G: FiniteGroup, assignment: dict) -> GroupElement:
-    if w.kind == "var":
-        return assignment[w.args[0]]
-    if w.kind == "inv":
-        return G.inverse(_eval_word(w.args[0], G, assignment))
-    if w.kind == "prod":
-        out = _eval_word(w.args[0], G, assignment)
-        for part in w.args[1:]:
-            out = G.multiply(out, _eval_word(part, G, assignment))
-        return out
-    if w.kind == "pow":
-        return G.power(_eval_word(w.args[0], G, assignment), w.args[1])
-    out = _eval_word(w.args[0], G, assignment)
-    for part in w.args[1:]:
-        out = G.commutator(out, _eval_word(part, G, assignment))
-    return out
+    leaves = {v: np.array([G.index_of(assignment[v])]) for v in w.variables}
+    return G.element_at(int(_word_values(w, G, leaves)[0]))
 
 
 def group_satisfies(w: GroupWord, G: FiniteGroup) -> Verdict:
-    """Exhaustively check w(g1, ..., gs) = 1 over all of G, within WORD_EVAL_BUDGET."""
+    """Exhaustively check w(g1, ..., gs) = 1 over all of G, within WORD_EVAL_BUDGET.
+
+    Assignments are numbered in itertools.product order over the elements
+    in index order, the first variable slowest, and evaluated _BLOCK at a
+    time on index arrays; the first failing one is the witness.
+    """
     variables = sorted(w.variables)
     nvars = len(variables)
-    total = G.order**nvars
+    n = G.order
+    total = n**nvars
     if total > WORD_EVAL_BUDGET:
         raise BudgetExceeded(f"|G|^{nvars} = {total} exceeds the budget of {WORD_EVAL_BUDGET}")
-    elems = list(G.elements())
-    for combo in itertools.product(elems, repeat=nvars):
-        assignment = dict(zip(variables, combo))
-        if not _eval_word(w, G, assignment).is_identity():
-            names = ", ".join(
-                f"x{v}={g!r}" for v, g in zip(variables, combo)
-            )
+    e = G.index_of(G.identity)
+    for start in range(0, total, _BLOCK):
+        t = np.arange(start, min(start + _BLOCK, total))
+        leaves = {v: t // n ** (nvars - 1 - pos) % n for pos, v in enumerate(variables)}
+        bad = _word_values(w, G, leaves) != e
+        if bad.any():
+            first = int(np.argmax(bad))
+            combo = tuple(G.element_at(int(leaves[v][first])) for v in variables)
+            names = ", ".join(f"x{v}={g!r}" for v, g in zip(variables, combo))
             return Verdict(False, f"fails at {names}", witness=combo)
     return Verdict(True, f"identity on all {total} assignments")
 

@@ -39,7 +39,7 @@ from .series import (
     Subgroup,
     Verdict,
     _closure,
-    _commutator_values,
+    _commutators,
     _p_of,
     _power_map,
     _product_mask,
@@ -363,7 +363,6 @@ def build_dl(G: FiniteGroup) -> GradedLieRing:
     terms = series.terms
     m = len(terms) - 1
     T = G.table()
-    inv = G.inverse_indices()
     power = _power_map(G, p)
     depth = np.sum([t.mask for t in terms], axis=0)
     coords = np.zeros((G.order, G.is_p_group()[1]), dtype=np.int64)
@@ -381,7 +380,7 @@ def build_dl(G: FiniteGroup) -> GradedLieRing:
             # every basis element has its p-th power in N and they commute modulo N
             if not N.mask[power[b]]:
                 raise NonElementaryQuotient(f"component {i} has exponent above {p}")
-            if (_commutator_values(G, [b], reps[lo:]) & ~N.mask).any():
+            if not N.mask[_commutators(G, [b], reps[lo:])].all():
                 raise NonElementaryQuotient(f"component {i} is not abelian")
             col = len(reps)
             reps.append(b)
@@ -395,8 +394,7 @@ def build_dl(G: FiniteGroup) -> GradedLieRing:
         dims.append(len(reps) - lo)
     reps = np.array(reps, dtype=np.int64)
     degrees = np.repeat(np.arange(1, m + 1), dims)
-    # comm[a, b] = [x_a, x_b] = (x_b x_a)^-1 (x_a x_b) for the basis representatives
-    comm = T[inv[T[reps[None, :], reps[:, None]]], T[reps[:, None], reps[None, :]]]
+    comm = _commutators(G, reps, reps)  # comm[a, b] = [x_a, x_b] for the basis representatives
     want = degrees[:, None] + degrees[None, :]
     escaped = (want <= m) & (depth[comm] < want)
     if escaped.any():

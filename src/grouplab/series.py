@@ -13,16 +13,27 @@ the group.  Series are descending chains of such subgroups; the dimension
 series is assembled directly from its defining product of power subgroups
 of the lower central terms.
 
+A commutator subgroup [H, K], and the N_p-series containment [S_i, S_j] ≤
+S_{i+j}, is found by scanning every value [h, k] over H x K only while
+|H|·|K| is at most COMMUTATOR_SCAN_LIMIT.  Above it both work from
+generators X of H and Y of K: [H, K] is the normal closure in <H, K> of the
+[x, y] over X x Y, and a normal subgroup contains [H, K] exactly when it
+contains those.  The whole group is generated by its own generators, and
+every subgroup that the series kernels close, and that is large enough to
+enter such a pair, keeps the generators _close kept for it, so neither path
+needs an extra closure.
+
 Each group carries one store (FiniteGroup._lattice) that this module fills.
 The library builds every subgroup through _subgroup, which keeps it there
 under its mask, so each distinct mask is verified in full once per group; a
 public Subgroup(G, mask) verifies on every call.  The store also keeps the
 lower central, derived and dimension series, commutator subgroups by their
-operands, and the read-only commutator value masks by their index arrays:
-the G x G commutator scan that the series, the N_p-series check, the
-weight-k commutators and the powerful test share runs once per group.  Power
-subgroups are not kept apart from their masks, because no caller asks for
-the same one twice.  A call that raises keeps nothing.
+operands, the generators of the subgroups closed here by their masks, and
+the read-only commutator value masks by their index arrays, so each scan
+(series pairs up to the limit, the weight-k commutators, the nilpotency
+test modulo a subgroup) runs once per group.  Power subgroups are not kept
+apart from their masks, because no caller asks for the same one twice.  A
+call that raises keeps nothing.
 
 The upper Fitting series, and with it the Fitting height, is built inside
 the group on masks: each term is the product of the normal closures, one
@@ -82,6 +93,13 @@ __all__ = [
 ]
 
 SERIES_LENGTH_CAP = 4096
+# Pairs |H|·|K| up to which [H, K] is found by scanning every commutator
+# value, and above which from generator pairs.  The generator kernel alone
+# wins from about 600 pairs, but catalog runs on groups of order up to 128,
+# which scan the G x G values anyway for the weight-2 commutators, measured
+# flat or slower with their pairs on generators.  The crossover table is in
+# CHANGES.md.
+COMMUTATOR_SCAN_LIMIT = 16384
 
 
 class Subgroup:
@@ -195,23 +213,25 @@ def whole_subgroup(G: FiniteGroup) -> Subgroup:
     return _subgroup(G, np.ones(G.order, dtype=bool))
 
 
-def _closure(G: FiniteGroup, gens) -> np.ndarray:
-    """Mask of the subgroup generated by the given element indices.
+def _close(G: FiniteGroup, gens, mask=None, kept=None) -> tuple:
+    """(mask, kept): the subgroup generated by the given element indices and the generators kept.
 
     A generator already inside the span so far is dropped, so each one kept
     at least doubles the span and at most log2|G| are kept.  The span grows
     breadth-first by right multiplication with the kept generators, one
-    table block |frontier| x |kept| per layer.
+    table block |frontier| x |kept| per layer.  Given the mask of a subgroup
+    and the generators kept for it, the span is extended in place.
     """
     T = G.table()
     gens = np.asarray(gens, dtype=np.int64)
-    mask = np.zeros(G.order, dtype=bool)
-    mask[G.index_of(G.identity)] = True
-    kept = []
+    if mask is None:
+        mask = np.zeros(G.order, dtype=bool)
+        mask[G.index_of(G.identity)] = True
+        kept = []
     while True:
         outside = gens[~mask[gens]]
         if not outside.size:
-            return mask
+            return mask, kept
         kept.append(outside[0])
         frontier = np.flatnonzero(mask)
         while frontier.size:
@@ -220,6 +240,47 @@ def _closure(G: FiniteGroup, gens) -> np.ndarray:
             fresh &= ~mask
             mask |= fresh
             frontier = np.flatnonzero(fresh)
+
+
+def _closure(G: FiniteGroup, gens) -> np.ndarray:
+    """Mask of the subgroup generated by the given element indices (_close)."""
+    return _close(G, gens)[0]
+
+
+def _read_only(a) -> np.ndarray:
+    a = np.array(a, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
+def _spanned(G: FiniteGroup, mask: np.ndarray, kept) -> Subgroup:
+    """The subgroup with this mask, kept on G with the generators _close kept for it.
+
+    The generators are kept, under the mask where _generators finds them,
+    only for a subgroup H large enough to enter a pair |H|·|K| above
+    COMMUTATOR_SCAN_LIMIT; smaller ones are only ever scanned.
+    """
+    sub = _subgroup(G, mask)
+    if sub.order * G.order > COMMUTATOR_SCAN_LIMIT:
+        G._lattice.setdefault(("generators", mask.tobytes()), _read_only(kept))
+    return sub
+
+
+def _generators(G: FiniteGroup, H: Subgroup) -> np.ndarray:
+    """Element indices generating H, kept on G under its mask.
+
+    The whole group is generated by G's own generators, and a subgroup built
+    through _spanned that can enter a pair above COMMUTATOR_SCAN_LIMIT has
+    its generators kept already; any other subgroup is closed from its
+    elements once.
+    """
+
+    def find() -> np.ndarray:
+        if H.is_whole:
+            return _read_only([G.index_of(x) for x in G.generators])
+        return _read_only(_close(G, H.idx)[1])
+
+    return _keep(G, ("generators", H.mask.tobytes()), find)
 
 
 def _power_map(G: FiniteGroup, k: int) -> np.ndarray:
@@ -235,8 +296,16 @@ def _power_map(G: FiniteGroup, k: int) -> np.ndarray:
     return result
 
 
+def _commutators(G: FiniteGroup, xs, ys) -> np.ndarray:
+    """Array of [x, y] = (yx)^-1 (xy), row x in xs and column y in ys, read from the table."""
+    T = G.table()
+    x = np.asarray(xs, dtype=np.int64)[:, None]
+    ys = np.asarray(ys, dtype=np.int64)
+    return T[G.inverse_indices()[T[ys, x]], T[x, ys]]
+
+
 def _commutator_values(G: FiniteGroup, hs, ks) -> np.ndarray:
-    """Mask of the values [h, k] = (kh)^-1 (hk) over h in hs and k in ks.
+    """Mask of the values [h, k] over h in hs and k in ks.
 
     The scan reads the table in blocks; its mask is read-only and kept on G
     under the two index arrays, so each scan runs once per group.
@@ -245,16 +314,53 @@ def _commutator_values(G: FiniteGroup, hs, ks) -> np.ndarray:
     ks = np.asarray(ks, dtype=np.int64)
 
     def scan() -> np.ndarray:
-        T = G.table()
-        inv = G.inverse_indices()
         values = np.zeros(G.order, dtype=bool)
         for h in _blocks(hs, len(ks)):
-            h = h[:, None]
-            values[T[inv[T[ks, h]], T[h, ks]]] = True
+            values[_commutators(G, h, ks)] = True
         values.flags.writeable = False
         return values
 
     return _keep(G, ("commutator values", hs.tobytes(), ks.tobytes()), scan)
+
+
+def _commutator_span(G: FiniteGroup, H: Subgroup, K: Subgroup) -> tuple:
+    """(mask, kept) of [H, K] as _close returns them.
+
+    Up to COMMUTATOR_SCAN_LIMIT pairs |H|·|K| this closes the values [h, k]
+    over H x K (_commutator_values).  Above it, with H = <X> and K = <Y>
+    (_generators), [H, K] is the normal closure in <H, K> of the [x, y] over
+    X x Y (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    2005, ch. 3): they are closed, each generator kept is conjugated by X and
+    Y, and the conjugates outside the span are added, until a round adds
+    none.  A subgroup of a finite group closed under conjugation by X and Y
+    is normalized by <H, K>.
+    """
+    if H.order * K.order <= COMMUTATOR_SCAN_LIMIT:
+        return _close(G, np.flatnonzero(_commutator_values(G, H.idx, K.idx)))
+    T = G.table()
+    inv = G.inverse_indices()
+    xs, ys = _generators(G, H), _generators(G, K)
+    zs = np.concatenate([xs, ys])
+    mask, kept = _close(G, _commutators(G, xs, ys).ravel())
+    fresh = kept
+    while fresh:
+        before = len(kept)
+        # c^z = z^-1 c z for each fresh generator c and each z
+        _close(G, T[T[inv[zs][:, None], fresh], zs[:, None]].ravel(), mask, kept)
+        fresh = kept[before:]
+    return mask, kept
+
+
+def _commutators_inside(G: FiniteGroup, H: Subgroup, K: Subgroup, target: np.ndarray) -> bool:
+    """[H, K] ≤ N, for N a normal subgroup of G given by its mask ``target``.
+
+    Up to COMMUTATOR_SCAN_LIMIT pairs the values over H x K are read; above
+    it only the [x, y] over generators X of H and Y of K, which decides it,
+    because N is normal: [H, K] is their normal closure in <H, K>.
+    """
+    if H.order * K.order <= COMMUTATOR_SCAN_LIMIT:
+        return bool(target[_commutator_values(G, H.idx, K.idx)].all())
+    return bool(target[_commutators(G, _generators(G, H), _generators(G, K))].all())
 
 
 def _product_mask(G: FiniteGroup, left, right) -> np.ndarray:
@@ -269,7 +375,7 @@ def _product_mask(G: FiniteGroup, left, right) -> np.ndarray:
 
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
     """Smallest subgroup of G containing the given elements."""
-    return _subgroup(G, _closure(G, [G.index_of(x) for x in gens]))
+    return _spanned(G, *_close(G, [G.index_of(x) for x in gens]))
 
 
 def normal_closure(G: FiniteGroup, gens) -> Subgroup:
@@ -282,7 +388,7 @@ def normal_closure(G: FiniteGroup, gens) -> Subgroup:
     inv = G.inverse_indices()
     given = np.array([G.index_of(s) for s in gens], dtype=np.int64)
     conjugates = T[T[inv[:, None], given], np.arange(G.order)[:, None]]
-    sub = _subgroup(G, _closure(G, conjugates.ravel()))
+    sub = _spanned(G, *_close(G, conjugates.ravel()))
     if not sub.is_normal:
         raise NotNormal("normal closure failed to stabilize")  # unreachable guard
     return sub
@@ -300,7 +406,7 @@ def commutator_subgroup(G: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgroup:
     return _keep(
         G,
         ("commutator subgroup", H.mask.tobytes(), K.mask.tobytes()),
-        lambda: _subgroup(G, _closure(G, np.flatnonzero(_commutator_values(G, H.idx, K.idx)))),
+        lambda: _spanned(G, *_commutator_span(G, H, K)),
     )
 
 
@@ -309,7 +415,7 @@ def power_subgroup(G: FiniteGroup, H: Subgroup, n: int) -> Subgroup:
     _same_parent(G, H, "subgroup")
     if n < 1:
         raise ValueError(f"power subgroup needs a positive exponent, got {n}")
-    return _subgroup(G, _closure(G, _power_map(G, n)[H.idx]))
+    return _spanned(G, *_close(G, _power_map(G, n)[H.idx]))
 
 
 @dataclass(frozen=True)
@@ -402,10 +508,12 @@ def dimension_series(G: FiniteGroup) -> NormalSeries:
 
     def build() -> NormalSeries:
         gamma = lower_central_series(G)
-        masks = [gamma.terms[0].mask]
+        whole = gamma.terms[0]
+        spans = []  # (mask, kept) of D_2, D_3, ... as _close returns them
+        mask = whole.mask
         power_maps = {}
         i = 2
-        while np.count_nonzero(masks[-1]) > 1:
+        while np.count_nonzero(mask) > 1:
             if i > SERIES_LENGTH_CAP:
                 raise BudgetExceeded("dimension series failed to reach the trivial subgroup")
             gens = []
@@ -417,9 +525,10 @@ def dimension_series(G: FiniteGroup) -> NormalSeries:
                 if q not in power_maps:
                     power_maps[q] = _power_map(G, q)
                 gens.append(power_maps[q][gamma.term(j).idx])
-            masks.append(_closure(G, np.concatenate(gens)))
+            spans.append(_close(G, np.concatenate(gens)))
+            mask = spans[-1][0]
             i += 1
-        return NormalSeries(G, "dimension", tuple(_subgroup(G, m) for m in masks))
+        return NormalSeries(G, "dimension", (whole, *(_spanned(G, *s) for s in spans)))
 
     return _keep(G, ("series", "dimension"), build)
 
@@ -448,8 +557,9 @@ def verify_np_series(G: FiniteGroup, series: NormalSeries, p: int) -> Verdict:
     """Check [S_i, S_j] ≤ S_{i+j} and S_i^p ≤ S_{pi}, trivial beyond the chain.
 
     A subgroup lies in a series term exactly when its generators do, so each
-    containment is decided on the values [s, t] over S_i x S_j and on the
-    p-th powers of S_i, read from the target term's mask.
+    containment is decided on the p-th powers of S_i and, by
+    _commutators_inside, on the values [s, t] over S_i x S_j or, for large
+    terms, on generator pairs, read from the target term's mask.
     """
     terms = series.terms
     m = len(terms)
@@ -463,7 +573,7 @@ def verify_np_series(G: FiniteGroup, series: NormalSeries, p: int) -> Verdict:
         key=lambda ij: (ij[0] + ij[1], ij[0]),
     )
     for i, j in pairs:
-        if not mask(i + j)[_commutator_values(G, terms[i - 1].idx, terms[j - 1].idx)].all():
+        if not _commutators_inside(G, terms[i - 1], terms[j - 1], mask(i + j)):
             return Verdict(False, f"[S_{i}, S_{j}] is not inside S_{i + j}")
     power = _power_map(G, p)
     for i in range(1, m + 1):

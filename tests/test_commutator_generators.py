@@ -1,0 +1,299 @@
+"""Commutator subgroups and N_p containments on generator pairs, on both sides of the limit.
+
+series.COMMUTATOR_SCAN_LIMIT splits the work: a pair |H|·|K| up to it scans
+every commutator value, a larger one works from generators of H and K.
+These tests move the limit to 0 (every pair on generators) and to 10**9
+(every pair scanned) and hold both paths to the same outputs: the pinned
+benchmark goldens, brute-force series, sympy, and the N_p-series verdicts.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from grouplab import corpus_text, parse_fixture, run_checks, series
+from grouplab.groups import PcPresentation, PermutationGenSet, build_group, perm_from_cycles
+from grouplab.liering import build_dl
+from grouplab.series import (
+    NormalSeries,
+    derived_series,
+    dimension_series,
+    lower_central_series,
+    verify_np_series,
+    whole_subgroup,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+ALL_ON_GENERATORS, ALL_SCANNED = 0, 10**9
+
+
+def workloads():
+    """perfbench/workloads.py, which builds the benchmark ops and their golden summaries."""
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def golden_dump(doc) -> bytes:
+    """A golden document as perfbench/golden.py writes it."""
+    return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("utf-8")
+
+
+def pc(p, n, comms=None):
+    return build_group(PcPresentation(p, n, {}, comms or {}))
+
+
+def cl3o243():
+    (entry,) = parse_fixture((PERFBENCH / "build.grp").read_text("utf-8")).groups
+    return build_group(entry.presentation)
+
+
+def heis27_squared():
+    return pc(3, 6, {(2, 1): ((3, 1),), (5, 4): ((6, 1),)})
+
+
+def c3_6():
+    return pc(3, 6)
+
+
+def cl2o2048():
+    """Class 2, order 2^11: [g_{2i+2}, g_{2i+1}] = g11 for i = 0..4, all else commuting."""
+    return pc(2, 11, {(2 * i + 2, 2 * i + 1): ((11, 1),) for i in range(5)})
+
+
+def s6():
+    gens = (("a", perm_from_cycles(6, [[1, 2]])), ("b", perm_from_cycles(6, [[1, 2, 3, 4, 5, 6]])))
+    return build_group(PermutationGenSet(6, gens))
+
+
+GROUPS = {"Cl3o243": cl3o243, "Heis27xHeis27": heis27_squared, "C3^6": c3_6, "Cl2o2048": cl2o2048}
+
+
+# -- brute force: scan every pair, close by breadth-first search ---------------
+
+
+def brute_close(G, mask) -> np.ndarray:
+    """The subgroup generated by the marked elements: multiply until nothing new appears."""
+    T = G.table()
+    span = mask.copy()
+    span[G.index_of(G.identity)] = True
+    while True:
+        idx = np.flatnonzero(span)
+        grown = np.zeros(G.order, dtype=bool)
+        grown[T[idx[:, None], idx].ravel()] = True
+        if np.array_equal(grown, span):
+            return span
+        span = grown
+
+
+def brute_commutator(G, H, K) -> np.ndarray:
+    T = G.table()
+    inv = G.inverse_indices()
+    values = np.zeros(G.order, dtype=bool)
+    ks = np.flatnonzero(K)
+    for h in np.flatnonzero(H):
+        values[T[inv[T[ks, h]], T[h, ks]]] = True
+    return brute_close(G, values)
+
+
+def brute_series_orders(G, kind: str) -> list:
+    whole = np.ones(G.order, dtype=bool)
+    terms = [whole]
+    while True:
+        nxt = brute_commutator(G, terms[-1], whole if kind == "lower-central" else terms[-1])
+        if np.array_equal(nxt, terms[-1]):
+            return [int(t.sum()) for t in terms]
+        terms.append(nxt)
+
+
+def brute_dimension_orders(G) -> list:
+    p = G.is_p_group()[0]
+    gamma, whole = [], np.ones(G.order, dtype=bool)
+    term = whole
+    while not gamma or not np.array_equal(term, gamma[-1]):
+        gamma.append(term)
+        term = brute_commutator(G, term, whole)
+    orders, i = [G.order], 2
+    while orders[-1] > 1:
+        gens = np.zeros(G.order, dtype=bool)
+        for j, term in enumerate(gamma, start=1):
+            k = 0
+            while j * p**k < i:
+                k += 1
+            for x in np.flatnonzero(term):
+                y = G.identity
+                for _ in range(p**k):
+                    y = y * G.element_at(x)
+                gens[G.index_of(y)] = True
+        orders.append(int(brute_close(G, gens).sum()))
+        i += 1
+    return orders
+
+
+@pytest.fixture(params=[ALL_ON_GENERATORS, ALL_SCANNED], ids=["generators", "scan"])
+def limit(request, monkeypatch):
+    monkeypatch.setattr(series, "COMMUTATOR_SCAN_LIMIT", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_series_orders_match_brute_force_on_both_paths(name, limit):
+    G = GROUPS[name]()
+    assert lower_central_series(G).orders() == brute_series_orders(G, "lower-central")
+    assert derived_series(G).orders() == brute_series_orders(G, "derived")
+    assert dimension_series(G).orders() == brute_dimension_orders(G)
+
+
+def test_s6_derived_series_matches_sympy_on_both_paths(limit):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    G = s6()
+    S = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g.key), size=6) for g in G.generators]
+    )
+    assert derived_series(G).orders() == [H.order() for H in S.derived_series()] == [720, 360]
+
+
+def test_commutator_subgroups_agree_on_both_paths_for_every_series_pair(monkeypatch):
+    for make in GROUPS.values():
+        found = {}
+        for limit in (ALL_ON_GENERATORS, ALL_SCANNED):
+            monkeypatch.setattr(series, "COMMUTATOR_SCAN_LIMIT", limit)
+            G = make()
+            terms = lower_central_series(G).terms + derived_series(G).terms
+            found[limit] = [
+                series.commutator_subgroup(G, H, K).mask.tobytes() for H in terms for K in terms
+            ]
+        assert found[ALL_ON_GENERATORS] == found[ALL_SCANNED]
+
+
+# -- the planted N_p-series: one verdict and one first failing pair -------------
+
+
+def planted_series(G, *gens):
+    """G > N > 1 with N the normal closure of [G, G] and the named generators."""
+    whole = whole_subgroup(G)
+    derived = series.commutator_subgroup(G, whole, whole)
+    middle = series.normal_closure(G, [*derived.elements(), *map(G.generator_by_name, gens)])
+    return NormalSeries(G, "planted", (whole, middle, series.trivial_subgroup(G)))
+
+
+def test_planted_np_series_gets_one_verdict_on_both_paths(monkeypatch):
+    verdicts = {}
+    for limit in (ALL_ON_GENERATORS, series.COMMUTATOR_SCAN_LIMIT, ALL_SCANNED):
+        monkeypatch.setattr(series, "COMMUTATOR_SCAN_LIMIT", limit)
+        cases = []
+        for G, gens in ((cl3o243(), ()), (cl2o2048(), ("g1", "g3", "g5")), (heis27_squared(), ())):
+            cases += [(G, planted_series(G, *gens)), (G, dimension_series(G))]
+        verdicts[limit] = [
+            (v.ok, v.detail) for v in (verify_np_series(G, S, G.is_p_group()[0]) for G, S in cases)
+        ]
+    assert verdicts[ALL_ON_GENERATORS] == [
+        (False, "[S_1, S_2] is not inside S_3"),  # class 3: [G, [G, G]] is not trivial
+        (True, ""),
+        (False, "[S_1, S_2] is not inside S_3"),  # [g2, g1] = g11 is not trivial
+        (True, ""),
+        (True, ""),  # class 2 and exponent 3
+        (True, ""),
+    ]
+    assert len({tuple(v) for v in verdicts.values()}) == 1
+
+
+def test_np_series_fails_at_the_same_first_pair_on_both_paths(monkeypatch):
+    # G > 1 on the class-2 group: [S_1, S_1] = [G, G] escapes S_2 = 1 first
+    details = set()
+    for limit in (ALL_ON_GENERATORS, ALL_SCANNED):
+        monkeypatch.setattr(series, "COMMUTATOR_SCAN_LIMIT", limit)
+        G = cl2o2048()
+        S = NormalSeries(G, "planted", (whole_subgroup(G), series.trivial_subgroup(G)))
+        details.add(verify_np_series(G, S, 2).detail)
+    assert details == {"[S_1, S_1] is not inside S_2"}
+
+
+# -- the benchmark's goldens with every pair on generators ---------------------
+
+
+def test_corpus_report_is_byte_identical_with_every_pair_on_generators(monkeypatch):
+    monkeypatch.setattr(series, "COMMUTATOR_SCAN_LIMIT", ALL_ON_GENERATORS)
+    report = run_checks(parse_fixture(corpus_text()))
+    assert report.to_json().encode("utf-8") == (PERFBENCH / "golden" / "corpus.json").read_bytes()
+
+
+def test_ladder_and_build_goldens_are_byte_identical_with_every_pair_on_generators(monkeypatch):
+    monkeypatch.setattr(series, "COMMUTATOR_SCAN_LIMIT", ALL_ON_GENERATORS)
+    wl = workloads()
+    ladder = {op.label: wl.report_rows(op.run()) for op in wl.WORKLOADS["ladder"].setup(0)}
+    build = {op.label: wl.build_summary(op.run()) for op in wl.WORKLOADS["build"].setup(0)}
+    assert golden_dump(ladder) == (PERFBENCH / "golden" / "ladder.json").read_bytes()
+    assert golden_dump(build) == (PERFBENCH / "golden" / "build.json").read_bytes()
+
+
+# -- the mechanism: which path each pair takes ---------------------------------
+
+
+def scanned_pairs(G) -> list:
+    """|hs|·|ks| of every commutator value mask kept on G."""
+    return [
+        (len(key[1]) // 8) * (len(key[2]) // 8)
+        for key in G._lattice
+        if key[0] == "commutator values"
+    ]
+
+
+def test_build_pipeline_scans_no_pair_above_the_limit(monkeypatch):
+    built = []
+    orig = series.Subgroup.__init__
+
+    def counted(self, group, mask):
+        orig(self, group, mask)
+        built.append(self.order)
+
+    monkeypatch.setattr(series.Subgroup, "__init__", counted)
+    wl = workloads()
+    (op,) = wl.WORKLOADS["build"].setup(0)
+    G = op.run()[0]
+    assert G.order == 243
+    # [G, G] takes 243 x 243 pairs, above the limit; the lower terms are scanned
+    assert G.order**2 > series.COMMUTATOR_SCAN_LIMIT
+    pairs = scanned_pairs(G)
+    assert pairs and max(pairs) <= series.COMMUTATOR_SCAN_LIMIT
+    whole = whole_subgroup(G).mask.tobytes()
+    assert ("commutator values", np.arange(243).tobytes(), np.arange(243).tobytes()) not in G._lattice
+    assert ("commutator subgroup", whole, whole) in G._lattice
+    assert sorted(built) == [1, 9, 27, 243]
+
+
+def test_series_terms_keep_the_generators_their_closure_kept():
+    # kept only for a term H that can enter a pair |H|·|G| above the limit:
+    # here [G, G] of order 27 in the free class-2 exponent-3 group on three generators
+    G = pc(3, 6, {(2, 1): ((4, 1),), (3, 1): ((5, 1),), (3, 2): ((6, 1),)})
+    terms = dimension_series(G).terms + lower_central_series(G).terms + derived_series(G).terms
+    large = [t for t in terms if not t.is_whole and t.order * G.order > series.COMMUTATOR_SCAN_LIMIT]
+    assert [t.order for t in large] == [27, 27, 27]
+    for term in large:
+        gens = G._lattice[("generators", term.mask.tobytes())]
+        assert len(gens) == 3
+        assert np.array_equal(series._closure(G, gens), term.mask)
+    small = [t for t in terms if t.order * G.order <= series.COMMUTATOR_SCAN_LIMIT]
+    assert small and all(("generators", t.mask.tobytes()) not in G._lattice for t in small)
+
+
+def test_build_dl_keeps_no_commutator_values():
+    G = cl3o243()
+    dimension_series(G)
+    before = set(G._lattice)
+    build_dl(G)
+    assert not [key for key in set(G._lattice) - before if key[0] == "commutator values"]
+
+
+def test_generators_of_a_subgroup_built_elsewhere_are_found_by_one_closure():
+    G = cl2o2048()
+    H = series.Subgroup(G, lower_central_series(cl2o2048()).terms[1].mask)
+    assert ("generators", H.mask.tobytes()) not in G._lattice
+    gens = series._generators(G, H)
+    assert np.array_equal(series._closure(G, gens), H.mask)
+    assert series._generators(G, H) is gens

@@ -1,5 +1,7 @@
 """Formal polynomials and words: evaluation oracles and satisfaction checks."""
 
+import itertools
+
 import pytest
 
 from grouplab import identities
@@ -11,6 +13,7 @@ from grouplab.errors import (
     UnboundVariable,
 )
 from grouplab.groups import (
+    FiniteGroup,
     PcPresentation,
     PermutationGenSet,
     build_group,
@@ -368,6 +371,96 @@ def test_group_satisfies_budget(monkeypatch):
     monkeypatch.setattr(identities, "WORD_EVAL_BUDGET", 35)
     with pytest.raises(BudgetExceeded):
         group_satisfies(w, G)
+
+
+# -- group words on index arrays, against the handle evaluator --------------------
+
+
+def ref_eval_word(w, G, assignment):
+    """The handle evaluator: one multiply, inverse, power or commutator call per step."""
+    if w.kind == "var":
+        return assignment[w.args[0]]
+    if w.kind == "inv":
+        return G.inverse(ref_eval_word(w.args[0], G, assignment))
+    if w.kind == "pow":
+        return G.power(ref_eval_word(w.args[0], G, assignment), w.args[1])
+    step = G.multiply if w.kind == "prod" else G.commutator
+    out = ref_eval_word(w.args[0], G, assignment)
+    for part in w.args[1:]:
+        out = step(out, ref_eval_word(part, G, assignment))
+    return out
+
+
+def ref_group_satisfies(w, G) -> tuple:
+    """(ok, detail, witness): the first failing assignment in itertools.product order."""
+    variables = sorted(w.variables)
+    for combo in itertools.product(G.elements(), repeat=len(variables)):
+        if not ref_eval_word(w, G, dict(zip(variables, combo))).is_identity():
+            names = ", ".join(f"x{v}={g!r}" for v, g in zip(variables, combo))
+            return False, f"fails at {names}", combo
+    return True, f"identity on all {G.order ** len(variables)} assignments", None
+
+
+X1, X2, X3 = GroupWord.var(1), GroupWord.var(2), GroupWord.var(3)
+WORDS = [
+    GroupWord.commutator(X1, X2),
+    GroupWord.power(GroupWord.commutator(X1, X2), 2),
+    GroupWord.power(GroupWord.commutator(X1, X2), 3),
+    GroupWord.commutator(X1, X2, X2),
+    GroupWord.commutator(GroupWord.power(X1, 2), GroupWord.inverse(X2)),
+    GroupWord.product(X1, X2, GroupWord.inverse(X1), GroupWord.inverse(X2)),
+    GroupWord.power(GroupWord.product(X1, X2), -5),
+    GroupWord.product(GroupWord.power(X1, 0), GroupWord.power(X1, 6)),
+    GroupWord.power(X3, 4),
+    GroupWord.commutator(X1, GroupWord.product(X2, X3)),
+    GroupWord.commutator(X3, X1, X2),
+]
+WORD_GROUPS = [s3, d8, heis27, lambda: cases()["Q8pc"], lambda: cases()["S4"]]
+
+
+@pytest.mark.parametrize("make", WORD_GROUPS)
+def test_group_satisfies_matches_the_handle_evaluator(make):
+    G = make()
+    for w in WORDS:
+        v = group_satisfies(w, G)
+        assert (v.ok, v.detail, v.witness) == ref_group_satisfies(w, G)
+        assert v.mode == "exhaustive"
+
+
+def test_group_satisfies_finds_the_first_failure_across_blocks(monkeypatch):
+    # blocks of 5 assignments: the first failure of a word on S4 lies many blocks in
+    monkeypatch.setattr(identities, "_BLOCK", 5)
+    G = cases()["S4"]
+    for w in WORDS:
+        v = group_satisfies(w, G)
+        assert (v.ok, v.detail, v.witness) == ref_group_satisfies(w, G)
+
+
+@pytest.mark.parametrize("make", [s3, d8])
+def test_evaluate_group_word_matches_the_handle_evaluator(make):
+    G = make()
+    for w in WORDS:
+        for x, y, z in itertools.product(G.elements()[:4], G.elements(), G.elements()[-2:]):
+            assignment = {1: x, 2: y, 3: z}
+            assert evaluate_group_word(w, G, assignment) == ref_eval_word(w, G, assignment)
+
+
+def test_word_evaluation_makes_no_handle_arithmetic(monkeypatch):
+    G = cases()["S4"]
+    want = [ref_group_satisfies(w, G) for w in WORDS]
+    calls = dict.fromkeys(("multiply", "power", "inverse", "commutator"), 0)
+    for attr in calls:
+
+        def counted(self, *args, _orig=getattr(FiniteGroup, attr), _attr=attr):
+            calls[_attr] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(FiniteGroup, attr, counted)
+    got = [group_satisfies(w, G) for w in WORDS]
+    x, y = G.generators
+    evaluate_group_word(WORDS[6], G, {1: x, 2: y})
+    assert calls == dict.fromkeys(calls, 0)
+    assert [(v.ok, v.detail, v.witness) for v in got] == want
 
 
 # -- Engel indices of elements -----------------------------------------------------

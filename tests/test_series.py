@@ -22,7 +22,6 @@ from grouplab.groups import (
 from grouplab.liering import build_dl
 from grouplab.series import (
     NormalSeries,
-    Subgroup,
     centralizer,
     commutator_subgroup,
     derived_series,
