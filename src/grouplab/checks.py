@@ -272,8 +272,8 @@ def _invariant_normal_family(fx: ActionFixture) -> list:
 
     A normal closure depends only on the conjugacy class of the cyclic
     subgroup an element generates, so one mask is built per such class, from
-    its minimal index, and only the distinct masks become (verified, kept)
-    subgroups; the family keeps first-occurrence order.
+    its minimal index, and only the distinct masks become (kept) subgroups;
+    the family keeps first-occurrence order.
     """
     G = fx.group
     masks = {}  # mask bytes -> mask, in first-occurrence order

@@ -13,10 +13,12 @@ the table:
 
 The orders of all elements come from one pass over the table and are kept
 on the group.  GroupElement handles and their arithmetic serve the public
-API; the library's computations read the table and index arrays.  Pairwise
-scans, such as the homomorphism check on every pair, read the table in
-blocks of at most _BLOCK entries (_blocks).  Groups are capped at TABLE_CAP
-elements; a pc presentation over the cap is refused before any table work.
+API; the library's computations read the table and index arrays.  A
+homomorphism is decided on the generators of its source, every element
+against every generator; only a failure scans every pair, to name the first
+one.  Pairwise scans read the table in blocks of at most _BLOCK entries
+(_blocks).  Groups are capped at TABLE_CAP elements; a pc presentation over
+the cap is refused before any table work.
 """
 
 from __future__ import annotations
@@ -395,7 +397,8 @@ class FiniteGroup:
 
     def __init__(self, kind: str, keys, table: np.ndarray, generators, repr_key):
         """``table[i, j]`` is the index of keys[i] * keys[j], for sorted keys;
-        ``generators`` are (name, key) pairs and ``repr_key`` prints a key."""
+        ``generators`` are (name, key) pairs of elements that generate the
+        group, and ``repr_key`` prints a key."""
         self._kind = kind
         self._keys = tuple(keys)
         self._index = index = {key: i for i, key in enumerate(self._keys)}
@@ -577,8 +580,23 @@ def build_group(spec) -> FiniteGroup:
     raise MalformedSpec(f"cannot build a group from {type(spec).__name__}")
 
 
+def _first_failing_pair(t_src: np.ndarray, t_tgt: np.ndarray, phi: np.ndarray):
+    """First (a, b) in row-major order with phi[ab] != phi[a] phi[b], or None.
+
+    The witness search of a failed homomorphism check: every pair is read, in
+    table blocks of at most _BLOCK entries.
+    """
+    n = len(phi)
+    for rows in _blocks(np.arange(n), n):
+        bad = phi[t_src[rows]] != t_tgt[phi[rows][:, None], phi]
+        if bad.any():
+            r, b = divmod(int(np.argmax(bad)), n)
+            return int(rows[r]), b
+    return None
+
+
 class GroupHomomorphism:
-    """Group map determined by generator images, verified on all pairs."""
+    """Group map determined by generator images, verified on every pair."""
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, images):
         self.source = source
@@ -629,19 +647,26 @@ class GroupHomomorphism:
         return pairs
 
     def _verify(self):
-        """phi(ab) = phi(a) phi(b) on every pair, in table blocks of at most _BLOCK entries."""
-        t_src = self.source.table()
-        t_tgt = self.target.table()
+        """phi(ab) = phi(a) phi(b) on every pair, decided on the source generators.
+
+        phi(xg) = phi(x) phi(g) is compared for every x and every generator g
+        of the source, as one |G| x |gens| block.  That decides every pair:
+        each b is a positive word in the generators of a finite group, so
+        phi(xb) = phi(x) phi(b) follows by induction on its length, and x = 1
+        gives phi(1) = 1 for the empty word.  Only a failure scans all pairs
+        (_first_failing_pair), to name the first one in row-major order.
+        """
+        src = self.source
+        t_src, t_tgt = src.table(), self.target.table()
         phi = np.asarray(self.image_indices)
-        n = self.source.order
-        for rows in _blocks(np.arange(n), n):
-            bad = phi[t_src[rows]] != t_tgt[phi[rows][:, None], phi]
-            if bad.any():
-                r, b = divmod(int(np.argmax(bad)), n)  # first failure, row-major
-                raise MalformedSpec(
-                    "images do not extend to a homomorphism: fails at "
-                    f"({self.source.element_at(rows[r])!r}, {self.source.element_at(b)!r})"
-                )
+        gens = np.array([src.index_of(g) for g in src.generators], dtype=np.int64)
+        if np.array_equal(phi[t_src[:, gens]], t_tgt[phi[:, None], phi[gens]]):
+            return
+        a, b = _first_failing_pair(t_src, t_tgt, phi)
+        raise MalformedSpec(
+            "images do not extend to a homomorphism: fails at "
+            f"({src.element_at(a)!r}, {src.element_at(b)!r})"
+        )
 
     @property
     def is_bijective(self) -> bool:

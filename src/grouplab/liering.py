@@ -9,9 +9,10 @@ gives the (|G|, dim L) coordinate array, whose row x is the image x*.  All
 brackets live in one F_p tensor C[a, b, :] = [e_a, e_b] over the total
 basis, read from commutators of the basis representatives; brackets, ad
 matrices, Jacobi, subspace closure and actions are contractions of C.
-Representative independence is verified on every coset member, and an
-induced action on every element of each series term.  build_dl keeps its
-algebra on the group, so every caller shares one algebra per group.
+Representative independence is verified on every coset member, in table
+blocks, and an induced action on every element of each series term.
+build_dl keeps its algebra on the group, so every caller shares one algebra
+per group.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     TrivialImage,
 )
 from .gfp import is_invertible, mat_pow, nullspace, row_space_equal, rref
-from .groups import Automorphism, FiniteGroup, GroupElement
+from .groups import Automorphism, FiniteGroup, GroupElement, _blocks
 from .series import (
     NormalSeries,
     Subgroup,
@@ -419,8 +420,9 @@ def _verify_well_definedness(G: FiniteGroup, L: GradedLieRing):
     For basis representatives x of degree i and y of degree j, every n1 in
     D_{i+1} and n2 in D_{j+1} must give [x·n1, y·n2] in [x, y]·D_{i+j+1}.
     Degrees i < j follow by inversion, [y·n2, x·n1] = [x·n1, y·n2]^-1, so
-    only i >= j is scanned: one n1 of the smaller term D_{i+1} at a time, as
-    a block over the basis pairs and every n2.
+    only i >= j is scanned: the n1 of the smaller term D_{i+1} in table
+    blocks (groups._blocks), each a block over those n1, the basis pairs and
+    every n2.
     """
     T = G.table()
     inv = G.inverse_indices()
@@ -433,8 +435,8 @@ def _verify_well_definedness(G: FiniteGroup, L: GradedLieRing):
         ys = L.reps[None, L._slice(j), None]
         undo = inv[T[inv[T[ys, xs]], T[xs, ys]]]  # [x, y]^-1 per basis pair
         yn = T[ys, terms[j].idx]  # y·n2 for every n2
-        for n1 in terms[i].idx:
-            xn = T[xs, n1]
+        for n1 in _blocks(terms[i].idx, undo.size * yn.shape[2]):
+            xn = T[xs, n1[:, None, None, None]]  # x·n1, one n1 per leading row
             moved = T[inv[T[yn, xn]], T[xn, yn]]  # [x·n1, y·n2]
             if not modulus[T[undo, moved]].all():
                 raise InconsistentPresentation(

@@ -1,14 +1,17 @@
 """Subgroup lattice computations and descending series.
 
 A subgroup is a read-only boolean mask over its parent group's element
-indices, verified at construction in table blocks: every product of two
-members stays inside, and a normality flag comes from conjugation by each
-generator.  Closures, commutator and power subgroups, normal closures and
-centralizers are computed on index arrays, reading products from the table
-T and inverses from the inverse array, never one element handle at a time.
-The pairwise kernels (subgroup verification, commutator values, products of
-index sets, the projection check of a quotient) read the table in blocks of
-at most groups._BLOCK entries, so their temporaries stay small however large
+indices, with a normality flag from conjugation by each generator.  A public
+Subgroup(G, mask) verifies in table blocks that every product of two members
+stays inside; the library's subgroups are closed by construction (closure
+spans, the whole group, fixed points of automorphisms) and skip that scan.
+Closures, commutator and power subgroups, normal closures and centralizers
+are computed on index arrays, reading products from the table T and
+inverses from the inverse array, never one element handle at a time.  A
+normal closure conjugates only the generators its span keeps.  The pairwise
+kernels (the public closure scan, commutator values, products of index
+sets, the projection check of a quotient) read the table in blocks of at
+most groups._BLOCK entries, so their temporaries stay small however large
 the group.  Series are descending chains of such subgroups; the dimension
 series is assembled directly from its defining product of power subgroups
 of the lower central terms.
@@ -25,8 +28,8 @@ needs an extra closure.
 
 Each group carries one store (FiniteGroup._lattice) that this module fills.
 The library builds every subgroup through _subgroup, which keeps it there
-under its mask, so each distinct mask is verified in full once per group; a
-public Subgroup(G, mask) verifies on every call.  The store also keeps the
+under its mask, so each distinct mask is built once per group; a public
+Subgroup(G, mask) verifies on every call.  The store also keeps the
 lower central, derived and dimension series, commutator subgroups by their
 operands, the generators of the subgroups closed here by their masks, and
 the read-only commutator value masks by their index arrays, so each scan
@@ -103,19 +106,39 @@ COMMUTATOR_SCAN_LIMIT = 16384
 
 
 class Subgroup:
-    """Verified subgroup of a FiniteGroup, stored as a boolean mask over its indices.
+    """Subgroup of a FiniteGroup, stored as a boolean mask over its indices.
 
-    The mask is read-only; ``idx`` is the sorted index array it marks.  At
-    construction closure is verified on every pair (every product a·b with
-    a, b in the subgroup stays inside) and normality over conjugation by each
-    generator of the parent, both in table blocks of at most _BLOCK entries.
-    The library builds subgroups through _subgroup, which keeps each one on
-    the parent group.
+    The mask is read-only; ``idx`` is the sorted index array it marks.  A
+    public Subgroup(G, mask) verifies closure on every pair (every product
+    a·b with a, b in the candidate stays inside, _first_escape) in table
+    blocks of at most _BLOCK entries.  Every subgroup also checks that it
+    holds the identity and reads a normality flag from conjugation by each
+    generator of the parent.  The library builds its subgroups, which are
+    closed by construction, through _subgroup (Subgroup._closed), which
+    skips the pair scan and keeps each one on the parent group.
     """
 
     __slots__ = ("group", "mask", "idx", "is_normal")
 
     def __init__(self, group: FiniteGroup, mask):
+        self._adopt(group, mask)
+        escape = _first_escape(group, self.mask, self.idx)
+        if escape is not None:
+            a, b = escape
+            raise ForeignElement(
+                f"candidate set is not closed: {group.element_at(a)!r} * "
+                f"{group.element_at(b)!r} escapes"
+            )
+
+    @classmethod
+    def _closed(cls, group: FiniteGroup, mask) -> "Subgroup":
+        """The subgroup with this mask, which the caller has closed by construction."""
+        sub = cls.__new__(cls)
+        sub._adopt(group, mask)
+        return sub
+
+    def _adopt(self, group: FiniteGroup, mask):
+        """Everything but the closure scan: the mask's shape, the identity, normality."""
         mask = np.array(mask, dtype=bool)
         if mask.shape != (group.order,):
             raise ForeignElement(
@@ -130,14 +153,6 @@ class Subgroup:
         if not mask[group.index_of(group.identity)]:
             raise ForeignElement("subgroup candidate is missing the identity")
         T = group.table()
-        for rows in _blocks(idx, len(idx)):
-            inside = mask[T[rows[:, None], idx]]
-            if not inside.all():
-                r, c = divmod(int(np.argmin(inside)), len(idx))  # first escape, row-major
-                raise ForeignElement(
-                    f"candidate set is not closed: {group.element_at(rows[r])!r} * "
-                    f"{group.element_at(idx[c])!r} escapes"
-                )
         inv = group.inverse_indices()
         gens = np.array([group.index_of(x) for x in group.generators], dtype=np.int64)
         self.is_normal = all(
@@ -186,6 +201,21 @@ class Subgroup:
         return f"Subgroup(order={self.order}{tag})"
 
 
+def _first_escape(G: FiniteGroup, mask: np.ndarray, idx: np.ndarray):
+    """First (a, b) in row-major order over idx x idx with a·b outside mask, or None.
+
+    The closure scan of a public Subgroup: every pair is read, in table
+    blocks of at most _BLOCK entries.
+    """
+    T = G.table()
+    for rows in _blocks(idx, len(idx)):
+        inside = mask[T[rows[:, None], idx]]
+        if not inside.all():
+            r, c = divmod(int(np.argmin(inside)), len(idx))
+            return int(rows[r]), int(idx[c])
+    return None
+
+
 def _keep(G: FiniteGroup, key: tuple, compute):
     """The value kept on G under key, computed once; a compute that raises keeps nothing."""
     value = G._lattice.get(key)
@@ -195,14 +225,18 @@ def _keep(G: FiniteGroup, key: tuple, compute):
 
 
 def _subgroup(G: FiniteGroup, mask) -> Subgroup:
-    """The verified subgroup of G with this mask, kept on G.
+    """The subgroup of G with this mask, kept on G.
 
-    A mask is verified in full (closure on every pair, normality) the first
-    time it is asked for on G; later calls return that Subgroup.  The library
-    builds every subgroup here; a public Subgroup(G, mask) verifies anew.
+    Every mask given here is a subgroup by construction: a _close span, whose
+    breadth-first growth stops only once span·kept ⊆ span, the whole group,
+    or the fixed points of automorphisms (centralizer).  So no pair is
+    scanned; the identity is checked and normality read the first time a
+    mask is asked for on G, and later calls return that Subgroup.  The
+    library builds every subgroup here; a public Subgroup(G, mask) verifies
+    closure anew.
     """
     mask = np.asarray(mask, dtype=bool)
-    return _keep(G, ("subgroup", mask.tobytes()), lambda: Subgroup(G, mask))
+    return _keep(G, ("subgroup", mask.tobytes()), lambda: Subgroup._closed(G, mask))
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
@@ -330,18 +364,25 @@ def _commutator_span(G: FiniteGroup, H: Subgroup, K: Subgroup) -> tuple:
     over H x K (_commutator_values).  Above it, with H = <X> and K = <Y>
     (_generators), [H, K] is the normal closure in <H, K> of the [x, y] over
     X x Y (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-    2005, ch. 3): they are closed, each generator kept is conjugated by X and
-    Y, and the conjugates outside the span are added, until a round adds
-    none.  A subgroup of a finite group closed under conjugation by X and Y
-    is normalized by <H, K>.
+    2005, ch. 3), closed under conjugation by X and Y (_normal_span).
     """
     if H.order * K.order <= COMMUTATOR_SCAN_LIMIT:
         return _close(G, np.flatnonzero(_commutator_values(G, H.idx, K.idx)))
+    xs, ys = _generators(G, H), _generators(G, K)
+    return _normal_span(G, _commutators(G, xs, ys).ravel(), np.concatenate([xs, ys]))
+
+
+def _normal_span(G: FiniteGroup, gens, zs: np.ndarray) -> tuple:
+    """(mask, kept) of the closure of the given element indices under conjugation by zs.
+
+    The given elements are closed (_close), each generator kept is
+    conjugated by every z, and the conjugates outside the span are added,
+    until a round adds none.  A subgroup of a finite group whose generators'
+    conjugates by each z stay inside is normalized by <zs>.
+    """
     T = G.table()
     inv = G.inverse_indices()
-    xs, ys = _generators(G, H), _generators(G, K)
-    zs = np.concatenate([xs, ys])
-    mask, kept = _close(G, _commutators(G, xs, ys).ravel())
+    mask, kept = _close(G, gens)
     fresh = kept
     while fresh:
         before = len(kept)
@@ -381,14 +422,13 @@ def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
 def normal_closure(G: FiniteGroup, gens) -> Subgroup:
     """Smallest normal subgroup of G containing the given elements.
 
-    It is generated by the conjugates s^x = x^-1 s x of the given elements s
-    over every x in G, read from the table as one |G| x len(gens) block.
+    The given elements are closed and the span is closed under conjugation
+    by G's generators (_normal_span), so only the generators kept, at most
+    log2|G| of them, are ever conjugated.
     """
-    T = G.table()
-    inv = G.inverse_indices()
-    given = np.array([G.index_of(s) for s in gens], dtype=np.int64)
-    conjugates = T[T[inv[:, None], given], np.arange(G.order)[:, None]]
-    sub = _spanned(G, *_close(G, conjugates.ravel()))
+    given = [G.index_of(s) for s in gens]
+    zs = np.array([G.index_of(x) for x in G.generators], dtype=np.int64)
+    sub = _spanned(G, *_normal_span(G, given, zs))
     if not sub.is_normal:
         raise NotNormal("normal closure failed to stabilize")  # unreachable guard
     return sub
@@ -658,7 +698,11 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
 
 
 def centralizer(G: FiniteGroup, phis) -> Subgroup:
-    """Joint fixed-point subgroup {g : φ(g) = g for every φ}."""
+    """Joint fixed-point subgroup {g : φ(g) = g for every φ}.
+
+    The fixed points of a homomorphism are closed under products, so the
+    mask is a subgroup by construction (_subgroup).
+    """
     phis = tuple(phis)
     for phi in phis:
         if not isinstance(phi, Automorphism) or phi.source is not G:

@@ -603,16 +603,17 @@ def test_corpus_catalog_pass_makes_no_handle_arithmetic(monkeypatch):
 
 def test_catalog_pass_verifies_each_distinct_subgroup_once(monkeypatch):
     # the library builds subgroups through series._subgroup, which keeps each
-    # verified mask on its group: a second request for a mask is not verified
-    # again, and a fresh run realizes fresh groups that verify anew
+    # mask on its group: a second request for a mask builds nothing, and a
+    # fresh run realizes fresh groups that build anew
     built = []
-    orig = series.Subgroup.__init__
+    orig = series.Subgroup._closed
 
-    def counted(self, group, mask):
-        orig(self, group, mask)
-        built.append((id(group), self.mask.tobytes()))
+    def counted(group, mask):
+        sub = orig(group, mask)
+        built.append((id(group), sub.mask.tobytes()))
+        return sub
 
-    monkeypatch.setattr(series.Subgroup, "__init__", counted)
+    monkeypatch.setattr(series.Subgroup, "_closed", counted)
     fx = parse_fixture(LADDER.read_text("utf-8"))
     report = run_checks(fx)
     assert len(report.rows) == 52

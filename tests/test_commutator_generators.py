@@ -246,13 +246,14 @@ def scanned_pairs(G) -> list:
 
 def test_build_pipeline_scans_no_pair_above_the_limit(monkeypatch):
     built = []
-    orig = series.Subgroup.__init__
+    orig = series.Subgroup._closed
 
-    def counted(self, group, mask):
-        orig(self, group, mask)
-        built.append(self.order)
+    def counted(group, mask):
+        sub = orig(group, mask)
+        built.append(sub.order)
+        return sub
 
-    monkeypatch.setattr(series.Subgroup, "__init__", counted)
+    monkeypatch.setattr(series.Subgroup, "_closed", counted)
     wl = workloads()
     (op,) = wl.WORKLOADS["build"].setup(0)
     G = op.run()[0]

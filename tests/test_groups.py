@@ -2,9 +2,12 @@
 
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouplab import groups
 from grouplab.corpus import load_corpus
@@ -481,6 +484,80 @@ def test_homomorphism_construction_makes_no_handle_products(monkeypatch):
     GroupHomomorphism(H, H, list(H.generators))
     assert calls == []
     assert phi.image_indices == inner_automorphism(G, b).image_indices
+
+
+# -- the generator decision against the pair scan ------------------------------
+#
+# GroupHomomorphism._verify decides phi(ab) = phi(a) phi(b) on the source
+# generators alone and scans every pair only to name a failure; the row loop
+# ref_first_failing_pair reads every pair.  Both must accept the same maps, and
+# a rejection must name the row loop's pair.
+
+LADDER_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "ladder.grp"
+
+
+def assert_decides_like_the_pair_scan(phi):
+    first = ref_first_failing_pair(phi)
+    if first is None:
+        phi._verify()
+        return
+    with pytest.raises(MalformedSpec) as err:
+        phi._verify()
+    assert str(err.value) == (
+        f"images do not extend to a homomorphism: fails at ({first[0]!r}, {first[1]!r})"
+    )
+
+
+def fixture_automorphisms() -> dict:
+    cases = automorphism_cases()
+    fx = parse_fixture(LADDER_FIXTURE.read_text("utf-8"))
+    cases.update(realize_automorphisms(fx, realize_groups(fx)))
+    return cases
+
+
+def test_fixture_automorphisms_pass_the_pair_scan():
+    cases = fixture_automorphisms()
+    assert {"inv125", "inv243", "c9inv"} <= set(cases)
+    for phi in cases.values():
+        assert ref_first_failing_pair(phi) is None
+
+
+@pytest.mark.parametrize("name", sorted(load_corpus().groups))
+def test_inner_automorphisms_pass_the_pair_scan(name):
+    G = load_corpus().groups[name]
+    for g in G.elements():
+        phi = inner_automorphism(G, g)
+        assert ref_first_failing_pair(phi) is None
+
+
+SMALL = sorted(name for name, G in load_corpus().groups.items() if G.order <= 24)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_generator_images_decide_like_the_pair_scan(data):
+    corpus = load_corpus().groups
+    G = corpus[data.draw(st.sampled_from(SMALL))]
+    H = corpus[data.draw(st.sampled_from(SMALL))]
+    n = len(G.generators)
+    picks = data.draw(st.lists(st.integers(0, H.order - 1), min_size=n, max_size=n))
+    images = [H.element_at(i) for i in picks]
+    assert_decides_like_the_pair_scan(unverified_homomorphism(G, H, images))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_index_bijections_decide_like_the_pair_scan(data):
+    # a random bijection, or an inner automorphism with at most one pair of
+    # images swapped, so that both verdicts occur
+    G = load_corpus().groups[data.draw(st.sampled_from(SMALL))]
+    if data.draw(st.booleans()):
+        images = data.draw(st.permutations(range(G.order)))
+    else:
+        images = list(inner_automorphism(G, data.draw(st.sampled_from(G.elements()))).image_indices)
+        i, j = data.draw(st.integers(0, G.order - 1)), data.draw(st.integers(0, G.order - 1))
+        images[i], images[j] = images[j], images[i]
+    assert_decides_like_the_pair_scan(Automorphism.from_index_map(G, images, verify=False))
 
 
 def test_automorphism_inversion_on_elementary_abelian():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from grouplab import liering
+from grouplab import groups, liering
 from grouplab.errors import (
     ActionNotWellDefined,
     EvenCharacteristic,
@@ -605,7 +605,8 @@ def planted_series(monkeypatch, G, *terms):
     monkeypatch.setattr(liering, "dimension_series", lambda G: series)
 
 
-def test_well_definedness_catches_a_dependence_at_one_pair(monkeypatch):
+def plant_dependence_at_one_pair(monkeypatch):
+    """Cl3o243 and its algebra, with one table entry moved: degrees (1,1) depend on representatives."""
     G = cl3o243()
     L = build_dl(G)
     _verify_well_definedness(G, L)
@@ -621,15 +622,43 @@ def test_well_definedness_catches_a_dependence_at_one_pair(monkeypatch):
     planted = T.copy()
     planted[xn, yn] = bad
     monkeypatch.setattr(G, "table", lambda: planted)
+    return G, L
+
+
+def test_well_definedness_catches_a_dependence_at_one_pair(monkeypatch):
+    G, L = plant_dependence_at_one_pair(monkeypatch)
     with pytest.raises(InconsistentPresentation, match=r"\(1,1\) depends on representatives"):
         _verify_well_definedness(G, L)
 
 
-def test_build_dl_refuses_a_bracket_that_depends_on_representatives(monkeypatch):
-    # Heis27 over G > <g2, g3> > 1: [x, x·g2] = [x, g2] is not trivial
+def plant_heis27_over_a_non_central_term(monkeypatch):
+    """Heis27 over G > <g2, g3> > 1: [x, x·g2] = [x, g2] is not trivial."""
     G = heis27()
     g1, g2, g3 = G.generators
     planted_series(monkeypatch, G, generated_subgroup(G, [g2, g3]))
+    return G
+
+
+def test_build_dl_refuses_a_bracket_that_depends_on_representatives(monkeypatch):
+    G = plant_heis27_over_a_non_central_term(monkeypatch)
+    with pytest.raises(InconsistentPresentation, match=r"\(1,1\) depends on representatives"):
+        build_dl(G)
+
+
+@pytest.mark.parametrize("block", [1, 64, None])
+def test_well_definedness_outcome_does_not_depend_on_the_block(block, monkeypatch):
+    # the n1 of each term are read in blocks of groups._BLOCK table entries;
+    # one n1 per block, a few, or the default must decide alike
+    if block is not None:
+        monkeypatch.setattr(groups, "_BLOCK", block)
+    heis125 = pc(5, 3, {}, {(2, 1): ((3, 1),)})
+    c3wrc3 = pc(3, 4, {}, {(2, 1): ((3, 1),), (3, 1): ((4, 1),)})
+    for G in (cl3o243(), heis125, c3wrc3):
+        _verify_well_definedness(G, build_dl(G))
+    G, L = plant_dependence_at_one_pair(monkeypatch)
+    with pytest.raises(InconsistentPresentation, match=r"\(1,1\) depends on representatives"):
+        _verify_well_definedness(G, L)
+    G = plant_heis27_over_a_non_central_term(monkeypatch)
     with pytest.raises(InconsistentPresentation, match=r"\(1,1\) depends on representatives"):
         build_dl(G)
 

@@ -294,6 +294,20 @@ def test_lower_central_series_memory_is_bounded_by_the_block():
     assert peak < 2**20
 
 
+def test_normal_closure_memory_is_bounded_by_its_generators():
+    # only the generators the span keeps are conjugated, never a |G| x len(gens) block
+    G = pc(2, 11)
+    given = G.elements()[:512]
+    tracemalloc.start()
+    try:
+        N = normal_closure(G, given)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert N.order == 512 and N.is_normal
+    assert peak < 2 * 2**20
+
+
 # -- N_p-series verification --------------------------------------------
 
 

@@ -507,6 +507,15 @@ def test_normal_closure_and_nilpotency_match_reference(name):
 
 
 @pytest.mark.parametrize("name", NAMES)
+def test_normal_closure_of_several_elements_matches_reference(name):
+    G = cases()[name]
+    elems = G.elements()
+    step = max(1, G.order // 8)
+    for picks in (elems[1::step][:2], elems[2::step][:3], elems[-3:], elems[::-step][:2]):
+        assert keys_of(normal_closure(G, picks)) == ref_normal_closure(G, picks)
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_k_commutators_match_reference(name):
     G = cases()[name]
     for k in (1, 2, 3):
