@@ -94,8 +94,8 @@ def _k_commutators(G: FiniteGroup, k: int, budget: int) -> np.ndarray:
     everything = np.arange(G.order)
     values = np.ones(G.order, dtype=bool)
     for _ in range(k - 1):
-        values = _commutator_values(G, np.flatnonzero(values), everything)
-    return np.flatnonzero(values)
+        values = _commutator_values(G, values.nonzero()[0], everything)
+    return values.nonzero()[0]
 
 
 # -- the collection congruence -----------------------------------------
@@ -562,7 +562,7 @@ def _np_series(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
 @check("lazard", needs=(_needs_p_group,))
 def _lazard(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
     L = build_dl(G)
-    xs = np.flatnonzero(np.arange(G.order) != G.index_of(G.identity))
+    xs = np.flatnonzero(np.arange(G.order) != G._e)
     power_ok, index, order = _lazard_table(G, L, xs)
     bad = np.flatnonzero(~power_ok | (index > order))
     if bad.size:

@@ -39,6 +39,7 @@ from .groups import (
     cycles_of,
     perm_from_cycles,
 )
+from .series import _power_map
 
 
 @dataclass(frozen=True)
@@ -514,16 +515,11 @@ def realize_groups(fx: FixtureFile) -> dict:
 
 
 def _product_of_powers(G: FiniteGroup, factors) -> GroupElement:
-    """Product of x^e over (element, exponent) factors, e >= 0, read from the table."""
+    """Product of x^e over (element, exponent) factors, e >= 0, read from the kept power maps."""
     T = G.table()
-    out = G.index_of(G.identity)
+    out = G._e
     for x, e in factors:
-        base = G.index_of(x)
-        while e:  # powers of x commute, so out·x^e builds up bit by bit
-            if e & 1:
-                out = T[out, base]
-            base = T[base, base]
-            e >>= 1
+        out = T[out, _power_map(G, e)[G.index_of(x)]]
     return G.element_at(out)
 
 

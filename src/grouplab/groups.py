@@ -16,9 +16,11 @@ on the group.  GroupElement handles and their arithmetic serve the public
 API; the library's computations read the table and index arrays.  A
 homomorphism is decided on the generators of its source, every element
 against every generator; only a failure scans every pair, to name the first
-one.  Pairwise scans read the table in blocks of at most _BLOCK entries
-(_blocks).  Groups are capped at TABLE_CAP elements; a pc presentation over
-the cap is refused before any table work.
+one.  The constructor checks that a group's generators generate it, with
+the closure kernel (_close) that spans every subgroup.  Pairwise scans read
+the table in blocks of at most _BLOCK entries (_blocks).  Groups are capped
+at TABLE_CAP elements; a pc presentation over the cap is refused before any
+table work.
 """
 
 from __future__ import annotations
@@ -78,6 +80,36 @@ def _blocks(items: np.ndarray, width: int):
     step = max(1, _BLOCK // max(width, 1))
     for start in range(0, len(items), step):
         yield items[start : start + step]
+
+
+def _close(G: "FiniteGroup", gens, mask=None, kept=None) -> tuple:
+    """(mask, kept): the subgroup generated by the given element indices and the generators kept.
+
+    A generator already inside the span so far is dropped, so each one kept
+    at least doubles the span and at most log2|G| are kept.  The span grows
+    breadth-first by right multiplication with the kept generators, whose
+    table columns are gathered once per generator kept.  Given the mask of a
+    subgroup and the generators kept for it, the span is extended in place.
+    """
+    T = G.table()
+    gens = np.asarray(gens, dtype=np.int64)
+    if mask is None:
+        mask = np.zeros(G.order, dtype=bool)
+        mask[G._e] = True
+        kept = []
+    while True:
+        outside = gens[~mask[gens]]
+        if not outside.size:
+            return mask, kept
+        kept.append(outside[0])
+        cols = T[:, kept]  # row x: x·g for every kept generator g
+        frontier = mask.nonzero()[0]
+        while frontier.size:
+            fresh = np.zeros(G.order, dtype=bool)
+            fresh[cols[frontier]] = True
+            fresh &= ~mask
+            mask |= fresh
+            frontier = fresh.nonzero()[0]
 
 
 def _validate_word(word, p: int, ngens: int, floor: int, where: str) -> NormalWord:
@@ -390,25 +422,30 @@ class FiniteGroup:
     Elements are exposed as GroupElement handles; the canonical key (exponent
     vector, image tuple, or coset representative key) doubles as the lookup
     key everywhere.  Products and inverses are read from the Cayley table.
-    Instances are immutable once built; the caches populated lazily (element
-    orders, the subgroup-lattice store, the graded Lie ring) never change
-    observable values.
+    Instances are immutable once built and keep the identity's index and a
+    read-only array of the generators' indices; the caches populated lazily
+    (element orders, the exponent, the subgroup-lattice store, the graded
+    Lie ring) never change observable values.
     """
 
     def __init__(self, kind: str, keys, table: np.ndarray, generators, repr_key):
         """``table[i, j]`` is the index of keys[i] * keys[j], for sorted keys;
         ``generators`` are (name, key) pairs of elements that generate the
-        group, and ``repr_key`` prints a key."""
+        group, which is checked once by closing them (_close), and
+        ``repr_key`` prints a key."""
         self._kind = kind
         self._keys = tuple(keys)
         self._index = index = {key: i for i, key in enumerate(self._keys)}
         self._repr_key = repr_key
         self._elements = tuple(GroupElement(self, key) for key in self._keys)
-        e = int(np.flatnonzero(np.diagonal(table) == np.arange(len(table)))[0])
+        self._e = e = int(np.flatnonzero(np.diagonal(table) == np.arange(len(table)))[0])
         self.identity = self._elements[e]
-        self.generators = tuple(self._elements[index[key]] for _, key in generators)
+        self._gens = np.array([index[key] for _, key in generators], dtype=np.int64)
+        self._gens.flags.writeable = False
+        self.generators = tuple(self._elements[i] for i in self._gens)
         self.generator_names = tuple(name for name, _ in generators)
         self._orders = None  # order of every element, kept by element_orders
+        self._exponent = None  # kept by exponent
         self._lie_ring = None  # the graded Lie ring, kept by liering.build_dl
         # subgroups, series and kernel results by key, kept by the series module
         self._lattice = {}
@@ -416,6 +453,8 @@ class FiniteGroup:
         self._inv = np.argmax(table == e, axis=1)
         self._table.flags.writeable = False
         self._inv.flags.writeable = False
+        if not _close(self, self._gens)[0].all():
+            raise MalformedSpec("the generators do not generate the group")
 
     # -- elements ------------------------------------------------------
 
@@ -505,15 +544,14 @@ class FiniteGroup:
         at once, retiring each element when its power reaches the identity.
         """
         if self._orders is None:
-            e = self.index_of(self.identity)
             orders = np.ones(self.order, dtype=np.int64)
-            live = np.flatnonzero(np.arange(self.order) != e)
+            live = np.flatnonzero(np.arange(self.order) != self._e)
             power = live
             k = 1
             while live.size:
                 k += 1
                 power = self._table[power, live]
-                done = power == e
+                done = power == self._e
                 orders[live[done]] = k
                 live, power = live[~done], power[~done]
             orders.flags.writeable = False
@@ -524,7 +562,9 @@ class FiniteGroup:
         return int(self.element_orders()[self.index_of(a)])
 
     def exponent(self) -> int:
-        return math.lcm(*np.flatnonzero(np.bincount(self.element_orders())).tolist())
+        if self._exponent is None:
+            self._exponent = math.lcm(*np.flatnonzero(np.bincount(self.element_orders())).tolist())
+        return self._exponent
 
     def is_p_group(self):
         """(p, k) with |G| = p^k, or None if the order is not a prime power."""
@@ -603,9 +643,8 @@ class GroupHomomorphism:
         self.target = target
         gen_images = self._normalize_images(images)
         image_idx = [-1] * source.order
-        e_src = source.index_of(source.identity)
-        image_idx[e_src] = target.index_of(target.identity)
-        frontier = [e_src]
+        image_idx[source._e] = target._e
+        frontier = [source._e]
         # breadth-first: image[x*g] = image[x]*h, read from table columns
         gen_cols = [
             (source.table()[:, source.index_of(g)].tolist(),
@@ -621,8 +660,6 @@ class GroupHomomorphism:
                         image_idx[xg] = tgt_col[image_idx[x]]
                         fresh.append(xg)
             frontier = fresh
-        if any(i < 0 for i in image_idx):
-            raise MalformedSpec("generator images must cover every group generator")
         self.image_indices = tuple(image_idx)
         self._verify()
 
@@ -659,8 +696,7 @@ class GroupHomomorphism:
         src = self.source
         t_src, t_tgt = src.table(), self.target.table()
         phi = np.asarray(self.image_indices)
-        gens = np.array([src.index_of(g) for g in src.generators], dtype=np.int64)
-        if np.array_equal(phi[t_src[:, gens]], t_tgt[phi[:, None], phi[gens]]):
+        if np.array_equal(phi[t_src[:, src._gens]], t_tgt[phi[:, None], phi[src._gens]]):
             return
         a, b = _first_failing_pair(t_src, t_tgt, phi)
         raise MalformedSpec(
@@ -693,27 +729,32 @@ class Automorphism(GroupHomomorphism):
         return self.source
 
     @classmethod
-    def from_index_map(cls, group: FiniteGroup, image_indices, *, verify: bool = True):
-        obj = cls.__new__(cls)
-        obj.source = group
-        obj.target = group
-        obj.image_indices = tuple(image_indices)
+    def from_index_map(cls, group: FiniteGroup, image_indices):
+        """The automorphism with these element images, verified a bijective homomorphism."""
+        obj = cls._trusted(group, image_indices)
         if sorted(obj.image_indices) != list(range(group.order)):
             raise MalformedSpec("index map is not a bijection")
-        if verify:
-            obj._verify()
+        obj._verify()
+        return obj
+
+    @classmethod
+    def _trusted(cls, group: FiniteGroup, image_indices):
+        """The map with these element images, which the caller knows is an automorphism."""
+        obj = cls.__new__(cls)
+        obj.source = obj.target = group
+        obj.image_indices = tuple(image_indices)
         return obj
 
     @classmethod
     def identity_of(cls, group: FiniteGroup):
-        return cls.from_index_map(group, range(group.order), verify=False)
+        return cls._trusted(group, range(group.order))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """Apply self first, then other (same order convention as a*b)."""
         if other.source is not self.source:
             raise ForeignElement("cannot compose automorphisms of different groups")
         mapped = tuple(other.image_indices[i] for i in self.image_indices)
-        return Automorphism.from_index_map(self.source, mapped, verify=False)
+        return Automorphism._trusted(self.source, mapped)
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.image_indices))
@@ -746,4 +787,4 @@ def inner_automorphism(G: FiniteGroup, g: GroupElement) -> Automorphism:
     gi = G.index_of(g)
     T = G.table()
     mapped = T[T[G.inverse_indices()[gi]], gi]  # row g^-1 is x -> g^-1 x
-    return Automorphism.from_index_map(G, mapped.tolist(), verify=True)
+    return Automorphism.from_index_map(G, mapped.tolist())

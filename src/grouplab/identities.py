@@ -34,7 +34,7 @@ from .errors import (
 from .gfp import mat_pow
 from .groups import _BLOCK, FiniteGroup, GroupElement
 from .liering import GradedLieRing, LieElement
-from .series import Verdict
+from .series import Verdict, _power_map
 
 HIGMAN_MONOMIAL_BUDGET = 5040
 IDENTITY_EVAL_BUDGET = 10**6
@@ -382,13 +382,7 @@ def _word_values(w: GroupWord, G: FiniteGroup, leaves: dict) -> np.ndarray:
         base, k = _word_values(w.args[0], G, leaves), w.args[1]
         if k < 0:
             base, k = inv[base], -k
-        out = np.full_like(base, G.index_of(G.identity))
-        while k:
-            if k & 1:
-                out = T[out, base]
-            base = T[base, base]
-            k >>= 1
-        return out
+        return _power_map(G, k)[base]
     out = _word_values(w.args[0], G, leaves)
     for part in w.args[1:]:
         y = _word_values(part, G, leaves)
@@ -423,7 +417,7 @@ def group_satisfies(w: GroupWord, G: FiniteGroup) -> Verdict:
     total = n**nvars
     if total > WORD_EVAL_BUDGET:
         raise BudgetExceeded(f"|G|^{nvars} = {total} exceeds the budget of {WORD_EVAL_BUDGET}")
-    e = G.index_of(G.identity)
+    e = G._e
     for start in range(0, total, _BLOCK):
         t = np.arange(start, min(start + _BLOCK, total))
         leaves = {v: t // n ** (nvars - 1 - pos) % n for pos, v in enumerate(variables)}
@@ -448,7 +442,7 @@ def _engel_walk(G: FiniteGroup, xi: int, limit: int) -> tuple:
     c^j rebuilt by squaring.
     """
     T = G.table()
-    e = G.index_of(G.identity)
+    e = G._e
     step = T[G.inverse_indices()[T[xi]], T[:, xi]]  # step[y] = [y, x]
 
     def step_power(j: int) -> np.ndarray:

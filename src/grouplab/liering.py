@@ -385,7 +385,7 @@ def build_dl(G: FiniteGroup) -> GradedLieRing:
                 raise NonElementaryQuotient(f"component {i} is not abelian")
             col = len(reps)
             reps.append(b)
-            base = np.flatnonzero(span)
+            base = span.nonzero()[0]
             layer = base
             for e in range(1, p):
                 layer = T[layer, b]  # base · b^e
@@ -529,14 +529,16 @@ class LpSubalgebra:
         return self.algebra.dims
 
 
-def lp_subalgebra(L: GradedLieRing) -> LpSubalgebra:
-    """Subalgebra generated by L_1: M_1 = L_1, M_k = span [M_{k-1}, L_1]."""
-    p = L.p
+def _degree_one_closure(L: GradedLieRing) -> tuple:
+    """The subalgebra M generated by L_1, checked bracket-closed, as (bases, space, W).
+
+    bases[k-1] spans M_k = [M_{k-1}, L_1]; space is M inside L; W its rows' brackets.
+    """
     bases = [np.eye(L.dims[0], dtype=np.int64)]
     for k in range(2, L.m + 1):
         # every basis row of M_{k-1} against every degree-one basis vector
         rows = np.einsum("ra,abc->rbc", bases[-1], L.sc[(k - 1, 1)])
-        reduced, pivots = rref(rows.reshape(len(rows) * L.dims[0], L.dims[k - 1]), p)
+        reduced, pivots = rref(rows.reshape(len(rows) * L.dims[0], L.dims[k - 1]), L.p)
         bases.append(reduced[: len(pivots)])
     space = GradedSubspace(L, bases)
     W = L.brackets(space.rows, space.rows)
@@ -546,8 +548,14 @@ def lp_subalgebra(L: GradedLieRing) -> LpSubalgebra:
         raise InconsistentPresentation(
             f"degree-one closure is not bracket-closed at degrees ({i},{j})"
         )
+    return bases, space, W
+
+
+def lp_subalgebra(L: GradedLieRing) -> LpSubalgebra:
+    """Subalgebra generated by L_1: M_1 = L_1, M_k = span [M_{k-1}, L_1]."""
+    bases, space, W = _degree_one_closure(L)
     # coordinates in the sub-basis are the entries at its pivots
-    sub = GradedLieRing(p, space.dims(), W[..., space.pivots])
+    sub = GradedLieRing(L.p, space.dims(), W[..., space.pivots])
     return LpSubalgebra(sub, L, tuple(bases))
 
 
@@ -798,14 +806,18 @@ def commutator_shapes(m: int, c: int) -> tuple:
 
 
 def decomposition_witness(G: FiniteGroup, gens=None) -> DecompositionWitness:
-    """Enumerate the left-normed commutators of weight up to the subalgebra class."""
+    """Enumerate the left-normed commutators of weight up to the subalgebra class.
+
+    The class c of the subalgebra M generated by L_1 is its top nonzero
+    degree, since M_k = [M_{k-1}, M_1], read off _degree_one_closure with no
+    second ring.  Given elements must generate G; G's own generators do.
+    """
     _p_of(G)
-    gens = tuple(gens) if gens is not None else tuple(G.generators)
-    for g in gens:
-        G._check(g)
-    if not generated_subgroup(G, gens).is_whole:
+    given = gens is not None
+    gens = tuple(gens) if given else G.generators
+    if given and not generated_subgroup(G, gens).is_whole:
         raise MalformedSpec("the given elements do not generate the group")
-    c = lp_subalgebra(build_dl(G)).algebra.nilpotency_class()
+    c = sum(1 for basis in _degree_one_closure(build_dl(G))[0] if len(basis))
     shapes = commutator_shapes(len(gens), c)
     # a weight-w shape is its weight-(w-1) prefix bracketed with its last
     # generator, and shapes come in weight order, so one index-array step
@@ -832,17 +844,17 @@ def _ordered_cyclic_product(G: FiniteGroup, rhos) -> np.ndarray:
     acc = _closure(G, ())
     for rho in rhos:
         r = G.index_of(rho)
-        powers = [G.index_of(G.identity)]
+        powers = [G._e]
         for _ in range(orders[r] - 1):
             powers.append(T[powers[-1], r])
-        acc = _product_mask(G, np.flatnonzero(acc), powers)
+        acc = _product_mask(G, acc.nonzero()[0], powers)
     return acc
 
 
 def check_prop_2_11(G: FiniteGroup, w: DecompositionWitness) -> Verdict:
     """Ordered cyclic product times each series tail must cover the group."""
     series = build_dl(G).series
-    product = np.flatnonzero(_ordered_cyclic_product(G, w.rhos))
+    product = _ordered_cyclic_product(G, w.rhos).nonzero()[0]
     for i in range(1, len(series.terms) + 1):
         covered = _product_mask(G, product, series.term(i + 1).idx)
         if not covered.all():

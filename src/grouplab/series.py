@@ -5,13 +5,13 @@ indices, with a normality flag from conjugation by each generator.  A public
 Subgroup(G, mask) verifies in table blocks that every product of two members
 stays inside; the library's subgroups are closed by construction (closure
 spans, the whole group, fixed points of automorphisms) and skip that scan.
-Closures, commutator and power subgroups, normal closures and centralizers
-are computed on index arrays, reading products from the table T and
-inverses from the inverse array, never one element handle at a time.  A
-normal closure conjugates only the generators its span keeps.  The pairwise
-kernels (the public closure scan, commutator values, products of index
-sets, the projection check of a quotient) read the table in blocks of at
-most groups._BLOCK entries, so their temporaries stay small however large
+Closures (groups._close), commutator and power subgroups, normal closures
+and centralizers are computed on index arrays, reading products from the
+table T and inverses from the inverse array, never one element handle at a
+time.  A normal closure conjugates only the generators its span keeps.  The
+pairwise kernels (the public closure scan, commutator values, products of
+index sets, the projection check of a quotient) read the table in blocks of
+at most groups._BLOCK entries, so their temporaries stay small however large
 the group.  Series are descending chains of such subgroups; the dimension
 series is assembled directly from its defining product of power subgroups
 of the lower central terms.
@@ -31,12 +31,13 @@ The library builds every subgroup through _subgroup, which keeps it there
 under its mask, so each distinct mask is built once per group; a public
 Subgroup(G, mask) verifies on every call.  The store also keeps the
 lower central, derived and dimension series, commutator subgroups by their
-operands, the generators of the subgroups closed here by their masks, and
-the read-only commutator value masks by their index arrays, so each scan
-(series pairs up to the limit, the weight-k commutators, the nilpotency
-test modulo a subgroup) runs once per group.  Power subgroups are not kept
-apart from their masks, because no caller asks for the same one twice.  A
-call that raises keeps nothing.
+operands, the generators of the subgroups closed here by their masks, the
+read-only commutator value masks by their index arrays, and the read-only
+power maps x -> x^k by k, so each scan (series pairs up to the limit, the
+weight-k commutators, the nilpotency test modulo a subgroup) and each power
+map runs once per group.  Power subgroups are not kept apart from their
+masks, because no caller asks for the same one twice.  A call that raises
+keeps nothing.
 
 The upper Fitting series, and with it the Fitting height, is built inside
 the group on masks: each term is the product of the normal closures, one
@@ -68,6 +69,7 @@ from .groups import (
     FiniteGroup,
     GroupElement,
     _blocks,
+    _close,
 )
 
 __all__ = [
@@ -145,16 +147,16 @@ class Subgroup:
                 f"mask of shape {mask.shape} does not index a group of order {group.order}"
             )
         mask.flags.writeable = False
-        idx = np.flatnonzero(mask)
+        idx = mask.nonzero()[0]
         idx.flags.writeable = False
         self.group = group
         self.mask = mask
         self.idx = idx
-        if not mask[group.index_of(group.identity)]:
+        if not mask[group._e]:
             raise ForeignElement("subgroup candidate is missing the identity")
         T = group.table()
         inv = group.inverse_indices()
-        gens = np.array([group.index_of(x) for x in group.generators], dtype=np.int64)
+        gens = group._gens
         self.is_normal = all(
             mask[T[T[inv[gens][:, None], cols], gens[:, None]]].all()
             for cols in _blocks(idx, len(gens))
@@ -247,35 +249,6 @@ def whole_subgroup(G: FiniteGroup) -> Subgroup:
     return _subgroup(G, np.ones(G.order, dtype=bool))
 
 
-def _close(G: FiniteGroup, gens, mask=None, kept=None) -> tuple:
-    """(mask, kept): the subgroup generated by the given element indices and the generators kept.
-
-    A generator already inside the span so far is dropped, so each one kept
-    at least doubles the span and at most log2|G| are kept.  The span grows
-    breadth-first by right multiplication with the kept generators, one
-    table block |frontier| x |kept| per layer.  Given the mask of a subgroup
-    and the generators kept for it, the span is extended in place.
-    """
-    T = G.table()
-    gens = np.asarray(gens, dtype=np.int64)
-    if mask is None:
-        mask = np.zeros(G.order, dtype=bool)
-        mask[G.index_of(G.identity)] = True
-        kept = []
-    while True:
-        outside = gens[~mask[gens]]
-        if not outside.size:
-            return mask, kept
-        kept.append(outside[0])
-        frontier = np.flatnonzero(mask)
-        while frontier.size:
-            fresh = np.zeros(G.order, dtype=bool)
-            fresh[T[frontier[:, None], kept]] = True
-            fresh &= ~mask
-            mask |= fresh
-            frontier = np.flatnonzero(fresh)
-
-
 def _closure(G: FiniteGroup, gens) -> np.ndarray:
     """Mask of the subgroup generated by the given element indices (_close)."""
     return _close(G, gens)[0]
@@ -311,23 +284,29 @@ def _generators(G: FiniteGroup, H: Subgroup) -> np.ndarray:
 
     def find() -> np.ndarray:
         if H.is_whole:
-            return _read_only([G.index_of(x) for x in G.generators])
+            return G._gens
         return _read_only(_close(G, H.idx)[1])
 
     return _keep(G, ("generators", H.mask.tobytes()), find)
 
 
 def _power_map(G: FiniteGroup, k: int) -> np.ndarray:
-    """P[x] = index of x^k for every element index x (k >= 0), by repeated squaring."""
-    T = G.table()
-    result = np.full(G.order, G.index_of(G.identity), dtype=np.int64)
-    base = np.arange(G.order)
-    while k > 0:
-        if k & 1:
-            result = T[result, base]
-        base = T[base, base]
-        k >>= 1
-    return result
+    """P[x] = index of x^k for every element index x (k >= 0), read-only and kept on G."""
+
+    def powers() -> np.ndarray:
+        T = G.table()
+        result = np.full(G.order, G._e, dtype=np.int64)
+        base = np.arange(G.order)
+        n = k
+        while n > 0:  # repeated squaring
+            if n & 1:
+                result = T[result, base]
+            base = T[base, base]
+            n >>= 1
+        result.flags.writeable = False
+        return result
+
+    return _keep(G, ("power map", k), powers)
 
 
 def _commutators(G: FiniteGroup, xs, ys) -> np.ndarray:
@@ -367,7 +346,7 @@ def _commutator_span(G: FiniteGroup, H: Subgroup, K: Subgroup) -> tuple:
     2005, ch. 3), closed under conjugation by X and Y (_normal_span).
     """
     if H.order * K.order <= COMMUTATOR_SCAN_LIMIT:
-        return _close(G, np.flatnonzero(_commutator_values(G, H.idx, K.idx)))
+        return _close(G, _commutator_values(G, H.idx, K.idx).nonzero()[0])
     xs, ys = _generators(G, H), _generators(G, K)
     return _normal_span(G, _commutators(G, xs, ys).ravel(), np.concatenate([xs, ys]))
 
@@ -427,8 +406,7 @@ def normal_closure(G: FiniteGroup, gens) -> Subgroup:
     log2|G| of them, are ever conjugated.
     """
     given = [G.index_of(s) for s in gens]
-    zs = np.array([G.index_of(x) for x in G.generators], dtype=np.int64)
-    sub = _spanned(G, *_normal_span(G, given, zs))
+    sub = _spanned(G, *_normal_span(G, given, G._gens))
     if not sub.is_normal:
         raise NotNormal("normal closure failed to stabilize")  # unreachable guard
     return sub
@@ -551,7 +529,6 @@ def dimension_series(G: FiniteGroup) -> NormalSeries:
         whole = gamma.terms[0]
         spans = []  # (mask, kept) of D_2, D_3, ... as _close returns them
         mask = whole.mask
-        power_maps = {}
         i = 2
         while np.count_nonzero(mask) > 1:
             if i > SERIES_LENGTH_CAP:
@@ -561,10 +538,7 @@ def dimension_series(G: FiniteGroup) -> NormalSeries:
                 k = 0
                 while j * p**k < i:
                     k += 1
-                q = p**k
-                if q not in power_maps:
-                    power_maps[q] = _power_map(G, q)
-                gens.append(power_maps[q][gamma.term(j).idx])
+                gens.append(_power_map(G, p**k)[gamma.term(j).idx])
             spans.append(_close(G, np.concatenate(gens)))
             mask = spans[-1][0]
             i += 1
@@ -653,7 +627,7 @@ class QuotientGroup:
         pos[reps] = np.arange(len(reps))
         proj = pos[rep]  # parent index -> index of its coset in G/N
         keys = parent._keys
-        e = proj[parent.index_of(parent.identity)]
+        e = proj[parent._e]
         gens = {}  # key -> name of the first parent generator in a nontrivial coset
         for name, gen in zip(parent.generator_names, parent.generators):
             q = proj[parent.index_of(gen)]
@@ -720,11 +694,11 @@ def _nilpotent_mod(G: FiniteGroup, M: np.ndarray, F: np.ndarray) -> bool:
     is walked on masks until it stabilizes; M/F is nilpotent exactly when it
     stabilizes at F.
     """
-    M_idx = np.flatnonzero(M)
+    M_idx = M.nonzero()[0]
     cur = M
     while True:
-        values = _commutator_values(G, np.flatnonzero(cur), M_idx)
-        nxt = _closure(G, np.flatnonzero(values | F))
+        values = _commutator_values(G, cur.nonzero()[0], M_idx)
+        nxt = _closure(G, (values | F).nonzero()[0])
         if np.array_equal(nxt, cur):
             return bool(np.array_equal(cur, F))
         cur = nxt
@@ -795,7 +769,7 @@ def _class_closure(G: FiniteGroup, x: int, base: np.ndarray | None = None) -> np
     """
     gens = _conjugacy_class(G, x)
     if base is not None:
-        gens = np.concatenate([np.flatnonzero(base), gens])
+        gens = np.concatenate([base.nonzero()[0], gens])
     return _closure(G, gens)
 
 
@@ -816,7 +790,7 @@ def _fitting_mod(G: FiniteGroup, F: np.ndarray) -> np.ndarray:
             continue
         M = _class_closure(G, x, F)
         if _nilpotent_mod(G, M, F):
-            fit = _closure(G, np.flatnonzero(fit | M))
+            fit = _closure(G, (fit | M).nonzero()[0])
     return fit
 
 

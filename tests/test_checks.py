@@ -623,6 +623,26 @@ def test_catalog_pass_verifies_each_distinct_subgroup_once(monkeypatch):
     assert len(built) == len(set(built)) == 57
 
 
+def test_catalog_pass_computes_each_power_map_once(monkeypatch):
+    computed, read = [], []
+
+    def keep(G, key, compute, _orig=series._keep):
+        if key[0] == "power map":
+            read.append(1)
+
+            def counted(_compute=compute):
+                computed.append((id(G), key[1]))
+                return _compute()
+
+            return _orig(G, key, counted)
+        return _orig(G, key, compute)
+
+    monkeypatch.setattr(series, "_keep", keep)
+    run_checks(parse_fixture(corpus_text()))
+    assert len(computed) == len(set(computed)) == 37
+    assert len(read) > len(computed)
+
+
 def test_kept_results_are_read_only():
     ctx = checks.RunContext(parse_fixture(LADDER.read_text("utf-8")))
     for name, handler in checks._GROUP_HANDLERS.items():

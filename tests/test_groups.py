@@ -557,7 +557,7 @@ def test_index_bijections_decide_like_the_pair_scan(data):
         images = list(inner_automorphism(G, data.draw(st.sampled_from(G.elements()))).image_indices)
         i, j = data.draw(st.integers(0, G.order - 1)), data.draw(st.integers(0, G.order - 1))
         images[i], images[j] = images[j], images[i]
-    assert_decides_like_the_pair_scan(Automorphism.from_index_map(G, images, verify=False))
+    assert_decides_like_the_pair_scan(Automorphism._trusted(G, images))
 
 
 def test_automorphism_inversion_on_elementary_abelian():
@@ -575,20 +575,68 @@ def test_from_index_map_refuses_a_non_bijection():
         Automorphism.from_index_map(G, [0] * G.order)
 
 
-def test_from_index_map_names_the_first_pair_a_bijection_fails_at():
-    # swapping an element of order 2 with one of order 3 keeps a bijection
-    # but no homomorphism, which would preserve element orders
+def s3_swap():
+    """S3 and the bijection swapping an element of order 2 with one of order 3.
+
+    It is no homomorphism, which would preserve element orders.
+    """
     G = s3()
     orders = list(G.element_orders())
     i, j = orders.index(2), orders.index(3)
     swap = list(range(G.order))
     swap[i], swap[j] = j, i
-    first = ref_first_failing_pair(Automorphism.from_index_map(G, swap, verify=False))
+    return G, swap
+
+
+def test_from_index_map_names_the_first_pair_a_bijection_fails_at():
+    G, swap = s3_swap()
+    first = ref_first_failing_pair(Automorphism._trusted(G, swap))
     with pytest.raises(MalformedSpec) as err:
         Automorphism.from_index_map(G, swap)
     assert str(err.value) == (
         f"images do not extend to a homomorphism: fails at ({first[0]!r}, {first[1]!r})"
     )
+
+
+def test_from_index_map_has_no_unverified_path():
+    # a bijection that is no homomorphism must not reach centralizer, whose
+    # fixed points would then be no subgroup
+    G, swap = s3_swap()
+    with pytest.raises(TypeError):
+        Automorphism.from_index_map(G, swap, verify=False)
+    with pytest.raises(MalformedSpec, match="images do not extend to a homomorphism"):
+        Automorphism.from_index_map(G, swap)
+
+
+def s3_rebuilt(generators):
+    """S3's keys and table in a hand-built FiniteGroup with these (name, key) generators."""
+    G = s3()
+    keys = [x.key for x in G.elements()]
+    return FiniteGroup("perm", keys, G.table().copy(), generators, groups._perm_repr)
+
+
+def test_constructor_refuses_generators_that_do_not_generate():
+    G = s3()
+    a, b = (x.key for x in G.generators)
+    for generators in ([], [("a", a)], [("b", b)]):
+        with pytest.raises(MalformedSpec, match="the generators do not generate the group"):
+            s3_rebuilt(generators)
+    H = s3_rebuilt([("b", b), ("a", a)])
+    assert H.order == 6 and H.generator_names == ("b", "a")
+
+
+def test_kept_constants_match_a_fresh_recomputation():
+    for G in load_corpus().groups.values():
+        assert G._e == G.index_of(G.identity)
+        assert G._gens.tolist() == [G.index_of(x) for x in G.generators]
+        assert not G._gens.flags.writeable
+        orders = []
+        for x in G.elements():
+            k, y = 1, x
+            while not y.is_identity():
+                k, y = k + 1, G.multiply(y, x)
+            orders.append(k)
+        assert G.exponent() == G.exponent() == np.lcm.reduce(orders)
 
 
 def test_unverified_index_maps_equal_the_verified_automorphisms():

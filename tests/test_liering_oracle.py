@@ -580,6 +580,30 @@ def test_subspace_closure_and_lp_subalgebra_match_the_pair_loops():
     assert outcomes.count(False) >= 10
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_witness_class_is_the_class_of_the_degree_one_subalgebra(name):
+    G = algebra_cases()[name]
+    c = liering.decomposition_witness(G).c
+    assert c == lp_subalgebra(build_dl(G)).algebra.nilpotency_class()
+    assert c == liering.decomposition_witness(G, reversed(G.generators)).c
+
+
+def test_witness_classes_reach_three():
+    classes = {liering.decomposition_witness(algebra_cases()[name]).c for name in NAMES}
+    assert classes == {1, 2, 3}
+
+
+def test_witness_checks_the_degree_one_closure(monkeypatch):
+    G = algebra_cases()["Heis27"]
+    L = build_dl(G)
+    monkeypatch.setattr(GradedSubspace, "outside", lambda self, vecs: np.ones(vecs.shape[:-1], bool))
+    message = r"degree-one closure is not bracket-closed at degrees \(1,1\)"
+    with pytest.raises(InconsistentPresentation, match=message):
+        lp_subalgebra(L)
+    with pytest.raises(InconsistentPresentation, match=message):
+        liering.decomposition_witness(G)
+
+
 # -- consistent pc p-groups drawn at random ----------------------------------------
 
 
@@ -644,11 +668,15 @@ def test_random_pc_p_groups_reach_class_three():
 
 
 def test_corpus_pass_brackets_nothing_and_builds_each_algebra_once(monkeypatch):
-    brackets, verified = [], []
+    brackets, verified, rings = [], [], []
 
     def bracket(self, u, v, _orig=GradedLieRing.bracket):
         brackets.append(1)
         return _orig(self, u, v)
+
+    def ring(self, *args, _orig=GradedLieRing.__init__, **kwargs):
+        rings.append(1)
+        _orig(self, *args, **kwargs)
 
     def well_defined(G, L, _orig=liering._verify_well_definedness):
         verified.append(G)
@@ -656,9 +684,12 @@ def test_corpus_pass_brackets_nothing_and_builds_each_algebra_once(monkeypatch):
 
     monkeypatch.setattr(GradedLieRing, "bracket", bracket)
     monkeypatch.setattr(liering, "_verify_well_definedness", well_defined)
+    monkeypatch.setattr(GradedLieRing, "__init__", ring)
     fx = parse_fixture(corpus_text())
     run_checks(fx)
     assert brackets == []
-    assert len(verified) == len({id(G) for G in verified}) == 12
+    # one ring per p-group: the witness reads its class off the degree-one
+    # closure and builds no second ring for it
+    assert len(verified) == len({id(G) for G in verified}) == len(rings) == 12
     with pytest.raises(NotAPGroup):
         build_dl(checks.RunContext(fx).groups["S3"])

@@ -458,6 +458,15 @@ def primes_of(G) -> list:
     return [q for q in range(2, G.order + 1) if G.order % q == 0 and is_prime(q)]
 
 
+@pytest.mark.parametrize("name", sorted(load_corpus().groups))
+def test_kept_power_maps_match_handle_powers(name):
+    G = cases()[name]
+    for k in sorted({2, 3, 4} | {q**e for q in primes_of(G) for e in (1, 2)}):
+        P = series._power_map(G, k)
+        assert P is series._power_map(G, k) and not P.flags.writeable
+        assert P.tolist() == [G.index_of(G.power(x, k)) for x in G.elements()]
+
+
 def test_cases_cover_corpus_quotients_and_ladder():
     names = set(NAMES)
     assert len(load_corpus().groups) == 16
