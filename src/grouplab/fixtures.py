@@ -106,13 +106,18 @@ class FixtureFile:
 # -- parsing ------------------------------------------------------------
 
 
+def _is_number(text: str) -> bool:
+    """ASCII digits only: str.isdigit() also holds for superscripts such as '²', which int() refuses."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_word(text: str, lineno: int) -> tuple:
     """WORD = space-separated i^e factors with strictly increasing i."""
     factors = []
     last = 0
     for token in text.split():
         head, _, tail = token.partition("^")
-        if not head.isdigit() or (tail and not tail.isdigit()):
+        if not _is_number(head) or (tail and not _is_number(tail)):
             raise FixtureSyntaxError(f"bad word factor {token!r}", lineno)
         i, e = int(head), int(tail) if tail else 1
         if i <= last:
@@ -139,7 +144,7 @@ def _parse_cycles(text: str, degree: int, lineno: int) -> tuple:
         if close < 0:
             raise FixtureSyntaxError("unclosed cycle", lineno, pos + 1)
         body = text[pos + 1 : close].split()
-        if any(not t.isdigit() for t in body):
+        if not all(map(_is_number, body)):
             raise FixtureSyntaxError(f"bad cycle {text[pos:close + 1]!r}", lineno)
         if body:
             cycles.append([int(t) for t in body])
@@ -318,7 +323,7 @@ def parse_fixture(text: str) -> FixtureFile:
 
 def _group_line(block: _GroupBlock, head: str, rest: str, lineno: int) -> None:
     def want_int(value: str, what: str) -> int:
-        if not value.isdigit():
+        if not _is_number(value):
             raise FixtureSyntaxError(f"{what} must be a number, got {value!r}", lineno)
         return int(value)
 
@@ -384,7 +389,7 @@ def _image_line(aut_block: dict, rest: str, group_entry, lineno: int) -> None:
         raise FixtureSyntaxError("usage: image GEN = VALUE", lineno)
     entry = aut_block["entry"]
     if isinstance(entry.presentation, PcPresentation):
-        if not left.isdigit():
+        if not _is_number(left):
             raise FixtureSyntaxError(
                 f"pc generator index expected, got {left!r}", lineno
             )
@@ -411,7 +416,7 @@ def _image_line(aut_block: dict, rest: str, group_entry, lineno: int) -> None:
                     raise UnresolvedReference(
                         f"no generator {name!r} in {entry.name}", lineno
                     )
-                if exp and not exp.isdigit():
+                if exp and not _is_number(exp):
                     raise FixtureSyntaxError(f"bad factor {token!r}", lineno)
                 factors.append((name, int(exp) if exp else 1))
             if not factors:

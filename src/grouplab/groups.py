@@ -5,7 +5,8 @@ table, from which every product and inverse is read.  Three builders fill
 the table:
 
 - power-commutator presentations of finite p-groups, by iterated cyclic
-  extensions (_pc_table), which also decide consistency exactly;
+  extensions (_pc_table), which also decide consistency exactly, with one
+  test per extension;
 - permutation groups on a small number of points, enumerated breadth-first
   from their generators (_perm_table);
 - quotient groups, from the parent's table on coset representatives
@@ -13,14 +14,16 @@ the table:
 
 The orders of all elements come from one pass over the table and are kept
 on the group.  GroupElement handles and their arithmetic serve the public
-API; the library's computations read the table and index arrays.  A
-homomorphism is decided on the generators of its source, every element
-against every generator; only a failure scans every pair, to name the first
-one.  The constructor checks that a group's generators generate it, with
-the closure kernel (_close) that spans every subgroup.  Pairwise scans read
-the table in blocks of at most _BLOCK entries (_blocks).  Groups are capped
-at TABLE_CAP elements; a pc presentation over the cap is refused before any
-table work.
+API; the library's computations read the table and index arrays, so a
+group makes its identity and generator handles and the rest only when
+asked for them.  A homomorphism is decided on the generators of its
+source, every element against every generator; only a failure scans every
+pair, to name the first one.  The public constructor checks that a group's
+generators generate it, with the closure kernel (_close) that spans every
+subgroup; the three builders span their groups by construction and skip
+that check (FiniteGroup._built).  Pairwise scans read the table in blocks
+of at most _BLOCK entries (_blocks).  Groups are capped at TABLE_CAP
+elements; a pc presentation over the cap is refused before any table work.
 """
 
 from __future__ import annotations
@@ -310,43 +313,37 @@ def _pc_table(pres: PcPresentation) -> np.ndarray:
     and phi^p is conjugation by w (Holt, Eick and O'Brien, Handbook of
     Computational Group Theory, 2005, ch. 8), so the presentation is
     consistent exactly when that holds at every k.
+
+    Each G_j, j > k, is a subgroup of G_{k+1} made of its first p^(n-j+1)
+    indices, and phi on G_j is the prefix of phi on G_{k+1}.  So one test on
+    G_{k+1} (phi injective, phi(xg) = phi(x) phi(g) for every x and every
+    generator g) decides the same test on every G_j at once; only a failure
+    walks j = n down to k + 1 (_failed_relation), to name the first relation
+    [g_j, g_k] that fails.  The new table is filled by one gather of rows of
+    the old one straight into its contiguous memory, then offset to the
+    cosets in place: its index arrays hold p |G_k| entries, and no m x m
+    array is built besides the two tables.
     """
     p, n = pres.p, pres.ngens
-
-    def word(w: NormalWord) -> str:
-        key = [0] * n
-        for idx, exp in w:
-            key[idx - 1] = exp
-        return _pc_repr(tuple(key))
-
     T = np.zeros((1, 1), dtype=np.int64)
     for k in range(n, 0, -1):
         m = len(T)
-        # phi on the normal words of G_j, for j = n down to k + 1, checked on
-        # each G_j in turn so that a failure names the relation [g_j, g_k]
+        gens = p ** np.arange(n - k)  # g_n, ..., g_{k+1}
+        # phi on the normal words of G_j, for j = n down to k + 1
         phi = np.zeros(1, dtype=np.int64)
         for j in range(n, k, -1):
-            comm = pres.commutators.get((j, k), ())
-            image = T[p ** (n - j), _word_index(comm, p, n)]
+            image = T[p ** (n - j), _word_index(pres.commutators.get((j, k), ()), p, n)]
             powers = [0]
             for _ in range(p - 1):
                 powers.append(T[powers[-1], image])
-            phi = T[np.ix_(powers, phi)].ravel()
-            size = len(phi)
-            gens = [p ** (n - i) for i in range(j, n + 1)]
-            if np.count_nonzero(np.bincount(phi)) < size or any(
-                not np.array_equal(phi[T[:size, g]], T[phi, phi[g]]) for g in gens
-            ):
-                span = ", ".join(f"g{i}" for i in range(j, n + 1))
-                raise InconsistentPresentation(
-                    f"relation [g{j}, g{k}] = {word(comm)} fails: conjugation by "
-                    f"g{k} is no automorphism of <{span}>"
-                )
+            phi = T[np.array(powers)[:, None], phi].ravel()
+        if not _embeds(T, phi, gens):
+            raise _failed_relation(pres, T, phi, k)
         pw = pres.powers.get(k, ())
         w = _word_index(pw, p, n)
         if phi[w] != w:
             raise InconsistentPresentation(
-                f"relation g{k}^{p} = {word(pw)} fails: g{k} does not commute with it"
+                f"relation g{k}^{p} = {_word_repr(pw, n)} fails: g{k} does not commute with it"
             )
         w_inv = int(np.argmax(T[w] == 0))
         phi_p = np.arange(m)
@@ -354,21 +351,62 @@ def _pc_table(pres: PcPresentation) -> np.ndarray:
             phi_p = phi[phi_p]
         if not np.array_equal(phi_p, T[T[w_inv], w]):
             raise InconsistentPresentation(
-                f"relation g{k}^{p} = {word(pw)} fails: conjugation by g{k}^{p} "
+                f"relation g{k}^{p} = {_word_repr(pw, n)} fails: conjugation by g{k}^{p} "
                 "is not conjugation by it"
             )
-        # block (a, b) holds the rows phi^b(h), or w phi^b(h) past g_k^p, of
-        # T, offset to the coset of g_k^(a+b); no other m x m array is built
+        # rows[a, i, b] is the row of T that block (a, b) of the new table
+        # reads at its row i: phi^b(h_i), or w phi^b(h_i) past g_k^p
+        phi_b = np.empty((m, p), dtype=np.int64)
+        phi_b[:, 0] = np.arange(m)
+        for b in range(1, p):
+            phi_b[:, b] = phi[phi_b[:, b - 1]]
+        a_plus_b = np.add.outer(np.arange(p), np.arange(p))
+        rows = np.where((a_plus_b >= p)[:, None, :], T[w, phi_b], phi_b)
         table = np.empty((p * m, p * m), dtype=np.int64)
-        phi_b = np.arange(m)
-        for b in range(p):
-            for a in range(p):
-                block = table[a * m : (a + 1) * m, b * m : (b + 1) * m]
-                np.take(T, T[w, phi_b] if a + b >= p else phi_b, axis=0, out=block)
-                block += (a + b) % p * m
-            phi_b = phi[phi_b]
+        # every index is below m, so "clip" changes none and spares take a
+        # buffered copy of its output
+        blocks = np.take(T, rows, axis=0, out=table.reshape(p, m, p, m), mode="clip")
+        blocks += (a_plus_b % p * m)[:, None, :, None]
         T = table
     return T
+
+
+def _word_repr(w: NormalWord, n: int) -> str:
+    key = [0] * n
+    for idx, exp in w:
+        key[idx - 1] = exp
+    return _pc_repr(tuple(key))
+
+
+def _embeds(T: np.ndarray, phi: np.ndarray, gens: np.ndarray) -> bool:
+    """phi is injective and a homomorphism on the subgroup of T's first len(phi) indices.
+
+    gens generate that subgroup; phi(xg) = phi(x) phi(g) for every x and
+    every g in gens decides every pair, as in GroupHomomorphism._verify.
+    """
+    return np.count_nonzero(np.bincount(phi)) == len(phi) and np.array_equal(
+        phi[T[: len(phi), gens]], T[phi[:, None], phi[gens]]
+    )
+
+
+def _failed_relation(pres: PcPresentation, T: np.ndarray, phi: np.ndarray, k: int):
+    """The error naming the first j = n, ..., k + 1 at which conjugation by g_k fails on G_j.
+
+    phi fails on G_{k+1}, so some j fails; G_j is the first p^(n-j+1)
+    indices of T, generated by g_n, ..., g_j.
+    """
+    p, n = pres.p, pres.ngens
+    gens = p ** np.arange(n - k)
+    j = next(
+        j for j in range(n, k, -1)
+        if not _embeds(T, phi[: p ** (n - j + 1)], gens[: n - j + 1])
+    )
+    span = ", ".join(f"g{i}" for i in range(j, n + 1))
+    comm = pres.commutators.get((j, k), ())
+    return InconsistentPresentation(
+        f"relation [g{j}, g{k}] = {_word_repr(comm, n)} fails: conjugation by "
+        f"g{k} is no automorphism of <{span}>"
+    )
 
 
 def _perm_table(genset: PermutationGenSet) -> tuple:
@@ -422,10 +460,14 @@ class FiniteGroup:
     Elements are exposed as GroupElement handles; the canonical key (exponent
     vector, image tuple, or coset representative key) doubles as the lookup
     key everywhere.  Products and inverses are read from the Cayley table.
+    The identity and generator handles are made with the group; the tuple of
+    every element's handle is made, reusing those, only when elements(),
+    element() or handle arithmetic first asks for it, and element_at makes
+    one handle without it, so runs that read the table make none.
     Instances are immutable once built and keep the identity's index and a
     read-only array of the generators' indices; the caches populated lazily
-    (element orders, the exponent, the subgroup-lattice store, the graded
-    Lie ring) never change observable values.
+    (element handles, element orders, the exponent, the subgroup-lattice
+    store, the graded Lie ring) never change observable values.
     """
 
     def __init__(self, kind: str, keys, table: np.ndarray, generators, repr_key):
@@ -433,16 +475,35 @@ class FiniteGroup:
         ``generators`` are (name, key) pairs of elements that generate the
         group, which is checked once by closing them (_close), and
         ``repr_key`` prints a key."""
+        self._adopt(kind, keys, table, generators, repr_key)
+        if not _close(self, self._gens)[0].all():
+            raise MalformedSpec("the generators do not generate the group")
+
+    @classmethod
+    def _built(cls, kind: str, keys, table: np.ndarray, generators, repr_key) -> "FiniteGroup":
+        """The group of this table, which the calling builder made from its generators.
+
+        The generators span it by construction, so the generator check is skipped.
+        """
+        G = cls.__new__(cls)
+        G._adopt(kind, keys, table, generators, repr_key)
+        return G
+
+    def _adopt(self, kind: str, keys, table: np.ndarray, generators, repr_key):
+        """Everything but the generator check: keys, table, identity, generators, inverses."""
         self._kind = kind
         self._keys = tuple(keys)
         self._index = index = {key: i for i, key in enumerate(self._keys)}
         self._repr_key = repr_key
-        self._elements = tuple(GroupElement(self, key) for key in self._keys)
+        self._elements = None  # every element's handle, made by _handles
         self._e = e = int(np.flatnonzero(np.diagonal(table) == np.arange(len(table)))[0])
-        self.identity = self._elements[e]
         self._gens = np.array([index[key] for _, key in generators], dtype=np.int64)
         self._gens.flags.writeable = False
-        self.generators = tuple(self._elements[i] for i in self._gens)
+        made = {e: GroupElement(self, self._keys[e])}  # one handle per index
+        for i in self._gens.tolist():
+            made.setdefault(i, GroupElement(self, self._keys[i]))
+        self.identity = made[e]
+        self.generators = tuple(made[i] for i in self._gens.tolist())
         self.generator_names = tuple(name for name, _ in generators)
         self._orders = None  # order of every element, kept by element_orders
         self._exponent = None  # kept by exponent
@@ -453,8 +514,6 @@ class FiniteGroup:
         self._inv = np.argmax(table == e, axis=1)
         self._table.flags.writeable = False
         self._inv.flags.writeable = False
-        if not _close(self, self._gens)[0].all():
-            raise MalformedSpec("the generators do not generate the group")
 
     # -- elements ------------------------------------------------------
 
@@ -466,17 +525,29 @@ class FiniteGroup:
     def backend(self) -> str:
         return self._kind
 
-    def elements(self) -> tuple:
+    def _handles(self) -> tuple:
+        """Every element's handle by index, made once; the identity and generator handles are reused."""
+        if self._elements is None:
+            made = dict(zip(self._gens.tolist(), self.generators))
+            made[self._e] = self.identity
+            self._elements = tuple(
+                made.get(i) or GroupElement(self, key) for i, key in enumerate(self._keys)
+            )
         return self._elements
+
+    def elements(self) -> tuple:
+        return self._handles()
 
     def element(self, key: tuple) -> GroupElement:
         idx = self._index.get(key)
         if idx is None:
             raise ForeignElement(f"key {key!r} does not name an element of this group")
-        return self._elements[idx]
+        return self._handles()[idx]
 
     def element_at(self, idx: int) -> GroupElement:
-        return self._elements[idx]
+        if self._elements is not None:
+            return self._elements[idx]
+        return GroupElement(self, self._keys[idx])
 
     def index_of(self, a: GroupElement) -> int:
         self._check(a)
@@ -497,11 +568,11 @@ class FiniteGroup:
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self._check(a)
         self._check(b)
-        return self._elements[self._table[self._index[a.key], self._index[b.key]]]
+        return self._handles()[self._table[self._index[a.key], self._index[b.key]]]
 
     def inverse(self, a: GroupElement) -> GroupElement:
         self._check(a)
-        return self._elements[self._inv[self._index[a.key]]]
+        return self._handles()[self._inv[self._index[a.key]]]
 
     def power(self, a: GroupElement, k: int) -> GroupElement:
         self._check(a)
@@ -603,7 +674,10 @@ def build_group(spec) -> FiniteGroup:
 
     Raises BudgetExceeded for a group of more than TABLE_CAP elements and
     InconsistentPresentation for a pc presentation that defines no group of
-    order p^n.
+    order p^n.  The generators span the group by construction (every
+    element is a normal word in g_1..g_n, or was enumerated from the
+    permutation generators), so the constructor's generator check is
+    skipped (FiniteGroup._built).
     """
     if isinstance(spec, PcPresentation):
         if spec.order > TABLE_CAP:
@@ -613,10 +687,10 @@ def build_group(spec) -> FiniteGroup:
         n, p = spec.ngens, spec.p
         keys = itertools.product(range(p), repeat=n)
         gens = [(f"g{i}", tuple(int(k == i - 1) for k in range(n))) for i in range(1, n + 1)]
-        return FiniteGroup("pc", keys, _pc_table(spec), gens, _pc_repr)
+        return FiniteGroup._built("pc", keys, _pc_table(spec), gens, _pc_repr)
     if isinstance(spec, PermutationGenSet):
         keys, table = _perm_table(spec)
-        return FiniteGroup("perm", keys, table, spec.generators, _perm_repr)
+        return FiniteGroup._built("perm", keys, table, spec.generators, _perm_repr)
     raise MalformedSpec(f"cannot build a group from {type(spec).__name__}")
 
 
@@ -760,12 +834,24 @@ class Automorphism(GroupHomomorphism):
         return all(i == j for i, j in enumerate(self.image_indices))
 
     def order(self) -> int:
-        n = 1
-        acc = self
-        while not acc.is_identity():
-            acc = acc.compose(self)
-            n += 1
-        return n
+        """The lcm of the cycle lengths of the index map.
+
+        Every moved point steps along its cycle at once, and retires with its
+        cycle's length when it returns, as in FiniteGroup.element_orders.
+        """
+        perm = np.asarray(self.image_indices)
+        live = np.flatnonzero(perm != np.arange(len(perm)))
+        image = perm[live]
+        lengths = set()
+        k = 1
+        while live.size:
+            k += 1
+            image = perm[image]
+            back = image == live
+            if back.any():
+                lengths.add(k)
+                live, image = live[~back], image[~back]
+        return math.lcm(*lengths)
 
     def __eq__(self, other):
         return (

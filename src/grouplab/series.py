@@ -636,7 +636,9 @@ class QuotientGroup:
         table = proj[parent.table()[reps[:, None], reps]]
         self.parent = parent
         self.normal = normal
-        self.group = FiniteGroup(
+        # the parent's generators span G/N through the projection, which is
+        # verified a homomorphism below
+        self.group = FiniteGroup._built(
             "quotient",
             [keys[r] for r in reps],
             table,

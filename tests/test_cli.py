@@ -100,6 +100,23 @@ def test_syntax_error_reports_location(tmp_path, capsys):
     assert "line 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("group C2\nbackend pc\nprime 2\nngens 1\nend\naut f on C2\nimage 1 = 1^\u00b2\nend\n", 7),
+        ("group C2\nbackend pc\nprime 2\nngens \u00b2\nend\n", 4),
+    ],
+)
+def test_non_ascii_digits_are_a_one_line_syntax_error(tmp_path, capsys, text, line):
+    # a superscript passes str.isdigit() but not int()
+    bad = tmp_path / "digits.grp"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.rstrip().endswith(f"(line {line})")
+
+
 def test_unreadable_input_is_an_error_not_a_failure(tmp_path, capsys):
     # exit 1 is reserved for fail rows: a directory or a non-UTF-8 file is exit 2
     assert main(["check", str(tmp_path)]) == 2

@@ -18,7 +18,7 @@ import pytest
 
 from grouplab import checks, corpus_text, groups, parse_fixture, run_checks, series
 from grouplab.errors import ForeignElement, MalformedSpec
-from grouplab.groups import GroupHomomorphism, PcPresentation, build_group
+from grouplab.groups import FiniteGroup, GroupHomomorphism, PcPresentation, build_group
 from grouplab.series import Subgroup
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -166,3 +166,69 @@ def test_the_builder_guard_names_each_call():
         (4, "helper", "_closed"),
         (5, None, "Subgroup"),
     ]
+
+
+# -- who may build a group past the generator check ---------------------------
+
+
+def group_builders(source: str) -> list:
+    """(line, enclosing function) of every ._built(...) call."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_built"
+        ):
+            found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_the_builders_skip_the_generator_check():
+    # build_group's pc and permutation tables and the quotient tables are
+    # spanned by their generators by construction; every other FiniteGroup
+    # goes through the public constructor, which closes its generators
+    calls = [
+        (path.name, where)
+        for path in LIBRARY
+        for _, where in group_builders(path.read_text("utf-8"))
+    ]
+    assert sorted(calls) == [
+        ("groups.py", "build_group"),
+        ("groups.py", "build_group"),
+        ("series.py", "__init__"),
+    ]
+
+
+def test_the_group_builder_guard_names_each_call():
+    source = (
+        "def build_group(spec):\n"
+        "    return FiniteGroup._built('pc', keys, table, gens, r)\n"
+        "G = groups.FiniteGroup._built('perm', keys, table, gens, r)\n"
+        "H = FiniteGroup('perm', keys, table, gens, r)\n"
+    )
+    assert group_builders(source) == [(2, "build_group"), (3, None)]
+
+
+def test_built_groups_would_pass_the_generator_check():
+    fx = parse_fixture(corpus_text())
+    built = []
+    for entry in fx.groups:
+        G = build_group(entry.presentation)
+        built.append(G)
+        built.extend(
+            series.QuotientGroup(G, N).group for N in series.lower_central_series(G).terms
+        )
+    assert len(built) > 40
+    for G in built:
+        keys = [G.element_at(i).key for i in range(G.order)]
+        gens = list(zip(G.generator_names, (g.key for g in G.generators)))
+        checked = FiniteGroup(G.backend, keys, G.table(), gens, G._repr_key)
+        assert checked.order == G.order

@@ -191,6 +191,40 @@ def test_relation_validation_blames_group_header_line():
     assert exc.value.line == 1
 
 
+# str.isdigit() holds for these, and int() refuses the superscript and
+# accepts the Arabic-Indic digit; the grammar takes ASCII digits only.
+NON_ASCII_DIGITS = ["\u00b2", "\u0663"]  # superscript two, Arabic-Indic three
+NON_ASCII_NUMBER_SITES = {  # site -> (text with {d} for one number, its line, an ASCII value)
+    "pc word exponent": ("group G\nbackend pc\nprime 2\nngens 2\npow 1 = 2^{d}\nend\n", 5, "1"),
+    "pc word index": ("group G\nbackend pc\nprime 2\nngens 2\npow 1 = {d}\nend\n", 5, "2"),
+    "want_int (ngens)": ("group G\nbackend pc\nprime 2\nngens {d}\nend\n", 4, "1"),
+    "want_int (comm index)": (
+        "group G\nbackend pc\nprime 2\nngens 2\ncomm {d} 1 = 2\nend\n", 5, "2"
+    ),
+    "cycle point": ("group G\nbackend perm\ndegree 3\ngen a = (1 {d})\nend\n", 4, "2"),
+    "pc image index": (C2_TEXT + "aut f on C2\nimage {d} = 1\nend\n", 7, "1"),
+    "pc image word exponent": (C2_TEXT + "aut f on C2\nimage 1 = 1^{d}\nend\n", 7, "1"),
+    "perm image word exponent": (
+        S3_TEXT + "aut f on S3\nimage a = a^{d}\nimage b = b\nend\n", 8, "2"
+    ),
+}
+
+
+@pytest.mark.parametrize("digit", NON_ASCII_DIGITS)
+@pytest.mark.parametrize("site", sorted(NON_ASCII_NUMBER_SITES))
+def test_numbers_take_ascii_digits_only(site, digit):
+    text, line, _ = NON_ASCII_NUMBER_SITES[site]
+    with pytest.raises(FixtureSyntaxError) as exc:
+        parse_fixture(text.format(d=digit))
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("site", sorted(NON_ASCII_NUMBER_SITES))
+def test_each_number_site_parses_with_ascii_digits(site):
+    text, _, ascii_value = NON_ASCII_NUMBER_SITES[site]
+    parse_fixture(text.format(d=ascii_value))
+
+
 def test_duplicate_group_name():
     with pytest.raises(DuplicateName):
         parse_fixture(C2_TEXT + C2_TEXT)

@@ -29,6 +29,7 @@ from grouplab.groups import (
     inner_automorphism,
     perm_from_cycles,
 )
+from grouplab.actions import realize_actions
 from grouplab.fixtures import parse_fixture, realize_automorphisms, realize_groups
 
 
@@ -648,6 +649,126 @@ def test_unverified_index_maps_equal_the_verified_automorphisms():
         for psi in (phi, inner_automorphism(G, G.generators[-1])):
             images = [psi(phi(g)) for g in G.generators]
             assert phi.compose(psi) == Automorphism(G, images)
+
+
+def compose_order(phi) -> int:
+    """The order of phi by composing it with itself until the identity."""
+    n, acc = 1, phi
+    while not acc.is_identity():
+        acc, n = acc.compose(phi), n + 1
+    return n
+
+
+def action_closures() -> dict:
+    """name -> closure of every action of the corpus and the ladder."""
+    out = {name: fx.closure for name, fx in load_corpus().actions.items()}
+    fx = parse_fixture(LADDER_FIXTURE.read_text("utf-8"))
+    groups_ = realize_groups(fx)
+    out.update(
+        (name, act.closure)
+        for name, act in realize_actions(fx, groups_, realize_automorphisms(fx, groups_)).items()
+    )
+    return out
+
+
+def test_automorphism_order_is_the_compose_loop():
+    cases = list(fixture_automorphisms().values())
+    cases += [phi for closure in action_closures().values() for phi in closure]
+    assert len(action_closures()) == 5 and len(cases) == 22
+    assert {phi.order() for phi in cases} == {1, 2}
+    for phi in cases:
+        assert phi.order() == compose_order(phi)
+
+
+def test_automorphism_order_takes_the_lcm_of_cycle_lengths():
+    # conjugation by a 6-cycle of S6 moves points in cycles of several
+    # lengths at once; by an element of order 4 in S4 the cycles have
+    # lengths 1, 2 and 4
+    S6 = perm_group(6, [("a", [[1, 2]]), ("b", [[1, 2, 3, 4, 5, 6]])])
+    S4 = s4()
+    for G, g in ((S6, S6.generators[1]), (S4, S4.generators[1]), (S4, S4.identity)):
+        phi = inner_automorphism(G, g)
+        assert phi.order() == compose_order(phi)
+    assert inner_automorphism(S6, S6.generators[1]).order() == 6
+    assert Automorphism.identity_of(S4).order() == 1
+    for G in load_corpus().groups.values():
+        for g in G.elements():
+            phi = inner_automorphism(G, g)
+            assert phi.order() == compose_order(phi)
+
+
+# -- element handles on demand ----------------------------------------------
+
+
+def test_handles_are_made_on_demand_and_reused():
+    G = build_group(pc_heis27())
+    assert G._elements is None
+    x = G.element_at(5)
+    assert x.key == (0, 1, 2) and G._elements is None
+    every = G.elements()
+    assert G.elements() is every and len(every) == G.order
+    assert every[G._e] is G.identity
+    assert all(every[i] is g for i, g in zip(G._gens.tolist(), G.generators))
+    assert G.element_at(5) is every[5] and every[5] == x
+    assert G.element((1, 0, 0)) is G.generators[0]
+
+
+@pytest.mark.parametrize("force", ["elements", "element", "multiply", "inverse", "power"])
+def test_each_handle_entry_point_builds_the_tuple_once(force):
+    G = build_group(pc_d8())
+    g1, g2, _ = G.generators
+    {
+        "elements": lambda: G.elements(),
+        "element": lambda: G.element((0, 1, 1)),
+        "multiply": lambda: g1 * g2,
+        "inverse": lambda: g1.inverse(),
+        "power": lambda: g2**3,
+    }[force]()
+    assert G._elements is not None
+    assert G._elements[G._e] is G.identity
+
+
+def test_a_generator_equal_to_the_identity_shares_its_handle():
+    # a permutation generator may be the identity, and two may coincide
+    e = tuple(range(3))
+    G = build_group(PermutationGenSet(3, (("one", e), ("t", (1, 0, 2)), ("u", (1, 0, 2)))))
+    assert G.generators[0] is G.identity and G.generators[1] is G.generators[2]
+    assert G.elements()[G._e] is G.identity
+    assert G.elements()[G._gens[1]] is G.generators[1]
+
+
+def count_handles(monkeypatch) -> tuple:
+    """Per group: handles made, and handles made by element_at without the tuple."""
+    made, at = {}, {}
+
+    def init(self, group, key, _orig=groups.GroupElement.__init__):
+        made[group] = made.get(group, 0) + 1
+        _orig(self, group, key)
+
+    def element_at(self, idx, _orig=FiniteGroup.element_at):
+        if self._elements is None:
+            at[self] = at.get(self, 0) + 1
+        return _orig(self, idx)
+
+    monkeypatch.setattr(groups.GroupElement, "__init__", init)
+    monkeypatch.setattr(FiniteGroup, "element_at", element_at)
+    return made, at
+
+
+@pytest.mark.parametrize("fixture", ["corpus", "ladder"])
+def test_a_catalog_run_never_builds_the_handle_tuple(fixture, monkeypatch):
+    from grouplab import corpus_text, run_checks
+
+    text = corpus_text() if fixture == "corpus" else LADDER_FIXTURE.read_text("utf-8")
+    fx = parse_fixture(text)
+    made, at = count_handles(monkeypatch)
+    run_checks(fx)
+    assert len(made) == (16 if fixture == "corpus" else 4)
+    for G, n in made.items():
+        # the identity and the generators, plus one handle per element_at
+        # call that a caller makes for a witness, an image or a printout
+        assert G._elements is None
+        assert n - at.get(G, 0) <= 1 + len(G.generators), G
 
 
 def test_automorphism_rejects_non_bijective():

@@ -8,7 +8,11 @@ composition of image tuples for permutations, and associativity over every
 triple of a fully collected table.
 """
 
+import importlib.util
+import random
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +21,14 @@ from hypothesis import strategies as st
 
 from grouplab.corpus import load_corpus
 from grouplab.errors import BudgetExceeded, InconsistentPresentation
+from grouplab.fixtures import parse_fixture
 from grouplab.groups import (
+    TABLE_CAP,
     PcPresentation,
     PermutationGenSet,
+    _pc_repr,
+    _pc_table,
+    _word_index,
     build_group,
     perm_from_cycles,
 )
@@ -184,10 +193,15 @@ def decided_consistent(pres: PcPresentation) -> bool:
 
 
 @st.composite
-def pc_presentations(draw):
-    """Random presentations legal to PcPresentation: p in {2, 3}, <= 3 generators."""
-    p = draw(st.sampled_from((2, 3)))
-    n = draw(st.integers(1, 3))
+def pc_presentations(draw, primes=(2, 3), max_gens=3):
+    """Random presentations legal to PcPresentation: p in primes, <= max_gens generators.
+
+    Above TABLE_CAP the generator count is cut to the largest whose order fits.
+    """
+    p = draw(st.sampled_from(primes))
+    n = draw(st.integers(1, max_gens))
+    while p**n > TABLE_CAP:
+        n -= 1
 
     def word(floor):
         exps = [draw(st.integers(0, p - 1)) for _ in range(floor + 1, n + 1)]
@@ -287,6 +301,195 @@ def test_former_runaway_presentations_are_rejected_quickly(label):
     with pytest.raises(InconsistentPresentation):
         build_group(RUNAWAY_PRESENTATIONS[label])
     assert time.perf_counter() - start < 0.1
+
+
+# -- the per-relation builder as the reference ------------------------------
+
+
+def reference_pc_table(pres: PcPresentation) -> np.ndarray:
+    """The cyclic-extension builder that tests conjugation by g_k on each G_j in turn.
+
+    At level k, phi is extended from G_{j+1} to G_j = <g_j, ..., g_n> for j
+    = n down to k + 1 and checked injective and a homomorphism on every G_j
+    before the next step, so a failure names the relation [g_j, g_k] at once;
+    each block (a, b) of the new table is written by its own np.take.  The
+    library decides all j of one level at once and fills the table in one
+    gather; its tables and messages must be these.
+    """
+    p, n = pres.p, pres.ngens
+
+    def word(w) -> str:
+        key = [0] * n
+        for idx, exp in w:
+            key[idx - 1] = exp
+        return _pc_repr(tuple(key))
+
+    T = np.zeros((1, 1), dtype=np.int64)
+    for k in range(n, 0, -1):
+        m = len(T)
+        phi = np.zeros(1, dtype=np.int64)
+        for j in range(n, k, -1):
+            comm = pres.commutators.get((j, k), ())
+            image = T[p ** (n - j), _word_index(comm, p, n)]
+            powers = [0]
+            for _ in range(p - 1):
+                powers.append(T[powers[-1], image])
+            phi = T[np.ix_(powers, phi)].ravel()
+            size = len(phi)
+            gens = [p ** (n - i) for i in range(j, n + 1)]
+            if np.count_nonzero(np.bincount(phi)) < size or any(
+                not np.array_equal(phi[T[:size, g]], T[phi, phi[g]]) for g in gens
+            ):
+                span = ", ".join(f"g{i}" for i in range(j, n + 1))
+                raise InconsistentPresentation(
+                    f"relation [g{j}, g{k}] = {word(comm)} fails: conjugation by "
+                    f"g{k} is no automorphism of <{span}>"
+                )
+        pw = pres.powers.get(k, ())
+        w = _word_index(pw, p, n)
+        if phi[w] != w:
+            raise InconsistentPresentation(
+                f"relation g{k}^{p} = {word(pw)} fails: g{k} does not commute with it"
+            )
+        w_inv = int(np.argmax(T[w] == 0))
+        phi_p = np.arange(m)
+        for _ in range(p):
+            phi_p = phi[phi_p]
+        if not np.array_equal(phi_p, T[T[w_inv], w]):
+            raise InconsistentPresentation(
+                f"relation g{k}^{p} = {word(pw)} fails: conjugation by g{k}^{p} "
+                "is not conjugation by it"
+            )
+        table = np.empty((p * m, p * m), dtype=np.int64)
+        phi_b = np.arange(m)
+        for b in range(p):
+            for a in range(p):
+                block = table[a * m : (a + 1) * m, b * m : (b + 1) * m]
+                np.take(T, T[w, phi_b] if a + b >= p else phi_b, axis=0, out=block)
+                block += (a + b) % p * m
+            phi_b = phi[phi_b]
+        T = table
+    return T
+
+
+def outcome(build, pres):
+    """("table", T) or ("reject", exception type, message) of one builder on pres."""
+    try:
+        return ("table", build(pres))
+    except InconsistentPresentation as exc:
+        return ("reject", type(exc), str(exc))
+
+
+def assert_builds_like_the_reference(pres):
+    got, want = outcome(_pc_table, pres), outcome(reference_pc_table, pres)
+    assert got[0] == want[0]
+    if got[0] == "table":
+        assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+    else:
+        assert got[1:] == want[1:]
+    return got[0]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def decide_presentations() -> dict:
+    """The 24 presentations of the benchmark's decide workload, seeds 1-3, as "seeds_k"."""
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = {}
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for k in range(module.DECIDE_PASS):
+            out[f"seed{seed}_{k}"] = module.random_presentation(rng)
+    return out
+
+
+def fixture_presentations() -> dict:
+    """Every pc presentation of the corpus, the ladder and the build fixture."""
+    out = {}
+    texts = {
+        "corpus": load_corpus().fixture,
+        "ladder": parse_fixture((PERFBENCH / "ladder.grp").read_text("utf-8")),
+        "build": parse_fixture((PERFBENCH / "build.grp").read_text("utf-8")),
+    }
+    for where, fx in texts.items():
+        for entry in fx.groups:
+            if isinstance(entry.presentation, PcPresentation):
+                out[f"{where}:{entry.name}"] = entry.presentation
+    return out
+
+
+DECIDE_PRESENTATIONS = decide_presentations()
+FIXTURE_PRESENTATIONS = fixture_presentations()
+
+
+def test_the_oracle_inputs_cover_both_decisions():
+    assert len(DECIDE_PRESENTATIONS) == 24
+    decided = {outcome(_pc_table, pres)[0] for pres in DECIDE_PRESENTATIONS.values()}
+    assert decided == {"table", "reject"}
+    assert len(FIXTURE_PRESENTATIONS) == 13  # 10 corpus, 2 ladder, 1 build
+
+
+@pytest.mark.parametrize("label", sorted(FIXTURE_PRESENTATIONS))
+def test_fixture_tables_match_the_per_relation_builder(label):
+    assert assert_builds_like_the_reference(FIXTURE_PRESENTATIONS[label]) == "table"
+
+
+@pytest.mark.parametrize("label", sorted(DECIDE_PRESENTATIONS))
+def test_decide_presentations_build_like_the_per_relation_builder(label):
+    assert_builds_like_the_reference(DECIDE_PRESENTATIONS[label])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pc_presentations(primes=(2, 3, 5), max_gens=6))
+def test_random_presentations_build_like_the_per_relation_builder(pres):
+    assert_builds_like_the_reference(pres)
+
+
+def test_each_relation_kind_is_named_like_the_reference():
+    cases = {
+        # conjugation by g1 sends g3 to 1: the walk stops at its first G_j, j = n
+        "comm at j = n": PcPresentation(3, 3, {}, {(3, 1): ((3, 2),)}),
+        # it sends g2 to 1 and fixes g3: the walk reaches G_{k+1} = G_2
+        "comm at j = k + 1": PcPresentation(2, 3, {}, {(2, 1): ((2, 1),)}),
+        # g1^3 = g2, which conjugation by g1 inverts
+        "power not fixed": PcPresentation(3, 2, {1: ((2, 1),)}, {(2, 1): ((2, 1),)}),
+        # conjugation by g1 has order 3 on <g2, g3> = C2 x C2, and g1^2 = 1
+        "power not central": PcPresentation(2, 3, {}, {(2, 1): ((2, 1), (3, 1)), (3, 1): ((2, 1),)}),
+    }
+    messages = {}
+    for name, pres in cases.items():
+        assert assert_builds_like_the_reference(pres) == "reject", name
+        messages[name] = outcome(_pc_table, pres)[2]
+    assert messages["comm at j = n"] == (
+        "relation [g3, g1] = g3^2 fails: conjugation by g1 is no automorphism of <g3>"
+    )
+    assert messages["comm at j = k + 1"] == (
+        "relation [g2, g1] = g2 fails: conjugation by g1 is no automorphism of <g2, g3>"
+    )
+    assert messages["power not fixed"] == "relation g1^3 = g2 fails: g1 does not commute with it"
+    assert messages["power not central"] == (
+        "relation g1^2 = 1 fails: conjugation by g1^2 is not conjugation by it"
+    )
+
+
+def test_class2_order_2048_table_peak_stays_at_two_tables():
+    # Class 2, order 2^11: [g_{2i+2}, g_{2i+1}] = g11 for i = 0..4.  The last
+    # level holds the old and the new table, 8 (1024^2 + 2048^2) bytes; the
+    # per-relation builder also made a buffered copy of each 1024^2 block,
+    # and peaked at 48.0 MB.
+    pres = PcPresentation(2, 11, {}, {(2 * i + 2, 2 * i + 1): ((11, 1),) for i in range(5)})
+    tracemalloc.start()
+    try:
+        table = _pc_table(pres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    two_tables = 8 * (1024**2 + 2048**2)
+    assert table.shape == (2048, 2048)
+    assert peak <= two_tables + 2**20
 
 
 # -- size cap ------------------------------------------------------------
