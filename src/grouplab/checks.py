@@ -79,15 +79,27 @@ def _subgroup_exponent(G: FiniteGroup, H: Subgroup) -> int:
 
 
 def _is_prime_power(n: int, q: int) -> bool:
+    if q < 2:
+        raise MalformedSpec(f"a prime power needs a base of at least 2, got {q}")
     while n % q == 0:
         n //= q
     return n == 1
+
+
+def _check_prime(p: int) -> None:
+    """Refuse a prime parameter that is not a prime, or too large to test by trial division."""
+    if p > POWER_BUDGET:
+        raise BudgetExceeded(f"prime exceeds the power budget of {POWER_BUDGET}")
+    if not is_prime(p):
+        raise MalformedSpec(f"prime must be a prime, got {p}")
 
 
 def _k_commutators(G: FiniteGroup, k: int, budget: int) -> np.ndarray:
     """Indices of all values of left-normed weight-k commutators, in key order."""
     if k < 1:
         raise MalformedSpec("need k >= 1")
+    if G.order > 1 and k > budget.bit_length():  # |G|^k > budget, without forming it
+        raise BudgetExceeded(f"|G|^k exceeds the budget of {budget} for k > {budget.bit_length()}")
     if G.order**k > budget:
         raise BudgetExceeded(f"|G|^{k} = {G.order ** k} exceeds the budget of {budget}")
     # weight-k values are [c, z] for c a weight-(k-1) value and z in G
@@ -110,11 +122,15 @@ def check_collection_formula(
         if info is None:
             raise NotAPGroup("no prime given and the group is not a p-group")
         p = info[0]
+    _check_prime(p)
     if n < 1:
         raise MalformedSpec("need n >= 1")
+    most = 0  # the largest n with p^n within POWER_BUDGET; n is bounded before p^n is formed
+    while p ** (most + 1) <= POWER_BUDGET:
+        most += 1
+    if n > most:
+        raise BudgetExceeded(f"{p}^n exceeds the power budget of {POWER_BUDGET} for n > {most}")
     q = p**n
-    if q > POWER_BUDGET:
-        raise BudgetExceeded(f"p^n = {q} exceeds the power budget")
     if G.order**2 > budget:
         raise BudgetExceeded(f"|G|^2 exceeds the budget of {budget}")
     lcs = lower_central_series(G)
@@ -149,6 +165,8 @@ def check_lemma_3_3(
     G: FiniteGroup, k: int = 2, p: int | None = None, budget: int = SCAN_BUDGET
 ) -> Verdict:
     """If every weight-k commutator is a q-element, the k-th term is a q-group."""
+    if p is not None:
+        _check_prime(p)
     commutators = _k_commutators(G, k, budget)
     if p is not None:
         candidates = [p]
@@ -539,7 +557,11 @@ def _needs_p_group(subject) -> None:
 
 
 def _needs_solvable(G: FiniteGroup) -> None:
-    if not derived_series(G).reaches_trivial():
+    """Refuse G unless its derived series reaches 1; a p-group, nilpotent, skips that series.
+
+    The fitting check's left Engel walk (Baer's theorem) stalls on any other G.
+    """
+    if G.is_p_group() is None and not derived_series(G).reaches_trivial():
         raise NotSolvable("not solvable")
 
 

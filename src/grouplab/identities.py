@@ -166,11 +166,37 @@ def _values(tree, L: GradedLieRing, leaves: dict, labels: dict) -> tuple:
     return out, np.einsum(half, la + [50, 51], right, ra + [50], oa + [51]) % L.p
 
 
+def _shape(tree, leaves: list) -> object:
+    """The tree with its leaves renumbered 0, 1, ... in reading order, appended to leaves."""
+    if isinstance(tree, int):
+        leaves.append(tree)
+        return len(leaves) - 1
+    left = _shape(tree[0], leaves)
+    return (left, _shape(tree[1], leaves))
+
+
 def _polynomial_values(f: "LiePolynomial", L: GradedLieRing, leaves: dict) -> np.ndarray:
-    """f on every assignment: one axis per variable of f, in increasing order, then coordinates."""
+    """f on every assignment: one axis per variable of f, in increasing order, then coordinates.
+
+    A multilinear f whose variables all range over one pool, as in basis-mode
+    holds_identity, is evaluated once per bracket shape (_shape), each
+    monomial being that value with its axes permuted; any other f term by term.
+    """
     variables = sorted(f.variables)
     labels = {v: k for k, v in enumerate(variables)}
     total = np.zeros([len(leaves[v]) for v in variables] + [L.total_dim], dtype=np.int64)
+    pool = leaves[variables[0]] if variables else None
+    if f.is_multilinear and all(leaves[v] is pool for v in variables):
+        shapes: dict = {}
+        for coeff, tree in f.terms:
+            order: list = []
+            shape = _shape(tree, order)
+            if shape not in shapes:
+                own = dict.fromkeys(range(len(order)), pool)
+                shapes[shape] = _values(shape, L, own, {k: k for k in own})[1]
+            axes = [order.index(v) for v in variables] + [len(order)]
+            total = (total + (coeff % L.p) * shapes[shape].transpose(axes)) % L.p
+        return total
     for coeff, tree in f.terms:
         own, value = _values(tree, L, leaves, labels)
         shape = [len(leaves[v]) if v in own else 1 for v in variables] + [L.total_dim]

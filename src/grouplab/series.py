@@ -34,16 +34,16 @@ lower central, derived and dimension series, commutator subgroups by their
 operands, the generators of the subgroups closed here by their masks, the
 read-only commutator value masks by their index arrays, and the read-only
 power maps x -> x^k by k, so each scan (series pairs up to the limit, the
-weight-k commutators, the nilpotency test modulo a subgroup) and each power
+weight-k commutators, the nilpotency test of a subgroup) and each power
 map runs once per group.  Power subgroups are not kept apart from their
 masks, because no caller asks for the same one twice.  A call that raises
 keeps nothing.
 
 The upper Fitting series, and with it the Fitting height, is built inside
-the group on masks: each term is the product of the normal closures, one
-per conjugacy class of cyclic subgroups and each times the term before,
-that are nilpotent modulo the term before (Fitting's theorem), and the
-Fitting subgroup is its first term.  Quotients come back as full
+the group on masks: each term is the set of left Engel elements modulo the
+term before (Baer's theorem), found by stepping g -> [g, x] over all of G at
+once for one x per conjugacy class of cyclic subgroups, and the Fitting
+subgroup is its first term.  Quotients come back as full
 FiniteGroup instances over canonical (minimal-key) coset representatives,
 with the projection verified a homomorphism on every pair of elements; they
 serve callers of the public API, and nothing in the library builds one.
@@ -689,27 +689,18 @@ def centralizer(G: FiniteGroup, phis) -> Subgroup:
     return _subgroup(G, mask)
 
 
-def _nilpotent_mod(G: FiniteGroup, M: np.ndarray, F: np.ndarray) -> bool:
-    """M/F is nilpotent, for masks of normal subgroups F ≤ M of G.
-
-    The lower central series of M modulo F, M ≥ [M, M]F ≥ [[M, M]F, M]F ...,
-    is walked on masks until it stabilizes; M/F is nilpotent exactly when it
-    stabilizes at F.
-    """
-    M_idx = M.nonzero()[0]
-    cur = M
-    while True:
-        values = _commutator_values(G, cur.nonzero()[0], M_idx)
-        nxt = _closure(G, (values | F).nonzero()[0])
-        if np.array_equal(nxt, cur):
-            return bool(np.array_equal(cur, F))
-        cur = nxt
-
-
 def is_nilpotent_subgroup(G: FiniteGroup, H: Subgroup) -> bool:
-    """Lower central series of H (inside G's arithmetic) reaches the identity."""
+    """Lower central series of H (inside G's arithmetic) reaches the identity.
+
+    H ≥ [H, H] ≥ [[H, H], H] ... is walked on masks until it stabilizes.
+    """
     _same_parent(G, H, "subgroup")
-    return _nilpotent_mod(G, H.mask, _closure(G, ()))
+    cur = H.mask
+    while True:
+        nxt = _closure(G, _commutator_values(G, cur.nonzero()[0], H.idx).nonzero()[0])
+        if np.array_equal(nxt, cur):
+            return bool(np.count_nonzero(cur) == 1)
+        cur = nxt
 
 
 def _conjugacy_class(G: FiniteGroup, x: int) -> np.ndarray:
@@ -763,37 +754,42 @@ def _cyclic_class_representatives(G: FiniteGroup) -> np.ndarray:
     return _keep(G, ("cyclic class representatives",), build)
 
 
-def _class_closure(G: FiniteGroup, x: int, base: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the normal closure of element index x: the span of its class.
-
-    With the mask of a normal subgroup ``base``, the span of the class and
-    base together: the normal closure of x times base.
-    """
-    gens = _conjugacy_class(G, x)
-    if base is not None:
-        gens = np.concatenate([base.nonzero()[0], gens])
-    return _closure(G, gens)
+def _class_closure(G: FiniteGroup, x: int) -> np.ndarray:
+    """Mask of the normal closure of element index x: the span of its class."""
+    return _closure(G, _conjugacy_class(G, x))
 
 
 def _fitting_mod(G: FiniteGroup, F: np.ndarray) -> np.ndarray:
     """Mask of the preimage in G of the Fitting subgroup of G/F, F a normal subgroup mask.
 
-    By Fitting's theorem the product of two nilpotent normal subgroups is
-    nilpotent, so Fit(G/F) is the product of the nilpotent normal closures of
-    single cosets xF.  That closure is NF/F with N the normal closure of x in
-    G, which depends only on the class of the cyclic subgroup <x>, so one
-    closure times F is taken per such class (_cyclic_class_representatives)
-    and merged into the product when it is nilpotent modulo F.  A class
-    already inside the product is skipped: its closure lies there.
+    By Baer's theorem Fit(G/F) is the set of left Engel elements of G/F (R.
+    Baer, Math. Ann. 133, 1957; Robinson, A Course in the Theory of Groups,
+    ch. 12), a union of classes of cyclic subgroups.  So one x per such class
+    outside F (_cyclic_class_representatives) is walked, all at once on a
+    (reps x |G|) index array stepped by g -> [g, x] from the table.  A row is
+    Engel once all its values lie in F (normal, so they stay).  The step maps
+    the |G:F| cosets and fixes F, so a start that reaches F does so within
+    |G:F| - 1 steps; a row still outside then, or back at exactly its state
+    of the last power-of-two step (a cycle), is not Engel.  The result is
+    the closure of F with the conjugacy classes of the Engel reps.
     """
-    fit = F
-    for x in _cyclic_class_representatives(G):
-        if fit[x]:
-            continue
-        M = _class_closure(G, x, F)
-        if _nilpotent_mod(G, M, F):
-            fit = _closure(G, (fit | M).nonzero()[0])
-    return fit
+    T = G.table()
+    inv = G.inverse_indices()
+    reps = _cyclic_class_representatives(G)
+    xs = reps[~F[reps]][:, None]
+    walk = saved = np.broadcast_to(np.arange(G.order), (len(xs), G.order))
+    engel = []
+    for step in range(1, G.order // np.count_nonzero(F)):
+        if not len(xs):
+            break
+        walk = T[inv[T[xs, walk]], T[walk, xs]]  # [y, x] = (xy)^-1 (yx)
+        done = F[walk].all(axis=1)
+        engel.extend(xs[done, 0].tolist())
+        walking = ~done & ~(walk == saved).all(axis=1)
+        xs, walk, saved = xs[walking], walk[walking], saved[walking]
+        if step & (step - 1) == 0:
+            saved = walk
+    return _closure(G, np.concatenate([F.nonzero()[0], *(_conjugacy_class(G, x) for x in engel)]))
 
 
 def fitting_subgroup(G: FiniteGroup) -> Subgroup:
@@ -807,7 +803,8 @@ def fitting_subgroup(G: FiniteGroup) -> Subgroup:
 def fitting_height(G: FiniteGroup) -> int:
     """Length h of the upper Fitting series 1 = F_0 < F_1 < ... < F_h = G.
 
-    F_{i+1}/F_i is the Fitting subgroup of G/F_i, computed inside G on masks
+    F_{i+1}/F_i is the Fitting subgroup of G/F_i, the left Engel elements
+    of G/F_i by Baer's theorem, found inside G on masks by one batched walk
     (_fitting_mod); no quotient group is built.  A nontrivial nilpotent G,
     whose kept lower central series reaches the trivial subgroup, has height
     1.  A nontrivial solvable group has a nontrivial Fitting subgroup, so G

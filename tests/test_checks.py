@@ -1,6 +1,8 @@
 """Check catalog: direct oracles per check, then the report machinery."""
 
+import contextlib
 import json
+import signal
 from pathlib import Path
 
 import pytest
@@ -157,6 +159,79 @@ def test_lemma_3_3_p_group_trivial_case(corpus):
 def test_lemma_3_3_budget(corpus):
     with pytest.raises(BudgetExceeded):
         check_lemma_3_3(corpus.groups["S4"], budget=100)
+
+
+# -- check parameters are refused before any work ------------------------------
+
+HEIS27_TEXT = """\
+group Heis27
+backend pc
+prime 3
+ngens 3
+comm 2 1 = 3^1
+end
+"""
+
+
+@contextlib.contextmanager
+def within(seconds: float):
+    """Raise TimeoutError in the body once it has run for the given wall-clock seconds."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def run_one_request(request: str):
+    """The report of one check request on Heis27, within a bound."""
+    fx = parse_fixture(HEIS27_TEXT + request + "\n")
+    with within(5.0):
+        return run_checks(fx, [fx.checks[0].check])
+
+
+@pytest.mark.parametrize(
+    "request_line",
+    [
+        "check lemma_3_3 on Heis27 prime=1",
+        "check lemma_3_3 on Heis27 prime=0",
+        "check collection on Heis27 prime=0",
+        "check collection on Heis27 prime=4",
+        "check collection on Heis27 prime=-3",
+    ],
+)
+def test_a_prime_parameter_that_is_not_a_prime_is_refused(request_line):
+    with pytest.raises(MalformedSpec, match="prime"):
+        run_one_request(request_line)
+
+
+def test_a_huge_collection_exponent_skips_on_the_power_budget():
+    (row,) = run_one_request("check collection on Heis27 n=100000").rows
+    assert row.status == "skipped"
+    assert row.details == "budget: 3^n exceeds the power budget of 1048576 for n > 12"
+
+
+@pytest.mark.parametrize("check", ["lemma_3_3", "lemma_3_4"])
+def test_a_huge_commutator_weight_skips_on_the_scan_budget(check):
+    (row,) = run_one_request(f"check {check} on Heis27 k=100000").rows
+    assert row.details == "budget: |G|^k exceeds the budget of 1000000 for k > 20"
+
+
+def test_a_prime_beyond_the_power_budget_skips_without_a_primality_scan():
+    (row,) = run_one_request("check lemma_3_3 on Heis27 prime=" + "9" * 4000).rows
+    assert row.details == "budget: prime exceeds the power budget of 1048576"
+
+
+def test_prime_power_test_refuses_a_base_below_two():
+    for q in (1, 0, -2):
+        with within(1.0), pytest.raises(MalformedSpec):
+            checks._is_prime_power(9, q)
 
 
 def test_lemma_3_4_s3_commutators_are_engel(corpus):

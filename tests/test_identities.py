@@ -2,7 +2,10 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from grouplab import identities
 from grouplab.errors import (
@@ -222,6 +225,105 @@ def test_holds_identity_budget(monkeypatch):
     monkeypatch.setattr(identities, "IDENTITY_EVAL_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
         holds_identity(LiePolynomial(((1, ((0, 1), 0)),)), L)  # 27^2 assignments
+
+
+# -- one evaluation per bracket shape -------------------------------------------
+
+P_GROUPS = sorted(name for name, G in cases().items() if "/" not in name and G.is_p_group())
+
+
+def shaped(shape: str, order) -> object:
+    """The bracket tree of one shape with the given variables in reading order."""
+    if shape == "left":
+        return left_normed(order)
+    if shape == "right":
+        tree = order[-1]
+        for v in reversed(order[:-1]):
+            tree = (v, tree)
+        return tree
+    return ((order[0], order[1]), (order[2], order[3]))  # [[a, b], [c, d]]
+
+
+@st.composite
+def mixed_polynomials(draw):
+    """A ring, and a multilinear polynomial over it mixing bracket shapes and coefficients."""
+    name = draw(st.sampled_from(P_GROUPS))
+    p = cases()[name].is_p_group()[0]
+    n = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n, unique=True))
+    shapes = ["left", "right"] + (["pairs"] if n == 4 else [])
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.integers(-2, 2),
+                st.integers(-2, 2),
+                st.sampled_from(shapes),
+                st.permutations(labels),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    f = LiePolynomial(tuple((a + b * p, shaped(s, order)) for a, b, s, order in terms))
+    assume(f.terms)
+    return name, f
+
+
+def per_monomial_values(f, L, pool):
+    """Sum of coefficient times _values of each monomial on its own."""
+    variables = sorted(f.variables)
+    labels = {v: k for k, v in enumerate(variables)}
+    leaves = dict.fromkeys(variables, pool)
+    return sum(c * identities._values(t, L, leaves, labels)[1] for c, t in f.terms) % L.p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mixed_polynomials())
+def test_shared_shapes_match_the_sum_of_monomials(case):
+    name, f = case
+    L = build_dl(cases()[name])
+    pool = np.eye(L.total_dim, dtype=np.int64)
+    got = identities._polynomial_values(f, L, dict.fromkeys(f.variables, pool))
+    assert np.array_equal(got, per_monomial_values(f, L, pool))
+
+
+@pytest.mark.parametrize("name", P_GROUPS)
+def test_planted_polynomial_names_the_reference_witness(name):
+    # f = M mod p, M the longest left-normed bracket (degree 2 to 4) that is
+    # nonzero on L, while the other shapes and orderings cancel mod p
+    L = build_dl(cases()[name])
+    p = L.p
+    nonzero = [
+        k for k in range(2, 5) if not ref_holds_identity(LiePolynomial.monomial(range(k)), L).ok
+    ]
+    order = list(range(max(nonzero, default=2)))
+    terms = [(1 + p, shaped("left", order)), (-p, shaped("right", order[::-1]))]
+    terms += [(2 * p, shaped("left", perm)) for perm in itertools.permutations(order)]
+    if len(order) == 4:
+        terms.append((-3 * p, shaped("pairs", order)))
+    f = LiePolynomial(tuple(terms))
+    v = holds_identity(f, L)
+    assert v == ref_holds_identity(f, L)
+    assert v.ok == (not nonzero)
+
+
+def test_planted_polynomials_are_nonzero_on_most_rings():
+    nonzero = [
+        name
+        for name in P_GROUPS
+        if not ref_holds_identity(LiePolynomial.monomial([0, 1]), build_dl(cases()[name])).ok
+    ]
+    assert {"D8pc", "Heis27", "D16", "ladder Heis125", "ladder C3wrC3"} <= set(nonzero)
+
+
+def test_higman_4_makes_the_brackets_of_one_monomial(monkeypatch):
+    calls = []
+    orig = identities._values
+    monkeypatch.setattr(
+        identities, "_values", lambda tree, *a: calls.append(tree) or orig(tree, *a)
+    )
+    assert holds_identity(higman_polynomial(4), build_dl(d8())).ok
+    assert sum(isinstance(t, tuple) for t in calls) == 3
 
 
 # -- Engel conditions on algebras ---------------------------------------------

@@ -8,8 +8,9 @@ weight-k commutators over every k-tuple, and the collection-formula pair
 scan.  The library computes the same things over rows of the Cayley table;
 every term set, verdict and message must agree.  The Fitting subgroup and the
 invariant normal family of the `c4_6` check are also built element by element
-here, one normal closure per element, against the library's one per conjugacy
-class.  Fitting heights are walked through quotient groups and `c4_6` is
+here, one normal closure per element, against the library's left Engel walk
+and its one closure per conjugacy class.  Fitting heights, and each step of
+that walk, are checked through quotient groups and `c4_6` is
 decided on quotient groups with induced automorphisms, against the library's
 masks on the group's own table; element orders are stepped one handle at a
 time.  The product sets of `prop_2_11` and `c4_2` are built here as key sets
@@ -20,6 +21,7 @@ products of index masks.
 import functools
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -663,6 +665,51 @@ def test_fitting_heights_cover_every_outcome():
     assert heights["ladder S5"][0] is NotSolvable
 
 
+def fitting_steps_match_quotient_reference(G) -> list:
+    """Orders of the upper Fitting series terms, each step checked against its quotient.
+
+    At every term F, the left Engel walk _fitting_mod(G, F) must mark the
+    preimage of ref_fitting_subgroup of the QuotientGroup G/F.  A step that
+    stalls below G ends the series and is recorded as it is.
+    """
+    F = series._closure(G, ())
+    orders = []
+    while not F.all():
+        Q = quotient_group(G, Subgroup(G, F))
+        fit = ref_fitting_subgroup(Q.group)
+        got = series._fitting_mod(G, F)
+        assert got.tolist() == [fit.contains(Q.project(x)) for x in G.elements()]
+        orders.append(int(got.sum()))
+        if np.array_equal(got, F):
+            break
+        F = got
+    return orders
+
+
+def test_fitting_walk_steps_s4_through_v4_and_a4():
+    G = cases()["S4"]
+    assert fitting_steps_match_quotient_reference(G) == [4, 12, 24]
+    assert fitting_height(G) == 3
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        (("a", (1, 2, 0, 3, 4)), ("b", (1, 2, 3, 4, 0))),  # A5 = <(1 2 3), (1 2 3 4 5)>
+        (("a", (1, 0, 2, 3, 4)), ("b", (1, 2, 3, 4, 0))),  # S5 = <(1 2), (1 2 3 4 5)>
+    ],
+)
+def test_fitting_walk_refuses_a5_and_s5_within_a_bound(gens):
+    G = build_group(PermutationGenSet(5, gens))
+    start = time.perf_counter()
+    with pytest.raises(NotSolvable):
+        fitting_height(G)
+    assert time.perf_counter() - start < 1.0
+    # every nontrivial element of a group with trivial Fitting subgroup walks
+    # its full |G| - 1 steps or until it repeats, and none is Engel
+    assert series._fitting_mod(G, series._closure(G, ())).sum() == 1
+
+
 @pytest.mark.parametrize("name", sorted(action_cases()))
 def test_c4_6_matches_quotient_group_route(name):
     fx = action_cases()[name]
@@ -758,8 +805,8 @@ def test_fitting_and_c4_6_make_one_normal_closure_per_class_at_most(monkeypatch)
     monkeypatch.setattr(series, "_class_closure", counted)
     monkeypatch.setattr(checks, "_class_closure", counted)
     fitting_subgroup(G)
-    # the identity's class lies in the trivial start, so it is never closed
-    assert 0 < len(calls) < n_classes
+    # the Fitting subgroup is found by the left Engel walk, which closes no class
+    assert calls == []
     calls.clear()
     assert checks.check_4_6(fx).ok
     assert 0 < len(calls) <= n_classes
@@ -859,6 +906,13 @@ def test_random_permutation_groups_fitting_matches_reference(case):
     assert np.array_equal(fitting_subgroup(G).mask, ref_fitting_subgroup(G).mask)
     reps = [G.element_at(int(x)).key for x in _class_representatives(G)]
     assert reps == [min(c) for c in ref_conjugacy_classes(G)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(perm_groups())
+def test_random_permutation_groups_fitting_walk_matches_quotient_reference(case):
+    G, _ = case
+    fitting_steps_match_quotient_reference(G)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
