@@ -20,6 +20,7 @@ with ``end``; single-line statements cover actions and check requests.
     check CHECKNAME on TARGET [key=value ...]
 """
 
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -107,8 +108,9 @@ class FixtureFile:
 
 
 def _is_number(text: str) -> bool:
-    """ASCII digits only: str.isdigit() also holds for superscripts such as '²', which int() refuses."""
-    return text.isascii() and text.isdigit()
+    """ASCII digits no longer than int() reads: '²' passes str.isdigit() but not int()."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 is no limit
+    return text.isascii() and text.isdigit() and not 0 < limit < len(text)
 
 
 def _parse_word(text: str, lineno: int) -> tuple:

@@ -156,10 +156,21 @@ class PcPresentation:
     commutators: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # Bounded before the trial division and before p^ngens is formed: one
+        # generator of order p, or 2^ngens elements, already pass the cap.
+        if self.p > TABLE_CAP:
+            raise BudgetExceeded(
+                f"a modulus above {TABLE_CAP} passes the cap of {TABLE_CAP} elements"
+            )
         if not is_prime(self.p):
             raise MalformedSpec(f"modulus {self.p} is not prime")
         if self.ngens < 1:
             raise MalformedSpec(f"need at least one generator, got {self.ngens}")
+        if self.ngens > TABLE_CAP.bit_length():
+            raise BudgetExceeded(
+                f"more than {TABLE_CAP.bit_length()} generators pass the cap of "
+                f"{TABLE_CAP} elements"
+            )
         clean_pow = {}
         for i, word in self.powers.items():
             if not (1 <= i <= self.ngens):

@@ -13,8 +13,9 @@ pairwise kernels (the public closure scan, commutator values, products of
 index sets, the projection check of a quotient) read the table in blocks of
 at most groups._BLOCK entries, so their temporaries stay small however large
 the group.  Series are descending chains of such subgroups; the dimension
-series is assembled directly from its defining product of power subgroups
-of the lower central terms.
+series follows Lazard's recurrence D_i = [D_{i-1}, G]·D_{⌈i/p⌉}^p, one
+normal closure of generator commutators and p-th powers per term, and never
+walks the lower central series.
 
 A commutator subgroup [H, K], and the N_p-series containment [S_i, S_j] ≤
 S_{i+j}, is found by scanning every value [h, k] over H x K only while
@@ -516,33 +517,30 @@ def _p_of(G: FiniteGroup) -> int:
 
 
 def dimension_series(G: FiniteGroup) -> NormalSeries:
-    """D_i = product of all γ_j^{p^k} with j·p^k ≥ i, down to the trivial subgroup.
+    """D_1 = G, D_i = [D_{i-1}, G]·D_{⌈i/p⌉}^p, down to the trivial subgroup; kept on G.
 
-    Kept on G.  The terms are closed as masks first and become subgroups
-    only once the series reaches the trivial subgroup, so a call that raises
-    keeps nothing.
+    Lazard's recurrence gives the product of all γ_j^{p^k} with j·p^k ≥ i
+    without the lower central series (Groupes analytiques p-adiques, Publ.
+    IHÉS 26, 1965; Dixon, du Sautoy, Mann and Segal, Analytic pro-p Groups,
+    Thm 11.2).  D_i is the normal closure (_normal_span) of the [x, y] over
+    generators x of D_{i-1} and y of G and of the p-th powers of the normal
+    D_{⌈i/p⌉}.  The terms become subgroups only once the series reaches the
+    trivial subgroup, so a call that raises keeps nothing.
     """
     p = _p_of(G)
 
     def build() -> NormalSeries:
-        gamma = lower_central_series(G)
-        whole = gamma.terms[0]
-        spans = []  # (mask, kept) of D_2, D_3, ... as _close returns them
-        mask = whole.mask
-        i = 2
-        while np.count_nonzero(mask) > 1:
+        whole = whole_subgroup(G)
+        power = _power_map(G, p)
+        spans = [(whole.mask, G._gens)]  # (mask, kept) of D_1, D_2, ... as _close returns them
+        while np.count_nonzero(spans[-1][0]) > 1:
+            i = len(spans) + 1
             if i > SERIES_LENGTH_CAP:
                 raise BudgetExceeded("dimension series failed to reach the trivial subgroup")
-            gens = []
-            for j in range(1, len(gamma.terms) + 1):
-                k = 0
-                while j * p**k < i:
-                    k += 1
-                gens.append(_power_map(G, p**k)[gamma.term(j).idx])
-            spans.append(_close(G, np.concatenate(gens)))
-            mask = spans[-1][0]
-            i += 1
-        return NormalSeries(G, "dimension", (whole, *(_spanned(G, *s) for s in spans)))
+            brackets = _commutators(G, spans[-1][1], G._gens).ravel()
+            powers = power[spans[(i - 1) // p][0]]  # of D_{⌈i/p⌉}, ⌈i/p⌉ - 1 = ⌊(i-1)/p⌋
+            spans.append(_normal_span(G, np.concatenate([brackets, powers]), G._gens))
+        return NormalSeries(G, "dimension", (whole, *(_spanned(G, *s) for s in spans[1:])))
 
     return _keep(G, ("series", "dimension"), build)
 

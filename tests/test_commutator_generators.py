@@ -258,13 +258,14 @@ def test_build_pipeline_scans_no_pair_above_the_limit(monkeypatch):
     (op,) = wl.WORKLOADS["build"].setup(0)
     G = op.run()[0]
     assert G.order == 243
-    # [G, G] takes 243 x 243 pairs, above the limit; the lower terms are scanned
+    # [G, G] would take 243 x 243 pairs, above the limit, but the dimension
+    # series is built by Lazard's recurrence on generators: nothing is
+    # scanned, and neither [G, G] nor the lower central series is kept
     assert G.order**2 > series.COMMUTATOR_SCAN_LIMIT
-    pairs = scanned_pairs(G)
-    assert pairs and max(pairs) <= series.COMMUTATOR_SCAN_LIMIT
-    whole = whole_subgroup(G).mask.tobytes()
-    assert ("commutator values", np.arange(243).tobytes(), np.arange(243).tobytes()) not in G._lattice
-    assert ("commutator subgroup", whole, whole) in G._lattice
+    assert scanned_pairs(G) == []
+    assert not any(key[0] == "commutator subgroup" for key in G._lattice)
+    assert ("series", "lower-central") not in G._lattice
+    assert ("series", "dimension") in G._lattice
     assert sorted(built) == [1, 9, 27, 243]
 
 

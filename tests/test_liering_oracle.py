@@ -9,8 +9,12 @@ element_order, the recursive bracket-tree evaluation of Lie polynomials,
 the Jacobi identity one basis triple at a time, and the Engel condition one
 algebra element at a time.  The library computes the same coordinates,
 structure constants, verdicts and details from one coordinate array and one
-structure-constant tensor.  The dimension series is also derived a second
-way, from Lazard's recurrence D_i = [D_{i-1}, G]·D_{ceil(i/p)}^p.
+structure-constant tensor.  The dimension series is also assembled here
+from public commutator and power subgroups by Lazard's recurrence
+D_i = [D_{i-1}, G]·D_{ceil(i/p)}^p.  The library follows the same recurrence
+on generators, so this guards the assembly, not the formula; the oracle
+independent of it is test_series_oracle.ref_dimension, the defining product
+of powers of the lower central terms, built one handle at a time.
 """
 
 import functools
@@ -57,7 +61,7 @@ from grouplab.series import (
     power_subgroup,
     whole_subgroup,
 )
-from test_series_oracle import cases, mul_keys
+from test_series_oracle import cases, class3_order243, mul_keys, unitriangular_4_2
 
 # -- reference algorithms --------------------------------------------------------
 
@@ -275,19 +279,6 @@ def lazard_recurrence(G, p) -> list:
 
 
 # -- the groups under test ------------------------------------------------------
-
-
-def class3_order243():
-    """The benchmark's order-243 class-3 group, restated."""
-    return build_group(
-        PcPresentation(3, 5, {}, {(2, 1): ((3, 1),), (3, 1): ((4, 1),), (3, 2): ((5, 1),)})
-    )
-
-
-def unitriangular_4_2():
-    """UT(4, F_2) on E12, E23, E34, E13, E24, E14: 24 of its squares have a non-central image."""
-    g = {k: ((k, 1),) for k in (4, 5, 6)}
-    return build_group(PcPresentation(2, 6, {}, {(2, 1): g[4], (3, 2): g[5], (4, 3): g[6], (5, 1): g[6]}))
 
 
 @functools.cache

@@ -22,6 +22,7 @@ import functools
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,13 @@ from hypothesis import strategies as st
 from grouplab import checks, groups, series
 from grouplab.actions import ActionFixture, realize_actions
 from grouplab.corpus import load_corpus
-from grouplab.errors import BudgetExceeded, ForeignElement, HypothesisNotMet, NotSolvable
+from grouplab.errors import (
+    BudgetExceeded,
+    ForeignElement,
+    HypothesisNotMet,
+    InconsistentPresentation,
+    NotSolvable,
+)
 from grouplab.fixtures import parse_fixture, realize_automorphisms, realize_groups
 from grouplab.groups import (
     Automorphism,
@@ -64,6 +71,7 @@ from grouplab.series import (
     trivial_subgroup,
     whole_subgroup,
 )
+from test_tables import DECIDE_PRESENTATIONS, pc_presentations
 
 # The non-corpus groups of the benchmark ladder, restated.
 LADDER = """
@@ -864,6 +872,125 @@ def test_inner_automorphisms_match_handle_conjugation(name, monkeypatch):
     for g in G.elements():
         assert inner_automorphism(G, g).image_indices == want[g.key]
     assert calls == []
+
+
+# -- the dimension series against its defining product ----------------------------
+#
+# The library builds D_i by Lazard's recurrence on generators; ref_dimension
+# closes, one handle at a time, the p^k-th powers of every element of every
+# handle-built lower central term γ_j with j·p^k ≥ i.
+
+
+def class3_order243() -> FiniteGroup:
+    """The benchmark's order-243 class-3 group (perfbench/build.grp), restated."""
+    return build_group(
+        PcPresentation(3, 5, {}, {(2, 1): ((3, 1),), (3, 1): ((4, 1),), (3, 2): ((5, 1),)})
+    )
+
+
+def unitriangular_4_2() -> FiniteGroup:
+    """UT(4, F_2) on E12, E23, E34, E13, E24, E14: 24 of its squares have a non-central image."""
+    g = {k: ((k, 1),) for k in (4, 5, 6)}
+    return build_group(
+        PcPresentation(2, 6, {}, {(2, 1): g[4], (3, 2): g[5], (4, 3): g[6], (5, 1): g[6]})
+    )
+
+
+def assert_dimension_matches_defining_product(G):
+    p = G.is_p_group()[0]
+    assert [keys_of(t) for t in dimension_series(G).terms] == ref_dimension(G, p)
+
+
+@pytest.mark.parametrize(
+    "build,orders",
+    [(class3_order243, [243, 27, 9, 1]), (unitriangular_4_2, [64, 8, 2, 1])],
+)
+def test_dimension_series_matches_defining_product_on_restated_groups(build, orders):
+    G = build()
+    assert dimension_series(G).orders() == orders
+    assert_dimension_matches_defining_product(G)
+
+
+def maximal_class_625_on_two_generators() -> FiniteGroup:
+    """Order 5^4, class 3, exponent 5 ([b, a] = c, [c, a] = d), generated by a and b only.
+
+    Over a and b the commutators of generators span only <c>, and no p-th
+    power is nontrivial, so D_2 = <c, d> is reached only by the normal closure.
+    """
+    P = build_group(PcPresentation(5, 4, {}, {(2, 1): ((3, 1),), (3, 1): ((4, 1),)}))
+    a, b = (x.key for x in P.generators[:2])
+    return FiniteGroup("pc", P._keys, P.table(), [("a", a), ("b", b)], P._repr_key)
+
+
+def test_dimension_series_closes_under_conjugation_over_few_generators():
+    G = maximal_class_625_on_two_generators()
+    assert len(G.generators) == 2
+    dim = dimension_series(G)
+    assert dim.orders() == [625, 25, 5, 1]
+    # exponent 5 and class 3 < 5: every D_i is γ_i
+    assert dim.terms == lower_central_series(G).terms
+
+
+def accepted_decide_presentations() -> dict:
+    out = {}
+    for label, pres in DECIDE_PRESENTATIONS.items():
+        try:
+            out[label] = build_group(pres)
+        except InconsistentPresentation:
+            pass
+    return out
+
+
+def test_dimension_series_matches_defining_product_on_accepted_decide_presentations():
+    accepted = accepted_decide_presentations()
+    assert 0 < len(accepted) < len(DECIDE_PRESENTATIONS)
+    for G in accepted.values():
+        assert_dimension_matches_defining_product(G)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pc_presentations(primes=(2, 3, 5, 7)))
+def test_dimension_series_matches_defining_product_on_random_pc_groups(pres):
+    try:
+        G = build_group(pres)
+    except InconsistentPresentation:
+        return
+    assert_dimension_matches_defining_product(G)
+
+
+def test_dimension_series_never_walks_the_lower_central_series(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the dimension series walked the lower central series")
+
+    monkeypatch.setattr(series, "lower_central_series", refuse)
+    monkeypatch.setattr(series, "commutator_subgroup", refuse)
+    for G in (class3_order243(), unitriangular_4_2(), *accepted_decide_presentations().values()):
+        dimension_series(G)
+        assert ("series", "lower-central") not in G._lattice
+
+
+@pytest.mark.parametrize(
+    "pres,orders",
+    [
+        (PcPresentation(2, 11), [2048, 1]),
+        (  # class 2: [g_{2i+2}, g_{2i+1}] = g11 for i = 0..4
+            PcPresentation(2, 11, {}, {(2 * i + 2, 2 * i + 1): ((11, 1),) for i in range(5)}),
+            [2048, 2, 1],
+        ),
+    ],
+)
+def test_dimension_series_near_the_cap_peaks_at_a_few_index_arrays(pres, orders):
+    G = build_group(pres)
+    G.table(), G.inverse_indices()
+    tracemalloc.start()
+    try:
+        got = dimension_series(G).orders()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == orders
+    # 32 arrays of |G| int64 entries, 0.5 MiB; the table alone is 32 MiB
+    assert peak <= 32 * 8 * G.order
 
 
 # -- random permutation groups on at most five points ---------------------------------
