@@ -19,7 +19,11 @@ from .series import (
 
 
 def _load(path: str):
-    return parse_fixture(Path(path).read_text("utf-8"))
+    try:
+        text = Path(path).read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # an unreadable input, not a fault
+        raise GroupLabError(str(exc)) from exc
+    return parse_fixture(text)
 
 
 def _cmd_info(args) -> int:
@@ -110,7 +114,10 @@ def _run_and_report(fx, args) -> int:
     report = run_checks(fx, args.select, budget=args.budget, timings=args.timings)
     sys.stdout.write(report.to_table())
     if args.report:
-        Path(args.report).write_text(report.to_json(), encoding="utf-8")
+        try:
+            Path(args.report).write_text(report.to_json(), encoding="utf-8")
+        except OSError as exc:
+            raise GroupLabError(str(exc)) from exc
         print(f"wrote {args.report}")
     return 1 if report.has_failures else 0
 
@@ -169,7 +176,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GroupLabError, OSError, UnicodeDecodeError) as exc:
+    except GroupLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -113,6 +113,13 @@ def _is_number(text: str) -> bool:
     return text.isascii() and text.isdigit() and not 0 < limit < len(text)
 
 
+def _shown(token: str) -> str:
+    """Repr of a refused token for its error message, clipped to 40 characters plus its length."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:40]!r}... ({len(token)} characters)"
+
+
 def _parse_word(text: str, lineno: int) -> tuple:
     """WORD = space-separated i^e factors with strictly increasing i."""
     factors = []
@@ -120,11 +127,11 @@ def _parse_word(text: str, lineno: int) -> tuple:
     for token in text.split():
         head, _, tail = token.partition("^")
         if not _is_number(head) or (tail and not _is_number(tail)):
-            raise FixtureSyntaxError(f"bad word factor {token!r}", lineno)
+            raise FixtureSyntaxError(f"bad word factor {_shown(token)}", lineno)
         i, e = int(head), int(tail) if tail else 1
         if i <= last:
             raise FixtureSyntaxError(
-                f"factor indices must increase, got {token!r}", lineno
+                f"factor indices must increase, got {_shown(token)}", lineno
             )
         last = i
         factors.append((i, e))
@@ -147,7 +154,7 @@ def _parse_cycles(text: str, degree: int, lineno: int) -> tuple:
             raise FixtureSyntaxError("unclosed cycle", lineno, pos + 1)
         body = text[pos + 1 : close].split()
         if not all(map(_is_number, body)):
-            raise FixtureSyntaxError(f"bad cycle {text[pos:close + 1]!r}", lineno)
+            raise FixtureSyntaxError(f"bad cycle {_shown(text[pos:close + 1])}", lineno)
         if body:
             cycles.append([int(t) for t in body])
         pos = close + 1
@@ -326,7 +333,7 @@ def parse_fixture(text: str) -> FixtureFile:
 def _group_line(block: _GroupBlock, head: str, rest: str, lineno: int) -> None:
     def want_int(value: str, what: str) -> int:
         if not _is_number(value):
-            raise FixtureSyntaxError(f"{what} must be a number, got {value!r}", lineno)
+            raise FixtureSyntaxError(f"{what} must be a number, got {_shown(value)}", lineno)
         return int(value)
 
     if head == "end":
@@ -393,7 +400,7 @@ def _image_line(aut_block: dict, rest: str, group_entry, lineno: int) -> None:
     if isinstance(entry.presentation, PcPresentation):
         if not _is_number(left):
             raise FixtureSyntaxError(
-                f"pc generator index expected, got {left!r}", lineno
+                f"pc generator index expected, got {_shown(left)}", lineno
             )
         idx = int(left)
         if not 1 <= idx <= entry.presentation.ngens:
@@ -419,7 +426,7 @@ def _image_line(aut_block: dict, rest: str, group_entry, lineno: int) -> None:
                         f"no generator {name!r} in {entry.name}", lineno
                     )
                 if exp and not _is_number(exp):
-                    raise FixtureSyntaxError(f"bad factor {token!r}", lineno)
+                    raise FixtureSyntaxError(f"bad factor {_shown(token)}", lineno)
                 factors.append((name, int(exp) if exp else 1))
             if not factors:
                 raise FixtureSyntaxError("empty image word", lineno)

@@ -18,14 +18,11 @@ normal closure of generator commutators and p-th powers per term, and never
 walks the lower central series.
 
 A commutator subgroup [H, K], and the N_p-series containment [S_i, S_j] ≤
-S_{i+j}, is found by scanning every value [h, k] over H x K only while
-|H|·|K| is at most COMMUTATOR_SCAN_LIMIT.  Above it both work from
-generators X of H and Y of K: [H, K] is the normal closure in <H, K> of the
-[x, y] over X x Y, and a normal subgroup contains [H, K] exactly when it
-contains those.  The whole group is generated by its own generators, and
-every subgroup that the series kernels close, and that is large enough to
-enter such a pair, keeps the generators _close kept for it, so neither path
-needs an extra closure.
+S_{i+j}, work from generators X of H and Y of K: [H, K] is the normal
+closure in <H, K> of the [x, y] over X x Y, and a normal subgroup contains
+[H, K] exactly when it contains those.  The whole group is generated by its
+own generators, and every subgroup that the series kernels close keeps the
+generators _close kept for it, so neither needs an extra closure.
 
 Each group carries one store (FiniteGroup._lattice) that this module fills.
 The library builds every subgroup through _subgroup, which keeps it there
@@ -34,11 +31,10 @@ Subgroup(G, mask) verifies on every call.  The store also keeps the
 lower central, derived and dimension series, commutator subgroups by their
 operands, the generators of the subgroups closed here by their masks, the
 read-only commutator value masks by their index arrays, and the read-only
-power maps x -> x^k by k, so each scan (series pairs up to the limit, the
-weight-k commutators, the nilpotency test of a subgroup) and each power
-map runs once per group.  Power subgroups are not kept apart from their
-masks, because no caller asks for the same one twice.  A call that raises
-keeps nothing.
+power maps x -> x^k by k, so each scan of the weight-k commutators and each
+power map runs once per group.  Power subgroups are not kept apart from
+their masks, because no caller asks for the same one twice.  A call that
+raises keeps nothing.
 
 The upper Fitting series, and with it the Fitting height, is built inside
 the group on masks: each term is the set of left Engel elements modulo the
@@ -99,13 +95,6 @@ __all__ = [
 ]
 
 SERIES_LENGTH_CAP = 4096
-# Pairs |H|·|K| up to which [H, K] is found by scanning every commutator
-# value, and above which from generator pairs.  The generator kernel alone
-# wins from about 600 pairs, but catalog runs on groups of order up to 128,
-# which scan the G x G values anyway for the weight-2 commutators, measured
-# flat or slower with their pairs on generators.  The crossover table is in
-# CHANGES.md.
-COMMUTATOR_SCAN_LIMIT = 16384
 
 
 class Subgroup:
@@ -262,15 +251,9 @@ def _read_only(a) -> np.ndarray:
 
 
 def _spanned(G: FiniteGroup, mask: np.ndarray, kept) -> Subgroup:
-    """The subgroup with this mask, kept on G with the generators _close kept for it.
-
-    The generators are kept, under the mask where _generators finds them,
-    only for a subgroup H large enough to enter a pair |H|·|K| above
-    COMMUTATOR_SCAN_LIMIT; smaller ones are only ever scanned.
-    """
+    """The subgroup with this mask, kept on G, and under it the generators _close kept for it."""
     sub = _subgroup(G, mask)
-    if sub.order * G.order > COMMUTATOR_SCAN_LIMIT:
-        G._lattice.setdefault(("generators", mask.tobytes()), _read_only(kept))
+    G._lattice.setdefault(("generators", mask.tobytes()), _read_only(kept))
     return sub
 
 
@@ -278,9 +261,8 @@ def _generators(G: FiniteGroup, H: Subgroup) -> np.ndarray:
     """Element indices generating H, kept on G under its mask.
 
     The whole group is generated by G's own generators, and a subgroup built
-    through _spanned that can enter a pair above COMMUTATOR_SCAN_LIMIT has
-    its generators kept already; any other subgroup is closed from its
-    elements once.
+    through _spanned has its generators kept already; any other subgroup is
+    closed from its elements once.
     """
 
     def find() -> np.ndarray:
@@ -340,14 +322,11 @@ def _commutator_values(G: FiniteGroup, hs, ks) -> np.ndarray:
 def _commutator_span(G: FiniteGroup, H: Subgroup, K: Subgroup) -> tuple:
     """(mask, kept) of [H, K] as _close returns them.
 
-    Up to COMMUTATOR_SCAN_LIMIT pairs |H|·|K| this closes the values [h, k]
-    over H x K (_commutator_values).  Above it, with H = <X> and K = <Y>
-    (_generators), [H, K] is the normal closure in <H, K> of the [x, y] over
-    X x Y (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-    2005, ch. 3), closed under conjugation by X and Y (_normal_span).
+    With H = <X> and K = <Y> (_generators), [H, K] is the normal closure in
+    <H, K> of the [x, y] over X x Y (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005, ch. 3), closed under conjugation by X
+    and Y (_normal_span).
     """
-    if H.order * K.order <= COMMUTATOR_SCAN_LIMIT:
-        return _close(G, _commutator_values(G, H.idx, K.idx).nonzero()[0])
     xs, ys = _generators(G, H), _generators(G, K)
     return _normal_span(G, _commutators(G, xs, ys).ravel(), np.concatenate([xs, ys]))
 
@@ -375,12 +354,9 @@ def _normal_span(G: FiniteGroup, gens, zs: np.ndarray) -> tuple:
 def _commutators_inside(G: FiniteGroup, H: Subgroup, K: Subgroup, target: np.ndarray) -> bool:
     """[H, K] ≤ N, for N a normal subgroup of G given by its mask ``target``.
 
-    Up to COMMUTATOR_SCAN_LIMIT pairs the values over H x K are read; above
-    it only the [x, y] over generators X of H and Y of K, which decides it,
-    because N is normal: [H, K] is their normal closure in <H, K>.
+    Only the [x, y] over generators X of H and Y of K are read, which decides
+    it, because N is normal: [H, K] is their normal closure in <H, K>.
     """
-    if H.order * K.order <= COMMUTATOR_SCAN_LIMIT:
-        return bool(target[_commutator_values(G, H.idx, K.idx)].all())
     return bool(target[_commutators(G, _generators(G, H), _generators(G, K))].all())
 
 
@@ -570,8 +546,8 @@ def verify_np_series(G: FiniteGroup, series: NormalSeries, p: int) -> Verdict:
 
     A subgroup lies in a series term exactly when its generators do, so each
     containment is decided on the p-th powers of S_i and, by
-    _commutators_inside, on the values [s, t] over S_i x S_j or, for large
-    terms, on generator pairs, read from the target term's mask.
+    _commutators_inside, on generator pairs of S_i and S_j, read from the
+    target term's mask.
     """
     terms = series.terms
     m = len(terms)
@@ -690,15 +666,17 @@ def centralizer(G: FiniteGroup, phis) -> Subgroup:
 def is_nilpotent_subgroup(G: FiniteGroup, H: Subgroup) -> bool:
     """Lower central series of H (inside G's arithmetic) reaches the identity.
 
-    H ≥ [H, H] ≥ [[H, H], H] ... is walked on masks until it stabilizes.
+    γ_{i+1}(H) = [γ_i(H), H], normal in H, is the normal closure in H of the [x, y]
+    over generators x of γ_i(H) and y of H (_normal_span), walked until it stabilizes.
     """
     _same_parent(G, H, "subgroup")
-    cur = H.mask
+    mask = H.mask
+    kept = ys = _generators(G, H)
     while True:
-        nxt = _closure(G, _commutator_values(G, cur.nonzero()[0], H.idx).nonzero()[0])
-        if np.array_equal(nxt, cur):
-            return bool(np.count_nonzero(cur) == 1)
-        cur = nxt
+        nxt, kept = _normal_span(G, _commutators(G, kept, ys).ravel(), ys)
+        if np.array_equal(nxt, mask):
+            return bool(np.count_nonzero(mask) == 1)
+        mask = nxt
 
 
 def _conjugacy_class(G: FiniteGroup, x: int) -> np.ndarray:

@@ -129,6 +129,25 @@ def test_unreadable_input_is_an_error_not_a_failure(tmp_path, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_a_fault_while_checks_run_is_not_an_input_error(monkeypatch, capsys):
+    # only reading the fixture and writing the report turn an OSError into exit 2
+    def stopped(*args, **kwargs):
+        raise TimeoutError("still running")
+
+    monkeypatch.setattr(cli_mod, "run_checks", stopped)
+    with pytest.raises(TimeoutError, match="still running"):
+        main(["corpus"])
+    assert main(["check", "/no/such/file.grp"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_an_unwritable_report_is_an_error(tmp_path, capsys):
+    assert main(["corpus", "--select", "jacobi", "--report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_failure_rows_exit_one(monkeypatch, capsys):
     report = CheckReport("0", (CheckRow("G", "jacobi", "fail", "broken"),))
     monkeypatch.setattr(cli_mod, "run_checks", lambda *a, **k: report)

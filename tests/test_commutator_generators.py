@@ -1,10 +1,11 @@
-"""Commutator subgroups and N_p containments on generator pairs, on both sides of the limit.
+"""Commutator subgroups and N_p containments on generator pairs.
 
-series.COMMUTATOR_SCAN_LIMIT splits the work: a pair |H|·|K| up to it scans
-every commutator value, a larger one works from generators of H and K.
-These tests move the limit to 0 (every pair on generators) and to 10**9
-(every pair scanned) and hold both paths to the same outputs: the pinned
-benchmark goldens, brute-force series, sympy, and the N_p-series verdicts.
+[H, K] is the normal closure in <H, K> of the [x, y] over generators x of H
+and y of K, and a normal subgroup contains [H, K] exactly when it contains
+those; the series and the nilpotency test of a subgroup never scan a value
+set.  These tests hold that one path to brute force, sympy, the N_p-series
+verdicts and the pinned benchmark goldens, and check that no series kernel
+keeps a commutator value scan on the group.
 """
 
 import importlib.util
@@ -14,13 +15,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grouplab import corpus_text, parse_fixture, run_checks, series
+from grouplab import series
+from grouplab.corpus import corpus_fixture
+from grouplab.fixtures import parse_fixture, realize_groups
 from grouplab.groups import PcPresentation, PermutationGenSet, build_group, perm_from_cycles
 from grouplab.liering import build_dl
 from grouplab.series import (
     NormalSeries,
     derived_series,
     dimension_series,
+    is_nilpotent_subgroup,
     lower_central_series,
     verify_np_series,
     whole_subgroup,
@@ -28,7 +32,6 @@ from grouplab.series import (
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-ALL_ON_GENERATORS, ALL_SCANNED = 0, 10**9
 
 
 def workloads():
@@ -135,21 +138,15 @@ def brute_dimension_orders(G) -> list:
     return orders
 
 
-@pytest.fixture(params=[ALL_ON_GENERATORS, ALL_SCANNED], ids=["generators", "scan"])
-def limit(request, monkeypatch):
-    monkeypatch.setattr(series, "COMMUTATOR_SCAN_LIMIT", request.param)
-    return request.param
-
-
 @pytest.mark.parametrize("name", GROUPS)
-def test_series_orders_match_brute_force_on_both_paths(name, limit):
+def test_series_orders_match_brute_force(name):
     G = GROUPS[name]()
     assert lower_central_series(G).orders() == brute_series_orders(G, "lower-central")
     assert derived_series(G).orders() == brute_series_orders(G, "derived")
     assert dimension_series(G).orders() == brute_dimension_orders(G)
 
 
-def test_s6_derived_series_matches_sympy_on_both_paths(limit):
+def test_s6_derived_series_matches_sympy():
     combinatorics = pytest.importorskip("sympy.combinatorics")
     G = s6()
     S = combinatorics.PermutationGroup(
@@ -158,17 +155,15 @@ def test_s6_derived_series_matches_sympy_on_both_paths(limit):
     assert derived_series(G).orders() == [H.order() for H in S.derived_series()] == [720, 360]
 
 
-def test_commutator_subgroups_agree_on_both_paths_for_every_series_pair(monkeypatch):
-    for make in GROUPS.values():
-        found = {}
-        for limit in (ALL_ON_GENERATORS, ALL_SCANNED):
-            monkeypatch.setattr(series, "COMMUTATOR_SCAN_LIMIT", limit)
-            G = make()
-            terms = lower_central_series(G).terms + derived_series(G).terms
-            found[limit] = [
-                series.commutator_subgroup(G, H, K).mask.tobytes() for H in terms for K in terms
-            ]
-        assert found[ALL_ON_GENERATORS] == found[ALL_SCANNED]
+@pytest.mark.parametrize("name", GROUPS)
+def test_commutator_subgroups_match_brute_force_for_every_series_pair(name):
+    G = GROUPS[name]()
+    series_terms = lower_central_series(G).terms + derived_series(G).terms
+    terms = list({t.mask.tobytes(): t for t in series_terms}.values())
+    for H in terms:
+        for K in terms:
+            got = series.commutator_subgroup(G, H, K).mask
+            assert np.array_equal(got, brute_commutator(G, H.mask, K.mask))
 
 
 # -- the planted N_p-series: one verdict and one first failing pair -------------
@@ -182,17 +177,14 @@ def planted_series(G, *gens):
     return NormalSeries(G, "planted", (whole, middle, series.trivial_subgroup(G)))
 
 
-def test_planted_np_series_gets_one_verdict_on_both_paths(monkeypatch):
-    verdicts = {}
-    for limit in (ALL_ON_GENERATORS, series.COMMUTATOR_SCAN_LIMIT, ALL_SCANNED):
-        monkeypatch.setattr(series, "COMMUTATOR_SCAN_LIMIT", limit)
-        cases = []
-        for G, gens in ((cl3o243(), ()), (cl2o2048(), ("g1", "g3", "g5")), (heis27_squared(), ())):
-            cases += [(G, planted_series(G, *gens)), (G, dimension_series(G))]
-        verdicts[limit] = [
-            (v.ok, v.detail) for v in (verify_np_series(G, S, G.is_p_group()[0]) for G, S in cases)
-        ]
-    assert verdicts[ALL_ON_GENERATORS] == [
+def test_planted_np_series_verdicts():
+    cases = []
+    for G, gens in ((cl3o243(), ()), (cl2o2048(), ("g1", "g3", "g5")), (heis27_squared(), ())):
+        cases += [(G, planted_series(G, *gens)), (G, dimension_series(G))]
+    verdicts = [
+        (v.ok, v.detail) for v in (verify_np_series(G, S, G.is_p_group()[0]) for G, S in cases)
+    ]
+    assert verdicts == [
         (False, "[S_1, S_2] is not inside S_3"),  # class 3: [G, [G, G]] is not trivial
         (True, ""),
         (False, "[S_1, S_2] is not inside S_3"),  # [g2, g1] = g11 is not trivial
@@ -200,31 +192,20 @@ def test_planted_np_series_gets_one_verdict_on_both_paths(monkeypatch):
         (True, ""),  # class 2 and exponent 3
         (True, ""),
     ]
-    assert len({tuple(v) for v in verdicts.values()}) == 1
 
 
-def test_np_series_fails_at_the_same_first_pair_on_both_paths(monkeypatch):
+def test_np_series_fails_at_the_first_pair():
     # G > 1 on the class-2 group: [S_1, S_1] = [G, G] escapes S_2 = 1 first
-    details = set()
-    for limit in (ALL_ON_GENERATORS, ALL_SCANNED):
-        monkeypatch.setattr(series, "COMMUTATOR_SCAN_LIMIT", limit)
-        G = cl2o2048()
-        S = NormalSeries(G, "planted", (whole_subgroup(G), series.trivial_subgroup(G)))
-        details.add(verify_np_series(G, S, 2).detail)
-    assert details == {"[S_1, S_1] is not inside S_2"}
+    G = cl2o2048()
+    S = NormalSeries(G, "planted", (whole_subgroup(G), series.trivial_subgroup(G)))
+    assert verify_np_series(G, S, 2).detail == "[S_1, S_1] is not inside S_2"
 
 
-# -- the benchmark's goldens with every pair on generators ---------------------
+# -- the benchmark's goldens -----------------------------------------------------
+# The corpus report is pinned by tests/test_outputs.py.
 
 
-def test_corpus_report_is_byte_identical_with_every_pair_on_generators(monkeypatch):
-    monkeypatch.setattr(series, "COMMUTATOR_SCAN_LIMIT", ALL_ON_GENERATORS)
-    report = run_checks(parse_fixture(corpus_text()))
-    assert report.to_json().encode("utf-8") == (PERFBENCH / "golden" / "corpus.json").read_bytes()
-
-
-def test_ladder_and_build_goldens_are_byte_identical_with_every_pair_on_generators(monkeypatch):
-    monkeypatch.setattr(series, "COMMUTATOR_SCAN_LIMIT", ALL_ON_GENERATORS)
+def test_ladder_and_build_goldens_are_byte_identical():
     wl = workloads()
     ladder = {op.label: wl.report_rows(op.run()) for op in wl.WORKLOADS["ladder"].setup(0)}
     build = {op.label: wl.build_summary(op.run()) for op in wl.WORKLOADS["build"].setup(0)}
@@ -232,19 +213,15 @@ def test_ladder_and_build_goldens_are_byte_identical_with_every_pair_on_generato
     assert golden_dump(build) == (PERFBENCH / "golden" / "build.json").read_bytes()
 
 
-# -- the mechanism: which path each pair takes ---------------------------------
+# -- the mechanism: generator pairs, never a value scan ----------------------------
 
 
-def scanned_pairs(G) -> list:
-    """|hs|·|ks| of every commutator value mask kept on G."""
-    return [
-        (len(key[1]) // 8) * (len(key[2]) // 8)
-        for key in G._lattice
-        if key[0] == "commutator values"
-    ]
+def scanned(G) -> list:
+    """Every commutator value mask kept on G."""
+    return [key for key in G._lattice if key[0] == "commutator values"]
 
 
-def test_build_pipeline_scans_no_pair_above_the_limit(monkeypatch):
+def test_build_pipeline_scans_no_commutator_values(monkeypatch):
     built = []
     orig = series.Subgroup._closed
 
@@ -258,30 +235,47 @@ def test_build_pipeline_scans_no_pair_above_the_limit(monkeypatch):
     (op,) = wl.WORKLOADS["build"].setup(0)
     G = op.run()[0]
     assert G.order == 243
-    # [G, G] would take 243 x 243 pairs, above the limit, but the dimension
-    # series is built by Lazard's recurrence on generators: nothing is
-    # scanned, and neither [G, G] nor the lower central series is kept
-    assert G.order**2 > series.COMMUTATOR_SCAN_LIMIT
-    assert scanned_pairs(G) == []
+    # the dimension series is built by Lazard's recurrence on generators:
+    # nothing is scanned, and neither [G, G] nor the lower central series is kept
+    assert scanned(G) == []
     assert not any(key[0] == "commutator subgroup" for key in G._lattice)
     assert ("series", "lower-central") not in G._lattice
     assert ("series", "dimension") in G._lattice
     assert sorted(built) == [1, 9, 27, 243]
 
 
+def test_series_kernels_on_the_corpus_scan_no_commutator_values():
+    groups = realize_groups(corpus_fixture())
+    assert len(groups) == 16
+    for G in groups.values():
+        gamma = lower_central_series(G).terms
+        derived_series(G)
+        pk = G.is_p_group()
+        if pk is not None:
+            verify_np_series(G, dimension_series(G), pk[0])
+        for term in gamma:
+            is_nilpotent_subgroup(G, term)
+        assert scanned(G) == []
+
+
 def test_series_terms_keep_the_generators_their_closure_kept():
-    # kept only for a term H that can enter a pair |H|·|G| above the limit:
-    # here [G, G] of order 27 in the free class-2 exponent-3 group on three generators
-    G = pc(3, 6, {(2, 1): ((4, 1),), (3, 1): ((5, 1),), (3, 2): ((6, 1),)})
-    terms = dimension_series(G).terms + lower_central_series(G).terms + derived_series(G).terms
-    large = [t for t in terms if not t.is_whole and t.order * G.order > series.COMMUTATOR_SCAN_LIMIT]
-    assert [t.order for t in large] == [27, 27, 27]
-    for term in large:
-        gens = G._lattice[("generators", term.mask.tobytes())]
-        assert len(gens) == 3
-        assert np.array_equal(series._closure(G, gens), term.mask)
-    small = [t for t in terms if t.order * G.order <= series.COMMUTATOR_SCAN_LIMIT]
-    assert small and all(("generators", t.mask.tobytes()) not in G._lattice for t in small)
+    # every subgroup built through _spanned keeps the generators _close kept
+    # for it; _generators would otherwise find them on demand, so each group
+    # is fresh and only the results below, never an operand, are looked up
+    free = pc(3, 6, {(2, 1): ((4, 1),), (3, 1): ((5, 1),), (3, 2): ((6, 1),)})
+    for G in (free, *(make() for make in GROUPS.values())):
+        whole = whole_subgroup(G)
+        built = [
+            *dimension_series(G).terms[1:],
+            series.commutator_subgroup(G, whole, whole),
+            series.power_subgroup(G, whole, G.is_p_group()[0]),
+            series.normal_closure(G, [G.generators[-1]]),
+        ]
+        for term in built:
+            gens = G._lattice[("generators", term.mask.tobytes())]
+            assert np.array_equal(series._closure(G, gens), term.mask)
+    derived = series.commutator_subgroup(free, whole_subgroup(free), whole_subgroup(free))
+    assert derived.order == 27 and len(free._lattice[("generators", derived.mask.tobytes())]) == 3
 
 
 def test_build_dl_keeps_no_commutator_values():

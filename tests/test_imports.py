@@ -1,20 +1,29 @@
-"""Every import in src/ and tests/ is used: the stdlib ``ast`` stands in for a linter.
+"""Every import in src/ and tests/ is used, and no private name in src/ is dead.
 
-A name bound by an import counts as used when the module reads it anywhere
-(a Name, or the root of an Attribute chain) or re-exports it through
-``__all__``: a literal ``__all__`` re-exports the names it lists, and one
-computed from ``dir()``, as in the package's ``__init__``, every public
-name.  Dunder names such as ``__version__`` are module metadata, and
-``from __future__`` imports bind nothing; both are skipped.
+The stdlib ``ast`` stands in for a linter.  A name bound by an import counts
+as used when the module reads it anywhere (a Name, or the root of an
+Attribute chain) or re-exports it through ``__all__``: a literal ``__all__``
+re-exports the names it lists, and one computed from ``dir()``, as in the
+package's ``__init__``, every public name.  Dunder names such as
+``__version__`` are module metadata, and ``from __future__`` imports bind
+nothing; both are skipped.
+
+Every private module-level function or class, and every UPPER_CASE constant,
+in src/ must be read somewhere in src/ (a Name or an Attribute), so a helper
+whose last caller is gone does not linger.  A decorated definition counts as
+read, since its decorator registers it (the check handlers of ``@check``).
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+LIBRARY = sorted((ROOT / "src").rglob("*.py"))
+SOURCES = LIBRARY + sorted((ROOT / "tests").rglob("*.py"))
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*$")
 
 
 def unused_imports(source: str) -> list:
@@ -58,3 +67,47 @@ def test_the_guard_reports_an_unused_import_and_spares_re_exports():
     assert unused_imports(source) == [(2, "os"), (4, "loads")]
     package = "from json import dumps, loads\n__all__ = [n for n in dir() if n[0] != '_']\n"
     assert unused_imports(package) == []
+
+
+def dead_names(sources: dict) -> list:
+    """(module, line, name) of every private definition or constant no module reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                private = node.name.startswith("_") and not node.name.startswith("__")
+                names = [node.name] if private and not node.decorator_list else []
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name) and CONSTANT.match(t.id)]
+            else:
+                names = []
+            dead += [(module, node.lineno, name) for name in names if name not in read]
+    return sorted(dead)
+
+
+def test_every_private_name_and_constant_in_the_library_is_read():
+    sources = {str(p.relative_to(ROOT)): p.read_text("utf-8") for p in LIBRARY}
+    assert dead_names(sources) == []
+
+
+def test_the_dead_name_guard_reports_unread_helpers_and_spares_registered_ones():
+    sources = {
+        "a.py": (
+            "LIMIT = 3\nCAP: int = 4\n_USED = 5\n"
+            "def _helper(): pass\n"
+            "class _Gone: pass\n"
+            "def public(): return _USED\n"
+            "@check\ndef _registered(): pass\n"
+        ),
+        "b.py": "import a\nprint(a.CAP)\n",
+    }
+    assert dead_names(sources) == [("a.py", 1, "LIMIT"), ("a.py", 4, "_helper"), ("a.py", 5, "_Gone")]

@@ -40,7 +40,7 @@ def test_a_huge_prime_is_a_one_line_error_in_the_cli(tmp_path, capsys):
         assert main(["check", str(big)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert f"above {TABLE_CAP}" in err  # not the guard's TimeoutError, which main also catches
+    assert f"above {TABLE_CAP}" in err
 
 
 @pytest.mark.parametrize(
@@ -69,10 +69,16 @@ def test_the_largest_prime_under_the_cap_still_builds():
     assert build_group(PcPresentation(2039, 1)).order == 2039
 
 
-def test_a_number_longer_than_int_reads_is_a_syntax_error_with_its_line():
+def test_a_number_longer_than_int_reads_is_a_syntax_error_with_its_line(tmp_path, capsys):
     text = BIG_TEXT.replace(str(HUGE_PRIME), "7" * 5000)
     with within(1.0), pytest.raises(FixtureSyntaxError, match="line 3"):
         parse_fixture(text)
+    big = tmp_path / "long.grp"
+    big.write_text(text)
+    assert main(["check", str(big)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert err.rstrip().endswith("(5000 characters) (line 3)")
 
 
 # -- fuzzed headers ----------------------------------------------------------------

@@ -525,6 +525,18 @@ def test_normal_closure_and_nilpotency_match_reference(name):
     assert keys_of(normal_closure(G, G.generators)) == ref_normal_closure(G, G.generators)
 
 
+@pytest.mark.parametrize(
+    "cycles,nilpotent",
+    [(([[1, 2]], [[1, 2, 3]]), False), (([[1, 2, 3, 4]], [[1, 3]]), True)],
+    ids=["S3", "D8"],
+)
+def test_nilpotency_of_a_non_normal_subgroup_matches_reference(cycles, nilpotent):
+    G = cases()["S4"]
+    H = generated_subgroup(G, [G.element(perm_from_cycles(4, c)) for c in cycles])
+    assert not H.is_normal
+    assert is_nilpotent_subgroup(G, H) == ref_is_nilpotent(G, keys_of(H)) == nilpotent
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_normal_closure_of_several_elements_matches_reference(name):
     G = cases()[name]
@@ -1024,6 +1036,7 @@ def test_random_permutation_groups_match_reference(case):
     assert [keys_of(t) for t in lower_central_series(G).terms] == ref_lower_central(G)
     assert [keys_of(t) for t in derived_series(G).terms] == ref_derived(G)
     assert is_nilpotent_subgroup(G, N) == ref_is_nilpotent(G, keys_of(N))
+    assert is_nilpotent_subgroup(G, H) == ref_is_nilpotent(G, keys_of(H))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
