@@ -35,7 +35,7 @@ from .errors import (
 )
 from .fixtures import FixtureFile, realize_automorphisms, realize_groups
 from .groups import Automorphism, FiniteGroup, _blocks, is_prime
-from .identities import engel_index_of_element, higman_polynomial, holds_identity
+from .identities import higman_polynomial, holds_identity
 from .liering import (
     _lazard_table,
     _lazard_verdict,
@@ -55,6 +55,7 @@ from .series import (
     _closure,
     _commutator_values,
     _cyclic_class_representatives,
+    _engel_walk,
     _power_map,
     _product_mask,
     _subgroup,
@@ -207,15 +208,17 @@ def check_lemma_3_3(
 
 def check_lemma_3_4(G: FiniteGroup, k: int = 2, budget: int = SCAN_BUDGET) -> Verdict:
     """If every weight-k commutator is an Engel element, the k-th term is nilpotent."""
-    commutators = [G.element_at(i) for i in _k_commutators(G, k, budget)]
+    commutators = _k_commutators(G, k, budget)
+    trivial = _closure(G, ())
     worst = 1
-    for c in commutators:
-        idx = engel_index_of_element(G, c)
-        if idx is None:
+    for c in commutators.tolist():  # in key order; the first that is not Engel is the witness
+        steps, reached = _engel_walk(G, c, trivial)
+        if not reached:
+            witness = G.element_at(c)
             raise HypothesisNotMet(
-                f"weight-{k} commutator {c!r} is not an Engel element", witness=c
+                f"weight-{k} commutator {witness!r} is not an Engel element", witness=witness
             )
-        worst = max(worst, idx)
+        worst = max(worst, steps)
     term = lower_central_series(G).term(k)
     ok = is_nilpotent_subgroup(G, term)
     return Verdict(

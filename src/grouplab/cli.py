@@ -9,6 +9,7 @@ from .checks import SCAN_BUDGET, run_checks
 from .corpus import corpus_fixture
 from .errors import GroupLabError
 from .fixtures import parse_fixture, realize_groups
+from .groups import build_group
 from .liering import build_dl
 from .series import (
     derived_series,
@@ -49,13 +50,19 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _named_group(args):
+    """The group named by --group, built alone; None, once reported, if the file has none."""
+    for entry in _load(args.file).groups:
+        if entry.name == args.group:
+            return build_group(entry.presentation)
+    print(f"no group named {args.group!r} in {args.file}", file=sys.stderr)
+    return None
+
+
 def _cmd_series(args) -> int:
-    fx = _load(args.file)
-    groups = realize_groups(fx)
-    if args.group not in groups:
-        print(f"no group named {args.group!r} in {args.file}", file=sys.stderr)
+    G = _named_group(args)
+    if G is None:
         return 2
-    G = groups[args.group]
     profile = structure_predicates(G)
     print(f"group {args.group}: order {G.order}, exponent {profile.exponent}")
     print(f"lower central series orders:   {lower_central_series(G).orders()}")
@@ -85,12 +92,9 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_liering(args) -> int:
-    fx = _load(args.file)
-    groups = realize_groups(fx)
-    if args.group not in groups:
-        print(f"no group named {args.group!r} in {args.file}", file=sys.stderr)
+    G = _named_group(args)
+    if G is None:
         return 2
-    G = groups[args.group]
     L = build_dl(G)
     print(f"graded algebra of {args.group} over F_{L.p}")
     print(f"component dims: {list(L.dims)} (total {L.total_dim})")

@@ -83,19 +83,19 @@ class FixtureFile:
         for entry in self.groups:
             if entry.name == name:
                 return entry
-        raise UnresolvedReference(f"no group named {name!r}")
+        raise UnresolvedReference(f"no group named {_shown(name)}")
 
     def aut(self, name: str) -> AutEntry:
         for entry in self.auts:
             if entry.name == name:
                 return entry
-        raise UnresolvedReference(f"no automorphism named {name!r}")
+        raise UnresolvedReference(f"no automorphism named {_shown(name)}")
 
     def action(self, name: str) -> ActionEntry:
         for entry in self.actions:
             if entry.name == name:
                 return entry
-        raise UnresolvedReference(f"no action named {name!r}")
+        raise UnresolvedReference(f"no action named {_shown(name)}")
 
     def params_for(self, check: str, target: str) -> dict:
         for req in self.checks:
@@ -147,7 +147,7 @@ def _parse_cycles(text: str, degree: int, lineno: int) -> tuple:
     while pos < len(text):
         if text[pos] != "(":
             raise FixtureSyntaxError(
-                f"expected '(' in cycles {text!r}", lineno, pos + 1
+                f"expected '(' in cycles {_shown(text)}", lineno, pos + 1
             )
         close = text.find(")", pos)
         if close < 0:
@@ -220,7 +220,7 @@ def parse_fixture(text: str) -> FixtureFile:
     def claim(name: str, lineno: int) -> None:
         if name in names:
             raise DuplicateName(
-                f"name {name!r} already used on line {names[name]}", lineno
+                f"name {_shown(name)} already used on line {names[name]}", lineno
             )
         names[name] = lineno
 
@@ -228,7 +228,7 @@ def parse_fixture(text: str) -> FixtureFile:
         for entry in groups:
             if entry.name == name:
                 return entry
-        raise UnresolvedReference(f"no group named {name!r}", lineno)
+        raise UnresolvedReference(f"no group named {_shown(name)}", lineno)
 
     block: Optional[_GroupBlock] = None
     aut_block: Optional[dict] = None
@@ -249,13 +249,13 @@ def parse_fixture(text: str) -> FixtureFile:
 
         if aut_block is not None:
             if head == "end":
-                auts.append(_finish_aut(aut_block, group_entry))
+                auts.append(_finish_aut(aut_block))
                 aut_block = None
             elif head == "image":
-                _image_line(aut_block, rest, group_entry, lineno)
+                _image_line(aut_block, rest, lineno)
             else:
                 raise FixtureSyntaxError(
-                    f"unexpected {head!r} inside aut block", lineno, 1
+                    f"unexpected {_shown(head)} inside aut block", lineno, 1
                 )
             continue
 
@@ -287,12 +287,12 @@ def parse_fixture(text: str) -> FixtureFile:
                 found = next((a for a in auts if a.name == aname), None)
                 if found is None:
                     raise UnresolvedReference(
-                        f"no automorphism named {aname!r}", lineno
+                        f"no automorphism named {_shown(aname)}", lineno
                     )
                 if found.group != target:
                     raise UnresolvedReference(
-                        f"automorphism {aname!r} acts on {found.group!r}, "
-                        f"not {target!r}",
+                        f"automorphism {_shown(aname)} acts on {_shown(found.group)}, "
+                        f"not {_shown(target)}",
                         lineno,
                     )
             actions.append(ActionEntry(name, target, aut_names))
@@ -304,24 +304,24 @@ def parse_fixture(text: str) -> FixtureFile:
                 )
             cname, target = parts[0], parts[2]
             if target not in names:
-                raise UnresolvedReference(f"no fixture named {target!r}", lineno)
+                raise UnresolvedReference(f"no fixture named {_shown(target)}", lineno)
             params = {}
             for token in parts[3:]:
                 key, eq, value = token.partition("=")
                 if not key or not eq:
                     raise FixtureSyntaxError(
-                        f"bad parameter {token!r}, expected key=value", lineno
+                        f"bad parameter {_shown(token)}, expected key=value", lineno
                     )
                 if key in params:
-                    raise DuplicateName(f"duplicate parameter {key!r}", lineno)
+                    raise DuplicateName(f"duplicate parameter {_shown(key)}", lineno)
                 params[key] = value
             if any(c.check == cname and c.target == target for c in checks):
                 raise DuplicateName(
-                    f"duplicate check {cname!r} on {target!r}", lineno
+                    f"duplicate check {_shown(cname)} on {_shown(target)}", lineno
                 )
             checks.append(CheckRequest(cname, target, tuple(sorted(params.items()))))
         else:
-            raise FixtureSyntaxError(f"unknown directive {head!r}", lineno, 1)
+            raise FixtureSyntaxError(f"unknown directive {_shown(head)}", lineno, 1)
 
     if block is not None:
         raise FixtureSyntaxError(f"group {block.name}: missing end", block.lineno)
@@ -340,7 +340,7 @@ def _group_line(block: _GroupBlock, head: str, rest: str, lineno: int) -> None:
         return
     if head == "backend":
         if rest not in ("pc", "perm"):
-            raise FixtureSyntaxError(f"backend must be pc or perm, got {rest!r}", lineno)
+            raise FixtureSyntaxError(f"backend must be pc or perm, got {_shown(rest)}", lineno)
         block.backend = rest
         return
     if block.backend is None:
@@ -383,15 +383,15 @@ def _group_line(block: _GroupBlock, head: str, rest: str, lineno: int) -> None:
         if not eq or not name:
             raise FixtureSyntaxError("usage: gen NAME = CYCLES", lineno)
         if any(g[0] == name for g in block.gens):
-            raise DuplicateName(f"duplicate generator {name!r}", lineno)
+            raise DuplicateName(f"duplicate generator {_shown(name)}", lineno)
         block.gens.append((name, _parse_cycles(cyc, block.degree, lineno)))
     else:
         raise FixtureSyntaxError(
-            f"{head!r} is not valid for backend {block.backend}", lineno, 1
+            f"{_shown(head)} is not valid for backend {block.backend}", lineno, 1
         )
 
 
-def _image_line(aut_block: dict, rest: str, group_entry, lineno: int) -> None:
+def _image_line(aut_block: dict, rest: str, lineno: int) -> None:
     left, eq, right = rest.partition("=")
     left = left.strip()
     if not eq or not left:
@@ -411,9 +411,9 @@ def _image_line(aut_block: dict, rest: str, group_entry, lineno: int) -> None:
     else:
         gen_names = [g[0] for g in entry.presentation.generators]
         if left not in gen_names:
-            raise UnresolvedReference(f"no generator {left!r} in {entry.name}", lineno)
+            raise UnresolvedReference(f"no generator {_shown(left)} in {entry.name}", lineno)
         if any(n == left for n, _ in aut_block["images"]):
-            raise DuplicateName(f"duplicate image for generator {left!r}", lineno)
+            raise DuplicateName(f"duplicate image for generator {_shown(left)}", lineno)
         value = right.strip()
         if value.startswith("("):
             expr = ("cycles", _parse_cycles(value, entry.presentation.degree, lineno))
@@ -423,7 +423,7 @@ def _image_line(aut_block: dict, rest: str, group_entry, lineno: int) -> None:
                 name, _, exp = token.partition("^")
                 if name not in gen_names:
                     raise UnresolvedReference(
-                        f"no generator {name!r} in {entry.name}", lineno
+                        f"no generator {_shown(name)} in {entry.name}", lineno
                     )
                 if exp and not _is_number(exp):
                     raise FixtureSyntaxError(f"bad factor {_shown(token)}", lineno)
@@ -434,7 +434,7 @@ def _image_line(aut_block: dict, rest: str, group_entry, lineno: int) -> None:
         aut_block["images"].append((left, expr))
 
 
-def _finish_aut(aut_block: dict, group_entry) -> AutEntry:
+def _finish_aut(aut_block: dict) -> AutEntry:
     entry = aut_block["entry"]
     images = aut_block["images"]
     if isinstance(entry.presentation, PcPresentation):

@@ -34,7 +34,7 @@ from .errors import (
 from .gfp import mat_pow
 from .groups import _BLOCK, FiniteGroup, GroupElement
 from .liering import GradedLieRing, LieElement
-from .series import Verdict, _power_map
+from .series import Verdict, _closure, _engel_walk, _power_map
 
 HIGMAN_MONOMIAL_BUDGET = 5040
 IDENTITY_EVAL_BUDGET = 10**6
@@ -456,52 +456,9 @@ def group_satisfies(w: GroupWord, G: FiniteGroup) -> Verdict:
     return Verdict(True, f"identity on all {total} assignments")
 
 
-def _engel_walk(G: FiniteGroup, xi: int, limit: int) -> tuple:
-    """(steps taken, whether every start reached the identity) for the element index xi.
-
-    Every starting point g is stepped at once by the map c(y) = [y, x] =
-    (xy)^-1 (yx), read from the Cayley table, so after k steps the vector is
-    c^k over all of G.  The walk takes at most ``limit`` steps.  It is
-    deterministic, so once the vector repeats without being all-identity it
-    cycles and never gets there: it stops at the first repeat.  Earlier
-    vectors are remembered by hash, and a hash match is confirmed against
-    c^j rebuilt by squaring.
-    """
-    T = G.table()
-    e = G._e
-    step = T[G.inverse_indices()[T[xi]], T[:, xi]]  # step[y] = [y, x]
-
-    def step_power(j: int) -> np.ndarray:
-        out, base = np.arange(G.order), step
-        while j:
-            if j & 1:
-                out = base[out]
-            base = base[base]
-            j >>= 1
-        return out
-
-    seen: dict = {}  # hash of c^j -> the steps j with that hash
-    y = np.arange(G.order)
-    for k in range(1, limit + 1):
-        y = step[y]
-        if (y == e).all():
-            return k, True
-        h = hash(y.tobytes())
-        if any(np.array_equal(step_power(j), y) for j in seen.get(h, ())):
-            return k, False
-        seen.setdefault(h, []).append(k)
-    return limit, False
-
-
 def engel_index_of_element(G: FiniteGroup, x: GroupElement) -> Optional[int]:
-    """Least n with [g, x, x, ..., x] (n copies) trivial for every g, else None.
-
-    Every g is stepped at once (_engel_walk).  The identity is fixed by the
-    step, and a start that reaches it does so within |G| steps (the values
-    before it are distinct, or they would cycle), so the walk stops after
-    |G| steps, or sooner on a repeat.
-    """
+    """Least n with [g, x, ..., x] (n copies) trivial for every g, else None (_engel_walk mod 1)."""
     if not isinstance(x, GroupElement) or x.group is not G:
         raise ForeignElement("x must be an element of G")
-    steps, reached = _engel_walk(G, G.index_of(x), G.order)
+    steps, reached = _engel_walk(G, G.index_of(x), _closure(G, ()))
     return steps if reached else None

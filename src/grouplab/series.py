@@ -38,9 +38,9 @@ raises keeps nothing.
 
 The upper Fitting series, and with it the Fitting height, is built inside
 the group on masks: each term is the set of left Engel elements modulo the
-term before (Baer's theorem), found by stepping g -> [g, x] over all of G at
-once for one x per conjugacy class of cyclic subgroups, and the Fitting
-subgroup is its first term.  Quotients come back as full
+term before (Baer's theorem), found by one walk g -> [g, x] modulo it
+(_engel_walk, which also gives Engel indices) per class of cyclic subgroups,
+and the Fitting subgroup is its first term.  Quotients come back as full
 FiniteGroup instances over canonical (minimal-key) coset representatives,
 with the projection verified a homomorphism on every pair of elements; they
 serve callers of the public API, and nothing in the library builds one.
@@ -735,36 +735,52 @@ def _class_closure(G: FiniteGroup, x: int) -> np.ndarray:
     return _closure(G, _conjugacy_class(G, x))
 
 
+def _engel_walk(G: FiniteGroup, x: int, F: np.ndarray) -> tuple:
+    """(steps taken, whether every start reached F) for element index x, F a normal subgroup mask.
+
+    Every g is stepped at once by c(y) = [y, x] = (xy)^-1 (yx), read from the
+    table.  c maps each coset of F into one coset and F into itself, so a
+    start that reaches F does so within |G:F| - 1 steps and stays: the walk
+    takes at most |G:F| steps.  It stops at the first repeat of the vector
+    c^k, which then cycles outside F, found by hash and confirmed against c^j.
+    """
+    T = G.table()
+    step = T[G.inverse_indices()[T[x]], T[:, x]]  # step[y] = [y, x]
+
+    def step_power(j: int) -> np.ndarray:
+        out, base = np.arange(G.order), step
+        while j:
+            if j & 1:
+                out = base[out]
+            base = base[base]
+            j >>= 1
+        return out
+
+    seen: dict = {}  # hash of c^j -> the steps j with that hash
+    y = np.arange(G.order)
+    index = G.order // np.count_nonzero(F)
+    for k in range(1, index + 1):
+        y = step[y]
+        if F[y].all():
+            return k, True
+        h = hash(y.tobytes())
+        if any(np.array_equal(step_power(j), y) for j in seen.get(h, ())):
+            return k, False
+        seen.setdefault(h, []).append(k)
+    return index, False
+
+
 def _fitting_mod(G: FiniteGroup, F: np.ndarray) -> np.ndarray:
     """Mask of the preimage in G of the Fitting subgroup of G/F, F a normal subgroup mask.
 
     By Baer's theorem Fit(G/F) is the set of left Engel elements of G/F (R.
     Baer, Math. Ann. 133, 1957; Robinson, A Course in the Theory of Groups,
     ch. 12), a union of classes of cyclic subgroups.  So one x per such class
-    outside F (_cyclic_class_representatives) is walked, all at once on a
-    (reps x |G|) index array stepped by g -> [g, x] from the table.  A row is
-    Engel once all its values lie in F (normal, so they stay).  The step maps
-    the |G:F| cosets and fixes F, so a start that reaches F does so within
-    |G:F| - 1 steps; a row still outside then, or back at exactly its state
-    of the last power-of-two step (a cycle), is not Engel.  The result is
-    the closure of F with the conjugacy classes of the Engel reps.
+    outside F (_cyclic_class_representatives) is walked modulo F (_engel_walk),
+    and F is closed with the conjugacy classes of the Engel ones.
     """
-    T = G.table()
-    inv = G.inverse_indices()
-    reps = _cyclic_class_representatives(G)
-    xs = reps[~F[reps]][:, None]
-    walk = saved = np.broadcast_to(np.arange(G.order), (len(xs), G.order))
-    engel = []
-    for step in range(1, G.order // np.count_nonzero(F)):
-        if not len(xs):
-            break
-        walk = T[inv[T[xs, walk]], T[walk, xs]]  # [y, x] = (xy)^-1 (yx)
-        done = F[walk].all(axis=1)
-        engel.extend(xs[done, 0].tolist())
-        walking = ~done & ~(walk == saved).all(axis=1)
-        xs, walk, saved = xs[walking], walk[walking], saved[walking]
-        if step & (step - 1) == 0:
-            saved = walk
+    reps = _cyclic_class_representatives(G).tolist()
+    engel = [x for x in reps if not F[x] and _engel_walk(G, x, F)[1]]
     return _closure(G, np.concatenate([F.nonzero()[0], *(_conjugacy_class(G, x) for x in engel)]))
 
 
@@ -780,11 +796,11 @@ def fitting_height(G: FiniteGroup) -> int:
     """Length h of the upper Fitting series 1 = F_0 < F_1 < ... < F_h = G.
 
     F_{i+1}/F_i is the Fitting subgroup of G/F_i, the left Engel elements
-    of G/F_i by Baer's theorem, found inside G on masks by one batched walk
-    (_fitting_mod); no quotient group is built.  A nontrivial nilpotent G,
-    whose kept lower central series reaches the trivial subgroup, has height
-    1.  A nontrivial solvable group has a nontrivial Fitting subgroup, so G
-    is refused as not solvable as soon as a step stalls below G.
+    of G/F_i by Baer's theorem, walked inside G modulo F_i (_fitting_mod);
+    no quotient group is built.  A nontrivial nilpotent G, whose kept lower
+    central series reaches the trivial subgroup, has height 1.  A nontrivial
+    solvable group has a nontrivial Fitting subgroup, so G is refused as not
+    solvable as soon as a step stalls below G.
     """
     if G.order == 1:
         return 0

@@ -36,7 +36,13 @@ from grouplab.errors import (
     UnknownCheck,
 )
 from grouplab.fixtures import parse_fixture, realize_automorphism, realize_groups
-from grouplab.groups import Automorphism, FiniteGroup
+from grouplab.groups import (
+    Automorphism,
+    FiniteGroup,
+    GroupElement,
+    PermutationGenSet,
+    build_group,
+)
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +253,22 @@ def test_lemma_3_4_s4_blocked_by_non_engel_commutator(corpus):
     with pytest.raises(HypothesisNotMet) as exc:
         check_lemma_3_4(G, k=2)
     assert G.element_order(exc.value.witness) == 3
+
+
+def test_lemma_3_4_makes_a_handle_only_for_its_witness(monkeypatch):
+    # S5's 60 weight-2 values are walked as indices, in key order; only the
+    # first that is not Engel becomes a GroupElement
+    G = build_group(PermutationGenSet(5, (("a", (1, 0, 2, 3, 4)), ("b", (1, 2, 3, 4, 0)))))
+    made = []
+
+    def init(self, group, key, _orig=GroupElement.__init__):
+        made.append(key)
+        _orig(self, group, key)
+
+    monkeypatch.setattr(GroupElement, "__init__", init)
+    with pytest.raises(HypothesisNotMet) as exc:
+        check_lemma_3_4(G)
+    assert made == [exc.value.witness.key]
 
 
 def test_lemma_3_4_direct_product(corpus):

@@ -58,6 +58,50 @@ def test_liering(corpus_path, capsys):
     assert "[e1_2, e1_1] = 2*e2_1" in out
 
 
+# Good beside a group whose presentation is inconsistent and one over the table cap
+MIXED = """\
+group Bad
+backend pc
+prime 2
+ngens 2
+pow 1 = 2^1
+comm 2 1 = 2^1
+end
+
+group Good
+backend pc
+prime 3
+ngens 3
+comm 2 1 = 3^1
+end
+
+group S7
+backend perm
+degree 7
+gen a = (1 2)
+gen b = (1 2 3 4 5 6 7)
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "command,shown",
+    [
+        ("series", "lower central series orders:   [27, 3, 1]"),
+        ("liering", "component dims: [2, 1] (total 3)"),
+    ],
+)
+def test_series_and_liering_build_only_the_named_group(tmp_path, capsys, command, shown):
+    path = tmp_path / "mixed.grp"
+    path.write_text(MIXED, encoding="utf-8")
+    assert main([command, str(path), "--group", "Good"]) == 0
+    assert shown in capsys.readouterr().out
+    assert main([command, str(path), "--group", "Nope"]) == 2
+    assert capsys.readouterr().err == f"no group named 'Nope' in {path}\n"
+    assert main([command, str(path), "--group", "Bad"]) == 2
+    assert "relation [g2, g1] = g2 fails" in capsys.readouterr().err
+
+
 def test_check_with_selection(corpus_path, capsys):
     assert main(["check", corpus_path, "--select", "fitting"]) == 0
     out = capsys.readouterr().out

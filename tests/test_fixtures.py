@@ -307,6 +307,58 @@ def test_lookup_failures():
         fx.action("nope")
 
 
+LONG = "w" * 5000
+PERM_T = "group P\nbackend perm\ndegree 2\ngen {T} = (1 2)\n"  # a generator named T
+AUT_T = "aut {T} on C2\nimage 1 = 1\nend\n"  # an automorphism named T
+
+# site -> (text with the token at {T}, error type, line of the refusal): every
+# site of parse_fixture that echoes input text in its message
+ECHO_SITES = {
+    "directive": ("{T} x\n", FixtureSyntaxError, 1),
+    "backend": ("group G\nbackend {T}\nend\n", FixtureSyntaxError, 2),
+    "backend field": ("group G\nbackend pc\n{T} 2\nend\n", FixtureSyntaxError, 3),
+    "cycles": ("group G\nbackend perm\ndegree 3\ngen a = {T}\nend\n", FixtureSyntaxError, 4),
+    "generator": (PERM_T + "gen {T} = (1 2)\nend\n", DuplicateName, 5),
+    "name": (C2_TEXT + AUT_T + "aut {T} on C2\n", DuplicateName, 9),
+    "parameter": (C2_TEXT + "check fitting on C2 {T}\n", FixtureSyntaxError, 6),
+    "parameter key": (C2_TEXT + "check fitting on C2 {T}=1 {T}=2\n", DuplicateName, 6),
+    "check": (C2_TEXT + "check {T} on C2\ncheck {T} on C2\n", DuplicateName, 7),
+    "check target": (C2_TEXT + "check fitting on {T}\n", UnresolvedReference, 6),
+    "aut group": ("aut a on {T}\nend\n", UnresolvedReference, 1),
+    "aut block": (C2_TEXT + "aut a on C2\n{T} 1\nend\n", FixtureSyntaxError, 7),
+    "action aut": (C2_TEXT + "action act on C2 = {T}\n", UnresolvedReference, 6),
+    "action aut group": (
+        C2_TEXT + D8_TEXT + AUT_T + "action x on D8 = {T}\n", UnresolvedReference, 16
+    ),
+    "image generator": (S3_TEXT + "aut f on S3\nimage {T} = (1 2)\n", UnresolvedReference, 8),
+    "image factor": (S3_TEXT + "aut f on S3\nimage a = {T}\n", UnresolvedReference, 8),
+    "image twice": (
+        PERM_T + "end\naut f on P\nimage {T} = (1 2)\nimage {T} = ()\n", DuplicateName, 8
+    ),
+}
+
+
+@pytest.mark.parametrize("site", ECHO_SITES)
+def test_a_refusal_clips_a_long_token_and_names_its_line(site):
+    text, error, line = ECHO_SITES[site]
+    with pytest.raises(error) as exc:
+        parse_fixture(text.replace("{T}", LONG))
+    message = str(exc.value)
+    assert len(message) <= 200 and "(5000 characters)" in message
+    assert exc.value.line == line and f"(line {line}" in message
+    # a short token prints whole, as before
+    with pytest.raises(error, match="'tok'"):
+        parse_fixture(text.replace("{T}", "tok"))
+
+
+def test_a_lookup_clips_a_long_name():
+    fx = parse_fixture(C2_TEXT)
+    for lookup in (fx.group, fx.aut, fx.action):
+        with pytest.raises(UnresolvedReference) as exc:
+            lookup(LONG)
+        assert len(str(exc.value)) <= 200
+
+
 # -- canonical serialization ----------------------------------------------
 
 

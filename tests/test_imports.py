@@ -12,6 +12,11 @@ Every private module-level function or class, and every UPPER_CASE constant,
 in src/ must be read somewhere in src/ (a Name or an Attribute), so a helper
 whose last caller is gone does not linger.  A decorated definition counts as
 read, since its decorator registers it (the check handlers of ``@check``).
+
+Every parameter of a private, undecorated function in src/, nested functions
+and methods included, must be read in that function's body, so an argument
+that no line uses any more goes with it.  A decorated function may take
+parameters that its decorator's contract fixes, so it is spared.
 """
 
 import ast
@@ -111,3 +116,48 @@ def test_the_dead_name_guard_reports_unread_helpers_and_spares_registered_ones()
         "b.py": "import a\nprint(a.CAP)\n",
     }
     assert dead_names(sources) == [("a.py", 1, "LIMIT"), ("a.py", 4, "_helper"), ("a.py", 5, "_Gone")]
+
+
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) of every parameter a private, undecorated function never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__") or node.decorator_list:
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += [(node.lineno, node.name, a.arg) for a in params if a and a.arg not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_parameter_of_a_private_function_is_read(path):
+    assert unread_parameters(path.read_text("utf-8")) == []
+
+
+def test_the_parameter_guard_reports_unread_arguments_and_spares_public_and_decorated_ones():
+    source = (
+        "def _walk(G, x, limit, *rest, **opts):\n"
+        "    def _inner(y, z):\n"
+        "        return y\n"
+        "    return G, x, rest\n"
+        "def public(unused): pass\n"
+        "class C:\n"
+        "    def _method(self, a): return a\n"
+        "    def __init__(self, b): pass\n"
+        "@check\ndef _registered(ctx, G): pass\n"
+    )
+    assert unread_parameters(source) == [
+        (1, "_walk", "limit"),
+        (1, "_walk", "opts"),
+        (2, "_inner", "z"),
+        (7, "_method", "self"),
+    ]

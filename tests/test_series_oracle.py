@@ -730,6 +730,47 @@ def test_fitting_walk_refuses_a5_and_s5_within_a_bound(gens):
     assert series._fitting_mod(G, series._closure(G, ())).sum() == 1
 
 
+def ref_engel_steps_mod(G, x, F) -> int | None:
+    """Steps until every [g, x, ..., x] lies in the subgroup F, one handle at a time, else None."""
+    worst = 1
+    for g in G.elements():
+        y = G.commutator(g, x)
+        k = 1
+        seen = {y.key}
+        while y not in F:
+            y = G.commutator(y, x)
+            k += 1
+            if y.key in seen:
+                return None  # a cycle outside F never reaches it
+            seen.add(y.key)
+        worst = max(worst, k)
+    return worst
+
+
+def fitting_and_derived_terms(G) -> dict:
+    """Masks of the upper Fitting series (to its end or stall) and the derived series, by bytes."""
+    F = series._closure(G, ())
+    terms = {F.tobytes(): F}
+    while not F.all():
+        nxt = series._fitting_mod(G, F)
+        if np.array_equal(nxt, F):
+            break
+        F = terms[nxt.tobytes()] = nxt
+    for term in derived_series(G).terms:
+        terms[term.mask.tobytes()] = term.mask
+    return terms
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_engel_walk_modulo_every_series_term_matches_the_handle_loop(name):
+    G = cases()[name]
+    for F in fitting_and_derived_terms(G).values():
+        sub = Subgroup(G, F)
+        for x in G.elements():
+            steps, reached = series._engel_walk(G, G.index_of(x), F)
+            assert (steps if reached else None) == ref_engel_steps_mod(G, x, sub)
+
+
 @pytest.mark.parametrize("name", sorted(action_cases()))
 def test_c4_6_matches_quotient_group_route(name):
     fx = action_cases()[name]
