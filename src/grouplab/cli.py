@@ -8,7 +8,7 @@ from ._version import __version__
 from .checks import SCAN_BUDGET, run_checks
 from .corpus import corpus_fixture
 from .errors import GroupLabError
-from .fixtures import parse_fixture, realize_groups
+from .fixtures import parse_fixture
 from .groups import build_group
 from .liering import build_dl
 from .series import (
@@ -28,10 +28,15 @@ def _load(path: str):
 
 
 def _cmd_info(args) -> int:
+    """List the file's entries; each group is built alone, and those that fail are reported last."""
     fx = _load(args.file)
-    groups = realize_groups(fx)
+    failed = []
     for entry in fx.groups:
-        G = groups[entry.name]
+        try:
+            G = build_group(entry.presentation)
+        except GroupLabError as exc:
+            failed.append(f"group {entry.name}: {exc}")
+            continue
         gens = ", ".join(G.generator_names)
         print(
             f"group {entry.name}: backend {entry.backend}, order {G.order}, "
@@ -47,7 +52,9 @@ def _cmd_info(args) -> int:
     for req in fx.checks:
         tail = "".join(f" {k}={v}" for k, v in req.params)
         print(f"check {req.check} on {req.target}{tail}")
-    return 0
+    for message in failed:
+        print(f"error: {message}", file=sys.stderr)
+    return 2 if failed else 0
 
 
 def _named_group(args):

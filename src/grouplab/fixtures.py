@@ -120,6 +120,11 @@ def _shown(token: str) -> str:
     return f"{token[:40]!r}... ({len(token)} characters)"
 
 
+def _named(name: str) -> str:
+    """A fixture name for a message: as written up to 40 characters, else clipped (_shown)."""
+    return name if len(name) <= 40 else _shown(name)
+
+
 def _parse_word(text: str, lineno: int) -> tuple:
     """WORD = space-separated i^e factors with strictly increasing i."""
     factors = []
@@ -182,31 +187,31 @@ class _GroupBlock:
         if self.backend == "pc":
             if self.prime is None or self.ngens is None:
                 raise FixtureSyntaxError(
-                    f"group {self.name}: pc backend needs prime and ngens",
+                    f"group {_named(self.name)}: pc backend needs prime and ngens",
                     self.lineno,
                 )
             try:
                 pres = PcPresentation(self.prime, self.ngens, self.powers, self.comms)
             except MalformedSpec as exc:
                 raise FixtureSyntaxError(
-                    f"group {self.name}: {exc}", self.lineno
+                    f"group {_named(self.name)}: {exc}", self.lineno
                 ) from exc
             return GroupEntry(self.name, "pc", pres)
         if self.backend == "perm":
             if self.degree is None or not self.gens:
                 raise FixtureSyntaxError(
-                    f"group {self.name}: perm backend needs degree and generators",
+                    f"group {_named(self.name)}: perm backend needs degree and generators",
                     self.lineno,
                 )
             try:
                 pres = PermutationGenSet(self.degree, tuple(self.gens))
             except MalformedSpec as exc:
                 raise FixtureSyntaxError(
-                    f"group {self.name}: {exc}", self.lineno
+                    f"group {_named(self.name)}: {exc}", self.lineno
                 ) from exc
             return GroupEntry(self.name, "perm", pres)
         raise FixtureSyntaxError(
-            f"group {self.name}: missing 'backend pc' or 'backend perm'", self.lineno
+            f"group {_named(self.name)}: missing 'backend pc' or 'backend perm'", self.lineno
         )
 
 
@@ -324,9 +329,11 @@ def parse_fixture(text: str) -> FixtureFile:
             raise FixtureSyntaxError(f"unknown directive {_shown(head)}", lineno, 1)
 
     if block is not None:
-        raise FixtureSyntaxError(f"group {block.name}: missing end", block.lineno)
+        raise FixtureSyntaxError(f"group {_named(block.name)}: missing end", block.lineno)
     if aut_block is not None:
-        raise FixtureSyntaxError(f"aut {aut_block['name']}: missing end", aut_block["line"])
+        raise FixtureSyntaxError(
+            f"aut {_named(aut_block['name'])}: missing end", aut_block["line"]
+        )
     return FixtureFile(tuple(groups), tuple(auts), tuple(actions), tuple(checks))
 
 
@@ -404,14 +411,16 @@ def _image_line(aut_block: dict, rest: str, lineno: int) -> None:
             )
         idx = int(left)
         if not 1 <= idx <= entry.presentation.ngens:
-            raise UnresolvedReference(f"no generator {idx} in {entry.name}", lineno)
+            raise UnresolvedReference(f"no generator {idx} in {_named(entry.name)}", lineno)
         if any(i == idx for i, _ in aut_block["images"]):
             raise DuplicateName(f"duplicate image for generator {idx}", lineno)
         aut_block["images"].append((idx, _parse_word(right, lineno)))
     else:
         gen_names = [g[0] for g in entry.presentation.generators]
         if left not in gen_names:
-            raise UnresolvedReference(f"no generator {_shown(left)} in {entry.name}", lineno)
+            raise UnresolvedReference(
+                f"no generator {_shown(left)} in {_named(entry.name)}", lineno
+            )
         if any(n == left for n, _ in aut_block["images"]):
             raise DuplicateName(f"duplicate image for generator {_shown(left)}", lineno)
         value = right.strip()
@@ -423,7 +432,7 @@ def _image_line(aut_block: dict, rest: str, lineno: int) -> None:
                 name, _, exp = token.partition("^")
                 if name not in gen_names:
                     raise UnresolvedReference(
-                        f"no generator {_shown(name)} in {entry.name}", lineno
+                        f"no generator {_shown(name)} in {_named(entry.name)}", lineno
                     )
                 if exp and not _is_number(exp):
                     raise FixtureSyntaxError(f"bad factor {_shown(token)}", lineno)
@@ -443,7 +452,7 @@ def _finish_aut(aut_block: dict) -> AutEntry:
         missing = sorted(need - have)
         if missing:
             raise FixtureSyntaxError(
-                f"aut {aut_block['name']}: missing image for generator(s) "
+                f"aut {_named(aut_block['name'])}: missing image for generator(s) "
                 f"{', '.join(map(str, missing))}",
                 aut_block["line"],
             )
@@ -454,8 +463,8 @@ def _finish_aut(aut_block: dict) -> AutEntry:
         missing = sorted(need - have)
         if missing:
             raise FixtureSyntaxError(
-                f"aut {aut_block['name']}: missing image for generator(s) "
-                f"{', '.join(missing)}",
+                f"aut {_named(aut_block['name'])}: missing image for generator(s) "
+                f"{', '.join(map(_named, missing))}",
                 aut_block["line"],
             )
         order = {g[0]: k for k, g in enumerate(entry.presentation.generators)}

@@ -811,6 +811,11 @@ def decomposition_witness(G: FiniteGroup, gens=None) -> DecompositionWitness:
     The class c of the subalgebra M generated by L_1 is its top nonzero
     degree, since M_k = [M_{k-1}, M_1], read off _degree_one_closure with no
     second ring.  Given elements must generate G; G's own generators do.
+    The weight-w shapes are the weight-(w-1) ones, each followed by every
+    generator in turn, so each weight's values are one commutator grid of
+    the layer before (rows) against the generators (columns), read in row
+    order.  At w = 2 the prefixes are the generators, and the diagonal
+    pairs (i, i) are dropped.
     """
     _p_of(G)
     given = gens is not None
@@ -819,31 +824,32 @@ def decomposition_witness(G: FiniteGroup, gens=None) -> DecompositionWitness:
         raise MalformedSpec("the given elements do not generate the group")
     c = sum(1 for basis in _degree_one_closure(build_dl(G))[0] if len(basis))
     shapes = commutator_shapes(len(gens), c)
-    # a weight-w shape is its weight-(w-1) prefix bracketed with its last
-    # generator, and shapes come in weight order, so one index-array step
-    # per weight gives every left-normed commutator
-    T = G.table()
-    inv = G.inverse_indices()
-    position = {shape: k for k, shape in enumerate(shapes)}
-    weight = np.array([len(shape) for shape in shapes])
-    prefix = np.array([position.get(shape[:-1], -1) for shape in shapes])
-    values = np.array([G.index_of(gens[shape[-1] - 1]) for shape in shapes], dtype=np.int64)
+    ys = np.array([G.index_of(g) for g in gens], dtype=np.int64)
+    layers = [ys]
     for w in range(2, c + 1):
-        at = np.flatnonzero(weight == w)
-        x, y = values[prefix[at]], values[at]
-        values[at] = T[inv[T[y, x]], T[x, y]]  # [x, y] = (yx)^-1 (xy)
+        grid = _commutators(G, layers[-1], ys)  # rows: weight-(w-1) values; columns: generators
+        layers.append(grid[~np.eye(len(ys), dtype=bool)] if w == 2 else grid.ravel())
+    values = np.concatenate(layers)
     rhos = tuple(G.element_at(v) for v in values)
     K = int(G.element_orders()[values].max())
     return DecompositionWitness(gens, c, shapes, rhos, K, len(shapes))
 
 
 def _ordered_cyclic_product(G: FiniteGroup, rhos) -> np.ndarray:
-    """Mask of the ordered product ⟨ρ_1⟩⟨ρ_2⟩···⟨ρ_s⟩, each factor read off ρ's table column."""
+    """Mask of the ordered product ⟨ρ_1⟩⟨ρ_2⟩···⟨ρ_s⟩, each factor read off ρ's table column.
+
+    A factor ρ = 1 adds nothing, so it is skipped, and once the product is
+    the whole group the later factors cannot change it (G·X = G).
+    """
     T = G.table()
     orders = G.element_orders()
     acc = _closure(G, ())
     for rho in rhos:
         r = G.index_of(rho)
+        if orders[r] == 1:
+            continue
+        if acc.all():
+            break
         powers = [G._e]
         for _ in range(orders[r] - 1):
             powers.append(T[powers[-1], r])
@@ -852,17 +858,21 @@ def _ordered_cyclic_product(G: FiniteGroup, rhos) -> np.ndarray:
 
 
 def check_prop_2_11(G: FiniteGroup, w: DecompositionWitness) -> Verdict:
-    """Ordered cyclic product times each series tail must cover the group."""
+    """Ordered cyclic product times each series tail must cover the group.
+
+    A product that is already the whole group covers it at every depth.
+    """
     series = build_dl(G).series
-    product = _ordered_cyclic_product(G, w.rhos).nonzero()[0]
-    for i in range(1, len(series.terms) + 1):
-        covered = _product_mask(G, product, series.term(i + 1).idx)
-        if not covered.all():
-            return Verdict(
-                False,
-                f"product of {w.s} cyclic factors misses "
-                f"{G.order - int(covered.sum())} elements at depth {i}",
-            )
+    product = _ordered_cyclic_product(G, w.rhos)
+    if not product.all():
+        for i in range(1, len(series.terms) + 1):
+            covered = _product_mask(G, product.nonzero()[0], series.term(i + 1).idx)
+            if not covered.all():
+                return Verdict(
+                    False,
+                    f"product of {w.s} cyclic factors misses "
+                    f"{G.order - int(covered.sum())} elements at depth {i}",
+                )
     return Verdict(
         True, f"{w.s} cyclic factors cover the group at every depth (class {w.c})"
     )

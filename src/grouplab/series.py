@@ -32,7 +32,10 @@ lower central, derived and dimension series, commutator subgroups by their
 operands, the generators of the subgroups closed here by their masks, the
 read-only commutator value masks by their index arrays, and the read-only
 power maps x -> x^k by k, so each scan of the weight-k commutators and each
-power map runs once per group.  Power subgroups are not kept apart from
+power map runs once per group.  It keeps the conjugacy classes as one
+read-only label array, each element's class minimum (_class_labels), from
+which the class representatives and the classes of cyclic subgroups are
+read with no gather per class.  Power subgroups are not kept apart from
 their masks, because no caller asks for the same one twice.  A call that
 raises keeps nothing.
 
@@ -685,15 +688,45 @@ def _conjugacy_class(G: FiniteGroup, x: int) -> np.ndarray:
     return T[T[G.inverse_indices(), x], np.arange(G.order)]
 
 
+def _class_labels(G: FiniteGroup) -> np.ndarray:
+    """label[x] = least element index in the conjugacy class of x, read-only and kept on G.
+
+    Every label starts as its own index.  A round takes the least label over
+    conjugation by each generator of G and its inverse, then jumps each
+    label to its label's (label = label[label]), until a round changes
+    nothing.  A label only ever moves to another member of the same class,
+    and at the fixpoint it is no greater than its label under each
+    generator's conjugation, a permutation, so it is constant on the class:
+    the class minimum.
+    """
+
+    def build() -> np.ndarray:
+        T = G.table()
+        inv = G.inverse_indices()
+        zs = np.concatenate([G._gens, inv[G._gens]])
+        everything = np.arange(G.order)
+        conjugates = T[T[inv[zs][:, None], everything], zs[:, None]]  # row z: x -> x^z
+        label = everything
+        while True:
+            nxt = label
+            for row in conjugates:
+                nxt = np.minimum(nxt, nxt[row])
+            nxt = nxt[nxt]
+            if np.array_equal(nxt, label):
+                break
+            label = nxt
+        label.flags.writeable = False
+        return label
+
+    return _keep(G, ("class labels",), build)
+
+
 def _class_representatives(G: FiniteGroup) -> np.ndarray:
-    """Minimal element index of each conjugacy class, in increasing order."""
-    unseen = np.ones(G.order, dtype=bool)
-    reps = []
-    while unseen.any():
-        x = int(np.argmax(unseen))
-        reps.append(x)
-        unseen[_conjugacy_class(G, x)] = False
-    return np.array(reps, dtype=np.int64)
+    """Minimal element index of each conjugacy class, in increasing order.
+
+    These are the fixed points of _class_labels.
+    """
+    return np.flatnonzero(_class_labels(G) == np.arange(G.order))
 
 
 def _cyclic_class_representatives(G: FiniteGroup) -> np.ndarray:
@@ -702,27 +735,25 @@ def _cyclic_class_representatives(G: FiniteGroup) -> np.ndarray:
     These are the class minima of _class_representatives, in increasing
     order, less each class that holds a generator x^k (k prime to |x|) of an
     earlier minimum x kept here: <x^k> = <x>, so both have one normal
-    closure, and one product of it with any normal subgroup.
+    closure, and one product of it with any normal subgroup.  The class of
+    each power is read from _class_labels; each minimum kept walks its
+    powers x, x^2, ... along the table once, up to the identity.
     """
 
     def build() -> np.ndarray:
         T = G.table()
-        orders = G.element_orders()
-        reps = _class_representatives(G)
-        rep_of = np.empty(G.order, dtype=np.int64)  # element index -> its class minimum
-        for r in reps:
-            rep_of[_conjugacy_class(G, r)] = r
-        kept, covered = [], set()
-        for x in reps.tolist():
-            if x in covered:
+        e = G._e
+        label = _class_labels(G)
+        kept, covered = [], np.zeros(G.order, dtype=bool)  # covered[m]: class minimum m is named
+        for x in _class_representatives(G).tolist():
+            if covered[x]:
                 continue
             kept.append(x)
-            n = int(orders[x])
-            power = x
-            for k in range(1, n + 1):  # power = x^k
-                if math.gcd(k, n) == 1:
-                    covered.add(int(rep_of[power]))
-                power = T[power, x]
+            powers = [x]  # x^1, ..., x^n = e
+            while powers[-1] != e:
+                powers.append(int(T[powers[-1], x]))
+            n = len(powers)
+            covered[label[[y for k, y in enumerate(powers, 1) if math.gcd(k, n) == 1]]] = True
         kept = np.array(kept, dtype=np.int64)
         kept.flags.writeable = False
         return kept

@@ -102,6 +102,18 @@ def test_series_and_liering_build_only_the_named_group(tmp_path, capsys, command
     assert "relation [g2, g1] = g2 fails" in capsys.readouterr().err
 
 
+def test_info_builds_each_group_on_its_own(tmp_path, capsys):
+    path = tmp_path / "mixed.grp"
+    path.write_text(MIXED, encoding="utf-8")
+    assert main(["info", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "group Good: backend pc, order 27, exponent 3, generators g1, g2, g3\n"
+    errors = err.splitlines()
+    assert len(errors) == 2
+    assert errors[0].startswith("error: group Bad: relation [g2, g1] = g2 fails")
+    assert errors[1] == "error: group S7: group enumeration passed the cap of 2048 elements"
+
+
 def test_check_with_selection(corpus_path, capsys):
     assert main(["check", corpus_path, "--select", "fitting"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Fixture grammar: parsing, canonical serialization, realization."""
 
+import re
+
 import pytest
 
 from grouplab.corpus import corpus_fixture, corpus_text
@@ -337,17 +339,77 @@ ECHO_SITES = {
     ),
 }
 
+PC_NAMED_T = "group {T}\nbackend pc\nprime 2\nngens 1\nend\naut f on {T}\n"  # a group named T
+PERM_NAMED_T = "group {T}\nbackend perm\ndegree 2\ngen a = (1 2)\nend\naut f on {T}\n"
 
-@pytest.mark.parametrize("site", ECHO_SITES)
+# site -> (text with a name at {T}, error type, line, message with the short
+# name): the sites that echo a fixture name, which prints unquoted up to 40
+# characters
+NAME_SITES = {
+    "group pc header": (
+        "group {T}\nbackend pc\nend\n", FixtureSyntaxError, 1,
+        "group tok: pc backend needs prime and ngens",
+    ),
+    "group pc presentation": (
+        "group {T}\nbackend pc\nprime 4\nngens 1\nend\n", FixtureSyntaxError, 1,
+        "group tok: modulus 4 is not prime",
+    ),
+    "group perm header": (
+        "group {T}\nbackend perm\nend\n", FixtureSyntaxError, 1,
+        "group tok: perm backend needs degree and generators",
+    ),
+    "group backend": (
+        "group {T}\nend\n", FixtureSyntaxError, 1,
+        "group tok: missing 'backend pc' or 'backend perm'",
+    ),
+    "group end": (
+        "group {T}\n", FixtureSyntaxError, 1,
+        "group tok: missing end",
+    ),
+    "aut end": (
+        C2_TEXT + "aut {T} on C2\n", FixtureSyntaxError, 6,
+        "aut tok: missing end",
+    ),
+    "aut pc image": (
+        C2_TEXT + "aut {T} on C2\nend\n", FixtureSyntaxError, 6,
+        "aut tok: missing image for generator(s) 1",
+    ),
+    "aut perm image": (
+        S3_TEXT + "aut {T} on S3\nend\n", FixtureSyntaxError, 7,
+        "aut tok: missing image for generator(s) a, b",
+    ),
+    "missing image generator": (
+        PERM_T + "end\naut f on P\nend\n", FixtureSyntaxError, 6,
+        "aut f: missing image for generator(s) tok",
+    ),
+    "pc image index": (
+        PC_NAMED_T + "image 2 = 1^1\n", UnresolvedReference, 7,
+        "no generator 2 in tok",
+    ),
+    "perm image generator": (
+        PERM_NAMED_T + "image z = (1 2)\n", UnresolvedReference, 7,
+        "no generator 'z' in tok",
+    ),
+    "perm image factor": (
+        PERM_NAMED_T + "image a = z\n", UnresolvedReference, 7,
+        "no generator 'z' in tok",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", [*ECHO_SITES, *NAME_SITES])
 def test_a_refusal_clips_a_long_token_and_names_its_line(site):
-    text, error, line = ECHO_SITES[site]
+    if site in NAME_SITES:
+        text, error, line, short = NAME_SITES[site]
+    else:
+        (text, error, line), short = ECHO_SITES[site], "'tok'"
     with pytest.raises(error) as exc:
         parse_fixture(text.replace("{T}", LONG))
     message = str(exc.value)
     assert len(message) <= 200 and "(5000 characters)" in message
     assert exc.value.line == line and f"(line {line}" in message
     # a short token prints whole, as before
-    with pytest.raises(error, match="'tok'"):
+    with pytest.raises(error, match=re.escape(short)):
         parse_fixture(text.replace("{T}", "tok"))
 
 
