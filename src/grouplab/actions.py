@@ -9,6 +9,7 @@ ordered-product checks are reproducible.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import BudgetExceeded, MismatchedParent
@@ -53,8 +54,13 @@ class ActionFixture:
     def order(self) -> int:
         return len(self.closure)
 
+    @cached_property
+    def _orders(self) -> tuple:
+        """The order of each closure element, aligned with closure; computed once."""
+        return tuple(phi.order() for phi in self.closure)
+
     def is_cyclic(self) -> bool:
-        return any(phi.order() == self.order for phi in self.closure)
+        return self.order in self._orders
 
     def noncyclic_q_squared(self) -> Optional[int]:
         """q when A is noncyclic of order q*q for a prime q, else None."""
@@ -69,9 +75,10 @@ class ActionFixture:
 
     def single_involution(self) -> Optional[Automorphism]:
         """The unique generator, when there is exactly one and it has order 2."""
-        if len(self.generators) == 1 and self.generators[0].order() == 2:
-            return self.generators[0]
-        return None
+        if len(self.generators) != 1:
+            return None
+        (phi,) = self.generators
+        return phi if self._orders[self.closure.index(phi)] == 2 else None
 
 
 def _close(generators) -> set:

@@ -288,15 +288,15 @@ def check_4_2(fx: ActionFixture) -> Verdict:
     )
 
 
-def _invariant_normal_family(fx: ActionFixture) -> list:
+def _invariant_normal_family(G: FiniteGroup, images) -> list:
     """Trivial, whole, and single-element normal closures that A preserves.
 
-    A normal closure depends only on the conjugacy class of the cyclic
-    subgroup an element generates, so one mask is built per such class, from
-    its minimal index, and only the distinct masks become (kept) subgroups;
-    the family keeps first-occurrence order.
+    A is given by the index maps of its generators (images, one array per
+    generator).  A normal closure depends only on the conjugacy class of the
+    cyclic subgroup an element generates, so one mask is built per such
+    class, from its minimal index, and only the distinct masks become (kept)
+    subgroups; the family keeps first-occurrence order.
     """
-    G = fx.group
     masks = {}  # mask bytes -> mask, in first-occurrence order
     for mask in [_closure(G, ()), np.ones(G.order, dtype=bool)]:
         masks[mask.tobytes()] = mask
@@ -304,11 +304,7 @@ def _invariant_normal_family(fx: ActionFixture) -> list:
         mask = _class_closure(G, x)
         masks.setdefault(mask.tobytes(), mask)
     family = [_subgroup(G, mask) for mask in masks.values()]
-    return [
-        N
-        for N in family
-        if all(N.mask[np.asarray(phi.image_indices)[N.idx]].all() for phi in fx.generators)
-    ]
+    return [N for N in family if all(N.mask[image[N.idx]].all() for image in images)]
 
 
 def check_4_6(fx: ActionFixture) -> Verdict:
@@ -317,19 +313,21 @@ def check_4_6(fx: ActionFixture) -> Verdict:
     Both sides are compared as unions of N-cosets in G, with no quotient
     group built: the preimage of the image of C_G(A) is the product C_G(A)N,
     and the preimage of C_{G/N}(A) is {x : φ(x) x^-1 ∈ N for every φ}.
+    Each φ's index map, and its φ(x) x^-1 for every x, is read once.
     """
     _needs_coprime(fx)
     G = fx.group
     T = G.table()
     inv = G.inverse_indices()
     fixed = centralizer(G, fx.generators)
-    family = _invariant_normal_family(fx)
+    images = [np.asarray(phi.image_indices) for phi in fx.generators]
+    drifts = [T[image, inv] for image in images]  # φ(x) x^-1, one array per φ
     tested = []
-    for N in family:
+    for N in _invariant_normal_family(G, images):
         upstairs = _product_mask(G, fixed.idx, N.idx)
         downstairs = np.ones(G.order, dtype=bool)
-        for phi in fx.generators:
-            downstairs &= N.mask[T[np.asarray(phi.image_indices), inv]]
+        for drift in drifts:
+            downstairs &= N.mask[drift]
         if not np.array_equal(upstairs, downstairs):
             return Verdict(
                 False,

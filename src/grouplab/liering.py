@@ -563,7 +563,14 @@ def lp_subalgebra(L: GradedLieRing) -> LpSubalgebra:
 
 
 class GradedAutomorphism:
-    """Degree-preserving algebra automorphism: one invertible matrix per component."""
+    """Degree-preserving algebra automorphism: one invertible matrix per component.
+
+    GradedAutomorphism(L, mats) verifies that every matrix is invertible and
+    that the action respects the bracket (_verify).  Only the library passes
+    verify=False, for results that are graded automorphisms by construction:
+    a composite of two (compose) and the action a group automorphism induces
+    (induced_action).
+    """
 
     __slots__ = ("algebra", "mats")
 
@@ -644,6 +651,14 @@ def induced_action(phi: Automorphism, L: GradedLieRing) -> GradedAutomorphism:
     the representatives exactly when phi maps D_{i+1} into itself, which is
     checked on every element of D_{i+1}.  With D_1 = G, that also keeps the
     image of every degree-i representative inside D_i.
+
+    Once that check passes, the result is a graded automorphism by
+    construction, so it is not verified again: phi is a verified bijective
+    automorphism of the finite group G that maps each D_i into, hence onto,
+    itself, so it permutes each D_i/D_{i+1} and each matrix is invertible;
+    and build_dl verified that the bracket of L does not depend on the coset
+    representatives, so phi([x, y]) = [phi(x), phi(y)] passes to L.  A
+    public GradedAutomorphism(L, mats) still verifies both.
     """
     L._need_group()
     G = L.group
@@ -659,7 +674,7 @@ def induced_action(phi: Automorphism, L: GradedLieRing) -> GradedAutomorphism:
             )
         # column b: the coordinates of phi(x_b) for the b-th basis representative
         mats.append(L.coords[image[L.reps[L._slice(i)]], L._slice(i)].T)
-    return GradedAutomorphism(L, mats)
+    return GradedAutomorphism(L, mats, verify=False)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Subgroup lattice computations and descending series.
 
 A subgroup is a read-only boolean mask over its parent group's element
-indices, with a normality flag from conjugation by each generator.  A public
-Subgroup(G, mask) verifies in table blocks that every product of two members
-stays inside; the library's subgroups are closed by construction (closure
-spans, the whole group, fixed points of automorphisms) and skip that scan.
+indices.  Whether it is normal is read from conjugation by each generator
+the first time is_normal is asked, and kept.  A public Subgroup(G, mask)
+verifies in table blocks that every product of two members stays inside;
+the library's subgroups are closed by construction (closure spans, the
+whole group, fixed points of automorphisms) and skip that scan.
 Closures (groups._close), commutator and power subgroups, normal closures
 and centralizers are computed on index arrays, reading products from the
 table T and inverses from the inverse array, never one element handle at a
@@ -12,7 +13,10 @@ time.  A normal closure conjugates only the generators its span keeps.  The
 pairwise kernels (the public closure scan, commutator values, products of
 index sets, the projection check of a quotient) read the table in blocks of
 at most groups._BLOCK entries, so their temporaries stay small however large
-the group.  Series are descending chains of such subgroups; the dimension
+the group.  Series are descending chains of normal subgroups.  A public
+NormalSeries verifies each term normal and the chain descending; the lower
+central, derived and dimension series are normal and descending by
+construction and skip those checks (NormalSeries._trusted).  The dimension
 series follows Lazard's recurrence D_i = [D_{i-1}, G]·D_{⌈i/p⌉}^p, one
 normal closure of generator commutators and p-th powers per term, and never
 walks the lower central series.
@@ -106,14 +110,16 @@ class Subgroup:
     The mask is read-only; ``idx`` is the sorted index array it marks.  A
     public Subgroup(G, mask) verifies closure on every pair (every product
     a·b with a, b in the candidate stays inside, _first_escape) in table
-    blocks of at most _BLOCK entries.  Every subgroup also checks that it
-    holds the identity and reads a normality flag from conjugation by each
-    generator of the parent.  The library builds its subgroups, which are
-    closed by construction, through _subgroup (Subgroup._closed), which
-    skips the pair scan and keeps each one on the parent group.
+    blocks of at most _BLOCK entries.  Every subgroup checks that it holds
+    the identity.  The library builds its subgroups, which are closed by
+    construction, through _subgroup (Subgroup._closed), which skips the
+    pair scan and keeps each one on the parent group.  No subgroup scans
+    for normality when it is built: is_normal conjugates its members by
+    each generator of the parent (_normalized) on first read and keeps the
+    answer.
     """
 
-    __slots__ = ("group", "mask", "idx", "is_normal")
+    __slots__ = ("group", "mask", "idx", "_normal")
 
     def __init__(self, group: FiniteGroup, mask):
         self._adopt(group, mask)
@@ -133,7 +139,7 @@ class Subgroup:
         return sub
 
     def _adopt(self, group: FiniteGroup, mask):
-        """Everything but the closure scan: the mask's shape, the identity, normality."""
+        """Everything but the closure scan: the mask's shape and the identity."""
         mask = np.array(mask, dtype=bool)
         if mask.shape != (group.order,):
             raise ForeignElement(
@@ -145,15 +151,16 @@ class Subgroup:
         self.group = group
         self.mask = mask
         self.idx = idx
+        self._normal = None
         if not mask[group._e]:
             raise ForeignElement("subgroup candidate is missing the identity")
-        T = group.table()
-        inv = group.inverse_indices()
-        gens = group._gens
-        self.is_normal = all(
-            mask[T[T[inv[gens][:, None], cols], gens[:, None]]].all()
-            for cols in _blocks(idx, len(gens))
-        )
+
+    @property
+    def is_normal(self) -> bool:
+        """Whether conjugation by every generator of the parent keeps it; scanned once."""
+        if self._normal is None:
+            self._normal = _normalized(self.group, self.mask, self.idx)
+        return self._normal
 
     @property
     def order(self) -> int:
@@ -211,6 +218,21 @@ def _first_escape(G: FiniteGroup, mask: np.ndarray, idx: np.ndarray):
     return None
 
 
+def _normalized(G: FiniteGroup, mask: np.ndarray, idx: np.ndarray) -> bool:
+    """Whether h^g = g^-1 h g stays in mask for every h in idx and every generator g.
+
+    A subgroup of a finite group whose conjugates by each generator stay
+    inside is normal.  The conjugates are read in table blocks.
+    """
+    T = G.table()
+    inv = G.inverse_indices()
+    gens = G._gens
+    return all(
+        mask[T[T[inv[gens][:, None], cols], gens[:, None]]].all()
+        for cols in _blocks(idx, len(gens))
+    )
+
+
 def _keep(G: FiniteGroup, key: tuple, compute):
     """The value kept on G under key, computed once; a compute that raises keeps nothing."""
     value = G._lattice.get(key)
@@ -225,8 +247,8 @@ def _subgroup(G: FiniteGroup, mask) -> Subgroup:
     Every mask given here is a subgroup by construction: a _close span, whose
     breadth-first growth stops only once span·kept ⊆ span, the whole group,
     or the fixed points of automorphisms (centralizer).  So no pair is
-    scanned; the identity is checked and normality read the first time a
-    mask is asked for on G, and later calls return that Subgroup.  The
+    scanned; the identity is checked the first time a mask is asked for on
+    G, and later calls return that Subgroup.  The
     library builds every subgroup here; a public Subgroup(G, mask) verifies
     closure anew.
     """
@@ -386,10 +408,7 @@ def normal_closure(G: FiniteGroup, gens) -> Subgroup:
     log2|G| of them, are ever conjugated.
     """
     given = [G.index_of(s) for s in gens]
-    sub = _spanned(G, *_normal_span(G, given, G._gens))
-    if not sub.is_normal:
-        raise NotNormal("normal closure failed to stabilize")  # unreachable guard
-    return sub
+    return _spanned(G, *_normal_span(G, given, G._gens))
 
 
 def _same_parent(G: FiniteGroup, H: Subgroup, what: str):
@@ -418,11 +437,27 @@ def power_subgroup(G: FiniteGroup, H: Subgroup, n: int) -> Subgroup:
 
 @dataclass(frozen=True)
 class NormalSeries:
-    """Descending chain of verified-normal subgroups starting at the group."""
+    """Descending chain of normal subgroups starting at the group.
+
+    A public NormalSeries(G, kind, terms) verifies that the chain starts at
+    G, descends, and that every term lies in G and is normal in it.  The
+    lower central, derived and dimension series are normal and descending
+    by construction, each term a normal closure under G's generators or a
+    commutator subgroup of normal ones, so their builders skip those checks
+    (_trusted).
+    """
 
     group: FiniteGroup
     kind: str
     terms: tuple
+
+    @classmethod
+    def _trusted(cls, group: FiniteGroup, kind: str, terms: tuple) -> "NormalSeries":
+        """The series with these terms, which the caller built normal and descending."""
+        series = cls.__new__(cls)
+        for name, value in (("group", group), ("kind", kind), ("terms", terms)):
+            object.__setattr__(series, name, value)
+        return series
 
     def __post_init__(self):
         if not self.terms:
@@ -468,7 +503,7 @@ def lower_central_series(G: FiniteGroup) -> NormalSeries:
         while True:
             nxt = commutator_subgroup(G, terms[-1], whole)
             if nxt == terms[-1]:
-                return NormalSeries(G, "lower-central", tuple(terms))
+                return NormalSeries._trusted(G, "lower-central", tuple(terms))
             terms.append(nxt)
 
     return _keep(G, ("series", "lower-central"), build)
@@ -482,7 +517,7 @@ def derived_series(G: FiniteGroup) -> NormalSeries:
         while True:
             nxt = commutator_subgroup(G, terms[-1], terms[-1])
             if nxt == terms[-1]:
-                return NormalSeries(G, "derived", tuple(terms))
+                return NormalSeries._trusted(G, "derived", tuple(terms))
             terms.append(nxt)
 
     return _keep(G, ("series", "derived"), build)
@@ -519,7 +554,8 @@ def dimension_series(G: FiniteGroup) -> NormalSeries:
             brackets = _commutators(G, spans[-1][1], G._gens).ravel()
             powers = power[spans[(i - 1) // p][0]]  # of D_{⌈i/p⌉}, ⌈i/p⌉ - 1 = ⌊(i-1)/p⌋
             spans.append(_normal_span(G, np.concatenate([brackets, powers]), G._gens))
-        return NormalSeries(G, "dimension", (whole, *(_spanned(G, *s) for s in spans[1:])))
+        terms = (whole, *(_spanned(G, *s) for s in spans[1:]))
+        return NormalSeries._trusted(G, "dimension", terms)
 
     return _keep(G, ("series", "dimension"), build)
 
@@ -817,10 +853,7 @@ def _fitting_mod(G: FiniteGroup, F: np.ndarray) -> np.ndarray:
 
 def fitting_subgroup(G: FiniteGroup) -> Subgroup:
     """Largest normal nilpotent subgroup: the Fitting subgroup of G/1."""
-    fit = _subgroup(G, _fitting_mod(G, _closure(G, ())))
-    if not (fit.is_normal and is_nilpotent_subgroup(G, fit)):
-        raise NotNormal("fitting candidate failed verification")  # unreachable guard
-    return fit
+    return _subgroup(G, _fitting_mod(G, _closure(G, ())))
 
 
 def fitting_height(G: FiniteGroup) -> int:

@@ -7,19 +7,32 @@ homomorphism is decided on its source's generators, so every pair is read
 (groups._first_failing_pair) only to name the first failure.  These tests
 hold the kept subgroups to the public full scan, pin where each pair scan
 still runs, and guard with the stdlib ``ast`` that no other library code
-builds subgroups past the scan.
+builds subgroups past the scan.  The same holds for normality, which is
+scanned only when read, for the library's series, built past the public
+NormalSeries checks, and for induced actions, built past the public
+GradedAutomorphism checks.
 """
 
 import ast
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from grouplab import checks, corpus_text, groups, parse_fixture, run_checks, series
-from grouplab.errors import ForeignElement, MalformedSpec
-from grouplab.groups import FiniteGroup, GroupHomomorphism, PcPresentation, build_group
-from grouplab.series import Subgroup
+from grouplab.errors import ActionNotWellDefined, ForeignElement, MalformedSpec, NotNormal
+from grouplab.fixtures import realize_automorphisms, realize_groups
+from grouplab.groups import (
+    Automorphism,
+    FiniteGroup,
+    GroupHomomorphism,
+    PcPresentation,
+    build_group,
+    inner_automorphism,
+)
+from grouplab.liering import GradedAutomorphism, build_dl, induced_action
+from grouplab.series import NormalSeries, Subgroup
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -232,3 +245,209 @@ def test_built_groups_would_pass_the_generator_check():
         gens = list(zip(G.generator_names, (g.key for g in G.generators)))
         checked = FiniteGroup(G.backend, keys, G.table(), gens, G._repr_key)
         assert checked.order == G.order
+
+
+# -- what the library trusts by construction ----------------------------------
+#
+# Normality is read only when asked (Subgroup.is_normal, series._normalized),
+# the lower central, derived and dimension series are built past the public
+# NormalSeries checks (NormalSeries._trusted), and induced_action returns its
+# GradedAutomorphism unverified.  Each trusted object must still pass the
+# checks it skips, and the public constructors must still refuse bad input.
+
+FIXTURES = ("corpus", "ladder", "build")
+
+
+def fixture_text(name: str) -> str:
+    return corpus_text() if name == "corpus" else (PERFBENCH / f"{name}.grp").read_text("utf-8")
+
+
+def realized(name: str) -> tuple:
+    """(groups, automorphisms) realized afresh from a fixture file, each a dict by name."""
+    fx = parse_fixture(fixture_text(name))
+    groups = realize_groups(fx)
+    return groups, realize_automorphisms(fx, groups)
+
+
+def library_series(G) -> list:
+    out = [series.lower_central_series(G), series.derived_series(G)]
+    if G.is_p_group():
+        out.append(series.dimension_series(G))
+    return out
+
+
+def conjugation_oracle(G, H) -> bool:
+    """H is normal in G: g^-1 h g lies in H for every h in H and every g in G."""
+    T = G.table()
+    conjugates = T[T[G.inverse_indices()[:, None], H.idx], np.arange(G.order)[:, None]]
+    return bool(H.mask[conjugates].all())
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_library_series_pass_the_public_checks(fixture):
+    groups, _ = realized(fixture)
+    built = 0
+    for G in groups.values():
+        for S in library_series(G):
+            checked = NormalSeries(G, S.kind, S.terms)  # verifies every term and the chain
+            assert checked == S
+            for H in S.terms:
+                assert H.is_normal and conjugation_oracle(G, H)
+            built += 1
+    assert built == {"corpus": 44, "ladder": 10, "build": 3}[fixture]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_is_normal_matches_the_conjugation_oracle(fixture):
+    groups, _ = realized(fixture)
+    verdicts = []
+    for G in groups.values():
+        cyclic = [series.generated_subgroup(G, [g]) for g in G.generators]
+        for H in cyclic + [series.fitting_subgroup(G), series.trivial_subgroup(G)]:
+            verdicts.append(H.is_normal)
+            assert H.is_normal == conjugation_oracle(G, H)
+    assert set(verdicts) == {True, False}
+
+
+def test_induced_actions_pass_the_public_checks():
+    actions = []
+    for fixture in FIXTURES:
+        groups, auts = realized(fixture)
+        actions.extend(phi for phi in auts.values() if phi.group.is_p_group())
+        if fixture == "corpus":
+            actions.extend(
+                inner_automorphism(G, g)
+                for G in groups.values()
+                if G.is_p_group()
+                for g in G.generators
+            )
+    assert len(actions) == 6 + 28 + 1 + 1  # corpus, inner by corpus generators, ladder, build
+    # each of those acts on its algebra by a symmetric matrix; a shear does not
+    G = heis27()
+    g1, g2, g3 = G.generators
+    actions.append(Automorphism(G, [G.multiply(g1, g2), g2, g3]))
+    for phi in actions:
+        L = build_dl(phi.group)
+        got = induced_action(phi, L)
+        checked = GradedAutomorphism(L, got.mats)  # verifies invertibility and the bracket
+        assert checked == got and len(got.mats) == L.m
+        image = np.asarray(phi.image_indices)
+        for i, mat in enumerate(got.mats, start=1):
+            # phi(x)* = M_i x* for every x in D_i, read in degree i
+            x = L.series.term(i).idx
+            cols = L._slice(i)
+            assert np.array_equal(L.coords[image[x], cols], L.coords[x, cols] @ mat.T % L.p)
+
+
+def heis27():
+    return build_group(PcPresentation(3, 3, {}, {(2, 1): ((3, 1),)}))
+
+
+def test_the_public_series_refuses_a_non_normal_term_and_an_ascending_chain():
+    G = heis27()
+    whole, trivial = series.whole_subgroup(G), series.trivial_subgroup(G)
+    H = series.generated_subgroup(G, [G.generators[0]])
+    centre = series.lower_central_series(G).term(2)
+    with pytest.raises(NotNormal, match="is not normal"):
+        NormalSeries(G, "custom", (whole, H, trivial))
+    with pytest.raises(ValueError, match="descending"):
+        NormalSeries(G, "custom", (whole, trivial, centre))
+    assert NormalSeries(G, "custom", (whole, centre, trivial)).orders() == [27, 3, 1]
+
+
+def test_the_public_graded_automorphism_refuses_a_singular_or_bracket_breaking_matrix():
+    L = build_dl(heis27())
+    assert L.dims == (2, 1)  # [e1, e2] = e3
+    assert GradedAutomorphism(L, [np.eye(2), np.eye(1)]).is_identity()
+    with pytest.raises(ActionNotWellDefined, match="component 1 matrix is singular"):
+        GradedAutomorphism(L, [[[1, 1], [1, 1]], np.eye(1)])
+    with pytest.raises(ActionNotWellDefined, match="does not respect the bracket"):
+        GradedAutomorphism(L, [np.eye(2), [[2]]])  # φ[e1, e2] = 2e3, [φe1, φe2] = e3
+
+
+def test_catalog_and_build_runs_scan_normality_for_no_subgroup(monkeypatch):
+    scans = count_calls(monkeypatch, series, "_normalized")
+    for fixture in ("corpus", "ladder"):
+        report = run_checks(parse_fixture(fixture_text(fixture)))
+        assert report.rows
+    G = build_op().run()[0]
+    assert scans == []
+    series.whole_subgroup(G).is_normal  # a read scans once and keeps its answer
+    series.whole_subgroup(G).is_normal
+    assert scans == [1]
+
+
+# -- who may build past the series and action checks --------------------------
+
+
+def trusted_builders(source: str) -> list:
+    """(line, qualified name of the enclosing definition, call) of each trusted build.
+
+    A trusted build is a NormalSeries._trusted(...) call, or a
+    GradedAutomorphism(...) call that passes verify as anything but True.
+    """
+    found = []
+
+    def is_named(node, name: str) -> bool:
+        return (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        )
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "_trusted" and is_named(
+                func.value, "NormalSeries"
+            ):
+                found.append((node.lineno, where, "NormalSeries._trusted"))
+            elif is_named(func, "GradedAutomorphism") and any(
+                kw.arg == "verify"
+                and not (isinstance(kw.value, ast.Constant) and kw.value.value is True)
+                for kw in node.keywords
+            ):
+                found.append((node.lineno, where, "unverified"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_the_series_builders_and_two_actions_skip_their_checks():
+    calls = sorted(
+        (path.name, where, call)
+        for path in LIBRARY
+        for _, where, call in trusted_builders(path.read_text("utf-8"))
+    )
+    assert calls == [
+        ("liering.py", "GradedAutomorphism.compose", "unverified"),
+        ("liering.py", "induced_action", "unverified"),
+        ("series.py", "derived_series.build", "NormalSeries._trusted"),
+        ("series.py", "dimension_series.build", "NormalSeries._trusted"),
+        ("series.py", "lower_central_series.build", "NormalSeries._trusted"),
+    ]
+
+
+def test_the_trusted_builder_guard_names_each_call():
+    source = (
+        "def lower_central_series(G):\n"
+        "    def build():\n"
+        "        return NormalSeries._trusted(G, 'lower-central', terms)\n"
+        "class GradedAutomorphism:\n"
+        "    def compose(self, other):\n"
+        "        return GradedAutomorphism(self.algebra, mats, verify=False)\n"
+        "S = series.NormalSeries._trusted(G, 'x', terms)\n"
+        "a = liering.GradedAutomorphism(L, mats, verify=flag)\n"
+        "b = GradedAutomorphism(L, mats, verify=True)\n"
+        "c = GradedAutomorphism(L, mats)\n"
+        "d = Automorphism._trusted(G, images)\n"
+        "e = NormalSeries(G, 'x', terms)\n"
+    )
+    assert trusted_builders(source) == [
+        (3, "lower_central_series.build", "NormalSeries._trusted"),
+        (6, "GradedAutomorphism.compose", "unverified"),
+        (7, None, "NormalSeries._trusted"),
+        (8, None, "unverified"),
+    ]

@@ -662,7 +662,8 @@ def test_action_cases_cover_corpus_and_ladder():
 @pytest.mark.parametrize("name", sorted(action_cases()))
 def test_invariant_normal_family_matches_reference(name):
     fx = action_cases()[name]
-    got = checks._invariant_normal_family(fx)
+    images = [np.asarray(phi.image_indices) for phi in fx.generators]
+    got = checks._invariant_normal_family(fx.group, images)
     assert [keys_of(N) for N in got] == ref_invariant_normal_family(fx)
 
 
