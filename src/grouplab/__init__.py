@@ -45,7 +45,6 @@ from .errors import (
     NotNormal,
     NotSolvable,
     TrivialImage,
-    UnboundVariable,
     UnknownCheck,
     UnresolvedReference,
 )
@@ -72,8 +71,6 @@ from .identities import (
     GroupWord,
     LiePolynomial,
     engel_index_of_element,
-    evaluate_group_word,
-    evaluate_lie,
     group_satisfies,
     higman_polynomial,
     holds_identity,
@@ -94,7 +91,6 @@ from .liering import (
     decomposition_witness,
     induced_action,
     lazard_check,
-    lp_subalgebra,
     plus_minus_split,
     subgroup_graded_algebra,
 )
@@ -109,14 +105,12 @@ from .series import (
     derived_series,
     dimension_series,
     fitting_height,
-    fitting_subgroup,
     generated_subgroup,
     is_nilpotent_subgroup,
     is_powerful,
     lower_central_series,
     normal_closure,
     power_subgroup,
-    quotient_group,
     structure_predicates,
     trivial_subgroup,
     verify_np_series,

@@ -19,7 +19,6 @@ __all__ = [
     "EvenCharacteristic",
     "NotInvolution",
     "TrivialImage",
-    "UnboundVariable",
     "HypothesisNotMet",
     "UnknownCheck",
     "FixtureSyntaxError",
@@ -90,10 +89,6 @@ class NotInvolution(GroupLabError):
 
 class TrivialImage(GroupLabError):
     """The element has trivial image in every graded component."""
-
-
-class UnboundVariable(GroupLabError):
-    """A word or polynomial mentions a variable missing from the assignment."""
 
 
 class HypothesisNotMet(GroupLabError):

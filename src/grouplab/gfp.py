@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import MalformedSpec
+
 __all__ = [
     "reduce_mod",
     "rref",
     "rank",
     "nullspace",
-    "solve_in_row_space",
-    "in_row_space",
     "row_space_equal",
     "mat_pow",
     "is_invertible",
@@ -31,7 +31,7 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """Row-reduced echelon form mod p; returns (matrix, pivot columns)."""
     m = reduce_mod(mat, p)
     if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
+        raise MalformedSpec(f"expected a 2-d matrix, got shape {m.shape}")
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
@@ -75,29 +75,6 @@ def nullspace(mat, p: int) -> np.ndarray:
         for r, pc in enumerate(pivots):
             basis[k, pc] = (-reduced[r, fc]) % p
     return basis
-
-
-def solve_in_row_space(basis, vec, p: int) -> np.ndarray | None:
-    """Coefficients c with c @ basis = vec mod p, or None if vec is outside."""
-    b = reduce_mod(basis, p)
-    v = reduce_mod(vec, p)
-    if b.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64) if not v.any() else None
-    # Solve b^T c = v by eliminating the augmented system.
-    aug = np.concatenate([b.T, v.reshape(-1, 1)], axis=1)
-    reduced, pivots = rref(aug, p)
-    ncoef = b.shape[0]
-    if ncoef in pivots:
-        return None
-    coeffs = np.zeros(ncoef, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        coeffs[c] = reduced[r, ncoef]
-    return coeffs
-
-
-def in_row_space(basis, vec, p: int) -> bool:
-    """Whether vec lies in the row space of basis over F_p."""
-    return solve_in_row_space(basis, vec, p) is not None
 
 
 def row_space_equal(a, b, p: int) -> bool:

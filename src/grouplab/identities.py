@@ -10,12 +10,12 @@ bracket a contraction of the structure tensor; nothing is sampled.
 Group words are small expression trees built from variables, inverses,
 products, powers, and left-normed commutators.  One evaluator reads them on
 index arrays from the Cayley table, a block of assignments at a time, for
-both a single assignment and the exhaustive check.
+the exhaustive check.
 
 Each enumeration refuses, with BudgetExceeded, work beyond its module
 constant, read at call time: HIGMAN_MONOMIAL_BUDGET monomials,
 IDENTITY_EVAL_BUDGET polynomial assignments, ENGEL_EXACT_LIMIT algebra
-elements or basis tuples, WORD_EVAL_BUDGET group-word assignments.
+elements, WORD_EVAL_BUDGET group-word assignments.
 """
 
 import itertools
@@ -24,13 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    ForeignElement,
-    MalformedSpec,
-    MismatchedAlgebra,
-    UnboundVariable,
-)
+from .errors import BudgetExceeded, ForeignElement, MalformedSpec
 from .gfp import mat_pow
 from .groups import _BLOCK, FiniteGroup, GroupElement
 from .liering import GradedLieRing, LieElement
@@ -204,18 +198,6 @@ def _polynomial_values(f: "LiePolynomial", L: GradedLieRing, leaves: dict) -> np
     return total
 
 
-def evaluate_lie(f: LiePolynomial, L: GradedLieRing, assignment: dict) -> LieElement:
-    """Evaluate f with variables bound to elements of L."""
-    for v in sorted(f.variables):
-        if v not in assignment:
-            raise UnboundVariable(f"x{v} has no value")
-        u = assignment[v]
-        if not isinstance(u, LieElement) or u.algebra is not L:
-            raise MismatchedAlgebra(f"value for x{v} is not an element of L")
-    values = _polynomial_values(f, L, {v: assignment[v].vec[None] for v in f.variables})
-    return LieElement(L, values.reshape(L.total_dim))
-
-
 def _first_nonzero(values: np.ndarray, count: int):
     """Flat index of the first of count leading entries with a nonzero value, or None."""
     if not count:
@@ -257,63 +239,24 @@ def holds_identity(f: LiePolynomial, L: GradedLieRing) -> Verdict:
 def is_n_engel_algebra(L: GradedLieRing, n: int) -> Verdict:
     """Is ad(a)^n zero for every a in L?
 
-    Every element is scanned within ENGEL_EXACT_LIMIT; beyond it n < p is
-    decided on basis tuples (_engel_linearized), and anything else raises
-    BudgetExceeded.
+    Every element is scanned, ad(a)^n stacked, within ENGEL_EXACT_LIMIT
+    elements; a larger algebra raises BudgetExceeded for every n.  An algebra
+    built from a group has p^dim = |G| <= TABLE_CAP elements, below the
+    limit, so the scan decides every such algebra exactly.  The first a with
+    ad(a)^n nonzero is the witness.
     """
     budget = ENGEL_EXACT_LIMIT
     if n < 1:
         raise MalformedSpec("need n >= 1")
     size = L.p**L.total_dim
-    if size <= budget:
-        return _engel_scan(L, n, L.all_vectors(), "exhaustive")
-    if n >= L.p:
-        raise BudgetExceeded(
-            f"{size} elements exceed the budget of {budget}; n = {n} >= p has no linearization"
-        )
-    if L.total_dim**n > budget:
-        raise BudgetExceeded(f"{L.total_dim}^{n} basis tuples exceed the budget of {budget}")
-    return _engel_linearized(L, n)
-
-
-def _engel_scan(L: GradedLieRing, n: int, pool: np.ndarray, mode: str) -> Verdict:
-    """ad(a)^n on every a in pool, stacked; the first nonzero one is the witness."""
-    first = _first_nonzero(mat_pow(L.ads(pool), n, L.p), len(pool))
+    if size > budget:
+        raise BudgetExceeded(f"{size} elements exceed the budget of {budget}")
+    pool = L.all_vectors()
+    first = _first_nonzero(mat_pow(L.ads(pool), n, L.p), size)
     if first is None:
-        return Verdict(True, f"ad(a)^{n} = 0 for all {len(pool)} {mode} elements", mode)
+        return Verdict(True, f"ad(a)^{n} = 0 for all {size} exhaustive elements", "exhaustive")
     a = L.element(pool[first])
-    return Verdict(False, f"ad(a)^{n} != 0 at a = {a!r}", mode, witness=a)
-
-
-def _engel_linearized(L: GradedLieRing, n: int) -> Verdict:
-    """ad(a)^n = 0 for every a, decided on basis tuples; needs 1 <= n < p.
-
-    The linearization S(a_1..a_n) = sum over orderings of ad(a_pi1)...ad(a_pin)
-    is multilinear and, by polarization, the alternating sum of ad(a_T)^n over
-    subset sums a_T; S(a, ..., a) = n! ad(a)^n with n! invertible mod p.  So S
-    vanishes on basis tuples iff every ad(a)^n does, and a_T is the witness.
-    """
-    d = L.total_dim
-    basis_ads = L.ads(np.eye(d, dtype=np.int64))
-    products = basis_ads  # products[a_1, ..., a_k] = ad(e_a1) ... ad(e_ak)
-    for _ in range(n - 1):
-        products = np.einsum("...ij,bjk->...bik", products, basis_ads) % L.p
-    orderings = itertools.permutations(range(n))
-    linearized = sum(products.transpose(pi + (n, n + 1)) for pi in orderings) % L.p
-    first = _first_nonzero(linearized, d**n)
-    if first is None:
-        return Verdict(
-            True, f"ad(a)^{n} = 0 for all a: linearization zero on all {d**n} basis tuples", "basis"
-        )
-    tup = np.unravel_index(first, (d,) * n)
-    sums = [
-        np.bincount(subset, minlength=d)
-        for size in range(1, n + 1)
-        for subset in itertools.combinations(tup, size)
-    ]
-    verdict = _engel_scan(L, n, np.array(sums, dtype=np.int64), "basis")
-    assert not verdict.ok, "by polarization some subset sum has ad(a)^n != 0"
-    return verdict
+    return Verdict(False, f"ad(a)^{n} != 0 at a = {a!r}", "exhaustive", witness=a)
 
 
 # -- group words -----------------------------------------------------------
@@ -414,20 +357,6 @@ def _word_values(w: GroupWord, G: FiniteGroup, leaves: dict) -> np.ndarray:
         y = _word_values(part, G, leaves)
         out = T[out, y] if w.kind == "prod" else T[inv[T[y, out]], T[out, y]]  # [x, y] = (yx)^-1 (xy)
     return out
-
-
-def evaluate_group_word(
-    w: GroupWord, G: FiniteGroup, assignment: dict
-) -> GroupElement:
-    """Evaluate w with variables bound to elements of G."""
-    for v in sorted(w.variables):
-        if v not in assignment:
-            raise UnboundVariable(f"x{v} has no value")
-        u = assignment[v]
-        if not isinstance(u, GroupElement) or u.group is not G:
-            raise ForeignElement(f"value for x{v} is not an element of G")
-    leaves = {v: np.array([G.index_of(assignment[v])]) for v in w.variables}
-    return G.element_at(int(_word_values(w, G, leaves)[0]))
 
 
 def group_satisfies(w: GroupWord, G: FiniteGroup) -> Verdict:

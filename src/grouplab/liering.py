@@ -7,8 +7,10 @@ p-th powers in D_{i+1} and commute modulo it, since with D_{i+1} they
 generate D_i.  One breadth-first pass over the basis on Cayley-table rows
 gives the (|G|, dim L) coordinate array, whose row x is the image x*.  All
 brackets live in one F_p tensor C[a, b, :] = [e_a, e_b] over the total
-basis, read from commutators of the basis representatives; brackets, ad
-matrices, Jacobi, subspace closure and actions are contractions of C.
+basis, read from commutators of the basis representatives; it is the one
+input a GradedLieRing is built from, and brackets, ad matrices, Jacobi,
+subspace closure and actions are contractions of it.  Elements are
+coordinate vectors; arithmetic on them is arithmetic on .vec.
 Representative independence is verified on every coset member, in table
 blocks, and an induced action on every element of each series term.
 build_dl keeps its algebra on the group, so every caller shares one algebra
@@ -53,12 +55,10 @@ __all__ = [
     "LieElement",
     "GradedAutomorphism",
     "GradedSubspace",
-    "LpSubalgebra",
     "CentralizerResult",
     "PMSplit",
     "DecompositionWitness",
     "build_dl",
-    "lp_subalgebra",
     "induced_action",
     "centralizer_subalgebra",
     "subgroup_graded_algebra",
@@ -98,24 +98,6 @@ class LieElement:
     def is_zero(self) -> bool:
         return not self.vec.any()
 
-    def _same(self, other):
-        if not isinstance(other, LieElement) or other.algebra is not self.algebra:
-            raise MismatchedAlgebra("operands live in different algebras")
-
-    def __add__(self, other):
-        self._same(other)
-        return LieElement(self.algebra, self.vec + other.vec)
-
-    def __sub__(self, other):
-        self._same(other)
-        return LieElement(self.algebra, self.vec - other.vec)
-
-    def __neg__(self):
-        return LieElement(self.algebra, -self.vec)
-
-    def __rmul__(self, c: int):
-        return LieElement(self.algebra, c * self.vec)
-
     def __eq__(self, other):
         return (
             isinstance(other, LieElement)
@@ -140,9 +122,9 @@ class GradedLieRing:
 
     C[a, b, :] = [e_a, e_b] over the total basis (components in degree order)
     is read-only and zero outside the grading; sc[(i, j)] is its block for
-    degrees (i, j) with i + j <= m.  The constructor takes C or a dict of such
-    blocks (absent pairs are zero) and verifies [e_a, e_a] = 0, antisymmetry,
-    the grading and Jacobi on all basis triples, each as one tensor identity.
+    degrees (i, j) with i + j <= m.  The constructor takes C, the one input
+    format, and verifies [e_a, e_a] = 0, antisymmetry, the grading and Jacobi
+    on all basis triples, each as one tensor identity.
     An algebra built from a group also carries coords (row x is x*), depth
     (the largest i with x in D_i; m + 1 for the identity) and reps (the
     element index behind each basis vector).
@@ -152,7 +134,7 @@ class GradedLieRing:
         self,
         p: int,
         dims,
-        sc,
+        C,
         *,
         group: FiniteGroup | None = None,
         series: NormalSeries | None = None,
@@ -166,14 +148,11 @@ class GradedLieRing:
         self.offsets = tuple(np.cumsum((0,) + self.dims).tolist())
         self.total_dim = n = self.offsets[-1]
         self.degrees = np.repeat(np.arange(1, self.m + 1), self.dims)
-        if isinstance(sc, dict):
-            C = self._assemble(sc)
-        else:
-            C = np.asarray(sc, dtype=np.int64) % p
-            if C.shape != (n, n, n):
-                raise InconsistentPresentation(
-                    f"structure tensor has shape {C.shape}, expected {(n, n, n)}"
-                )
+        C = np.asarray(C, dtype=np.int64) % p
+        if C.shape != (n, n, n):
+            raise InconsistentPresentation(
+                f"structure tensor has shape {C.shape}, expected {(n, n, n)}"
+            )
         C.flags.writeable = False
         self.C = C
         self.sc = {
@@ -198,9 +177,6 @@ class GradedLieRing:
     def _slice(self, i: int) -> slice:
         return slice(*self._span(i))
 
-    def zero(self) -> LieElement:
-        return LieElement(self, np.zeros(self.total_dim, dtype=np.int64))
-
     def element(self, vec) -> LieElement:
         return LieElement(self, vec)
 
@@ -214,11 +190,6 @@ class GradedLieRing:
         """Every coordinate vector, one per row, in lexicographic order."""
         n = self.total_dim
         return np.indices((self.p,) * n).reshape(n, self.p**n).T
-
-    def all_elements(self):
-        """Iterate every element; intended for exhaustively small algebras."""
-        for vec in self.all_vectors():
-            yield LieElement(self, vec)
 
     def degree_index(self, t: int) -> int:
         """Degree of the t-th total basis vector."""
@@ -241,12 +212,6 @@ class GradedLieRing:
         """Stacked ad matrices: ads(vecs)[r] @ vec(x) = vec([x, a_r]), a_r = vecs[r]."""
         return np.einsum("rb,tbk->rkt", vecs, self.C) % self.p
 
-    def ad_matrix(self, a: LieElement) -> np.ndarray:
-        """Matrix A with vec([x, a]) = A @ vec(x)."""
-        if a.algebra is not self:
-            raise MismatchedAlgebra("ad requires an element of this algebra")
-        return self.ads(a.vec[None])[0]
-
     def ad_nilpotency_indices(self, ads: np.ndarray) -> np.ndarray:
         """Least n with ads[r]^n = 0, for every matrix of the stack."""
         index = np.zeros(len(ads), dtype=np.int64)
@@ -257,10 +222,6 @@ class GradedLieRing:
                 return index
             power = power @ ads % self.p
         raise InconsistentPresentation("ad map failed to nilpotize")
-
-    def ad_nilpotency_index(self, a: LieElement) -> int:
-        """Least n with (ad a)^n = 0; exists since the algebra is graded."""
-        return int(self.ad_nilpotency_indices(self.ad_matrix(a)[None])[0])
 
     def nilpotency_class(self) -> int:
         """Largest k with the k-th lower-central span nonzero (abelian: 1)."""
@@ -295,25 +256,6 @@ class GradedLieRing:
         return LieElement(self, self.coords[self.group.index_of(x)])
 
     # -- construction-time verification --------------------------------------
-
-    def _assemble(self, sc: dict) -> np.ndarray:
-        n = self.total_dim
-        C = np.zeros((n, n, n), dtype=np.int64)
-        for (i, j), table in sc.items():
-            if i + j > self.m:
-                raise InconsistentPresentation(
-                    f"stored bracket table for degrees ({i},{j}) beyond top degree {self.m}"
-                )
-            table = np.asarray(table, dtype=np.int64) % self.p
-            want = (self.dims[i - 1], self.dims[j - 1], self.dims[i + j - 1])
-            if table.shape != want:
-                raise InconsistentPresentation(
-                    f"bracket table ({i},{j}) has shape {table.shape}, expected {want}"
-                )
-            if (j, i) not in sc:
-                raise InconsistentPresentation(f"missing mirror table for ({j},{i})")
-            C[self._slice(i), self._slice(j), self._slice(i + j)] = table
-        return C
 
     def _verify_tensor(self):
         C, p, deg = self.C, self.p, self.degrees
@@ -517,18 +459,6 @@ class GradedSubspace:
 # -- the subalgebra generated by degree one ------------------------------
 
 
-@dataclass(frozen=True)
-class LpSubalgebra:
-    """Standalone copy of the degree-one-generated subalgebra plus embeddings."""
-
-    algebra: GradedLieRing
-    parent: GradedLieRing
-    embeddings: tuple  # embeddings[i-1]: rows = sub-basis of degree i in parent coords
-
-    def dims(self) -> tuple:
-        return self.algebra.dims
-
-
 def _degree_one_closure(L: GradedLieRing) -> tuple:
     """The subalgebra M generated by L_1, checked bracket-closed, as (bases, space, W).
 
@@ -551,14 +481,6 @@ def _degree_one_closure(L: GradedLieRing) -> tuple:
     return bases, space, W
 
 
-def lp_subalgebra(L: GradedLieRing) -> LpSubalgebra:
-    """Subalgebra generated by L_1: M_1 = L_1, M_k = span [M_{k-1}, L_1]."""
-    bases, space, W = _degree_one_closure(L)
-    # coordinates in the sub-basis are the entries at its pivots
-    sub = GradedLieRing(L.p, space.dims(), W[..., space.pivots])
-    return LpSubalgebra(sub, L, tuple(bases))
-
-
 # -- automorphism actions -------------------------------------------------
 
 
@@ -566,15 +488,26 @@ class GradedAutomorphism:
     """Degree-preserving algebra automorphism: one invertible matrix per component.
 
     GradedAutomorphism(L, mats) verifies that every matrix is invertible and
-    that the action respects the bracket (_verify).  Only the library passes
-    verify=False, for results that are graded automorphisms by construction:
-    a composite of two (compose) and the action a group automorphism induces
-    (induced_action).
+    that the action respects the bracket (_verify).  Only the library skips
+    that, through _trusted, for results that are graded automorphisms by
+    construction: a composite of two (compose) and the action a group
+    automorphism induces (induced_action).
     """
 
     __slots__ = ("algebra", "mats")
 
-    def __init__(self, algebra: GradedLieRing, mats, *, verify: bool = True):
+    def __init__(self, algebra: GradedLieRing, mats):
+        self._adopt(algebra, mats)
+        self._verify()
+
+    @classmethod
+    def _trusted(cls, algebra: GradedLieRing, mats) -> "GradedAutomorphism":
+        """The action of these matrices, which the caller built a graded automorphism."""
+        phi = cls.__new__(cls)
+        phi._adopt(algebra, mats)
+        return phi
+
+    def _adopt(self, algebra: GradedLieRing, mats):
         self.algebra = algebra
         clean = []
         for i in range(1, algebra.m + 1):
@@ -582,8 +515,6 @@ class GradedAutomorphism:
             mat = np.asarray(mats[i - 1], dtype=np.int64).reshape(d, d) % algebra.p
             clean.append(mat)
         self.mats = tuple(clean)
-        if verify:
-            self._verify()
 
     def matrix(self) -> np.ndarray:
         """The action on the total basis: one block-diagonal matrix."""
@@ -608,14 +539,6 @@ class GradedAutomorphism:
                 f"action does not respect the bracket at degrees ({i},{j})"
             )
 
-    def apply(self, u: LieElement) -> LieElement:
-        if u.algebra is not self.algebra:
-            raise MismatchedAlgebra("element belongs to a different algebra")
-        return LieElement(self.algebra, self.matrix() @ u.vec)
-
-    def __call__(self, u: LieElement) -> LieElement:
-        return self.apply(u)
-
     def compose(self, other: "GradedAutomorphism") -> "GradedAutomorphism":
         """Apply self first, then other."""
         if other.algebra is not self.algebra:
@@ -623,7 +546,7 @@ class GradedAutomorphism:
         mats = [
             (b @ a) % self.algebra.p for a, b in zip(self.mats, other.mats)
         ]
-        return GradedAutomorphism(self.algebra, mats, verify=False)
+        return GradedAutomorphism._trusted(self.algebra, mats)
 
     def is_identity(self) -> bool:
         return all(
@@ -674,7 +597,7 @@ def induced_action(phi: Automorphism, L: GradedLieRing) -> GradedAutomorphism:
             )
         # column b: the coordinates of phi(x_b) for the b-th basis representative
         mats.append(L.coords[image[L.reps[L._slice(i)]], L._slice(i)].T)
-    return GradedAutomorphism(L, mats, verify=False)
+    return GradedAutomorphism._trusted(L, mats)
 
 
 @dataclass(frozen=True)

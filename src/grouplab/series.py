@@ -47,10 +47,11 @@ The upper Fitting series, and with it the Fitting height, is built inside
 the group on masks: each term is the set of left Engel elements modulo the
 term before (Baer's theorem), found by one walk g -> [g, x] modulo it
 (_engel_walk, which also gives Engel indices) per class of cyclic subgroups,
-and the Fitting subgroup is its first term.  Quotients come back as full
-FiniteGroup instances over canonical (minimal-key) coset representatives,
-with the projection verified a homomorphism on every pair of elements; they
-serve callers of the public API, and nothing in the library builds one.
+and the Fitting subgroup is its first term, _fitting_mod modulo the trivial
+subgroup.  A QuotientGroup(G, N) is a full FiniteGroup over canonical
+(minimal-key) coset representatives, with the projection verified a
+homomorphism on every pair of elements; it serves callers of the public
+API, and nothing in the library builds one.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     ForeignElement,
+    MalformedSpec,
     MismatchedParent,
     NotAPGroup,
     NotNormal,
@@ -92,10 +94,8 @@ __all__ = [
     "derived_series",
     "dimension_series",
     "verify_np_series",
-    "quotient_group",
     "centralizer",
     "is_nilpotent_subgroup",
-    "fitting_subgroup",
     "fitting_height",
     "is_powerful",
     "structure_predicates",
@@ -431,7 +431,7 @@ def power_subgroup(G: FiniteGroup, H: Subgroup, n: int) -> Subgroup:
     """Subgroup generated by the n-th powers of the elements of H."""
     _same_parent(G, H, "subgroup")
     if n < 1:
-        raise ValueError(f"power subgroup needs a positive exponent, got {n}")
+        raise MalformedSpec(f"power subgroup needs a positive exponent, got {n}")
     return _spanned(G, *_close(G, _power_map(G, n)[H.idx]))
 
 
@@ -461,16 +461,16 @@ class NormalSeries:
 
     def __post_init__(self):
         if not self.terms:
-            raise ValueError("a series needs at least one term")
+            raise MalformedSpec("a series needs at least one term")
         if not self.terms[0].is_whole:
-            raise ValueError("a series must start at the whole group")
+            raise MalformedSpec("a series must start at the whole group")
         prev = None
         for t in self.terms:
             _same_parent(self.group, t, "series term")
             if not t.is_normal:
                 raise NotNormal(f"series term of order {t.order} is not normal in the parent")
             if prev is not None and not (t <= prev):
-                raise ValueError("series terms must be descending")
+                raise MalformedSpec("series terms must be descending")
             prev = t
 
     def __len__(self):
@@ -479,7 +479,7 @@ class NormalSeries:
     def term(self, i: int) -> Subgroup:
         """1-based term; indices beyond the chain return the stabilized tail."""
         if i < 1:
-            raise ValueError(f"series indices are 1-based, got {i}")
+            raise MalformedSpec(f"series indices are 1-based, got {i}")
         if i <= len(self.terms):
             return self.terms[i - 1]
         return self.terms[-1]
@@ -682,10 +682,6 @@ class QuotientGroup:
         return f"QuotientGroup(order={self.group.order}, modulus={self.normal.order})"
 
 
-def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
-    return QuotientGroup(G, N)
-
-
 def centralizer(G: FiniteGroup, phis) -> Subgroup:
     """Joint fixed-point subgroup {g : φ(g) = g for every φ}.
 
@@ -849,11 +845,6 @@ def _fitting_mod(G: FiniteGroup, F: np.ndarray) -> np.ndarray:
     reps = _cyclic_class_representatives(G).tolist()
     engel = [x for x in reps if not F[x] and _engel_walk(G, x, F)[1]]
     return _closure(G, np.concatenate([F.nonzero()[0], *(_conjugacy_class(G, x) for x in engel)]))
-
-
-def fitting_subgroup(G: FiniteGroup) -> Subgroup:
-    """Largest normal nilpotent subgroup: the Fitting subgroup of G/1."""
-    return _subgroup(G, _fitting_mod(G, _closure(G, ())))
 
 
 def fitting_height(G: FiniteGroup) -> int:

@@ -303,7 +303,8 @@ def test_is_normal_matches_the_conjugation_oracle(fixture):
     verdicts = []
     for G in groups.values():
         cyclic = [series.generated_subgroup(G, [g]) for g in G.generators]
-        for H in cyclic + [series.fitting_subgroup(G), series.trivial_subgroup(G)]:
+        fitting = series._subgroup(G, series._fitting_mod(G, series._closure(G, ())))
+        for H in cyclic + [fitting, series.trivial_subgroup(G)]:
             verdicts.append(H.is_normal)
             assert H.is_normal == conjugation_oracle(G, H)
     assert set(verdicts) == {True, False}
@@ -350,7 +351,7 @@ def test_the_public_series_refuses_a_non_normal_term_and_an_ascending_chain():
     centre = series.lower_central_series(G).term(2)
     with pytest.raises(NotNormal, match="is not normal"):
         NormalSeries(G, "custom", (whole, H, trivial))
-    with pytest.raises(ValueError, match="descending"):
+    with pytest.raises(MalformedSpec, match="descending"):
         NormalSeries(G, "custom", (whole, trivial, centre))
     assert NormalSeries(G, "custom", (whole, centre, trivial)).orders() == [27, 3, 1]
 
@@ -363,6 +364,15 @@ def test_the_public_graded_automorphism_refuses_a_singular_or_bracket_breaking_m
         GradedAutomorphism(L, [[[1, 1], [1, 1]], np.eye(1)])
     with pytest.raises(ActionNotWellDefined, match="does not respect the bracket"):
         GradedAutomorphism(L, [np.eye(2), [[2]]])  # φ[e1, e2] = 2e3, [φe1, φe2] = e3
+
+
+def test_the_public_graded_automorphism_has_no_unverified_path():
+    L = build_dl(heis27())
+    breaking = [np.eye(2), [[2]]]
+    with pytest.raises(TypeError):
+        GradedAutomorphism(L, breaking, verify=False)
+    with pytest.raises(ActionNotWellDefined, match="does not respect the bracket"):
+        GradedAutomorphism(L, breaking)
 
 
 def test_catalog_and_build_runs_scan_normality_for_no_subgroup(monkeypatch):
@@ -383,8 +393,8 @@ def test_catalog_and_build_runs_scan_normality_for_no_subgroup(monkeypatch):
 def trusted_builders(source: str) -> list:
     """(line, qualified name of the enclosing definition, call) of each trusted build.
 
-    A trusted build is a NormalSeries._trusted(...) call, or a
-    GradedAutomorphism(...) call that passes verify as anything but True.
+    A trusted build is a NormalSeries._trusted(...) or a
+    GradedAutomorphism._trusted(...) call.
     """
     found = []
 
@@ -398,16 +408,10 @@ def trusted_builders(source: str) -> list:
             where = f"{where}.{node.name}" if where else node.name
         if isinstance(node, ast.Call):
             func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "_trusted" and is_named(
-                func.value, "NormalSeries"
-            ):
-                found.append((node.lineno, where, "NormalSeries._trusted"))
-            elif is_named(func, "GradedAutomorphism") and any(
-                kw.arg == "verify"
-                and not (isinstance(kw.value, ast.Constant) and kw.value.value is True)
-                for kw in node.keywords
-            ):
-                found.append((node.lineno, where, "unverified"))
+            if isinstance(func, ast.Attribute) and func.attr == "_trusted":
+                for owner in ("NormalSeries", "GradedAutomorphism"):
+                    if is_named(func.value, owner):
+                        found.append((node.lineno, where, f"{owner}._trusted"))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
@@ -422,8 +426,8 @@ def test_only_the_series_builders_and_two_actions_skip_their_checks():
         for _, where, call in trusted_builders(path.read_text("utf-8"))
     )
     assert calls == [
-        ("liering.py", "GradedAutomorphism.compose", "unverified"),
-        ("liering.py", "induced_action", "unverified"),
+        ("liering.py", "GradedAutomorphism.compose", "GradedAutomorphism._trusted"),
+        ("liering.py", "induced_action", "GradedAutomorphism._trusted"),
         ("series.py", "derived_series.build", "NormalSeries._trusted"),
         ("series.py", "dimension_series.build", "NormalSeries._trusted"),
         ("series.py", "lower_central_series.build", "NormalSeries._trusted"),
@@ -437,17 +441,16 @@ def test_the_trusted_builder_guard_names_each_call():
         "        return NormalSeries._trusted(G, 'lower-central', terms)\n"
         "class GradedAutomorphism:\n"
         "    def compose(self, other):\n"
-        "        return GradedAutomorphism(self.algebra, mats, verify=False)\n"
+        "        return GradedAutomorphism._trusted(self.algebra, mats)\n"
         "S = series.NormalSeries._trusted(G, 'x', terms)\n"
-        "a = liering.GradedAutomorphism(L, mats, verify=flag)\n"
-        "b = GradedAutomorphism(L, mats, verify=True)\n"
-        "c = GradedAutomorphism(L, mats)\n"
-        "d = Automorphism._trusted(G, images)\n"
-        "e = NormalSeries(G, 'x', terms)\n"
+        "a = liering.GradedAutomorphism._trusted(L, mats)\n"
+        "b = GradedAutomorphism(L, mats)\n"
+        "c = Automorphism._trusted(G, images)\n"
+        "d = NormalSeries(G, 'x', terms)\n"
     )
     assert trusted_builders(source) == [
         (3, "lower_central_series.build", "NormalSeries._trusted"),
-        (6, "GradedAutomorphism.compose", "unverified"),
+        (6, "GradedAutomorphism.compose", "GradedAutomorphism._trusted"),
         (7, None, "NormalSeries._trusted"),
-        (8, None, "unverified"),
+        (8, None, "GradedAutomorphism._trusted"),
     ]

@@ -3,16 +3,8 @@
 import numpy as np
 import pytest
 
-from grouplab.gfp import (
-    in_row_space,
-    is_invertible,
-    mat_pow,
-    nullspace,
-    rank,
-    rref,
-    row_space_equal,
-    solve_in_row_space,
-)
+from grouplab.errors import MalformedSpec
+from grouplab.gfp import is_invertible, mat_pow, nullspace, rank, rref, row_space_equal
 
 
 def test_rref_identity_fixed_point():
@@ -51,20 +43,9 @@ def test_nullspace_invertible_is_empty():
     assert nullspace(m, 7).shape == (0, 2)
 
 
-def test_solve_in_row_space_recovers_coefficients():
-    basis = np.array([[1, 0, 2], [0, 1, 1]], dtype=np.int64)
-    vec = (4 * basis[0] + 3 * basis[1]) % 5
-    coeffs = solve_in_row_space(basis, vec, 5)
-    assert coeffs is not None
-    assert np.array_equal(coeffs @ basis % 5, vec)
-    assert list(coeffs) == [4, 3]
-
-
-def test_solve_outside_row_space_is_none():
-    basis = np.array([[1, 0, 0]], dtype=np.int64)
-    assert solve_in_row_space(basis, np.array([0, 1, 0]), 5) is None
-    assert not in_row_space(basis, np.array([0, 1, 0]), 5)
-    assert in_row_space(basis, np.array([3, 0, 0]), 5)
+def test_rref_refuses_a_non_matrix_with_the_package_error():
+    with pytest.raises(MalformedSpec, match="expected a 2-d matrix, got shape \\(3,\\)"):
+        rref(np.zeros(3, dtype=np.int64), 5)
 
 
 def test_row_space_equal():

@@ -8,13 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grouplab import identities
-from grouplab.errors import (
-    BudgetExceeded,
-    ForeignElement,
-    MalformedSpec,
-    MismatchedAlgebra,
-    UnboundVariable,
-)
+from grouplab.errors import BudgetExceeded, ForeignElement, MalformedSpec
 from grouplab.groups import (
     FiniteGroup,
     PcPresentation,
@@ -26,8 +20,6 @@ from grouplab.identities import (
     GroupWord,
     LiePolynomial,
     engel_index_of_element,
-    evaluate_group_word,
-    evaluate_lie,
     group_satisfies,
     higman_polynomial,
     holds_identity,
@@ -107,11 +99,17 @@ def test_higman_counts():
 # -- Lie evaluation -----------------------------------------------------
 
 
+def lie_value(f, L, assignment) -> np.ndarray:
+    """f at one assignment of elements, through _polynomial_values on one-row leaves."""
+    leaves = {v: assignment[v].vec[None] for v in f.variables}
+    return identities._polynomial_values(f, L, leaves).reshape(L.total_dim)
+
+
 def test_evaluate_bracket_same_element():
     L = build_dl(d8())
     f = LiePolynomial.monomial([0, 1])
     u = L.basis()[0]
-    assert evaluate_lie(f, L, {0: u, 1: u}).is_zero()
+    assert not lie_value(f, L, {0: u, 1: u}).any()
 
 
 def test_evaluate_bracket_d8():
@@ -119,8 +117,8 @@ def test_evaluate_bracket_d8():
     L = build_dl(G)
     f = LiePolynomial.monomial([0, 1])
     g1, g2, g3 = G.generators
-    out = evaluate_lie(f, L, {0: L.star(g1), 1: L.star(g2)})
-    assert out == L.star(g3)
+    out = lie_value(f, L, {0: L.star(g1), 1: L.star(g2)})
+    assert np.array_equal(out, L.star(g3).vec)
 
 
 def test_evaluate_higman3_heis27_basis_triples():
@@ -130,20 +128,10 @@ def test_evaluate_higman3_heis27_basis_triples():
     for a in L.basis():
         for b in L.basis():
             for c in L.basis():
-                direct = L.bracket(L.bracket(a, b), c) + L.bracket(L.bracket(a, c), b)
-                val = evaluate_lie(f, L, {0: a, 1: b, 2: c})
-                assert val == direct
-                assert val.is_zero()
-
-
-def test_evaluate_lie_errors():
-    L = build_dl(d8())
-    other = build_dl(d8())
-    f = LiePolynomial.monomial([0, 1])
-    with pytest.raises(UnboundVariable):
-        evaluate_lie(f, L, {0: L.basis()[0]})
-    with pytest.raises(MismatchedAlgebra):
-        evaluate_lie(f, L, {0: L.basis()[0], 1: other.basis()[0]})
+                direct = L.bracket(L.bracket(a, b), c).vec + L.bracket(L.bracket(a, c), b).vec
+                val = lie_value(f, L, {0: a, 1: b, 2: c})
+                assert np.array_equal(val, direct % L.p)
+                assert not val.any()
 
 
 def test_coefficients_reduce_mod_p():
@@ -151,7 +139,7 @@ def test_coefficients_reduce_mod_p():
     f = LiePolynomial(((4, (0, 1)),))  # 4 = 1 mod 3
     g = LiePolynomial.monomial([0, 1])
     a, b = L.basis()[0], L.basis()[1]
-    assert evaluate_lie(f, L, {0: a, 1: b}) == evaluate_lie(g, L, {0: a, 1: b})
+    assert np.array_equal(lie_value(f, L, {0: a, 1: b}), lie_value(g, L, {0: a, 1: b}))
 
 
 # -- identity satisfaction ------------------------------------------------
@@ -341,19 +329,19 @@ def test_engel_d8():
 
 
 def test_engel_beyond_the_element_budget(monkeypatch):
-    # 27 elements exceed a budget of 9, so n < p = 3 is decided on the 3^n basis tuples
+    # 27 elements exceed a budget of 26: refused for every n, with one message
     L = build_dl(heis27())
-    monkeypatch.setattr(identities, "ENGEL_EXACT_LIMIT", 9)
+    monkeypatch.setattr(identities, "ENGEL_EXACT_LIMIT", 26)
+    for n in (1, 2, 3, 4):
+        with pytest.raises(BudgetExceeded) as err:
+            is_n_engel_algebra(L, n)
+        assert str(err.value) == "27 elements exceed the budget of 26"
+    monkeypatch.setattr(identities, "ENGEL_EXACT_LIMIT", 27)  # at the budget: scanned
     v = is_n_engel_algebra(L, 2)
-    assert v.ok and v.mode == "basis"
+    assert v.ok and v.detail == "ad(a)^2 = 0 for all 27 exhaustive elements"
     bad = is_n_engel_algebra(L, 1)
-    assert not bad.ok and bad.mode == "basis"
-    assert L.ad_matrix(bad.witness).any()
-    with pytest.raises(BudgetExceeded, match="n = 3 >= p"):
-        is_n_engel_algebra(L, 3)
-    monkeypatch.setattr(identities, "ENGEL_EXACT_LIMIT", 5)
-    with pytest.raises(BudgetExceeded, match="3\\^2 basis tuples"):
-        is_n_engel_algebra(L, 2)
+    assert not bad.ok and bad.mode == "exhaustive"
+    assert L.ads(bad.witness.vec[None]).any()
 
 
 def test_engel_rejects_bad_n():
@@ -362,6 +350,12 @@ def test_engel_rejects_bad_n():
 
 
 # -- group words ----------------------------------------------------------------
+
+
+def word_value(w, G, assignment):
+    """w at one assignment of elements, through _word_values on one-entry index arrays."""
+    leaves = {v: np.array([G.index_of(assignment[v])]) for v in w.variables}
+    return G.element_at(int(identities._word_values(w, G, leaves)[0]))
 
 
 def test_word_validation():
@@ -383,15 +377,15 @@ def test_evaluate_commutator_same_value():
     G = s3()
     w = GroupWord.commutator(GroupWord.var(1), GroupWord.var(2))
     a = G.generator_by_name("b")
-    assert evaluate_group_word(w, G, {1: a, 2: a}).is_identity()
+    assert word_value(w, G, {1: a, 2: a}).is_identity()
 
 
 def test_evaluate_square_of_three_cycle():
     G = s3()
     w = GroupWord.power(GroupWord.var(1), 2)
     b = G.generator_by_name("b")  # (1 2 3)
-    assert evaluate_group_word(w, G, {1: b}) == G.power(b, 2)
-    assert evaluate_group_word(w, G, {1: b}) == G.inverse(b)
+    assert word_value(w, G, {1: b}) == G.power(b, 2)
+    assert word_value(w, G, {1: b}) == G.inverse(b)
 
 
 def test_word_structural_composition():
@@ -411,7 +405,7 @@ def test_word_structural_composition():
     elems = list(G.elements())
     for x in elems[::5]:
         for y in elems[::7]:
-            lhs = evaluate_group_word(w, G, {1: x, 2: y})
+            lhs = word_value(w, G, {1: x, 2: y})
             rhs = G.commutator(G.power(x, 2), G.inverse(y))
             assert lhs == rhs
 
@@ -420,17 +414,8 @@ def test_left_normed_word_nesting():
     G = d8()
     g1, g2, _ = G.generators
     w = GroupWord.commutator(GroupWord.var(1), GroupWord.var(2), GroupWord.var(2))
-    val = evaluate_group_word(w, G, {1: g1, 2: g2})
+    val = word_value(w, G, {1: g1, 2: g2})
     assert val == G.commutator(G.commutator(g1, g2), g2)
-
-
-def test_evaluate_word_errors():
-    G, H = s3(), s3()
-    w = GroupWord.commutator(GroupWord.var(1), GroupWord.var(2))
-    with pytest.raises(UnboundVariable):
-        evaluate_group_word(w, G, {1: G.identity})
-    with pytest.raises(ForeignElement):
-        evaluate_group_word(w, G, {1: G.identity, 2: H.identity})
 
 
 def test_s3_cubed_commutator_law():
@@ -538,12 +523,12 @@ def test_group_satisfies_finds_the_first_failure_across_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("make", [s3, d8])
-def test_evaluate_group_word_matches_the_handle_evaluator(make):
+def test_word_values_on_one_assignment_match_the_handle_evaluator(make):
     G = make()
     for w in WORDS:
         for x, y, z in itertools.product(G.elements()[:4], G.elements(), G.elements()[-2:]):
             assignment = {1: x, 2: y, 3: z}
-            assert evaluate_group_word(w, G, assignment) == ref_eval_word(w, G, assignment)
+            assert word_value(w, G, assignment) == ref_eval_word(w, G, assignment)
 
 
 def test_word_evaluation_makes_no_handle_arithmetic(monkeypatch):
@@ -559,7 +544,7 @@ def test_word_evaluation_makes_no_handle_arithmetic(monkeypatch):
         monkeypatch.setattr(FiniteGroup, attr, counted)
     got = [group_satisfies(w, G) for w in WORDS]
     x, y = G.generators
-    evaluate_group_word(WORDS[6], G, {1: x, 2: y})
+    word_value(WORDS[6], G, {1: x, 2: y})
     assert calls == dict.fromkeys(calls, 0)
     assert [(v.ok, v.detail, v.witness) for v in got] == want
 

@@ -17,6 +17,10 @@ Every parameter of a private, undecorated function in src/, nested functions
 and methods included, must be read in that function's body, so an argument
 that no line uses any more goes with it.  A decorated function may take
 parameters that its decorator's contract fixes, so it is spared.
+
+Every exception class in errors.py must be raised, caught or subclassed by
+a library module other than errors.py and the package ``__init__``, so an
+error whose last raiser is gone goes with it.
 """
 
 import ast
@@ -116,6 +120,61 @@ def test_the_dead_name_guard_reports_unread_helpers_and_spares_registered_ones()
         "b.py": "import a\nprint(a.CAP)\n",
     }
     assert dead_names(sources) == [("a.py", 1, "LIMIT"), ("a.py", 4, "_helper"), ("a.py", 5, "_Gone")]
+
+
+def unused_errors(errors: str, sources: dict) -> list:
+    """(line, name) of every class in errors that no module of sources raises, catches or subclasses."""
+    used = set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                refs = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                refs = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            elif isinstance(node, ast.ClassDef):
+                refs = node.bases
+            else:
+                continue
+            used |= {r.id for r in refs if isinstance(r, ast.Name)}
+            used |= {r.attr for r in refs if isinstance(r, ast.Attribute)}
+    return [
+        (node.lineno, node.name)
+        for node in ast.parse(errors).body
+        if isinstance(node, ast.ClassDef) and node.name not in used
+    ]
+
+
+def test_every_error_class_is_raised_caught_or_subclassed_in_the_library():
+    sources = {
+        str(p.relative_to(ROOT)): p.read_text("utf-8")
+        for p in LIBRARY
+        if p.name not in ("errors.py", "__init__.py")
+    }
+    errors = (ROOT / "src" / "grouplab" / "errors.py").read_text("utf-8")
+    assert unused_errors(errors, sources) == []
+
+
+def test_the_error_guard_reports_an_orphan_and_spares_raised_caught_and_subclassed_ones():
+    errors = (
+        "class Base(Exception): pass\n"
+        "class Raised(Base): pass\n"
+        "class Caught(Base): pass\n"
+        "class Bare(Base): pass\n"
+        "class Orphan(Base): pass\n"
+        "class Named(Base): pass\n"
+    )
+    sources = {
+        "a.py": (
+            "from errors import Raised, Orphan\n"
+            "class Local(errors.Base): pass\n"
+            "try:\n"
+            "    raise Raised('x')\n"
+            "except (Caught, ValueError):\n"
+            "    raise errors.Bare\n"
+            "print(Orphan, Named)\n"
+        ),
+    }
+    assert unused_errors(errors, sources) == [(5, "Orphan"), (6, "Named")]
 
 
 def unread_parameters(source: str) -> list:

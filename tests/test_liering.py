@@ -35,7 +35,6 @@ from grouplab.liering import (
     decomposition_witness,
     induced_action,
     lazard_check,
-    lp_subalgebra,
     plus_minus_split,
     subgroup_graded_algebra,
 )
@@ -153,17 +152,17 @@ def test_heis27_bracket_signs():
     g1, g2, g3 = G.generators
     # [g2, g1] = g3 in the group, so [g2*, g1*] = g3* and [g1*, g2*] = -g3*.
     assert L.bracket(L.star(g2), L.star(g1)) == L.star(g3)
-    assert L.bracket(L.star(g1), L.star(g2)) == 2 * L.star(g3)
+    assert np.array_equal(L.bracket(L.star(g1), L.star(g2)).vec, 2 * L.star(g3).vec % 3)
 
 
 def test_bracket_alternating_exhaustive_d8():
     L = build_dl(d8())
-    elems = list(L.all_elements())
+    elems = [L.element(vec) for vec in L.all_vectors()]
     assert len(elems) == 8
     for u in elems:
         assert L.bracket(u, u).is_zero()
         for v in elems:
-            assert L.bracket(u, v) == -L.bracket(v, u)
+            assert np.array_equal(L.bracket(u, v).vec, -L.bracket(v, u).vec % 2)
 
 
 def test_bracket_bilinear_heis27():
@@ -173,9 +172,10 @@ def test_bracket_bilinear_heis27():
         u = L.element(rng.integers(0, 3, L.total_dim))
         v = L.element(rng.integers(0, 3, L.total_dim))
         w = L.element(rng.integers(0, 3, L.total_dim))
-        assert L.bracket(u + v, w) == L.bracket(u, w) + L.bracket(v, w)
-        assert L.bracket(u, v + w) == L.bracket(u, v) + L.bracket(u, w)
-        assert L.bracket(2 * u, v) == 2 * L.bracket(u, v)
+        uv, vw = L.element(u.vec + v.vec), L.element(v.vec + w.vec)
+        assert L.bracket(uv, w) == L.element(L.bracket(u, w).vec + L.bracket(v, w).vec)
+        assert L.bracket(u, vw) == L.element(L.bracket(u, v).vec + L.bracket(u, w).vec)
+        assert L.bracket(L.element(2 * u.vec), v) == L.element(2 * L.bracket(u, v).vec)
 
 
 def test_grading_degrees():
@@ -213,7 +213,7 @@ def test_q8_algebra_matches_d8_after_normalization():
 def test_mismatched_algebra():
     L1, L2 = build_dl(d8()), build_dl(d8())
     with pytest.raises(MismatchedAlgebra):
-        L1.bracket(L1.zero(), L2.zero())
+        L1.bracket(L1.basis()[0], L2.basis()[0])
 
 
 # -- star map ----------------------------------------------------------------
@@ -245,20 +245,22 @@ def test_ad_matrix_column_convention():
     rng = np.random.default_rng(3)
     for _ in range(10):
         a = L.element(rng.integers(0, 3, L.total_dim))
-        A = L.ad_matrix(a)
+        A = L.ads(a.vec[None])[0]
         for _ in range(5):
             x = L.element(rng.integers(0, 3, L.total_dim))
             assert np.array_equal(A @ x.vec % 3, L.bracket(x, a).vec)
 
 
-def test_ad_nilpotency_index():
+def test_ad_nilpotency_indices():
     G = d8()
     L = build_dl(G)
-    assert L.ad_nilpotency_index(L.zero()) == 1
     g2 = G.generator_by_name("g2")
-    assert L.ad_nilpotency_index(L.star(g2)) == 2
     top = L.component_basis(L.m)[0]
-    assert L.ad_nilpotency_index(top) <= 2
+    vecs = np.stack([np.zeros(L.total_dim, dtype=np.int64), L.star(g2).vec, top.vec])
+    zero, star, deepest = L.ad_nilpotency_indices(L.ads(vecs)).tolist()
+    assert zero == 1
+    assert star == 2
+    assert deepest <= 2
 
 
 def test_nilpotency_class():
@@ -297,41 +299,43 @@ def test_lazard_check_trivial_image():
 # -- subalgebra generated in degree one -----------------------------------------
 
 
-def test_lp_subalgebra_whole_for_d8():
-    L = build_dl(d8())
-    sub = lp_subalgebra(L)
-    assert sub.algebra.dims == (2, 1)
+def degree_one_dims(G) -> tuple:
+    """Dimensions of the components of the subalgebra generated by L_1."""
+    return tuple(len(basis) for basis in liering._degree_one_closure(build_dl(G))[0])
 
 
-def test_lp_subalgebra_abelian_stops_at_l1():
-    sub = lp_subalgebra(build_dl(c9()))
-    assert sub.algebra.dims == (1, 0, 0)
-    sub = lp_subalgebra(build_dl(c3c3()))
-    assert sub.algebra.dims == (2,)
+def test_degree_one_closure_whole_for_d8():
+    assert degree_one_dims(d8()) == (2, 1)
 
 
-def test_lp_subalgebra_heis():
-    assert lp_subalgebra(build_dl(heis27())).algebra.dims == (2, 1)
+def test_degree_one_closure_abelian_stops_at_l1():
+    assert degree_one_dims(c9()) == (1, 0, 0)
+    assert degree_one_dims(c3c3()) == (2,)
 
 
-def test_lp_subalgebra_es27_cuts_top():
+def test_degree_one_closure_heis():
+    assert degree_one_dims(heis27()) == (2, 1)
+
+
+def test_degree_one_closure_es27_cuts_top():
     # [L_1, L_1] lands in the zero middle component, so closure stops there.
-    sub = lp_subalgebra(build_dl(es27()))
-    assert sub.algebra.dims == (2, 0, 0)
-    assert sub.algebra.nilpotency_class() == 1
+    G = es27()
+    assert degree_one_dims(G) == (2, 0, 0)
+    assert decomposition_witness(G).c == 1
 
 
-def test_lp_subalgebra_d16():
-    sub = lp_subalgebra(build_dl(d16()))
-    assert sub.algebra.dims == (2, 1, 0, 0)
-    assert sub.algebra.nilpotency_class() == 2
+def test_degree_one_closure_d16():
+    G = d16()
+    assert degree_one_dims(G) == (2, 1, 0, 0)
+    assert decomposition_witness(G).c == 2
 
 
-def test_lp_embeddings_sit_inside_parent():
+def test_degree_one_closure_sits_inside_parent():
     L = build_dl(heis27())
-    sub = lp_subalgebra(L)
-    for i, rows in enumerate(sub.embeddings, start=1):
+    bases, space, _ = liering._degree_one_closure(L)
+    for i, rows in enumerate(bases, start=1):
         assert rows.shape[1] == L.dims[i - 1]
+    assert space.is_bracket_closed()
 
 
 # -- induced actions --------------------------------------------------------------
@@ -374,7 +378,7 @@ def test_induced_action_wrong_group():
         induced_action(inv, L)
 
 
-def test_graded_automorphism_compose_and_apply():
+def test_graded_automorphism_compose():
     G = c3c3()
     L = build_dl(G)
     g1, g2 = G.generators
@@ -382,7 +386,7 @@ def test_graded_automorphism_compose_and_apply():
     invy = induced_action(Automorphism(G, [g1, G.power(g2, 2)]), L)
     both = invx.compose(invy)
     u = L.star(G.multiply(g1, g2))
-    assert both.apply(u) == invy.apply(invx.apply(u))
+    assert np.array_equal(both.matrix() @ u.vec % 3, invy.matrix() @ (invx.matrix() @ u.vec) % 3)
     assert invx.compose(invx).is_identity()
 
 
@@ -582,13 +586,17 @@ def test_witness_errors():
 # -- constructor-level verification ----------------------------------------------------------
 
 
-def test_constructor_rejects_bad_tables():
-    with pytest.raises(InconsistentPresentation):
-        # [x, x] != 0 on the single basis vector of a fake (1,1) algebra
-        GradedLieRing(2, (1, 1), {(1, 1): np.array([[[1]]])})
-    with pytest.raises(InconsistentPresentation):
-        # missing mirror table
-        GradedLieRing(3, (1, 1, 1), {(1, 2): np.zeros((1, 1, 1))})
+def test_constructor_rejects_bad_tensors():
+    square = np.zeros((2, 2, 2), dtype=np.int64)
+    square[0, 0, 1] = 1  # [x, x] = y on a fake (1,1) algebra
+    with pytest.raises(InconsistentPresentation, match=r"\[x, x\] is nonzero"):
+        GradedLieRing(2, (1, 1), square)
+    one_sided = np.zeros((3, 3, 3), dtype=np.int64)
+    one_sided[0, 1, 2] = 1  # [e1, e2] = e3 with no mirror [e2, e1] = -e3
+    with pytest.raises(InconsistentPresentation, match=r"\(1,2\) are not antisymmetric"):
+        GradedLieRing(3, (1, 1, 1), one_sided)
+    with pytest.raises(InconsistentPresentation, match="structure tensor has shape"):
+        GradedLieRing(3, (1, 1, 1), np.zeros((3, 3), dtype=np.int64))
 
 
 # -- representative independence, on every coset member --------------------------

@@ -32,12 +32,11 @@ from grouplab.errors import (
     InconsistentPresentation,
     NotAPGroup,
 )
-from grouplab.gfp import in_row_space, is_invertible, mat_pow, rref, solve_in_row_space
+from grouplab.gfp import is_invertible, mat_pow, reduce_mod, rref
 from grouplab.groups import PcPresentation, build_group
 from grouplab.identities import (
     LiePolynomial,
-    _engel_linearized,
-    evaluate_lie,
+    _polynomial_values,
     higman_polynomial,
     holds_identity,
     is_n_engel_algebra,
@@ -49,7 +48,6 @@ from grouplab.liering import (
     LieElement,
     build_dl,
     lazard_check,
-    lp_subalgebra,
 )
 from grouplab.series import (
     Subgroup,
@@ -64,6 +62,60 @@ from grouplab.series import (
 from test_series_oracle import cases, class3_order243, mul_keys, unitriangular_4_2
 
 # -- reference algorithms --------------------------------------------------------
+
+
+def solve_in_row_space(basis, vec, p: int) -> np.ndarray | None:
+    """Coefficients c with c @ basis = vec mod p, or None if vec is outside."""
+    b = reduce_mod(basis, p)
+    v = reduce_mod(vec, p)
+    if b.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64) if not v.any() else None
+    # Solve b^T c = v by eliminating the augmented system.
+    aug = np.concatenate([b.T, v.reshape(-1, 1)], axis=1)
+    reduced, pivots = rref(aug, p)
+    ncoef = b.shape[0]
+    if ncoef in pivots:
+        return None
+    coeffs = np.zeros(ncoef, dtype=np.int64)
+    for r, c in enumerate(pivots):
+        coeffs[c] = reduced[r, ncoef]
+    return coeffs
+
+
+def in_row_space(basis, vec, p: int) -> bool:
+    """Whether vec lies in the row space of basis over F_p."""
+    return solve_in_row_space(basis, vec, p) is not None
+
+
+def test_solve_in_row_space_recovers_coefficients():
+    basis = np.array([[1, 0, 2], [0, 1, 1]], dtype=np.int64)
+    vec = (4 * basis[0] + 3 * basis[1]) % 5
+    coeffs = solve_in_row_space(basis, vec, 5)
+    assert coeffs is not None
+    assert np.array_equal(coeffs @ basis % 5, vec)
+    assert list(coeffs) == [4, 3]
+
+
+def test_solve_outside_row_space_is_none():
+    basis = np.array([[1, 0, 0]], dtype=np.int64)
+    assert solve_in_row_space(basis, np.array([0, 1, 0]), 5) is None
+    assert not in_row_space(basis, np.array([0, 1, 0]), 5)
+    assert in_row_space(basis, np.array([3, 0, 0]), 5)
+
+
+def assemble(p, dims, blocks) -> np.ndarray:
+    """The structure tensor with block blocks[(i, j)] at degrees (i, j); absent pairs are zero."""
+    offsets = np.cumsum((0,) + tuple(dims))
+    span = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    C = np.zeros((offsets[-1],) * 3, dtype=np.int64)
+    for (i, j), table in blocks.items():
+        C[span[i - 1], span[j - 1], span[i + j - 1]] = np.asarray(table) % p
+    return C
+
+
+def ref_all_vectors(L) -> list:
+    """Every coordinate vector of L, the first coordinate slowest."""
+    return [np.array(v, dtype=np.int64) for v in itertools.product(range(L.p), repeat=L.total_dim)]
 
 
 class RefAlgebra:
@@ -226,7 +278,7 @@ def ref_holds_identity(f, L, force_exhaustive=False) -> Verdict:
     if f.is_multilinear and not force_exhaustive:
         pool, mode = list(np.eye(L.total_dim, dtype=np.int64)), "basis"
     else:
-        pool, mode = [u.vec for u in L.all_elements()], "exhaustive"
+        pool, mode = ref_all_vectors(L), "exhaustive"
     total = len(pool) ** len(variables)
     for checked, combo in enumerate(itertools.product(pool, repeat=len(variables)), start=1):
         if ref_evaluate(f, L, dict(zip(variables, combo))).any():
@@ -257,8 +309,9 @@ def ref_jacobi_failure(L):
 def ref_engel(L, n) -> Verdict:
     """ad(a)^n on every element a of L, one at a time."""
     count = 0
-    for a in L.all_elements():
-        if mat_pow(ref_ad(L, a.vec), n, L.p).any():
+    for vec in ref_all_vectors(L):
+        if mat_pow(ref_ad(L, vec), n, L.p).any():
+            a = L.element(vec)
             return Verdict(False, f"ad(a)^{n} != 0 at a = {a!r}", "exhaustive", witness=a)
         count += 1
     return Verdict(True, f"ad(a)^{n} = 0 for all {count} exhaustive elements", "exhaustive")
@@ -383,43 +436,59 @@ def test_identities_match_the_recursive_evaluation(name):
     if L.p**L.total_dim <= 81:
         square = LiePolynomial(((1, ((0, 1), 0)), (1, ((1, 0), 1))))  # x0 and x1 twice
         assert holds_identity(square, L) == ref_holds_identity(square, L)
-    rng = np.random.default_rng(L.total_dim)
-    f = LiePolynomial(((1, ((0, 1), 2)), (5, (2, (0, 0))), (1, (1, 2)), (1, 1)))
-    for _ in range(5):
-        assignment = {v: L.element(rng.integers(0, L.p, L.total_dim)) for v in range(3)}
-        value = evaluate_lie(f, L, assignment)
-        assert np.array_equal(value.vec, ref_evaluate(f, L, {v: u.vec for v, u in assignment.items()}))
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_engel_linearization_equals_the_element_scan(name, monkeypatch):
+def test_polynomial_values_match_the_recursive_evaluation(name):
+    """Every entry of a block of assignments, one axis per variable, and one assignment alone."""
+    L = build_dl(algebra_cases()[name])
+    rng = np.random.default_rng(L.total_dim)
+    f = LiePolynomial(((1, ((0, 1), 2)), (5, (2, (0, 0))), (1, (1, 2)), (1, 1)))
+    leaves = {v: rng.integers(0, L.p, (2 + v, L.total_dim)) for v in range(3)}
+    values = _polynomial_values(f, L, leaves)
+    assert values.shape == (2, 3, 4, L.total_dim)
+    for combo in itertools.product(range(2), range(3), range(4)):
+        want = ref_evaluate(f, L, {v: leaves[v][k] for v, k in enumerate(combo)})
+        assert np.array_equal(values[combo], want)
+    one = {v: leaves[v][:1] for v in range(3)}
+    assert np.array_equal(
+        _polynomial_values(f, L, one).reshape(L.total_dim),
+        ref_evaluate(f, L, {v: one[v][0] for v in range(3)}),
+    )
+    # a multilinear f over one pool takes the per-shape path
+    g = LiePolynomial(((1, ((0, 1), 2)), (2, (2, (1, 0)))))
+    pool = rng.integers(0, L.p, (3, L.total_dim))
+    values = _polynomial_values(g, L, dict.fromkeys(range(3), pool))
+    for combo in itertools.product(range(3), repeat=3):
+        assert np.array_equal(values[combo], ref_evaluate(g, L, dict(enumerate(pool[list(combo)]))))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_engel_condition_equals_the_element_scan(name, monkeypatch):
     L = build_dl(algebra_cases()[name])
     if L.p**L.total_dim > 729:
         pytest.skip("the reference element scan is kept to 729 elements")
-    for n in range(1, L.p):
-        scan = ref_engel(L, n)
-        assert is_n_engel_algebra(L, n) == scan
-        linear = _engel_linearized(L, n)
-        assert linear.ok == scan.ok and linear.mode == "basis"
-        if not linear.ok:
-            assert mat_pow(L.ad_matrix(linear.witness), n, L.p).any()
-    n = L.p  # no linearization: scanned within the budget, refused beyond it
-    assert is_n_engel_algebra(L, n) == ref_engel(L, n)
-    monkeypatch.setattr(identities, "ENGEL_EXACT_LIMIT", L.p**L.total_dim - 1)
-    with pytest.raises(BudgetExceeded, match=">= p"):
-        is_n_engel_algebra(L, n)
+    for n in range(1, L.p + 1):
+        assert is_n_engel_algebra(L, n) == ref_engel(L, n)
+    # scanned within the budget, refused beyond it with one message for every n
+    size = L.p**L.total_dim
+    monkeypatch.setattr(identities, "ENGEL_EXACT_LIMIT", size - 1)
+    for n in range(1, L.p + 1):
+        with pytest.raises(BudgetExceeded) as err:
+            is_n_engel_algebra(L, n)
+        assert str(err.value) == f"{size} elements exceed the budget of {size - 1}"
 
 
-def test_engel_linearization_finds_failures():
+def test_engel_scan_finds_failures_with_a_witness():
     # degree n = 1 < p fails on every non-abelian algebra, n = 2 on class 3
     failures = 0
     for name in NAMES:
         L = build_dl(algebra_cases()[name])
         for n in range(1, L.p):
-            linear = _engel_linearized(L, n)
-            if not linear.ok:
+            verdict = is_n_engel_algebra(L, n)
+            if not verdict.ok:
                 failures += 1
-                assert mat_pow(L.ad_matrix(linear.witness), n, L.p).any()
+                assert mat_pow(L.ads(verdict.witness.vec[None])[0], n, L.p).any()
     assert failures >= 10
 
 
@@ -446,17 +515,17 @@ def test_jacobi_tensor_identity_matches_the_triple_scan():
         sc = random_graded_tables(rng, p, dims)
         if trial % 4 == 0:  # brackets into degree 2 only: Jacobi holds
             sc = {pair: t * (pair == (1, 1)) for pair, t in sc.items()}
-        shell = GradedLieRing(p, dims, {})
+        shell = GradedLieRing(p, dims, assemble(p, dims, {}))
         shell.sc = {pair: np.asarray(t) for pair, t in sc.items()}
         failure = ref_jacobi_failure(shell)
         if failure is None:
-            assert GradedLieRing(p, dims, sc).sc.keys() == {
+            assert GradedLieRing(p, dims, assemble(p, dims, sc)).sc.keys() == {
                 pair for pair in sc if pair[0] + pair[1] <= len(dims)
             }
         else:
             refused += 1
             with pytest.raises(InconsistentPresentation, match="Jacobi"):
-                GradedLieRing(p, dims, sc)
+                GradedLieRing(p, dims, assemble(p, dims, sc))
     assert 10 <= refused <= 35
 
 
@@ -467,8 +536,9 @@ def test_bracket_and_ad_match_the_block_loops():
         for _ in range(4):
             u, v = (L.element(rng.integers(0, L.p, L.total_dim)) for _ in range(2))
             assert np.array_equal(L.bracket(u, v).vec, ref_bracket(L, u.vec, v.vec))
-            assert np.array_equal(L.ad_matrix(v), ref_ad(L, v.vec))
-            assert L.ad_nilpotency_index(v) == ref_ad_index(L, ref_ad(L, v.vec))
+            ad = L.ads(v.vec[None])
+            assert np.array_equal(ad[0], ref_ad(L, v.vec))
+            assert L.ad_nilpotency_indices(ad)[0] == ref_ad_index(L, ref_ad(L, v.vec))
 
 
 def ref_respects_brackets(L, mats):
@@ -521,7 +591,7 @@ def free_class_two(p):
     table = np.zeros((3, 3, 3), dtype=np.int64)
     for k, (i, j) in enumerate(itertools.combinations(range(3), 2)):
         table[i, j, k], table[j, i, k] = 1, p - 1
-    return GradedLieRing(p, (3, 3), {(1, 1): table})
+    return GradedLieRing(p, (3, 3), assemble(p, (3, 3), {(1, 1): table}))
 
 
 def second_exterior(M, p):
@@ -552,7 +622,14 @@ def test_automorphism_verification_matches_the_pair_loop():
                         GradedAutomorphism(L, mats)
 
 
-def test_subspace_closure_and_lp_subalgebra_match_the_pair_loops():
+def ref_degree_one_ring(L) -> GradedLieRing:
+    """The degree-one closure of L as a ring of its own, from ref_lp_subalgebra's blocks."""
+    bases, sc = ref_lp_subalgebra(L)
+    dims = [len(b) for b in bases]
+    return GradedLieRing(L.p, dims, assemble(L.p, dims, sc))
+
+
+def test_subspace_closure_and_degree_one_closure_match_the_pair_loops():
     rng = np.random.default_rng(9)
     algebras = [build_dl(algebra_cases()[name]) for name in NAMES]
     algebras += [free_class_two(p) for p in (2, 3, 5)]
@@ -563,11 +640,9 @@ def test_subspace_closure_and_lp_subalgebra_match_the_pair_loops():
             space = GradedSubspace(L, bases)
             assert space.is_bracket_closed() == ref_bracket_closed(space)
             outcomes.append(space.is_bracket_closed())
-        bases, sc = ref_lp_subalgebra(L)
-        sub = lp_subalgebra(L)
-        assert [b.tolist() for b in sub.embeddings] == [b.tolist() for b in bases]
-        assert sorted(sub.algebra.sc) == sorted(sc)
-        assert all(np.array_equal(sub.algebra.sc[pair], sc[pair]) for pair in sc)
+        bases, _ = ref_lp_subalgebra(L)
+        closure = liering._degree_one_closure(L)[0]
+        assert [b.tolist() for b in closure] == [b.tolist() for b in bases]
     assert outcomes.count(False) >= 10
 
 
@@ -575,7 +650,7 @@ def test_subspace_closure_and_lp_subalgebra_match_the_pair_loops():
 def test_witness_class_is_the_class_of_the_degree_one_subalgebra(name):
     G = algebra_cases()[name]
     c = liering.decomposition_witness(G).c
-    assert c == lp_subalgebra(build_dl(G)).algebra.nilpotency_class()
+    assert c == ref_degree_one_ring(build_dl(G)).nilpotency_class()
     assert c == liering.decomposition_witness(G, reversed(G.generators)).c
 
 
@@ -590,7 +665,7 @@ def test_witness_checks_the_degree_one_closure(monkeypatch):
     monkeypatch.setattr(GradedSubspace, "outside", lambda self, vecs: np.ones(vecs.shape[:-1], bool))
     message = r"degree-one closure is not bracket-closed at degrees \(1,1\)"
     with pytest.raises(InconsistentPresentation, match=message):
-        lp_subalgebra(L)
+        liering._degree_one_closure(L)
     with pytest.raises(InconsistentPresentation, match=message):
         liering.decomposition_witness(G)
 

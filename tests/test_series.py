@@ -7,6 +7,7 @@ import pytest
 from grouplab import series
 from grouplab.errors import (
     BudgetExceeded,
+    MalformedSpec,
     MismatchedParent,
     NotAPGroup,
     NotNormal,
@@ -22,19 +23,21 @@ from grouplab.groups import (
 from grouplab.liering import build_dl
 from grouplab.series import (
     NormalSeries,
+    QuotientGroup,
+    Subgroup,
+    _closure,
+    _fitting_mod,
     centralizer,
     commutator_subgroup,
     derived_series,
     dimension_series,
     fitting_height,
-    fitting_subgroup,
     generated_subgroup,
     is_nilpotent_subgroup,
     is_powerful,
     lower_central_series,
     normal_closure,
     power_subgroup,
-    quotient_group,
     structure_predicates,
     trivial_subgroup,
     verify_np_series,
@@ -155,7 +158,7 @@ def test_power_subgroup_values():
     assert sq.order == 2 and sq.contains(D.generator_by_name("g3"))
     C = c9()
     assert power_subgroup(C, whole_subgroup(C), 3).order == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedSpec, match="positive exponent, got 0"):
         power_subgroup(D, W, 0)
 
 
@@ -194,7 +197,7 @@ def test_series_term_indexing():
     assert s.term(1).is_whole
     assert s.term(3).is_trivial
     assert s.term(9).is_trivial
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedSpec, match="1-based, got 0"):
         s.term(0)
 
 
@@ -345,7 +348,7 @@ def test_np_series_gamma_not_np_for_c4():
 
 def test_quotient_by_trivial():
     G = s3()
-    Q = quotient_group(G, trivial_subgroup(G))
+    Q = QuotientGroup(G, trivial_subgroup(G))
     assert Q.group.order == G.order
 
 
@@ -353,7 +356,7 @@ def test_quotient_s4_mod_klein():
     G = s4()
     x = G.element(perm_from_cycles(4, [[1, 2], [3, 4]]))
     V = normal_closure(G, [x])
-    Q = quotient_group(G, V)
+    Q = QuotientGroup(G, V)
     assert Q.group.order == 6
     assert not structure_predicates(Q.group).is_nilpotent  # nonabelian of order 6
     assert Q.group.order * V.order == G.order
@@ -362,7 +365,7 @@ def test_quotient_s4_mod_klein():
 def test_quotient_d8():
     G = d8()
     Z = generated_subgroup(G, [G.generator_by_name("g3")])
-    Q = quotient_group(G, Z)
+    Q = QuotientGroup(G, Z)
     assert Q.group.order == 4
     assert Q.group.exponent() == 2
 
@@ -370,7 +373,7 @@ def test_quotient_d8():
 def test_quotient_projection_is_homomorphism():
     G = d8()
     Z = generated_subgroup(G, [G.generator_by_name("g3")])
-    Q = quotient_group(G, Z)
+    Q = QuotientGroup(G, Z)
     for a in G.elements():
         for b in G.elements():
             assert Q.project(G.multiply(a, b)) == Q.group.multiply(Q.project(a), Q.project(b))
@@ -383,7 +386,7 @@ def test_quotient_requires_normal():
     H = generated_subgroup(G, [G.generator_by_name("a")])
     assert not H.is_normal
     with pytest.raises(NotNormal):
-        quotient_group(G, H)
+        QuotientGroup(G, H)
 
 
 # -- centralizers --------------------------------------------------------
@@ -420,16 +423,21 @@ def test_centralizer_mismatched():
 # -- fitting subgroup and height -----------------------------------------
 
 
+def fitting_term(G):
+    """The Fitting subgroup, F_1 of the upper Fitting series: _fitting_mod modulo 1."""
+    return Subgroup(G, _fitting_mod(G, _closure(G, ())))
+
+
 def test_fitting_s3():
     G = s3()
-    F = fitting_subgroup(G)
+    F = fitting_term(G)
     assert F.order == 3
     assert fitting_height(G) == 2
 
 
 def test_fitting_s4():
     G = s4()
-    F = fitting_subgroup(G)
+    F = fitting_term(G)
     assert F.order == 4  # the Klein four-group
     assert fitting_height(G) == 3
 
@@ -441,7 +449,7 @@ def test_fitting_a4():
 def test_fitting_nilpotent_is_one():
     for make in (d8, c9, heis27):
         G = make()
-        assert fitting_subgroup(G).is_whole
+        assert fitting_term(G).is_whole
         assert fitting_height(G) == 1
 
 
@@ -453,7 +461,7 @@ def test_fitting_insolvable_rejected():
 def test_fitting_insolvable_above_a_nontrivial_fitting_subgroup_names_the_group():
     # F(A5 x C3) = C3, and the quotient A5 has a trivial Fitting subgroup
     G = perm(8, [("a", [[1, 2, 3, 4, 5]]), ("b", [[1, 2, 3]]), ("c", [[6, 7, 8]])])
-    assert fitting_subgroup(G).order == 3
+    assert fitting_term(G).order == 3
     with pytest.raises(NotSolvable, match="group of order 180 is not solvable"):
         fitting_height(G)
 
