@@ -17,13 +17,16 @@ on the group.  GroupElement handles and their arithmetic serve the public
 API; the library's computations read the table and index arrays, so a
 group makes its identity and generator handles and the rest only when
 asked for them.  A homomorphism is decided on the generators of its
-source, every element against every generator; only a failure scans every
-pair, to name the first one.  The public constructor checks that a group's
-generators generate it, with the closure kernel (_close) that spans every
-subgroup; the three builders span their groups by construction and skip
-that check (FiniteGroup._built).  Pairwise scans read the table in blocks
-of at most _BLOCK entries (_blocks).  Groups are capped at TABLE_CAP
-elements; a pc presentation over the cap is refused before any table work.
+source, every element against every generator, after each generator's
+given image is compared with the one the others send it to; only a
+failure scans every pair, to name the first one.  The closure kernel
+(_close) spans every subgroup by whole cosets, one table gather and one
+Python step per coset of the span so far.  The public constructor checks
+with it that a group's generators generate it; the three builders span
+their groups by construction and skip that check (FiniteGroup._built).
+Pairwise scans read the table in blocks of at most _BLOCK entries
+(_blocks).  Groups are capped at TABLE_CAP elements; a pc presentation
+over the cap is refused before any table work.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -78,6 +82,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_power(n: int):
+    """(p, k) with n = p^k for a prime p, or None if n is not a prime power, by trial division."""
+    if n == 1:
+        return None
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            break
+        p += 1
+    else:
+        return (n, 1)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
+
+
 def _blocks(items: np.ndarray, width: int):
     """Consecutive runs of items, each with at most _BLOCK // width of them (at least one)."""
     step = max(1, _BLOCK // max(width, 1))
@@ -89,10 +111,16 @@ def _close(G: "FiniteGroup", gens, mask=None, kept=None) -> tuple:
     """(mask, kept): the subgroup generated by the given element indices and the generators kept.
 
     A generator already inside the span so far is dropped, so each one kept
-    at least doubles the span and at most log2|G| are kept.  The span grows
-    breadth-first by right multiplication with the kept generators, whose
-    table columns are gathered once per generator kept.  Given the mask of a
-    subgroup and the generators kept for it, the span is extended in place.
+    at least doubles the span and at most log2|G| are kept.  Keeping one
+    grows the span S so far by whole cosets (Dimino's algorithm; G. Butler,
+    Fundamental Algorithms for Permutation Groups, 1991): coset
+    representatives are walked from the identity, each is multiplied by
+    every kept generator (S need not be normal), and a product x outside the
+    span adds the coset S·x with one table gather and becomes a
+    representative.  The span is a union of cosets of S closed under every
+    kept generator when the walk ends, so it costs one step per coset.  Given
+    the mask of a subgroup and the generators kept for it, the span is
+    extended in place.
     """
     T = G.table()
     gens = np.asarray(gens, dtype=np.int64)
@@ -105,14 +133,14 @@ def _close(G: "FiniteGroup", gens, mask=None, kept=None) -> tuple:
         if not outside.size:
             return mask, kept
         kept.append(outside[0])
-        cols = T[:, kept]  # row x: x·g for every kept generator g
-        frontier = mask.nonzero()[0]
-        while frontier.size:
-            fresh = np.zeros(G.order, dtype=bool)
-            fresh[cols[frontier]] = True
-            fresh &= ~mask
-            mask |= fresh
-            frontier = fresh.nonzero()[0]
+        span = mask.nonzero()[0]
+        gen_idx = np.array(kept)
+        reps = [G._e]
+        for r in reps:
+            for x in T[r, gen_idx].tolist():
+                if not mask[x]:
+                    mask[T[span, x]] = True
+                    reps.append(x)
 
 
 def _validate_word(word, p: int, ngens: int, floor: int, where: str) -> NormalWord:
@@ -436,8 +464,12 @@ def _perm_table(genset: PermutationGenSet) -> tuple:
     while frontier:
         fresh = []
         for key in frontier:
-            # a*b means "apply a, then b"
-            right[key] = prods = [tuple(gk[x] for x in key) for gk in gen_keys]
+            # a*b means "apply a, then b": (a*b)[x] = b[a[x]]
+            compose = itemgetter(*key)
+            prods = [compose(gk) for gk in gen_keys]
+            if genset.degree == 1:  # itemgetter of one index returns the bare item
+                prods = [(prod,) for prod in prods]
+            right[key] = prods
             for pos, prod in enumerate(prods):
                 if prod not in tree:
                     tree[prod] = (key, pos)
@@ -477,8 +509,9 @@ class FiniteGroup:
     one handle without it, so runs that read the table make none.
     Instances are immutable once built and keep the identity's index and a
     read-only array of the generators' indices; the caches populated lazily
-    (element handles, element orders, the exponent, the subgroup-lattice
-    store, the graded Lie ring) never change observable values.
+    (element handles, element orders, the exponent, the prime-power
+    decision of is_p_group, the subgroup-lattice store, the graded Lie ring)
+    never change observable values.
     """
 
     def __init__(self, kind: str, keys, table: np.ndarray, generators, repr_key):
@@ -518,6 +551,7 @@ class FiniteGroup:
         self.generator_names = tuple(name for name, _ in generators)
         self._orders = None  # order of every element, kept by element_orders
         self._exponent = None  # kept by exponent
+        self._prime_power = False  # (p, k) or None once is_p_group has decided it
         self._lie_ring = None  # the graded Lie ring, kept by liering.build_dl
         # subgroups, series and kernel results by key, kept by the series module
         self._lattice = {}
@@ -649,22 +683,10 @@ class FiniteGroup:
         return self._exponent
 
     def is_p_group(self):
-        """(p, k) with |G| = p^k, or None if the order is not a prime power."""
-        n = self.order
-        if n == 1:
-            return None
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                break
-            p += 1
-        else:
-            return (n, 1)
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        return (p, k) if n == 1 else None
+        """(p, k) with |G| = p^k, or None if the order is not a prime power; kept on the group."""
+        if self._prime_power is False:
+            self._prime_power = _prime_power(self.order)
+        return self._prime_power
 
     # -- tables and consistency -----------------------------------------
 
@@ -745,6 +767,16 @@ class GroupHomomorphism:
                         image_idx[xg] = tgt_col[image_idx[x]]
                         fresh.append(xg)
             frontier = fresh
+        # a generator reached before its own column (a repeat, or the
+        # identity) took its image from the others; it must be the one given
+        for name, (g, h) in zip(source.generator_names, gen_images):
+            got = image_idx[source.index_of(g)]
+            if got != target.index_of(h):
+                raise MalformedSpec(
+                    f"images do not extend to a homomorphism: generator {name} = {g!r} is "
+                    f"given {h!r}, but the images of the others send it to "
+                    f"{target.element_at(got)!r}"
+                )
         self.image_indices = tuple(image_idx)
         self._verify()
 

@@ -18,6 +18,7 @@ IDENTITY_EVAL_BUDGET polynomial assignments, ENGEL_EXACT_LIMIT algebra
 elements, WORD_EVAL_BUDGET group-word assignments.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -130,7 +131,11 @@ class LiePolynomial:
 
 
 def higman_polynomial(n: int) -> LiePolynomial:
-    """Sum over all orderings of x1..x_{n-1} of [x0, x_{pi(1)}, ..., x_{pi(n-1)}]."""
+    """Sum over all orderings of x1..x_{n-1} of [x0, x_{pi(1)}, ..., x_{pi(n-1)}].
+
+    n and the monomial budget are checked on every call; the polynomial of
+    each degree is built once (_higman).
+    """
     if n < 2:
         raise MalformedSpec("need n >= 2")
     count = 1
@@ -138,6 +143,12 @@ def higman_polynomial(n: int) -> LiePolynomial:
         count *= k
     if count > HIGMAN_MONOMIAL_BUDGET:
         raise BudgetExceeded(f"{count} monomials exceed the budget of {HIGMAN_MONOMIAL_BUDGET}")
+    return _higman(n)
+
+
+@functools.cache
+def _higman(n: int) -> LiePolynomial:
+    """The Higman polynomial of degree n, kept per degree; it is immutable."""
     terms = []
     for pi in itertools.permutations(range(1, n)):
         terms.append((1, left_normed((0,) + pi)))

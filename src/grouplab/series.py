@@ -244,9 +244,11 @@ def _keep(G: FiniteGroup, key: tuple, compute):
 def _subgroup(G: FiniteGroup, mask) -> Subgroup:
     """The subgroup of G with this mask, kept on G.
 
-    Every mask given here is a subgroup by construction: a _close span, whose
-    breadth-first growth stops only once span·kept ⊆ span, the whole group,
-    or the fixed points of automorphisms (centralizer).  So no pair is
+    Every mask given here is a subgroup by construction: a _close span, a
+    union of cosets of the span before each kept generator whose walk ends
+    only once every representative times every kept generator lies inside,
+    so span·kept ⊆ span; the whole group; or the fixed points of
+    automorphisms (centralizer).  So no pair is
     scanned; the identity is checked the first time a mask is asked for on
     G, and later calls return that Subgroup.  The
     library builds every subgroup here; a public Subgroup(G, mask) verifies

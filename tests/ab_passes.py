@@ -1,0 +1,132 @@
+"""In-process A/B timing of two grouplab checkouts on one benchmark workload.
+
+    python3 tests/ab_passes.py A_DIR B_DIR WORKLOAD PASSES
+
+A_DIR and B_DIR are checkouts (each with src/grouplab); WORKLOAD is corpus,
+ladder or build, as in perfbench/workloads.py.  Each checkout's package is
+loaded under its own name, grouplab_a and grouplab_b, into this one process,
+and both build their ops from the same fixture files, read by path from
+A_DIR: the corpus from src/grouplab/data/corpus.grp (corpus_text() finds
+the package by the name grouplab, so it is not called), the ladder and
+build groups from perfbench/.  One untimed pass per side checks that both
+give equal outputs.  Then the sides alternate pass by pass, the first side
+swapped every pass, and each op is timed after the benchmark's reference
+kernel (perfbench/run.py, reference_seconds), so a pass is worth the sum of
+its ops' seconds over the reference seconds, in pass_ref's "ref" unit.
+Prints each side's median and quartiles, and the median of the per-pass
+B/A ratios with their quartiles.  Not a test: its name keeps it out of the
+pytest run.
+"""
+
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load(name: str, init: Path, package: bool):
+    """The module (or package, with its directory as search path) at init, as sys.modules[name]."""
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)] if package else None
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's own reference kernel; run.py pins the BLAS pools as it loads,
+# before numpy is imported
+bench = load("perfbench_run", ROOT / "perfbench" / "run.py", package=False)
+
+
+def ops(gl, workload: str, base: Path) -> list:
+    """The workload's ops, as in perfbench/workloads.py, on package gl."""
+    if workload == "corpus":
+        fx = gl.parse_fixture((base / "src/grouplab/data/corpus.grp").read_text("utf-8"))
+        return [lambda: gl.run_checks(fx)]
+    if workload == "ladder":
+        fx = gl.parse_fixture((base / "perfbench/ladder.grp").read_text("utf-8"))
+        out = []
+        for g in fx.groups:
+            actions = tuple(a for a in fx.actions if a.group == g.name)
+            targets = {g.name} | {a.name for a in actions}
+            part = gl.FixtureFile(
+                (g,),
+                tuple(a for a in fx.auts if a.group == g.name),
+                actions,
+                tuple(c for c in fx.checks if c.target in targets),
+            )
+            out.append(lambda part=part: gl.run_checks(part))
+        return out
+    if workload == "build":
+        fx = gl.parse_fixture((base / "perfbench/build.grp").read_text("utf-8"))
+        auts = {a.group: a for a in fx.auts}
+
+        def pipeline(entry):
+            G = gl.build_group(entry.presentation)
+            G.table()
+            series = gl.dimension_series(G)
+            L = gl.build_dl(G)
+            phi = gl.fixtures.realize_automorphism(auts[entry.name], G)
+            return G, series, L, gl.induced_action(phi, L)
+
+        return [lambda g=g: pipeline(g) for g in fx.groups]
+    raise SystemExit(f"unknown workload {workload!r}: corpus, ladder or build")
+
+
+def summary(workload: str, output):
+    """What the benchmark's golden check reads of one op's output, as plain values."""
+    if workload == "corpus":
+        return output.to_json()
+    if workload == "ladder":
+        return [[r.group, r.check, r.status, r.details] for r in output.rows]
+    G, series, L, action = output
+    return (
+        G.table().tobytes(),
+        series.orders(),
+        list(L.dims),
+        L.C.tobytes(),
+        [m.tolist() for m in action.mats],
+    )
+
+
+def timed_pass(side_ops) -> float:
+    total = 0.0
+    for op in side_ops:
+        ref = bench.reference_seconds()
+        start = time.perf_counter()
+        op()
+        total += (time.perf_counter() - start) / ref
+    return total
+
+
+def main(argv) -> int:
+    if len(argv) != 4:
+        raise SystemExit(__doc__.split("\n\n")[1])
+    a_dir, b_dir, workload, passes = Path(argv[0]), Path(argv[1]), argv[2], int(argv[3])
+    sides = {}
+    for label, base in (("A", a_dir), ("B", b_dir)):
+        gl = load(f"grouplab_{label.lower()}", base / "src/grouplab/__init__.py", package=True)
+        sides[label] = ops(gl, workload, a_dir)
+    outputs = {label: [summary(workload, op()) for op in side] for label, side in sides.items()}
+    if outputs["A"] != outputs["B"]:
+        print(f"{workload}: the two checkouts give different outputs", file=sys.stderr)
+        return 1
+    times = {"A": [], "B": []}
+    for i in range(passes):
+        for label in ("A", "B") if i % 2 == 0 else ("B", "A"):
+            times[label].append(timed_pass(sides[label]))
+    for label, base in (("A", a_dir), ("B", b_dir)):
+        q1, med, q3 = statistics.quantiles(times[label], n=4)
+        print(f"{label} {base}: median {med:.4f} ref [{q1:.4f}, {q3:.4f}] over {passes} passes")
+    q1, med, q3 = statistics.quantiles([b / a for a, b in zip(times["A"], times["B"])], n=4)
+    print(f"{workload} B/A per pass: median {med:.3f} [{q1:.3f}, {q3:.3f}]")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

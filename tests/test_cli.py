@@ -9,6 +9,7 @@ from grouplab import __version__
 from grouplab.checks import CheckReport, CheckRow
 from grouplab.cli import main
 from grouplab.corpus import corpus_text
+from test_fixtures import CONTRADICTED_IMAGE
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,19 @@ def test_syntax_error_reports_location(tmp_path, capsys):
     bad.write_text("group G\nbackend pc\nprime 2\nngens 1\nwibble\nend\n")
     assert main(["info", str(bad)]) == 2
     assert "line 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c, image", [("(1 2)", "(1 2 3)"), ("()", "(1 2)")])
+def test_an_automorphism_contradicting_its_fixture_is_one_error_line(tmp_path, capsys, c, image):
+    bad = tmp_path / "contradicted.grp"
+    bad.write_text(CONTRADICTED_IMAGE.format(c=c, image=image), encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: images do not extend to a homomorphism: generator c = {c} is given "
+        f"{image}, but the images of the others send it to {c}\n"
+    )
 
 
 @pytest.mark.parametrize(

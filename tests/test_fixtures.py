@@ -501,6 +501,36 @@ def test_realize_perm_automorphism_both_image_kinds():
     assert phi(a) == G.inverse(a)
 
 
+CONTRADICTED_IMAGE = """\
+group P
+backend perm
+degree 3
+gen a = (1 2)
+gen b = (1 2 3)
+gen c = {c}
+end
+
+aut bad on P
+image a = (1 2)
+image b = (1 2 3)
+image c = {image}
+end
+
+action A on P = bad
+
+check c4_6 on A
+"""
+
+
+@pytest.mark.parametrize("c, image", [("(1 2)", "(1 2 3)"), ("()", "(1 2)")])
+def test_an_image_contradicting_the_other_generators_is_refused(c, image):
+    # c repeats a, or is the identity, so the images of a and b fix its image
+    fx = parse_fixture(CONTRADICTED_IMAGE.format(c=c, image=image))
+    G = realize_groups(fx)["P"]
+    with pytest.raises(MalformedSpec, match=rf"generator c = {re.escape(c)} is given "):
+        realize_automorphism(fx.aut("bad"), G)
+
+
 def test_word_images_are_read_from_the_table(monkeypatch):
     # a -> a^5 b^0 = a^-1 and b -> b^3 a^3 = b (conjugation by b), with
     # exponents past the orders and a zero one: the images equal the handle

@@ -352,6 +352,21 @@ def test_homomorphism_bad_images_rejected():
         GroupHomomorphism(G, C2, [x, x])  # wrong arity
 
 
+@pytest.mark.parametrize("c, shown", [([[1, 2]], "(1 2)"), ([], "()")])
+def test_a_repeated_or_trivial_generator_keeps_its_given_image(c, shown):
+    # c repeats a, or is the identity: the image pass reaches it before its
+    # own image is read, so the image given for it is compared on its own
+    G = perm_group(3, [("a", [[1, 2]]), ("b", [[1, 2, 3]]), ("c", c)])
+    a, b, gen_c = G.generators
+    with pytest.raises(MalformedSpec) as err:
+        Automorphism(G, [a, b, b])
+    assert str(err.value) == (
+        f"images do not extend to a homomorphism: generator c = {shown} is given (1 2 3), "
+        f"but the images of the others send it to {shown}"
+    )
+    assert Automorphism(G, [a, b, gen_c]).is_identity()
+
+
 def unverified_homomorphism(source, target, images):
     """The map the generator images extend to, built with verification switched off."""
     with pytest.MonkeyPatch.context() as mp:

@@ -96,6 +96,16 @@ def test_higman_counts():
         higman_polynomial(1)
 
 
+def test_higman_is_built_once_per_degree_and_keeps_its_refusals(monkeypatch):
+    assert higman_polynomial(4) is higman_polynomial(4)
+    # the budget is read at call time, also once the degree is built
+    monkeypatch.setattr(identities, "HIGMAN_MONOMIAL_BUDGET", 5)
+    with pytest.raises(BudgetExceeded, match="6 monomials exceed the budget of 5"):
+        higman_polynomial(4)
+    with pytest.raises(MalformedSpec):
+        higman_polynomial(1)
+
+
 # -- Lie evaluation -----------------------------------------------------
 
 
