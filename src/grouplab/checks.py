@@ -480,6 +480,10 @@ class CheckReport:
 class RunContext:
     """Realized fixtures plus the decomposition witnesses shared across checks.
 
+    Every group, automorphism and action of the fixture is realized here,
+    before run_checks runs its first row, and all of them live until the
+    run returns; run_checks then runs the rows check-major over them.
+
     What depends on a group alone is kept on the group, not here: build_dl
     keeps its graded algebra, and the series module keeps every subgroup,
     series, commutator value set and commutator subgroup it computes, so
@@ -787,14 +791,23 @@ def run_checks(
     budget: int = SCAN_BUDGET,
     timings: bool = False,
 ) -> CheckReport:
-    """One row per selected check per type-applicable fixture entry."""
+    """One row per selected check per type-applicable fixture entry.
+
+    Every group is realized first (RunContext).  Then the rows run
+    check-major: each selected group check, in catalog order, on every group
+    in fixture order, then each action check on every action.  That runs one
+    check's code on group after group while it is warm, where group-major
+    order takes turns among all the checks.  Each group still meets its
+    checks in catalog order, so it keeps what the same calls make, and the
+    rows are sorted, so the report does not depend on the order.
+    """
     selected = _expand_selection(selection)
     ctx = RunContext(fx, budget=budget)
     rows = []
     for entries, handlers in ((fx.groups, _GROUP_HANDLERS), (fx.actions, _ACTION_HANDLERS)):
-        for entry in entries:
-            for name in selected:
-                if name in handlers:
+        for name in selected:
+            if name in handlers:
+                for entry in entries:
                     rows.append(_row(ctx, entry.name, name, handlers[name], timings))
     rows.sort(key=lambda row: (row.group, row.check))
     return CheckReport(__version__, tuple(rows))

@@ -27,6 +27,7 @@ from typing import Optional, Union
 from .errors import (
     DuplicateName,
     FixtureSyntaxError,
+    GroupLabError,
     MalformedSpec,
     UnresolvedReference,
 )
@@ -533,8 +534,16 @@ def serialize_fixture(fx: FixtureFile) -> str:
 # -- realization ---------------------------------------------------------
 
 
+def _realized(kind: str, name: str, build, *args):
+    """build(*args); a refusal is re-raised as its own class, led by 'KIND NAME: '."""
+    try:
+        return build(*args)
+    except GroupLabError as exc:
+        raise type(exc)(f"{kind} {_named(name)}: {exc}") from exc
+
+
 def realize_groups(fx: FixtureFile) -> dict:
-    return {g.name: build_group(g.presentation) for g in fx.groups}
+    return {g.name: _realized("group", g.name, build_group, g.presentation) for g in fx.groups}
 
 
 def _product_of_powers(G: FiniteGroup, factors) -> GroupElement:
@@ -568,5 +577,6 @@ def realize_automorphism(entry: AutEntry, G: FiniteGroup) -> Automorphism:
 
 def realize_automorphisms(fx: FixtureFile, groups: dict) -> dict:
     return {
-        a.name: realize_automorphism(a, groups[a.group]) for a in fx.auts
+        a.name: _realized("aut", a.name, realize_automorphism, a, groups[a.group])
+        for a in fx.auts
     }

@@ -3,11 +3,14 @@
 import contextlib
 import json
 import signal
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grouplab import checks, series
+from grouplab import __version__, checks, series
 from grouplab.actions import ActionFixture
 from grouplab.checks import (
     ACTION_CHECKS,
@@ -763,3 +766,103 @@ def test_kept_results_are_read_only():
                 assert not a.flags.writeable
                 arrays += 1
     assert arrays > 50
+
+
+# -- the order the rows run in ---------------------------------------------------
+
+# pc groups and perm groups, with actions on a perm group (C15) and a pc group (Heis27)
+MIXED_TEXT = (
+    HEIS27_TEXT
+    + """
+aut heisinv on Heis27
+image 1 = 1^2
+image 2 = 2^2
+image 3 = 3^1
+end
+
+action invHeis27 on Heis27 = heisinv
+
+"""
+    + C15_TEXT
+    + "\n"
+    + S3_ACTIONS_TEXT
+)
+
+
+def group_major(fx):
+    """The catalog over fx, each group through every check before the next, and its context."""
+    ctx = checks.RunContext(fx)
+    rows = [
+        checks._row(ctx, entry.name, name, handler, False)
+        for entries, handlers in (
+            (fx.groups, checks._GROUP_HANDLERS),
+            (fx.actions, checks._ACTION_HANDLERS),
+        )
+        for entry in entries
+        for name, handler in handlers.items()
+    ]
+    rows.sort(key=lambda row: (row.group, row.check))
+    return CheckReport(__version__, tuple(rows)), ctx
+
+
+def kept(ctx):
+    """What each group of a run kept: its store's keys, its Lie ring's dims, its element orders."""
+    return {
+        name: (
+            sorted(map(repr, G._lattice)),
+            None if G._lie_ring is None else tuple(G._lie_ring.dims),
+            None if G._orders is None else G._orders.tolist(),
+        )
+        for name, G in ctx.groups.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "text",
+    [corpus_text, LADDER.read_text, lambda: MIXED_TEXT],
+    ids=["corpus", "ladder", "mixed"],
+)
+def test_check_major_and_group_major_runs_do_the_same_work(monkeypatch, text):
+    # a row that read state another group's rows left behind would differ here
+    fx = parse_fixture(text())
+    contexts = []
+
+    class Recorded(checks.RunContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(self)
+
+    monkeypatch.setattr(checks, "RunContext", Recorded)
+    report = run_checks(fx)
+    monkeypatch.undo()
+    reference, ctx = group_major(fx)
+    assert report.to_json() == reference.to_json()
+    (run_ctx,) = contexts
+    assert kept(run_ctx) == kept(ctx)
+
+
+def test_rows_run_check_major(monkeypatch):
+    fx = parse_fixture(MIXED_TEXT)
+    assert [g.name for g in fx.groups] == ["Heis27", "C15", "S3"]
+    fx = replace(fx, actions=fx.actions[:1])
+    calls = []
+
+    def recorded(ctx, target, name, handler, timings, _orig=checks._row):
+        calls.append((target, name))
+        return _orig(ctx, target, name, handler, timings)
+
+    monkeypatch.setattr(checks, "_row", recorded)
+    run_checks(fx)
+    assert calls == [
+        (group, name) for name in GROUP_CHECKS for group in ("Heis27", "C15", "S3")
+    ] + [("invHeis27", name) for name in ACTION_CHECKS]
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_report_does_not_depend_on_fixture_order(corpus_report, data):
+    fx = corpus_fixture()
+    groups = data.draw(st.permutations(fx.groups))
+    actions = data.draw(st.permutations(fx.actions))
+    shuffled = replace(fx, groups=tuple(groups), actions=tuple(actions))
+    assert run_checks(shuffled).to_json() == corpus_report.to_json()

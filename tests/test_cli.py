@@ -115,6 +115,46 @@ def test_info_builds_each_group_on_its_own(tmp_path, capsys):
     assert errors[1] == "error: group S7: group enumeration passed the cap of 2048 elements"
 
 
+@pytest.mark.parametrize("name", ["Bad", "B" * 41])
+def test_a_group_refused_while_checks_run_is_named(tmp_path, capsys, name):
+    path = tmp_path / "mixed.grp"
+    path.write_text(MIXED.replace("group Bad", f"group {name}"), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    shown = name if len(name) <= 40 else f"{name[:40]!r}... (41 characters)"
+    assert out == ""
+    assert err == (
+        f"error: group {shown}: relation [g2, g1] = g2 fails: "
+        "conjugation by g1 is no automorphism of <g2>\n"
+    )
+
+
+TWO_BAD_REQUESTS = """\
+group A
+backend pc
+prime 2
+ngens 1
+end
+
+group B
+backend pc
+prime 3
+ngens 1
+end
+
+check lemma_3_3 on A prime=1
+check collection on B n=0
+"""
+
+
+def test_the_first_refused_request_in_check_major_order_is_reported(tmp_path, capsys):
+    # collection precedes lemma_3_3 in the catalog, so B's request is met first
+    path = tmp_path / "two.grp"
+    path.write_text(TWO_BAD_REQUESTS, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: need n >= 1\n")
+
+
 def test_check_with_selection(corpus_path, capsys):
     assert main(["check", corpus_path, "--select", "fitting"]) == 0
     out = capsys.readouterr().out
@@ -165,7 +205,7 @@ def test_an_automorphism_contradicting_its_fixture_is_one_error_line(tmp_path, c
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        f"error: images do not extend to a homomorphism: generator c = {c} is given "
+        f"error: aut bad: images do not extend to a homomorphism: generator c = {c} is given "
         f"{image}, but the images of the others send it to {c}\n"
     )
 
