@@ -25,7 +25,7 @@ from .checks import (
     check_theorem_4_4_instance,
     run_checks,
 )
-from .corpus import Corpus, bundled_isomorphisms, corpus_fixture, corpus_text, load_corpus
+from .corpus import bundled_isomorphisms, corpus_fixture, corpus_text, load_corpus
 from .errors import (
     ActionNotWellDefined,
     BudgetExceeded,

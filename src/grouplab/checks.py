@@ -79,14 +79,6 @@ def _subgroup_exponent(G: FiniteGroup, H: Subgroup) -> int:
     return math.lcm(*np.flatnonzero(np.bincount(G.element_orders()[H.idx])).tolist())
 
 
-def _is_prime_power(n: int, q: int) -> bool:
-    if q < 2:
-        raise MalformedSpec(f"a prime power needs a base of at least 2, got {q}")
-    while n % q == 0:
-        n //= q
-    return n == 1
-
-
 def _check_prime(p: int) -> None:
     """Refuse a prime parameter that is not a prime, or too large to test by trial division."""
     if p > POWER_BUDGET:
@@ -179,16 +171,18 @@ def check_lemma_3_3(
             candidates = [
                 q for q in range(2, G.order + 1) if G.order % q == 0 and is_prime(q)
             ]
-    orders = G.element_orders()[commutators].tolist()
+    orders = G.element_orders()[commutators]
     failures = []
-    chosen = None
     for q in candidates:
-        bad = next((i for i, n in enumerate(orders) if not _is_prime_power(n, q)), None)
-        if bad is None:
-            chosen = q
+        # every order divides |G|: it is a power of q exactly when it divides the q-part of |G|
+        part = 1
+        while G.order % (part * q) == 0:
+            part *= q
+        bad = (part % orders).nonzero()[0]
+        if not bad.size:
             break
-        failures.append((q, bad))
-    if chosen is None:
+        failures.append((q, bad[0]))
+    else:
         q, bad = failures[-1]
         witness = G.element_at(commutators[bad])
         raise HypothesisNotMet(
@@ -197,12 +191,12 @@ def check_lemma_3_3(
             witness=witness,
         )
     term = lower_central_series(G).term(k)
-    ok = _is_prime_power(term.order, chosen)
+    ok = part % term.order == 0
     return Verdict(
         ok,
-        f"all {len(commutators)} weight-{k} commutators are {chosen}-elements; "
+        f"all {len(commutators)} weight-{k} commutators are {q}-elements; "
         f"series term {k} has order {term.order}"
-        + ("" if ok else f", which is not a power of {chosen}"),
+        + ("" if ok else f", which is not a power of {q}"),
     )
 
 
@@ -491,15 +485,15 @@ class RunContext:
     """
 
     def __init__(self, fx: FixtureFile, budget: int = SCAN_BUDGET):
-        self.fx = fx
+        self.fixture = fx
         self.budget = budget
         self.groups = realize_groups(fx)
-        self.auts = realize_automorphisms(fx, self.groups)
-        self.actions = realize_actions(fx, self.groups, self.auts)
+        self.automorphisms = realize_automorphisms(fx, self.groups)
+        self.actions = realize_actions(fx, self.groups, self.automorphisms)
         self._witness: dict = {}
 
     def params(self, check: str, target: str) -> dict:
-        return self.fx.params_for(check, target)
+        return self.fixture.params_for(check, target)
 
     def int_param(self, params: dict, key: str, default: int) -> int:
         if key not in params:

@@ -8,7 +8,7 @@ from ._version import __version__
 from .checks import SCAN_BUDGET, run_checks
 from .corpus import corpus_fixture
 from .errors import GroupLabError
-from .fixtures import parse_fixture
+from .fixtures import _realized, parse_fixture
 from .groups import build_group
 from .liering import build_dl
 from .series import (
@@ -33,9 +33,9 @@ def _cmd_info(args) -> int:
     failed = []
     for entry in fx.groups:
         try:
-            G = build_group(entry.presentation)
+            G = _realized("group", entry.name, build_group, entry.presentation)
         except GroupLabError as exc:
-            failed.append(f"group {entry.name}: {exc}")
+            failed.append(str(exc))
             continue
         gens = ", ".join(G.generator_names)
         print(
@@ -61,7 +61,7 @@ def _named_group(args):
     """The group named by --group, built alone; None, once reported, if the file has none."""
     for entry in _load(args.file).groups:
         if entry.name == args.group:
-            return build_group(entry.presentation)
+            return _realized("group", entry.name, build_group, entry.presentation)
     print(f"no group named {args.group!r} in {args.file}", file=sys.stderr)
     return None
 

@@ -1,15 +1,9 @@
-"""The bundled corpus: parsed fixture, realized objects, bundled isomorphisms."""
+"""The bundled corpus: parsed fixture, realized run context, bundled isomorphisms."""
 
-from dataclasses import dataclass
 from importlib import resources
 
-from .actions import realize_actions
-from .fixtures import (
-    FixtureFile,
-    parse_fixture,
-    realize_automorphisms,
-    realize_groups,
-)
+from .checks import RunContext
+from .fixtures import FixtureFile, parse_fixture
 from .groups import GroupHomomorphism
 
 
@@ -23,23 +17,12 @@ def corpus_fixture() -> FixtureFile:
     return parse_fixture(corpus_text())
 
 
-@dataclass(frozen=True)
-class Corpus:
-    fixture: FixtureFile
-    groups: dict
-    automorphisms: dict
-    actions: dict
+def load_corpus() -> RunContext:
+    """The corpus fixture with every group, automorphism and action realized."""
+    return RunContext(corpus_fixture())
 
 
-def load_corpus() -> Corpus:
-    fx = corpus_fixture()
-    groups = realize_groups(fx)
-    auts = realize_automorphisms(fx, groups)
-    actions = realize_actions(fx, groups, auts)
-    return Corpus(fx, groups, auts, actions)
-
-
-def bundled_isomorphisms(corpus: Corpus | None = None) -> dict:
+def bundled_isomorphisms(corpus: RunContext | None = None) -> dict:
     """Verified pc-to-perm isomorphisms for the doubly-modeled groups."""
     if corpus is None:
         corpus = load_corpus()

@@ -37,8 +37,8 @@ from .groups import (
     GroupElement,
     PcPresentation,
     PermutationGenSet,
+    _perm_repr,
     build_group,
-    cycles_of,
     perm_from_cycles,
 )
 from .series import _power_map
@@ -480,13 +480,6 @@ def _format_word(word: tuple) -> str:
     return " ".join(f"{i}^{e}" for i, e in word)
 
 
-def _format_cycles(perm: tuple) -> str:
-    cycles = cycles_of(perm)
-    if not cycles:
-        return "()"
-    return "".join("(" + " ".join(str(pt) for pt in cyc) + ")" for cyc in cycles)
-
-
 def serialize_fixture(fx: FixtureFile) -> str:
     out: list = []
     for g in fx.groups:
@@ -504,7 +497,7 @@ def serialize_fixture(fx: FixtureFile) -> str:
             pres = g.presentation
             out.append(f"degree {pres.degree}")
             for name, perm in pres.generators:
-                out.append(f"gen {name} = {_format_cycles(perm)}")
+                out.append(f"gen {name} = {_perm_repr(perm)}")
         out.append("end")
         out.append("")
     for a in fx.auts:
@@ -513,7 +506,7 @@ def serialize_fixture(fx: FixtureFile) -> str:
             if isinstance(gen, int):
                 out.append(f"image {gen} = {_format_word(value)}")
             elif value[0] == "cycles":
-                out.append(f"image {gen} = {_format_cycles(value[1])}")
+                out.append(f"image {gen} = {_perm_repr(value[1])}")
             else:
                 word = " ".join(
                     name if e == 1 else f"{name}^{e}" for name, e in value[1]

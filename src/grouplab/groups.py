@@ -7,8 +7,9 @@ the table:
 - power-commutator presentations of finite p-groups, by iterated cyclic
   extensions (_pc_table), which also decide consistency exactly, with one
   test per extension;
-- permutation groups on a small number of points, enumerated breadth-first
-  from their generators (_perm_table);
+- permutation groups, enumerated breadth-first from their generators
+  (_perm_table), among them each group A of automorphisms acting on a
+  group, on that group's element indices (actions.ActionFixture);
 - quotient groups, from the parent's table on coset representatives
   (series.QuotientGroup, for callers of the public API).
 
@@ -846,15 +847,6 @@ class Automorphism(GroupHomomorphism):
         return self.source
 
     @classmethod
-    def from_index_map(cls, group: FiniteGroup, image_indices):
-        """The automorphism with these element images, verified a bijective homomorphism."""
-        obj = cls._trusted(group, image_indices)
-        if sorted(obj.image_indices) != list(range(group.order)):
-            raise MalformedSpec("index map is not a bijection")
-        obj._verify()
-        return obj
-
-    @classmethod
     def _trusted(cls, group: FiniteGroup, image_indices):
         """The map with these element images, which the caller knows is an automorphism."""
         obj = cls.__new__(cls)
@@ -912,8 +904,8 @@ class Automorphism(GroupHomomorphism):
 
 
 def inner_automorphism(G: FiniteGroup, g: GroupElement) -> Automorphism:
-    """Conjugation x -> g^-1 x g as a verified automorphism, read from the table."""
+    """Conjugation x -> g^-1 x g, read from the table; an automorphism by construction."""
     gi = G.index_of(g)
     T = G.table()
     mapped = T[T[G.inverse_indices()[gi]], gi]  # row g^-1 is x -> g^-1 x
-    return Automorphism.from_index_map(G, mapped.tolist())
+    return Automorphism._trusted(G, mapped.tolist())

@@ -38,8 +38,8 @@ read-only commutator value masks by their index arrays, and the read-only
 power maps x -> x^k by k, so each scan of the weight-k commutators and each
 power map runs once per group.  It keeps the conjugacy classes as one
 read-only label array, each element's class minimum (_class_labels), from
-which the class representatives and the classes of cyclic subgroups are
-read with no gather per class.  Power subgroups are not kept apart from
+which the classes, their representatives and the classes of cyclic
+subgroups are read, with no gather.  Power subgroups are not kept apart from
 their masks, because no caller asks for the same one twice.  A call that
 raises keeps nothing.
 
@@ -716,12 +716,6 @@ def is_nilpotent_subgroup(G: FiniteGroup, H: Subgroup) -> bool:
         mask = nxt
 
 
-def _conjugacy_class(G: FiniteGroup, x: int) -> np.ndarray:
-    """x^g = g^-1 x g over every g in G, read from the table as one vector."""
-    T = G.table()
-    return T[T[G.inverse_indices(), x], np.arange(G.order)]
-
-
 def _class_labels(G: FiniteGroup) -> np.ndarray:
     """label[x] = least element index in the conjugacy class of x, read-only and kept on G.
 
@@ -796,8 +790,9 @@ def _cyclic_class_representatives(G: FiniteGroup) -> np.ndarray:
 
 
 def _class_closure(G: FiniteGroup, x: int) -> np.ndarray:
-    """Mask of the normal closure of element index x: the span of its class."""
-    return _closure(G, _conjugacy_class(G, x))
+    """Mask of the normal closure of element index x: the span of its class (_class_labels)."""
+    label = _class_labels(G)
+    return _closure(G, (label == label[x]).nonzero()[0])
 
 
 def _engel_walk(G: FiniteGroup, x: int, F: np.ndarray) -> tuple:
@@ -842,11 +837,13 @@ def _fitting_mod(G: FiniteGroup, F: np.ndarray) -> np.ndarray:
     Baer, Math. Ann. 133, 1957; Robinson, A Course in the Theory of Groups,
     ch. 12), a union of classes of cyclic subgroups.  So one x per such class
     outside F (_cyclic_class_representatives) is walked modulo F (_engel_walk),
-    and F is closed with the conjugacy classes of the Engel ones.
+    and F is closed with the conjugacy classes of the Engel ones, read off
+    _class_labels: each representative is its class minimum, so its label.
     """
     reps = _cyclic_class_representatives(G).tolist()
-    engel = [x for x in reps if not F[x] and _engel_walk(G, x, F)[1]]
-    return _closure(G, np.concatenate([F.nonzero()[0], *(_conjugacy_class(G, x) for x in engel)]))
+    engel = np.zeros(G.order, dtype=bool)
+    engel[[x for x in reps if not F[x] and _engel_walk(G, x, F)[1]]] = True
+    return _closure(G, (F | engel[_class_labels(G)]).nonzero()[0])
 
 
 def fitting_height(G: FiniteGroup) -> int:

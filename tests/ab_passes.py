@@ -1,6 +1,7 @@
 """In-process A/B timing of two grouplab checkouts on one benchmark workload.
 
     python3 tests/ab_passes.py A_DIR B_DIR WORKLOAD PASSES
+    python3 tests/ab_passes.py --calls A_DIR B_DIR WORKLOAD
 
 A_DIR and B_DIR are checkouts (each with src/grouplab); WORKLOAD is corpus,
 ladder or build, as in perfbench/workloads.py.  Each checkout's package is
@@ -14,11 +15,15 @@ swapped every pass, and each op is timed after the benchmark's reference
 kernel (perfbench/run.py, reference_seconds), so a pass is worth the sum of
 its ops' seconds over the reference seconds, in pass_ref's "ref" unit.
 Prints each side's median and quartiles, and the median of the per-pass
-B/A ratios with their quartiles.  Not a test: its name keeps it out of the
-pytest run.
+B/A ratios with their quartiles.  With --calls nothing is timed: after the
+untimed pass, each side runs one more pass under cProfile, and its total
+function call count is printed, so that "the same or less work" is one
+command.  Not a test: its name keeps it out of the pytest run.
 """
 
+import cProfile
 import importlib.util
+import pstats
 import statistics
 import sys
 import time
@@ -104,10 +109,23 @@ def timed_pass(side_ops) -> float:
     return total
 
 
+def call_count(side_ops) -> int:
+    """cProfile's total function call count over one pass of the ops."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for op in side_ops:
+        op()
+    profiler.disable()
+    return pstats.Stats(profiler).total_calls
+
+
 def main(argv) -> int:
-    if len(argv) != 4:
+    calls = argv[:1] == ["--calls"]
+    if calls:
+        argv = argv[1:]
+    if len(argv) != (3 if calls else 4):
         raise SystemExit(__doc__.split("\n\n")[1])
-    a_dir, b_dir, workload, passes = Path(argv[0]), Path(argv[1]), argv[2], int(argv[3])
+    a_dir, b_dir, workload = Path(argv[0]), Path(argv[1]), argv[2]
     sides = {}
     for label, base in (("A", a_dir), ("B", b_dir)):
         gl = load(f"grouplab_{label.lower()}", base / "src/grouplab/__init__.py", package=True)
@@ -116,7 +134,12 @@ def main(argv) -> int:
     if outputs["A"] != outputs["B"]:
         print(f"{workload}: the two checkouts give different outputs", file=sys.stderr)
         return 1
+    if calls:
+        for label, base in (("A", a_dir), ("B", b_dir)):
+            print(f"{label} {base}: {call_count(sides[label])} calls in one warm {workload} pass")
+        return 0
     times = {"A": [], "B": []}
+    passes = int(argv[3])
     for i in range(passes):
         for label in ("A", "B") if i % 2 == 0 else ("B", "A"):
             times[label].append(timed_pass(sides[label]))

@@ -1,17 +1,35 @@
-"""Acting automorphism groups: closure, ordering, coprimality, shape tests."""
+"""Acting automorphism groups: closure, ordering, coprimality, shape tests.
+
+An ActionFixture builds its acting group A through build_group, as the
+permutation group its generators' index maps generate.  ref_action_closure
+keeps the set closure that A replaced, breadth-first under composition with
+the generators, and everything the catalog reads of A is held to it: on
+every corpus and ladder action, and on generator tuples drawn on small
+corpus groups.
+"""
+
+import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import grouplab.actions as actions_mod
+from grouplab import groups
 from grouplab.actions import ActionFixture, realize_actions
+from grouplab.checks import RunContext
 from grouplab.corpus import load_corpus
 from grouplab.errors import BudgetExceeded, MismatchedParent
-from grouplab.groups import Automorphism
+from grouplab.fixtures import parse_fixture
+from grouplab.groups import Automorphism, inner_automorphism, is_prime
+
+LADDER = Path(__file__).resolve().parents[1] / "perfbench" / "ladder.grp"
+CORPUS = load_corpus()
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    return load_corpus()
+    return CORPUS
 
 
 def test_corpus_action_orders_and_coprimality(corpus):
@@ -94,11 +112,43 @@ def test_wrong_group_rejected(corpus):
 
 
 def test_closure_budget(monkeypatch, corpus):
-    monkeypatch.setattr(actions_mod, "CLOSURE_BUDGET", 1)
-    invx = corpus.automorphisms["c33invx"]
-    invy = corpus.automorphisms["c33invy"]
-    with pytest.raises(BudgetExceeded):
-        ActionFixture("big", corpus.groups["C3xC3"], (invx, invy))
+    # A is capped like every group, and the refusal names its action
+    monkeypatch.setattr(groups, "TABLE_CAP", 3)
+    with pytest.raises(BudgetExceeded) as err:
+        realize_actions(corpus.fixture, corpus.groups, corpus.automorphisms)
+    assert str(err.value) == "action kleinC33: group enumeration passed the cap of 3 elements"
+
+
+GL42 = """\
+group E16
+backend pc
+prime 2
+ngens 4
+end
+
+aut cycle on E16
+image 1 = 2^1
+image 2 = 3^1
+image 3 = 4^1
+image 4 = 1^1
+end
+
+aut shear on E16
+image 1 = 1^1 2^1
+image 2 = 2^1
+image 3 = 3^1
+image 4 = 4^1
+end
+
+action gl on E16 = cycle shear
+"""
+
+
+def test_an_acting_group_over_the_table_cap_is_refused():
+    # the cyclic shift and one transvection generate GL(4, 2), of order 20160
+    with pytest.raises(BudgetExceeded) as err:
+        RunContext(parse_fixture(GL42))
+    assert str(err.value) == "action gl: group enumeration passed the cap of 2048 elements"
 
 
 def test_realize_actions_matches_fixture_entries(corpus):
@@ -109,3 +159,93 @@ def test_realize_actions_matches_fixture_entries(corpus):
         entry = fx.action(name)
         assert a.group is corpus.groups[entry.group]
         assert len(a.generators) == len(entry.auts)
+
+
+# -- the acting group against the set closure it replaced ----------------------
+
+
+def ref_action_closure(G, generators) -> dict:
+    """What the catalog reads of A, from the set closure under composition that A replaced."""
+    ident = Automorphism.identity_of(G)
+    found = set(generators)
+    frontier = list(generators)
+    while frontier:
+        fresh = []
+        for phi in frontier:
+            for gen in generators:
+                prod = phi.compose(gen)
+                if prod not in found:
+                    found.add(prod)
+                    fresh.append(prod)
+        frontier = fresh
+    ordered = []
+    for phi in generators:
+        if phi != ident and phi not in ordered:
+            ordered.append(phi)
+    rest = (phi for phi in found if phi != ident and phi not in ordered)
+    ordered += sorted(rest, key=lambda phi: phi.image_indices)
+    closure = (ident, *ordered)
+    orders = [phi.order() for phi in closure]
+    n, q = len(closure), math.isqrt(len(closure))
+    cyclic = n in orders
+    single = len(generators) == 1 and orders[closure.index(generators[0])] == 2
+    return {
+        "closure": closure,
+        "nontrivial": closure[1:],
+        "order": n,
+        "coprime": math.gcd(n, G.order) == 1,
+        "is_cyclic": cyclic,
+        "noncyclic_q_squared": q if q * q == n and not cyclic and is_prime(q) else None,
+        "single_involution": generators[0] if single else None,
+    }
+
+
+def read_off(a: ActionFixture) -> dict:
+    return {
+        "closure": a.closure,
+        "nontrivial": a.nontrivial,
+        "order": a.order,
+        "coprime": a.coprime,
+        "is_cyclic": a.is_cyclic(),
+        "noncyclic_q_squared": a.noncyclic_q_squared(),
+        "single_involution": a.single_involution(),
+    }
+
+
+def fixture_actions() -> dict:
+    out = dict(CORPUS.actions)
+    out.update(RunContext(parse_fixture(LADDER.read_text("utf-8"))).actions)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(fixture_actions()))
+def test_fixture_actions_match_the_set_closure(name):
+    a = fixture_actions()[name]
+    assert read_off(a) == ref_action_closure(a.group, a.generators)
+
+
+SMALL = sorted(name for name, G in CORPUS.groups.items() if G.order <= 27)
+
+
+@st.composite
+def generator_tuples(draw):
+    """(G, generators) on a corpus group of order at most 27.
+
+    The generators are drawn from conjugations by its elements, the corpus's
+    automorphisms of it and the identity, with repeats, and may be none.
+    """
+    G = CORPUS.groups[draw(st.sampled_from(SMALL))]
+    pool = [Automorphism.identity_of(G)]
+    pool += [phi for phi in CORPUS.automorphisms.values() if phi.group is G]
+    pool += [inner_automorphism(G, G.element_at(i)) for i in range(G.order)]
+    gens = draw(st.lists(st.sampled_from(list(dict.fromkeys(pool))), max_size=3))
+    if gens and draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), draw(st.sampled_from(gens)))
+    return G, tuple(gens)
+
+
+@given(generator_tuples())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_drawn_actions_match_the_set_closure(case):
+    G, gens = case
+    assert read_off(ActionFixture("drawn", G, gens)) == ref_action_closure(G, gens)

@@ -237,12 +237,6 @@ def test_a_prime_beyond_the_power_budget_skips_without_a_primality_scan():
     assert row.details == "budget: prime exceeds the power budget of 1048576"
 
 
-def test_prime_power_test_refuses_a_base_below_two():
-    for q in (1, 0, -2):
-        with within(1.0), pytest.raises(MalformedSpec):
-            checks._is_prime_power(9, q)
-
-
 def test_lemma_3_4_s3_commutators_are_engel(corpus):
     # weight-2 values lie in the abelian 3-cycle subgroup, so iterated
     # commutators collapse after two steps

@@ -74,19 +74,6 @@ def test_prop_2_11_multiplies_only_until_the_product_is_whole(monkeypatch):
     assert len(calls) == 4
 
 
-def test_class_kernels_gather_no_class(monkeypatch):
-    calls = []
-
-    def counted(G, x, _orig=series._conjugacy_class):
-        calls.append(x)
-        return _orig(G, x)
-
-    monkeypatch.setattr(series, "_conjugacy_class", counted)
-    assert len(series._class_representatives(c2_11())) == 2048
-    assert len(series._cyclic_class_representatives(c2_11())) == 2048
-    assert calls == []
-
-
 def test_class_kernels_on_cap_sized_groups_give_the_closed_form_counts():
     # C2^11: every element is its own class and its own cyclic subgroup's
     # only generator; the cyclic group of order 2^11 has one cyclic subgroup

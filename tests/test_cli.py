@@ -129,6 +129,39 @@ def test_a_group_refused_while_checks_run_is_named(tmp_path, capsys, name):
     )
 
 
+LONG = "B" * 50
+LONG_BAD = f"""\
+group {LONG}
+backend pc
+prime 2
+ngens 2
+pow 1 = 2^1
+comm 2 1 = 2^1
+end
+
+group C2
+backend pc
+prime 2
+ngens 1
+end
+"""
+
+
+@pytest.mark.parametrize("command", ["info", "check", "series", "liering"])
+def test_every_command_names_a_refused_group_alike(tmp_path, capsys, command):
+    path = tmp_path / "long.grp"
+    path.write_text(LONG_BAD, encoding="utf-8")
+    argv = [command, str(path)] + (["--group", LONG] if command in ("series", "liering") else [])
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == (
+        f"error: group {LONG[:40]!r}... (50 characters): relation [g2, g1] = g2 fails: "
+        "conjugation by g1 is no automorphism of <g2>\n"
+    )
+    listed = "group C2: backend pc, order 2, exponent 2, generators g1\n"
+    assert out == (listed if command == "info" else "")
+
+
 TWO_BAD_REQUESTS = """\
 group A
 backend pc

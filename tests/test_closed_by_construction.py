@@ -9,8 +9,10 @@ hold the kept subgroups to the public full scan, pin where each pair scan
 still runs, and guard with the stdlib ``ast`` that no other library code
 builds subgroups past the scan.  The same holds for normality, which is
 scanned only when read, for the library's series, built past the public
-NormalSeries checks, and for induced actions, built past the public
-GradedAutomorphism checks.
+NormalSeries checks, for induced actions, built past the public
+GradedAutomorphism checks, and for the automorphisms built past
+Automorphism's verification: the identity, compositions, conjugations and
+the elements of each acting group.
 """
 
 import ast
@@ -340,6 +342,20 @@ def test_induced_actions_pass_the_public_checks():
             assert np.array_equal(L.coords[image[x], cols], L.coords[x, cols] @ mat.T % L.p)
 
 
+def test_acting_group_elements_pass_the_public_checks():
+    # each element of each acting group must be the automorphism that its
+    # generator images build and verify (test_groups.py holds the identity,
+    # composites and conjugations to the same check)
+    trusted = []
+    for fixture in FIXTURES:
+        ctx = checks.RunContext(parse_fixture(fixture_text(fixture)))
+        trusted += [phi for action in ctx.actions.values() for phi in action.closure]
+    assert len(trusted) == 12 + 2  # corpus, ladder
+    for phi in trusted:
+        G = phi.group
+        assert Automorphism(G, [phi(g) for g in G.generators]) == phi
+
+
 def heis27():
     return build_group(PcPresentation(3, 3, {}, {(2, 1): ((3, 1),)}))
 
@@ -390,41 +406,65 @@ def test_catalog_and_build_runs_scan_normality_for_no_subgroup(monkeypatch):
 # -- who may build past the series and action checks --------------------------
 
 
+TRUSTED_OWNERS = ("NormalSeries", "GradedAutomorphism", "Automorphism")
+
+
 def trusted_builders(source: str) -> list:
     """(line, qualified name of the enclosing definition, call) of each trusted build.
 
-    A trusted build is a NormalSeries._trusted(...) or a
-    GradedAutomorphism._trusted(...) call.
+    A trusted build is a NormalSeries._trusted(...), a
+    GradedAutomorphism._trusted(...) or an Automorphism._trusted(...) call;
+    cls._trusted(...) in a method of one of those classes counts as its own.
     """
     found = []
 
-    def is_named(node, name: str) -> bool:
-        return (isinstance(node, ast.Name) and node.id == name) or (
-            isinstance(node, ast.Attribute) and node.attr == name
-        )
+    def owner_of(node, cls):
+        if isinstance(node, ast.Name) and node.id == "cls":
+            return cls
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name if name in TRUSTED_OWNERS else None
 
-    def visit(node, where):
+    def visit(node, where, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name if node.name in TRUSTED_OWNERS else None
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}" if where else node.name
         if isinstance(node, ast.Call):
             func = node.func
             if isinstance(func, ast.Attribute) and func.attr == "_trusted":
-                for owner in ("NormalSeries", "GradedAutomorphism"):
-                    if is_named(func.value, owner):
-                        found.append((node.lineno, where, f"{owner}._trusted"))
+                owner = owner_of(func.value, cls)
+                if owner is not None:
+                    found.append((node.lineno, where, f"{owner}._trusted"))
         for child in ast.iter_child_nodes(node):
-            visit(child, where)
+            visit(child, where, cls)
 
-    visit(ast.parse(source), None)
+    visit(ast.parse(source), None, None)
     return found
 
 
-def test_only_the_series_builders_and_two_actions_skip_their_checks():
-    calls = sorted(
+def library_trusted_builds(owner: str) -> list:
+    """(file, enclosing definition, call) of each trusted build of owner in src/grouplab."""
+    return sorted(
         (path.name, where, call)
         for path in LIBRARY
         for _, where, call in trusted_builders(path.read_text("utf-8"))
+        if call == f"{owner}._trusted"
     )
+
+
+def test_only_the_listed_callers_build_automorphisms_past_verification():
+    # the identity, composites, conjugations and the elements of an acting
+    # group are automorphisms by construction
+    assert library_trusted_builds("Automorphism") == [
+        ("actions.py", "ActionFixture.__post_init__", "Automorphism._trusted"),
+        ("groups.py", "Automorphism.compose", "Automorphism._trusted"),
+        ("groups.py", "Automorphism.identity_of", "Automorphism._trusted"),
+        ("groups.py", "inner_automorphism", "Automorphism._trusted"),
+    ]
+
+
+def test_only_the_series_builders_and_two_actions_skip_their_checks():
+    calls = library_trusted_builds("GradedAutomorphism") + library_trusted_builds("NormalSeries")
     assert calls == [
         ("liering.py", "GradedAutomorphism.compose", "GradedAutomorphism._trusted"),
         ("liering.py", "induced_action", "GradedAutomorphism._trusted"),
@@ -447,10 +487,21 @@ def test_the_trusted_builder_guard_names_each_call():
         "b = GradedAutomorphism(L, mats)\n"
         "c = Automorphism._trusted(G, images)\n"
         "d = NormalSeries(G, 'x', terms)\n"
+        "class Automorphism:\n"
+        "    @classmethod\n"
+        "    def identity_of(cls, G):\n"
+        "        return cls._trusted(G, range(G.order))\n"
+        "class Other:\n"
+        "    def make(cls):\n"
+        "        return cls._trusted(G, images), Automorphism(G, images)\n"
+        "e = groups.Automorphism._trusted(G, images)\n"
     )
     assert trusted_builders(source) == [
         (3, "lower_central_series.build", "NormalSeries._trusted"),
         (6, "GradedAutomorphism.compose", "GradedAutomorphism._trusted"),
         (7, None, "NormalSeries._trusted"),
         (8, None, "GradedAutomorphism._trusted"),
+        (10, None, "Automorphism._trusted"),
+        (15, "Automorphism.identity_of", "Automorphism._trusted"),
+        (19, None, "Automorphism._trusted"),
     ]

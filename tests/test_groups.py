@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouplab import groups
+from grouplab import checks, groups
 from grouplab.corpus import load_corpus
 from grouplab.errors import (
     BudgetExceeded,
@@ -585,45 +585,6 @@ def test_automorphism_inversion_on_elementary_abelian():
     assert inv.compose(inv).is_identity()
 
 
-def test_from_index_map_refuses_a_non_bijection():
-    G = s3()
-    with pytest.raises(MalformedSpec, match="index map is not a bijection"):
-        Automorphism.from_index_map(G, [0] * G.order)
-
-
-def s3_swap():
-    """S3 and the bijection swapping an element of order 2 with one of order 3.
-
-    It is no homomorphism, which would preserve element orders.
-    """
-    G = s3()
-    orders = list(G.element_orders())
-    i, j = orders.index(2), orders.index(3)
-    swap = list(range(G.order))
-    swap[i], swap[j] = j, i
-    return G, swap
-
-
-def test_from_index_map_names_the_first_pair_a_bijection_fails_at():
-    G, swap = s3_swap()
-    first = ref_first_failing_pair(Automorphism._trusted(G, swap))
-    with pytest.raises(MalformedSpec) as err:
-        Automorphism.from_index_map(G, swap)
-    assert str(err.value) == (
-        f"images do not extend to a homomorphism: fails at ({first[0]!r}, {first[1]!r})"
-    )
-
-
-def test_from_index_map_has_no_unverified_path():
-    # a bijection that is no homomorphism must not reach centralizer, whose
-    # fixed points would then be no subgroup
-    G, swap = s3_swap()
-    with pytest.raises(TypeError):
-        Automorphism.from_index_map(G, swap, verify=False)
-    with pytest.raises(MalformedSpec, match="images do not extend to a homomorphism"):
-        Automorphism.from_index_map(G, swap)
-
-
 def s3_rebuilt(generators):
     """S3's keys and table in a hand-built FiniteGroup with these (name, key) generators."""
     G = s3()
@@ -656,11 +617,15 @@ def test_kept_constants_match_a_fresh_recomputation():
 
 
 def test_unverified_index_maps_equal_the_verified_automorphisms():
-    # identity_of and compose skip verification; their results must be the
-    # automorphisms that the same generator images build and verify
+    # identity_of, compose and inner_automorphism skip verification; their
+    # results must be the automorphisms that the same generator images build
+    # and verify
     for phi in automorphism_cases().values():
         G = phi.group
         assert Automorphism.identity_of(G) == Automorphism(G, list(G.generators))
+        for g in G.generators:
+            conjugates = [G.conjugate(x, g) for x in G.generators]
+            assert inner_automorphism(G, g) == Automorphism(G, conjugates)
         for psi in (phi, inner_automorphism(G, G.generators[-1])):
             images = [psi(phi(g)) for g in G.generators]
             assert phi.compose(psi) == Automorphism(G, images)
@@ -777,8 +742,17 @@ def test_a_catalog_run_never_builds_the_handle_tuple(fixture, monkeypatch):
     text = corpus_text() if fixture == "corpus" else LADDER_FIXTURE.read_text("utf-8")
     fx = parse_fixture(text)
     made, at = count_handles(monkeypatch)
+    realized = []
+
+    def recorded(fx, _orig=checks.realize_groups):
+        out = _orig(fx)
+        realized.extend(out.values())
+        return out
+
+    monkeypatch.setattr(checks, "realize_groups", recorded)
     run_checks(fx)
-    assert len(made) == (16 if fixture == "corpus" else 4)
+    # the fixture's groups; each acting group makes its own identity and generator handles
+    assert len(realized) == (16 if fixture == "corpus" else 4) and set(realized) <= set(made)
     for G, n in made.items():
         # the identity and the generators, plus one handle per element_at
         # call that a caller makes for a witness, an image or a printout
