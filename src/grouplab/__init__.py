@@ -30,6 +30,7 @@ from .errors import (
     ActionNotWellDefined,
     BudgetExceeded,
     DuplicateName,
+    EmptySequence,
     EvenCharacteristic,
     FixtureSyntaxError,
     ForeignElement,

@@ -63,11 +63,9 @@ from .series import (
     derived_series,
     dimension_series,
     fitting_height,
-    generated_subgroup,
     is_nilpotent_subgroup,
     is_powerful,
     lower_central_series,
-    power_subgroup,
     verify_np_series,
 )
 
@@ -126,28 +124,29 @@ def check_collection_formula(
     q = p**n
     if G.order**2 > budget:
         raise BudgetExceeded(f"|G|^2 exceeds the budget of {budget}")
+    # the modulus γ_2^q γ_p^(p^(n-1)) ··· γ_(p^n) is generated by its factors' generators
     lcs = lower_central_series(G)
-    modulus_gens = list(power_subgroup(G, lcs.term(2), q).elements())
+    P = _power_map(G, q)
+    factors = [P[lcs.term(2).idx]]
     for r in range(1, n + 1):
-        layer = power_subgroup(G, lcs.term(p**r), p ** (n - r))
-        modulus_gens.extend(layer.elements())
-    modulus = generated_subgroup(G, modulus_gens)
+        factors.append(_power_map(G, p ** (n - r))[lcs.term(p**r).idx])
+    modulus = _closure(G, np.concatenate(factors))
+    order = int(np.count_nonzero(modulus))
     # row x compares (xy)^q with x^q y^q for every y, a block of rows at a time
     T = G.table()
     inv = G.inverse_indices()
-    P = _power_map(G, q)
     for xs in _blocks(np.arange(G.order), G.order):
-        inside = modulus.mask[T[P[T[xs]], inv[T[P[xs][:, None], P]]]]
+        inside = modulus[T[P[T[xs]], inv[T[P[xs][:, None], P]]]]
         if not inside.all():
             r, y = divmod(int(np.argmin(inside)), G.order)  # first failure, row-major
             return Verdict(
                 False,
                 f"(xy)^{q} != x^{q} y^{q} modulo the subgroup of order "
-                f"{modulus.order} at x={G.element_at(xs[r])!r}, y={G.element_at(y)!r}",
+                f"{order} at x={G.element_at(xs[r])!r}, y={G.element_at(y)!r}",
             )
     return Verdict(
         True,
-        f"q={q}; modulus subgroup order {modulus.order}; {G.order**2} pairs verified",
+        f"q={q}; modulus subgroup order {order}; {G.order**2} pairs verified",
     )
 
 
@@ -171,6 +170,8 @@ def check_lemma_3_3(
             candidates = [
                 q for q in range(2, G.order + 1) if G.order % q == 0 and is_prime(q)
             ]
+            if not candidates:
+                raise HypothesisNotMet("no prime divides |G| = 1")
     orders = G.element_orders()[commutators]
     failures = []
     for q in candidates:
@@ -249,14 +250,11 @@ def check_4_1(fx: ActionFixture) -> Verdict:
     q = _q_squared_or_raise(fx)
     G = fx.group
     cents = [centralizer(G, [a]) for a in fx.nontrivial]
-    gens: list = []
-    for cent in cents:
-        gens.extend(cent.elements())
-    span = generated_subgroup(G, gens)
+    span = int(np.count_nonzero(_closure(G, np.concatenate([c.idx for c in cents]))))
     orders = tuple(c.order for c in cents)
     return Verdict(
-        span.is_whole,
-        f"q={q}; centralizer orders {orders}; generated subgroup order {span.order}"
+        span == G.order,
+        f"q={q}; centralizer orders {orders}; generated subgroup order {span}"
         f" of {G.order}",
     )
 
@@ -472,16 +470,16 @@ class CheckReport:
 
 
 class RunContext:
-    """Realized fixtures plus the decomposition witnesses shared across checks.
+    """Realized fixtures and the check parameters of one run.
 
     Every group, automorphism and action of the fixture is realized here,
     before run_checks runs its first row, and all of them live until the
     run returns; run_checks then runs the rows check-major over them.
 
-    What depends on a group alone is kept on the group, not here: build_dl
-    keeps its graded algebra, and the series module keeps every subgroup,
-    series, commutator value set and commutator subgroup it computes, so
-    the checks of one run share them.
+    What depends on a group alone is kept in its one store (_keep), not
+    here: build_dl keeps its graded algebra, the series module its
+    subgroups, series and kernel results, and witness() each decomposition
+    witness by its gens= parameter, so the checks of one run share them.
     """
 
     def __init__(self, fx: FixtureFile, budget: int = SCAN_BUDGET):
@@ -490,7 +488,6 @@ class RunContext:
         self.groups = realize_groups(fx)
         self.automorphisms = realize_automorphisms(fx, self.groups)
         self.actions = realize_actions(fx, self.groups, self.automorphisms)
-        self._witness: dict = {}
 
     def params(self, check: str, target: str) -> dict:
         return self.fixture.params_for(check, target)
@@ -506,12 +503,13 @@ class RunContext:
     def witness(self, check: str, name: str):
         """Decomposition witness of a group, over the check's gens= parameter if bound."""
         gens = self.params(check, name).get("gens")
-        key = (name, gens)
-        if key not in self._witness:
-            G = self.groups[name]
+        G = self.groups[name]
+
+        def find():
             chosen = None if gens is None else [G.generator_by_name(n) for n in gens.split(",")]
-            self._witness[key] = decomposition_witness(G, chosen)
-        return self._witness[key]
+            return decomposition_witness(G, chosen)
+
+        return G._keep(("witness", gens), find)
 
 
 # -- the registry ------------------------------------------------------------

@@ -540,17 +540,17 @@ def realize_groups(fx: FixtureFile) -> dict:
 
 
 def _product_of_powers(G: FiniteGroup, factors) -> GroupElement:
-    """Product of x^e over (element, exponent) factors, e >= 0, read from the kept power maps."""
+    """Product of x^e over (index x, exponent e >= 0) factors, read from the kept power maps."""
     T = G.table()
     out = G._e
     for x, e in factors:
-        out = T[out, _power_map(G, e)[G.index_of(x)]]
+        out = T[out, _power_map(G, e)[x]]
     return G.element_at(out)
 
 
 def word_element(G: FiniteGroup, word: tuple) -> GroupElement:
     """Product of g_i^e over an (i, e) word, 1-based pc generator indices."""
-    return _product_of_powers(G, [(G.generators[i - 1], e) for i, e in word])
+    return _product_of_powers(G, [(G._gens[i - 1], e) for i, e in word])
 
 
 def realize_automorphism(entry: AutEntry, G: FiniteGroup) -> Automorphism:
@@ -559,7 +559,7 @@ def realize_automorphism(entry: AutEntry, G: FiniteGroup) -> Automorphism:
         for _, word in entry.images:
             images.append(word_element(G, word))
     else:
-        by_name = {name: G.generator_by_name(name) for name, _ in entry.images}
+        by_name = {name: G.generator_by_name(name).idx for name, _ in entry.images}
         for name, (kind, value) in entry.images:
             if kind == "cycles":
                 images.append(G.element(value))

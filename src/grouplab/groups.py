@@ -13,11 +13,11 @@ the table:
 - quotient groups, from the parent's table on coset representatives
   (series.QuotientGroup, for callers of the public API).
 
-The orders of all elements come from one pass over the table and are kept
-on the group.  GroupElement handles and their arithmetic serve the public
-API; the library's computations read the table and index arrays, so a
-group makes its identity and generator handles and the rest only when
-asked for them.  A homomorphism is decided on the generators of its
+An element is its index; a GroupElement handle, a view of (group, index)
+for the public API, is made on each request and never kept.  Every
+derived value (element orders, from one pass over the table, the subgroup
+lattice, the graded Lie ring) is kept in one store (FiniteGroup._keep).
+A homomorphism is decided on the generators of its
 source, every element against every generator, after each generator's
 given image is compared with the one the others send it to; only a
 failure scans every pair, to name the first one.  The closure kernel
@@ -279,23 +279,24 @@ class PermutationGenSet:
 
 
 class GroupElement:
-    """Element of a FiniteGroup, identified by its canonical key."""
+    """Element of a FiniteGroup: a view of its element index, with its canonical key."""
 
-    __slots__ = ("group", "key")
+    __slots__ = ("group", "idx", "key")
 
-    def __init__(self, group: "FiniteGroup", key: tuple):
+    def __init__(self, group: "FiniteGroup", idx: int):
         self.group = group
-        self.key = key
+        self.idx = idx
+        self.key = group._keys[idx]
 
     def __eq__(self, other):
         return (
             isinstance(other, GroupElement)
             and self.group is other.group
-            and self.key == other.key
+            and self.idx == other.idx
         )
 
     def __hash__(self):
-        return hash((id(self.group), self.key))
+        return hash((id(self.group), self.idx))
 
     def __mul__(self, other):
         return self.group.multiply(self, other)
@@ -310,7 +311,7 @@ class GroupElement:
         return self.group.element_order(self)
 
     def is_identity(self) -> bool:
-        return self.key == self.group.identity.key
+        return self.idx == self.group._e
 
     def __repr__(self):
         return self.group._repr_key(self.key)
@@ -501,18 +502,14 @@ def _perm_table(genset: PermutationGenSet) -> tuple:
 class FiniteGroup:
     """A finite group given by its sorted element keys and its Cayley table.
 
-    Elements are exposed as GroupElement handles; the canonical key (exponent
-    vector, image tuple, or coset representative key) doubles as the lookup
-    key everywhere.  Products and inverses are read from the Cayley table.
-    The identity and generator handles are made with the group; the tuple of
-    every element's handle is made, reusing those, only when elements(),
-    element() or handle arithmetic first asks for it, and element_at makes
-    one handle without it, so runs that read the table make none.
-    Instances are immutable once built and keep the identity's index and a
-    read-only array of the generators' indices; the caches populated lazily
-    (element handles, element orders, the exponent, the prime-power
-    decision of is_p_group, the subgroup-lattice store, the graded Lie ring)
-    never change observable values.
+    An element is its index into the sorted keys; a GroupElement handle is a
+    view of (group, index) with the canonical key (exponent vector, image
+    tuple, or coset representative key).  Products and inverses are read
+    from the table.  No handle is kept: identity, generators, elements(),
+    element_at and handle arithmetic make fresh ones on each call.  A group
+    is immutable once built and keeps the identity's index, a read-only
+    array of the generators' indices, and one store (_keep) of every
+    derived value, which never changes an observable value.
     """
 
     def __init__(self, kind: str, keys, table: np.ndarray, generators, repr_key):
@@ -540,26 +537,22 @@ class FiniteGroup:
         self._keys = tuple(keys)
         self._index = index = {key: i for i, key in enumerate(self._keys)}
         self._repr_key = repr_key
-        self._elements = None  # every element's handle, made by _handles
         self._e = e = int(np.flatnonzero(np.diagonal(table) == np.arange(len(table)))[0])
         self._gens = np.array([index[key] for _, key in generators], dtype=np.int64)
         self._gens.flags.writeable = False
-        made = {e: GroupElement(self, self._keys[e])}  # one handle per index
-        for i in self._gens.tolist():
-            made.setdefault(i, GroupElement(self, self._keys[i]))
-        self.identity = made[e]
-        self.generators = tuple(made[i] for i in self._gens.tolist())
         self.generator_names = tuple(name for name, _ in generators)
-        self._orders = None  # order of every element, kept by element_orders
-        self._exponent = None  # kept by exponent
-        self._prime_power = False  # (p, k) or None once is_p_group has decided it
-        self._lie_ring = None  # the graded Lie ring, kept by liering.build_dl
-        # subgroups, series and kernel results by key, kept by the series module
+        # the one store of derived values by key, filled through _keep
         self._lattice = {}
         self._table = table
         self._inv = np.argmax(table == e, axis=1)
         self._table.flags.writeable = False
         self._inv.flags.writeable = False
+
+    def _keep(self, key: tuple, compute):
+        """The value kept under key, computed once; a compute that raises keeps nothing."""
+        if key not in self._lattice:
+            self._lattice[key] = compute()
+        return self._lattice[key]
 
     # -- elements ------------------------------------------------------
 
@@ -571,38 +564,34 @@ class FiniteGroup:
     def backend(self) -> str:
         return self._kind
 
-    def _handles(self) -> tuple:
-        """Every element's handle by index, made once; the identity and generator handles are reused."""
-        if self._elements is None:
-            made = dict(zip(self._gens.tolist(), self.generators))
-            made[self._e] = self.identity
-            self._elements = tuple(
-                made.get(i) or GroupElement(self, key) for i, key in enumerate(self._keys)
-            )
-        return self._elements
+    @property
+    def identity(self) -> GroupElement:
+        return GroupElement(self, self._e)
+
+    @property
+    def generators(self) -> tuple:
+        return tuple(GroupElement(self, i) for i in self._gens.tolist())
 
     def elements(self) -> tuple:
-        return self._handles()
+        return tuple(GroupElement(self, i) for i in range(self.order))
 
     def element(self, key: tuple) -> GroupElement:
         idx = self._index.get(key)
         if idx is None:
             raise ForeignElement(f"key {key!r} does not name an element of this group")
-        return self._handles()[idx]
+        return GroupElement(self, idx)
 
     def element_at(self, idx: int) -> GroupElement:
-        if self._elements is not None:
-            return self._elements[idx]
-        return GroupElement(self, self._keys[idx])
+        return GroupElement(self, int(idx))
 
     def index_of(self, a: GroupElement) -> int:
         self._check(a)
-        return self._index[a.key]
+        return a.idx
 
     def generator_by_name(self, name: str) -> GroupElement:
-        for gname, gen in zip(self.generator_names, self.generators):
+        for gname, i in zip(self.generator_names, self._gens.tolist()):
             if gname == name:
-                return gen
+                return GroupElement(self, i)
         raise ForeignElement(f"no generator named {name!r}")
 
     def _check(self, a: GroupElement):
@@ -614,11 +603,11 @@ class FiniteGroup:
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self._check(a)
         self._check(b)
-        return self._handles()[self._table[self._index[a.key], self._index[b.key]]]
+        return GroupElement(self, self._table.item(a.idx, b.idx))
 
     def inverse(self, a: GroupElement) -> GroupElement:
         self._check(a)
-        return self._handles()[self._inv[self._index[a.key]]]
+        return GroupElement(self, self._inv.item(a.idx))
 
     def power(self, a: GroupElement, k: int) -> GroupElement:
         self._check(a)
@@ -660,7 +649,8 @@ class FiniteGroup:
         One pass steps every element's powers x^k -> x^(k+1) along the table
         at once, retiring each element when its power reaches the identity.
         """
-        if self._orders is None:
+
+        def compute() -> np.ndarray:
             orders = np.ones(self.order, dtype=np.int64)
             live = np.flatnonzero(np.arange(self.order) != self._e)
             power = live
@@ -672,22 +662,22 @@ class FiniteGroup:
                 orders[live[done]] = k
                 live, power = live[~done], power[~done]
             orders.flags.writeable = False
-            self._orders = orders
-        return self._orders
+            return orders
+
+        return self._keep(("element orders",), compute)
 
     def element_order(self, a: GroupElement) -> int:
         return int(self.element_orders()[self.index_of(a)])
 
     def exponent(self) -> int:
-        if self._exponent is None:
-            self._exponent = math.lcm(*np.flatnonzero(np.bincount(self.element_orders())).tolist())
-        return self._exponent
+        return self._keep(
+            ("exponent",),
+            lambda: math.lcm(*np.flatnonzero(np.bincount(self.element_orders())).tolist()),
+        )
 
     def is_p_group(self):
         """(p, k) with |G| = p^k, or None if the order is not a prime power; kept on the group."""
-        if self._prime_power is False:
-            self._prime_power = _prime_power(self.order)
-        return self._prime_power
+        return self._keep(("prime power",), lambda: _prime_power(self.order))
 
     # -- tables and consistency -----------------------------------------
 

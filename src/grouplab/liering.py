@@ -47,7 +47,6 @@ from .series import (
     _power_map,
     _product_mask,
     dimension_series,
-    generated_subgroup,
 )
 
 __all__ = [
@@ -148,6 +147,7 @@ class GradedLieRing:
         self.offsets = tuple(np.cumsum((0,) + self.dims).tolist())
         self.total_dim = n = self.offsets[-1]
         self.degrees = np.repeat(np.arange(1, self.m + 1), self.dims)
+        self.degrees.flags.writeable = False
         C = np.asarray(C, dtype=np.int64) % p
         if C.shape != (n, n, n):
             raise InconsistentPresentation(
@@ -300,8 +300,11 @@ def build_dl(G: FiniteGroup) -> GradedLieRing:
     The algebra is kept on G, so later calls return the same object.
     """
     p = _p_of(G)
-    if G._lie_ring is not None:
-        return G._lie_ring
+    return G._keep(("lie ring",), lambda: _build_dl(G, p))
+
+
+def _build_dl(G: FiniteGroup, p: int) -> GradedLieRing:
+    """The graded Lie algebra of build_dl, built anew; p is the prime of the p-group G."""
     series = dimension_series(G)
     terms = series.terms
     m = len(terms) - 1
@@ -352,7 +355,6 @@ def build_dl(G: FiniteGroup) -> GradedLieRing:
         p, dims, C, group=G, series=series, coords=coords, depth=depth, reps=reps
     )
     _verify_well_definedness(G, L)
-    G._lie_ring = L
     return L
 
 
@@ -721,12 +723,12 @@ def lazard_check(G: FiniteGroup, L: GradedLieRing, x: GroupElement) -> Verdict:
 
 @dataclass(frozen=True)
 class DecompositionWitness:
-    """Left-normed commutator data certifying a cyclic-product covering."""
+    """Left-normed commutator data certifying a cyclic-product covering, on element indices."""
 
-    generators: tuple
+    generators: tuple  # element indices
     c: int  # nilpotency class of the degree-one-generated subalgebra
     shapes: tuple  # 1-based generator index tuples, weight-lexicographic
-    rhos: tuple  # group elements, aligned with shapes
+    rhos: tuple  # element indices, aligned with shapes
     K: int  # maximal element order among the rhos
     s: int  # number of shapes
 
@@ -756,21 +758,21 @@ def decomposition_witness(G: FiniteGroup, gens=None) -> DecompositionWitness:
     pairs (i, i) are dropped.
     """
     _p_of(G)
-    given = gens is not None
-    gens = tuple(gens) if given else G.generators
-    if given and not generated_subgroup(G, gens).is_whole:
-        raise MalformedSpec("the given elements do not generate the group")
+    ys = G._gens
+    if gens is not None:
+        ys = np.array([G.index_of(g) for g in gens], dtype=np.int64)
+        if not _closure(G, ys).all():
+            raise MalformedSpec("the given elements do not generate the group")
     c = sum(1 for basis in _degree_one_closure(build_dl(G))[0] if len(basis))
-    shapes = commutator_shapes(len(gens), c)
-    ys = np.array([G.index_of(g) for g in gens], dtype=np.int64)
+    shapes = commutator_shapes(len(ys), c)
     layers = [ys]
     for w in range(2, c + 1):
         grid = _commutators(G, layers[-1], ys)  # rows: weight-(w-1) values; columns: generators
         layers.append(grid[~np.eye(len(ys), dtype=bool)] if w == 2 else grid.ravel())
     values = np.concatenate(layers)
-    rhos = tuple(G.element_at(v) for v in values)
     K = int(G.element_orders()[values].max())
-    return DecompositionWitness(gens, c, shapes, rhos, K, len(shapes))
+    rhos = tuple(values.tolist())
+    return DecompositionWitness(tuple(ys.tolist()), c, shapes, rhos, K, len(shapes))
 
 
 def _ordered_cyclic_product(G: FiniteGroup, rhos) -> np.ndarray:
@@ -782,8 +784,7 @@ def _ordered_cyclic_product(G: FiniteGroup, rhos) -> np.ndarray:
     T = G.table()
     orders = G.element_orders()
     acc = _closure(G, ())
-    for rho in rhos:
-        r = G.index_of(rho)
+    for r in rhos:
         if orders[r] == 1:
             continue
         if acc.all():

@@ -28,7 +28,7 @@ closure in <H, K> of the [x, y] over X x Y, and a normal subgroup contains
 own generators, and every subgroup that the series kernels close keeps the
 generators _close kept for it, so neither needs an extra closure.
 
-Each group carries one store (FiniteGroup._lattice) that this module fills.
+Each group carries one store, filled only through FiniteGroup._keep.
 The library builds every subgroup through _subgroup, which keeps it there
 under its mask, so each distinct mask is built once per group; a public
 Subgroup(G, mask) verifies on every call.  The store also keeps the
@@ -233,14 +233,6 @@ def _normalized(G: FiniteGroup, mask: np.ndarray, idx: np.ndarray) -> bool:
     )
 
 
-def _keep(G: FiniteGroup, key: tuple, compute):
-    """The value kept on G under key, computed once; a compute that raises keeps nothing."""
-    value = G._lattice.get(key)
-    if value is None:
-        value = G._lattice[key] = compute()
-    return value
-
-
 def _subgroup(G: FiniteGroup, mask) -> Subgroup:
     """The subgroup of G with this mask, kept on G.
 
@@ -255,7 +247,7 @@ def _subgroup(G: FiniteGroup, mask) -> Subgroup:
     closure anew.
     """
     mask = np.asarray(mask, dtype=bool)
-    return _keep(G, ("subgroup", mask.tobytes()), lambda: Subgroup._closed(G, mask))
+    return G._keep(("subgroup", mask.tobytes()), lambda: Subgroup._closed(G, mask))
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
@@ -280,7 +272,7 @@ def _read_only(a) -> np.ndarray:
 def _spanned(G: FiniteGroup, mask: np.ndarray, kept) -> Subgroup:
     """The subgroup with this mask, kept on G, and under it the generators _close kept for it."""
     sub = _subgroup(G, mask)
-    G._lattice.setdefault(("generators", mask.tobytes()), _read_only(kept))
+    G._keep(("generators", mask.tobytes()), lambda: _read_only(kept))
     return sub
 
 
@@ -297,7 +289,7 @@ def _generators(G: FiniteGroup, H: Subgroup) -> np.ndarray:
             return G._gens
         return _read_only(_close(G, H.idx)[1])
 
-    return _keep(G, ("generators", H.mask.tobytes()), find)
+    return G._keep(("generators", H.mask.tobytes()), find)
 
 
 def _power_map(G: FiniteGroup, k: int) -> np.ndarray:
@@ -316,7 +308,7 @@ def _power_map(G: FiniteGroup, k: int) -> np.ndarray:
         result.flags.writeable = False
         return result
 
-    return _keep(G, ("power map", k), powers)
+    return G._keep(("power map", k), powers)
 
 
 def _commutators(G: FiniteGroup, xs, ys) -> np.ndarray:
@@ -343,7 +335,7 @@ def _commutator_values(G: FiniteGroup, hs, ks) -> np.ndarray:
         values.flags.writeable = False
         return values
 
-    return _keep(G, ("commutator values", hs.tobytes(), ks.tobytes()), scan)
+    return G._keep(("commutator values", hs.tobytes(), ks.tobytes()), scan)
 
 
 def _commutator_span(G: FiniteGroup, H: Subgroup, K: Subgroup) -> tuple:
@@ -422,8 +414,7 @@ def commutator_subgroup(G: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgroup:
     """Subgroup generated by all [h, k] with h in H, k in K; kept on G."""
     _same_parent(G, H, "first subgroup")
     _same_parent(G, K, "second subgroup")
-    return _keep(
-        G,
+    return G._keep(
         ("commutator subgroup", H.mask.tobytes(), K.mask.tobytes()),
         lambda: _spanned(G, *_commutator_span(G, H, K)),
     )
@@ -508,7 +499,7 @@ def lower_central_series(G: FiniteGroup) -> NormalSeries:
                 return NormalSeries._trusted(G, "lower-central", tuple(terms))
             terms.append(nxt)
 
-    return _keep(G, ("series", "lower-central"), build)
+    return G._keep(("series", "lower-central"), build)
 
 
 def derived_series(G: FiniteGroup) -> NormalSeries:
@@ -522,7 +513,7 @@ def derived_series(G: FiniteGroup) -> NormalSeries:
                 return NormalSeries._trusted(G, "derived", tuple(terms))
             terms.append(nxt)
 
-    return _keep(G, ("series", "derived"), build)
+    return G._keep(("series", "derived"), build)
 
 
 def _p_of(G: FiniteGroup) -> int:
@@ -559,7 +550,7 @@ def dimension_series(G: FiniteGroup) -> NormalSeries:
         terms = (whole, *(_spanned(G, *s) for s in spans[1:]))
         return NormalSeries._trusted(G, "dimension", terms)
 
-    return _keep(G, ("series", "dimension"), build)
+    return G._keep(("series", "dimension"), build)
 
 
 @dataclass(frozen=True)
@@ -644,8 +635,8 @@ class QuotientGroup:
         keys = parent._keys
         e = proj[parent._e]
         gens = {}  # key -> name of the first parent generator in a nontrivial coset
-        for name, gen in zip(parent.generator_names, parent.generators):
-            q = proj[parent.index_of(gen)]
+        for name, g in zip(parent.generator_names, parent._gens.tolist()):
+            q = proj[g]
             if q != e:
                 gens.setdefault(keys[reps[q]], name)
         table = proj[parent.table()[reps[:, None], reps]]
@@ -746,7 +737,7 @@ def _class_labels(G: FiniteGroup) -> np.ndarray:
         label.flags.writeable = False
         return label
 
-    return _keep(G, ("class labels",), build)
+    return G._keep(("class labels",), build)
 
 
 def _class_representatives(G: FiniteGroup) -> np.ndarray:
@@ -786,7 +777,7 @@ def _cyclic_class_representatives(G: FiniteGroup) -> np.ndarray:
         kept.flags.writeable = False
         return kept
 
-    return _keep(G, ("cyclic class representatives",), build)
+    return G._keep(("cyclic class representatives",), build)
 
 
 def _class_closure(G: FiniteGroup, x: int) -> np.ndarray:

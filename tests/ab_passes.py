@@ -18,7 +18,10 @@ Prints each side's median and quartiles, and the median of the per-pass
 B/A ratios with their quartiles.  With --calls nothing is timed: after the
 untimed pass, each side runs one more pass under cProfile, and its total
 function call count is printed, so that "the same or less work" is one
-command.  Not a test: its name keeps it out of the pytest run.
+command, followed by the MOVED functions whose call counts differ most
+from A to B, each keyed by its file's basename and its name, so that the
+checkouts' differing module paths and line numbers do not split it.  Not a
+test: its name keeps it out of the pytest run.
 """
 
 import cProfile
@@ -27,9 +30,11 @@ import pstats
 import statistics
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+MOVED = 15  # functions listed by --calls
 
 
 def load(name: str, init: Path, package: bool):
@@ -109,14 +114,17 @@ def timed_pass(side_ops) -> float:
     return total
 
 
-def call_count(side_ops) -> int:
-    """cProfile's total function call count over one pass of the ops."""
+def call_counts(side_ops) -> Counter:
+    """cProfile's call count of each function over one pass of the ops, by "basename:name"."""
     profiler = cProfile.Profile()
     profiler.enable()
     for op in side_ops:
         op()
     profiler.disable()
-    return pstats.Stats(profiler).total_calls
+    counts = Counter()
+    for (path, _, name), (_, calls, *_) in pstats.Stats(profiler).stats.items():
+        counts[f"{Path(path).name}:{name}"] += calls
+    return counts
 
 
 def main(argv) -> int:
@@ -135,8 +143,16 @@ def main(argv) -> int:
         print(f"{workload}: the two checkouts give different outputs", file=sys.stderr)
         return 1
     if calls:
+        counts = {label: call_counts(side) for label, side in sides.items()}
         for label, base in (("A", a_dir), ("B", b_dir)):
-            print(f"{label} {base}: {call_count(sides[label])} calls in one warm {workload} pass")
+            total = sum(counts[label].values())
+            print(f"{label} {base}: {total} calls in one warm {workload} pass")
+        a, b = counts["A"], counts["B"]
+        moved = sorted(a.keys() | b.keys(), key=lambda f: (-abs(b[f] - a[f]), f))[:MOVED]
+        print("functions whose call counts differ most, A -> B:")
+        for f in moved:
+            if a[f] != b[f]:
+                print(f"  {f}: {a[f]} -> {b[f]} ({b[f] - a[f]:+d})")
         return 0
     times = {"A": [], "B": []}
     passes = int(argv[3])

@@ -3,9 +3,10 @@
 import contextlib
 import json
 import signal
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,7 @@ from grouplab.groups import (
     PermutationGenSet,
     build_group,
 )
+from grouplab.liering import DecompositionWitness, GradedLieRing
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +172,60 @@ def test_lemma_3_3_budget(corpus):
         check_lemma_3_3(corpus.groups["S4"], budget=100)
 
 
+# the trivial group, on one point, and the identity acting on it
+TRIVIAL_TEXT = """\
+group T
+backend perm
+degree 1
+gen a = ()
+end
+
+aut idT on T
+image a = ()
+end
+
+action actT on T = idT
+"""
+
+TRIVIAL_ROWS = {
+    ("T", "collection"): ("skipped", "not a p-group and no prime parameter given"),
+    ("T", "cor_2_14"): ("skipped", "not a p-group"),
+    ("T", "fitting"): ("pass", "height 0; exponent 1; order 1; nilpotent"),
+    ("T", "higman"): ("skipped", "not a p-group"),
+    ("T", "jacobi"): ("skipped", "not a p-group"),
+    ("T", "lazard"): ("skipped", "not a p-group"),
+    ("T", "lemma_3_3"): ("skipped", "hypothesis not met: no prime divides |G| = 1"),
+    ("T", "lemma_3_4"): (
+        "pass",
+        "all 1 weight-2 commutators are Engel (max index 1); series term 2 of order 1 is nilpotent",
+    ),
+    ("T", "np_series"): ("skipped", "not a p-group"),
+    ("T", "powerful"): ("skipped", "not a p-group"),
+    ("T", "prop_2_11"): ("skipped", "not a p-group"),
+    ("actT", "c4_1"): ("skipped", "hypothesis not met: A is trivial"),
+    ("actT", "c4_12"): (
+        "skipped",
+        "hypothesis not met: needs exactly one generating automorphism of order 2",
+    ),
+    ("actT", "c4_2"): ("skipped", "hypothesis not met: A is trivial"),
+    ("actT", "c4_6"): ("pass", "1 invariant normal subgroups verified (orders (1,))"),
+    ("actT", "obs_4_8"): ("skipped", "not a p-group"),
+    ("actT", "pm_split"): ("skipped", "not a p-group"),
+    ("actT", "t4_3"): ("skipped", "hypothesis not met: A is trivial"),
+    ("actT", "t4_4"): (
+        "skipped",
+        "hypothesis not met: needs exactly one generating automorphism of order 2",
+    ),
+}
+
+
+def test_every_check_runs_on_the_trivial_group():
+    # no prime divides |G| = 1, so lemma 3.3 has no candidate and skips its row
+    report = run_checks(parse_fixture(TRIVIAL_TEXT))
+    assert {(r.group, r.check): (r.status, r.details) for r in report.rows} == TRIVIAL_ROWS
+    assert len(report.rows) == len(checks.CHECK_CATALOG)
+
+
 # -- check parameters are refused before any work ------------------------------
 
 HEIS27_TEXT = """\
@@ -258,14 +314,14 @@ def test_lemma_3_4_makes_a_handle_only_for_its_witness(monkeypatch):
     G = build_group(PermutationGenSet(5, (("a", (1, 0, 2, 3, 4)), ("b", (1, 2, 3, 4, 0)))))
     made = []
 
-    def init(self, group, key, _orig=GroupElement.__init__):
-        made.append(key)
-        _orig(self, group, key)
+    def init(self, group, idx, _orig=GroupElement.__init__):
+        made.append(idx)
+        _orig(self, group, idx)
 
     monkeypatch.setattr(GroupElement, "__init__", init)
     with pytest.raises(HypothesisNotMet) as exc:
         check_lemma_3_4(G)
-    assert made == [exc.value.witness.key]
+    assert made == [exc.value.witness.idx]
 
 
 def test_lemma_3_4_direct_product(corpus):
@@ -720,7 +776,7 @@ def test_catalog_pass_verifies_each_distinct_subgroup_once(monkeypatch):
 def test_catalog_pass_computes_each_power_map_once(monkeypatch):
     computed, read = [], []
 
-    def keep(G, key, compute, _orig=series._keep):
+    def keep(G, key, compute, _orig=FiniteGroup._keep):
         if key[0] == "power map":
             read.append(1)
 
@@ -731,11 +787,32 @@ def test_catalog_pass_computes_each_power_map_once(monkeypatch):
             return _orig(G, key, counted)
         return _orig(G, key, compute)
 
-    monkeypatch.setattr(series, "_keep", keep)
+    monkeypatch.setattr(FiniteGroup, "_keep", keep)
     run_checks(parse_fixture(corpus_text()))
     # the dimension series asks only for x -> x^p, never x -> x^(p^k) with k > 1
     assert len(computed) == len(set(computed)) == 35
     assert len(read) > len(computed)
+
+
+def read_only_arrays(value) -> list:
+    """The arrays a kept value holds, each asserted read-only; ints, tuples and None hold none."""
+    if isinstance(value, np.ndarray):
+        assert not value.flags.writeable
+        return [value]
+    if isinstance(value, series.Subgroup):
+        parts = [value.mask, value.idx]
+    elif isinstance(value, series.NormalSeries):
+        parts = list(value.terms)
+    elif isinstance(value, GradedLieRing):
+        parts = [value.C, value.coords, value.depth, value.reps, value.degrees]
+    elif isinstance(value, DecompositionWitness):
+        parts = [getattr(value, f.name) for f in fields(value)]
+    elif isinstance(value, tuple):
+        parts = list(value)
+    else:
+        assert value is None or isinstance(value, int), value
+        parts = []
+    return [a for part in parts for a in read_only_arrays(part)]
 
 
 def test_kept_results_are_read_only():
@@ -746,20 +823,17 @@ def test_kept_results_are_read_only():
     for name, handler in checks._ACTION_HANDLERS.items():
         for target in ctx.actions:
             checks._row(ctx, target, name, handler, False)
-    arrays = 0
+    arrays, kinds = 0, set()
     for G in ctx.groups.values():
         assert G._lattice
-        for value in G._lattice.values():
-            if isinstance(value, series.Subgroup):
-                value = [value.mask, value.idx]
-            elif isinstance(value, series.NormalSeries):
-                value = [a for t in value.terms for a in (t.mask, t.idx)]
-            else:
-                value = [value]
-            for a in value:
-                assert not a.flags.writeable
-                arrays += 1
+        for key, value in G._lattice.items():
+            arrays += len(read_only_arrays(value))
+            kinds.add(key[0])
     assert arrays > 50
+    # every kind of value in the store is met: the lattice's, and the groups',
+    # Lie rings' and witnesses'
+    assert {"element orders", "exponent", "prime power", "lie ring", "witness"} <= kinds
+    assert {"subgroup", "series", "generators", "power map", "class labels"} <= kinds
 
 
 # -- the order the rows run in ---------------------------------------------------
@@ -804,8 +878,8 @@ def kept(ctx):
     return {
         name: (
             sorted(map(repr, G._lattice)),
-            None if G._lie_ring is None else tuple(G._lie_ring.dims),
-            None if G._orders is None else G._orders.tolist(),
+            [L.dims for key, L in G._lattice.items() if key == ("lie ring",)],
+            [o.tolist() for key, o in G._lattice.items() if key == ("element orders",)],
         )
         for name, G in ctx.groups.items()
     }

@@ -9,6 +9,7 @@ from grouplab import __version__
 from grouplab.checks import CheckReport, CheckRow
 from grouplab.cli import main
 from grouplab.corpus import corpus_text
+from test_checks import TRIVIAL_TEXT
 from test_fixtures import CONTRADICTED_IMAGE
 
 
@@ -296,3 +297,11 @@ def test_failure_rows_exit_one(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "run_checks", lambda *a, **k: report)
     assert main(["corpus"]) == 1
     assert "broken" in capsys.readouterr().out
+
+
+def test_check_on_the_trivial_group_exits_zero(tmp_path, capsys):
+    path = tmp_path / "trivial.grp"
+    path.write_text(TRIVIAL_TEXT, encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("-- 19 rows: 3 pass, 16 skipped\n")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouplab import checks, groups
-from grouplab.corpus import load_corpus
+from grouplab.corpus import corpus_text, load_corpus
 from grouplab.errors import (
     BudgetExceeded,
     EmptySequence,
@@ -677,87 +677,73 @@ def test_automorphism_order_takes_the_lcm_of_cycle_lengths():
             assert phi.order() == compose_order(phi)
 
 
-# -- element handles on demand ----------------------------------------------
+# -- element handles: a view of (group, index) ------------------------------
 
 
-def test_handles_are_made_on_demand_and_reused():
-    G = build_group(pc_heis27())
-    assert G._elements is None
-    x = G.element_at(5)
-    assert x.key == (0, 1, 2) and G._elements is None
-    every = G.elements()
-    assert G.elements() is every and len(every) == G.order
-    assert every[G._e] is G.identity
-    assert all(every[i] is g for i, g in zip(G._gens.tolist(), G.generators))
-    assert G.element_at(5) is every[5] and every[5] == x
-    assert G.element((1, 0, 0)) is G.generators[0]
-
-
-@pytest.mark.parametrize("force", ["elements", "element", "multiply", "inverse", "power"])
-def test_each_handle_entry_point_builds_the_tuple_once(force):
-    G = build_group(pc_d8())
-    g1, g2, _ = G.generators
-    {
-        "elements": lambda: G.elements(),
-        "element": lambda: G.element((0, 1, 1)),
-        "multiply": lambda: g1 * g2,
-        "inverse": lambda: g1.inverse(),
-        "power": lambda: g2**3,
-    }[force]()
-    assert G._elements is not None
-    assert G._elements[G._e] is G.identity
-
-
-def test_a_generator_equal_to_the_identity_shares_its_handle():
+def test_handles_from_every_entry_point_name_elements_by_group_and_index():
     # a permutation generator may be the identity, and two may coincide
-    e = tuple(range(3))
-    G = build_group(PermutationGenSet(3, (("one", e), ("t", (1, 0, 2)), ("u", (1, 0, 2)))))
-    assert G.generators[0] is G.identity and G.generators[1] is G.generators[2]
-    assert G.elements()[G._e] is G.identity
-    assert G.elements()[G._gens[1]] is G.generators[1]
+    e, t = tuple(range(3)), (1, 0, 2)
+    spec = PermutationGenSet(3, (("one", e), ("t", t), ("u", t)))
+    G = build_group(spec)
+    one, gt, gu = G.generators
+    i, j = G._e, int(G._gens[1])
+    by_element = {
+        i: [G.identity, one, G.element(e), G.element_at(i), G.elements()[i],
+            G.generator_by_name("one"), G.multiply(gt, gu), G.inverse(one), G.power(gt, 2)],
+        j: [gt, gu, G.element(t), G.element_at(G._gens[1]), G.elements()[j],
+            G.generator_by_name("t"), G.generator_by_name("u"), G.multiply(one, gt),
+            G.inverse(gt), G.power(gu, 3), gt * one, gu**-1],
+    }
+    for idx, handles in by_element.items():
+        for h in handles:
+            assert h.idx == idx and h.key == G._keys[idx] and h.group is G
+            assert h == handles[0] and hash(h) == hash(handles[0])
+    assert one.is_identity() and not gt.is_identity() and gt != one
+    assert len(set(G.elements())) == G.order
+    # equal keys in another build of the same presentation name other elements
+    H = build_group(spec)
+    for x, y in zip(G.elements(), H.elements()):
+        assert x.key == y.key and x.idx == y.idx and x != y
 
 
-def count_handles(monkeypatch) -> tuple:
-    """Per group: handles made, and handles made by element_at without the tuple."""
-    made, at = {}, {}
+def recorded_run(monkeypatch, fx) -> tuple:
+    """(context, handles made in all, handles made while rows ran) of one run_checks over fx."""
+    made, contexts = [0], []
 
-    def init(self, group, key, _orig=groups.GroupElement.__init__):
-        made[group] = made.get(group, 0) + 1
-        _orig(self, group, key)
+    def init(self, group, idx, _orig=groups.GroupElement.__init__):
+        made[0] += 1
+        _orig(self, group, idx)
 
-    def element_at(self, idx, _orig=FiniteGroup.element_at):
-        if self._elements is None:
-            at[self] = at.get(self, 0) + 1
-        return _orig(self, idx)
+    class Recorded(checks.RunContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append((self, made[0]))
 
     monkeypatch.setattr(groups.GroupElement, "__init__", init)
-    monkeypatch.setattr(FiniteGroup, "element_at", element_at)
-    return made, at
+    monkeypatch.setattr(checks, "RunContext", Recorded)
+    checks.run_checks(fx)
+    ((ctx, before_rows),) = contexts
+    return ctx, made[0], made[0] - before_rows
 
 
-@pytest.mark.parametrize("fixture", ["corpus", "ladder"])
-def test_a_catalog_run_never_builds_the_handle_tuple(fixture, monkeypatch):
-    from grouplab import corpus_text, run_checks
-
+@pytest.mark.parametrize("fixture,in_all,in_rows", [("corpus", 32, 4), ("ladder", 8, 2)])
+def test_a_catalog_run_makes_handles_only_at_its_edges(fixture, in_all, in_rows, monkeypatch):
+    # realization makes the automorphisms' generator and image handles; the
+    # rows make one for each printed witness and each gens= name, and none
+    # for the arithmetic of a check
     text = corpus_text() if fixture == "corpus" else LADDER_FIXTURE.read_text("utf-8")
-    fx = parse_fixture(text)
-    made, at = count_handles(monkeypatch)
-    realized = []
+    assert recorded_run(monkeypatch, parse_fixture(text))[1:] == (in_all, in_rows)
 
-    def recorded(fx, _orig=checks.realize_groups):
-        out = _orig(fx)
-        realized.extend(out.values())
-        return out
 
-    monkeypatch.setattr(checks, "realize_groups", recorded)
-    run_checks(fx)
-    # the fixture's groups; each acting group makes its own identity and generator handles
-    assert len(realized) == (16 if fixture == "corpus" else 4) and set(realized) <= set(made)
-    for G, n in made.items():
-        # the identity and the generators, plus one handle per element_at
-        # call that a caller makes for a witness, an image or a printout
-        assert G._elements is None
-        assert n - at.get(G, 0) <= 1 + len(G.generators), G
+def test_a_group_keeps_its_table_and_one_store_and_nothing_else(monkeypatch):
+    ctx = recorded_run(monkeypatch, parse_fixture(corpus_text()))[0]
+    acting = [fx._acting for fx in ctx.actions.values()]
+    for G in [*ctx.groups.values(), *acting]:
+        assert set(vars(G)) == {
+            "_kind", "_keys", "_index", "_repr_key", "_e", "_gens", "generator_names",
+            "_table", "_inv", "_lattice",
+        }
+        assert not any(isinstance(v, groups.GroupElement) for v in G._lattice.values())
 
 
 def test_automorphism_rejects_non_bijective():

@@ -29,6 +29,9 @@ from pathlib import Path
 
 import pytest
 
+import grouplab
+import grouplab.errors
+
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src").rglob("*.py"))
 SOURCES = LIBRARY + sorted((ROOT / "tests").rglob("*.py"))
@@ -152,6 +155,18 @@ def test_every_error_class_is_raised_caught_or_subclassed_in_the_library():
     }
     errors = (ROOT / "src" / "grouplab" / "errors.py").read_text("utf-8")
     assert unused_errors(errors, sources) == []
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        name
+        for name, value in vars(grouplab.errors).items()
+        if isinstance(value, type) and issubclass(value, grouplab.errors.GroupLabError)
+    ],
+)
+def test_every_error_class_is_exported_by_the_package(name):
+    assert getattr(grouplab, name) is getattr(grouplab.errors, name)
 
 
 def test_the_error_guard_reports_an_orphan_and_spares_raised_caught_and_subclassed_ones():

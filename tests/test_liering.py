@@ -522,9 +522,11 @@ def test_witness_d8_frozen():
     assert w.s == 4
     assert w.K == 4
     assert w.shapes == ((1,), (2,), (1, 2), (2, 1))
-    assert w.rhos[0] == g1 and w.rhos[1] == g2
-    assert w.rhos[2] == G.commutator(g1, g2)
-    assert w.rhos[3] == G.commutator(g2, g1)
+    assert w.generators == (g1.idx, g2.idx)
+    rhos = [G.element_at(r) for r in w.rhos]
+    assert rhos[0] == g1 and rhos[1] == g2
+    assert rhos[2] == G.commutator(g1, g2)
+    assert rhos[3] == G.commutator(g2, g1)
 
 
 def test_prop_2_11_d8():

@@ -56,6 +56,7 @@ from grouplab.series import (
     Subgroup,
     Verdict,
     _class_representatives,
+    _closure,
     _commutator_values,
     _product_mask,
     commutator_subgroup,
@@ -67,7 +68,6 @@ from grouplab.series import (
     lower_central_series,
     normal_closure,
     power_subgroup,
-    trivial_subgroup,
     whole_subgroup,
 )
 from test_tables import DECIDE_PRESENTATIONS, pc_presentations
@@ -262,7 +262,7 @@ def ref_ordered_cyclic_product_keys(G, rhos) -> set:
 
 def ref_prop_2_11(G, w) -> Verdict:
     """The cyclic product times each dimension-series tail, as key sets."""
-    product = ref_ordered_cyclic_product_keys(G, w.rhos)
+    product = ref_ordered_cyclic_product_keys(G, map(G.element_at, w.rhos))
     terms = ref_dimension(G, G.is_p_group()[0])
     all_keys = set(G._keys)
     for i in range(1, len(terms) + 1):
@@ -581,7 +581,7 @@ def assert_first_failing_pair(G, p, monkeypatch):
     # The congruence is a theorem, so the scan fails only against a smaller
     # modulus: with the trivial one it stops at the first pair where
     # (xy)^q != x^q y^q, in row-major order.
-    monkeypatch.setattr(checks, "generated_subgroup", lambda G, gens: trivial_subgroup(G))
+    monkeypatch.setattr(checks, "_closure", lambda G, gens: _closure(G, ()))
     got = checks.check_collection_formula(G, p, 1)
     assert not got.ok
     want = ref_collection(G, p, 1, modulus=frozenset([G.identity.key]))
@@ -644,7 +644,7 @@ def test_prop_2_11_products_match_key_set_reference(name):
     w = decomposition_witness(G)
     product = _ordered_cyclic_product(G, w.rhos)
     assert {G._keys[i] for i in np.flatnonzero(product)} == ref_ordered_cyclic_product_keys(
-        G, w.rhos
+        G, map(G.element_at, w.rhos)
     )
     assert check_prop_2_11(G, w) == ref_prop_2_11(G, w)
     # a one-factor witness misses elements in most groups
@@ -836,10 +836,10 @@ def test_involution_cases_include_nontrivial_involutions():
 def test_decomposition_witness_matches_long_commutators(name):
     G = cases()[name]
     w = decomposition_witness(G)
-    assert w.rhos == tuple(
-        G.long_commutator([w.generators[t - 1] for t in shape]) for shape in w.shapes
-    )
-    assert w.K == max(ref_element_order(G, r) for r in w.rhos)
+    gens = [G.element_at(g) for g in w.generators]
+    rhos = [G.element_at(r) for r in w.rhos]
+    assert rhos == [G.long_commutator([gens[t - 1] for t in shape]) for shape in w.shapes]
+    assert w.K == max(ref_element_order(G, r) for r in rhos)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -1105,7 +1105,8 @@ def test_random_permutation_groups_fitting_walk_matches_quotient_reference(case)
 @given(perm_groups())
 def test_random_permutation_group_products_match_key_sets(case):
     G, picks = case
-    assert {G._keys[i] for i in np.flatnonzero(_ordered_cyclic_product(G, picks))} == (
+    picked = [x.idx for x in picks]
+    assert {G._keys[i] for i in np.flatnonzero(_ordered_cyclic_product(G, picked))} == (
         ref_ordered_cyclic_product_keys(G, picks)
     )
     left = np.flatnonzero(generated_subgroup(G, picks[:1]).mask)
