@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from ._version import __version__
 from .actions import ActionFixture, realize_actions
 from .errors import (
@@ -34,7 +35,7 @@ from .errors import (
     UnknownCheck,
 )
 from .fixtures import FixtureFile, realize_automorphisms, realize_groups
-from .groups import Automorphism, FiniteGroup, _blocks, is_prime
+from .groups import Automorphism, FiniteGroup, is_prime
 from .identities import higman_polynomial, holds_identity
 from .liering import (
     _lazard_table,
@@ -53,11 +54,6 @@ from .series import (
     Verdict,
     _class_closure,
     _closure,
-    _commutator_values,
-    _cyclic_class_representatives,
-    _engel_walk,
-    _power_map,
-    _product_mask,
     _subgroup,
     centralizer,
     derived_series,
@@ -97,7 +93,7 @@ def _k_commutators(G: FiniteGroup, k: int, budget: int) -> np.ndarray:
     everything = np.arange(G.order)
     values = np.ones(G.order, dtype=bool)
     for _ in range(k - 1):
-        values = _commutator_values(G, values.nonzero()[0], everything)
+        values = kernels._commutator_values(G, values.nonzero()[0], everything)
     return values.nonzero()[0]
 
 
@@ -126,24 +122,20 @@ def check_collection_formula(
         raise BudgetExceeded(f"|G|^2 exceeds the budget of {budget}")
     # the modulus γ_2^q γ_p^(p^(n-1)) ··· γ_(p^n) is generated by its factors' generators
     lcs = lower_central_series(G)
-    P = _power_map(G, q)
+    P = kernels._power_map(G, q)
     factors = [P[lcs.term(2).idx]]
     for r in range(1, n + 1):
-        factors.append(_power_map(G, p ** (n - r))[lcs.term(p**r).idx])
+        factors.append(kernels._power_map(G, p ** (n - r))[lcs.term(p**r).idx])
     modulus = _closure(G, np.concatenate(factors))
     order = int(np.count_nonzero(modulus))
-    # row x compares (xy)^q with x^q y^q for every y, a block of rows at a time
-    T = G.table()
-    inv = G.inverse_indices()
-    for xs in _blocks(np.arange(G.order), G.order):
-        inside = modulus[T[P[T[xs]], inv[T[P[xs][:, None], P]]]]
-        if not inside.all():
-            r, y = divmod(int(np.argmin(inside)), G.order)  # first failure, row-major
-            return Verdict(
-                False,
-                f"(xy)^{q} != x^{q} y^{q} modulo the subgroup of order "
-                f"{order} at x={G.element_at(xs[r])!r}, y={G.element_at(y)!r}",
-            )
+    failure = kernels._power_law_failure(G, P, modulus)
+    if failure is not None:
+        x, y = failure
+        return Verdict(
+            False,
+            f"(xy)^{q} != x^{q} y^{q} modulo the subgroup of order "
+            f"{order} at x={G.element_at(x)!r}, y={G.element_at(y)!r}",
+        )
     return Verdict(
         True,
         f"q={q}; modulus subgroup order {order}; {G.order**2} pairs verified",
@@ -207,7 +199,7 @@ def check_lemma_3_4(G: FiniteGroup, k: int = 2, budget: int = SCAN_BUDGET) -> Ve
     trivial = _closure(G, ())
     worst = 1
     for c in commutators.tolist():  # in key order; the first that is not Engel is the witness
-        steps, reached = _engel_walk(G, c, trivial)
+        steps, reached = kernels._engel_walk(G, c, trivial)
         if not reached:
             witness = G.element_at(c)
             raise HypothesisNotMet(
@@ -271,7 +263,7 @@ def check_4_2(fx: ActionFixture) -> Verdict:
     for a in fx.nontrivial:
         cent = centralizer(G, [a])
         orders.append(cent.order)
-        product = _product_mask(G, np.flatnonzero(product), cent.idx)
+        product = kernels._product_mask(G, np.flatnonzero(product), cent.idx)
     covered = int(product.sum())
     return Verdict(
         covered == G.order,
@@ -292,7 +284,7 @@ def _invariant_normal_family(G: FiniteGroup, images) -> list:
     masks = {}  # mask bytes -> mask, in first-occurrence order
     for mask in [_closure(G, ()), np.ones(G.order, dtype=bool)]:
         masks[mask.tobytes()] = mask
-    for x in _cyclic_class_representatives(G):
+    for x in kernels._cyclic_class_representatives(G):
         mask = _class_closure(G, x)
         masks.setdefault(mask.tobytes(), mask)
     family = [_subgroup(G, mask) for mask in masks.values()]
@@ -304,19 +296,17 @@ def check_4_6(fx: ActionFixture) -> Verdict:
 
     Both sides are compared as unions of N-cosets in G, with no quotient
     group built: the preimage of the image of C_G(A) is the product C_G(A)N,
-    and the preimage of C_{G/N}(A) is {x : φ(x) x^-1 ∈ N for every φ}.
-    Each φ's index map, and its φ(x) x^-1 for every x, is read once.
+    and the preimage of C_{G/N}(A) is {x : [x, φ] = x^-1 φ(x) ∈ N for every
+    φ}.  Each φ's index map, and its [x, φ] for every x, is read once.
     """
     _needs_coprime(fx)
     G = fx.group
-    T = G.table()
-    inv = G.inverse_indices()
     fixed = centralizer(G, fx.generators)
     images = [np.asarray(phi.image_indices) for phi in fx.generators]
-    drifts = [T[image, inv] for image in images]  # φ(x) x^-1, one array per φ
+    drifts = [kernels._commutators_with(G, image) for image in images]
     tested = []
     for N in _invariant_normal_family(G, images):
-        upstairs = _product_mask(G, fixed.idx, N.idx)
+        upstairs = kernels._product_mask(G, fixed.idx, N.idx)
         downstairs = np.ones(G.order, dtype=bool)
         for drift in drifts:
             downstairs &= N.mask[drift]
@@ -348,18 +338,17 @@ def _needs_odd_involution(G: FiniteGroup, a: Automorphism) -> None:
 def check_4_12(G: FiniteGroup, a: Automorphism) -> Verdict:
     """Odd-order G with involutory a: unique x = gh, g inverted, h fixed."""
     _needs_odd_involution(G, a)
-    T = G.table()
-    inv = G.inverse_indices()
     image = np.asarray(a.image_indices)
-    inverted = np.flatnonzero(image == inv)
+    inverted_mask = kernels._inverse(G, image) == np.arange(G.order)  # a(x) = x^-1
+    inverted = np.flatnonzero(inverted_mask)
     fixed = centralizer(G, [a])
-    counts = np.zeros(G.order, dtype=np.int64)
-    for g in _blocks(inverted, fixed.order):
-        counts += np.bincount(T[g[:, None], fixed.idx].ravel(), minlength=G.order)
-    unique = bool((counts == 1).all())
+    # every x is g·h once exactly when the products cover G and number |G|
+    unique = len(inverted) * fixed.order == G.order and bool(
+        kernels._product_mask(G, inverted, fixed.idx).all()
+    )
     commutator_set = np.zeros(G.order, dtype=bool)
-    commutator_set[T[inv, image]] = True  # [y, a] = y^-1 a(y)
-    inverted_matches = np.array_equal(commutator_set, image == inv)
+    commutator_set[kernels._commutators_with(G, image)] = True
+    inverted_matches = np.array_equal(commutator_set, inverted_mask)
     return Verdict(
         unique and inverted_matches,
         f"|inverted set| = {len(inverted)}, |C_G(a)| = {fixed.order}; "
@@ -390,7 +379,7 @@ def check_theorem_4_4_instance(
     """Record the least valid n (centralizer exponent and [x,a] orders) vs exp(G)."""
     _needs_odd_involution(G, a)
     fixed = centralizer(G, [a])
-    commutators = G.table()[G.inverse_indices(), np.asarray(a.image_indices)]  # y^-1 a(y)
+    commutators = kernels._commutators_with(G, np.asarray(a.image_indices))
     orders = np.flatnonzero(np.bincount(G.element_orders()[commutators]))  # distinct, ascending
     computed = math.lcm(_subgroup_exponent(G, fixed), *orders.tolist())
     if n is None:

@@ -106,7 +106,8 @@ def _cmd_liering(args) -> int:
     print(f"graded algebra of {args.group} over F_{L.p}")
     print(f"component dims: {list(L.dims)} (total {L.total_dim})")
     print(f"nilpotency class: {L.nilpotency_class()}")
-    for (i, j), table in sorted(L.sc.items()):
+    for i, j in L._bracket_degrees():
+        table = L.sc[(i, j)]
         di, dj, _ = table.shape
         for a in range(di):
             for b in range(dj):

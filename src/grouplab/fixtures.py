@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from . import kernels
 from .errors import (
     DuplicateName,
     FixtureSyntaxError,
@@ -41,7 +42,6 @@ from .groups import (
     build_group,
     perm_from_cycles,
 )
-from .series import _power_map
 
 
 @dataclass(frozen=True)
@@ -541,10 +541,9 @@ def realize_groups(fx: FixtureFile) -> dict:
 
 def _product_of_powers(G: FiniteGroup, factors) -> GroupElement:
     """Product of x^e over (index x, exponent e >= 0) factors, read from the kept power maps."""
-    T = G.table()
     out = G._e
     for x, e in factors:
-        out = T[out, _power_map(G, e)[x]]
+        out = kernels._product(G, out, kernels._power_map(G, e)[x])
     return G.element_at(out)
 
 

@@ -1,8 +1,8 @@
 """Finite groups with exact arithmetic.
 
 Every FiniteGroup is its sorted element keys plus an integer-indexed Cayley
-table, from which every product and inverse is read.  Three builders fill
-the table:
+table, whose layout and every read of which live in kernels.  Three
+builders fill the table:
 
 - power-commutator presentations of finite p-groups, by iterated cyclic
   extensions (_pc_table), which also decide consistency exactly, with one
@@ -15,19 +15,16 @@ the table:
 
 An element is its index; a GroupElement handle, a view of (group, index)
 for the public API, is made on each request and never kept.  Every
-derived value (element orders, from one pass over the table, the subgroup
-lattice, the graded Lie ring) is kept in one store (FiniteGroup._keep).
-A homomorphism is decided on the generators of its
-source, every element against every generator, after each generator's
-given image is compared with the one the others send it to; only a
-failure scans every pair, to name the first one.  The closure kernel
-(_close) spans every subgroup by whole cosets, one table gather and one
-Python step per coset of the span so far.  The public constructor checks
-with it that a group's generators generate it; the three builders span
-their groups by construction and skip that check (FiniteGroup._built).
-Pairwise scans read the table in blocks of at most _BLOCK entries
-(_blocks).  Groups are capped at TABLE_CAP elements; a pc presentation
-over the cap is refused before any table work.
+derived value (element orders, the subgroup lattice, the graded Lie ring)
+is kept in one store (FiniteGroup._keep).  A homomorphism is decided on
+the generators of its source, every element against every generator,
+after each generator's given image is compared with the one the others
+send it to; only a failure scans every pair, to name the first one.  The
+public constructor checks with the closure kernel (kernels._close) that a
+group's generators generate it; the three builders span their groups by
+construction and skip that check (FiniteGroup._built).  Groups are capped
+at TABLE_CAP elements; a pc presentation over the cap is refused before
+any table work.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     BudgetExceeded,
     EmptySequence,
@@ -62,7 +60,6 @@ __all__ = [
 ]
 
 TABLE_CAP = 2048
-_BLOCK = 8192  # table entries read per block by the pairwise kernels
 
 # A normal word is a tuple of (generator index, exponent) factors with
 # strictly increasing indices; the empty tuple is the identity.
@@ -99,49 +96,6 @@ def _prime_power(n: int):
         n //= p
         k += 1
     return (p, k) if n == 1 else None
-
-
-def _blocks(items: np.ndarray, width: int):
-    """Consecutive runs of items, each with at most _BLOCK // width of them (at least one)."""
-    step = max(1, _BLOCK // max(width, 1))
-    for start in range(0, len(items), step):
-        yield items[start : start + step]
-
-
-def _close(G: "FiniteGroup", gens, mask=None, kept=None) -> tuple:
-    """(mask, kept): the subgroup generated by the given element indices and the generators kept.
-
-    A generator already inside the span so far is dropped, so each one kept
-    at least doubles the span and at most log2|G| are kept.  Keeping one
-    grows the span S so far by whole cosets (Dimino's algorithm; G. Butler,
-    Fundamental Algorithms for Permutation Groups, 1991): coset
-    representatives are walked from the identity, each is multiplied by
-    every kept generator (S need not be normal), and a product x outside the
-    span adds the coset S·x with one table gather and becomes a
-    representative.  The span is a union of cosets of S closed under every
-    kept generator when the walk ends, so it costs one step per coset.  Given
-    the mask of a subgroup and the generators kept for it, the span is
-    extended in place.
-    """
-    T = G.table()
-    gens = np.asarray(gens, dtype=np.int64)
-    if mask is None:
-        mask = np.zeros(G.order, dtype=bool)
-        mask[G._e] = True
-        kept = []
-    while True:
-        outside = gens[~mask[gens]]
-        if not outside.size:
-            return mask, kept
-        kept.append(outside[0])
-        span = mask.nonzero()[0]
-        gen_idx = np.array(kept)
-        reps = [G._e]
-        for r in reps:
-            for x in T[r, gen_idx].tolist():
-                if not mask[x]:
-                    mask[T[span, x]] = True
-                    reps.append(x)
 
 
 def _validate_word(word, p: int, ngens: int, floor: int, where: str) -> NormalWord:
@@ -422,12 +376,10 @@ def _word_repr(w: NormalWord, n: int) -> str:
 def _embeds(T: np.ndarray, phi: np.ndarray, gens: np.ndarray) -> bool:
     """phi is injective and a homomorphism on the subgroup of T's first len(phi) indices.
 
-    gens generate that subgroup; phi(xg) = phi(x) phi(g) for every x and
-    every g in gens decides every pair, as in GroupHomomorphism._verify.
+    gens generate that subgroup, so kernels._respects decides every pair, as
+    in GroupHomomorphism._verify.
     """
-    return np.count_nonzero(np.bincount(phi)) == len(phi) and np.array_equal(
-        phi[T[: len(phi), gens]], T[phi[:, None], phi[gens]]
-    )
+    return np.count_nonzero(np.bincount(phi)) == len(phi) and kernels._respects(T, T, phi, gens)
 
 
 def _failed_relation(pres: PcPresentation, T: np.ndarray, phi: np.ndarray, k: int):
@@ -515,10 +467,10 @@ class FiniteGroup:
     def __init__(self, kind: str, keys, table: np.ndarray, generators, repr_key):
         """``table[i, j]`` is the index of keys[i] * keys[j], for sorted keys;
         ``generators`` are (name, key) pairs of elements that generate the
-        group, which is checked once by closing them (_close), and
+        group, which is checked once by closing them (kernels._close), and
         ``repr_key`` prints a key."""
         self._adopt(kind, keys, table, generators, repr_key)
-        if not _close(self, self._gens)[0].all():
+        if not kernels._close(self, self._gens)[0].all():
             raise MalformedSpec("the generators do not generate the group")
 
     @classmethod
@@ -644,27 +596,8 @@ class FiniteGroup:
         return self.multiply(self.multiply(self.inverse(g), x), g)
 
     def element_orders(self) -> np.ndarray:
-        """orders[i] = order of element i, read-only and kept on the group.
-
-        One pass steps every element's powers x^k -> x^(k+1) along the table
-        at once, retiring each element when its power reaches the identity.
-        """
-
-        def compute() -> np.ndarray:
-            orders = np.ones(self.order, dtype=np.int64)
-            live = np.flatnonzero(np.arange(self.order) != self._e)
-            power = live
-            k = 1
-            while live.size:
-                k += 1
-                power = self._table[power, live]
-                done = power == self._e
-                orders[live[done]] = k
-                live, power = live[~done], power[~done]
-            orders.flags.writeable = False
-            return orders
-
-        return self._keep(("element orders",), compute)
+        """orders[i] = order of element i, read-only and kept on the group (kernels)."""
+        return self._keep(("element orders",), lambda: kernels._element_orders(self))
 
     def element_order(self, a: GroupElement) -> int:
         return int(self.element_orders()[self.index_of(a)])
@@ -718,21 +651,6 @@ def build_group(spec) -> FiniteGroup:
     raise MalformedSpec(f"cannot build a group from {type(spec).__name__}")
 
 
-def _first_failing_pair(t_src: np.ndarray, t_tgt: np.ndarray, phi: np.ndarray):
-    """First (a, b) in row-major order with phi[ab] != phi[a] phi[b], or None.
-
-    The witness search of a failed homomorphism check: every pair is read, in
-    table blocks of at most _BLOCK entries.
-    """
-    n = len(phi)
-    for rows in _blocks(np.arange(n), n):
-        bad = phi[t_src[rows]] != t_tgt[phi[rows][:, None], phi]
-        if bad.any():
-            r, b = divmod(int(np.argmax(bad)), n)
-            return int(rows[r]), b
-    return None
-
-
 class GroupHomomorphism:
     """Group map determined by generator images, verified on every pair."""
 
@@ -740,29 +658,12 @@ class GroupHomomorphism:
         self.source = source
         self.target = target
         gen_images = self._normalize_images(images)
-        image_idx = [-1] * source.order
-        image_idx[source._e] = target._e
-        frontier = [source._e]
-        # breadth-first: image[x*g] = image[x]*h, read from table columns
-        gen_cols = [
-            (source.table()[:, source.index_of(g)].tolist(),
-             target.table()[:, target.index_of(h)].tolist())
-            for g, h in gen_images
-        ]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for src_col, tgt_col in gen_cols:
-                    xg = src_col[x]
-                    if image_idx[xg] < 0:
-                        image_idx[xg] = tgt_col[image_idx[x]]
-                        fresh.append(xg)
-            frontier = fresh
+        image_idx = kernels._extend_images(source, target, [(g.idx, h.idx) for g, h in gen_images])
         # a generator reached before its own column (a repeat, or the
         # identity) took its image from the others; it must be the one given
         for name, (g, h) in zip(source.generator_names, gen_images):
-            got = image_idx[source.index_of(g)]
-            if got != target.index_of(h):
+            got = image_idx[g.idx]
+            if got != h.idx:
                 raise MalformedSpec(
                     f"images do not extend to a homomorphism: generator {name} = {g!r} is "
                     f"given {h!r}, but the images of the others send it to "
@@ -799,14 +700,13 @@ class GroupHomomorphism:
         each b is a positive word in the generators of a finite group, so
         phi(xb) = phi(x) phi(b) follows by induction on its length, and x = 1
         gives phi(1) = 1 for the empty word.  Only a failure scans all pairs
-        (_first_failing_pair), to name the first one in row-major order.
+        (kernels._first_failing_pair), to name the first one in row-major order.
         """
         src = self.source
-        t_src, t_tgt = src.table(), self.target.table()
         phi = np.asarray(self.image_indices)
-        if np.array_equal(phi[t_src[:, src._gens]], t_tgt[phi[:, None], phi[src._gens]]):
+        if kernels._homomorphic(src, self.target, phi):
             return
-        a, b = _first_failing_pair(t_src, t_tgt, phi)
+        a, b = kernels._first_failing_pair(src, self.target, phi)
         raise MalformedSpec(
             "images do not extend to a homomorphism: fails at "
             f"({src.element_at(a)!r}, {src.element_at(b)!r})"
@@ -859,24 +759,8 @@ class Automorphism(GroupHomomorphism):
         return all(i == j for i, j in enumerate(self.image_indices))
 
     def order(self) -> int:
-        """The lcm of the cycle lengths of the index map.
-
-        Every moved point steps along its cycle at once, and retires with its
-        cycle's length when it returns, as in FiniteGroup.element_orders.
-        """
-        perm = np.asarray(self.image_indices)
-        live = np.flatnonzero(perm != np.arange(len(perm)))
-        image = perm[live]
-        lengths = set()
-        k = 1
-        while live.size:
-            k += 1
-            image = perm[image]
-            back = image == live
-            if back.any():
-                lengths.add(k)
-                live, image = live[~back], image[~back]
-        return math.lcm(*lengths)
+        """The lcm of the cycle lengths of the index map."""
+        return math.lcm(*map(len, cycles_of(self.image_indices)))
 
     def __eq__(self, other):
         return (
@@ -895,7 +779,5 @@ class Automorphism(GroupHomomorphism):
 
 def inner_automorphism(G: FiniteGroup, g: GroupElement) -> Automorphism:
     """Conjugation x -> g^-1 x g, read from the table; an automorphism by construction."""
-    gi = G.index_of(g)
-    T = G.table()
-    mapped = T[T[G.inverse_indices()[gi]], gi]  # row g^-1 is x -> g^-1 x
+    mapped = kernels._conjugates(G, np.arange(G.order), np.array([G.index_of(g)]))[0]
     return Automorphism._trusted(G, mapped.tolist())

@@ -25,11 +25,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .errors import BudgetExceeded, ForeignElement, MalformedSpec
 from .gfp import mat_pow
-from .groups import _BLOCK, FiniteGroup, GroupElement
+from .groups import FiniteGroup, GroupElement
 from .liering import GradedLieRing, LieElement
-from .series import Verdict, _closure, _engel_walk, _power_map
+from .series import Verdict, _closure
 
 HIGMAN_MONOMIAL_BUDGET = 5040
 IDENTITY_EVAL_BUDGET = 10**6
@@ -352,21 +353,19 @@ def _word_values(w: GroupWord, G: FiniteGroup, leaves: dict) -> np.ndarray:
     leaves[v] is the array of element indices bound to x_v, one entry per
     assignment; every operation acts on the whole block at once.
     """
-    T = G.table()
-    inv = G.inverse_indices()
     if w.kind == "var":
         return leaves[w.args[0]]
     if w.kind == "inv":
-        return inv[_word_values(w.args[0], G, leaves)]
+        return kernels._inverse(G, _word_values(w.args[0], G, leaves))
     if w.kind == "pow":
         base, k = _word_values(w.args[0], G, leaves), w.args[1]
         if k < 0:
-            base, k = inv[base], -k
-        return _power_map(G, k)[base]
+            base, k = kernels._inverse(G, base), -k
+        return kernels._power_map(G, k)[base]
     out = _word_values(w.args[0], G, leaves)
+    combine = kernels._product if w.kind == "prod" else kernels._commutator
     for part in w.args[1:]:
-        y = _word_values(part, G, leaves)
-        out = T[out, y] if w.kind == "prod" else T[inv[T[y, out]], T[out, y]]  # [x, y] = (yx)^-1 (xy)
+        out = combine(G, out, _word_values(part, G, leaves))
     return out
 
 
@@ -374,7 +373,7 @@ def group_satisfies(w: GroupWord, G: FiniteGroup) -> Verdict:
     """Exhaustively check w(g1, ..., gs) = 1 over all of G, within WORD_EVAL_BUDGET.
 
     Assignments are numbered in itertools.product order over the elements
-    in index order, the first variable slowest, and evaluated _BLOCK at a
+    in index order, the first variable slowest, and evaluated kernels._BLOCK at a
     time on index arrays; the first failing one is the witness.
     """
     variables = sorted(w.variables)
@@ -384,8 +383,8 @@ def group_satisfies(w: GroupWord, G: FiniteGroup) -> Verdict:
     if total > WORD_EVAL_BUDGET:
         raise BudgetExceeded(f"|G|^{nvars} = {total} exceeds the budget of {WORD_EVAL_BUDGET}")
     e = G._e
-    for start in range(0, total, _BLOCK):
-        t = np.arange(start, min(start + _BLOCK, total))
+    for start in range(0, total, kernels._BLOCK):
+        t = np.arange(start, min(start + kernels._BLOCK, total))
         leaves = {v: t // n ** (nvars - 1 - pos) % n for pos, v in enumerate(variables)}
         bad = _word_values(w, G, leaves) != e
         if bad.any():
@@ -400,5 +399,5 @@ def engel_index_of_element(G: FiniteGroup, x: GroupElement) -> Optional[int]:
     """Least n with [g, x, ..., x] (n copies) trivial for every g, else None (_engel_walk mod 1)."""
     if not isinstance(x, GroupElement) or x.group is not G:
         raise ForeignElement("x must be an element of G")
-    steps, reached = _engel_walk(G, G.index_of(x), _closure(G, ()))
+    steps, reached = kernels._engel_walk(G, G.index_of(x), _closure(G, ()))
     return steps if reached else None

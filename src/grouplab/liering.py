@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     ActionNotWellDefined,
     EvenCharacteristic,
@@ -36,18 +37,8 @@ from .errors import (
     TrivialImage,
 )
 from .gfp import is_invertible, mat_pow, nullspace, row_space_equal, rref
-from .groups import Automorphism, FiniteGroup, GroupElement, _blocks
-from .series import (
-    NormalSeries,
-    Subgroup,
-    Verdict,
-    _closure,
-    _commutators,
-    _p_of,
-    _power_map,
-    _product_mask,
-    dimension_series,
-)
+from .groups import Automorphism, FiniteGroup, GroupElement
+from .series import NormalSeries, Subgroup, Verdict, _closure, _p_of, dimension_series
 
 __all__ = [
     "GradedLieRing",
@@ -155,8 +146,9 @@ class GradedLieRing:
             )
         C.flags.writeable = False
         self.C = C
+        cut = [None] + [slice(a, b) for a, b in zip(self.offsets, self.offsets[1:])]  # by degree
         self.sc = {
-            (i, j): C[self._slice(i), self._slice(j), self._slice(i + j)]
+            (i, j): C[cut[i], cut[j], cut[i + j]]
             for i in range(1, self.m + 1)
             for j in range(1, self.m + 1 - i)
         }
@@ -176,6 +168,11 @@ class GradedLieRing:
 
     def _slice(self, i: int) -> slice:
         return slice(*self._span(i))
+
+    def _bracket_degrees(self) -> list:
+        """The keys (i, j) of sc, sorted, where degrees i and j both have nonzero dimension."""
+        nonzero = [i for i, d in enumerate(self.dims, 1) if d]
+        return [(i, j) for i in nonzero for j in nonzero if i + j <= self.m]
 
     def element(self, vec) -> LieElement:
         return LieElement(self, vec)
@@ -308,8 +305,7 @@ def _build_dl(G: FiniteGroup, p: int) -> GradedLieRing:
     series = dimension_series(G)
     terms = series.terms
     m = len(terms) - 1
-    T = G.table()
-    power = _power_map(G, p)
+    power = kernels._power_map(G, p)
     depth = np.sum([t.mask for t in terms], axis=0)
     coords = np.zeros((G.order, G.is_p_group()[1]), dtype=np.int64)
     reps, dims = [], []
@@ -326,21 +322,21 @@ def _build_dl(G: FiniteGroup, p: int) -> GradedLieRing:
             # every basis element has its p-th power in N and they commute modulo N
             if not N.mask[power[b]]:
                 raise NonElementaryQuotient(f"component {i} has exponent above {p}")
-            if not N.mask[_commutators(G, [b], reps[lo:])].all():
+            if not N.mask[kernels._commutators(G, [b], reps[lo:])].all():
                 raise NonElementaryQuotient(f"component {i} is not abelian")
             col = len(reps)
             reps.append(b)
             base = span.nonzero()[0]
             layer = base
             for e in range(1, p):
-                layer = T[layer, b]  # base · b^e
+                layer = kernels._product(G, layer, b)  # base · b^e
                 coords[layer, lo:col] = coords[base, lo:col]
                 coords[layer, col] = e
                 span[layer] = True
         dims.append(len(reps) - lo)
     reps = np.array(reps, dtype=np.int64)
     degrees = np.repeat(np.arange(1, m + 1), dims)
-    comm = _commutators(G, reps, reps)  # comm[a, b] = [x_a, x_b] for the basis representatives
+    comm = kernels._commutators(G, reps, reps)  # comm[a, b] = [x_a, x_b] for the basis reps
     want = degrees[:, None] + degrees[None, :]
     escaped = (want <= m) & (depth[comm] < want)
     if escaped.any():
@@ -362,30 +358,20 @@ def _verify_well_definedness(G: FiniteGroup, L: GradedLieRing):
     """Structure constants must not depend on the coset representatives.
 
     For basis representatives x of degree i and y of degree j, every n1 in
-    D_{i+1} and n2 in D_{j+1} must give [x·n1, y·n2] in [x, y]·D_{i+j+1}.
-    Degrees i < j follow by inversion, [y·n2, x·n1] = [x·n1, y·n2]^-1, so
-    only i >= j is scanned: the n1 of the smaller term D_{i+1} in table
-    blocks (groups._blocks), each a block over those n1, the basis pairs and
-    every n2.
+    D_{i+1} and n2 in D_{j+1} must give [x·n1, y·n2] in [x, y]·D_{i+j+1}
+    (kernels._brackets_within).  Degrees i < j follow by inversion,
+    [y·n2, x·n1] = [x·n1, y·n2]^-1, so only i >= j is scanned, and a degree
+    of dimension 0 has no representative, so its pairs are skipped.
     """
-    T = G.table()
-    inv = G.inverse_indices()
     terms = L.series.terms
-    for i, j in sorted(L.sc):
+    for i, j in L._bracket_degrees():
         if i < j:
             continue
-        modulus = terms[i + j].mask
-        xs = L.reps[L._slice(i), None, None]
-        ys = L.reps[None, L._slice(j), None]
-        undo = inv[T[inv[T[ys, xs]], T[xs, ys]]]  # [x, y]^-1 per basis pair
-        yn = T[ys, terms[j].idx]  # y·n2 for every n2
-        for n1 in _blocks(terms[i].idx, undo.size * yn.shape[2]):
-            xn = T[xs, n1[:, None, None, None]]  # x·n1, one n1 per leading row
-            moved = T[inv[T[yn, xn]], T[xn, yn]]  # [x·n1, y·n2]
-            if not modulus[T[undo, moved]].all():
-                raise InconsistentPresentation(
-                    f"bracket of degrees ({i},{j}) depends on representatives"
-                )
+        xs, ys = L.reps[L._slice(i)], L.reps[L._slice(j)]
+        if not kernels._brackets_within(G, xs, ys, terms[i].idx, terms[j].idx, terms[i + j].mask):
+            raise InconsistentPresentation(
+                f"bracket of degrees ({i},{j}) depends on representatives"
+            )
 
 
 # -- subspaces ----------------------------------------------------------
@@ -695,7 +681,7 @@ def _lazard_table(G: FiniteGroup, L: GradedLieRing, xs) -> tuple:
     ad-nilpotency index of x*, and the order of x.
     """
     xs = np.asarray(xs, dtype=np.int64)
-    power = _power_map(G, L.p)
+    power = kernels._power_map(G, L.p)
     ads = L.ads(L.coords[xs])
     power_ok = (mat_pow(ads, L.p, L.p) == L.ads(L.coords[power[xs]])).all(axis=(1, 2))
     return power_ok, L.ad_nilpotency_indices(ads), G.element_orders()[xs]
@@ -767,7 +753,7 @@ def decomposition_witness(G: FiniteGroup, gens=None) -> DecompositionWitness:
     shapes = commutator_shapes(len(ys), c)
     layers = [ys]
     for w in range(2, c + 1):
-        grid = _commutators(G, layers[-1], ys)  # rows: weight-(w-1) values; columns: generators
+        grid = kernels._commutators(G, layers[-1], ys)  # rows: weight-(w-1) values; columns: gens
         layers.append(grid[~np.eye(len(ys), dtype=bool)] if w == 2 else grid.ravel())
     values = np.concatenate(layers)
     K = int(G.element_orders()[values].max())
@@ -776,23 +762,18 @@ def decomposition_witness(G: FiniteGroup, gens=None) -> DecompositionWitness:
 
 
 def _ordered_cyclic_product(G: FiniteGroup, rhos) -> np.ndarray:
-    """Mask of the ordered product ⟨ρ_1⟩⟨ρ_2⟩···⟨ρ_s⟩, each factor read off ρ's table column.
+    """Mask of the ordered product ⟨ρ_1⟩⟨ρ_2⟩···⟨ρ_s⟩, each factor ρ's powers (kernels).
 
     A factor ρ = 1 adds nothing, so it is skipped, and once the product is
     the whole group the later factors cannot change it (G·X = G).
     """
-    T = G.table()
-    orders = G.element_orders()
     acc = _closure(G, ())
     for r in rhos:
-        if orders[r] == 1:
+        if r == G._e:
             continue
         if acc.all():
             break
-        powers = [G._e]
-        for _ in range(orders[r] - 1):
-            powers.append(T[powers[-1], r])
-        acc = _product_mask(G, acc.nonzero()[0], powers)
+        acc = kernels._product_mask(G, acc.nonzero()[0], kernels._cyclic_powers(G, r))
     return acc
 
 
@@ -805,7 +786,7 @@ def check_prop_2_11(G: FiniteGroup, w: DecompositionWitness) -> Verdict:
     product = _ordered_cyclic_product(G, w.rhos)
     if not product.all():
         for i in range(1, len(series.terms) + 1):
-            covered = _product_mask(G, product.nonzero()[0], series.term(i + 1).idx)
+            covered = kernels._product_mask(G, product.nonzero()[0], series.term(i + 1).idx)
             if not covered.all():
                 return Verdict(
                     False,

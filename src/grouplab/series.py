@@ -3,64 +3,56 @@
 A subgroup is a read-only boolean mask over its parent group's element
 indices.  Whether it is normal is read from conjugation by each generator
 the first time is_normal is asked, and kept.  A public Subgroup(G, mask)
-verifies in table blocks that every product of two members stays inside;
-the library's subgroups are closed by construction (closure spans, the
-whole group, fixed points of automorphisms) and skip that scan.
-Closures (groups._close), commutator and power subgroups, normal closures
-and centralizers are computed on index arrays, reading products from the
-table T and inverses from the inverse array, never one element handle at a
-time.  A normal closure conjugates only the generators its span keeps.  The
-pairwise kernels (the public closure scan, commutator values, products of
-index sets, the projection check of a quotient) read the table in blocks of
-at most groups._BLOCK entries, so their temporaries stay small however large
-the group.  Series are descending chains of normal subgroups.  A public
-NormalSeries verifies each term normal and the chain descending; the lower
-central, derived and dimension series are normal and descending by
-construction and skip those checks (NormalSeries._trusted).  The dimension
-series follows Lazard's recurrence D_i = [D_{i-1}, G]·D_{⌈i/p⌉}^p, one
-normal closure of generator commutators and p-th powers per term, and never
-walks the lower central series.
+verifies that every product of two members stays inside; the library's
+subgroups are closed by construction (closure spans, the whole group, fixed
+points of automorphisms) and skip that scan.  Closures, commutator and
+power subgroups, normal closures and centralizers are computed on index
+arrays by the table kernels (kernels), never one element handle at a time.
+A normal closure conjugates only the generators its span keeps.  Series
+are descending chains of normal subgroups.  A public NormalSeries verifies
+each term normal and the chain descending; the lower central, derived and
+dimension series are normal and descending by construction and skip those
+checks (NormalSeries._trusted).  The dimension series follows Lazard's
+recurrence D_i = [D_{i-1}, G]·D_{⌈i/p⌉}^p, one normal closure of generator
+commutators and p-th powers per term, and never walks the lower central
+series.
 
 A commutator subgroup [H, K], and the N_p-series containment [S_i, S_j] ≤
 S_{i+j}, work from generators X of H and Y of K: [H, K] is the normal
 closure in <H, K> of the [x, y] over X x Y, and a normal subgroup contains
 [H, K] exactly when it contains those.  The whole group is generated by its
 own generators, and every subgroup that the series kernels close keeps the
-generators _close kept for it, so neither needs an extra closure.
+generators kernels._close kept for it, so neither needs an extra closure.
 
 Each group carries one store, filled only through FiniteGroup._keep.
 The library builds every subgroup through _subgroup, which keeps it there
 under its mask, so each distinct mask is built once per group; a public
 Subgroup(G, mask) verifies on every call.  The store also keeps the
 lower central, derived and dimension series, commutator subgroups by their
-operands, the generators of the subgroups closed here by their masks, the
-read-only commutator value masks by their index arrays, and the read-only
-power maps x -> x^k by k, so each scan of the weight-k commutators and each
-power map runs once per group.  It keeps the conjugacy classes as one
-read-only label array, each element's class minimum (_class_labels), from
-which the classes, their representatives and the classes of cyclic
-subgroups are read, with no gather.  Power subgroups are not kept apart from
-their masks, because no caller asks for the same one twice.  A call that
-raises keeps nothing.
+operands, the generators of the subgroups closed here by their masks, and
+the kernels' kept maps.  Power subgroups are not kept apart from their
+masks, because no caller asks for the same one twice.  A call that raises
+keeps nothing.
 
 The upper Fitting series, and with it the Fitting height, is built inside
 the group on masks: each term is the set of left Engel elements modulo the
 term before (Baer's theorem), found by one walk g -> [g, x] modulo it
-(_engel_walk, which also gives Engel indices) per class of cyclic subgroups,
-and the Fitting subgroup is its first term, _fitting_mod modulo the trivial
-subgroup.  A QuotientGroup(G, N) is a full FiniteGroup over canonical
-(minimal-key) coset representatives, with the projection verified a
-homomorphism on every pair of elements; it serves callers of the public
-API, and nothing in the library builds one.
+(kernels._engel_walk, which also gives Engel indices) per class of cyclic
+subgroups, and the Fitting subgroup is its first term, _fitting_mod modulo
+the trivial subgroup.  A QuotientGroup(G, N) is a full FiniteGroup over
+canonical (minimal-key) coset representatives, with the projection
+verified a homomorphism; it serves callers of the public API, and nothing
+in the library builds one.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     BudgetExceeded,
     ForeignElement,
@@ -70,13 +62,7 @@ from .errors import (
     NotNormal,
     NotSolvable,
 )
-from .groups import (
-    Automorphism,
-    FiniteGroup,
-    GroupElement,
-    _blocks,
-    _close,
-)
+from .groups import Automorphism, FiniteGroup, GroupElement
 
 __all__ = [
     "Subgroup",
@@ -109,21 +95,20 @@ class Subgroup:
 
     The mask is read-only; ``idx`` is the sorted index array it marks.  A
     public Subgroup(G, mask) verifies closure on every pair (every product
-    a·b with a, b in the candidate stays inside, _first_escape) in table
-    blocks of at most _BLOCK entries.  Every subgroup checks that it holds
-    the identity.  The library builds its subgroups, which are closed by
-    construction, through _subgroup (Subgroup._closed), which skips the
-    pair scan and keeps each one on the parent group.  No subgroup scans
-    for normality when it is built: is_normal conjugates its members by
-    each generator of the parent (_normalized) on first read and keeps the
-    answer.
+    a·b with a, b in the candidate stays inside, kernels._first_escape).
+    Every subgroup checks that it holds the identity.  The library builds
+    its subgroups, which are closed by construction, through _subgroup
+    (Subgroup._closed), which skips the pair scan and keeps each one on the
+    parent group.  No subgroup scans for normality when it is built:
+    is_normal conjugates its members by each generator of the parent
+    (kernels._normalized) on first read and keeps the answer.
     """
 
     __slots__ = ("group", "mask", "idx", "_normal")
 
     def __init__(self, group: FiniteGroup, mask):
         self._adopt(group, mask)
-        escape = _first_escape(group, self.mask, self.idx)
+        escape = kernels._first_escape(group, self.mask, self.idx)
         if escape is not None:
             a, b = escape
             raise ForeignElement(
@@ -159,7 +144,7 @@ class Subgroup:
     def is_normal(self) -> bool:
         """Whether conjugation by every generator of the parent keeps it; scanned once."""
         if self._normal is None:
-            self._normal = _normalized(self.group, self.mask, self.idx)
+            self._normal = kernels._normalized(self.group, self.mask, self.idx)
         return self._normal
 
     @property
@@ -203,48 +188,17 @@ class Subgroup:
         return f"Subgroup(order={self.order}{tag})"
 
 
-def _first_escape(G: FiniteGroup, mask: np.ndarray, idx: np.ndarray):
-    """First (a, b) in row-major order over idx x idx with a·b outside mask, or None.
-
-    The closure scan of a public Subgroup: every pair is read, in table
-    blocks of at most _BLOCK entries.
-    """
-    T = G.table()
-    for rows in _blocks(idx, len(idx)):
-        inside = mask[T[rows[:, None], idx]]
-        if not inside.all():
-            r, c = divmod(int(np.argmin(inside)), len(idx))
-            return int(rows[r]), int(idx[c])
-    return None
-
-
-def _normalized(G: FiniteGroup, mask: np.ndarray, idx: np.ndarray) -> bool:
-    """Whether h^g = g^-1 h g stays in mask for every h in idx and every generator g.
-
-    A subgroup of a finite group whose conjugates by each generator stay
-    inside is normal.  The conjugates are read in table blocks.
-    """
-    T = G.table()
-    inv = G.inverse_indices()
-    gens = G._gens
-    return all(
-        mask[T[T[inv[gens][:, None], cols], gens[:, None]]].all()
-        for cols in _blocks(idx, len(gens))
-    )
-
-
 def _subgroup(G: FiniteGroup, mask) -> Subgroup:
     """The subgroup of G with this mask, kept on G.
 
-    Every mask given here is a subgroup by construction: a _close span, a
-    union of cosets of the span before each kept generator whose walk ends
-    only once every representative times every kept generator lies inside,
-    so span·kept ⊆ span; the whole group; or the fixed points of
-    automorphisms (centralizer).  So no pair is
-    scanned; the identity is checked the first time a mask is asked for on
-    G, and later calls return that Subgroup.  The
-    library builds every subgroup here; a public Subgroup(G, mask) verifies
-    closure anew.
+    Every mask given here is a subgroup by construction: a kernels._close
+    span, a union of cosets of the span before each kept generator whose
+    walk ends only once every representative times every kept generator
+    lies inside, so span·kept ⊆ span; the whole group; or the fixed points
+    of automorphisms (centralizer).  So no pair is scanned; the identity is
+    checked the first time a mask is asked for on G, and later calls return
+    that Subgroup.  The library builds every subgroup here; a public
+    Subgroup(G, mask) verifies closure anew.
     """
     mask = np.asarray(mask, dtype=bool)
     return G._keep(("subgroup", mask.tobytes()), lambda: Subgroup._closed(G, mask))
@@ -260,7 +214,7 @@ def whole_subgroup(G: FiniteGroup) -> Subgroup:
 
 def _closure(G: FiniteGroup, gens) -> np.ndarray:
     """Mask of the subgroup generated by the given element indices (_close)."""
-    return _close(G, gens)[0]
+    return kernels._close(G, gens)[0]
 
 
 def _read_only(a) -> np.ndarray:
@@ -287,55 +241,9 @@ def _generators(G: FiniteGroup, H: Subgroup) -> np.ndarray:
     def find() -> np.ndarray:
         if H.is_whole:
             return G._gens
-        return _read_only(_close(G, H.idx)[1])
+        return _read_only(kernels._close(G, H.idx)[1])
 
     return G._keep(("generators", H.mask.tobytes()), find)
-
-
-def _power_map(G: FiniteGroup, k: int) -> np.ndarray:
-    """P[x] = index of x^k for every element index x (k >= 0), read-only and kept on G."""
-
-    def powers() -> np.ndarray:
-        T = G.table()
-        result = np.full(G.order, G._e, dtype=np.int64)
-        base = np.arange(G.order)
-        n = k
-        while n > 0:  # repeated squaring
-            if n & 1:
-                result = T[result, base]
-            base = T[base, base]
-            n >>= 1
-        result.flags.writeable = False
-        return result
-
-    return G._keep(("power map", k), powers)
-
-
-def _commutators(G: FiniteGroup, xs, ys) -> np.ndarray:
-    """Array of [x, y] = (yx)^-1 (xy), row x in xs and column y in ys, read from the table."""
-    T = G.table()
-    x = np.asarray(xs, dtype=np.int64)[:, None]
-    ys = np.asarray(ys, dtype=np.int64)
-    return T[G.inverse_indices()[T[ys, x]], T[x, ys]]
-
-
-def _commutator_values(G: FiniteGroup, hs, ks) -> np.ndarray:
-    """Mask of the values [h, k] over h in hs and k in ks.
-
-    The scan reads the table in blocks; its mask is read-only and kept on G
-    under the two index arrays, so each scan runs once per group.
-    """
-    hs = np.asarray(hs, dtype=np.int64)
-    ks = np.asarray(ks, dtype=np.int64)
-
-    def scan() -> np.ndarray:
-        values = np.zeros(G.order, dtype=bool)
-        for h in _blocks(hs, len(ks)):
-            values[_commutators(G, h, ks)] = True
-        values.flags.writeable = False
-        return values
-
-    return G._keep(("commutator values", hs.tobytes(), ks.tobytes()), scan)
 
 
 def _commutator_span(G: FiniteGroup, H: Subgroup, K: Subgroup) -> tuple:
@@ -344,30 +252,11 @@ def _commutator_span(G: FiniteGroup, H: Subgroup, K: Subgroup) -> tuple:
     With H = <X> and K = <Y> (_generators), [H, K] is the normal closure in
     <H, K> of the [x, y] over X x Y (Holt, Eick and O'Brien, Handbook of
     Computational Group Theory, 2005, ch. 3), closed under conjugation by X
-    and Y (_normal_span).
+    and Y (kernels._normal_span).
     """
     xs, ys = _generators(G, H), _generators(G, K)
-    return _normal_span(G, _commutators(G, xs, ys).ravel(), np.concatenate([xs, ys]))
-
-
-def _normal_span(G: FiniteGroup, gens, zs: np.ndarray) -> tuple:
-    """(mask, kept) of the closure of the given element indices under conjugation by zs.
-
-    The given elements are closed (_close), each generator kept is
-    conjugated by every z, and the conjugates outside the span are added,
-    until a round adds none.  A subgroup of a finite group whose generators'
-    conjugates by each z stay inside is normalized by <zs>.
-    """
-    T = G.table()
-    inv = G.inverse_indices()
-    mask, kept = _close(G, gens)
-    fresh = kept
-    while fresh:
-        before = len(kept)
-        # c^z = z^-1 c z for each fresh generator c and each z
-        _close(G, T[T[inv[zs][:, None], fresh], zs[:, None]].ravel(), mask, kept)
-        fresh = kept[before:]
-    return mask, kept
+    brackets = kernels._commutators(G, xs, ys).ravel()
+    return kernels._normal_span(G, brackets, np.concatenate([xs, ys]))
 
 
 def _commutators_inside(G: FiniteGroup, H: Subgroup, K: Subgroup, target: np.ndarray) -> bool:
@@ -376,33 +265,23 @@ def _commutators_inside(G: FiniteGroup, H: Subgroup, K: Subgroup, target: np.nda
     Only the [x, y] over generators X of H and Y of K are read, which decides
     it, because N is normal: [H, K] is their normal closure in <H, K>.
     """
-    return bool(target[_commutators(G, _generators(G, H), _generators(G, K))].all())
-
-
-def _product_mask(G: FiniteGroup, left, right) -> np.ndarray:
-    """Mask of the products a·b over a in left and b in right, in table blocks."""
-    T = G.table()
-    left = np.asarray(left, dtype=np.int64)
-    values = np.zeros(G.order, dtype=bool)
-    for b in _blocks(np.asarray(right, dtype=np.int64), len(left)):
-        values[T[left[:, None], b]] = True
-    return values
+    return bool(target[kernels._commutators(G, _generators(G, H), _generators(G, K))].all())
 
 
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
     """Smallest subgroup of G containing the given elements."""
-    return _spanned(G, *_close(G, [G.index_of(x) for x in gens]))
+    return _spanned(G, *kernels._close(G, [G.index_of(x) for x in gens]))
 
 
 def normal_closure(G: FiniteGroup, gens) -> Subgroup:
     """Smallest normal subgroup of G containing the given elements.
 
     The given elements are closed and the span is closed under conjugation
-    by G's generators (_normal_span), so only the generators kept, at most
+    by G's generators (kernels._normal_span), so only the generators kept, at most
     log2|G| of them, are ever conjugated.
     """
     given = [G.index_of(s) for s in gens]
-    return _spanned(G, *_normal_span(G, given, G._gens))
+    return _spanned(G, *kernels._normal_span(G, given, G._gens))
 
 
 def _same_parent(G: FiniteGroup, H: Subgroup, what: str):
@@ -425,7 +304,7 @@ def power_subgroup(G: FiniteGroup, H: Subgroup, n: int) -> Subgroup:
     _same_parent(G, H, "subgroup")
     if n < 1:
         raise MalformedSpec(f"power subgroup needs a positive exponent, got {n}")
-    return _spanned(G, *_close(G, _power_map(G, n)[H.idx]))
+    return _spanned(G, *kernels._close(G, kernels._power_map(G, n)[H.idx]))
 
 
 @dataclass(frozen=True)
@@ -529,7 +408,7 @@ def dimension_series(G: FiniteGroup) -> NormalSeries:
     Lazard's recurrence gives the product of all γ_j^{p^k} with j·p^k ≥ i
     without the lower central series (Groupes analytiques p-adiques, Publ.
     IHÉS 26, 1965; Dixon, du Sautoy, Mann and Segal, Analytic pro-p Groups,
-    Thm 11.2).  D_i is the normal closure (_normal_span) of the [x, y] over
+    Thm 11.2).  D_i is the normal closure (kernels._normal_span) of the [x, y] over
     generators x of D_{i-1} and y of G and of the p-th powers of the normal
     D_{⌈i/p⌉}.  The terms become subgroups only once the series reaches the
     trivial subgroup, so a call that raises keeps nothing.
@@ -538,15 +417,15 @@ def dimension_series(G: FiniteGroup) -> NormalSeries:
 
     def build() -> NormalSeries:
         whole = whole_subgroup(G)
-        power = _power_map(G, p)
+        power = kernels._power_map(G, p)
         spans = [(whole.mask, G._gens)]  # (mask, kept) of D_1, D_2, ... as _close returns them
         while np.count_nonzero(spans[-1][0]) > 1:
             i = len(spans) + 1
             if i > SERIES_LENGTH_CAP:
                 raise BudgetExceeded("dimension series failed to reach the trivial subgroup")
-            brackets = _commutators(G, spans[-1][1], G._gens).ravel()
+            brackets = kernels._commutators(G, spans[-1][1], G._gens).ravel()
             powers = power[spans[(i - 1) // p][0]]  # of D_{⌈i/p⌉}, ⌈i/p⌉ - 1 = ⌊(i-1)/p⌋
-            spans.append(_normal_span(G, np.concatenate([brackets, powers]), G._gens))
+            spans.append(kernels._normal_span(G, np.concatenate([brackets, powers]), G._gens))
         terms = (whole, *(_spanned(G, *s) for s in spans[1:]))
         return NormalSeries._trusted(G, "dimension", terms)
 
@@ -579,41 +458,40 @@ def verify_np_series(G: FiniteGroup, series: NormalSeries, p: int) -> Verdict:
     A subgroup lies in a series term exactly when its generators do, so each
     containment is decided on the p-th powers of S_i and, by
     _commutators_inside, on generator pairs of S_i and S_j, read from the
-    target term's mask.
+    target term's mask.  The chain descends, so when S_i = S_i' with i < i'
+    every condition on i follows from the same one on i' (S_{i'+j} ≤ S_{i+j},
+    S_{pi'} ≤ S_{pi}): both families are decided on the last index of each
+    run of equal terms, and only a failure walks every index, in (i+j, i)
+    order, to name the least failing one.
     """
     terms = series.terms
     m = len(terms)
     trivial = _closure(G, ())
+    lasts = [i for i in range(1, m + 1) if i == m or terms[i].order < terms[i - 1].order]
 
     def mask(i: int) -> np.ndarray:
         return terms[i - 1].mask if i <= m else trivial
 
-    pairs = sorted(
-        ((i, j) for i in range(1, m + 1) for j in range(i, m + 1)),
-        key=lambda ij: (ij[0] + ij[1], ij[0]),
-    )
-    for i, j in pairs:
-        if not _commutators_inside(G, terms[i - 1], terms[j - 1], mask(i + j)):
-            return Verdict(False, f"[S_{i}, S_{j}] is not inside S_{i + j}")
-    power = _power_map(G, p)
-    for i in range(1, m + 1):
-        if not mask(p * i)[power[terms[i - 1].idx]].all():
-            return Verdict(False, f"S_{i}^{p} is not inside S_{p * i}")
+    def bracket_ok(ij) -> bool:
+        i, j = ij
+        return _commutators_inside(G, terms[i - 1], terms[j - 1], mask(i + j))
+
+    if not all(map(bracket_ok, itertools.combinations_with_replacement(lasts, 2))):
+        pairs = sorted(
+            ((i, j) for i in range(1, m + 1) for j in range(i, m + 1)),
+            key=lambda ij: (ij[0] + ij[1], ij[0]),
+        )
+        i, j = next(ij for ij in pairs if not bracket_ok(ij))
+        return Verdict(False, f"[S_{i}, S_{j}] is not inside S_{i + j}")
+    power = kernels._power_map(G, p)
+
+    def power_ok(i: int) -> bool:
+        return mask(p * i)[power[terms[i - 1].idx]].all()
+
+    if not all(map(power_ok, lasts)):
+        i = next(i for i in range(1, m + 1) if not power_ok(i))
+        return Verdict(False, f"S_{i}^{p} is not inside S_{p * i}")
     return Verdict(True)
-
-
-def _coset_reps(G: FiniteGroup, kernel_idx: np.ndarray) -> np.ndarray:
-    """rep[x] = the minimal element index in the coset x·N, N given by its indices.
-
-    Index order is key order, so this is also the minimal-key representative.
-    """
-    T = G.table()
-    rep = np.full(G.order, -1, dtype=np.int64)
-    for x in range(G.order):
-        if rep[x] < 0:
-            coset = T[x, kernel_idx]
-            rep[coset] = coset.min()
-    return rep
 
 
 class QuotientGroup:
@@ -625,7 +503,7 @@ class QuotientGroup:
         _same_parent(parent, normal, "normal subgroup")
         if not normal.is_normal:
             raise NotNormal(f"subgroup of order {normal.order} is not normal")
-        rep = _coset_reps(parent, normal.idx)
+        rep = kernels._coset_reps(parent, normal.idx)
         reps = np.flatnonzero(rep == np.arange(parent.order))  # each its own representative
         if len(reps) * normal.order != parent.order:
             raise NotNormal("coset decomposition does not partition the group")
@@ -639,7 +517,7 @@ class QuotientGroup:
             q = proj[g]
             if q != e:
                 gens.setdefault(keys[reps[q]], name)
-        table = proj[parent.table()[reps[:, None], reps]]
+        table = proj[kernels._product(parent, reps[:, None], reps)]
         self.parent = parent
         self.normal = normal
         # the parent's generators span G/N through the projection, which is
@@ -655,14 +533,9 @@ class QuotientGroup:
         self._verify_projection()
 
     def _verify_projection(self):
-        """The projection G -> G/N is a homomorphism, checked on every pair in table blocks."""
-        tp = self.parent.table()
-        tq = self.group.table()
-        proj = self._proj
-        n = self.parent.order
-        for rows in _blocks(np.arange(n), n):
-            if not np.array_equal(proj[tp[rows]], tq[proj[rows][:, None], proj]):
-                raise NotNormal("projection fails to be a homomorphism")
+        """The projection G -> G/N is a homomorphism, decided on G's generators (kernels)."""
+        if not kernels._homomorphic(self.parent, self.group, self._proj):
+            raise NotNormal("projection fails to be a homomorphism")
 
     def project(self, x: GroupElement) -> GroupElement:
         return self.group.element_at(self._proj[self.parent.index_of(x)])
@@ -695,130 +568,22 @@ def is_nilpotent_subgroup(G: FiniteGroup, H: Subgroup) -> bool:
     """Lower central series of H (inside G's arithmetic) reaches the identity.
 
     γ_{i+1}(H) = [γ_i(H), H], normal in H, is the normal closure in H of the [x, y]
-    over generators x of γ_i(H) and y of H (_normal_span), walked until it stabilizes.
+    over generators x of γ_i(H) and y of H (kernels._normal_span), walked until it stabilizes.
     """
     _same_parent(G, H, "subgroup")
     mask = H.mask
     kept = ys = _generators(G, H)
     while True:
-        nxt, kept = _normal_span(G, _commutators(G, kept, ys).ravel(), ys)
+        nxt, kept = kernels._normal_span(G, kernels._commutators(G, kept, ys).ravel(), ys)
         if np.array_equal(nxt, mask):
             return bool(np.count_nonzero(mask) == 1)
         mask = nxt
 
 
-def _class_labels(G: FiniteGroup) -> np.ndarray:
-    """label[x] = least element index in the conjugacy class of x, read-only and kept on G.
-
-    Every label starts as its own index.  A round takes the least label over
-    conjugation by each generator of G and its inverse, then jumps each
-    label to its label's (label = label[label]), until a round changes
-    nothing.  A label only ever moves to another member of the same class,
-    and at the fixpoint it is no greater than its label under each
-    generator's conjugation, a permutation, so it is constant on the class:
-    the class minimum.
-    """
-
-    def build() -> np.ndarray:
-        T = G.table()
-        inv = G.inverse_indices()
-        zs = np.concatenate([G._gens, inv[G._gens]])
-        everything = np.arange(G.order)
-        conjugates = T[T[inv[zs][:, None], everything], zs[:, None]]  # row z: x -> x^z
-        label = everything
-        while True:
-            nxt = label
-            for row in conjugates:
-                nxt = np.minimum(nxt, nxt[row])
-            nxt = nxt[nxt]
-            if np.array_equal(nxt, label):
-                break
-            label = nxt
-        label.flags.writeable = False
-        return label
-
-    return G._keep(("class labels",), build)
-
-
-def _class_representatives(G: FiniteGroup) -> np.ndarray:
-    """Minimal element index of each conjugacy class, in increasing order.
-
-    These are the fixed points of _class_labels.
-    """
-    return np.flatnonzero(_class_labels(G) == np.arange(G.order))
-
-
-def _cyclic_class_representatives(G: FiniteGroup) -> np.ndarray:
-    """One element index per conjugacy class of cyclic subgroups, kept on G.
-
-    These are the class minima of _class_representatives, in increasing
-    order, less each class that holds a generator x^k (k prime to |x|) of an
-    earlier minimum x kept here: <x^k> = <x>, so both have one normal
-    closure, and one product of it with any normal subgroup.  The class of
-    each power is read from _class_labels; each minimum kept walks its
-    powers x, x^2, ... along the table once, up to the identity.
-    """
-
-    def build() -> np.ndarray:
-        T = G.table()
-        e = G._e
-        label = _class_labels(G)
-        kept, covered = [], np.zeros(G.order, dtype=bool)  # covered[m]: class minimum m is named
-        for x in _class_representatives(G).tolist():
-            if covered[x]:
-                continue
-            kept.append(x)
-            powers = [x]  # x^1, ..., x^n = e
-            while powers[-1] != e:
-                powers.append(int(T[powers[-1], x]))
-            n = len(powers)
-            covered[label[[y for k, y in enumerate(powers, 1) if math.gcd(k, n) == 1]]] = True
-        kept = np.array(kept, dtype=np.int64)
-        kept.flags.writeable = False
-        return kept
-
-    return G._keep(("cyclic class representatives",), build)
-
-
 def _class_closure(G: FiniteGroup, x: int) -> np.ndarray:
     """Mask of the normal closure of element index x: the span of its class (_class_labels)."""
-    label = _class_labels(G)
+    label = kernels._class_labels(G)
     return _closure(G, (label == label[x]).nonzero()[0])
-
-
-def _engel_walk(G: FiniteGroup, x: int, F: np.ndarray) -> tuple:
-    """(steps taken, whether every start reached F) for element index x, F a normal subgroup mask.
-
-    Every g is stepped at once by c(y) = [y, x] = (xy)^-1 (yx), read from the
-    table.  c maps each coset of F into one coset and F into itself, so a
-    start that reaches F does so within |G:F| - 1 steps and stays: the walk
-    takes at most |G:F| steps.  It stops at the first repeat of the vector
-    c^k, which then cycles outside F, found by hash and confirmed against c^j.
-    """
-    T = G.table()
-    step = T[G.inverse_indices()[T[x]], T[:, x]]  # step[y] = [y, x]
-
-    def step_power(j: int) -> np.ndarray:
-        out, base = np.arange(G.order), step
-        while j:
-            if j & 1:
-                out = base[out]
-            base = base[base]
-            j >>= 1
-        return out
-
-    seen: dict = {}  # hash of c^j -> the steps j with that hash
-    y = np.arange(G.order)
-    index = G.order // np.count_nonzero(F)
-    for k in range(1, index + 1):
-        y = step[y]
-        if F[y].all():
-            return k, True
-        h = hash(y.tobytes())
-        if any(np.array_equal(step_power(j), y) for j in seen.get(h, ())):
-            return k, False
-        seen.setdefault(h, []).append(k)
-    return index, False
 
 
 def _fitting_mod(G: FiniteGroup, F: np.ndarray) -> np.ndarray:
@@ -831,10 +596,10 @@ def _fitting_mod(G: FiniteGroup, F: np.ndarray) -> np.ndarray:
     and F is closed with the conjugacy classes of the Engel ones, read off
     _class_labels: each representative is its class minimum, so its label.
     """
-    reps = _cyclic_class_representatives(G).tolist()
+    reps = kernels._cyclic_class_representatives(G).tolist()
     engel = np.zeros(G.order, dtype=bool)
-    engel[[x for x in reps if not F[x] and _engel_walk(G, x, F)[1]]] = True
-    return _closure(G, (F | engel[_class_labels(G)]).nonzero()[0])
+    engel[[x for x in reps if not F[x] and kernels._engel_walk(G, x, F)[1]]] = True
+    return _closure(G, (F | engel[kernels._class_labels(G)]).nonzero()[0])
 
 
 def fitting_height(G: FiniteGroup) -> int:

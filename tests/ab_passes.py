@@ -19,14 +19,18 @@ B/A ratios with their quartiles.  With --calls nothing is timed: after the
 untimed pass, each side runs one more pass under cProfile, and its total
 function call count is printed, so that "the same or less work" is one
 command, followed by the MOVED functions whose call counts differ most
-from A to B, each keyed by its file's basename and its name, so that the
-checkouts' differing module paths and line numbers do not split it.  Not a
-test: its name keeps it out of the pytest run.
+from A to B.  Each is keyed by its file's basename and its qualified name,
+as in groups.py:GroupElement.__init__, so that the checkouts' differing
+module paths and line numbers do not split it and same-named methods of one
+file do not merge; the qualified name is read from the file's ast at the
+first line cProfile reports for it.  Not a test: its name keeps it out of
+the pytest run.
 """
 
+import ast
 import cProfile
+import functools
 import importlib.util
-import pstats
 import statistics
 import sys
 import time
@@ -114,16 +118,68 @@ def timed_pass(side_ops) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def scopes(path: str) -> tuple:
+    """(first line, last line, qualified name, is a class) of each def and class in a source file.
+
+    The first line is the one a code object reports: its first decorator's,
+    if any.  Names are qualified as co_qualname qualifies them.
+    """
+    try:
+        tree = ast.parse(Path(path).read_text("utf-8"))
+    except (OSError, SyntaxError, ValueError):
+        return ()
+    found = []
+
+    def visit(node, prefix: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                is_class = isinstance(child, ast.ClassDef)
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found.append((first, child.end_lineno, prefix + child.name, is_class))
+                visit(child, prefix + child.name + ("." if is_class else ".<locals>."))
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return tuple(found)
+
+
+def qualname(path: str, line: int, name: str) -> str:
+    """The qualified name of the function called name whose code starts at line of path.
+
+    A lambda or comprehension is named inside the innermost def or class
+    around its line; a name the file's ast does not show is kept as it is.
+    """
+    if name.startswith("<"):
+        around = [s for s in scopes(path) if s[0] <= line <= s[1]]
+        if not around:
+            return name
+        _, _, outer, is_class = max(around)
+        return f"{outer}.{name}" if is_class else f"{outer}.<locals>.{name}"
+    for first, _, qual, _ in scopes(path):
+        if first == line and qual.rsplit(".", 1)[-1] == name:
+            return qual
+    return name
+
+
 def call_counts(side_ops) -> Counter:
-    """cProfile's call count of each function over one pass of the ops, by "basename:name"."""
+    """cProfile's call count of each function over one pass of the ops, by "basename:qualname"."""
     profiler = cProfile.Profile()
     profiler.enable()
     for op in side_ops:
         op()
     profiler.disable()
     counts = Counter()
-    for (path, _, name), (_, calls, *_) in pstats.Stats(profiler).stats.items():
-        counts[f"{Path(path).name}:{name}"] += calls
+    # the raw entries, not pstats: pstats keeps one of the code objects that
+    # share a (file, line, name) label, such as the dataclass __init__s
+    for entry in profiler.getstats():
+        code = entry.code
+        if isinstance(code, str):  # a builtin, labelled as pstats labels it
+            counts[f"~:{code}"] += entry.callcount
+        else:
+            name = qualname(code.co_filename, code.co_firstlineno, code.co_name)
+            counts[f"{Path(code.co_filename).name}:{name}"] += entry.callcount
     return counts
 
 

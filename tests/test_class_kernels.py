@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouplab import checks, liering, series
+from grouplab import checks, kernels
 from grouplab.actions import ActionFixture
 from grouplab.corpus import corpus_fixture
 from grouplab.fixtures import parse_fixture, realize_groups
@@ -63,11 +63,11 @@ def test_prop_2_11_multiplies_only_until_the_product_is_whole(monkeypatch):
     assert w.s == 64 and w.rhos.count(G._e) == 54
     calls = []
 
-    def counted(G, left, right, _orig=series._product_mask):
+    def counted(G, left, right, _orig=kernels._product_mask):
         calls.append(len(right))
         return _orig(G, left, right)
 
-    monkeypatch.setattr(liering, "_product_mask", counted)
+    monkeypatch.setattr(kernels, "_product_mask", counted)
     verdict = check_prop_2_11(G, w)
     assert verdict.ok
     assert verdict.detail == "64 cyclic factors cover the group at every depth (class 3)"
@@ -82,7 +82,7 @@ def test_class_kernels_on_cap_sized_groups_give_the_closed_form_counts():
     made = [(c2_11(), 2048, 2048), (cyclic_2048(), 2048, 12), (s6(), 11, 11)]
     with within(0.5):
         counts = [
-            (len(series._class_representatives(G)), len(series._cyclic_class_representatives(G)))
+            (len(kernels._class_representatives(G)), len(kernels._cyclic_class_representatives(G)))
             for G, _, _ in made
         ]
     assert counts == [(classes, cyclic) for _, classes, cyclic in made]
@@ -102,7 +102,7 @@ def relabelled(G: FiniteGroup, perm) -> FiniteGroup:
 
 
 def class_partition(G: FiniteGroup) -> set:
-    label = series._class_labels(G)
+    label = kernels._class_labels(G)
     return {frozenset(G._keys[i] for i in np.flatnonzero(label == m)) for m in set(label.tolist())}
 
 
@@ -110,7 +110,7 @@ def invariants(ctx) -> dict:
     """What relabelling leaves alone, per group and action of a run context."""
     out = {}
     for name, G in ctx.groups.items():
-        out[name] = [class_partition(G), len(series._cyclic_class_representatives(G))]
+        out[name] = [class_partition(G), len(kernels._cyclic_class_representatives(G))]
         if G.is_p_group() is not None:
             w = ctx.witness("prop_2_11", name)
             out[name] += [w.K, w.s]

@@ -2,12 +2,13 @@
 
 The library builds its subgroups through series._subgroup, from masks that
 are subgroups by construction, so no pair of members is scanned
-(series._first_escape serves only a public Subgroup(G, mask)).  A
+(kernels._first_escape serves only a public Subgroup(G, mask)).  A
 homomorphism is decided on its source's generators, so every pair is read
-(groups._first_failing_pair) only to name the first failure.  These tests
+(kernels._first_failing_pair) only to name the first failure.  These tests
 hold the kept subgroups to the public full scan, pin where each pair scan
 still runs, and guard with the stdlib ``ast`` that no other library code
-builds subgroups past the scan.  The same holds for normality, which is
+builds subgroups past the scan, and that only the table kernels read a
+group's Cayley table.  The same holds for normality, which is
 scanned only when read, for the library's series, built past the public
 NormalSeries checks, for induced actions, built past the public
 GradedAutomorphism checks, and for the automorphisms built past
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grouplab import checks, corpus_text, groups, parse_fixture, run_checks, series
+from grouplab import checks, corpus_text, groups, kernels, parse_fixture, run_checks, series
 from grouplab.errors import ActionNotWellDefined, ForeignElement, MalformedSpec, NotNormal
 from grouplab.fixtures import realize_automorphisms, realize_groups
 from grouplab.groups import (
@@ -112,16 +113,16 @@ def count_calls(monkeypatch, module, name) -> list:
 
 
 def test_build_op_scans_no_pair_to_verify(monkeypatch):
-    witness = count_calls(monkeypatch, groups, "_first_failing_pair")
-    escape = count_calls(monkeypatch, series, "_first_escape")
+    witness = count_calls(monkeypatch, kernels, "_first_failing_pair")
+    escape = count_calls(monkeypatch, kernels, "_first_escape")
     op = build_op()
     op.run()
     assert witness == [] and escape == []
 
 
 def test_a_failure_still_reaches_each_pair_scan_once(monkeypatch):
-    witness = count_calls(monkeypatch, groups, "_first_failing_pair")
-    escape = count_calls(monkeypatch, series, "_first_escape")
+    witness = count_calls(monkeypatch, kernels, "_first_failing_pair")
+    escape = count_calls(monkeypatch, kernels, "_first_escape")
     D8 = build_group(PcPresentation(2, 3, {2: ((3, 1),)}, {(2, 1): ((3, 1),)}))
     C2 = build_group(PcPresentation(2, 1))
     x = C2.generators[0]
@@ -180,6 +181,82 @@ def test_the_builder_guard_names_each_call():
         (4, "helper", "Subgroup"),
         (4, "helper", "_closed"),
         (5, None, "Subgroup"),
+    ]
+
+
+# -- who may read a Cayley table ---------------------------------------------
+#
+# kernels.py holds the table's layout: every .table() and .inverse_indices()
+# call and every ._table and ._inv use is there, except in the builders that
+# fill a table and the accessors and handle arithmetic of FiniteGroup.
+
+TABLE_READERS = {
+    ("groups.py", "_pc_table"),
+    ("groups.py", "_perm_table"),
+    ("groups.py", "_failed_relation"),
+    ("groups.py", "FiniteGroup._adopt"),
+    ("groups.py", "FiniteGroup.table"),
+    ("groups.py", "FiniteGroup.inverse_indices"),
+    ("groups.py", "FiniteGroup.multiply"),
+    ("groups.py", "FiniteGroup.inverse"),
+}
+
+
+def table_reads(source: str) -> list:
+    """(line, enclosing function, attribute) of every use of .table, .inverse_indices, ._table or ._inv.
+
+    The enclosing function is qualified by its enclosing classes and
+    functions, as in FiniteGroup._adopt; None at module level.
+    """
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Attribute) and node.attr in (
+            "table",
+            "inverse_indices",
+            "_table",
+            "_inv",
+        ):
+            found.append((node.lineno, where, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_the_kernels_read_a_table():
+    reads = {
+        (path.name, where)
+        for path in LIBRARY
+        for _, where, _ in table_reads(path.read_text("utf-8"))
+    }
+    assert ("kernels.py", "_commutator") in reads
+    outside = sorted(read for read in reads if read[0] != "kernels.py")
+    assert [read for read in outside if read not in TABLE_READERS] == []
+
+
+def test_the_table_guard_names_each_read():
+    source = (
+        "class FiniteGroup:\n"
+        "    def table(self):\n"
+        "        return self._table\n"
+        "def scan(G):\n"
+        "    T, inv = G.table(), G.inverse_indices()\n"
+        "    def inner():\n"
+        "        return G._inv[0]\n"
+        "    return inner\n"
+        "read = G.table\n"
+        "G.table_size, G._e, G.to_table()\n"
+    )
+    assert table_reads(source) == [
+        (3, "FiniteGroup.table", "_table"),
+        (5, "scan", "table"),
+        (5, "scan", "inverse_indices"),
+        (7, "scan.inner", "_inv"),
+        (9, None, "table"),
     ]
 
 
@@ -251,7 +328,7 @@ def test_built_groups_would_pass_the_generator_check():
 
 # -- what the library trusts by construction ----------------------------------
 #
-# Normality is read only when asked (Subgroup.is_normal, series._normalized),
+# Normality is read only when asked (Subgroup.is_normal, kernels._normalized),
 # the lower central, derived and dimension series are built past the public
 # NormalSeries checks (NormalSeries._trusted), and induced_action returns its
 # GradedAutomorphism unverified.  Each trusted object must still pass the
@@ -392,7 +469,7 @@ def test_the_public_graded_automorphism_has_no_unverified_path():
 
 
 def test_catalog_and_build_runs_scan_normality_for_no_subgroup(monkeypatch):
-    scans = count_calls(monkeypatch, series, "_normalized")
+    scans = count_calls(monkeypatch, kernels, "_normalized")
     for fixture in ("corpus", "ladder"):
         report = run_checks(parse_fixture(fixture_text(fixture)))
         assert report.rows

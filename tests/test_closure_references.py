@@ -1,6 +1,6 @@
 """The coset closure and the permutation enumeration against the code they replaced.
 
-groups._close grows each span by whole cosets of the span before the new
+kernels._close grows each span by whole cosets of the span before the new
 generator (Dimino's algorithm), and groups._perm_table composes keys with
 operator.itemgetter.  Their earlier forms are kept here as references:
 ref_close grows the span breadth-first over whole layers, and
@@ -25,11 +25,11 @@ from grouplab.groups import (
     TABLE_CAP,
     PcPresentation,
     PermutationGenSet,
-    _close,
     _perm_table,
     build_group,
     perm_from_cycles,
 )
+from grouplab.kernels import _close
 from grouplab.series import dimension_series, lower_central_series
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -39,7 +39,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def ref_close(G, gens, mask=None, kept=None) -> tuple:
-    """(mask, kept) as groups._close returns them, the span grown breadth-first by layers."""
+    """(mask, kept) as kernels._close returns them, the span grown breadth-first by layers."""
     T = G.table()
     gens = np.asarray(gens, dtype=np.int64)
     if mask is None:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouplab import checks, groups
+from grouplab import checks, groups, kernels
 from grouplab.corpus import corpus_text, load_corpus
 from grouplab.errors import (
     BudgetExceeded,
@@ -412,7 +412,7 @@ def test_homomorphism_failure_in_table_blocks_is_the_row_loops_first(block, monk
     phi = unverified_homomorphism(G, C2, [C2.generators[0], C2.identity])
     a, b = ref_first_failing_pair(phi)
     if block is not None:
-        monkeypatch.setattr(groups, "_BLOCK", block)
+        monkeypatch.setattr(kernels, "_BLOCK", block)
     with pytest.raises(MalformedSpec) as err:
         phi._verify()
     assert str(err.value) == f"images do not extend to a homomorphism: fails at ({a!r}, {b!r})"

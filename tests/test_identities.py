@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grouplab import identities
+from grouplab import identities, kernels
 from grouplab.errors import BudgetExceeded, ForeignElement, MalformedSpec
 from grouplab.groups import (
     FiniteGroup,
@@ -27,7 +27,8 @@ from grouplab.identities import (
     left_normed,
 )
 from grouplab.liering import build_dl
-from grouplab.series import _closure, _engel_walk, trivial_subgroup
+from grouplab.kernels import _engel_walk
+from grouplab.series import _closure, trivial_subgroup
 from test_liering_oracle import ref_holds_identity
 from test_series_oracle import cases, ref_engel_steps_mod
 
@@ -525,7 +526,7 @@ def test_group_satisfies_matches_the_handle_evaluator(make):
 
 def test_group_satisfies_finds_the_first_failure_across_blocks(monkeypatch):
     # blocks of 5 assignments: the first failure of a word on S4 lies many blocks in
-    monkeypatch.setattr(identities, "_BLOCK", 5)
+    monkeypatch.setattr(kernels, "_BLOCK", 5)
     G = cases()["S4"]
     for w in WORDS:
         v = group_satisfies(w, G)

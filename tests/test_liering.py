@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from grouplab import groups, liering
+from grouplab import kernels, liering
 from grouplab.errors import (
     ActionNotWellDefined,
     EvenCharacteristic,
@@ -657,10 +657,10 @@ def test_build_dl_refuses_a_bracket_that_depends_on_representatives(monkeypatch)
 
 @pytest.mark.parametrize("block", [1, 64, None])
 def test_well_definedness_outcome_does_not_depend_on_the_block(block, monkeypatch):
-    # the n1 of each term are read in blocks of groups._BLOCK table entries;
+    # the n1 of each term are read in blocks of kernels._BLOCK table entries;
     # one n1 per block, a few, or the default must decide alike
     if block is not None:
-        monkeypatch.setattr(groups, "_BLOCK", block)
+        monkeypatch.setattr(kernels, "_BLOCK", block)
     heis125 = pc(5, 3, {}, {(2, 1): ((3, 1),)})
     c3wrc3 = pc(3, 4, {}, {(2, 1): ((3, 1),), (3, 1): ((4, 1),)})
     for G in (cl3o243(), heis125, c3wrc3):

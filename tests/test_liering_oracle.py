@@ -49,11 +49,11 @@ from grouplab.liering import (
     build_dl,
     lazard_check,
 )
+from grouplab.kernels import _power_map
 from grouplab.series import (
     Subgroup,
     Verdict,
     _closure,
-    _power_map,
     commutator_subgroup,
     dimension_series,
     power_subgroup,

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouplab import checks, groups, series
+from grouplab import checks, groups, kernels, series
 from grouplab.actions import ActionFixture, realize_actions
 from grouplab.corpus import load_corpus
 from grouplab.errors import (
@@ -50,15 +50,13 @@ from grouplab.groups import (
     is_prime,
     perm_from_cycles,
 )
+from grouplab.kernels import _class_representatives, _commutator_values, _product_mask
 from grouplab.liering import _ordered_cyclic_product, check_prop_2_11, decomposition_witness
 from grouplab.series import (
     QuotientGroup,
     Subgroup,
     Verdict,
-    _class_representatives,
     _closure,
-    _commutator_values,
-    _product_mask,
     commutator_subgroup,
     derived_series,
     dimension_series,
@@ -476,8 +474,8 @@ def primes_of(G) -> list:
 def test_kept_power_maps_match_handle_powers(name):
     G = cases()[name]
     for k in sorted({2, 3, 4} | {q**e for q in primes_of(G) for e in (1, 2)}):
-        P = series._power_map(G, k)
-        assert P is series._power_map(G, k) and not P.flags.writeable
+        P = kernels._power_map(G, k)
+        assert P is kernels._power_map(G, k) and not P.flags.writeable
         assert P.tolist() == [G.index_of(G.power(x, k)) for x in G.elements()]
 
 
@@ -601,7 +599,7 @@ def test_collection_formula_reports_the_first_failing_pair_in_a_later_block(
     # one row x per table block; row x = 1 never fails, so the failure lands
     # in a later block
     G = cases()[name]
-    monkeypatch.setattr(groups, "_BLOCK", G.order)
+    monkeypatch.setattr(kernels, "_BLOCK", G.order)
     want = assert_first_failing_pair(G, p, monkeypatch)
     assert f"x={G.identity!r}," not in want.detail
 
@@ -772,7 +770,7 @@ def test_engel_walk_modulo_every_series_term_matches_the_handle_loop(name):
     for F in fitting_and_derived_terms(G).values():
         sub = Subgroup(G, F)
         for x in G.elements():
-            steps, reached = series._engel_walk(G, G.index_of(x), F)
+            steps, reached = kernels._engel_walk(G, G.index_of(x), F)
             assert (steps if reached else None) == ref_engel_steps_mod(G, x, sub)
 
 
@@ -910,7 +908,7 @@ def test_cyclic_class_representatives_pick_one_per_class_of_cyclic_subgroups(nam
         gens = [G.power(x, k) for k in range(1, n + 1) if math.gcd(k, n) == 1]
         return frozenset().union(*(class_of[g.key] for g in gens))
 
-    reps = series._cyclic_class_representatives(G)
+    reps = kernels._cyclic_class_representatives(G)
     assert list(reps) == sorted(reps)
     assert set(reps.tolist()) <= set(_class_representatives(G).tolist())
     rep_labels = [label(G.element_at(r)) for r in reps]
@@ -1193,7 +1191,7 @@ def test_commutator_values_over_many_blocks_match_the_per_h_loop():
     # a full block of identities, then a transposition: every nontrivial value is in the last block
     G = s6()
     e, t = G.index_of(G.identity), G.index_of(G.generator_by_name("a"))
-    hs = [e] * (groups._BLOCK // G.order) + [t]
+    hs = [e] * (kernels._BLOCK // G.order) + [t]
     got = _commutator_values(G, hs, np.arange(G.order))
     assert got.sum() > 1
     assert np.array_equal(got, ref_commutator_values(G, hs, np.arange(G.order)))
@@ -1220,7 +1218,7 @@ def test_unclosed_mask_names_the_row_loops_first_escape(make, unclosed, block, m
     G = make()
     mask = unclosed(G)
     if block is not None:
-        monkeypatch.setattr(groups, "_BLOCK", block)
+        monkeypatch.setattr(kernels, "_BLOCK", block)
     a, b = ref_first_escape(G, mask)
     with pytest.raises(ForeignElement) as err:
         Subgroup(G, mask)
