@@ -106,8 +106,7 @@ def _cmd_liering(args) -> int:
     print(f"graded algebra of {args.group} over F_{L.p}")
     print(f"component dims: {list(L.dims)} (total {L.total_dim})")
     print(f"nilpotency class: {L.nilpotency_class()}")
-    for i, j in L._bracket_degrees():
-        table = L.sc[(i, j)]
+    for (i, j), table in L.sc.items():
         di, dj, _ = table.shape
         for a in range(di):
             for b in range(dj):

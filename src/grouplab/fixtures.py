@@ -411,11 +411,13 @@ def _image_line(aut_block: dict, rest: str, lineno: int) -> None:
                 f"pc generator index expected, got {_shown(left)}", lineno
             )
         idx = int(left)
-        if not 1 <= idx <= entry.presentation.ngens:
-            raise UnresolvedReference(f"no generator {idx} in {_named(entry.name)}", lineno)
+        word = _parse_word(right, lineno)
+        for i in (idx, *(i for i, _ in word)):
+            if not 1 <= i <= entry.presentation.ngens:
+                raise UnresolvedReference(f"no generator {i} in {_named(entry.name)}", lineno)
         if any(i == idx for i, _ in aut_block["images"]):
             raise DuplicateName(f"duplicate image for generator {idx}", lineno)
-        aut_block["images"].append((idx, _parse_word(right, lineno)))
+        aut_block["images"].append((idx, word))
     else:
         gen_names = [g[0] for g in entry.presentation.generators]
         if left not in gen_names:

@@ -173,10 +173,17 @@ class PcPresentation:
         return self.p**self.ngens
 
 
-def perm_from_cycles(degree: int, cycles, where: str = "permutation") -> tuple:
-    """Image tuple (0-based) of a product of disjoint cycles on 1..degree."""
+def _check_degree(degree: int, where: str) -> None:
+    """Refuse a degree below 1, or above TABLE_CAP before a list of its length is built."""
     if degree < 1:
         raise MalformedSpec(f"{where}: degree must be positive, got {degree}")
+    if degree > TABLE_CAP:
+        raise BudgetExceeded(f"{where}: degree {degree} is above the cap of {TABLE_CAP} points")
+
+
+def perm_from_cycles(degree: int, cycles, where: str = "permutation") -> tuple:
+    """Image tuple (0-based) of a product of disjoint cycles on 1..degree."""
+    _check_degree(degree, where)
     images = list(range(degree))
     touched = set()
     for cycle in cycles:
@@ -221,8 +228,7 @@ class PermutationGenSet:
     generators: tuple = ()  # of (name, image tuple)
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise MalformedSpec(f"degree must be positive, got {self.degree}")
+        _check_degree(self.degree, "permutation group")
         names = set()
         for name, images in self.generators:
             if name in names:

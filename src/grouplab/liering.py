@@ -76,8 +76,7 @@ class LieElement:
         self.vec = v
 
     def component(self, i: int) -> np.ndarray:
-        lo, hi = self.algebra._span(i)
-        return self.vec[lo:hi]
+        return self.vec[self.algebra._slice(i)]
 
     @property
     def degree(self) -> int | None:
@@ -111,10 +110,11 @@ class GradedLieRing:
     """Finite-dimensional graded Lie algebra over F_p, stored as one tensor.
 
     C[a, b, :] = [e_a, e_b] over the total basis (components in degree order)
-    is read-only and zero outside the grading; sc[(i, j)] is its block for
-    degrees (i, j) with i + j <= m.  The constructor takes C, the one input
-    format, and verifies [e_a, e_a] = 0, antisymmetry, the grading and Jacobi
-    on all basis triples, each as one tensor identity.
+    is read-only and zero outside the grading; sc holds its blocks of nonzero
+    degree pairs, sc[(i, j)] for dims d_i, d_j > 0 and i + j <= m in sorted
+    order.  The constructor takes C, the one input format, and verifies
+    [e_a, e_a] = 0, antisymmetry, the grading and Jacobi on all basis
+    triples, each as one tensor identity.
     An algebra built from a group also carries coords (row x is x*), depth
     (the largest i with x in D_i; m + 1 for the identity) and reps (the
     element index behind each basis vector).
@@ -146,11 +146,10 @@ class GradedLieRing:
             )
         C.flags.writeable = False
         self.C = C
-        cut = [None] + [slice(a, b) for a, b in zip(self.offsets, self.offsets[1:])]  # by degree
+        nonzero = [i for i, d in enumerate(self.dims, 1) if d]
         self.sc = {
-            (i, j): C[cut[i], cut[j], cut[i + j]]
-            for i in range(1, self.m + 1)
-            for j in range(1, self.m + 1 - i)
+            (i, j): C[self._slice(i), self._slice(j), self._slice(i + j)]
+            for i in nonzero for j in nonzero if i + j <= self.m
         }
         self.group = group
         self.series = series
@@ -161,18 +160,10 @@ class GradedLieRing:
 
     # -- bookkeeping -----------------------------------------------------
 
-    def _span(self, i: int) -> tuple:
+    def _slice(self, i: int) -> slice:
         if not (1 <= i <= self.m):
             raise MalformedSpec(f"component index {i} outside 1..{self.m}")
-        return self.offsets[i - 1], self.offsets[i]
-
-    def _slice(self, i: int) -> slice:
-        return slice(*self._span(i))
-
-    def _bracket_degrees(self) -> list:
-        """The keys (i, j) of sc, sorted, where degrees i and j both have nonzero dimension."""
-        nonzero = [i for i, d in enumerate(self.dims, 1) if d]
-        return [(i, j) for i in nonzero for j in nonzero if i + j <= self.m]
+        return slice(self.offsets[i - 1], self.offsets[i])
 
     def element(self, vec) -> LieElement:
         return LieElement(self, vec)
@@ -360,11 +351,11 @@ def _verify_well_definedness(G: FiniteGroup, L: GradedLieRing):
     For basis representatives x of degree i and y of degree j, every n1 in
     D_{i+1} and n2 in D_{j+1} must give [x·n1, y·n2] in [x, y]·D_{i+j+1}
     (kernels._brackets_within).  Degrees i < j follow by inversion,
-    [y·n2, x·n1] = [x·n1, y·n2]^-1, so only i >= j is scanned, and a degree
-    of dimension 0 has no representative, so its pairs are skipped.
+    [y·n2, x·n1] = [x·n1, y·n2]^-1, so only i >= j is scanned; the pairs are
+    the keys of L.sc, since a degree of dimension 0 has no representative.
     """
     terms = L.series.terms
-    for i, j in L._bracket_degrees():
+    for i, j in L.sc:
         if i < j:
             continue
         xs, ys = L.reps[L._slice(i)], L.reps[L._slice(j)]
@@ -454,8 +445,10 @@ def _degree_one_closure(L: GradedLieRing) -> tuple:
     """
     bases = [np.eye(L.dims[0], dtype=np.int64)]
     for k in range(2, L.m + 1):
-        # every basis row of M_{k-1} against every degree-one basis vector
-        rows = np.einsum("ra,abc->rbc", bases[-1], L.sc[(k - 1, 1)])
+        # every basis row of M_{k-1} against every degree-one basis vector, by C's
+        # (k - 1, 1) block: sc lacks it when degree k - 1 has dimension 0
+        block = L.C[L._slice(k - 1), L._slice(1), L._slice(k)]
+        rows = np.einsum("ra,abc->rbc", bases[-1], block)
         reduced, pivots = rref(rows.reshape(len(rows) * L.dims[0], L.dims[k - 1]), L.p)
         bases.append(reduced[: len(pivots)])
     space = GradedSubspace(L, bases)

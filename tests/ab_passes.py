@@ -15,7 +15,12 @@ swapped every pass, and each op is timed after the benchmark's reference
 kernel (perfbench/run.py, reference_seconds), so a pass is worth the sum of
 its ops' seconds over the reference seconds, in pass_ref's "ref" unit.
 Prints each side's median and quartiles, and the median of the per-pass
-B/A ratios with their quartiles.  With --calls nothing is timed: after the
+B/A ratios with their quartiles.  Then a 95% bootstrap interval of that
+median, from RESAMPLES resamples of the ratios drawn with a fixed-seed
+random.Random, is held against 1 +- BOUND: wholly below it B is faster,
+wholly above it B is slower, wholly inside it the two are the same within
+BOUND, and an interval that spans 1 - BOUND or 1 + BOUND is unresolved:
+more passes are needed to tell.  With --calls nothing is timed: after the
 untimed pass, each side runs one more pass under cProfile, and its total
 function call count is printed, so that "the same or less work" is one
 command, followed by the MOVED functions whose call counts differ most
@@ -31,6 +36,7 @@ import ast
 import cProfile
 import functools
 import importlib.util
+import random
 import statistics
 import sys
 import time
@@ -39,6 +45,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MOVED = 15  # functions listed by --calls
+RESAMPLES = 2000  # bootstrap resamples of the per-pass B/A ratios
+BOUND = 0.01  # B/A medians within 1 +- BOUND count as the same
 
 
 def load(name: str, init: Path, package: bool):
@@ -183,6 +191,27 @@ def call_counts(side_ops) -> Counter:
     return counts
 
 
+def bootstrap_interval(ratios: list) -> tuple:
+    """95% bootstrap interval of the median of ratios, over RESAMPLES fixed-seed resamples."""
+    rng = random.Random(0)
+    medians = sorted(
+        statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(RESAMPLES)
+    )
+    tail = RESAMPLES // 40  # 2.5% on each side
+    return medians[tail], medians[-1 - tail]
+
+
+def resolved(lo: float, hi: float) -> str:
+    """What an interval [lo, hi] of the B/A median says against 1 +- BOUND."""
+    if hi < 1 - BOUND:
+        return f"B is faster by more than {BOUND:.0%}"
+    if lo > 1 + BOUND:
+        return f"B is slower by more than {BOUND:.0%}"
+    if 1 - BOUND <= lo and hi <= 1 + BOUND:
+        return f"the same within {BOUND:.0%}"
+    return f"unresolved: the interval spans a bound of 1 +- {BOUND:.0%}"
+
+
 def main(argv) -> int:
     calls = argv[:1] == ["--calls"]
     if calls:
@@ -218,8 +247,11 @@ def main(argv) -> int:
     for label, base in (("A", a_dir), ("B", b_dir)):
         q1, med, q3 = statistics.quantiles(times[label], n=4)
         print(f"{label} {base}: median {med:.4f} ref [{q1:.4f}, {q3:.4f}] over {passes} passes")
-    q1, med, q3 = statistics.quantiles([b / a for a, b in zip(times["A"], times["B"])], n=4)
+    ratios = [b / a for a, b in zip(times["A"], times["B"])]
+    q1, med, q3 = statistics.quantiles(ratios, n=4)
     print(f"{workload} B/A per pass: median {med:.3f} [{q1:.3f}, {q3:.3f}]")
+    lo, hi = bootstrap_interval(ratios)
+    print(f"{workload} B/A median, 95% bootstrap interval [{lo:.3f}, {hi:.3f}]: {resolved(lo, hi)}")
     return 0
 
 

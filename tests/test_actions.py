@@ -112,11 +112,14 @@ def test_wrong_group_rejected(corpus):
 
 
 def test_closure_budget(monkeypatch, corpus):
-    # A is capped like every group, and the refusal names its action
+    # A is capped like every group, here on its degree |G| = 9 before any
+    # enumeration, and the refusal names its action
     monkeypatch.setattr(groups, "TABLE_CAP", 3)
     with pytest.raises(BudgetExceeded) as err:
         realize_actions(corpus.fixture, corpus.groups, corpus.automorphisms)
-    assert str(err.value) == "action kleinC33: group enumeration passed the cap of 3 elements"
+    assert str(err.value) == (
+        "action kleinC33: permutation group: degree 9 is above the cap of 3 points"
+    )
 
 
 GL42 = """\

@@ -386,6 +386,10 @@ NAME_SITES = {
         PC_NAMED_T + "image 2 = 1^1\n", UnresolvedReference, 7,
         "no generator 2 in tok",
     ),
+    "pc image factor": (
+        PC_NAMED_T + "image 1 = 2^1\n", UnresolvedReference, 7,
+        "no generator 2 in tok",
+    ),
     "perm image generator": (
         PERM_NAMED_T + "image z = (1 2)\n", UnresolvedReference, 7,
         "no generator 'z' in tok",

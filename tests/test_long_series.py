@@ -5,17 +5,18 @@ only 12 distinct subgroups (D_i = G^(2^k) for 2^(k-1) < i <= 2^k; Jennings
 1941), and its graded Lie ring has 1013 degrees of dimension 0.  The N_p
 containments are decided on the last index of each run of equal terms, at
 most r(r+1)/2 pairs for r distinct terms, and representative independence
-is scanned only on degree pairs of nonzero dimension.  These tests pin the
-11 group checks on three such groups, bound that work by counts, and pin
-the least failing pair that a planted series still names.
+is scanned only on degree pairs of nonzero dimension, the only pairs the
+ring keeps a bracket block for.  These tests pin the 11 group checks on
+three such groups, bound that work by counts and the kept ring's memory, and
+pin the least failing pair that a planted series still names.
 """
 
-import gc
 import itertools
+import tracemalloc
 
 import pytest
 
-from grouplab import kernels, parse_fixture, run_checks, series
+from grouplab import build_dl, kernels, parse_fixture, run_checks, series
 from grouplab.checks import GROUP_CHECKS
 from grouplab.groups import PcPresentation, build_group
 from grouplab.series import (
@@ -161,8 +162,26 @@ def test_group_checks_on_a_long_series_are_pinned_and_bounded(name, monkeypatch)
     m = len(orders) - 1
     assert all(dx > 0 and dy > 0 for dx, dy in blocks)
     assert len(blocks) == sum(1 for i in ends for j in ends if j <= i and i + j <= m) > 0
-    del report
-    gc.collect()  # each group's store keeps a Lie ring of up to 129 MiB
+
+
+# the bracket blocks kept: one per pair of the 11 (C2048) or 10 nonzero degrees with i + j <= m
+BLOCKS = {"C2048": 100, "D2048": 81, "C2xC1024": 81}
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_the_lie_ring_keeps_only_the_blocks_of_nonzero_degrees(name):
+    G = build_group(parse_fixture(GROUPS[name] + "\n").groups[0].presentation)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        L = build_dl(G)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(L.sc) == BLOCKS[name]
+    assert all(L.dims[i - 1] and L.dims[j - 1] for i, j in L.sc)
+    if name == "C2048":
+        assert kept < 2 * 2**20
 
 
 def d8():
