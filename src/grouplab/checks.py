@@ -12,10 +12,12 @@ only.  Reports are deterministic (timings are zeroed unless explicitly
 requested).
 """
 
+import inspect
 import json
 import math
 import time
 from dataclasses import dataclass
+from typing import get_args
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .errors import (
     NotSolvable,
     UnknownCheck,
 )
-from .fixtures import FixtureFile, realize_automorphisms, realize_groups
+from .fixtures import FixtureFile, _named, _shown, realize_automorphisms, realize_groups
 from .groups import Automorphism, FiniteGroup, is_prime
 from .identities import higman_polynomial, holds_identity
 from .liering import (
@@ -81,10 +83,15 @@ def _check_prime(p: int) -> None:
         raise MalformedSpec(f"prime must be a prime, got {p}")
 
 
-def _k_commutators(G: FiniteGroup, k: int, budget: int) -> np.ndarray:
-    """Indices of all values of left-normed weight-k commutators, in key order."""
+def _k_commutators(G: FiniteGroup, k: int) -> np.ndarray:
+    """Indices of all values of left-normed weight-k commutators, in key order.
+
+    A scan of k <= 2 is budgeted at its own size, at most TABLE_CAP^2 table
+    reads, so it always runs; a longer one is refused past SCAN_BUDGET k-tuples.
+    """
     if k < 1:
         raise MalformedSpec("need k >= 1")
+    budget = SCAN_BUDGET if k > 2 else G.order**k
     if G.order > 1 and k > budget.bit_length():  # |G|^k > budget, without forming it
         raise BudgetExceeded(f"|G|^k exceeds the budget of {budget} for k > {budget.bit_length()}")
     if G.order**k > budget:
@@ -100,9 +107,7 @@ def _k_commutators(G: FiniteGroup, k: int, budget: int) -> np.ndarray:
 # -- the collection congruence -----------------------------------------
 
 
-def check_collection_formula(
-    G: FiniteGroup, p: int | None = None, n: int = 1, budget: int = SCAN_BUDGET
-) -> Verdict:
+def check_collection_formula(G: FiniteGroup, p: int | None = None, n: int = 1) -> Verdict:
     """(xy)^q with q = p^n equals x^q y^q modulo the iterated-power subgroup."""
     if p is None:
         info = G.is_p_group()
@@ -118,8 +123,6 @@ def check_collection_formula(
     if n > most:
         raise BudgetExceeded(f"{p}^n exceeds the power budget of {POWER_BUDGET} for n > {most}")
     q = p**n
-    if G.order**2 > budget:
-        raise BudgetExceeded(f"|G|^2 exceeds the budget of {budget}")
     # the modulus γ_2^q γ_p^(p^(n-1)) ··· γ_(p^n) is generated by its factors' generators
     lcs = lower_central_series(G)
     P = kernels._power_map(G, q)
@@ -145,13 +148,11 @@ def check_collection_formula(
 # -- commutator-subgroup lemmas -------------------------------------------
 
 
-def check_lemma_3_3(
-    G: FiniteGroup, k: int = 2, p: int | None = None, budget: int = SCAN_BUDGET
-) -> Verdict:
+def check_lemma_3_3(G: FiniteGroup, k: int = 2, p: int | None = None) -> Verdict:
     """If every weight-k commutator is a q-element, the k-th term is a q-group."""
     if p is not None:
         _check_prime(p)
-    commutators = _k_commutators(G, k, budget)
+    commutators = _k_commutators(G, k)
     if p is not None:
         candidates = [p]
     else:
@@ -193,9 +194,9 @@ def check_lemma_3_3(
     )
 
 
-def check_lemma_3_4(G: FiniteGroup, k: int = 2, budget: int = SCAN_BUDGET) -> Verdict:
+def check_lemma_3_4(G: FiniteGroup, k: int = 2) -> Verdict:
     """If every weight-k commutator is an Engel element, the k-th term is nilpotent."""
-    commutators = _k_commutators(G, k, budget)
+    commutators = _k_commutators(G, k)
     trivial = _closure(G, ())
     worst = 1
     for c in commutators.tolist():  # in key order; the first that is not Engel is the witness
@@ -458,47 +459,60 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
 
+def _witness(G: FiniteGroup, gens: str | None = None):
+    """Decomposition witness of G over the comma-separated generator names, kept by gens."""
+
+    def find():
+        chosen = None if gens is None else [G.generator_by_name(n) for n in gens.split(",")]
+        return decomposition_witness(G, chosen)
+
+    return G._keep(("witness", gens), find)
+
+
 class RunContext:
-    """Realized fixtures and the check parameters of one run.
+    """Realized fixtures and resolved check requests of one run.
 
     Every group, automorphism and action of the fixture is realized here,
-    before run_checks runs its first row, and all of them live until the
-    run returns; run_checks then runs the rows check-major over them.
+    then every check request is resolved against the parameters its check
+    declares (_resolve), before run_checks runs its first row; all of them
+    live until the run returns, and run_checks runs the rows check-major.
 
     What depends on a group alone is kept in its one store (_keep), not
     here: build_dl keeps its graded algebra, the series module its
-    subgroups, series and kernel results, and witness() each decomposition
+    subgroups, series and kernel results, and _witness each decomposition
     witness by its gens= parameter, so the checks of one run share them.
     """
 
-    def __init__(self, fx: FixtureFile, budget: int = SCAN_BUDGET):
+    def __init__(self, fx: FixtureFile):
         self.fixture = fx
-        self.budget = budget
         self.groups = realize_groups(fx)
         self.automorphisms = realize_automorphisms(fx, self.groups)
         self.actions = realize_actions(fx, self.groups, self.automorphisms)
+        # (check, target) -> the keyword values its row's body is called with
+        self.requests = {(req.check, req.target): self._resolve(req) for req in fx.checks}
 
-    def params(self, check: str, target: str) -> dict:
-        return self.fixture.params_for(check, target)
-
-    def int_param(self, params: dict, key: str, default: int) -> int:
-        if key not in params:
-            return default
-        try:
-            return int(params[key])
-        except ValueError:
-            raise MalformedSpec(f"check parameter {key} must be an integer")
+    def _resolve(self, req) -> dict:
+        """A request's parameters as its check declares them; one it cannot run is refused."""
+        where = f"check {_named(req.check)} on {_named(req.target)}"
+        if req.check not in _DECLARED:
+            raise UnknownCheck(f"{where}: unknown check")
+        on, declared = _DECLARED[req.check]
+        if req.target not in (self.groups if on == "group" else self.actions):
+            kind = "a group" if on == "group" else "an action"
+            raise MalformedSpec(f"{where}: {_named(req.target)} is not {kind}")
+        values, reads = {}, ", ".join(declared) or "none"
+        for key, value in req.params:
+            if key not in declared:
+                raise MalformedSpec(f"{where}: no parameter {_shown(key)}; it reads {reads}")
+            try:
+                values[key] = int(value) if declared[key] else value
+            except ValueError:
+                raise MalformedSpec(f"{where}: check parameter {key} must be an integer")
+        return values
 
     def witness(self, check: str, name: str):
-        """Decomposition witness of a group, over the check's gens= parameter if bound."""
-        gens = self.params(check, name).get("gens")
-        G = self.groups[name]
-
-        def find():
-            chosen = None if gens is None else [G.generator_by_name(n) for n in gens.split(",")]
-            return decomposition_witness(G, chosen)
-
-        return G._keep(("witness", gens), find)
+        """The decomposition witness a row of check on the group name uses."""
+        return _witness(self.groups[name], **self.requests.get((check, name), {}))
 
 
 # -- the registry ------------------------------------------------------------
@@ -507,6 +521,8 @@ class RunContext:
 # handler swapped in after import is the one that runs
 _GROUP_HANDLERS: dict = {}
 _ACTION_HANDLERS: dict = {}
+# check name -> (on, {parameter: whether it is an integer}); RunContext resolves by it
+_DECLARED: dict = {}
 
 
 class _Skip(GroupLabError):
@@ -518,17 +534,27 @@ def check(name: str, on: str = "group", needs: tuple = ()):
 
     The function takes (ctx, subject, target name), where the subject is the
     target's FiniteGroup (on="group") or ActionFixture (on="action"), and
-    returns a Verdict.  Each predicate in ``needs`` is called on the subject
-    first, in the order given, and raises to skip the row.
+    returns a Verdict.  Its keyword-only parameters, with their defaults, are
+    the only fixture parameters its check reads; one annotated int (or
+    int | None) takes an integer, any other the text as written.  Each
+    predicate in ``needs`` is called on the subject first, in the order
+    given, and raises to skip the row.
     """
     handlers = {"group": _GROUP_HANDLERS, "action": _ACTION_HANDLERS}[on]
 
     def register(body):
+        params = inspect.signature(body).parameters.values()
+        _DECLARED[name] = on, {
+            p.name: int in (p.annotation, *get_args(p.annotation))
+            for p in params
+            if p.kind is p.KEYWORD_ONLY
+        }
+
         def handler(ctx: RunContext, target: str) -> Verdict:
             subject = (ctx.groups if on == "group" else ctx.actions)[target]
             for need in needs:
                 need(subject)
-            return body(ctx, subject, target)
+            return body(ctx, subject, target, **ctx.requests.get((name, target), {}))
 
         handlers[name] = handler
         return body
@@ -598,44 +624,38 @@ def _higman(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
 
 
 @check("prop_2_11", needs=(_needs_p_group,))
-def _prop_2_11(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
-    w = ctx.witness("prop_2_11", name)
+def _prop_2_11(ctx: RunContext, G: FiniteGroup, name: str, *, gens: str | None = None) -> Verdict:
+    w = _witness(G, gens)
     verdict = check_prop_2_11(G, w)
     return Verdict(verdict.ok, f"c={w.c}, s={w.s}, K={w.K}; {verdict.detail}")
 
 
 @check("cor_2_14", needs=(_needs_p_group,))
-def _cor_2_14(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
-    w = ctx.witness("cor_2_14", name)
+def _cor_2_14(ctx: RunContext, G: FiniteGroup, name: str, *, gens: str | None = None) -> Verdict:
+    w = _witness(G, gens)
     verdict = check_cor_2_14(G, w)
     return Verdict(verdict.ok, f"c={w.c}, s={w.s}, K={w.K}; {verdict.detail}")
 
 
 @check("collection")
-def _collection(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
-    params = ctx.params("collection", name)
-    if "prime" in params:
-        p = ctx.int_param(params, "prime", 0)
-    elif G.is_p_group() is not None:
-        p = G.is_p_group()[0]
-    else:
+def _collection(
+    ctx: RunContext, G: FiniteGroup, name: str, *, prime: int | None = None, n: int = 1
+) -> Verdict:
+    if prime is None and G.is_p_group() is None:
         raise _Skip("not a p-group and no prime parameter given")
-    n = ctx.int_param(params, "n", 1)
-    return check_collection_formula(G, p, n, budget=ctx.budget)
+    return check_collection_formula(G, prime, n)
 
 
 @check("lemma_3_3")
-def _lemma_3_3(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
-    params = ctx.params("lemma_3_3", name)
-    k = ctx.int_param(params, "k", 2)
-    p = ctx.int_param(params, "prime", 0) if "prime" in params else None
-    return check_lemma_3_3(G, k, p, budget=ctx.budget)
+def _lemma_3_3(
+    ctx: RunContext, G: FiniteGroup, name: str, *, k: int = 2, prime: int | None = None
+) -> Verdict:
+    return check_lemma_3_3(G, k, prime)
 
 
 @check("lemma_3_4")
-def _lemma_3_4(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
-    k = ctx.int_param(ctx.params("lemma_3_4", name), "k", 2)
-    return check_lemma_3_4(G, k, budget=ctx.budget)
+def _lemma_3_4(ctx: RunContext, G: FiniteGroup, name: str, *, k: int = 2) -> Verdict:
+    return check_lemma_3_4(G, k)
 
 
 @check("fitting", needs=(_needs_solvable,))
@@ -690,9 +710,7 @@ def _t4_3(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
 
 
 @check("t4_4", on="action", needs=(_needs_single_involution,))
-def _t4_4(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
-    params = ctx.params("t4_4", name)
-    n = ctx.int_param(params, "n", 0) if "n" in params else None
+def _t4_4(ctx: RunContext, fx: ActionFixture, name: str, *, n: int | None = None) -> Verdict:
     return check_theorem_4_4_instance(fx.group, fx.single_involution(), n)
 
 
@@ -765,16 +783,11 @@ def _row(ctx: RunContext, target: str, name: str, handler, timings: bool) -> Che
     return CheckRow(target, name, status, details, elapsed)
 
 
-def run_checks(
-    fx: FixtureFile,
-    selection=None,
-    *,
-    budget: int = SCAN_BUDGET,
-    timings: bool = False,
-) -> CheckReport:
+def run_checks(fx: FixtureFile, selection=None, *, timings: bool = False) -> CheckReport:
     """One row per selected check per type-applicable fixture entry.
 
-    Every group is realized first (RunContext).  Then the rows run
+    Every group is realized and every check request resolved first
+    (RunContext), also the requests of checks left unselected.  Then the rows run
     check-major: each selected group check, in catalog order, on every group
     in fixture order, then each action check on every action.  That runs one
     check's code on group after group while it is warm, where group-major
@@ -783,7 +796,7 @@ def run_checks(
     rows are sorted, so the report does not depend on the order.
     """
     selected = _expand_selection(selection)
-    ctx = RunContext(fx, budget=budget)
+    ctx = RunContext(fx)
     rows = []
     for entries, handlers in ((fx.groups, _GROUP_HANDLERS), (fx.actions, _ACTION_HANDLERS)):
         for name in selected:

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .checks import SCAN_BUDGET, run_checks
+from .checks import run_checks
 from .corpus import corpus_fixture
 from .errors import GroupLabError
 from .fixtures import _realized, parse_fixture
@@ -122,7 +122,7 @@ def _cmd_liering(args) -> int:
 
 
 def _run_and_report(fx, args) -> int:
-    report = run_checks(fx, args.select, budget=args.budget, timings=args.timings)
+    report = run_checks(fx, args.select, timings=args.timings)
     sys.stdout.write(report.to_table())
     if args.report:
         try:
@@ -146,8 +146,6 @@ def _add_run_flags(sub) -> None:
                      help="check names, comma-separated or repeated (default: all)")
     sub.add_argument("--report", metavar="OUT", default=None,
                      help="write the machine-readable report to this path")
-    sub.add_argument("--budget", type=int, default=SCAN_BUDGET,
-                     help="evaluation budget for exhaustive scans")
     sub.add_argument("--timings", action="store_true",
                      help="record real elapsed times (reports stop being "
                           "byte-reproducible)")

@@ -26,6 +26,7 @@ from typing import Optional, Union
 
 from . import kernels
 from .errors import (
+    BudgetExceeded,
     DuplicateName,
     FixtureSyntaxError,
     GroupLabError,
@@ -98,12 +99,6 @@ class FixtureFile:
                 return entry
         raise UnresolvedReference(f"no action named {_shown(name)}")
 
-    def params_for(self, check: str, target: str) -> dict:
-        for req in self.checks:
-            if req.check == check and req.target == target:
-                return dict(req.params)
-        return {}
-
 
 # -- parsing ------------------------------------------------------------
 
@@ -170,6 +165,8 @@ def _parse_cycles(text: str, degree: int, lineno: int) -> tuple:
         return perm_from_cycles(degree, cycles)
     except MalformedSpec as exc:
         raise FixtureSyntaxError(str(exc), lineno) from exc
+    except BudgetExceeded as exc:  # keeps its class, as a degree above the cap is no syntax error
+        raise BudgetExceeded(f"{exc} (line {lineno})") from exc
 
 
 class _GroupBlock:

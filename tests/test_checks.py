@@ -39,7 +39,12 @@ from grouplab.errors import (
     NotAPGroup,
     UnknownCheck,
 )
-from grouplab.fixtures import parse_fixture, realize_automorphism, realize_groups
+from grouplab.fixtures import (
+    CheckRequest,
+    parse_fixture,
+    realize_automorphism,
+    realize_groups,
+)
 from grouplab.groups import (
     Automorphism,
     FiniteGroup,
@@ -122,8 +127,6 @@ def test_collection_requires_prime_on_mixed_order(corpus):
 
 def test_collection_budgets(corpus):
     with pytest.raises(BudgetExceeded):
-        check_collection_formula(corpus.groups["S4"], p=2, budget=100)
-    with pytest.raises(BudgetExceeded):
         check_collection_formula(corpus.groups["C2"], p=2, n=25)
     with pytest.raises(MalformedSpec):
         check_collection_formula(corpus.groups["C2"], p=2, n=0)
@@ -165,11 +168,6 @@ def test_lemma_3_3_weight_three_s3(corpus):
 
 def test_lemma_3_3_p_group_trivial_case(corpus):
     assert check_lemma_3_3(corpus.groups["D8pc"]).ok
-
-
-def test_lemma_3_3_budget(corpus):
-    with pytest.raises(BudgetExceeded):
-        check_lemma_3_3(corpus.groups["S4"], budget=100)
 
 
 # the trivial group, on one point, and the identity acting on it
@@ -291,6 +289,50 @@ def test_a_huge_commutator_weight_skips_on_the_scan_budget(check):
 def test_a_prime_beyond_the_power_budget_skips_without_a_primality_scan():
     (row,) = run_one_request("check lemma_3_3 on Heis27 prime=" + "9" * 4000).rows
     assert row.details == "budget: prime exceeds the power budget of 1048576"
+
+
+@pytest.mark.parametrize("check", ["lemma_3_3", "lemma_3_4"])
+def test_a_weight_three_scan_past_the_scan_budget_skips_its_row(check):
+    # a pair scan always runs; S5's 120^3 triples are refused by SCAN_BUDGET
+    fx = parse_fixture(LADDER.read_text("utf-8"))
+    request = CheckRequest(check, "S5", (("k", "3"),))
+    fx = replace(fx, groups=(fx.group("S5"),), auts=(), actions=(), checks=(request,))
+    (row,) = run_checks(fx, [check]).rows
+    assert (row.status, row.details) == (
+        "skipped",
+        "budget: |G|^3 = 1728000 exceeds the budget of 1000000",
+    )
+
+
+@pytest.mark.parametrize(
+    "request_line, refusal, message",
+    [
+        ("check nosuch on C15", UnknownCheck, "unknown check"),
+        ("check lemma_3_3 on kleinC15", MalformedSpec, "kleinC15 is not a group"),
+        ("check jacobi on pow4", MalformedSpec, "pow4 is not a group"),
+        ("check c4_1 on C15", MalformedSpec, "C15 is not an action"),
+        ("check jacobi on C15 k=7", MalformedSpec, "no parameter 'k'; it reads none"),
+        (
+            "check collection on C15 budgit=5",
+            MalformedSpec,
+            "no parameter 'budgit'; it reads prime, n",
+        ),
+        ("check prop_2_11 on C15 gens=c n=1", MalformedSpec, "no parameter 'n'; it reads gens"),
+        ("check t4_4 on kleinC15 n=x", MalformedSpec, "check parameter n must be an integer"),
+    ],
+)
+def test_a_request_its_check_cannot_run_is_refused_before_any_row(
+    monkeypatch, request_line, refusal, message
+):
+    # resolved once per run, also when the selection leaves its check out
+    rows = []
+    monkeypatch.setattr(checks, "_row", lambda *args: rows.append(args))
+    fx = parse_fixture(C15_TEXT + request_line + "\n")
+    target = fx.checks[0].target
+    with pytest.raises(refusal) as err:
+        run_checks(fx, ["fitting"])
+    assert str(err.value) == f"check {fx.checks[0].check} on {target}: {message}"
+    assert rows == []
 
 
 def test_lemma_3_4_s3_commutators_are_engel(corpus):

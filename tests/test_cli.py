@@ -10,7 +10,7 @@ from grouplab.checks import CheckReport, CheckRow
 from grouplab.cli import main
 from grouplab.corpus import corpus_text
 from test_checks import TRIVIAL_TEXT
-from test_fixtures import CONTRADICTED_IMAGE
+from test_fixtures import C2_TEXT, CONTRADICTED_IMAGE
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +187,23 @@ def test_the_first_refused_request_in_check_major_order_is_reported(tmp_path, ca
     path.write_text(TWO_BAD_REQUESTS, encoding="utf-8")
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr() == ("", "error: need n >= 1\n")
+
+
+@pytest.mark.parametrize(
+    "request_line, message",
+    [
+        ("check nosuch on C2", "unknown check"),
+        ("check jacobi on C2 k=7", "no parameter 'k'; it reads none"),
+        ("check collection on C2 budgit=5", "no parameter 'budgit'; it reads prime, n"),
+        ("check lemma_3_3 on A", "A is not a group"),
+    ],
+)
+def test_a_request_its_check_cannot_run_is_one_error_line(tmp_path, capsys, request_line, message):
+    path = tmp_path / "request.grp"
+    path.write_text(C2_TEXT + "action A on C2 =\n" + request_line + "\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    check, _, target = request_line.split()[1:4]
+    assert capsys.readouterr() == ("", f"error: check {check} on {target}: {message}\n")
 
 
 def test_check_with_selection(corpus_path, capsys):

@@ -126,8 +126,7 @@ def test_check_line_params_sorted():
     fx = parse_fixture(text)
     req = fx.checks[0]
     assert req == CheckRequest("collection", "C2", (("budget", "50"), ("n", "2")))
-    assert fx.params_for("collection", "C2") == {"n": "2", "budget": "50"}
-    assert fx.params_for("collection", "nope") == {}
+    assert fx.checks == (req,) and dict(req.params) == {"n": "2", "budget": "50"}
 
 
 # -- parse errors ----------------------------------------------------------

@@ -8,7 +8,10 @@ most r(r+1)/2 pairs for r distinct terms, and representative independence
 is scanned only on degree pairs of nonzero dimension, the only pairs the
 ring keeps a bracket block for.  These tests pin the 11 group checks on
 three such groups, bound that work by counts and the kept ring's memory, and
-pin the least failing pair that a planted series still names.
+pin the least failing pair that a planted series still names.  The pair
+scans of collection, lemma_3_3 and lemma_3_4 read |G|^2 = TABLE_CAP^2
+table entries on each of these groups, and on C2^11 and Cl2o2048; they are
+decided, never skipped on a budget.
 """
 
 import itertools
@@ -16,8 +19,15 @@ import tracemalloc
 
 import pytest
 
+from test_commutator_generators import cl2o2048, pc
+
 from grouplab import build_dl, kernels, parse_fixture, run_checks, series
-from grouplab.checks import GROUP_CHECKS
+from grouplab.checks import (
+    GROUP_CHECKS,
+    check_collection_formula,
+    check_lemma_3_3,
+    check_lemma_3_4,
+)
 from grouplab.groups import PcPresentation, build_group
 from grouplab.series import (
     NormalSeries,
@@ -53,7 +63,23 @@ SERIES_RUNS = {
     "C2xC1024": [(2048, 1)] + [(2**k, 2 ** (9 - k)) for k in range(9, 0, -1)] + [(1, 1)],
 }
 
-SKIPPED_SCAN = "budget: |G|^2 = 4194304 exceeds the budget of 1000000"
+
+def scan_rows(modulus: int, values: int, engel: int, term: int) -> dict:
+    """The collection, lemma_3_3 and lemma_3_4 rows of a 2-group of order 2048, all decided."""
+    return {
+        "collection": ("pass", f"q=2; modulus subgroup order {modulus}; 4194304 pairs verified"),
+        "lemma_3_3": (
+            "pass",
+            f"all {values} weight-2 commutators are 2-elements; series term 2 has order {term}",
+        ),
+        "lemma_3_4": (
+            "pass",
+            f"all {values} weight-2 commutators are Engel (max index {engel}); "
+            f"series term 2 of order {term} is nilpotent",
+        ),
+    }
+
+
 ROWS = {
     "C2048": {
         "lazard": ("pass", "2047 nontrivial elements verified (power and index bounds)"),
@@ -68,9 +94,7 @@ ROWS = {
             "c=1, s=11, K=2048; max series index 2048 <= K^s = 2048^11 = "
             "2658455991569831745807614120560689152",
         ),
-        "collection": ("skipped", "budget: |G|^2 exceeds the budget of 1000000"),
-        "lemma_3_3": ("skipped", SKIPPED_SCAN),
-        "lemma_3_4": ("skipped", SKIPPED_SCAN),
+        **scan_rows(1, 1, 1, 1),
         "fitting": ("pass", "height 1; exponent 2048; order 2048; nilpotent"),
         "powerful": (
             "pass",
@@ -89,9 +113,7 @@ ROWS = {
             "pass",
             "c=2, s=4, K=1024; max series index 2048 <= K^s = 1024^4 = 1099511627776",
         ),
-        "collection": ("skipped", "budget: |G|^2 exceeds the budget of 1000000"),
-        "lemma_3_3": ("skipped", SKIPPED_SCAN),
-        "lemma_3_4": ("skipped", SKIPPED_SCAN),
+        **scan_rows(512, 512, 2, 512),
         "fitting": ("pass", "height 1; exponent 1024; order 2048; nilpotent"),
         "powerful": (
             "pass",
@@ -111,9 +133,7 @@ ROWS = {
             "c=1, s=11, K=1024; max series index 2048 <= K^s = 1024^11 = "
             "1298074214633706907132624082305024",
         ),
-        "collection": ("skipped", "budget: |G|^2 exceeds the budget of 1000000"),
-        "lemma_3_3": ("skipped", SKIPPED_SCAN),
-        "lemma_3_4": ("skipped", SKIPPED_SCAN),
+        **scan_rows(1, 1, 1, 1),
         "fitting": ("pass", "height 1; exponent 1024; order 2048; nilpotent"),
         "powerful": (
             "pass",
@@ -162,6 +182,24 @@ def test_group_checks_on_a_long_series_are_pinned_and_bounded(name, monkeypatch)
     m = len(orders) - 1
     assert all(dx > 0 and dy > 0 for dx, dy in blocks)
     assert len(blocks) == sum(1 for i in ends for j in ends if j <= i and i + j <= m) > 0
+
+
+@pytest.mark.parametrize(
+    "build, rows",
+    [(lambda: pc(2, 11), scan_rows(1, 1, 1, 1)), (cl2o2048, scan_rows(2, 2, 1, 2))],
+    ids=["C2^11", "Cl2o2048"],
+)
+def test_every_pair_scan_of_an_order_2048_group_is_decided(build, rows):
+    # |G|^2 = 4194304 table reads, at the cap; no scan budget skips them
+    G = build()
+    verdicts = {
+        "collection": check_collection_formula(G),
+        "lemma_3_3": check_lemma_3_3(G),
+        "lemma_3_4": check_lemma_3_4(G),
+    }
+    assert {check: ("pass" if v.ok else "fail", v.detail) for check, v in verdicts.items()} == (
+        rows
+    )
 
 
 # the bracket blocks kept: one per pair of the 11 (C2048) or 10 nonzero degrees with i + j <= m

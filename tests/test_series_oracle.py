@@ -554,14 +554,14 @@ def test_k_commutators_match_reference(name):
     for k in (1, 2, 3):
         if G.order**k > 20_000:  # the reference walks every k-tuple
             continue
-        got = [G.element_at(i).key for i in checks._k_commutators(G, k, checks.SCAN_BUDGET)]
+        got = [G.element_at(i).key for i in checks._k_commutators(G, k)]
         assert got == ref_k_commutators(G, k)
 
 
 def test_k_commutators_keep_the_budget_refusal():
     G = cases()["ladder S5"]
     with pytest.raises(BudgetExceeded):
-        checks._k_commutators(G, 3, checks.SCAN_BUDGET)
+        checks._k_commutators(G, 3)
 
 
 @pytest.mark.parametrize("name", NAMES)
