@@ -4,12 +4,14 @@ Each public check function returns a Verdict and raises HypothesisNotMet
 when its hypothesis fails on the given input: the statements are
 conditionals, so a false antecedent yields a skipped row, never a fail.
 A catalog check is one function registered with @check(name, on=...,
-needs=...): the shared hypotheses it declares (p-group, solvable, coprime,
-single involution) are tested in the order given and skip the row when
-they fail.  run_checks drives every type-applicable (fixture, check) pair
-and collects one row each; a BudgetExceeded inside a row skips that row
-only.  Reports are deterministic (timings are zeroed unless explicitly
-requested).
+needs=...): it takes its subject (a group or an action fixture) and the
+fixture parameters it reads, nothing else, so a public check of that shape
+is registered as it is; the shared hypotheses it declares (p-group,
+solvable, coprime, single involution) are tested in the order given and
+skip the row when they fail.  run_checks drives every type-applicable
+(fixture, check) pair and collects one row each; a BudgetExceeded inside a
+row skips that row only.  Reports are deterministic (timings are zeroed
+unless explicitly requested).
 """
 
 import inspect
@@ -36,7 +38,7 @@ from .errors import (
     NotSolvable,
     UnknownCheck,
 )
-from .fixtures import FixtureFile, _named, _shown, realize_automorphisms, realize_groups
+from .fixtures import FixtureFile, _is_number, _named, _shown, realize_automorphisms, realize_groups
 from .groups import Automorphism, FiniteGroup, is_prime
 from .identities import higman_polynomial, holds_identity
 from .liering import (
@@ -378,6 +380,8 @@ def check_theorem_4_4_instance(
     G: FiniteGroup, a: Automorphism, n: int | None = None
 ) -> Verdict:
     """Record the least valid n (centralizer exponent and [x,a] orders) vs exp(G)."""
+    if n is not None and n < 1:
+        raise MalformedSpec("need n >= 1")
     _needs_odd_involution(G, a)
     fixed = centralizer(G, [a])
     commutators = kernels._commutators_with(G, np.asarray(a.image_indices))
@@ -504,15 +508,12 @@ class RunContext:
         for key, value in req.params:
             if key not in declared:
                 raise MalformedSpec(f"{where}: no parameter {_shown(key)}; it reads {reads}")
-            try:
-                values[key] = int(value) if declared[key] else value
-            except ValueError:
-                raise MalformedSpec(f"{where}: check parameter {key} must be an integer")
+            if declared[key]:
+                if not _is_number(value.removeprefix("-")):  # as the fixture grammar reads numbers
+                    raise MalformedSpec(f"{where}: check parameter {key} must be an integer")
+                value = int(value)
+            values[key] = value
         return values
-
-    def witness(self, check: str, name: str):
-        """The decomposition witness a row of check on the group name uses."""
-        return _witness(self.groups[name], **self.requests.get((check, name), {}))
 
 
 # -- the registry ------------------------------------------------------------
@@ -532,29 +533,26 @@ class _Skip(GroupLabError):
 def check(name: str, on: str = "group", needs: tuple = ()):
     """Register the decorated function as the catalog check ``name``.
 
-    The function takes (ctx, subject, target name), where the subject is the
-    target's FiniteGroup (on="group") or ActionFixture (on="action"), and
-    returns a Verdict.  Its keyword-only parameters, with their defaults, are
-    the only fixture parameters its check reads; one annotated int (or
-    int | None) takes an integer, any other the text as written.  Each
-    predicate in ``needs`` is called on the subject first, in the order
-    given, and raises to skip the row.
+    The function takes its subject, the target's FiniteGroup (on="group") or
+    ActionFixture (on="action"), and returns a Verdict.  Every parameter after
+    the subject, with its default, is a fixture parameter its check reads, and
+    there are no others; one annotated int (or int | None) takes an integer,
+    any other the text as written.  Each predicate in ``needs`` is called on
+    the subject first, in the order given, and raises to skip the row.
     """
     handlers = {"group": _GROUP_HANDLERS, "action": _ACTION_HANDLERS}[on]
 
     def register(body):
-        params = inspect.signature(body).parameters.values()
+        _, *params = inspect.signature(body).parameters.values()
         _DECLARED[name] = on, {
-            p.name: int in (p.annotation, *get_args(p.annotation))
-            for p in params
-            if p.kind is p.KEYWORD_ONLY
+            p.name: int in (p.annotation, *get_args(p.annotation)) for p in params
         }
 
         def handler(ctx: RunContext, target: str) -> Verdict:
             subject = (ctx.groups if on == "group" else ctx.actions)[target]
             for need in needs:
                 need(subject)
-            return body(ctx, subject, target, **ctx.requests.get((name, target), {}))
+            return body(subject, **ctx.requests.get((name, target), {}))
 
         handlers[name] = handler
         return body
@@ -586,7 +584,7 @@ def _needs_single_involution(fx: ActionFixture) -> None:
 
 
 @check("np_series", needs=(_needs_p_group,))
-def _np_series(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
+def _np_series(G: FiniteGroup) -> Verdict:
     series = dimension_series(G)
     verdict = verify_np_series(G, series, G.is_p_group()[0])
     tail = "both containment families verified" if verdict.ok else verdict.detail
@@ -594,7 +592,7 @@ def _np_series(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
 
 
 @check("lazard", needs=(_needs_p_group,))
-def _lazard(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
+def _lazard(G: FiniteGroup) -> Verdict:
     L = build_dl(G)
     xs = np.flatnonzero(np.arange(G.order) != G._e)
     power_ok, index, order = _lazard_table(G, L, xs)
@@ -607,7 +605,7 @@ def _lazard(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
 
 
 @check("jacobi", needs=(_needs_p_group,))
-def _jacobi(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
+def _jacobi(G: FiniteGroup) -> Verdict:
     # GradedLieRing verifies [u, u] = 0, antisymmetry, the grading and Jacobi
     # on every basis pair and triple when it is built, or refuses to exist
     n = build_dl(G).total_dim
@@ -615,7 +613,7 @@ def _jacobi(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
 
 
 @check("higman", needs=(_needs_p_group,))
-def _higman(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
+def _higman(G: FiniteGroup) -> Verdict:
     n = G.exponent()
     if n > 4:
         raise _Skip(f"exponent {n} is outside the checked degree range (2..4)")
@@ -624,42 +622,36 @@ def _higman(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
 
 
 @check("prop_2_11", needs=(_needs_p_group,))
-def _prop_2_11(ctx: RunContext, G: FiniteGroup, name: str, *, gens: str | None = None) -> Verdict:
+def _prop_2_11(G: FiniteGroup, *, gens: str | None = None) -> Verdict:
     w = _witness(G, gens)
     verdict = check_prop_2_11(G, w)
     return Verdict(verdict.ok, f"c={w.c}, s={w.s}, K={w.K}; {verdict.detail}")
 
 
 @check("cor_2_14", needs=(_needs_p_group,))
-def _cor_2_14(ctx: RunContext, G: FiniteGroup, name: str, *, gens: str | None = None) -> Verdict:
+def _cor_2_14(G: FiniteGroup, *, gens: str | None = None) -> Verdict:
     w = _witness(G, gens)
     verdict = check_cor_2_14(G, w)
     return Verdict(verdict.ok, f"c={w.c}, s={w.s}, K={w.K}; {verdict.detail}")
 
 
 @check("collection")
-def _collection(
-    ctx: RunContext, G: FiniteGroup, name: str, *, prime: int | None = None, n: int = 1
-) -> Verdict:
+def _collection(G: FiniteGroup, *, prime: int | None = None, n: int = 1) -> Verdict:
     if prime is None and G.is_p_group() is None:
         raise _Skip("not a p-group and no prime parameter given")
     return check_collection_formula(G, prime, n)
 
 
 @check("lemma_3_3")
-def _lemma_3_3(
-    ctx: RunContext, G: FiniteGroup, name: str, *, k: int = 2, prime: int | None = None
-) -> Verdict:
+def _lemma_3_3(G: FiniteGroup, *, k: int = 2, prime: int | None = None) -> Verdict:
     return check_lemma_3_3(G, k, prime)
 
 
-@check("lemma_3_4")
-def _lemma_3_4(ctx: RunContext, G: FiniteGroup, name: str, *, k: int = 2) -> Verdict:
-    return check_lemma_3_4(G, k)
+check("lemma_3_4")(check_lemma_3_4)
 
 
 @check("fitting", needs=(_needs_solvable,))
-def _fitting(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
+def _fitting(G: FiniteGroup) -> Verdict:
     height = fitting_height(G)
     nilpotent = lower_central_series(G).reaches_trivial()
     return Verdict(
@@ -670,7 +662,7 @@ def _fitting(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
 
 
 @check("powerful", needs=(_needs_p_group,))
-def _powerful(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
+def _powerful(G: FiniteGroup) -> Verdict:
     p = G.is_p_group()[0]
     flag = is_powerful(G)
     return Verdict(
@@ -684,38 +676,26 @@ def _powerful(ctx: RunContext, G: FiniteGroup, name: str) -> Verdict:
 # -- action checks -----------------------------------------------------------
 
 
-@check("c4_1", on="action")
-def _c4_1(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
-    return check_4_1(fx)
-
-
-@check("c4_2", on="action")
-def _c4_2(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
-    return check_4_2(fx)
-
-
-@check("c4_6", on="action")
-def _c4_6(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
-    return check_4_6(fx)
+check("c4_1", on="action")(check_4_1)
+check("c4_2", on="action")(check_4_2)
+check("c4_6", on="action")(check_4_6)
 
 
 @check("c4_12", on="action", needs=(_needs_single_involution,))
-def _c4_12(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
+def _c4_12(fx: ActionFixture) -> Verdict:
     return check_4_12(fx.group, fx.single_involution())
 
 
-@check("t4_3", on="action")
-def _t4_3(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
-    return check_theorem_4_3_instance(fx)
+check("t4_3", on="action")(check_theorem_4_3_instance)
 
 
 @check("t4_4", on="action", needs=(_needs_single_involution,))
-def _t4_4(ctx: RunContext, fx: ActionFixture, name: str, *, n: int | None = None) -> Verdict:
+def _t4_4(fx: ActionFixture, *, n: int | None = None) -> Verdict:
     return check_theorem_4_4_instance(fx.group, fx.single_involution(), n)
 
 
 @check("pm_split", on="action", needs=(_needs_p_group, _needs_single_involution))
-def _pm_split(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
+def _pm_split(fx: ActionFixture) -> Verdict:
     L = build_dl(fx.group)
     split = plus_minus_split(L, induced_action(fx.single_involution(), L))
     return Verdict(
@@ -726,7 +706,7 @@ def _pm_split(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
 
 
 @check("obs_4_8", on="action", needs=(_needs_coprime, _needs_p_group))
-def _obs_4_8(ctx: RunContext, fx: ActionFixture, name: str) -> Verdict:
+def _obs_4_8(fx: ActionFixture) -> Verdict:
     L = build_dl(fx.group)
     acts = [induced_action(phi, L) for phi in fx.generators]
     lie_side = centralizer_subalgebra(L, acts)

@@ -680,19 +680,10 @@ class GroupHomomorphism:
 
     def _normalize_images(self, images):
         src_gens = self.source.generators
-        if isinstance(images, dict):
-            pairs = []
-            for gen in src_gens:
-                if gen not in images:
-                    raise MalformedSpec(f"missing image for generator {gen!r}")
-                pairs.append((gen, images[gen]))
-        else:
-            images = list(images)
-            if len(images) != len(src_gens):
-                raise MalformedSpec(
-                    f"expected {len(src_gens)} generator images, got {len(images)}"
-                )
-            pairs = list(zip(src_gens, images))
+        images = list(images)
+        if len(images) != len(src_gens):
+            raise MalformedSpec(f"expected {len(src_gens)} generator images, got {len(images)}")
+        pairs = list(zip(src_gens, images))
         for gen, img in pairs:
             self.source._check(gen)
             self.target._check(img)

@@ -532,6 +532,16 @@ def test_t4_4_accepts_multiples_of_the_forced_bound(corpus):
         check_theorem_4_4_instance(G, a, n=3)
 
 
+@pytest.mark.parametrize("n", [0, -9])
+def test_t4_4_refuses_n_below_one_before_its_hypotheses(corpus, n):
+    # n % computed == 0 holds for 0 and -9, so only an explicit bound refuses them
+    with pytest.raises(MalformedSpec, match="need n >= 1"):
+        check_theorem_4_4_instance(corpus.groups["C9"], corpus.automorphisms["c9inv"], n)
+    S3 = corpus.groups["S3"]  # even order: the hypothesis would skip it
+    with pytest.raises(MalformedSpec, match="need n >= 1"):
+        check_theorem_4_4_instance(S3, Automorphism.identity_of(S3), n)
+
+
 def test_t4_4_inversion_on_c33(corpus):
     v = check_theorem_4_4_instance(
         corpus.groups["C3xC3"], corpus.automorphisms["c33inv"]
@@ -665,6 +675,34 @@ def test_catalog_follows_the_handler_tables_in_registration_order():
     assert ACTION_CHECKS == tuple(checks._ACTION_HANDLERS)
     assert CHECK_CATALOG == GROUP_CHECKS + ACTION_CHECKS
     assert all(callable(h) for table in tables for h in table.values())
+
+
+def test_every_check_declares_the_parameters_its_function_reads():
+    # every parameter after the subject is a fixture parameter, so one added to a
+    # registered public check would become one silently
+    none = {}
+    assert checks._DECLARED == {
+        "np_series": ("group", none),
+        "lazard": ("group", none),
+        "jacobi": ("group", none),
+        "higman": ("group", none),
+        "prop_2_11": ("group", {"gens": False}),
+        "cor_2_14": ("group", {"gens": False}),
+        "collection": ("group", {"prime": True, "n": True}),
+        "lemma_3_3": ("group", {"k": True, "prime": True}),
+        "lemma_3_4": ("group", {"k": True}),
+        "fitting": ("group", none),
+        "powerful": ("group", none),
+        "c4_1": ("action", none),
+        "c4_2": ("action", none),
+        "c4_6": ("action", none),
+        "c4_12": ("action", none),
+        "t4_3": ("action", none),
+        "t4_4": ("action", {"n": True}),
+        "pm_split": ("action", none),
+        "obs_4_8": ("action", none),
+    }
+    assert tuple(checks._DECLARED) == CHECK_CATALOG
 
 
 def test_run_checks_calls_handlers_swapped_in_after_import(monkeypatch, corpus_report):

@@ -112,7 +112,7 @@ def invariants(ctx) -> dict:
     for name, G in ctx.groups.items():
         out[name] = [class_partition(G), len(kernels._cyclic_class_representatives(G))]
         if G.is_p_group() is not None:
-            w = ctx.witness("prop_2_11", name)
+            w = checks._witness(G, **ctx.requests.get(("prop_2_11", name), {}))
             out[name] += [w.K, w.s]
         for check in ("fitting", "prop_2_11"):
             row = checks._row(ctx, name, check, checks._GROUP_HANDLERS[check], False)

@@ -206,6 +206,32 @@ def test_a_request_its_check_cannot_run_is_one_error_line(tmp_path, capsys, requ
     assert capsys.readouterr() == ("", f"error: check {check} on {target}: {message}\n")
 
 
+NOT_AN_INTEGER = "check collection on C2: check parameter {} must be an integer"
+
+
+@pytest.mark.parametrize(
+    "request_line, error",
+    [
+        ("check collection on C2 n=\u0662", NOT_AN_INTEGER.format("n")),  # an Arabic-Indic two
+        ("check collection on C2 n=1_0", NOT_AN_INTEGER.format("n")),
+        ("check collection on C2 prime=+2", NOT_AN_INTEGER.format("prime")),
+        ("check collection on C2 prime=--3", NOT_AN_INTEGER.format("prime")),
+        ("check collection on C2 prime=-3", "prime must be a prime, got -3"),
+        ("check t4_4 on invC9 n=0", "need n >= 1"),
+        ("check t4_4 on invC9 n=-9", "need n >= 1"),
+    ],
+)
+def test_a_bad_integer_parameter_on_the_corpus_is_one_error_line(
+    tmp_path, capsys, request_line, error
+):
+    # an integer is ASCII digits after at most one '-', as the fixture grammar reads numbers;
+    # a negative one reaches its check, which refuses it
+    path = tmp_path / "corpus.grp"
+    path.write_text(corpus_text() + request_line + "\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_check_with_selection(corpus_path, capsys):
     assert main(["check", corpus_path, "--select", "fitting"]) == 0
     out = capsys.readouterr().out

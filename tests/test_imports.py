@@ -13,10 +13,11 @@ in src/ must be read somewhere in src/ (a Name or an Attribute), so a helper
 whose last caller is gone does not linger.  A decorated definition counts as
 read, since its decorator registers it (the check handlers of ``@check``).
 
-Every parameter of a private, undecorated function in src/, nested functions
-and methods included, must be read in that function's body, so an argument
-that no line uses any more goes with it.  A decorated function may take
-parameters that its decorator's contract fixes, so it is spared.
+Every parameter of a private function in src/, nested functions, methods
+and decorated functions included, must be read in that function's body, so
+an argument that no line uses any more goes with it.  A registered check
+takes only its subject and the fixture parameters it reads, so no
+decorator's contract fixes a parameter that its function may leave unread.
 
 Every exception class in errors.py must be raised, caught or subclassed by
 a library module other than errors.py and the package ``__init__``, so an
@@ -193,12 +194,12 @@ def test_the_error_guard_reports_an_orphan_and_spares_raised_caught_and_subclass
 
 
 def unread_parameters(source: str) -> list:
-    """(line, function, parameter) of every parameter a private, undecorated function never reads."""
+    """(line, function, parameter) of every parameter a private function never reads."""
     unread = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if not node.name.startswith("_") or node.name.startswith("__") or node.decorator_list:
+        if not node.name.startswith("_") or node.name.startswith("__"):
             continue
         args = node.args
         params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
@@ -217,7 +218,7 @@ def test_every_parameter_of_a_private_function_is_read(path):
     assert unread_parameters(path.read_text("utf-8")) == []
 
 
-def test_the_parameter_guard_reports_unread_arguments_and_spares_public_and_decorated_ones():
+def test_the_parameter_guard_reports_unread_arguments_of_private_and_decorated_functions():
     source = (
         "def _walk(G, x, limit, *rest, **opts):\n"
         "    def _inner(y, z):\n"
@@ -227,11 +228,12 @@ def test_the_parameter_guard_reports_unread_arguments_and_spares_public_and_deco
         "class C:\n"
         "    def _method(self, a): return a\n"
         "    def __init__(self, b): pass\n"
-        "@check\ndef _registered(ctx, G): pass\n"
+        "@check\ndef _registered(ctx, G): return G\n"
     )
     assert unread_parameters(source) == [
         (1, "_walk", "limit"),
         (1, "_walk", "opts"),
+        (10, "_registered", "ctx"),
         (2, "_inner", "z"),
         (7, "_method", "self"),
     ]

@@ -364,10 +364,10 @@ def assert_matches_reference(G):
             assert np.array_equal(L.sc[pair], table), pair
         else:
             assert table.size == 0, pair
-    assert checks._lazard(None, G, "G") == ref_lazard_row(G, L, L.coords)
+    assert checks._lazard(G) == ref_lazard_row(G, L, L.coords)
     n = L.total_dim
     assert ref_jacobi_failure(L) is None
-    assert checks._jacobi(None, G, "G") == Verdict(
+    assert checks._jacobi(G) == Verdict(
         True, f"{n * n} basis pairs and {n ** 3} triples verified", "basis"
     )
     assert [t.mask.tolist() for t in dimension_series(G).terms] == [
@@ -425,7 +425,7 @@ def test_lazard_reports_the_first_failing_element(monkeypatch):
         want = ref_lazard_row(G, L, planted)
         with monkeypatch.context() as mp:
             mp.setattr(L, "coords", planted)
-            assert checks._lazard(None, G, name) == want, name
+            assert checks._lazard(G) == want, name
         failing = sum(not ref_lazard_check(G, L, planted, x).ok for x in G.elements()[1:])
         several += failing > 1
     assert several >= 5
