@@ -69,7 +69,6 @@ from .series import (
     verify_np_series,
 )
 
-SCAN_BUDGET = 10**6
 POWER_BUDGET = 2**20
 
 
@@ -88,21 +87,25 @@ def _check_prime(p: int) -> None:
 def _k_commutators(G: FiniteGroup, k: int) -> np.ndarray:
     """Indices of all values of left-normed weight-k commutators, in key order.
 
-    A scan of k <= 2 is budgeted at its own size, at most TABLE_CAP^2 table
-    reads, so it always runs; a longer one is refused past SCAN_BUDGET k-tuples.
+    [x, z] = x^-1·x^z, so the values [x, z] over every z are x^-1 times the
+    class of x; and [c, z]^g = [c^g, z^g], so the weight-k set C_k is a union
+    of classes.  Hence C_k is the conjugation closure of the r^-1·x over x in
+    C_(k-1), r = label[x] the least element of x's class (_class_labels): one
+    gather and one label read per step.  C_(k-1) -> C_k is monotone and
+    C_2 ⊆ C_1 = G, so the sets descend: the walk stops at the first repeated
+    set, and any k takes at most one step per class.
     """
     if k < 1:
         raise MalformedSpec("need k >= 1")
-    budget = SCAN_BUDGET if k > 2 else G.order**k
-    if G.order > 1 and k > budget.bit_length():  # |G|^k > budget, without forming it
-        raise BudgetExceeded(f"|G|^k exceeds the budget of {budget} for k > {budget.bit_length()}")
-    if G.order**k > budget:
-        raise BudgetExceeded(f"|G|^{k} = {G.order ** k} exceeds the budget of {budget}")
-    # weight-k values are [c, z] for c a weight-(k-1) value and z in G
-    everything = np.arange(G.order)
+    label = kernels._class_labels(G)
     values = np.ones(G.order, dtype=bool)
     for _ in range(k - 1):
-        values = kernels._commutator_values(G, values.nonzero()[0], everything)
+        xs = values.nonzero()[0]
+        hit = np.zeros(G.order, dtype=bool)
+        hit[label[kernels._product(G, kernels._inverse(G, label[xs]), xs)]] = True
+        values = hit[label]
+        if np.count_nonzero(values) == len(xs):  # C_k ⊆ C_(k-1), so C_k = C_(k-1)
+            break
     return values.nonzero()[0]
 
 

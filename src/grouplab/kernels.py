@@ -190,21 +190,6 @@ def _power_map(G, k: int) -> np.ndarray:
     return G._keep(("power map", k), powers)
 
 
-def _commutator_values(G, hs, ks) -> np.ndarray:
-    """Mask of the values [h, k] over h in hs and k in ks, kept on G under both index arrays."""
-    hs = np.asarray(hs, dtype=np.int64)
-    ks = np.asarray(ks, dtype=np.int64)
-
-    def scan() -> np.ndarray:
-        values = np.zeros(G.order, dtype=bool)
-        for h in _blocks(hs, len(ks)):
-            values[_commutators(G, h, ks)] = True
-        values.flags.writeable = False
-        return values
-
-    return G._keep(("commutator values", hs.tobytes(), ks.tobytes()), scan)
-
-
 def _first_escape(G, mask: np.ndarray, idx: np.ndarray):
     """First (a, b) in row-major order over idx x idx with a·b outside mask, or None."""
     T = G.table()
@@ -348,12 +333,14 @@ def _engel_walk(G, x: int, F: np.ndarray) -> tuple:
 
 
 def _power_law_failure(G, P: np.ndarray, modulus: np.ndarray):
-    """First (x, y) in row-major order with (xy)^q outside x^q y^q·modulus, or None; P: x -> x^q."""
-    T = G.table()
-    inv = G.inverse_indices()
-    return _first_failure(
-        np.arange(G.order), G.order, lambda xs: ~modulus[T[P[T[xs]], inv[T[P[xs][:, None], P]]]]
-    )
+    """First (x, y) in row-major order with (xy)^q outside x^q y^q·modulus, or None; P: x -> x^q.
+
+    The modulus is normal and x -> x^q commutes with conjugation, so the
+    failing pairs are closed under simultaneous conjugation: the least one
+    has a class minimum as its x, and only those rows are scanned.
+    """
+    T, inv, reps = G.table(), G.inverse_indices(), _class_representatives(G)
+    return _first_failure(reps, G.order, lambda x: ~modulus[T[P[T[x]], inv[T[P[x][:, None], P]]]])
 
 
 def _brackets_within(G, xs, ys, n1s, n2s, modulus: np.ndarray) -> bool:

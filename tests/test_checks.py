@@ -280,10 +280,21 @@ def test_a_huge_collection_exponent_skips_on_the_power_budget():
     assert row.details == "budget: 3^n exceeds the power budget of 1048576 for n > 12"
 
 
-@pytest.mark.parametrize("check", ["lemma_3_3", "lemma_3_4"])
-def test_a_huge_commutator_weight_skips_on_the_scan_budget(check):
-    (row,) = run_one_request(f"check {check} on Heis27 k=100000").rows
-    assert row.details == "budget: |G|^k exceeds the budget of 1000000 for k > 20"
+@pytest.mark.parametrize("k", [100000, 10**30])
+@pytest.mark.parametrize(
+    "check, verdict",
+    [
+        ("lemma_3_3", "are 3-elements; series term {k} has order 1"),
+        ("lemma_3_4", "are Engel (max index 1); series term {k} of order 1 is nilpotent"),
+    ],
+)
+def test_a_huge_commutator_weight_is_decided_at_the_fixpoint_of_its_value_sets(check, verdict, k):
+    # Heis27's weight-3 values are {1}, and every later weight repeats them
+    (row,) = run_one_request(f"check {check} on Heis27 k={k}").rows
+    assert (row.status, row.details) == (
+        "pass",
+        f"all 1 weight-{k} commutators " + verdict.format(k=k),
+    )
 
 
 def test_a_prime_beyond_the_power_budget_skips_without_a_primality_scan():
@@ -291,17 +302,39 @@ def test_a_prime_beyond_the_power_budget_skips_without_a_primality_scan():
     assert row.details == "budget: prime exceeds the power budget of 1048576"
 
 
-@pytest.mark.parametrize("check", ["lemma_3_3", "lemma_3_4"])
-def test_a_weight_three_scan_past_the_scan_budget_skips_its_row(check):
-    # a pair scan always runs; S5's 120^3 triples are refused by SCAN_BUDGET
+def brute_weight_three_commutators(G) -> np.ndarray:
+    """Every [[x, y], z] over all triples, one table gather per weight-2 value."""
+    T, inv = G.table(), G.inverse_indices()
+    everything = np.arange(G.order)
+    pairs = T[inv[T[everything[None, :], everything[:, None]]], T[everything[:, None], everything]]
+    c = pairs.ravel()[:, None]  # every [x, y], repeats included: |G|^2 rows
+    return np.unique(T[inv[T[everything, c]], T[c, everything]])
+
+
+def test_s5_weight_three_commutators_are_a5():
+    G = realize_groups(parse_fixture(LADDER.read_text("utf-8")))["S5"]
+    got = checks._k_commutators(G, 3)
+    assert got.tolist() == brute_weight_three_commutators(G).tolist()
+    keys = [G.element_at(i).key for i in got]
+    inversions = [sum(a > b for j, a in enumerate(key) for b in key[j + 1 :]) for key in keys]
+    assert len(keys) == 60 and all(n % 2 == 0 for n in inversions)  # A5
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize(
+    "check, details",
+    [
+        ("lemma_3_3", "commutator (3 4 5) of order 3 is not a 5-element (no prime works)"),
+        ("lemma_3_4", "weight-{k} commutator (3 4 5) is not an Engel element"),
+    ],
+)
+def test_s5_rows_of_weight_three_and_four_skip_on_their_hypothesis(check, details, k):
+    # every weight from 3 on gives A5, whose 3-cycle (3 4 5) is its first witness
     fx = parse_fixture(LADDER.read_text("utf-8"))
-    request = CheckRequest(check, "S5", (("k", "3"),))
+    request = CheckRequest(check, "S5", (("k", str(k)),))
     fx = replace(fx, groups=(fx.group("S5"),), auts=(), actions=(), checks=(request,))
     (row,) = run_checks(fx, [check]).rows
-    assert (row.status, row.details) == (
-        "skipped",
-        "budget: |G|^3 = 1728000 exceeds the budget of 1000000",
-    )
+    assert (row.status, row.details) == ("skipped", "hypothesis not met: " + details.format(k=k))
 
 
 @pytest.mark.parametrize(

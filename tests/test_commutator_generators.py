@@ -2,10 +2,10 @@
 
 [H, K] is the normal closure in <H, K> of the [x, y] over generators x of H
 and y of K, and a normal subgroup contains [H, K] exactly when it contains
-those; the series and the nilpotency test of a subgroup never scan a value
-set.  These tests hold that one path to brute force, sympy, the N_p-series
-verdicts and the pinned benchmark goldens, and check that no series kernel
-keeps a commutator value scan on the group.
+those; the series and the nilpotency test of a subgroup read no set of
+commutator values.  These tests hold that one path to brute force, sympy,
+the N_p-series verdicts and the pinned benchmark goldens, and pin the kinds
+of value that a corpus run keeps in each group's store.
 """
 
 import importlib.util
@@ -15,16 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grouplab import series
+from grouplab import checks, series
 from grouplab.corpus import corpus_fixture
-from grouplab.fixtures import parse_fixture, realize_groups
+from grouplab.fixtures import parse_fixture
 from grouplab.groups import PcPresentation, PermutationGenSet, build_group, perm_from_cycles
-from grouplab.liering import build_dl
 from grouplab.series import (
     NormalSeries,
     derived_series,
     dimension_series,
-    is_nilpotent_subgroup,
     lower_central_series,
     verify_np_series,
     whole_subgroup,
@@ -216,12 +214,7 @@ def test_ladder_and_build_goldens_are_byte_identical():
 # -- the mechanism: generator pairs, never a value scan ----------------------------
 
 
-def scanned(G) -> list:
-    """Every commutator value mask kept on G."""
-    return [key for key in G._lattice if key[0] == "commutator values"]
-
-
-def test_build_pipeline_scans_no_commutator_values(monkeypatch):
+def test_build_pipeline_builds_only_the_dimension_series(monkeypatch):
     built = []
     orig = series.Subgroup._closed
 
@@ -236,26 +229,39 @@ def test_build_pipeline_scans_no_commutator_values(monkeypatch):
     G = op.run()[0]
     assert G.order == 243
     # the dimension series is built by Lazard's recurrence on generators:
-    # nothing is scanned, and neither [G, G] nor the lower central series is kept
-    assert scanned(G) == []
+    # neither [G, G] nor the lower central series is kept
     assert not any(key[0] == "commutator subgroup" for key in G._lattice)
     assert ("series", "lower-central") not in G._lattice
     assert ("series", "dimension") in G._lattice
     assert sorted(built) == [1, 9, 27, 243]
 
 
-def test_series_kernels_on_the_corpus_scan_no_commutator_values():
-    groups = realize_groups(corpus_fixture())
+def test_a_corpus_run_keeps_twelve_kinds_in_the_group_store(monkeypatch):
+    # a baseline for the store: every kind a full corpus run_checks keeps on its groups
+    realized = []
+
+    def kept(fx, _orig=checks.realize_groups):
+        realized.append(_orig(fx))
+        return realized[-1]
+
+    monkeypatch.setattr(checks, "realize_groups", kept)
+    checks.run_checks(corpus_fixture())
+    (groups,) = realized
     assert len(groups) == 16
-    for G in groups.values():
-        gamma = lower_central_series(G).terms
-        derived_series(G)
-        pk = G.is_p_group()
-        if pk is not None:
-            verify_np_series(G, dimension_series(G), pk[0])
-        for term in gamma:
-            is_nilpotent_subgroup(G, term)
-        assert scanned(G) == []
+    assert sorted({key[0] for G in groups.values() for key in G._lattice}) == [
+        "class labels",
+        "commutator subgroup",
+        "cyclic class representatives",
+        "element orders",
+        "exponent",
+        "generators",
+        "lie ring",
+        "power map",
+        "prime power",
+        "series",
+        "subgroup",
+        "witness",
+    ]
 
 
 def test_series_terms_keep_the_generators_their_closure_kept():
@@ -276,14 +282,6 @@ def test_series_terms_keep_the_generators_their_closure_kept():
             assert np.array_equal(series._closure(G, gens), term.mask)
     derived = series.commutator_subgroup(free, whole_subgroup(free), whole_subgroup(free))
     assert derived.order == 27 and len(free._lattice[("generators", derived.mask.tobytes())]) == 3
-
-
-def test_build_dl_keeps_no_commutator_values():
-    G = cl3o243()
-    dimension_series(G)
-    before = set(G._lattice)
-    build_dl(G)
-    assert not [key for key in set(G._lattice) - before if key[0] == "commutator values"]
 
 
 def test_generators_of_a_subgroup_built_elsewhere_are_found_by_one_closure():

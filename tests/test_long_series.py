@@ -8,10 +8,12 @@ most r(r+1)/2 pairs for r distinct terms, and representative independence
 is scanned only on degree pairs of nonzero dimension, the only pairs the
 ring keeps a bracket block for.  These tests pin the 11 group checks on
 three such groups, bound that work by counts and the kept ring's memory, and
-pin the least failing pair that a planted series still names.  The pair
-scans of collection, lemma_3_3 and lemma_3_4 read |G|^2 = TABLE_CAP^2
-table entries on each of these groups, and on C2^11 and Cl2o2048; they are
-decided, never skipped on a budget.
+pin the least failing pair that a planted series still names.  The
+collection scan reads |G| table entries per class minimum, |G|^2 =
+TABLE_CAP^2 on the abelian C2048, C2xC1024 and C2^11, and lemma_3_3 and
+lemma_3_4 read the weight-k commutator values from the class labels; on
+the three groups, C2^11 and Cl2o2048, all three rows are decided, never
+skipped on a budget.
 """
 
 import itertools
@@ -190,7 +192,8 @@ def test_group_checks_on_a_long_series_are_pinned_and_bounded(name, monkeypatch)
     ids=["C2^11", "Cl2o2048"],
 )
 def test_every_pair_scan_of_an_order_2048_group_is_decided(build, rows):
-    # |G|^2 = 4194304 table reads, at the cap; no scan budget skips them
+    # collection reads all |G|^2 = 4194304 pairs of C2^11 and the 1025 class-minimum
+    # rows of Cl2o2048; the commutator values come from class labels, under no budget
     G = build()
     verdicts = {
         "collection": check_collection_formula(G),
