@@ -40,7 +40,6 @@ from .errors import (
     MalformedSpec,
     MismatchedAlgebra,
     MismatchedParent,
-    NonElementaryQuotient,
     NotAPGroup,
     NotInvolution,
     NotNormal,

@@ -13,7 +13,6 @@ __all__ = [
     "NotAPGroup",
     "NotNormal",
     "NotSolvable",
-    "NonElementaryQuotient",
     "MismatchedAlgebra",
     "ActionNotWellDefined",
     "EvenCharacteristic",
@@ -65,10 +64,6 @@ class NotNormal(GroupLabError):
 
 class NotSolvable(GroupLabError):
     """The operation needs a solvable group."""
-
-
-class NonElementaryQuotient(GroupLabError):
-    """A graded component is not elementary abelian of the stated exponent."""
 
 
 class MismatchedAlgebra(GroupLabError):

@@ -36,7 +36,6 @@ from .errors import (
 from .groups import (
     Automorphism,
     FiniteGroup,
-    GroupElement,
     PcPresentation,
     PermutationGenSet,
     _perm_repr,
@@ -538,32 +537,33 @@ def realize_groups(fx: FixtureFile) -> dict:
     return {g.name: _realized("group", g.name, build_group, g.presentation) for g in fx.groups}
 
 
-def _product_of_powers(G: FiniteGroup, factors) -> GroupElement:
-    """Product of x^e over (index x, exponent e >= 0) factors, read from the kept power maps."""
+def _product_of_powers(G: FiniteGroup, factors) -> int:
+    """Index of the product of x^e over (index x, exponent e >= 0) factors, by kept power maps."""
     out = G._e
     for x, e in factors:
         out = kernels._product(G, out, kernels._power_map(G, e)[x])
-    return G.element_at(out)
-
-
-def word_element(G: FiniteGroup, word: tuple) -> GroupElement:
-    """Product of g_i^e over an (i, e) word, 1-based pc generator indices."""
-    return _product_of_powers(G, [(G._gens[i - 1], e) for i, e in word])
+    return int(out)
 
 
 def realize_automorphism(entry: AutEntry, G: FiniteGroup) -> Automorphism:
-    images = []
+    """The automorphism of G an aut entry names, verified on generator image indices.
+
+    A pc image is a word of (1-based generator index, exponent) pairs.
+    """
     if entry.images and isinstance(entry.images[0][0], int):
-        for _, word in entry.images:
-            images.append(word_element(G, word))
+        images = [
+            _product_of_powers(G, [(G._gens[i - 1], e) for i, e in word])
+            for _, word in entry.images
+        ]
     else:
-        by_name = {name: G.generator_by_name(name).idx for name, _ in entry.images}
-        for name, (kind, value) in entry.images:
-            if kind == "cycles":
-                images.append(G.element(value))
-            else:
-                images.append(_product_of_powers(G, [(by_name[n], e) for n, e in value]))
-    return Automorphism(G, images)
+        by_name = dict(zip(G.generator_names, G._gens.tolist()))
+        images = [
+            G.element(value).idx
+            if kind == "cycles"
+            else _product_of_powers(G, [(by_name[n], e) for n, e in value])
+            for _, (kind, value) in entry.images
+        ]
+    return Automorphism._on_indices(G, G, images)
 
 
 def realize_automorphisms(fx: FixtureFile, groups: dict) -> dict:

@@ -661,33 +661,38 @@ class GroupHomomorphism:
     """Group map determined by generator images, verified on every pair."""
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, images):
+        images = list(images)
+        if len(images) != len(source._gens):
+            raise MalformedSpec(f"expected {len(source._gens)} generator images, got {len(images)}")
+        for img in images:
+            target._check(img)
+        self._realize(source, target, [h.idx for h in images])
+
+    @classmethod
+    def _on_indices(cls, source: FiniteGroup, target: FiniteGroup, gen_images):
+        """The map sending source generator k to element index gen_images[k], verified."""
+        phi = cls.__new__(cls)
+        phi._realize(source, target, gen_images)
+        return phi
+
+    def _realize(self, source: FiniteGroup, target: FiniteGroup, gen_images):
+        """The verification core: one image index per source generator, extended and checked."""
         self.source = source
         self.target = target
-        gen_images = self._normalize_images(images)
-        image_idx = kernels._extend_images(source, target, [(g.idx, h.idx) for g, h in gen_images])
+        gens = source._gens.tolist()
+        image_idx = kernels._extend_images(source, target, list(zip(gens, gen_images)))
         # a generator reached before its own column (a repeat, or the
         # identity) took its image from the others; it must be the one given
-        for name, (g, h) in zip(source.generator_names, gen_images):
-            got = image_idx[g.idx]
-            if got != h.idx:
+        for name, g, h in zip(source.generator_names, gens, gen_images):
+            got = image_idx[g]
+            if got != h:
                 raise MalformedSpec(
-                    f"images do not extend to a homomorphism: generator {name} = {g!r} is "
-                    f"given {h!r}, but the images of the others send it to "
-                    f"{target.element_at(got)!r}"
+                    f"images do not extend to a homomorphism: generator {name} = "
+                    f"{source.element_at(g)!r} is given {target.element_at(h)!r}, but the "
+                    f"images of the others send it to {target.element_at(got)!r}"
                 )
         self.image_indices = tuple(image_idx)
         self._verify()
-
-    def _normalize_images(self, images):
-        src_gens = self.source.generators
-        images = list(images)
-        if len(images) != len(src_gens):
-            raise MalformedSpec(f"expected {len(src_gens)} generator images, got {len(images)}")
-        pairs = list(zip(src_gens, images))
-        for gen, img in pairs:
-            self.source._check(gen)
-            self.target._check(img)
-        return pairs
 
     def _verify(self):
         """phi(ab) = phi(a) phi(b) on every pair, decided on the source generators.
@@ -726,6 +731,9 @@ class Automorphism(GroupHomomorphism):
 
     def __init__(self, group: FiniteGroup, images):
         super().__init__(group, group, images)
+
+    def _realize(self, source: FiniteGroup, target: FiniteGroup, gen_images):
+        super()._realize(source, target, gen_images)
         if not self.is_bijective:
             raise MalformedSpec("generator images define a non-bijective endomorphism")
 

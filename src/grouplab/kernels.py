@@ -342,18 +342,3 @@ def _power_law_failure(G, P: np.ndarray, modulus: np.ndarray):
     T, inv, reps = G.table(), G.inverse_indices(), _class_representatives(G)
     return _first_failure(reps, G.order, lambda x: ~modulus[T[P[T[x]], inv[T[P[x][:, None], P]]]])
 
-
-def _brackets_within(G, xs, ys, n1s, n2s, modulus: np.ndarray) -> bool:
-    """[x·n1, y·n2] lies in [x, y]·modulus for every x in xs, y in ys, n1 in n1s and n2 in n2s.
-
-    [y, x]·[x·n1, y·n2] is read in blocks over a few n1, every (x, y) and every n2.
-    """
-    T = G.table()
-    xs, ys = xs[:, None, None], ys[None, :, None]
-    undo = _commutator(G, ys, xs)  # [y, x] = [x, y]^-1 per pair
-    yn = T[ys, n2s]  # y·n2 for every n2
-    for n1 in _blocks(n1s, undo.size * yn.shape[2]):
-        xn = T[xs, n1[:, None, None, None]]  # x·n1, one n1 per leading row
-        if not modulus[T[undo, _commutator(G, xn, yn)]].all():
-            return False
-    return True

@@ -13,12 +13,12 @@ from grouplab.errors import (
 )
 from grouplab.fixtures import (
     CheckRequest,
+    _product_of_powers,
     parse_fixture,
     realize_automorphism,
     realize_automorphisms,
     realize_groups,
     serialize_fixture,
-    word_element,
 )
 from grouplab.groups import FiniteGroup, PcPresentation, PermutationGenSet, build_group
 
@@ -474,13 +474,13 @@ def test_realize_groups_orders():
     assert {name: G.order for name, G in groups.items()} == expected
 
 
-def test_word_element_normal_form():
+def test_a_product_of_powers_is_its_normal_form():
     fx = parse_fixture(D8_TEXT)
     G = build_group(fx.group("D8").presentation)
     g1, g2, g3 = G.generators
-    x = word_element(G, ((1, 1), (3, 1)))
-    assert x == G.multiply(g1, g3)
-    assert word_element(G, ()) == G.identity
+    x = _product_of_powers(G, [(g1.idx, 1), (g3.idx, 1)])
+    assert x == G.multiply(g1, g3).idx
+    assert _product_of_powers(G, []) == G.identity.idx
 
 
 def test_realize_pc_automorphism_is_involution():
@@ -554,7 +554,7 @@ def test_word_images_are_read_from_the_table(monkeypatch):
             FiniteGroup, attr, lambda self, *args, _o=orig: calls.append(args) or _o(self, *args)
         )
     phi = realize_automorphism(fx.aut("conj"), G)
-    assert word_element(H, ((1, 2), (2, 1), (3, 2))) == word
+    assert _product_of_powers(H, [(g1.idx, 2), (g2.idx, 1), (g3.idx, 2)]) == word.idx
     assert calls == []
     assert [phi(a), phi(b)] == want
 

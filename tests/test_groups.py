@@ -726,11 +726,11 @@ def recorded_run(monkeypatch, fx) -> tuple:
     return ctx, made[0], made[0] - before_rows
 
 
-@pytest.mark.parametrize("fixture,in_all,in_rows", [("corpus", 32, 4), ("ladder", 8, 2)])
+@pytest.mark.parametrize("fixture,in_all,in_rows", [("corpus", 4, 4), ("ladder", 2, 2)])
 def test_a_catalog_run_makes_handles_only_at_its_edges(fixture, in_all, in_rows, monkeypatch):
-    # realization makes the automorphisms' generator and image handles; the
-    # rows make one for each printed witness and each gens= name, and none
-    # for the arithmetic of a check
+    # realization makes none: automorphisms are verified on generator image
+    # indices; the rows make one for each printed witness and each gens=
+    # name, and none for the arithmetic of a check
     text = corpus_text() if fixture == "corpus" else LADDER_FIXTURE.read_text("utf-8")
     assert recorded_run(monkeypatch, parse_fixture(text))[1:] == (in_all, in_rows)
 

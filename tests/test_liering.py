@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from grouplab import kernels, liering
+from grouplab import liering
 from grouplab.errors import (
     ActionNotWellDefined,
     EvenCharacteristic,
@@ -25,7 +25,6 @@ from grouplab.groups import (
 )
 from grouplab.liering import (
     GradedLieRing,
-    _verify_well_definedness,
     GradedSubspace,
     build_dl,
     centralizer_subalgebra,
@@ -601,76 +600,13 @@ def test_constructor_rejects_bad_tensors():
         GradedLieRing(3, (1, 1, 1), np.zeros((3, 3), dtype=np.int64))
 
 
-# -- representative independence, on every coset member --------------------------
-
-
-def cl3o243():
-    """Class-3 group of order 3^5: D_2 has order 27, so degrees (1,1) have 729 pairs."""
-    return pc(3, 5, {}, {(2, 1): ((3, 1),), (3, 1): ((4, 1),), (3, 2): ((5, 1),)})
+# -- a planted series ---------------------------------------------------------------
 
 
 def planted_series(monkeypatch, G, *terms):
     """Make build_dl use the series G > terms... > 1 instead of the dimension series."""
     series = NormalSeries(G, "planted", (whole_subgroup(G),) + terms + (trivial_subgroup(G),))
     monkeypatch.setattr(liering, "dimension_series", lambda G: series)
-
-
-def plant_dependence_at_one_pair(monkeypatch):
-    """Cl3o243 and its algebra, with one table entry moved: degrees (1,1) depend on representatives."""
-    G = cl3o243()
-    L = build_dl(G)
-    _verify_well_definedness(G, L)
-    D2, D3 = L.series.terms[1], L.series.terms[2]
-    assert (D2.order, D3.order) == (27, 9)
-    T, inv = G.table(), G.inverse_indices()
-    # plant at the last basis pair of degrees (1,1) and the last n1, n2 in D_2:
-    # a new value of x·n1 · y·n2 that moves [x·n1, y·n2] out of [x, y]·D_3
-    x, y = (int(r) for r in L.reps[: L.dims[0]])
-    xn, yn = T[x, D2.idx[-1]], T[y, D2.idx[-1]]
-    undo = inv[G.index_of(G.commutator(G.element_at(x), G.element_at(y)))]
-    bad = next(z for z in range(G.order) if not D3.mask[T[undo, T[inv[T[yn, xn]], z]]])
-    planted = T.copy()
-    planted[xn, yn] = bad
-    monkeypatch.setattr(G, "table", lambda: planted)
-    return G, L
-
-
-def test_well_definedness_catches_a_dependence_at_one_pair(monkeypatch):
-    G, L = plant_dependence_at_one_pair(monkeypatch)
-    with pytest.raises(InconsistentPresentation, match=r"\(1,1\) depends on representatives"):
-        _verify_well_definedness(G, L)
-
-
-def plant_heis27_over_a_non_central_term(monkeypatch):
-    """Heis27 over G > <g2, g3> > 1: [x, x·g2] = [x, g2] is not trivial."""
-    G = heis27()
-    g1, g2, g3 = G.generators
-    planted_series(monkeypatch, G, generated_subgroup(G, [g2, g3]))
-    return G
-
-
-def test_build_dl_refuses_a_bracket_that_depends_on_representatives(monkeypatch):
-    G = plant_heis27_over_a_non_central_term(monkeypatch)
-    with pytest.raises(InconsistentPresentation, match=r"\(1,1\) depends on representatives"):
-        build_dl(G)
-
-
-@pytest.mark.parametrize("block", [1, 64, None])
-def test_well_definedness_outcome_does_not_depend_on_the_block(block, monkeypatch):
-    # the n1 of each term are read in blocks of kernels._BLOCK table entries;
-    # one n1 per block, a few, or the default must decide alike
-    if block is not None:
-        monkeypatch.setattr(kernels, "_BLOCK", block)
-    heis125 = pc(5, 3, {}, {(2, 1): ((3, 1),)})
-    c3wrc3 = pc(3, 4, {}, {(2, 1): ((3, 1),), (3, 1): ((4, 1),)})
-    for G in (cl3o243(), heis125, c3wrc3):
-        _verify_well_definedness(G, build_dl(G))
-    G, L = plant_dependence_at_one_pair(monkeypatch)
-    with pytest.raises(InconsistentPresentation, match=r"\(1,1\) depends on representatives"):
-        _verify_well_definedness(G, L)
-    G = plant_heis27_over_a_non_central_term(monkeypatch)
-    with pytest.raises(InconsistentPresentation, match=r"\(1,1\) depends on representatives"):
-        build_dl(G)
 
 
 def test_induced_action_refuses_a_non_invariant_term(monkeypatch):

@@ -4,11 +4,13 @@ The dimension series of the cyclic group of order 2048 has 1025 terms but
 only 12 distinct subgroups (D_i = G^(2^k) for 2^(k-1) < i <= 2^k; Jennings
 1941), and its graded Lie ring has 1013 degrees of dimension 0.  The N_p
 containments are decided on the last index of each run of equal terms, at
-most r(r+1)/2 pairs for r distinct terms, and representative independence
-is scanned only on degree pairs of nonzero dimension, the only pairs the
-ring keeps a bracket block for.  These tests pin the 11 group checks on
-three such groups, bound that work by counts and the kept ring's memory, and
-pin the least failing pair that a planted series still names.  The
+most r(r+1)/2 pairs for r distinct terms.  The ring keeps a bracket block
+only for degree pairs of nonzero dimension, and its build forms one grid of
+commutators, of its basis representatives: representative independence is
+Lazard's theorem, checked on every coset member by test_dl_oracle, not at
+run time.  These tests pin the 11 group checks on three such groups, bound
+that work by counts and the kept ring's memory, and pin the least failing
+pair that a planted series still names.  The
 collection scan reads |G| table entries per class minimum, |G|^2 =
 TABLE_CAP^2 on the abelian C2048, C2xC1024 and C2^11, and lemma_3_3 and
 lemma_3_4 read the weight-k commutator values from the class labels; on
@@ -19,11 +21,12 @@ skipped on a budget.
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from test_commutator_generators import cl2o2048, pc
 
-from grouplab import build_dl, kernels, parse_fixture, run_checks, series
+from grouplab import build_dl, kernels, liering, parse_fixture, run_checks, series
 from grouplab.checks import (
     GROUP_CHECKS,
     check_collection_formula,
@@ -157,14 +160,24 @@ def recorded(monkeypatch, module, name, record) -> None:
 
 @pytest.mark.parametrize("name", list(GROUPS))
 def test_group_checks_on_a_long_series_are_pinned_and_bounded(name, monkeypatch):
-    pairs, blocks = [], []
+    pairs, built, building, formed = [], [], [], []
     recorded(monkeypatch, series, "_commutators_inside", lambda G, H, K, target: pairs.append(1))
     recorded(
         monkeypatch,
         kernels,
-        "_brackets_within",
-        lambda G, xs, ys, n1s, n2s, modulus: blocks.append((len(xs), len(ys))),
+        "_commutator",
+        lambda G, x, y: building and formed.append(np.broadcast(x, y).size),
     )
+
+    def build(G, p, _orig=liering._build_dl):
+        built.append(G)
+        building.append(G)
+        try:
+            return _orig(G, p)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(liering, "_build_dl", build)
     report = run_checks(parse_fixture(GROUPS[name] + "\n"))
     rows = {row.check: (row.status, row.details) for row in report.rows}
     assert sorted(rows) == sorted(GROUP_CHECKS)
@@ -178,12 +191,9 @@ def test_group_checks_on_a_long_series_are_pinned_and_bounded(name, monkeypatch)
     r = len(SERIES_RUNS[name])
     assert len(orders) in (1025, 513)
     assert len(pairs) <= r * (r + 1) // 2
-    # degree i has nonzero dimension where D_i > D_(i+1), at the end of a run;
-    # one block per such pair i >= j with i + j <= m, none for an empty degree
-    ends = list(itertools.accumulate(run for _, run in SERIES_RUNS[name][:-1]))
-    m = len(orders) - 1
-    assert all(dx > 0 and dy > 0 for dx, dy in blocks)
-    assert len(blocks) == sum(1 for i in ends for j in ends if j <= i and i + j <= m) > 0
+    # the catalog runs no representative scan: the one ring built forms one
+    # grid of commutators, of its 11 basis representatives, and no others
+    assert len(built) == 1 and formed == [11 * 11]
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,9 @@ PINNED = {
     "groups.py:FiniteGroup.element": API,
     "groups.py:FiniteGroup.conjugate": API,
     "groups.py:FiniteGroup.__repr__": PROTOCOL,
+    "groups.py:GroupHomomorphism.__init__": API,  # fixtures verify on generator image indices
     "groups.py:GroupHomomorphism.__call__": PROTOCOL,
+    "groups.py:Automorphism.__init__": API,
     "groups.py:Automorphism.identity_of": API,
     "groups.py:Automorphism.order": API,
     "groups.py:Automorphism.__eq__": PROTOCOL,
